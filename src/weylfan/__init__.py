@@ -18,7 +18,6 @@ from .compactify import (
     CompactifiedPoint,
     LimitProfile,
     NoLimit,
-    facade_closure_order,
     limit_of_profile,
     limit_of_ray,
     project_to_facade,
@@ -26,12 +25,11 @@ from .compactify import (
 )
 from .cones import Cone
 from .errors import WeylfanError
-from .fans import Fan, cone_containing, cone_of_parabolic, fan_FJ, is_face, parabolic_fan, weyl_fan
+from .fans import Fan, cone_of_parabolic, parabolic_fan, weyl_fan
 from .gaussnorm import (
     LogSeminorm,
     ToyGroupDatum,
     ValuedPolynomial,
-    conjugation_relabel,
     fiber_direction_space,
     theta_boundary,
     theta_full,
@@ -44,7 +42,6 @@ from .parabolics import (
     enumerate_strata,
     facade_root_system,
     is_J_relevant,
-    is_J_relevant_via_perp,
     is_non_degenerate,
 )
 from .rootdata import (

@@ -71,8 +71,6 @@ class ExtensionSpec:
     """A valued field extension seen by the apartment: ramification only."""
 
     e: int
-    galois: bool = True
-    label: str = ""
 
     def __post_init__(self) -> None:
         if self.e < 1:

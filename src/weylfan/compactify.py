@@ -239,8 +239,3 @@ def limit_of_profile(
             raise InconsistentProfile("witness disagrees with the profile values")
     return CompactifiedPoint(fan, idx, base)
 
-
-def facade_closure_order(fan: Fan) -> tuple[tuple[int, int], ...]:
-    """Pairs (f, g) with the facade of g inside the closure of the facade
-    of f; this is exactly the face order of the fan."""
-    return fan.face_order

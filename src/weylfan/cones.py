@@ -11,7 +11,6 @@ rays) computed once by an exact double-description pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -28,9 +27,7 @@ def dual_description(
     Rays are primitive and canonical up to order; together with the
     lineality they generate the cone.  Rays are extreme modulo lineality.
     """
-    lineality = la.kernel_basis(list(eqs), n) if eqs else [
-        tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-    ]
+    lineality = la.kernel_basis(list(eqs), n)
     rays: list[Vec] = []
     processed: list[Vec] = list(eqs)
 
@@ -109,9 +106,7 @@ class Cone:
                     # strict system has no solution
                     raise EmptyCone(f"form {form} cannot be strictly positive")
         span = list(lin) + list(rays)
-        eq_canonical, _ = la.rref(la.kernel_basis(span, n) if span else
-                                  [tuple(Fraction(1 if i == j else 0) for j in range(n))
-                                   for i in range(n)])
+        eq_canonical, _ = la.rref(la.kernel_basis(span, n))
         eq_canonical = [la.primitive(e) for e in eq_canonical]
 
         span_dim = n - len(eq_canonical)

@@ -105,7 +105,7 @@ class Fan:
 
     # -- validation ----------------------------------------------------------
 
-    def validate(self, check_supporting: bool = True) -> dict:
+    def validate(self) -> dict:
         """Verify the fan axioms exactly; returns a few summary counts.
 
         Checks: partition over all Weyl facets, presence of the origin cone,
@@ -126,51 +126,31 @@ class Fan:
         # the zero cone belongs to the fan
         _ = self.origin_index
 
-        # partition: every Weyl facet lies in exactly one cone
-        for p in weyl_facet_points(datum):
-            self.cone_containing(p)
+        _check_cover(self)
 
-        # boundaries are unions of fan cones: every facet of every closure
-        # is the closure of a fan cone
-        for i, g in enumerate(self.cones):
-            for form in g.ins:
-                facet_rays = tuple(
-                    sorted(r for r in g.rays if la.dot(form, r) == 0)
+        # face conditions and criterion agreement on every face pair
+        for f, g in self.face_order:
+            cf, cg = self.cones[f], self.cones[g]
+            if not is_face_closure(cf, cg):
+                raise PartitionFailure(
+                    f"face condition fails for cones {f} <= {g}"
                 )
-                if ((), facet_rays) not in self._index:
-                    raise PartitionFailure(
-                        f"facet of cone {i} is not the closure of a fan cone"
-                    )
+            if not is_face_supporting(cf, cg):
+                raise PartitionFailure(
+                    f"supporting-form criterion fails for cones {f} <= {g}"
+                )
 
-        # face conditions and criterion agreement
-        face_pairs = 0
-        for f in range(len(self.cones)):
-            for g in range(len(self.cones)):
-                cf, cg = self.cones[f], self.cones[g]
-                if not closure_subset(cf, cg):
-                    if check_supporting and cf.dim <= cg.dim and is_face_supporting(cf, cg):
-                        raise PartitionFailure("face criteria disagree")
-                    continue
-                if not is_face_closure(cf, cg):
-                    raise PartitionFailure(
-                        f"face condition fails for cones {f} <= {g}"
-                    )
-                if check_supporting and not is_face_supporting(cf, cg):
-                    raise PartitionFailure(
-                        f"supporting-form criterion fails for cones {f} <= {g}"
-                    )
-                face_pairs += 1
-
-        # Weyl invariance
+        # Weyl invariance, collecting each cone's setwise stabiliser
+        stabilisers: list[list[WeylElement]] = [[] for _ in self.cones]
         for w in weyl:
             for i in range(len(self.cones)):
-                self.transform_index(w, i)
+                if self.transform_index(w, i) == i:
+                    stabilisers[i].append(w)
 
         # cores: fixed locus of the setwise stabiliser meets the cone in its core
         for i, c in enumerate(self.cones):
-            stab = [w for w in weyl if self.transform_index(w, i) == i]
             fix_rows = []
-            for w in stab:
+            for w in stabilisers[i]:
                 for r in range(n):
                     row = tuple(
                         w.mat_points[r][j] - (1 if r == j else 0) for j in range(n)
@@ -183,9 +163,23 @@ class Fan:
 
         return {
             "cones": len(self.cones),
-            "face_pairs": face_pairs,
+            "face_pairs": len(self.face_order),
             "weyl_order": len(weyl),
         }
+
+
+def _check_cover(fan: Fan) -> None:
+    """Partition and boundary axioms: every Weyl facet lies in exactly one
+    cone, and every facet of every closure is the closure of a fan cone."""
+    for p in weyl_facet_points(fan.datum):
+        fan.cone_containing(p)
+    for i, g in enumerate(fan.cones):
+        for form in g.ins:
+            facet_rays = tuple(sorted(r for r in g.rays if la.dot(form, r) == 0))
+            if ((), facet_rays) not in fan._index:
+                raise PartitionFailure(
+                    f"facet of cone {i} is not the closure of a fan cone"
+                )
 
 
 def weyl_facet_points(datum: RootDatum) -> list[Vec]:
@@ -243,6 +237,20 @@ def _facet_cone(datum: RootDatum, T: frozenset[int]) -> Cone:
     return Cone.from_system(n, eqs, ins)
 
 
+def validate_J(datum: RootDatum, J: Iterable[int]) -> frozenset[int]:
+    """J as a frozenset; raises DegenerateJ unless J is a subset of the basis
+    containing no connected component of the basis diagram."""
+    J = frozenset(J)
+    if any(i not in range(datum.rank) for i in J):
+        raise DegenerateJ(f"subset {sorted(J)} is not a subset of the basis")
+    for comp in datum.diagram_components:
+        if comp <= J:
+            raise DegenerateJ(
+                f"J contains the connected component {sorted(comp)} of the basis"
+            )
+    return J
+
+
 def parabolic_fan(datum: RootDatum, J: Iterable[int] = ()) -> Fan:
     """The fan of merged Weyl cones attached to a subset J of the basis.
 
@@ -252,14 +260,7 @@ def parabolic_fan(datum: RootDatum, J: Iterable[int] = ()) -> Fan:
     """
     if not datum.essential:
         raise NotEssential("root system does not span the ambient space")
-    J = frozenset(J)
-    if any(i not in range(datum.rank) for i in J):
-        raise DegenerateJ(f"subset {sorted(J)} is not a subset of the basis")
-    for comp in datum.diagram_components:
-        if comp <= J:
-            raise DegenerateJ(
-                f"J contains the connected component {sorted(comp)} of the basis"
-            )
+    J = validate_J(datum, J)
 
     n = datum.rank
     weyl = weyl_enumerate(datum)
@@ -289,38 +290,13 @@ def parabolic_fan(datum: RootDatum, J: Iterable[int] = ()) -> Fan:
     cones = [pair[0] for pair in ordered]
     cores = {i: pair[1] for i, pair in enumerate(ordered)}
     fan = Fan(datum, J, cones, cores)
-
-    # hard partition check: every Weyl facet lies in exactly one cone
-    for p in weyl_facet_points(datum):
-        fan.cone_containing(p)
-    # boundary check: every facet of every closure is the closure of a cone
-    for i, g in enumerate(fan.cones):
-        for form in g.ins:
-            facet_rays = tuple(sorted(r for r in g.rays if la.dot(form, r) == 0))
-            if ((), facet_rays) not in fan._index:
-                raise PartitionFailure(
-                    f"facet of cone {i} is not the closure of a fan cone"
-                )
+    _check_cover(fan)
     return fan
 
 
 def weyl_fan(datum: RootDatum) -> Fan:
     """The fan of facets of the root hyperplane arrangement."""
     return parabolic_fan(datum, ())
-
-
-def fan_FJ(datum: RootDatum, J: Iterable[int]) -> tuple[Fan, dict[int, CoreInfo]]:
-    """The merged fan for subset J together with its core assignment."""
-    fan = parabolic_fan(datum, J)
-    return fan, fan.cores
-
-
-def is_face(fan: Fan, f: int, g: int) -> bool:
-    return fan.is_face(f, g)
-
-
-def cone_containing(fan: Fan, v: Sequence) -> int:
-    return fan.cone_containing(la.vec(v))
 
 
 def cone_of_parabolic(

@@ -70,7 +70,9 @@ class ToyGroupDatum:
         """Transport the coordinates along a Weyl element.
 
         Returns the relabeled datum together with the permutation sending
-        each old coordinate position to its new position.
+        each old coordinate position to its new position; evaluating the
+        original seminorm at x on f equals evaluating the relabeled seminorm
+        at w(x) on the relabeled polynomial.
         """
         moved = [(w.apply_root(a), i) for a, i in self.indexed_roots]
         order = sorted(range(len(moved)), key=lambda k: moved[k])
@@ -278,23 +280,6 @@ def fiber_direction_space(tg: ToyGroupDatum) -> tuple[Vec, ...]:
     the indexed roots.  Zero exactly when the type is non-degenerate."""
     covs = [tg.datum.covector(a) for a in tg.psi]
     return tuple(la.kernel_basis(covs, tg.datum.rank))
-
-
-def separates(tg: ToyGroupDatum, x: Sequence, y: Sequence) -> bool:
-    """Whether the seminorms of x and y differ."""
-    return theta_restricted(tg, x) != theta_restricted(tg, y)
-
-
-def conjugation_relabel(
-    tg: ToyGroupDatum, w: WeylElement
-) -> tuple[ToyGroupDatum, tuple[int, ...]]:
-    """Coordinate data of the conjugated parabolic: roots moved by w.
-
-    Returns the new datum and the position permutation; evaluating the
-    original seminorm at x on f equals evaluating the relabeled seminorm
-    at w(x) on the relabeled polynomial.
-    """
-    return tg.relabel(w)
 
 
 # -- boundary data of rays, carried into a common coordinate chart -----------

@@ -182,9 +182,3 @@ def det(m: Mat) -> Fraction:
 def span_rank(vectors: Sequence[Vec]) -> int:
     return rank(list(vectors))
 
-
-def in_span(v: Vec, vectors: Sequence[Vec]) -> bool:
-    if is_zero(v):
-        return True
-    base = rank(list(vectors))
-    return rank(list(vectors) + [v]) == base

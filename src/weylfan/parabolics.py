@@ -11,13 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple
 
 from . import linalg as la
-from .cones import Cone, dual_description
-from .errors import DegenerateJ, InternalDisagreement
-from .fans import CoreInfo, Fan
-from .linalg import Vec
+from .cones import Cone
+from .errors import InternalDisagreement
+from .fans import Fan, validate_J
 from .rootdata import Root, RootDatum, components, orthogonal_complement
 
 
@@ -111,43 +110,7 @@ def dominance_cone(datum: RootDatum, T: Iterable[int]) -> Cone:
     """
     ptype = ParabolicType(datum, frozenset(T))
     forms = [datum.covector(a) for a in ptype.unipotent_roots]
-    lin, rays = dual_description(datum.rank, [], forms)
-    # keep the closed-cone data; relative interior view via from_system
-    return _closed_cone_view(datum.rank, forms, lin, rays)
-
-
-def _closed_cone_view(n: int, forms: list[Vec], lin: list[Vec], rays: list[Vec]) -> Cone:
-    span = list(lin) + list(rays)
-    eqs = la.kernel_basis(span, n) if span else [
-        tuple(la.Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-    ]
-    kept = []
-    span_dim = n - len(eqs)
-    seen = set()
-    for f in forms:
-        tight = [g for g in span if la.dot(f, g) == 0]
-        if la.rank(tight) == span_dim - 1:
-            p = la.primitive(f)
-            if p not in seen:
-                seen.add(p)
-                kept.append(p)
-    return Cone(
-        dim_ambient=n,
-        eqs=tuple(sorted(la.primitive(e) for e in eqs)),
-        ins=tuple(sorted(kept)),
-        lineality=tuple(sorted(la.primitive(l) for l in lin)),
-        rays=tuple(sorted(rays)),
-    )
-
-
-def _validate_J(datum: RootDatum, J: frozenset[int]) -> None:
-    if any(i not in range(datum.rank) for i in J):
-        raise DegenerateJ(f"subset {sorted(J)} is not a subset of the basis")
-    for comp in datum.diagram_components:
-        if comp <= J:
-            raise DegenerateJ(
-                f"J contains the connected component {sorted(comp)} of the basis"
-            )
+    return Cone.from_system(datum.rank, [], forms)
 
 
 def core_generating_set(datum: RootDatum, J: frozenset[int], T: frozenset[int]) -> frozenset[int]:
@@ -163,47 +126,13 @@ def is_J_relevant(datum: RootDatum, J: Iterable[int], T: Iterable[int]) -> bool:
     Decided by reconstructing the candidate generator from the components
     of T meeting the complement of J.
     """
-    J = frozenset(J)
     T = frozenset(T)
-    _validate_J(datum, J)
+    J = validate_J(datum, J)
     I = core_generating_set(datum, J, T)
     if any(comp <= J for comp in components(datum, I)):
         return False
     extra = J & orthogonal_complement(datum, I)
     return T == I | extra and not (I & extra)
-
-
-def is_J_relevant_via_perp(datum: RootDatum, J: Iterable[int], T: Iterable[int]) -> bool:
-    """Relevance by the orthogonality criterion: any simple root of J
-    orthogonal to every component of T meeting the complement of J must
-    already lie in T."""
-    J = frozenset(J)
-    T = frozenset(T)
-    _validate_J(datum, J)
-    I = core_generating_set(datum, J, T)
-    for alpha in J:
-        orth = all(
-            datum.inner(datum.simples[alpha], datum.simples[i]) == 0 for i in I
-        )
-        if orth and alpha not in T:
-            return False
-    return True
-
-
-def is_J_relevant_exhaustive(datum: RootDatum, J: Iterable[int], T: Iterable[int]) -> bool:
-    """Oracle: search all generating subsets I directly."""
-    J = frozenset(J)
-    T = frozenset(T)
-    _validate_J(datum, J)
-    n = datum.rank
-    for bits in range(1 << n):
-        I = frozenset(j for j in range(n) if bits & (1 << j))
-        if any(comp <= J for comp in components(datum, I)):
-            continue
-        extra = J & orthogonal_complement(datum, I)
-        if not (I & extra) and T == I | extra:
-            return True
-    return False
 
 
 @dataclass(frozen=True)
@@ -231,8 +160,7 @@ def enumerate_strata(
     """
     from .rootdata import weyl_enumerate
 
-    J = frozenset(J)
-    _validate_J(datum, J)
+    J = validate_J(datum, J)
     n = datum.rank
     out = []
     for bits in range(1 << n):
@@ -272,20 +200,13 @@ def enumerate_strata(
     return pairs
 
 
-def facade_root_system(
-    datum: RootDatum,
-    fan: Fan,
-    cone_index: int,
-    cores: Optional[dict[int, CoreInfo]] = None,
-) -> tuple[Root, ...]:
+def facade_root_system(datum: RootDatum, fan: Fan, cone_index: int) -> tuple[Root, ...]:
     """Roots vanishing on the core direction of a fan cone.
 
     These are the wall directions surviving in the facade of the cone; for
     the standard cone of core type T the result is the Levi subsystem of T.
     """
-    cores = cores if cores is not None else fan.cores
-    core = cores[cone_index].cone
-    span = core.span_basis
+    span = fan.cores[cone_index].cone.span_basis
     return tuple(
         a
         for a in datum.roots

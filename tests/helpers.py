@@ -5,7 +5,9 @@ import random
 
 from weylfan import linalg as la
 from weylfan.cones import open_system_feasible
-from weylfan.fans import Fan
+from weylfan.fans import Fan, validate_J
+from weylfan.parabolics import core_generating_set
+from weylfan.rootdata import components, orthogonal_complement
 
 
 def sign_vector_cone_count(datum) -> int:
@@ -64,3 +66,34 @@ def sample_points(fan: Fan, target: int, seed: int = 2024) -> list:
 
 def random_rational_vec(rng: random.Random, n: int, num: int = 9, den: int = 5):
     return tuple(Q(rng.randint(-num, num), rng.randint(1, den)) for _ in range(n))
+
+
+def is_J_relevant_via_perp(datum, J, T) -> bool:
+    """Relevance by the orthogonality criterion: any simple root of J
+    orthogonal to every component of T meeting the complement of J must
+    already lie in T."""
+    T = frozenset(T)
+    J = validate_J(datum, J)
+    I = core_generating_set(datum, J, T)
+    for alpha in J:
+        orth = all(
+            datum.inner(datum.simples[alpha], datum.simples[i]) == 0 for i in I
+        )
+        if orth and alpha not in T:
+            return False
+    return True
+
+
+def is_J_relevant_exhaustive(datum, J, T) -> bool:
+    """Relevance oracle: search all generating subsets I directly."""
+    T = frozenset(T)
+    J = validate_J(datum, J)
+    n = datum.rank
+    for bits in range(1 << n):
+        I = frozenset(j for j in range(n) if bits & (1 << j))
+        if any(comp <= J for comp in components(datum, I)):
+            continue
+        extra = J & orthogonal_complement(datum, I)
+        if not (I & extra) and T == I | extra:
+            return True
+    return False

@@ -6,7 +6,13 @@ Run with `pytest tests/test_acceptance.py -v -s`.
 from fractions import Fraction as Q
 import random
 
-from helpers import random_rational_vec, sample_points, sign_vector_cone_count
+from helpers import (
+    is_J_relevant_exhaustive,
+    is_J_relevant_via_perp,
+    random_rational_vec,
+    sample_points,
+    sign_vector_cone_count,
+)
 from weylfan import linalg as la
 from weylfan.apartment import (
     ExtensionSpec,
@@ -30,8 +36,6 @@ from weylfan.parabolics import (
     ParabolicType,
     enumerate_strata,
     facade_root_system,
-    is_J_relevant_exhaustive,
-    is_J_relevant_via_perp,
     is_non_degenerate,
 )
 from weylfan.rootdata import build_root_datum
@@ -78,7 +82,7 @@ def test_criterion_2_fan_axioms():
         built.append((f"{name} J={J}", parabolic_fan(build_root_datum(name), J)))
     pair_count = 0
     for label, fan in built:
-        stats = fan.validate(check_supporting=True)
+        stats = fan.validate()
         pair_count += stats["cones"] ** 2
     print(f"ACCEPTANCE 2 PASS: fan axioms and face-criteria agreement on "
           f"{len(built)} fans ({pair_count} cone pairs)")

@@ -10,7 +10,6 @@ from weylfan.compactify import (
     POS_INF,
     LimitProfile,
     NoLimit,
-    facade_closure_order,
     limit_of_profile,
     limit_of_ray,
     project_to_facade,
@@ -200,7 +199,7 @@ def test_limit_equality_is_transitive(fan_j1):
 
 def test_facade_closure_order(wfan, fan_j1):
     for fan in (wfan, fan_j1):
-        order = facade_closure_order(fan)
+        order = fan.face_order
         o = fan.origin_index
         assert all((o, g) in order for g in range(len(fan.cones)))
         # maximality of the open facades: nothing above them but themselves

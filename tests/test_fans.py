@@ -5,10 +5,10 @@ import pytest
 from helpers import sample_points, sign_vector_cone_count
 from weylfan import linalg as la
 from weylfan.cones import Cone, is_face_closure, is_face_supporting
-from weylfan.errors import DegenerateJ, NotEssential, TypeMismatch
+from weylfan.errors import DegenerateJ, NotEssential, PartitionFailure, TypeMismatch
 from weylfan.fans import (
+    Fan,
     cone_of_parabolic,
-    fan_FJ,
     parabolic_fan,
     weyl_fan,
     weyl_facet_points,
@@ -35,7 +35,8 @@ def test_weyl_fan_a2_structure():
 
 def test_fan_fj_a2_structure():
     datum = build_root_datum("A2")
-    fan, cores = fan_FJ(datum, [0])
+    fan = parabolic_fan(datum, [0])
+    cores = fan.cores
     assert len(fan) == 7
     dims = sorted(c.dim for c in fan.cones)
     assert dims == [0, 1, 1, 1, 2, 2, 2]
@@ -66,7 +67,8 @@ def test_fan_fj_empty_equals_weyl_fan():
 
 def test_fan_fj_core_example():
     datum = build_root_datum("A2")
-    fan, cores = fan_FJ(datum, [0])
+    fan = parabolic_fan(datum, [0])
+    cores = fan.cores
     # the fundamental merged cone: identity translate of the open standard cone
     idx = [
         i
@@ -103,6 +105,33 @@ def test_fan_axioms_validate(name, J):
     fan = parabolic_fan(build_root_datum(name), J)
     stats = fan.validate()
     assert stats["cones"] == len(fan)
+
+
+def _without_cone(fan, drop):
+    keep = [i for i in range(len(fan)) if i != drop]
+    cores = {k: fan.cores[i] for k, i in enumerate(keep)}
+    return Fan(fan.datum, fan.J, [fan.cones[i] for i in keep], cores)
+
+
+def test_validate_rejects_a_dropped_cone():
+    fan = parabolic_fan(build_root_datum("B2"), ())
+    fan.validate()
+    ray = next(i for i, c in enumerate(fan.cones) if c.dim == 1)
+    chamber = next(i for i, c in enumerate(fan.cones) if c.dim == 2)
+    with pytest.raises(PartitionFailure, match="no origin cone"):
+        _without_cone(fan, fan.origin_index).validate()
+    for drop in (ray, chamber):
+        with pytest.raises(PartitionFailure, match="not a partition"):
+            _without_cone(fan, drop).validate()
+
+
+def test_validate_rejects_swapped_cores():
+    fan = parabolic_fan(build_root_datum("B2"), ())
+    i, j = [k for k, c in enumerate(fan.cones) if c.dim == 2][:2]
+    cores = dict(fan.cores)
+    cores[i], cores[j] = cores[j], cores[i]
+    with pytest.raises(PartitionFailure, match="core of cone"):
+        Fan(fan.datum, fan.J, fan.cones, cores).validate()
 
 
 def test_partition_on_samples_a2():

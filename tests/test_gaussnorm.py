@@ -14,7 +14,6 @@ from weylfan.gaussnorm import (
     boundary_chart_values,
     boundary_rays_equal,
     cell_charts,
-    conjugation_relabel,
     fiber_direction_space,
     theta_boundary,
     theta_full,
@@ -239,12 +238,12 @@ def test_conjugation_relabel_identities():
     datum = build_root_datum("A2")
     weyl = weyl_enumerate(datum)
     tg = ToyGroupDatum.for_parabolic(datum, [0])
-    ident_tg, perm = conjugation_relabel(tg, weyl.identity)
+    ident_tg, perm = tg.relabel(weyl.identity)
     assert ident_tg.indexed_roots == tg.indexed_roots
     assert perm == tuple(range(len(perm)))
     rng = random.Random(13)
     s2 = weyl.generators[1]
-    moved, perm = conjugation_relabel(tg, s2)
+    moved, perm = tg.relabel(s2)
     for _ in range(50):
         f = rand_poly(rng, len(tg.indexed_roots))
         x = random_rational_vec(rng, 2)
@@ -259,9 +258,9 @@ def test_conjugation_composition():
     tg = ToyGroupDatum.for_parabolic(datum, [1])
     u, v = weyl.generators
     w = weyl.multiply(u, v)
-    once, perm_w = conjugation_relabel(tg, w)
-    mid, perm_v = conjugation_relabel(tg, v)
-    twice, perm_u = conjugation_relabel(mid, u)
+    once, perm_w = tg.relabel(w)
+    mid, perm_v = tg.relabel(v)
+    twice, perm_u = mid.relabel(u)
     assert once.indexed_roots == twice.indexed_roots
     composed = tuple(perm_u[perm_v[k]] for k in range(len(perm_v)))
     assert composed == perm_w

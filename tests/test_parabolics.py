@@ -1,17 +1,16 @@
 import pytest
 
+from helpers import is_J_relevant_exhaustive, is_J_relevant_via_perp
 from weylfan import linalg as la
 from weylfan.cones import Cone
 from weylfan.errors import DegenerateJ
-from weylfan.fans import fan_FJ, parabolic_fan, weyl_fan
+from weylfan.fans import parabolic_fan, weyl_fan
 from weylfan.parabolics import (
     ParabolicType,
     dominance_cone,
     enumerate_strata,
     facade_root_system,
     is_J_relevant,
-    is_J_relevant_exhaustive,
-    is_J_relevant_via_perp,
     is_non_degenerate,
 )
 from weylfan.rootdata import build_root_datum, weyl_enumerate
@@ -121,6 +120,25 @@ def test_relevance_examples():
         is_J_relevant_via_perp(a2, [0, 1], [0])
 
 
+@pytest.mark.parametrize(
+    "name,J,message",
+    [
+        ("A2", [5], "subset [5] is not a subset of the basis"),
+        ("A1xA1", [0], "J contains the connected component [0] of the basis"),
+    ],
+)
+def test_degenerate_j_message_is_shared(name, J, message):
+    datum = build_root_datum(name)
+    for call in (
+        lambda: parabolic_fan(datum, J),
+        lambda: is_J_relevant(datum, J, []),
+        lambda: enumerate_strata(datum, J),
+    ):
+        with pytest.raises(DegenerateJ) as info:
+            call()
+        assert str(info.value) == message
+
+
 def test_via_perp_examples():
     a2 = build_root_datum("A2")
     assert not is_J_relevant_via_perp(a2, [0], [])
@@ -185,13 +203,14 @@ def test_strata_biject_with_core_orbit_classes(name, J):
 
 def test_facade_root_system_examples():
     a2 = build_root_datum("A2")
-    fan, cores = fan_FJ(a2, [0])
+    fan = parabolic_fan(a2, [0])
+    cores = fan.cores
     origin = fan.origin_index
-    assert set(facade_root_system(a2, fan, origin, cores)) == set(a2.roots)
+    assert set(facade_root_system(a2, fan, origin)) == set(a2.roots)
     for i, c in enumerate(fan.cones):
         if cores[i].weyl.word:
             continue  # standard cones only; translates are covered below
-        got = set(facade_root_system(a2, fan, i, cores))
+        got = set(facade_root_system(a2, fan, i))
         T = cores[i].type_indices
         levi = set(ParabolicType(a2, T).levi_roots)
         assert got == levi
