@@ -47,16 +47,15 @@ def dual_description(
             if la.dot(a, pivot) < 0:
                 pivot = la.neg(pivot)
             pa = la.dot(a, pivot)
-            lineality = [
-                la.primitive(la.sub(l, la.scale(pivot, la.dot(a, l) / pa)))
-                for l in lineality
-                if l is not pivot and not la.is_zero(la.sub(l, la.scale(pivot, la.dot(a, l) / pa)))
-            ]
-            rays = [
-                la.primitive(la.sub(r, la.scale(pivot, la.dot(a, r) / pa)))
-                for r in rays
-            ]
-            rays = [r for r in rays if not la.is_zero(r)]
+
+            def project(v: Vec) -> Vec:
+                # pa > 0, so this is the primitive form of v - (a.v / pa) pivot
+                return la.primitive(la.sub(la.scale(v, pa), la.scale(pivot, la.dot(a, v))))
+
+            lineality = [project(l) for l in lineality if l is not pivot]
+            lineality = [l for l in lineality if any(l)]
+            rays = [project(r) for r in rays]
+            rays = [r for r in rays if any(r)]
             rays.append(la.primitive(pivot))
         else:
             pos = [r for r in rays if la.dot(a, r) > 0]
@@ -95,8 +94,8 @@ class Cone:
         n: int, eqs: Sequence[Vec], ins: Sequence[Vec], check: bool = True
     ) -> "Cone":
         """Canonicalise {x : eqs x = 0, ins x > 0}; raises EmptyCone if empty."""
-        eqs = [la.vec(e) for e in eqs]
-        ins = [la.vec(i) for i in ins]
+        eqs = [tuple(e) for e in eqs]
+        ins = [tuple(i) for i in ins]
         lin, rays = dual_description(n, eqs, ins)
         if check:
             gens = rays + [l for l in lin] + [la.neg(l) for l in lin]
@@ -204,12 +203,13 @@ class Cone:
 
 
 def _reduce_mod(form: Vec, eq_rref: Sequence[Vec]) -> Vec:
-    """Reduce a form modulo the row space of an RREF basis."""
+    """Reduce a form modulo the row space of an RREF basis with positive
+    pivots; the result is a positive multiple of the rational remainder."""
     out = form
     for row in eq_rref:
         pivot = next((j for j, v in enumerate(row) if v != 0), None)
         if pivot is not None and out[pivot] != 0:
-            out = la.sub(out, la.scale(row, out[pivot] / row[pivot]))
+            out = la.sub(la.scale(out, row[pivot]), la.scale(row, out[pivot]))
     return out
 
 

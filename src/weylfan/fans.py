@@ -156,7 +156,7 @@ class Fan:
                         w.mat_points[r][j] - (1 if r == j else 0) for j in range(n)
                     )
                     if not la.is_zero(row):
-                        fix_rows.append(la.vec(row))
+                        fix_rows.append(row)
             core = Cone.from_system(n, list(c.eqs) + fix_rows, list(c.ins))
             if core.key != self.cores[i].cone.key:
                 raise PartitionFailure(f"core of cone {i} is not the stabiliser fixed locus")
@@ -183,7 +183,9 @@ def _check_cover(fan: Fan) -> None:
 
 
 def weyl_facet_points(datum: RootDatum) -> list[Vec]:
-    """One relative interior point for every facet of the Weyl arrangement."""
+    """One primitive integer relative interior point for every facet of the
+    Weyl arrangement: the Weyl orbits of the primitive multiples of the sums
+    of fundamental coweights."""
     weyl = weyl_enumerate(datum)
     coweights = datum.fundamental_coweights()
     n = datum.rank
@@ -193,6 +195,7 @@ def weyl_facet_points(datum: RootDatum) -> list[Vec]:
         base = la.zero_vec(n)
         for j in subset:
             base = la.add(base, coweights[j])
+        base = la.primitive(base)
         for w in weyl:
             points.add(w.apply_point(base))
     return sorted(points)
@@ -264,7 +267,6 @@ def parabolic_fan(datum: RootDatum, J: Iterable[int] = ()) -> Fan:
 
     n = datum.rank
     weyl = weyl_enumerate(datum)
-    inverses = {w: la.inverse(w.mat_points) for w in weyl}
 
     found: dict[tuple, tuple[Cone, CoreInfo]] = {}
     for I in _admissible_index_sets(datum, J):
@@ -272,10 +274,10 @@ def parabolic_fan(datum: RootDatum, J: Iterable[int] = ()) -> Fan:
         base = Cone.from_system(n, eqs, ins)
         base_core = _facet_cone(datum, T)
         for w in weyl:
-            moved = base.transform(w.mat_points, inverses[w])
+            moved = base.transform(w.mat_points, w.mat_points_inv)
             if moved.key in found:
                 continue
-            core = base_core.transform(w.mat_points, inverses[w])
+            core = base_core.transform(w.mat_points, w.mat_points_inv)
             found[moved.key] = (
                 moved,
                 CoreInfo(
@@ -311,5 +313,4 @@ def cone_of_parabolic(
     datum = fan.datum
     eqs, ins, _ = standard_cone_system(datum, fan.J, frozenset())
     base = Cone.from_system(datum.rank, eqs, ins)
-    inv = la.inverse(w.mat_points)
-    return fan._index[base.transform(w.mat_points, inv).key]
+    return fan._index[base.transform(w.mat_points, w.mat_points_inv).key]

@@ -293,9 +293,7 @@ def cell_charts(tg: ToyGroupDatum, direction: Sequence) -> list[WeylElement]:
     d = la.vec(direction)
     out = []
     for w in weyl_enumerate(tg.datum):
-        winv_d = la.solve(w.mat_points, d)
-        if winv_d is None:
-            continue
+        winv_d = la.mat_vec(w.mat_points_inv, d)
         if all(tg.datum.pairing(a, winv_d) <= 0 for a in tg.psi):
             out.append(w)
     return out

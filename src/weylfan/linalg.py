@@ -1,16 +1,22 @@
 """Exact linear algebra over the rationals.
 
-Vectors are tuples of Fraction, matrices are tuples of row vectors.  All
+Vectors are tuples, matrices are tuples of row vectors.  Entries are `int`
+or `Fraction`: integral data (root covectors, Weyl matrices, cone forms and
+rays) stays `int` end to end, and `Fraction` enters only with user points
+and with elimination that needs it.  `/` is only ever applied where one
+operand is a `Fraction`, so no float can arise: `rref` lifts its entries to
+`Fraction` on entry, and `rank` and `primitive` work fraction-free.  All
 decisions (rank, kernel, solvability) are exact sign decisions; no floats.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, Optional, Sequence
+from math import gcd, lcm
+from typing import Iterable, Optional, Sequence, Union
 
-Vec = tuple[Fraction, ...]
+Rational = Union[int, Fraction]
+Vec = tuple[Rational, ...]
 Mat = tuple[Vec, ...]
 
 ZERO = Fraction(0)
@@ -22,7 +28,7 @@ def vec(entries: Iterable) -> Vec:
 
 
 def zero_vec(n: int) -> Vec:
-    return (ZERO,) * n
+    return (0,) * n
 
 
 def add(u: Vec, v: Vec) -> Vec:
@@ -37,30 +43,26 @@ def neg(u: Vec) -> Vec:
     return tuple(-a for a in u)
 
 
-def scale(u: Vec, c: Fraction) -> Vec:
+def scale(u: Vec, c: Rational) -> Vec:
     return tuple(c * a for a in u)
 
 
-def dot(u: Vec, v: Vec) -> Fraction:
-    return sum((a * b for a, b in zip(u, v)), ZERO)
+def dot(u: Vec, v: Vec) -> Rational:
+    return sum(a * b for a, b in zip(u, v))
 
 
 def is_zero(u: Vec) -> bool:
     return all(a == 0 for a in u)
 
 
-def primitive(u: Vec) -> Vec:
-    """Scale by a positive rational so entries are coprime integers."""
-    if is_zero(u):
-        return u
-    denom = 1
-    for a in u:
-        denom = denom * a.denominator // gcd(denom, a.denominator)
-    ints = [int(a * denom) for a in u]
-    g = 0
-    for a in ints:
-        g = gcd(g, abs(a))
-    return tuple(Fraction(a // g) for a in ints)
+def primitive(u: Vec) -> tuple[int, ...]:
+    """Scale by a positive rational so entries are coprime ints (zero stays zero)."""
+    denom = lcm(*(a.denominator for a in u))
+    ints = [a.numerator * (denom // a.denominator) for a in u]
+    g = gcd(*ints)
+    if g == 0:
+        return (0,) * len(u)
+    return tuple(a // g for a in ints) if g != 1 else tuple(ints)
 
 
 def mat(rows: Iterable[Iterable]) -> Mat:
@@ -68,7 +70,7 @@ def mat(rows: Iterable[Iterable]) -> Mat:
 
 
 def identity(n: int) -> Mat:
-    return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 def transpose(m: Mat) -> Mat:
@@ -82,7 +84,7 @@ def mat_vec(m: Mat, v: Vec) -> Vec:
 def vec_mat(v: Vec, m: Mat) -> Vec:
     """Row vector times matrix."""
     n = len(m[0]) if m else 0
-    return tuple(sum((v[i] * m[i][j] for i in range(len(m))), ZERO) for j in range(n))
+    return tuple(sum(v[i] * m[i][j] for i in range(len(m))) for j in range(n))
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
@@ -91,8 +93,8 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
 
 
 def rref(rows: Sequence[Vec]) -> tuple[list[Vec], list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    m = [list(r) for r in rows]
+    """Reduced row echelon form over Fraction; returns (nonzero rows, pivot columns)."""
+    m = [[Fraction(x) for x in r] for r in rows]
     if not m:
         return [], []
     ncols = len(m[0])
@@ -117,7 +119,28 @@ def rref(rows: Sequence[Vec]) -> tuple[list[Vec], list[int]]:
 
 
 def rank(rows: Sequence[Vec]) -> int:
-    return len(rref(rows)[0])
+    """Rank by fraction-free (Bareiss) elimination on the primitive rows."""
+    m = [primitive(r) for r in rows]
+    m = [r for r in m if any(r)]
+    ncols = len(m[0]) if m else 0
+    r = 0
+    prev = 1
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        top = m[r]
+        pv = top[c]
+        for i in range(r + 1, len(m)):
+            row = m[i]
+            f = row[c]
+            m[i] = [(pv * x - f * y) // prev for x, y in zip(row, top)]
+        prev = pv
+        r += 1
+        if r == len(m):
+            break
+    return r
 
 
 def kernel_basis(rows: Sequence[Vec], n: int) -> list[Vec]:
@@ -126,8 +149,8 @@ def kernel_basis(rows: Sequence[Vec], n: int) -> list[Vec]:
     free = [c for c in range(n) if c not in pivots]
     basis = []
     for fc in free:
-        v = [ZERO] * n
-        v[fc] = ONE
+        v = [0] * n
+        v[fc] = 1
         for row, pc in zip(red, pivots):
             v[pc] = -row[fc]
         basis.append(primitive(tuple(v)))
@@ -159,7 +182,7 @@ def inverse(m: Mat) -> Mat:
     return tuple(tuple(row[n:]) for row in red)
 
 
-def det(m: Mat) -> Fraction:
+def det(m: Mat) -> Rational:
     n = len(m)
     a = [list(row) for row in m]
     result = ONE

@@ -17,7 +17,13 @@ from . import linalg as la
 from .cones import Cone
 from .errors import InternalDisagreement
 from .fans import Fan, validate_J
-from .rootdata import Root, RootDatum, components, orthogonal_complement
+from .rootdata import (
+    Root,
+    RootDatum,
+    components,
+    orthogonal_complement,
+    weyl_enumerate,
+)
 
 
 @dataclass(frozen=True)
@@ -126,8 +132,11 @@ def is_J_relevant(datum: RootDatum, J: Iterable[int], T: Iterable[int]) -> bool:
     Decided by reconstructing the candidate generator from the components
     of T meeting the complement of J.
     """
-    T = frozenset(T)
-    J = validate_J(datum, J)
+    return _is_J_relevant(datum, validate_J(datum, J), frozenset(T))
+
+
+def _is_J_relevant(datum: RootDatum, J: frozenset[int], T: frozenset[int]) -> bool:
+    """`is_J_relevant` for a J already checked by `validate_J`."""
     I = core_generating_set(datum, J, T)
     if any(comp <= J for comp in components(datum, I)):
         return False
@@ -158,14 +167,12 @@ def enumerate_strata(
     returns (descriptor, weyl element) pairs, one for each Weyl translate
     of the standard core facet, for cross-checks against the fan.
     """
-    from .rootdata import weyl_enumerate
-
     J = validate_J(datum, J)
     n = datum.rank
     out = []
     for bits in range(1 << n):
         T = frozenset(j for j in range(n) if bits & (1 << j))
-        if not is_J_relevant(datum, J, T):
+        if not _is_J_relevant(datum, J, T):
             continue
         ptype = ParabolicType(datum, T)
         covs = [datum.covector(a) for a in ptype.levi_roots]

@@ -154,7 +154,7 @@ class RootDatum:
 
     def _covector_of(self, a: Root) -> Vec:
         return tuple(
-            sum(Fraction(a[i]) * self.cartan[i][j] for i in range(self.rank))
+            sum(a[i] * self.cartan[i][j] for i in range(self.rank))
             for j in range(self.rank)
         )
 
@@ -192,7 +192,7 @@ class RootDatum:
 
     def fundamental_coweights(self) -> tuple[Vec, ...]:
         """Vectors dual to the simple roots: <alpha_i, w_j> = delta_ij."""
-        inv = la.inverse(la.mat(self.cartan))
+        inv = la.inverse(self.cartan)
         return tuple(tuple(inv[i][j] for i in range(self.rank)) for j in range(self.rank))
 
     # -- Dynkin diagram ----------------------------------------------------
@@ -478,18 +478,20 @@ def build_root_datum(spec, basis: Optional[Sequence[int]] = None) -> RootDatum:
 
 @dataclass(frozen=True)
 class WeylElement:
-    """An element of the Weyl group, acting on points and on roots."""
+    """An element of the Weyl group, acting on points and on roots.
+
+    All three matrices are integer matrices."""
 
     mat_points: Mat  # action on coroot coordinates
     mat_roots: Mat  # action on root coefficient vectors
     word: tuple[int, ...]
+    mat_points_inv: Mat  # the inverse element's action on coroot coordinates
 
     def apply_point(self, x: Vec) -> Vec:
         return la.mat_vec(self.mat_points, x)
 
     def apply_root(self, a: Root) -> Root:
-        img = la.mat_vec(self.mat_roots, la.vec(a))
-        return tuple(int(c) for c in img)
+        return la.mat_vec(self.mat_roots, a)
 
     @property
     def length(self) -> int:
@@ -509,44 +511,21 @@ class WeylGroup:
         self.datum = datum
         n = datum.rank
         cartan = datum.cartan
+        one = la.identity(n)
         gens = []
         for k in range(n):
-            mp = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-            for j in range(n):
-                mp[k][j] -= cartan[k][j]
-            mr = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-            for j in range(n):
-                mr[k][j] -= cartan[j][k]
-            gens.append(
-                WeylElement(
-                    mat_points=tuple(tuple(r) for r in mp),
-                    mat_roots=tuple(tuple(r) for r in mr),
-                    word=(k,),
-                )
+            mp = tuple(
+                tuple(one[i][j] - (cartan[k][j] if i == k else 0) for j in range(n))
+                for i in range(n)
             )
+            mr = tuple(
+                tuple(one[i][j] - (cartan[j][k] if i == k else 0) for j in range(n))
+                for i in range(n)
+            )
+            gens.append(WeylElement(mp, mr, (k,), mp))  # s_k is an involution
         self.generators = tuple(gens)
-        ident = WeylElement(la.identity(n), la.identity(n), ())
-        self.identity = ident
-
-        seen = {ident.mat_points: ident}
-        frontier = [ident]
-        while frontier:
-            new = []
-            for w in frontier:
-                for k, s in enumerate(self.generators):
-                    mp = la.mat_mul(s.mat_points, w.mat_points)
-                    if mp not in seen:
-                        elt = WeylElement(
-                            mat_points=mp,
-                            mat_roots=la.mat_mul(s.mat_roots, w.mat_roots),
-                            word=(k,) + w.word,
-                        )
-                        seen[mp] = elt
-                        new.append(elt)
-            frontier = new
-        self.elements = tuple(
-            sorted(seen.values(), key=lambda w: (w.length, w.mat_points))
-        )
+        self.identity = WeylElement(one, one, (), one)
+        self.elements = tuple(_close(self.identity, self.generators))
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -566,24 +545,31 @@ class WeylGroup:
 
     def subgroup_elements(self, gen_indices: Iterable[int]) -> list[WeylElement]:
         """The reflection subgroup generated by the given simple reflections."""
-        gens = [self.generators[i] for i in gen_indices]
-        seen = {self.identity.mat_points: self.identity}
-        frontier = [self.identity]
-        while frontier:
-            new = []
-            for w in frontier:
-                for s in gens:
-                    mp = la.mat_mul(s.mat_points, w.mat_points)
-                    if mp not in seen:
-                        elt = WeylElement(
-                            mat_points=mp,
-                            mat_roots=la.mat_mul(s.mat_roots, w.mat_roots),
-                            word=s.word + w.word,
-                        )
-                        seen[mp] = elt
-                        new.append(elt)
-            frontier = new
-        return sorted(seen.values(), key=lambda w: (w.length, w.mat_points))
+        return _close(self.identity, [self.generators[i] for i in gen_indices])
+
+
+def _close(ident: WeylElement, gens: Sequence[WeylElement]) -> list[WeylElement]:
+    """Breadth-first closure of the identity under left multiplication by
+    simple reflections, sorted by (length, point matrix).  The inverse of
+    s.w is w^-1.s, since s is an involution."""
+    seen = {ident.mat_points: ident}
+    frontier = [ident]
+    while frontier:
+        new = []
+        for w in frontier:
+            for s in gens:
+                mp = la.mat_mul(s.mat_points, w.mat_points)
+                if mp not in seen:
+                    elt = WeylElement(
+                        mat_points=mp,
+                        mat_roots=la.mat_mul(s.mat_roots, w.mat_roots),
+                        word=s.word + w.word,
+                        mat_points_inv=la.mat_mul(w.mat_points_inv, s.mat_points),
+                    )
+                    seen[mp] = elt
+                    new.append(elt)
+        frontier = new
+    return sorted(seen.values(), key=lambda w: (w.length, w.mat_points))
 
 
 @lru_cache(maxsize=None)

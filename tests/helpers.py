@@ -5,9 +5,9 @@ import random
 
 from weylfan import linalg as la
 from weylfan.cones import open_system_feasible
-from weylfan.fans import Fan, validate_J
+from weylfan.fans import Fan, validate_J, weyl_facet_points
 from weylfan.parabolics import core_generating_set
-from weylfan.rootdata import components, orthogonal_complement
+from weylfan.rootdata import components, orthogonal_complement, weyl_enumerate
 
 
 def sign_vector_cone_count(datum) -> int:
@@ -29,6 +29,29 @@ def sign_vector_cone_count(datum) -> int:
         if open_system_feasible(n, eqs, strict) is not None:
             count += 1
     return count
+
+
+def assert_integral_fan(fan: Fan, label: str) -> None:
+    """Every entry of the fan's integral data is an int: cone and core
+    forms and generators, Weyl matrices, root covectors and the facet
+    points of the partition check.  A float here would mean some int/int
+    division slipped in, which the seminorm code reads as an infinity."""
+    datum = fan.datum
+
+    def ints(vectors, what):
+        for v in vectors:
+            assert all(type(x) is int for x in v), f"{label}: {what} {v}"
+
+    cones = list(fan.cones) + [core.cone for core in fan.cores.values()]
+    for cone in cones:
+        for what in ("eqs", "ins", "rays", "lineality"):
+            ints(getattr(cone, what), what)
+    for w in weyl_enumerate(datum):
+        ints(w.mat_points, "mat_points")
+        ints(w.mat_roots, "mat_roots")
+        ints(w.mat_points_inv, "mat_points_inv")
+    ints((datum.covector(a) for a in datum.roots), "covector")
+    ints(weyl_facet_points(datum), "facet point")
 
 
 def _ternary(k):

@@ -7,6 +7,7 @@ from fractions import Fraction as Q
 import random
 
 from helpers import (
+    assert_integral_fan,
     is_J_relevant_exhaustive,
     is_J_relevant_via_perp,
     random_rational_vec,
@@ -80,12 +81,15 @@ def test_criterion_2_fan_axioms():
                     ("G2", (0,)), ("B3", (1,)), ("B3", (0, 2)), ("C3", (1,)),
                     ("A1xA2", (1,))]:
         built.append((f"{name} J={J}", parabolic_fan(build_root_datum(name), J)))
+    for name, J in [("BC3", ()), ("A1xA2", ()), ("A4", (0, 1, 2)), ("D4", (0, 1, 2))]:
+        built.append((f"{name} J={J}", parabolic_fan(build_root_datum(name), J)))
     pair_count = 0
     for label, fan in built:
         stats = fan.validate()
-        pair_count += stats["cones"] ** 2
+        pair_count += stats["face_pairs"]
+        assert_integral_fan(fan, label)
     print(f"ACCEPTANCE 2 PASS: fan axioms and face-criteria agreement on "
-          f"{len(built)} fans ({pair_count} cone pairs)")
+          f"{len(built)} fans ({pair_count} face pairs)")
 
 
 def test_criterion_3_non_degeneracy():

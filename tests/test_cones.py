@@ -1,4 +1,5 @@
 from fractions import Fraction as Q
+import random
 
 import pytest
 
@@ -28,6 +29,53 @@ def test_rref_solve_kernel():
     assert la.det(la.mat([[2, -1], [-1, 2]])) == 3
     inv = la.inverse(la.mat([[2, -1], [-1, 2]]))
     assert la.mat_mul(la.mat([[2, -1], [-1, 2]]), inv) == la.identity(2)
+
+
+def _no_float(x) -> bool:
+    if isinstance(x, (tuple, list)):
+        return all(_no_float(y) for y in x)
+    return not isinstance(x, float)
+
+
+def test_linalg_returns_no_float_on_int_input():
+    rows = ((2, -1, 0), (-1, 2, -1), (0, -1, 2))
+    square = ((2, -1), (-1, 2))
+    for result in (
+        la.rref(rows),
+        la.rref([(3, 6, 1), (1, 5, 7)]),
+        la.kernel_basis([(3, 6, 1), (1, 5, 7)], 3),
+        la.solve(square, (1, 0)),
+        la.solve([(3, 6, 1), (1, 5, 7)], (1, 1)),
+        la.inverse(rows),
+        la.det(rows),
+        la.rank(rows),
+        dual_description(3, [(1, 1, 1)], [(2, -1, 0), (0, 3, -1)]),
+        dual_description(3, [], [(2, -1, 0), (-1, 2, -1), (0, -1, 2)]),
+    ):
+        assert _no_float(result), result
+
+
+def test_rank_matches_rref_on_random_rational_matrices():
+    rng = random.Random(20221018)
+    for trial in range(400):
+        nrows, ncols = rng.randint(0, 6), rng.randint(1, 5)
+        rows = []
+        for _ in range(nrows):
+            roll = rng.random()
+            if rows and roll < 0.15:
+                rows.append(rng.choice(rows))  # repeated row
+            elif roll < 0.25:
+                rows.append((Q(0),) * ncols)  # zero row
+            elif roll < 0.4 and len(rows) >= 2:
+                a, b = rng.sample(rows, 2)  # dependent row
+                c = Q(rng.randint(-3, 3), rng.randint(1, 4))
+                rows.append(la.add(a, la.scale(b, c)))
+            else:
+                row = [Q(rng.randint(-5, 5), rng.choice([1, 1, 2, 3, 7])) for _ in range(ncols)]
+                if rng.random() < 0.3:  # mixed int and Fraction entries
+                    row = [int(x) if x.denominator == 1 else x for x in row]
+                rows.append(tuple(row))
+        assert la.rank(rows) == len(la.rref(rows)[0]), rows
 
 
 def test_dual_description_quadrant():

@@ -2,6 +2,7 @@ import pytest
 
 from helpers import is_J_relevant_exhaustive, is_J_relevant_via_perp
 from weylfan import linalg as la
+from weylfan import parabolics
 from weylfan.cones import Cone
 from weylfan.errors import DegenerateJ
 from weylfan.fans import parabolic_fan, weyl_fan
@@ -137,6 +138,22 @@ def test_degenerate_j_message_is_shared(name, J, message):
         with pytest.raises(DegenerateJ) as info:
             call()
         assert str(info.value) == message
+
+
+def test_enumerate_strata_validates_j_once(monkeypatch):
+    calls = []
+    real = parabolics.validate_J
+
+    def counting(datum, J):
+        calls.append(J)
+        return real(datum, J)
+
+    monkeypatch.setattr(parabolics, "validate_J", counting)
+    datum = build_root_datum("B3")
+    for J, conjugates in [([], False), ([1], False), ([0, 2], True)]:
+        calls.clear()
+        enumerate_strata(datum, J, conjugates=conjugates)
+        assert len(calls) == 1
 
 
 def test_via_perp_examples():

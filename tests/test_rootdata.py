@@ -2,6 +2,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from weylfan import linalg as la
 from weylfan.errors import NonRootSystem
 from weylfan.rootdata import (
     DiagramSubset,
@@ -97,6 +98,16 @@ def test_weyl_action_compatible_with_pairing():
     for w in weyl:
         for a in datum.roots:
             assert datum.pairing(w.apply_root(a), w.apply_point(x)) == datum.pairing(a, x)
+
+
+@pytest.mark.parametrize("name", ["A2", "B3", "G2", "BC2", "A1xA2", "D4"])
+def test_weyl_inverse_matrices_match_rational_inverse(name):
+    group = weyl_enumerate(build_root_datum(name))
+    n = group.datum.rank
+    elements = list(group) + group.subgroup_elements(range(0, n, 2))
+    for w in elements:
+        assert w.mat_points_inv == la.inverse(w.mat_points)
+        assert la.mat_mul(w.mat_points, w.mat_points_inv) == la.identity(n)
 
 
 def test_word_lengths_start_at_identity():
