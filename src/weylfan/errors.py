@@ -32,6 +32,10 @@ class TypeMismatch(WeylfanError):
     code = "TypeMismatch"
 
 
+class DimensionMismatch(WeylfanError):
+    code = "DimensionMismatch"
+
+
 class NonReduced(WeylfanError):
     code = "NonReduced"
 

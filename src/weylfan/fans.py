@@ -9,6 +9,39 @@ chambers across the walls of the reflection subgroup generated by J.  The
 standard cone of index subset I merges the Weyl facets of type between I
 and I u (J n I-perp) under that reflection subgroup; its core is the Weyl
 facet of type I u (J n I-perp).  For J empty this is exactly the Weyl fan.
+
+Cone location and the face order use exact integer indices built once per
+fan.
+
+*Sign index.*  Each cone gets three masks over the positive nondivisible
+roots: Z (roots vanishing on it), P (positive on it) and N (negative on
+it); a root of mixed sign is in none.  Building the masks checks that
+the roots in Z have rank `len(cone.eqs)` and that every facet form is,
+on the span of the cone, a positive multiple of a root in P or of the
+negative of a root in N.  Then the roots in Z cut out the span, and on
+the span each facet form has the sign of its root, so a point lies in
+the cone exactly when its own sign vector agrees with the cone on Z, P
+and N: membership depends only on the point's sign vector.  The cover
+check scans every Weyl facet point against all cone masks, requires
+exactly one hit, and records sign vector -> cone.  Every point has the
+sign vector of some Weyl facet, so on a fan that passed the check
+`cone_containing` is one dictionary lookup after |positive roots| dot
+products.
+
+*Ray bitsets.*  The rays of the fan are numbered, and a cone is the set
+of its ray indices.  The cones of `parabolic_fan` are pointed (the root
+system is essential), and for pointed cones (f, g) is a face pair
+exactly when the rays of f are rays of g.  If so, the closure of f lies
+in that of g.  Conversely, let the closure of f lie in the closure of g
+and let r be a ray of f.  By the boundary axiom, applied facet by facet,
+every face of a closure is the closure of a fan cone, so r spans a fan
+cone.  By the partition and boundary axioms, the closure of g is the
+disjoint union of the fan cones that are its faces, and the open ray
+through r is one of them, so r is a ray of g.  `parabolic_fan` and
+`Fan.validate` check both axioms before the order is read, and
+`Fan.validate` cross-checks each pair with `closure_subset`.  A Weyl
+element permutes the rays, so it maps a cone to the cone with the
+permuted ray set.
 """
 
 from __future__ import annotations
@@ -18,8 +51,20 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from . import linalg as la
-from .cones import Cone, closure_subset, is_face_closure, is_face_supporting
-from .errors import DegenerateJ, NotEssential, PartitionFailure, TypeMismatch
+from .cones import (
+    Cone,
+    _face_by_closure,
+    _face_by_support,
+    closure_subset,
+    is_face_closure,
+)
+from .errors import (
+    DegenerateJ,
+    DimensionMismatch,
+    NotEssential,
+    PartitionFailure,
+    TypeMismatch,
+)
 from .linalg import Vec
 from .rootdata import (
     RootDatum,
@@ -55,6 +100,7 @@ class Fan:
         self.cones = tuple(cones)
         self.cores = cores
         self._index = {c.key: i for i, c in enumerate(self.cones)}
+        self._by_sign: dict[tuple[int, ...], int] = {}  # sign vector -> cone
 
     def __len__(self) -> int:
         return len(self.cones)
@@ -69,13 +115,102 @@ class Fan:
     def index_of(self, cone: Cone) -> Optional[int]:
         return self._index.get(cone.key)
 
-    def cone_containing(self, v: Vec) -> int:
-        hits = [i for i, c in enumerate(self.cones) if c.contains(v)]
-        if len(hits) != 1:
+    # -- sign index ----------------------------------------------------------
+
+    @cached_property
+    def _root_forms(self) -> tuple[Vec, ...]:
+        """Covectors of the positive nondivisible roots."""
+        return tuple(
+            self.datum.covector(a)
+            for a in self.datum.nondivisible_roots
+            if all(c >= 0 for c in a)
+        )
+
+    def _signs(self, v: Vec) -> tuple[int, ...]:
+        """The sign vector of v: 0, 1 or -1 for each root in `_root_forms`."""
+        out = []
+        for form in self._root_forms:
+            d = la.dot(form, v)
+            out.append((d > 0) - (d < 0))
+        return tuple(out)
+
+    @cached_property
+    def _excluding(self) -> tuple[tuple[int, int, int], ...]:
+        """For root k and a sign s of it at a point, `_excluding[k][s]` is the
+        set (a bitset over cone indices) of the cones that have root k in Z,
+        P or N with another sign, so cannot hold the point.  Built after
+        checking that the masks cut each cone out (see the module
+        docstring); the tuples are ordered (0, 1, -1) to be indexed by s."""
+        forms = self._root_forms
+        at: dict[Vec, tuple] = {}  # generator -> values of the root forms
+        excluding = [[0, 0, 0] for _ in forms]
+        for i, c in enumerate(self.cones):
+            span = list(c.rays) + list(c.lineality)
+            for g in span:
+                if g not in at:
+                    at[g] = tuple(la.dot(f, g) for f in forms)
+            cols = [at[g] for g in span]
+            zero, signed = [], set()
+            for k, form in enumerate(forms):
+                vals = tuple(col[k] for col in cols)
+                on_lin = vals[len(c.rays):]
+                if not any(vals):
+                    sign = 0
+                    zero.append(form)
+                elif not any(on_lin) and all(x >= 0 for x in vals):
+                    sign = 1
+                    signed.add(la.primitive(vals))
+                elif not any(on_lin) and all(x <= 0 for x in vals):
+                    sign = -1
+                    signed.add(la.primitive(la.neg(vals)))
+                else:
+                    continue  # mixed sign on the cone
+                for other in (0, 1, -1):
+                    if other != sign:
+                        excluding[k][other] |= 1 << i
+            if la.rank(zero) != len(c.eqs):
+                raise PartitionFailure(f"roots vanishing on cone {i} do not cut out its span")
+            for form in c.ins:
+                if la.primitive(tuple(la.dot(form, g) for g in span)) not in signed:
+                    raise PartitionFailure(f"facet form {form} of cone {i} is not a root form")
+        return tuple(tuple(e) for e in excluding)
+
+    def _scan(self, v: Vec, signs: tuple[int, ...]) -> int:
+        """The one cone whose Z, P and N agree with the sign vector of v;
+        records it under the sign vector."""
+        misses = 0
+        for excluding, s in zip(self._excluding, signs):
+            misses |= excluding[s]
+        hits = ~misses & ((1 << len(self.cones)) - 1)
+        if hits.bit_count() != 1:
             raise PartitionFailure(
-                f"point {v} lies in {len(hits)} cones; fan is not a partition"
+                f"point {v} lies in {hits.bit_count()} cones; fan is not a partition"
             )
-        return hits[0]
+        self._by_sign[signs] = hit = hits.bit_length() - 1
+        return hit
+
+    def cone_containing(self, v: Vec) -> int:
+        """Index of the one cone containing v.  Raises DimensionMismatch when
+        v has the wrong length, PartitionFailure unless exactly one cone
+        contains v."""
+        if len(v) != self.datum.rank:
+            raise DimensionMismatch(
+                f"point has {len(v)} coordinates, {self.datum.name} has rank {self.datum.rank}"
+            )
+        signs = self._signs(la.primitive(v))
+        hit = self._by_sign.get(signs)
+        return hit if hit is not None else self._scan(v, signs)
+
+    # -- face order ----------------------------------------------------------
+
+    @cached_property
+    def _ray_indices(self) -> tuple[dict[Vec, int], tuple[tuple[int, ...], ...]]:
+        """Every ray of the fan numbered, and each cone's rays as indices."""
+        number: dict[Vec, int] = {}
+        cone_rays = tuple(
+            tuple(number.setdefault(r, len(number)) for r in c.rays) for c in self.cones
+        )
+        return number, cone_rays
 
     def is_face(self, f: int, g: int) -> bool:
         """Whether cone f is a face of cone g (each cone is a face of itself)."""
@@ -83,22 +218,29 @@ class Fan:
 
     @cached_property
     def face_order(self) -> tuple[tuple[int, int], ...]:
-        """All pairs (f, g) with f a face of g, as the facade closure order."""
+        """All pairs (f, g) with f a face of g, as the facade closure order:
+        the rays of f are rays of g (see the module docstring)."""
+        number, cone_rays = self._ray_indices
+        cones_with = [0] * len(number)  # per ray, a bitset of the cones having it
+        for g, rays in enumerate(cone_rays):
+            for k in rays:
+                cones_with[k] |= 1 << g
         pairs = []
-        for f in range(len(self.cones)):
-            for g in range(len(self.cones)):
-                cf, cg = self.cones[f], self.cones[g]
-                if cf.dim <= cg.dim and closure_subset(cf, cg):
-                    pairs.append((f, g))
+        for f, rays in enumerate(cone_rays):
+            above = (1 << len(self.cones)) - 1
+            for k in rays:
+                above &= cones_with[k]
+            while above:
+                low = above & -above
+                pairs.append((f, low.bit_length() - 1))
+                above ^= low
         return tuple(pairs)
 
     # -- W action ----------------------------------------------------------
 
     def transform_index(self, w: WeylElement, i: int) -> int:
         """Index of the image of cone i under a Weyl element."""
-        rays = tuple(sorted(la.primitive(w.apply_point(r)) for r in self.cones[i].rays))
-        lin = tuple(sorted(la.primitive(w.apply_point(l)) for l in self.cones[i].lineality))
-        j = self._index.get((lin, rays))
+        j = self._index.get(_image_key(self.cones[i], w))
         if j is None:
             raise PartitionFailure("fan is not Weyl invariant")
         return j
@@ -108,11 +250,12 @@ class Fan:
     def validate(self) -> dict:
         """Verify the fan axioms exactly; returns a few summary counts.
 
-        Checks: partition over all Weyl facets, presence of the origin cone,
-        boundaries decompose into fan cones, the span-closure condition on
-        faces (cross-checked against the supporting-form criterion), strict
-        convexity of closures, Weyl invariance, and the fixed-point
-        characterisation of cores.
+        Checks: partition over all Weyl facets (with the sign masks cutting
+        out every cone), presence of the origin cone, boundaries decompose
+        into fan cones, closure containment and the span-closure condition
+        on every pair of the face order (cross-checked against the
+        supporting-form criterion), strict convexity of closures, Weyl
+        invariance, and the fixed-point characterisation of cores.
         """
         datum = self.datum
         n = datum.rank
@@ -128,36 +271,47 @@ class Fan:
 
         _check_cover(self)
 
-        # face conditions and criterion agreement on every face pair
+        # face conditions and criterion agreement on every face pair, each
+        # pair's closure containment checked once for both criteria
         for f, g in self.face_order:
             cf, cg = self.cones[f], self.cones[g]
-            if not is_face_closure(cf, cg):
+            if not (closure_subset(cf, cg) and _face_by_closure(cf, cg)):
                 raise PartitionFailure(
                     f"face condition fails for cones {f} <= {g}"
                 )
-            if not is_face_supporting(cf, cg):
+            if not _face_by_support(cf, cg):
                 raise PartitionFailure(
                     f"supporting-form criterion fails for cones {f} <= {g}"
                 )
 
-        # Weyl invariance, collecting each cone's setwise stabiliser
+        # Weyl invariance, collecting each cone's setwise stabiliser: w
+        # permutes the rays, and a cone goes to the cone with the image rays
+        number, cone_rays = self._ray_indices
+        by_rays = {sum(1 << k for k in rays): i for i, rays in enumerate(cone_rays)}
         stabilisers: list[list[WeylElement]] = [[] for _ in self.cones]
         for w in weyl:
-            for i in range(len(self.cones)):
-                if self.transform_index(w, i) == i:
+            image = [number.get(la.primitive(w.apply_point(r))) for r in number]
+            if None in image:
+                raise PartitionFailure("fan is not Weyl invariant")
+            image_bit = [1 << k for k in image]
+            for i, rays in enumerate(cone_rays):
+                j = by_rays.get(sum(map(image_bit.__getitem__, rays)))
+                if j is None:
+                    raise PartitionFailure("fan is not Weyl invariant")
+                if j == i:
                     stabilisers[i].append(w)
 
         # cores: fixed locus of the setwise stabiliser meets the cone in its core
         for i, c in enumerate(self.cones):
-            fix_rows = []
+            fix_rows = {}  # distinct rows of w - 1, in order
             for w in stabilisers[i]:
                 for r in range(n):
                     row = tuple(
                         w.mat_points[r][j] - (1 if r == j else 0) for j in range(n)
                     )
                     if not la.is_zero(row):
-                        fix_rows.append(row)
-            core = Cone.from_system(n, list(c.eqs) + fix_rows, list(c.ins))
+                        fix_rows[row] = None
+            core = Cone.from_system(n, list(c.eqs) + list(fix_rows), list(c.ins))
             if core.key != self.cores[i].cone.key:
                 raise PartitionFailure(f"core of cone {i} is not the stabiliser fixed locus")
 
@@ -172,7 +326,7 @@ def _check_cover(fan: Fan) -> None:
     """Partition and boundary axioms: every Weyl facet lies in exactly one
     cone, and every facet of every closure is the closure of a fan cone."""
     for p in weyl_facet_points(fan.datum):
-        fan.cone_containing(p)
+        fan._scan(p, fan._signs(p))
     for i, g in enumerate(fan.cones):
         for form in g.ins:
             facet_rays = tuple(sorted(r for r in g.rays if la.dot(form, r) == 0))
@@ -182,22 +336,39 @@ def _check_cover(fan: Fan) -> None:
                 )
 
 
+def _image_key(cone: Cone, w: WeylElement) -> tuple:
+    """`Cone.key` of the image of a cone under a Weyl element."""
+    return (
+        tuple(sorted(la.primitive(w.apply_point(l)) for l in cone.lineality)),
+        tuple(sorted(la.primitive(w.apply_point(r)) for r in cone.rays)),
+    )
+
+
 def weyl_facet_points(datum: RootDatum) -> list[Vec]:
     """One primitive integer relative interior point for every facet of the
     Weyl arrangement: the Weyl orbits of the primitive multiples of the sums
-    of fundamental coweights."""
-    weyl = weyl_enumerate(datum)
+    of fundamental coweights, closed under the simple reflections."""
     coweights = datum.fundamental_coweights()
     n = datum.rank
     points = set()
     for bits in range(1 << n):
-        subset = [j for j in range(n) if bits & (1 << j)]
         base = la.zero_vec(n)
-        for j in subset:
-            base = la.add(base, coweights[j])
-        base = la.primitive(base)
-        for w in weyl:
-            points.add(w.apply_point(base))
+        for j in range(n):
+            if bits >> j & 1:
+                base = la.add(base, coweights[j])
+        frontier = [la.primitive(base)]
+        points.add(frontier[0])
+        while frontier:
+            new = []
+            for p in frontier:
+                for k in range(n):
+                    # s_k(p) = p - <a_k, p> a_k^vee moves coroot coordinate k only
+                    pairing = la.dot(datum.cartan[k], p)
+                    q = p[:k] + (p[k] - pairing,) + p[k + 1:]
+                    if q not in points:
+                        points.add(q)
+                        new.append(q)
+            frontier = new
     return sorted(points)
 
 
@@ -274,11 +445,12 @@ def parabolic_fan(datum: RootDatum, J: Iterable[int] = ()) -> Fan:
         base = Cone.from_system(n, eqs, ins)
         base_core = _facet_cone(datum, T)
         for w in weyl:
-            moved = base.transform(w.mat_points, w.mat_points_inv)
-            if moved.key in found:
+            key = _image_key(base, w)
+            if key in found:
                 continue
+            moved = base.transform(w.mat_points, w.mat_points_inv)
             core = base_core.transform(w.mat_points, w.mat_points_inv)
-            found[moved.key] = (
+            found[key] = (
                 moved,
                 CoreInfo(
                     type_indices=T,
@@ -313,4 +485,4 @@ def cone_of_parabolic(
     datum = fan.datum
     eqs, ins, _ = standard_cone_system(datum, fan.J, frozenset())
     base = Cone.from_system(datum.rank, eqs, ins)
-    return fan._index[base.transform(w.mat_points, w.mat_points_inv).key]
+    return fan._index[_image_key(base, w)]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -48,7 +49,7 @@ def scale(u: Vec, c: Rational) -> Vec:
 
 
 def dot(u: Vec, v: Vec) -> Rational:
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def is_zero(u: Vec) -> bool:

@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import linalg as la
 from .errors import NonRootSystem
-from .linalg import Mat, Vec
+from .linalg import Mat, Rational, Vec
 
 Root = tuple[int, ...]  # coefficients over the simple basis
 
@@ -178,9 +178,28 @@ class RootDatum:
     def length_sq(self, a: Root) -> Fraction:
         return self.inner(a, a)
 
-    def coroot_pairing(self, a: Root, b: Root) -> Fraction:
-        """<a, b^vee> = 2(a,b)/(b,b)."""
-        return 2 * self.inner(a, b) / self.length_sq(b)
+    def coroot_pairing(self, a: Root, b: Root) -> Rational:
+        """<a, b^vee> = 2(a,b)/(b,b), an int whenever b's coroot covector is
+        integral (always, for a root system)."""
+        cached = self._coroot_covectors.get(b)
+        return la.dot(a, cached if cached is not None else self._coroot_covector_of(b))
+
+    @cached_property
+    def _coroot_covectors(self) -> dict[Root, Vec]:
+        return {b: self._coroot_covector_of(b) for b in self.roots}
+
+    def _coroot_covector_of(self, b: Root) -> Vec:
+        """(<alpha_i, b^vee>)_i, so that <a, b^vee> is linear in a; int
+        entries when they are all integral."""
+        g = self.gram_dual
+        bb = self.length_sq(b)
+        row = tuple(
+            2 * sum((g[i][j] * b[j] for j in range(self.rank) if b[j]), Fraction(0)) / bb
+            for i in range(self.rank)
+        )
+        if all(x.denominator == 1 for x in row):
+            return tuple(int(x) for x in row)
+        return row
 
     def reflect_root(self, a: Root, b: Root) -> Root:
         """s_b(a) = a - <a, b^vee> b."""

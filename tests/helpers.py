@@ -4,10 +4,46 @@ from fractions import Fraction as Q
 import random
 
 from weylfan import linalg as la
-from weylfan.cones import open_system_feasible
+from weylfan.cones import closure_subset, open_system_feasible
+from weylfan.errors import PartitionFailure
 from weylfan.fans import Fan, validate_J, weyl_facet_points
 from weylfan.parabolics import core_generating_set
 from weylfan.rootdata import components, orthogonal_complement, weyl_enumerate
+
+
+FAN_CATALOGUE = ["A1", "A2", "A3", "B2", "B3", "C3", "G2", "BC1", "BC2", "A1xA1"]
+
+
+def subsets(n):
+    for bits in range(1 << n):
+        yield frozenset(i for i in range(n) if bits >> i & 1)
+
+
+def valid_js(datum):
+    """Every subset J of the basis containing no component of the diagram."""
+    for J in subsets(datum.rank):
+        if all(not comp <= J for comp in datum.diagram_components):
+            yield J
+
+
+def closure_face_order(fan: Fan) -> tuple:
+    """Face order oracle: every pair (f, g) with dim f <= dim g whose
+    closures nest, by `closure_subset` on all pairs."""
+    cones = fan.cones
+    return tuple(
+        (f, g)
+        for f in range(len(cones))
+        for g in range(len(cones))
+        if cones[f].dim <= cones[g].dim and closure_subset(cones[f], cones[g])
+    )
+
+
+def scan_cone_containing(fan: Fan, v) -> int:
+    """Cone location oracle: `Cone.contains` on every cone of the fan."""
+    hits = [i for i, c in enumerate(fan.cones) if c.contains(v)]
+    if len(hits) != 1:
+        raise PartitionFailure(f"point {v} lies in {len(hits)} cones")
+    return hits[0]
 
 
 def sign_vector_cone_count(datum) -> int:

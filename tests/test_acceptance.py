@@ -7,12 +7,15 @@ from fractions import Fraction as Q
 import random
 
 from helpers import (
+    FAN_CATALOGUE,
     assert_integral_fan,
     is_J_relevant_exhaustive,
     is_J_relevant_via_perp,
     random_rational_vec,
     sample_points,
     sign_vector_cone_count,
+    subsets,
+    valid_js,
 )
 from weylfan import linalg as la
 from weylfan.apartment import (
@@ -41,19 +44,7 @@ from weylfan.parabolics import (
 )
 from weylfan.rootdata import build_root_datum
 
-FAN_CATALOGUE = ["A1", "A2", "A3", "B2", "B3", "C3", "G2", "BC1", "BC2", "A1xA1"]
 RANK4_CATALOGUE = FAN_CATALOGUE + ["A1xA2", "A4", "D4", "BC3", "F4"]
-
-
-def _subsets(n):
-    for bits in range(1 << n):
-        yield frozenset(i for i in range(n) if bits >> i & 1)
-
-
-def _valid_js(datum):
-    for J in _subsets(datum.rank):
-        if all(not comp <= J for comp in datum.diagram_components):
-            yield J
 
 
 def test_criterion_1_fan_counts():
@@ -81,7 +72,8 @@ def test_criterion_2_fan_axioms():
                     ("G2", (0,)), ("B3", (1,)), ("B3", (0, 2)), ("C3", (1,)),
                     ("A1xA2", (1,))]:
         built.append((f"{name} J={J}", parabolic_fan(build_root_datum(name), J)))
-    for name, J in [("BC3", ()), ("A1xA2", ()), ("A4", (0, 1, 2)), ("D4", (0, 1, 2))]:
+    for name, J in [("BC3", ()), ("A1xA2", ()), ("A4", (0, 1, 2)), ("D4", (0, 1, 2)),
+                    ("A4", ())]:
         built.append((f"{name} J={J}", parabolic_fan(build_root_datum(name), J)))
     pair_count = 0
     for label, fan in built:
@@ -96,7 +88,7 @@ def test_criterion_3_non_degeneracy():
     checked = 0
     for name in RANK4_CATALOGUE:
         datum = build_root_datum(name)
-        for T in _subsets(datum.rank):
+        for T in subsets(datum.rank):
             report = is_non_degenerate(datum, T)  # raises on disagreement
             assert report.no_component_in_levi == report.no_component_in_type
             assert report.no_component_in_type == report.psi_spans
@@ -109,8 +101,8 @@ def test_criterion_4_j_relevance():
     checked = 0
     for name in RANK4_CATALOGUE:
         datum = build_root_datum(name)
-        for J in _valid_js(datum):
-            for T in _subsets(datum.rank):
+        for J in valid_js(datum):
+            for T in subsets(datum.rank):
                 assert is_J_relevant_exhaustive(datum, J, T) == \
                     is_J_relevant_via_perp(datum, J, T)
                 checked += 1
@@ -139,7 +131,7 @@ def test_criterion_5_seminorm_laws():
     pair_checks = 0
     for name in datums:
         datum = build_root_datum(name)
-        for T in _subsets(datum.rank):
+        for T in subsets(datum.rank):
             tg = ToyGroupDatum.for_parabolic(datum, T)
             fiber = fiber_direction_space(tg)
             base_rank = la.rank(list(fiber))
@@ -282,7 +274,7 @@ def test_criterion_8_facade_structure():
     combos = []
     for name in FAN_CATALOGUE:
         datum = build_root_datum(name)
-        js = [J for J in _valid_js(datum) if len(J) <= 1]
+        js = [J for J in valid_js(datum) if len(J) <= 1]
         if datum.rank > 2:
             js = [J for J in js if len(J) <= 1][:3]
         for J in js:

@@ -6,6 +6,7 @@ from weylfan import linalg as la
 from weylfan.errors import NonRootSystem
 from weylfan.rootdata import (
     DiagramSubset,
+    RootDatum,
     build_root_datum,
     components,
     orthogonal_complement,
@@ -163,3 +164,47 @@ def test_explicit_inessential_flag():
     datum = build_root_datum([[1, 0], [-1, 0]], basis=[0])
     assert not datum.essential
     assert datum.input_rank == 2
+
+
+@pytest.mark.parametrize("name", ["G2", "BC3", "F4", "A1xA2"])
+def test_coroot_pairing_matches_inner_product_formula(name):
+    datum = build_root_datum(name)
+    for a in datum.roots:
+        for b in datum.roots:
+            c = datum.coroot_pairing(a, b)
+            assert type(c) is int
+            assert c == 2 * datum.inner(a, b) / datum.length_sq(b)
+
+
+def _first_validate_failure(datum):
+    """The message of the first reflection failure, by the inner-product
+    formula, in the order `RootDatum.validate` meets them."""
+    for a in datum.roots:
+        for b in datum.roots:
+            c = 2 * datum.inner(a, b) / datum.length_sq(b)
+            if c.denominator != 1:
+                return f"non-integral Cartan pairing {c} for {a}, {b}"
+            image = tuple(x - int(c) * y for x, y in zip(a, b))
+            if image not in datum.root_set:
+                return f"reflection s_{b} does not preserve roots at {a}"
+    return None
+
+
+@pytest.mark.parametrize("lengths", [(2, 3), (2, 6), (3, 2), (4, 2)])
+def test_validate_reports_the_first_bad_pairing(lengths):
+    """Root data whose lengths do not fit their Cartan matrix: validate
+    names the same first failure as the inner-product formula."""
+    a2 = build_root_datum("A2")
+    datum = RootDatum(
+        name="bad",
+        rank=2,
+        cartan=a2.cartan,
+        simple_lengths=tuple(Q(x) for x in lengths),
+        roots=a2.roots,
+        multipliable=frozenset(),
+    )
+    message = _first_validate_failure(datum)
+    assert message is not None
+    with pytest.raises(NonRootSystem) as err:
+        datum.validate()
+    assert str(err.value) == message
