@@ -107,9 +107,7 @@ class AffineRootPattern:
     @staticmethod
     def uniform(datum: RootDatum, d: int = 1) -> "AffineRootPattern":
         groups = []
-        for a in datum.nondivisible_roots:
-            if not all(c >= 0 for c in a):
-                continue
+        for a in datum.positive_nondivisible_roots:
             kind = "bc" if a in datum.multipliable else "lattice"
             groups.append((a, ValueGroup(kind, d)))
         return AffineRootPattern(datum, tuple(sorted(groups)))
@@ -136,9 +134,7 @@ class AffineRootPattern:
                     )
                 orbit_of.setdefault(img, i)
         groups = []
-        for a in datum.nondivisible_roots:
-            if not all(c >= 0 for c in a):
-                continue
+        for a in datum.positive_nondivisible_roots:
             i = orbit_of.get(a, orbit_of.get(tuple(-c for c in a)))
             if i is None:
                 raise NonRootSystem(f"root {a} is not Weyl conjugate to a simple root")
@@ -217,10 +213,6 @@ SymbolicPoint = tuple  # alias: a tuple of SymbolicEntry
 # -- special points -----------------------------------------------------------
 
 
-def _positive_nondivisible(datum: RootDatum) -> list[Root]:
-    return [a for a in datum.nondivisible_roots if all(c >= 0 for c in a)]
-
-
 def is_special_vertex(apt: Apartment, x: Sequence) -> bool:
     """Whether x lies on a wall in every nondivisible root direction.
 
@@ -228,7 +220,7 @@ def is_special_vertex(apt: Apartment, x: Sequence) -> bool:
     count, which makes the admissible level set the full quarter lattice.
     """
     rel = apt.relative(x)
-    for a in _positive_nondivisible(apt.datum):
+    for a in apt.datum.positive_nondivisible_roots:
         v = apt.datum.pairing(a, rel)
         g = apt.pattern.group_of(a)
         if g.kind == "lattice":
@@ -265,7 +257,7 @@ def special_witness(apt: Apartment, x: Sequence) -> int:
     """Least e >= 1 such that x is special after rescaling the pattern by e."""
     rel = apt.relative(x)
     e = 1
-    for a in _positive_nondivisible(apt.datum):
+    for a in apt.datum.positive_nondivisible_roots:
         v = apt.datum.pairing(a, rel)
         g = apt.pattern.group_of(a)
         e = lcm(e, (v * g.wall_denominator()).denominator)
@@ -288,7 +280,7 @@ def walls_in_box(apt: Apartment, lo: Sequence, hi: Sequence) -> list[tuple[Root,
             tuple(hi[i] if bits >> i & 1 else lo[i] for i in range(n))
         )
     out = []
-    for a in _positive_nondivisible(apt.datum):
+    for a in apt.datum.positive_nondivisible_roots:
         vals = [apt.datum.pairing(a, apt.relative(c)) for c in corners]
         vmin, vmax = min(vals), max(vals)
         g = apt.pattern.group_of(a)

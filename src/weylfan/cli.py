@@ -57,6 +57,9 @@ def _load_datum(spec: str):
         return build_root_datum(spec)
     if "type" in payload:
         return build_root_datum(payload["type"])
+    for key in ("roots", "basis"):
+        if key not in payload:
+            raise ParseError(f"datum JSON has neither 'type' nor {key!r}")
     roots = [[Fraction(parse_q(str(x))) for x in row] for row in payload["roots"]]
     return build_root_datum(roots, basis=payload["basis"])
 
@@ -183,9 +186,10 @@ def _parse_poly(datum, tg: ToyGroupDatum, payload: dict) -> ValuedPolynomial:
             label, _, idx = body.rpartition(",")
             if not label:
                 raise ParseError(f"bad exponent key {key!r}")
-            a = parse_root_label(datum, label)
-            pos = tg.position(a, int(idx))
-            exp[pos] += int(count)
+            coord = (parse_root_label(datum, label), int(idx))
+            if coord not in tg.indexed_roots:
+                raise ParseError(f"exponent key {key!r} is not a coordinate of the cell")
+            exp[tg.position(*coord)] += int(count)
         table[tuple(exp)] = parse_q(str(mono["logc"]))
     return ValuedPolynomial.from_terms(width, table)
 

@@ -122,17 +122,14 @@ class LimitProfile:
     values: tuple[tuple[Root, ExtendedQ], ...]
 
     def __post_init__(self) -> None:
+        for _, v in self.values:
+            if isinstance(v, float) and v not in (POS_INF, NEG_INF):
+                raise InconsistentProfile("finite profile values must be rational")
         table = dict(self.values)
         if set(table) != set(self.datum.roots):
             raise InconsistentProfile("profile must assign a value to every root")
         for a, v in table.items():
-            w = table[tuple(-c for c in a)]
-            if isinstance(v, Fraction) or isinstance(v, int):
-                if w != -v:
-                    raise InconsistentProfile(f"profile is not odd at {a}")
-            elif v == POS_INF and w != NEG_INF:
-                raise InconsistentProfile(f"profile is not odd at {a}")
-            elif v == NEG_INF and w != POS_INF:
+            if table[tuple(-c for c in a)] != -v:
                 raise InconsistentProfile(f"profile is not odd at {a}")
 
     def value(self, a: Root) -> ExtendedQ:
@@ -140,23 +137,12 @@ class LimitProfile:
 
     @staticmethod
     def of(datum: RootDatum, table: dict[Root, ExtendedQ]) -> "LimitProfile":
-        vals = {}
-        for a, v in table.items():
-            if isinstance(v, float):
-                if v not in (POS_INF, NEG_INF):
-                    raise InconsistentProfile("finite profile values must be rational")
-                vals[a] = v
-            else:
-                vals[a] = Fraction(v)
+        vals = {a: v if isinstance(v, float) else Fraction(v) for a, v in table.items()}
         for a in datum.roots:
             if a not in vals:
                 neg = tuple(-c for c in a)
                 if neg in vals:
-                    w = vals[neg]
-                    if isinstance(w, float):
-                        vals[a] = NEG_INF if w == POS_INF else POS_INF
-                    else:
-                        vals[a] = -w
+                    vals[a] = -vals[neg]
         return LimitProfile(datum, tuple(sorted(vals.items())))
 
 
@@ -189,32 +175,21 @@ def limit_of_profile(
     """
     datum = fan.datum
     table = dict(profile.values)
-    matches = []
-    for i, cone in enumerate(fan.cones):
-        ok = True
-        for a in datum.roots:
-            sign = cone.sign_of(datum.covector(a))
-            v = table[a]
-            if sign == 1 and v != POS_INF:
-                ok = False
-            elif sign == -1 and v != NEG_INF:
-                ok = False
-            elif sign == 0 and isinstance(v, float):
-                ok = False
-            if not ok:
-                break
-        if ok:
-            matches.append(i)
-    if not matches:
+    signs = []  # root a is e or 2e times root k; +inf, -inf, rational: 1, -1, 0
+    for a, v in table.items():
+        k, e = datum.root_slots[a]
+        signs.append((k, e * ((v == POS_INF) - (v == NEG_INF))))
+    hits = fan.matching_cones(signs)
+    if not hits:
         return NoLimit
-    if len(matches) > 1:
+    if hits.bit_count() > 1:
         raise InconsistentProfile(
-            f"profile matches {len(matches)} cones; divergence data is ambiguous"
+            f"profile matches {hits.bit_count()} cones; divergence data is ambiguous"
         )
-    idx = matches[0]
+    idx = hits.bit_length() - 1
     cone = fan.cones[idx]
 
-    vanishing = [a for a in datum.roots if cone.sign_of(datum.covector(a)) == 0]
+    vanishing = [a for a in datum.roots if fan.root_sign(idx, a) == 0]
     n = datum.rank
     rows = [datum.covector(a) for a in vanishing]
     rhs = [table[a] for a in vanishing]

@@ -13,20 +13,24 @@ facet of type I u (J n I-perp).  For J empty this is exactly the Weyl fan.
 Cone location and the face order use exact integer indices built once per
 fan.
 
-*Sign index.*  Each cone gets three masks over the positive nondivisible
-roots: Z (roots vanishing on it), P (positive on it) and N (negative on
-it); a root of mixed sign is in none.  Building the masks checks that
-the roots in Z have rank `len(cone.eqs)` and that every facet form is,
-on the span of the cone, a positive multiple of a root in P or of the
-negative of a root in N.  Then the roots in Z cut out the span, and on
-the span each facet form has the sign of its root, so a point lies in
-the cone exactly when its own sign vector agrees with the cone on Z, P
-and N: membership depends only on the point's sign vector.  The cover
-check scans every Weyl facet point against all cone masks, requires
-exactly one hit, and records sign vector -> cone.  Every point has the
-sign vector of some Weyl facet, so on a fan that passed the check
-`cone_containing` is one dictionary lookup after |positive roots| dot
-products.
+*Sign table.*  One table per fan holds the sign of every positive
+nondivisible root on every cone: 0 (Z), + (P), - (N) or mixed.  Building
+it checks that the roots in Z have rank `len(cone.eqs)` and that every
+facet form is, on the span of the cone, a positive multiple of a root in
+P or of the negative of a root in N.  Then the roots in Z cut out the
+span, and on the span each facet form has the sign of its root, so a
+point lies in the cone exactly when its own sign vector agrees with the
+cone on Z, P and N: membership depends only on the point's sign vector.
+Every root is e or 2e times a positive nondivisible root (e = 1 or -1),
+so the table gives every root's sign on every cone, and it alone serves
+cone location, profile matching (`compactify.limit_of_profile`, by the
+sign class of each value: +inf, -inf or rational) and boundary seminorms
+(`gaussnorm.theta_boundary`).  One matcher ORs, per root and sign, the
+bitset of the cones that sign excludes.  The cover check matches every
+Weyl facet point, requires exactly one hit, and records sign vector ->
+cone.  Every point has the sign vector of some Weyl facet, so on a fan
+that passed the check `cone_containing` is one dictionary lookup after
+|positive roots| dot products.
 
 *Ray bitsets.*  The rays of the fan are numbered, and a cone is the set
 of its ray indices.  The cones of `parabolic_fan` are pointed (the root
@@ -48,7 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from . import linalg as la
 from .cones import (
@@ -67,6 +71,7 @@ from .errors import (
 )
 from .linalg import Vec
 from .rootdata import (
+    Root,
     RootDatum,
     WeylElement,
     components,
@@ -112,19 +117,12 @@ class Fan:
                 return i
         raise PartitionFailure("fan has no origin cone")
 
-    def index_of(self, cone: Cone) -> Optional[int]:
-        return self._index.get(cone.key)
-
-    # -- sign index ----------------------------------------------------------
+    # -- sign table ----------------------------------------------------------
 
     @cached_property
     def _root_forms(self) -> tuple[Vec, ...]:
         """Covectors of the positive nondivisible roots."""
-        return tuple(
-            self.datum.covector(a)
-            for a in self.datum.nondivisible_roots
-            if all(c >= 0 for c in a)
-        )
+        return tuple(self.datum.covector(a) for a in self.datum.positive_nondivisible_roots)
 
     def _signs(self, v: Vec) -> tuple[int, ...]:
         """The sign vector of v: 0, 1 or -1 for each root in `_root_forms`."""
@@ -135,22 +133,20 @@ class Fan:
         return tuple(out)
 
     @cached_property
-    def _excluding(self) -> tuple[tuple[int, int, int], ...]:
-        """For root k and a sign s of it at a point, `_excluding[k][s]` is the
-        set (a bitset over cone indices) of the cones that have root k in Z,
-        P or N with another sign, so cannot hold the point.  Built after
-        checking that the masks cut each cone out (see the module
-        docstring); the tuples are ordered (0, 1, -1) to be indexed by s."""
+    def _sign_table(self) -> tuple[tuple[int, ...], ...]:
+        """Per cone, the sign of each root in `_root_forms` on it: 0, 1, -1,
+        or 2 if mixed.  Built after checking that the signs cut each cone
+        out (see the module docstring)."""
         forms = self._root_forms
         at: dict[Vec, tuple] = {}  # generator -> values of the root forms
-        excluding = [[0, 0, 0] for _ in forms]
+        table = []
         for i, c in enumerate(self.cones):
             span = list(c.rays) + list(c.lineality)
             for g in span:
                 if g not in at:
                     at[g] = tuple(la.dot(f, g) for f in forms)
             cols = [at[g] for g in span]
-            zero, signed = [], set()
+            row, zero, signed = [], [], set()
             for k, form in enumerate(forms):
                 vals = tuple(col[k] for col in cols)
                 on_lin = vals[len(c.rays):]
@@ -164,24 +160,49 @@ class Fan:
                     sign = -1
                     signed.add(la.primitive(la.neg(vals)))
                 else:
-                    continue  # mixed sign on the cone
-                for other in (0, 1, -1):
-                    if other != sign:
-                        excluding[k][other] |= 1 << i
+                    sign = 2  # mixed sign on the cone
+                row.append(sign)
             if la.rank(zero) != len(c.eqs):
                 raise PartitionFailure(f"roots vanishing on cone {i} do not cut out its span")
             for form in c.ins:
                 if la.primitive(tuple(la.dot(form, g) for g in span)) not in signed:
                     raise PartitionFailure(f"facet form {form} of cone {i} is not a root form")
-        return tuple(tuple(e) for e in excluding)
+            table.append(tuple(row))
+        return tuple(table)
+
+    def root_sign(self, i: int, a: Root) -> int:
+        """Sign of root a on cone i, as `Cone.sign_of` gives it: 0, 1, -1, or
+        2 if mixed."""
+        k, e = self.datum.root_slots[a]
+        s = self._sign_table[i][k]
+        return s if s == 2 else e * s
+
+    @cached_property
+    def _excluding(self) -> tuple[tuple[int, int, int], ...]:
+        """For root k and a sign s of it at a point, `_excluding[k][s]` is the
+        set (a bitset over cone indices) of the cones on which root k has
+        another sign, so cannot hold the point; a mixed sign excludes
+        nothing.  The tuples are ordered (0, 1, -1) to be indexed by s."""
+        having = [[0, 0, 0] for _ in self._root_forms]  # cones with sign 0, 1, -1
+        for i, row in enumerate(self._sign_table):
+            for k, sign in enumerate(row):
+                if sign != 2:
+                    having[k][sign] |= 1 << i
+        return tuple((p | n, z | n, z | p) for z, p, n in having)
+
+    def matching_cones(self, signs: Iterable[tuple[int, int]]) -> int:
+        """The bitset over cone indices of the cones on which, for every pair
+        (k, s), root k of `_root_forms` has sign s or a mixed sign."""
+        excluding = self._excluding
+        misses = 0
+        for k, s in signs:
+            misses |= excluding[k][s]
+        return ~misses & ((1 << len(self.cones)) - 1)
 
     def _scan(self, v: Vec, signs: tuple[int, ...]) -> int:
-        """The one cone whose Z, P and N agree with the sign vector of v;
-        records it under the sign vector."""
-        misses = 0
-        for excluding, s in zip(self._excluding, signs):
-            misses |= excluding[s]
-        hits = ~misses & ((1 << len(self.cones)) - 1)
+        """The one cone whose signs agree with the sign vector of v; records
+        it under the sign vector."""
+        hits = self.matching_cones(enumerate(signs))
         if hits.bit_count() != 1:
             raise PartitionFailure(
                 f"point {v} lies in {hits.bit_count()} cones; fan is not a partition"

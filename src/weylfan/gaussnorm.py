@@ -22,7 +22,7 @@ from .compactify import NEG_INF, POS_INF, CompactifiedPoint, LimitProfile
 from .errors import NonRootSystem, ProfileMismatch
 from .linalg import Vec
 from .parabolics import ParabolicType
-from .rootdata import Root, RootDatum, WeylElement
+from .rootdata import Root, RootDatum, WeylElement, weyl_enumerate
 
 LogValue = Union[Fraction, float]  # a rational or -inf
 
@@ -253,9 +253,8 @@ def theta_boundary(
     """
     values = []
     if isinstance(point, CompactifiedPoint):
-        cone = point.fan.cones[point.cone_index]
         for a, _ in tg.indexed_roots:
-            sign = cone.sign_of(tg.datum.covector(a))
+            sign = point.fan.root_sign(point.cone_index, a)
             if sign == 0:
                 values.append(tg.datum.pairing(a, point.base))
             elif sign == -1:
@@ -288,8 +287,6 @@ def fiber_direction_space(tg: ToyGroupDatum) -> tuple[Vec, ...]:
 def cell_charts(tg: ToyGroupDatum, direction: Sequence) -> list[WeylElement]:
     """Weyl elements whose inverse carries the ray direction into the closed
     cone where every cell coordinate of the type stays bounded above."""
-    from .rootdata import weyl_enumerate
-
     d = la.vec(direction)
     out = []
     for w in weyl_enumerate(tg.datum):

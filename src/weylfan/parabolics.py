@@ -64,10 +64,6 @@ class ParabolicType:
                     raise InternalDisagreement("unipotent weights not closed under addition")
 
 
-def parabolic_type(datum: RootDatum, indices: Iterable[int]) -> ParabolicType:
-    return ParabolicType(datum, frozenset(indices))
-
-
 class NonDegeneracyReport(NamedTuple):
     value: bool
     no_component_in_levi: bool  # no irreducible factor of the roots inside the Levi

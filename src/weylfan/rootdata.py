@@ -121,6 +121,23 @@ class RootDatum:
         doubles = {tuple(2 * c for c in a) for a in self.roots}
         return tuple(a for a in self.roots if a not in doubles)
 
+    @cached_property
+    def positive_nondivisible_roots(self) -> tuple[Root, ...]:
+        return tuple(a for a in self.nondivisible_roots if all(c >= 0 for c in a))
+
+    @cached_property
+    def root_slots(self) -> dict[Root, tuple[int, int]]:
+        """Every root b as (k, e): b is e or 2e times the positive
+        nondivisible root k, with e = 1 or -1."""
+        slots = {}
+        for k, a in enumerate(self.positive_nondivisible_roots):
+            for e in (1, -1):
+                for m in (e, 2 * e):
+                    b = tuple(m * c for c in a)
+                    if b in self.root_set:
+                        slots[b] = (k, e)
+        return slots
+
     def is_reduced(self) -> bool:
         return not self.multipliable
 
@@ -551,16 +568,6 @@ class WeylGroup:
 
     def __iter__(self):
         return iter(self.elements)
-
-    def multiply(self, u: WeylElement, v: WeylElement) -> WeylElement:
-        mp = la.mat_mul(u.mat_points, v.mat_points)
-        return self._lookup(mp)
-
-    def _lookup(self, mat_points: Mat) -> WeylElement:
-        for w in self.elements:
-            if w.mat_points == mat_points:
-                return w
-        raise KeyError("matrix is not a Weyl element")
 
     def subgroup_elements(self, gen_indices: Iterable[int]) -> list[WeylElement]:
         """The reflection subgroup generated by the given simple reflections."""

@@ -44,7 +44,10 @@ def fmt_vec(v: Sequence) -> list[str]:
 def parse_vec(s: str) -> Vec:
     if not s.strip():
         raise ParseError("empty vector")
-    return tuple(Fraction(parse_q(part)) for part in s.split(","))
+    out = tuple(parse_q(part) for part in s.split(","))
+    if any(isinstance(x, float) for x in out):
+        raise ParseError(f"vector {s!r} has an infinite coordinate")
+    return out
 
 
 _TERM = re.compile(r"([+-]?)(\d*)a(\d+)")

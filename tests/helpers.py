@@ -4,8 +4,15 @@ from fractions import Fraction as Q
 import random
 
 from weylfan import linalg as la
+from weylfan.compactify import (
+    NEG_INF,
+    POS_INF,
+    CompactifiedPoint,
+    NoLimit,
+    orthogonal_reduction,
+)
 from weylfan.cones import closure_subset, open_system_feasible
-from weylfan.errors import PartitionFailure
+from weylfan.errors import InconsistentProfile, PartitionFailure
 from weylfan.fans import Fan, validate_J, weyl_facet_points
 from weylfan.parabolics import core_generating_set
 from weylfan.rootdata import components, orthogonal_complement, weyl_enumerate
@@ -46,15 +53,70 @@ def scan_cone_containing(fan: Fan, v) -> int:
     return hits[0]
 
 
+def scan_limit_of_profile(fan: Fan, profile, witness=None):
+    """Profile matching oracle: `Cone.sign_of` on every cone and root.
+
+    A cone fits when every root positive on it has the value +inf, every
+    root negative on it -inf, and every root vanishing on it a rational
+    value; the vanishing roots and transverse orthogonality then pin the
+    facade coordinate."""
+    datum = fan.datum
+    table = dict(profile.values)
+    matches = []
+    for i, cone in enumerate(fan.cones):
+        ok = True
+        for a in datum.roots:
+            sign = cone.sign_of(datum.covector(a))
+            v = table[a]
+            if sign == 1 and v != POS_INF:
+                ok = False
+            elif sign == -1 and v != NEG_INF:
+                ok = False
+            elif sign == 0 and isinstance(v, float):
+                ok = False
+            if not ok:
+                break
+        if ok:
+            matches.append(i)
+    if not matches:
+        return NoLimit
+    if len(matches) > 1:
+        raise InconsistentProfile(
+            f"profile matches {len(matches)} cones; divergence data is ambiguous"
+        )
+    idx = matches[0]
+    cone = fan.cones[idx]
+
+    vanishing = [a for a in datum.roots if cone.sign_of(datum.covector(a)) == 0]
+    n = datum.rank
+    rows = [datum.covector(a) for a in vanishing]
+    rhs = [table[a] for a in vanishing]
+    m = datum.gram_points
+    for s in cone.span_basis:
+        rows.append(la.mat_vec(m, s))
+        rhs.append(Q(0))
+    if la.rank(rows) != n:
+        raise InconsistentProfile(
+            "vanishing roots do not determine the facade coordinate"
+        )
+    base = la.solve(la.mat(rows), la.vec([Q(v) for v in rhs]))
+    if base is None:
+        raise InconsistentProfile("finite profile values are contradictory")
+    for row, want in zip(rows, rhs):
+        if la.dot(row, base) != want:
+            raise InconsistentProfile("finite profile values are contradictory")
+    if witness is not None:
+        reduced = orthogonal_reduction(datum, cone.span_basis, la.vec(witness))
+        if reduced != base:
+            raise InconsistentProfile("witness disagrees with the profile values")
+    return CompactifiedPoint(fan, idx, base)
+
+
 def sign_vector_cone_count(datum) -> int:
     """Independent oracle: count facets of the root hyperplane arrangement
     by enumerating feasible sign vectors over the positive nondivisible
     roots."""
-    positives = [
-        datum.covector(a)
-        for a in datum.nondivisible_roots
-        if all(c >= 0 for c in a)
-    ]
+    positives = [datum.covector(a) for a in datum.positive_nondivisible_roots]
     n = datum.rank
     count = 0
     for assignment in _ternary(len(positives)):

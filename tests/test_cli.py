@@ -151,3 +151,36 @@ def test_vector_arity_validated():
         code, out = invoke(args)
         assert code == 2
         assert json.loads(out)["code"] == "ParseError"
+
+
+def test_infinite_coordinates_rejected():
+    for args in [
+        ["cone", "--datum", "A2", "--vector", "inf,0"],
+        ["limit", "--datum", "A2", "--base", "0,0", "--dir", "1,-inf"],
+    ]:
+        code, out = invoke(args)
+        assert code == 2
+        assert json.loads(out)["code"] == "ParseError"
+
+
+def test_seminorm_coordinate_outside_the_cell():
+    poly = {"monomials": [{"exp": {"(a1,1)": 1}, "logc": "0"}]}
+    code, out = invoke([
+        "seminorm", "--datum", "A2", "--T", "a1", "--point", "0,0",
+        "--poly-json", json.dumps(poly),
+    ])
+    assert code == 2
+    assert json.loads(out) == {
+        "code": "ParseError",
+        "message": "exponent key '(a1,1)' is not a coordinate of the cell",
+    }
+
+
+def test_datum_json_without_basis():
+    spec = json.dumps({"roots": [["1"], ["-1"]]})
+    code, out = invoke(["rootsys", "--datum", spec])
+    assert code == 2
+    assert json.loads(out) == {
+        "code": "ParseError",
+        "message": "datum JSON has neither 'type' nor 'basis'",
+    }

@@ -93,6 +93,15 @@ def test_profile_oddness_enforced(a2):
         }.items())))
 
 
+def test_profile_rejects_finite_floats():
+    a1 = build_root_datum("A1")
+    with pytest.raises(InconsistentProfile, match="finite profile values must be rational"):
+        LimitProfile(a1, (((-1,), -0.5), ((1,), 0.5)))
+    with pytest.raises(InconsistentProfile, match="finite profile values must be rational"):
+        LimitProfile.of(a1, {(1,): 0.5})
+    assert limit_of_profile(weyl_fan(a1), LimitProfile.of(a1, {(1,): POS_INF}))
+
+
 def test_profile_of_ray_matches_limit_everywhere(a2, fan_j1, wfan):
     rng = random.Random(17)
     for fan in (fan_j1, wfan):

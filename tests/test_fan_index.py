@@ -1,22 +1,38 @@
-"""Sign-mask cone location and ray-bitset face order, checked against the
-scan oracles in `helpers`, plus the checks that guard them."""
+"""The fan's sign table: cone location, profile matching, boundary
+seminorms and the ray-bitset face order, checked against the scan oracles
+in `helpers`, plus the checks that guard them."""
+
+from fractions import Fraction as Q
+import random
 
 import pytest
 
 from helpers import (
     FAN_CATALOGUE,
     closure_face_order,
+    random_rational_vec,
     sample_points,
     scan_cone_containing,
+    scan_limit_of_profile,
     valid_js,
 )
 from weylfan import cones as cones_module
 from weylfan import fans as fans_module
 from weylfan import linalg as la
-from weylfan.compactify import limit_of_ray
+from weylfan.compactify import (
+    NEG_INF,
+    POS_INF,
+    LimitProfile,
+    NoLimit,
+    limit_of_profile,
+    limit_of_ray,
+    project_to_facade,
+    ray_profile,
+)
 from weylfan.cones import Cone
-from weylfan.errors import DimensionMismatch, PartitionFailure
+from weylfan.errors import DimensionMismatch, PartitionFailure, WeylfanError
 from weylfan.fans import Fan, parabolic_fan, weyl_fan
+from weylfan.gaussnorm import ToyGroupDatum, theta_boundary
 from weylfan.rootdata import build_root_datum
 
 def _case(name, J):
@@ -117,3 +133,104 @@ def test_b4_weyl_fan_and_face_order():
     fan = weyl_fan(build_root_datum("B4"))
     assert len(fan) == 1697
     assert len(fan.face_order) == 14305
+
+
+def _random_value(rng, avoid=None):
+    """+inf, -inf or a small rational, of another sign class than `avoid`."""
+    choices = [POS_INF, NEG_INF, Q(rng.randint(-6, 6), rng.randint(1, 3))]
+    if avoid is not None:
+        choices = [v for v in choices if _class(v) != _class(avoid)]
+    return rng.choice(choices)
+
+
+def _class(v):
+    return 1 if v == POS_INF else -1 if v == NEG_INF else 0
+
+
+def _profiles(fan, count, seed):
+    """Seeded odd profiles with witnesses: ray profiles into random cones,
+    ray profiles with one positive root's value redrawn, on BC types a
+    double root 2a given another sign class than a, and random profiles."""
+    datum = fan.datum
+    rng = random.Random(seed)
+    doubles = [
+        (a, tuple(2 * c for c in a))
+        for a in datum.positive_roots
+        if a in datum.multipliable
+    ]
+    for t in range(count):
+        base = random_rational_vec(rng, datum.rank)
+        d = la.add(
+            rng.choice(fan.cones).relint_point(),
+            la.scale(random_rational_vec(rng, datum.rank), rng.choice([0, 0, Q(1, 50)])),
+        )
+        table = {a: v for a, v in ray_profile(datum, base, d).values if a in datum.positive_roots}
+        kind = t % 4
+        if kind == 1:
+            table[rng.choice(datum.positive_roots)] = _random_value(rng)
+        elif kind == 2 and doubles:
+            a, two_a = rng.choice(doubles)
+            table[two_a] = _random_value(rng, avoid=table[a])
+        elif kind == 3:
+            table = {a: _random_value(rng) for a in datum.positive_roots}
+        witness = base if rng.random() < 0.5 else None
+        yield LimitProfile.of(datum, table), witness
+
+
+def _outcome(match, fan, profile, witness):
+    try:
+        point = match(fan, profile, witness)
+    except WeylfanError as exc:
+        return type(exc).__name__, str(exc)
+    if point is NoLimit:
+        return "NoLimit"
+    return point.cone_index, point.base
+
+
+@pytest.mark.parametrize("name,J", CATALOGUE_FANS)
+def test_limit_of_profile_matches_sign_of_oracle(name, J):
+    fan = parabolic_fan(build_root_datum(name), J)
+    outcomes = set()
+    for profile, witness in _profiles(fan, 160, seed=len(fan)):
+        want = _outcome(scan_limit_of_profile, fan, profile, witness)
+        assert _outcome(limit_of_profile, fan, profile, witness) == want
+        outcomes.add(want if isinstance(want, str) else want[0])
+    assert len(outcomes) > 2
+
+
+def _boundary_oracle(tg, point):
+    """theta_boundary by `Cone.sign_of`: the values, or ProfileMismatch."""
+    datum = tg.datum
+    cone = point.fan.cones[point.cone_index]
+    values = []
+    for a, _ in tg.indexed_roots:
+        sign = cone.sign_of(datum.covector(a))
+        if sign == 0:
+            values.append(datum.pairing(a, point.base))
+        elif sign == -1:
+            values.append(NEG_INF)
+        else:
+            return "ProfileMismatch"
+    return tuple(values)
+
+
+@pytest.mark.parametrize("name,J", CATALOGUE_FANS)
+def test_theta_boundary_matches_sign_of_oracle(name, J):
+    fan = parabolic_fan(build_root_datum(name), J)
+    datum = fan.datum
+    rng = random.Random(7)
+    cells = [ToyGroupDatum.for_full_cell(datum)] + [
+        ToyGroupDatum.for_parabolic(datum, T) for T in valid_js(datum)
+    ]
+    for i, cone in enumerate(fan.cones):
+        point = project_to_facade(fan, i, random_rational_vec(rng, datum.rank))
+        # the roots bounded above on the cone: a cell with no ProfileMismatch
+        bounded = [a for a in datum.roots if cone.sign_of(datum.covector(a)) in (0, -1)]
+        bounded_cell = ToyGroupDatum(datum, frozenset(), tuple((a, 1) for a in sorted(bounded)))
+        for tg in cells + [bounded_cell]:
+            want = _boundary_oracle(tg, point)
+            try:
+                got = theta_boundary(tg, point).values
+            except WeylfanError as exc:
+                got = type(exc).__name__
+            assert got == want

@@ -257,7 +257,8 @@ def test_conjugation_composition():
     weyl = weyl_enumerate(datum)
     tg = ToyGroupDatum.for_parabolic(datum, [1])
     u, v = weyl.generators
-    w = weyl.multiply(u, v)
+    uv = la.mat_mul(u.mat_points, v.mat_points)
+    w = next(x for x in weyl if x.mat_points == uv)
     once, perm_w = tg.relabel(w)
     mid, perm_v = tg.relabel(v)
     twice, perm_u = mid.relabel(u)

@@ -92,6 +92,16 @@ def test_bc_divisibility_partition():
         assert set(datum.nondivisible_roots) | doubles == set(datum.roots)
 
 
+@pytest.mark.parametrize("name", ["A2", "B3", "G2", "BC1", "BC3", "A1xA2"])
+def test_root_slots_cover_every_root(name):
+    datum = build_root_datum(name)
+    ks = datum.positive_nondivisible_roots
+    assert set(ks) == {a for a in datum.nondivisible_roots if all(c >= 0 for c in a)}
+    assert set(datum.root_slots) == set(datum.roots)
+    for b, (k, e) in datum.root_slots.items():
+        assert b in {tuple(m * e * c for c in ks[k]) for m in (1, 2)}
+
+
 def test_weyl_action_compatible_with_pairing():
     datum = build_root_datum("B2")
     weyl = weyl_enumerate(datum)
