@@ -174,22 +174,38 @@ def _cmd_limit(args) -> dict:
     }
 
 
-def _parse_poly(datum, tg: ToyGroupDatum, payload: dict) -> ValuedPolynomial:
+def _int_field(value, what: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ParseError(f"{what} is not an integer") from None
+
+
+def _parse_poly(datum, tg: ToyGroupDatum, payload) -> ValuedPolynomial:
     width = len(tg.indexed_roots)
+    monomials = payload.get("monomials") if isinstance(payload, dict) else None
+    if not isinstance(monomials, list):
+        raise ParseError("polynomial JSON has no 'monomials' list")
     table = {}
-    for mono in payload["monomials"]:
+    for mono in monomials:
+        if not isinstance(mono, dict) or "logc" not in mono:
+            raise ParseError(f"monomial {mono!r} is not an object with a 'logc' field")
+        exps = mono.get("exp", {})
+        if not isinstance(exps, dict):
+            raise ParseError(f"'exp' of monomial {mono!r} is not an object")
         exp = [0] * width
-        for key, count in mono.get("exp", {}).items():
+        for key, count in exps.items():
             body = key.strip()
             if body.startswith("(") and body.endswith(")"):
                 body = body[1:-1]
             label, _, idx = body.rpartition(",")
             if not label:
                 raise ParseError(f"bad exponent key {key!r}")
-            coord = (parse_root_label(datum, label), int(idx))
+            index = _int_field(idx, f"index {idx!r} of exponent key {key!r}")
+            coord = (parse_root_label(datum, label), index)
             if coord not in tg.indexed_roots:
                 raise ParseError(f"exponent key {key!r} is not a coordinate of the cell")
-            exp[tg.position(*coord)] += int(count)
+            exp[tg.position(*coord)] += _int_field(count, f"exponent {count!r} of key {key!r}")
         table[tuple(exp)] = parse_q(str(mono["logc"]))
     return ValuedPolynomial.from_terms(width, table)
 

@@ -220,40 +220,28 @@ def closure_subset(f: Cone, g: Cone) -> bool:
 
 def is_face_closure(f: Cone, g: Cone) -> bool:
     """Face test by closures: f in cl(g) and cl(f) = span(f) meet cl(g)."""
-    return closure_subset(f, g) and _face_by_closure(f, g)
+    if not closure_subset(f, g):
+        return False
+    if f.key == g.key:
+        return True
+    # the closures nest, so span(f) lies in span(g): f's equalities cut it out
+    lin, rays = dual_description(f.dim_ambient, list(f.eqs), list(g.ins))
+    return all(f.closure_contains(v) for v in rays + [x for l in lin for x in (l, la.neg(l))])
 
 
 def is_face_supporting(f: Cone, g: Cone) -> bool:
     """Face test by supporting forms: some form >= 0 on g has cl(f) as zero locus."""
-    return closure_subset(f, g) and _face_by_support(f, g)
-
-
-def _face_by_closure(f: Cone, g: Cone) -> bool:
-    """`is_face_closure` for a pair whose closures are known to nest; then
-    span(f) lies in span(g), so f's equalities alone cut it out."""
-    if f.key == g.key:
-        return True
-    lin, rays = dual_description(f.dim_ambient, list(f.eqs), list(g.ins))
-    for v in rays + [x for l in lin for x in (l, la.neg(l))]:
-        if not f.closure_contains(v):
-            return False
-    return True
-
-
-def _face_by_support(f: Cone, g: Cone) -> bool:
-    """`is_face_supporting` for a pair whose closures are known to nest."""
+    if not closure_subset(f, g):
+        return False
     if f.key == g.key:
         return True
     # forms nonnegative on cl(g) and vanishing on span(f)
-    constraints_eq = list(f.span_basis)
-    constraints_ge = g.closure_generators()
-    lin, rays = dual_description(f.dim_ambient, constraints_eq, constraints_ge)
+    lin, rays = dual_description(f.dim_ambient, list(f.span_basis), g.closure_generators())
     alpha = la.zero_vec(f.dim_ambient)
     for r in rays:
         alpha = la.add(alpha, r)
     exposed = [v for v in g.closure_generators() if la.dot(alpha, v) == 0]
-    target = set(f.closure_generators())
-    return set(exposed) == target
+    return set(exposed) == set(f.closure_generators())
 
 
 def open_system_feasible(

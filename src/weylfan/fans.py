@@ -42,10 +42,23 @@ every face of a closure is the closure of a fan cone, so r spans a fan
 cone.  By the partition and boundary axioms, the closure of g is the
 disjoint union of the fan cones that are its faces, and the open ray
 through r is one of them, so r is a ray of g.  `parabolic_fan` and
-`Fan.validate` check both axioms before the order is read, and
-`Fan.validate` cross-checks each pair with `closure_subset`.  A Weyl
+`Fan.validate` check both axioms before the order is read.  A Weyl
 element permutes the rays, so it maps a cone to the cone with the
 permuted ray set.
+
+*Validation.*  `Fan.validate` checks each axiom once, from integer data.
+Faces: every closure must hold its own rays, and a face of a pointed cone
+is the zero set of its tight facet forms.  So with each facet of g kept as
+the bitset of the rays of g on which its form vanishes, (f, g) is a face
+pair exactly when the AND of the facets of g that hold the rays of f (all
+of g if none do) is the rays of f.  This is the supporting-form criterion
+with alpha the sum of the tight facet forms, and it implies cl(f) = span(f)
+meet cl(g).  Weyl invariance and cores: each cone orbit is walked once
+under the simple reflections, with u_i mapping its first cone to cone i.
+The Schreier elements u_j^-1 s u_i of the walk's edges i -> j generate the
+first cone's setwise stabiliser (Schreier's lemma), whose fixed locus their
+rows minus 1 cut out; one `Cone.from_system` per orbit gives the first
+core, and u_i carries it to the core of cone i.
 """
 
 from __future__ import annotations
@@ -55,13 +68,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from . import linalg as la
-from .cones import (
-    Cone,
-    _face_by_closure,
-    _face_by_support,
-    closure_subset,
-    is_face_closure,
-)
+from .cones import Cone
 from .errors import (
     DegenerateJ,
     DimensionMismatch,
@@ -233,10 +240,6 @@ class Fan:
         )
         return number, cone_rays
 
-    def is_face(self, f: int, g: int) -> bool:
-        """Whether cone f is a face of cone g (each cone is a face of itself)."""
-        return is_face_closure(self.cones[f], self.cones[g])
-
     @cached_property
     def face_order(self) -> tuple[tuple[int, int], ...]:
         """All pairs (f, g) with f a face of g, as the facade closure order:
@@ -261,7 +264,7 @@ class Fan:
 
     def transform_index(self, w: WeylElement, i: int) -> int:
         """Index of the image of cone i under a Weyl element."""
-        j = self._index.get(_image_key(self.cones[i], w))
+        j = self._index.get(_image_key(self.cones[i], w.mat_points))
         if j is None:
             raise PartitionFailure("fan is not Weyl invariant")
         return j
@@ -271,75 +274,20 @@ class Fan:
     def validate(self) -> dict:
         """Verify the fan axioms exactly; returns a few summary counts.
 
-        Checks: partition over all Weyl facets (with the sign masks cutting
-        out every cone), presence of the origin cone, boundaries decompose
-        into fan cones, closure containment and the span-closure condition
-        on every pair of the face order (cross-checked against the
-        supporting-form criterion), strict convexity of closures, Weyl
-        invariance, and the fixed-point characterisation of cores.
-        """
-        datum = self.datum
-        n = datum.rank
-        weyl = weyl_enumerate(datum)
-
-        # strict convexity of every closure
+        Checks strict convexity of closures, the origin cone, partition and
+        boundary axioms, the face condition on every face pair, Weyl
+        invariance and the cores as stabiliser fixed loci."""
         for c in self.cones:
             if c.lineality:
                 raise PartitionFailure(f"cone closure contains a line: {c}")
-
-        # the zero cone belongs to the fan
-        _ = self.origin_index
-
+        _ = self.origin_index  # the zero cone belongs to the fan
         _check_cover(self)
-
-        # face conditions and criterion agreement on every face pair, each
-        # pair's closure containment checked once for both criteria
-        for f, g in self.face_order:
-            cf, cg = self.cones[f], self.cones[g]
-            if not (closure_subset(cf, cg) and _face_by_closure(cf, cg)):
-                raise PartitionFailure(
-                    f"face condition fails for cones {f} <= {g}"
-                )
-            if not _face_by_support(cf, cg):
-                raise PartitionFailure(
-                    f"supporting-form criterion fails for cones {f} <= {g}"
-                )
-
-        # Weyl invariance, collecting each cone's setwise stabiliser: w
-        # permutes the rays, and a cone goes to the cone with the image rays
-        number, cone_rays = self._ray_indices
-        by_rays = {sum(1 << k for k in rays): i for i, rays in enumerate(cone_rays)}
-        stabilisers: list[list[WeylElement]] = [[] for _ in self.cones]
-        for w in weyl:
-            image = [number.get(la.primitive(w.apply_point(r))) for r in number]
-            if None in image:
-                raise PartitionFailure("fan is not Weyl invariant")
-            image_bit = [1 << k for k in image]
-            for i, rays in enumerate(cone_rays):
-                j = by_rays.get(sum(map(image_bit.__getitem__, rays)))
-                if j is None:
-                    raise PartitionFailure("fan is not Weyl invariant")
-                if j == i:
-                    stabilisers[i].append(w)
-
-        # cores: fixed locus of the setwise stabiliser meets the cone in its core
-        for i, c in enumerate(self.cones):
-            fix_rows = {}  # distinct rows of w - 1, in order
-            for w in stabilisers[i]:
-                for r in range(n):
-                    row = tuple(
-                        w.mat_points[r][j] - (1 if r == j else 0) for j in range(n)
-                    )
-                    if not la.is_zero(row):
-                        fix_rows[row] = None
-            core = Cone.from_system(n, list(c.eqs) + list(fix_rows), list(c.ins))
-            if core.key != self.cores[i].cone.key:
-                raise PartitionFailure(f"core of cone {i} is not the stabiliser fixed locus")
-
+        _check_faces(self)
+        _check_orbits(self)
         return {
             "cones": len(self.cones),
             "face_pairs": len(self.face_order),
-            "weyl_order": len(weyl),
+            "weyl_order": len(weyl_enumerate(self.datum)),
         }
 
 
@@ -357,11 +305,76 @@ def _check_cover(fan: Fan) -> None:
                 )
 
 
-def _image_key(cone: Cone, w: WeylElement) -> tuple:
-    """`Cone.key` of the image of a cone under a Weyl element."""
+def _check_faces(fan: Fan) -> None:
+    """Face condition on every pair of the face order, by ray incidence."""
+    _, cone_rays = fan._ray_indices
+    ray_sets, zero_sets = [], []  # per cone: its rays, and each facet's rays
+    for i, (c, rays) in enumerate(zip(fan.cones, cone_rays)):
+        if not all(c.closure_contains(r) for r in c.rays):
+            raise PartitionFailure(f"face condition fails for cones {i} <= {i}")
+        ray_sets.append(sum(1 << k for k in rays))
+        zero_sets.append(
+            [sum(1 << k for k, r in zip(rays, c.rays) if la.dot(form, r) == 0) for form in c.ins]
+        )
+    for f, g in fan.face_order:
+        rays, meet = ray_sets[f], ray_sets[g]
+        for zero in zero_sets[g]:
+            if zero & rays == rays:
+                meet &= zero
+        if meet != rays:
+            raise PartitionFailure(f"face condition fails for cones {f} <= {g}")
+
+
+def _check_orbits(fan: Fan) -> None:
+    """Weyl invariance and cores, by one walk of each cone orbit under the
+    simple reflections (see the module docstring)."""
+    n = fan.datum.rank
+    number, cone_rays = fan._ray_indices
+    by_rays = {sum(1 << k for k in rays): i for i, rays in enumerate(cone_rays)}
+    reflections = [s.mat_points for s in weyl_enumerate(fan.datum).generators]
+    moves = []  # per simple reflection, the index of every cone's image
+    for s in reflections:
+        image = [number.get(la.primitive(la.mat_vec(s, r))) for r in number]
+        if None in image:
+            raise PartitionFailure("fan is not Weyl invariant")
+        image_bit = [1 << k for k in image]
+        move = [by_rays.get(sum(map(image_bit.__getitem__, rays))) for rays in cone_rays]
+        if None in move:
+            raise PartitionFailure("fan is not Weyl invariant")
+        moves.append(move)
+
+    one = la.identity(n)
+    u: list = [None] * len(fan.cones)  # per cone: (u, u^-1) from its orbit's first cone
+    for first, c in enumerate(fan.cones):
+        if u[first] is not None:
+            continue
+        u[first] = (one, one)
+        orbit = [first]
+        fix_rows = {}  # distinct nonzero rows of the Schreier generators minus 1
+        for i in orbit:  # grows while it is walked
+            mat, inv = u[i]
+            for s, move in zip(reflections, moves):
+                j, su = move[i], la.mat_mul(s, mat)
+                if u[j] is None:
+                    u[j] = (su, la.mat_mul(inv, s))
+                    orbit.append(j)
+                    continue
+                if su == u[j][0]:
+                    continue  # the Schreier element is 1
+                for row in map(la.sub, la.mat_mul(u[j][1], su), one):
+                    if any(row):
+                        fix_rows[row] = None
+        core = Cone.from_system(n, list(c.eqs) + list(fix_rows), list(c.ins))
+        for i in orbit:
+            if _image_key(core, u[i][0]) != fan.cores[i].cone.key:
+                raise PartitionFailure(f"core of cone {i} is not the stabiliser fixed locus")
+
+
+def _image_key(cone: Cone, mat_points: la.Mat) -> tuple:
+    """`Cone.key` of the image of a cone under an invertible linear map."""
     return (
-        tuple(sorted(la.primitive(w.apply_point(l)) for l in cone.lineality)),
-        tuple(sorted(la.primitive(w.apply_point(r)) for r in cone.rays)),
+        tuple(sorted(la.primitive(la.mat_vec(mat_points, l)) for l in cone.lineality)),
+        tuple(sorted(la.primitive(la.mat_vec(mat_points, r)) for r in cone.rays)),
     )
 
 
@@ -466,7 +479,7 @@ def parabolic_fan(datum: RootDatum, J: Iterable[int] = ()) -> Fan:
         base = Cone.from_system(n, eqs, ins)
         base_core = _facet_cone(datum, T)
         for w in weyl:
-            key = _image_key(base, w)
+            key = _image_key(base, w.mat_points)
             if key in found:
                 continue
             moved = base.transform(w.mat_points, w.mat_points_inv)
@@ -506,4 +519,4 @@ def cone_of_parabolic(
     datum = fan.datum
     eqs, ins, _ = standard_cone_system(datum, fan.J, frozenset())
     base = Cone.from_system(datum.rank, eqs, ins)
-    return fan._index[_image_key(base, w)]
+    return fan._index[_image_key(base, w.mat_points)]

@@ -58,8 +58,10 @@ def is_zero(u: Vec) -> bool:
 
 def primitive(u: Vec) -> tuple[int, ...]:
     """Scale by a positive rational so entries are coprime ints (zero stays zero)."""
-    denom = lcm(*(a.denominator for a in u))
-    ints = [a.numerator * (denom // a.denominator) for a in u]
+    ints = u
+    if not all(type(a) is int for a in u):
+        denom = lcm(*(a.denominator for a in u))
+        ints = [a.numerator * (denom // a.denominator) for a in u]
     g = gcd(*ints)
     if g == 0:
         return (0,) * len(u)

@@ -17,13 +17,7 @@ from . import linalg as la
 from .cones import Cone
 from .errors import InternalDisagreement
 from .fans import Fan, validate_J
-from .rootdata import (
-    Root,
-    RootDatum,
-    components,
-    orthogonal_complement,
-    weyl_enumerate,
-)
+from .rootdata import Root, RootDatum, components, orthogonal_complement
 
 
 @dataclass(frozen=True)
@@ -154,15 +148,9 @@ class StratumDescriptor:
         return [datum.labels[i] for i in sorted(self.type_indices)]
 
 
-def enumerate_strata(
-    datum: RootDatum, J: Iterable[int], conjugates: bool = False
-):
-    """Stratum classes of the compactification for subset J.
-
-    One descriptor per relevant standard type; with `conjugates=True`
-    returns (descriptor, weyl element) pairs, one for each Weyl translate
-    of the standard core facet, for cross-checks against the fan.
-    """
+def enumerate_strata(datum: RootDatum, J: Iterable[int]) -> list[StratumDescriptor]:
+    """Stratum classes of the compactification for subset J: one descriptor
+    per relevant standard type."""
     J = validate_J(datum, J)
     n = datum.rank
     out = []
@@ -181,26 +169,7 @@ def enumerate_strata(
         )
         out.append(desc)
     out.sort(key=lambda d: (len(d.type_indices), sorted(d.type_indices)))
-    if not conjugates:
-        return out
-
-    weyl = weyl_enumerate(datum)
-    pairs = []
-    for desc in out:
-        seen = set()
-        covs = [datum.covector(datum.simples[i]) for i in sorted(desc.type_indices)]
-        others = [
-            datum.covector(datum.simples[i])
-            for i in range(n)
-            if i not in desc.type_indices
-        ]
-        base = Cone.from_system(n, covs, others)
-        for w in weyl:
-            rays = tuple(sorted(la.primitive(w.apply_point(r)) for r in base.rays))
-            if rays not in seen:
-                seen.add(rays)
-                pairs.append((desc, w))
-    return pairs
+    return out
 
 
 def facade_root_system(datum: RootDatum, fan: Fan, cone_index: int) -> tuple[Root, ...]:

@@ -424,6 +424,11 @@ def _build_explicit(raw_roots: Sequence[Sequence], basis: Sequence[int]) -> Root
         if la.neg(v) not in vec_set:
             raise NonRootSystem("explicit list not closed under negation")
 
+    if not isinstance(basis, (list, tuple)):
+        raise NonRootSystem(f"basis {basis!r} is not a list of root indices")
+    for i in basis:
+        if type(i) is not int or not 0 <= i < len(vectors):
+            raise NonRootSystem(f"basis entry {i!r} is not an index into the {len(vectors)} roots")
     basis_vecs = [vectors[i] for i in basis]
     rank = len(basis_vecs)
     if la.span_rank(basis_vecs) != rank:

@@ -1,6 +1,7 @@
 """Shared oracles and deterministic sampling for the test suite."""
 
 from fractions import Fraction as Q
+from math import lcm
 import random
 
 from weylfan import linalg as la
@@ -46,8 +47,12 @@ def closure_face_order(fan: Fan) -> tuple:
 
 
 def scan_cone_containing(fan: Fan, v) -> int:
-    """Cone location oracle: `Cone.contains` on every cone of the fan."""
-    hits = [i for i, c in enumerate(fan.cones) if c.contains(v)]
+    """Cone location oracle: `Cone.contains` on every cone of the fan, at
+    the integer multiple of v by its common denominator (cones are closed
+    under positive scaling, and integer dot products are fast)."""
+    d = lcm(*(Q(x).denominator for x in v))
+    scaled = tuple(int(x * d) for x in v)
+    hits = [i for i, c in enumerate(fan.cones) if c.contains(scaled)]
     if len(hits) != 1:
         raise PartitionFailure(f"point {v} lies in {len(hits)} cones")
     return hits[0]

@@ -2,6 +2,8 @@ import io
 import json
 from contextlib import redirect_stdout
 
+import pytest
+
 from weylfan.cli import run
 from weylfan.serialize import parse_q
 
@@ -184,3 +186,50 @@ def test_datum_json_without_basis():
         "code": "ParseError",
         "message": "datum JSON has neither 'type' nor 'basis'",
     }
+
+
+@pytest.mark.parametrize(
+    "basis,shown", [([5], "5"), (["0"], "'0'"), ([0.0], "0.0"), ([-1], "-1"), ([True], "True")]
+)
+def test_datum_json_basis_entries_must_be_root_indices(basis, shown):
+    spec = json.dumps({"roots": [["1"], ["-1"]], "basis": basis})
+    code, out = invoke(["rootsys", "--datum", spec])
+    assert code == 2
+    assert json.loads(out) == {
+        "code": "NonRootSystem",
+        "message": f"basis entry {shown} is not an index into the 2 roots",
+    }
+
+
+def test_datum_json_basis_must_be_a_list():
+    spec = json.dumps({"roots": [["1"], ["-1"]], "basis": 0})
+    code, out = invoke(["rootsys", "--datum", spec])
+    assert code == 2
+    assert json.loads(out) == {
+        "code": "NonRootSystem",
+        "message": "basis 0 is not a list of root indices",
+    }
+
+
+@pytest.mark.parametrize(
+    "poly,message",
+    [
+        (
+            {"monomials": [{"exp": {"(-a2,x)": 1}, "logc": "0"}]},
+            "index 'x' of exponent key '(-a2,x)' is not an integer",
+        ),
+        ({}, "polynomial JSON has no 'monomials' list"),
+        ({"monomials": ["x"]}, "monomial 'x' is not an object with a 'logc' field"),
+        (
+            {"monomials": [{"exp": {"(-a2,1)": "y"}, "logc": "0"}]},
+            "exponent 'y' of key '(-a2,1)' is not an integer",
+        ),
+    ],
+)
+def test_seminorm_polynomial_errors_name_the_field(poly, message):
+    code, out = invoke([
+        "seminorm", "--datum", "A2", "--T", "a1", "--point", "0,0",
+        "--poly-json", json.dumps(poly),
+    ])
+    assert code == 2
+    assert json.loads(out) == {"code": "ParseError", "message": message}

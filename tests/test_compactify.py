@@ -15,6 +15,7 @@ from weylfan.compactify import (
     project_to_facade,
     ray_profile,
 )
+from weylfan.cones import is_face_closure
 from weylfan.errors import InconsistentProfile, NonRootSystem
 from weylfan.fans import parabolic_fan, weyl_fan
 from weylfan.rootdata import build_root_datum
@@ -217,7 +218,7 @@ def test_facade_closure_order(wfan, fan_j1):
                 assert [f for (f, h) in order if f == g] == [g]
         for f in range(len(fan.cones)):
             for g in range(len(fan.cones)):
-                assert ((f, g) in order) == fan.is_face(f, g)
+                assert ((f, g) in order) == is_face_closure(fan.cones[f], fan.cones[g])
 
 
 def test_profile_limit_total_over_every_cone():

@@ -2,6 +2,7 @@
 seminorms and the ray-bitset face order, checked against the scan oracles
 in `helpers`, plus the checks that guard them."""
 
+import dataclasses
 from fractions import Fraction as Q
 import random
 
@@ -16,8 +17,6 @@ from helpers import (
     scan_limit_of_profile,
     valid_js,
 )
-from weylfan import cones as cones_module
-from weylfan import fans as fans_module
 from weylfan import linalg as la
 from weylfan.compactify import (
     NEG_INF,
@@ -29,7 +28,7 @@ from weylfan.compactify import (
     project_to_facade,
     ray_profile,
 )
-from weylfan.cones import Cone
+from weylfan.cones import Cone, is_face_closure, is_face_supporting
 from weylfan.errors import DimensionMismatch, PartitionFailure, WeylfanError
 from weylfan.fans import Fan, parabolic_fan, weyl_fan
 from weylfan.gaussnorm import ToyGroupDatum, theta_boundary
@@ -114,19 +113,35 @@ def test_cone_containing_rejects_points_of_the_wrong_length():
     assert fan.cones[fan.cone_containing((1, 2))].dim == 2
 
 
-def test_validate_checks_closure_once_per_face_pair(monkeypatch):
-    fan = parabolic_fan(build_root_datum("B3"), [1])
-    calls = []
-    original = cones_module.closure_subset
+MUTANT_FANS = [_case("B3", ()), _case("A3", (0,)), _case("G2", ())]
 
-    def counted(f, g):
-        calls.append((f, g))
-        return original(f, g)
 
-    monkeypatch.setattr(cones_module, "closure_subset", counted)
-    monkeypatch.setattr(fans_module, "closure_subset", counted)
-    stats = fan.validate()
-    assert len(calls) == stats["face_pairs"] == len(fan.face_order)
+@pytest.mark.parametrize("name,J", MUTANT_FANS)
+def test_validate_rejects_a_dropped_facet_form(name, J):
+    fan = parabolic_fan(build_root_datum(name), J)
+    cones = list(fan.cones)
+    chamber = cones[-1]  # cones are ordered by dimension
+    cones[-1] = dataclasses.replace(chamber, ins=chamber.ins[1:])
+    with pytest.raises(PartitionFailure, match="face condition fails"):
+        Fan(fan.datum, fan.J, cones, fan.cores).validate()
+
+
+@pytest.mark.parametrize("name,J", MUTANT_FANS)
+def test_validate_rejects_a_core_replaced_by_the_origin(name, J):
+    fan = parabolic_fan(build_root_datum(name), J)
+    cores = dict(fan.cores)
+    i = len(fan) - 1
+    cores[i] = dataclasses.replace(cores[i], cone=fan.cones[fan.origin_index])
+    with pytest.raises(PartitionFailure, match=f"core of cone {i} is not"):
+        Fan(fan.datum, fan.J, fan.cones, cores).validate()
+
+
+@pytest.mark.parametrize("name,J", CATALOGUE_FANS)
+def test_face_order_pairs_pass_both_face_criteria(name, J):
+    fan = parabolic_fan(build_root_datum(name), J)
+    for f, g in fan.face_order:
+        assert is_face_closure(fan.cones[f], fan.cones[g]), (f, g)
+        assert is_face_supporting(fan.cones[f], fan.cones[g]), (f, g)
 
 
 def test_b4_weyl_fan_and_face_order():
