@@ -18,7 +18,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 from . import linalg as la
 from .errors import EmptyFacet, NonReduced, NonRootSystem, Unspanned
 from .linalg import Vec
-from .rootdata import Root, RootDatum, weyl_enumerate
+from .rootdata import Root, RootDatum, root_orbits
 
 
 @dataclass(frozen=True)
@@ -122,11 +122,9 @@ class AffineRootPattern:
         """
         if len(denominators) != datum.rank:
             raise NonRootSystem("need one denominator per simple root")
-        weyl = weyl_enumerate(datum)
         orbit_of: dict[Root, int] = {}
         for i, s in enumerate(datum.simples):
-            for w in weyl:
-                img = w.apply_root(s)
+            for img in root_orbits(datum.cartan, [s]):
                 prev = orbit_of.get(img)
                 if prev is not None and denominators[prev] != denominators[i]:
                     raise NonRootSystem(
@@ -428,27 +426,15 @@ def essential_projection(
 def sub_datum(datum: RootDatum, levi_indices: Iterable[int]) -> RootDatum:
     """The root datum of the Levi subsystem on a subset of the basis."""
     idx = sorted(set(levi_indices))
-    pos = {i: k for k, i in enumerate(idx)}
-    cartan = tuple(tuple(datum.cartan[i][j] for j in idx) for i in idx)
-    roots = []
-    for a in datum.roots:
-        support = {i for i, c in enumerate(a) if c}
-        if support <= set(idx):
-            roots.append(tuple(a[i] for i in idx))
-    mult = frozenset(
-        tuple(a[i] for i in idx)
-        for a in datum.multipliable
-        if {i for i, c in enumerate(a) if c} <= set(idx)
-    )
-    sub = RootDatum(
+    inside = [a for a in datum.roots if {i for i, c in enumerate(a) if c} <= set(idx)]
+    return RootDatum(
         name=f"{datum.name}|{','.join(datum.labels[i] for i in idx)}",
         rank=len(idx),
-        cartan=cartan,
+        cartan=tuple(tuple(datum.cartan[i][j] for j in idx) for i in idx),
         simple_lengths=tuple(datum.simple_lengths[i] for i in idx),
-        roots=tuple(sorted(roots)),
-        multipliable=mult,
+        roots=tuple(sorted(tuple(a[i] for i in idx) for a in inside)),
+        multipliable=frozenset(tuple(a[i] for i in idx) for a in inside if a in datum.multipliable),
     )
-    return sub
 
 
 def levi_point_from_pairings(

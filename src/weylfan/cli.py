@@ -7,7 +7,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .apartment import (
@@ -23,7 +22,7 @@ from .errors import ParseError, WeylfanError
 from .fans import parabolic_fan
 from .gaussnorm import ToyGroupDatum, ValuedPolynomial, theta_restricted
 from .parabolics import enumerate_strata, facade_root_system
-from .rootdata import build_root_datum, weyl_enumerate
+from .rootdata import build_root_datum
 from .serialize import (
     dumps,
     fmt_q,
@@ -56,11 +55,18 @@ def _load_datum(spec: str):
     else:
         return build_root_datum(spec)
     if "type" in payload:
+        if not isinstance(payload["type"], str):
+            raise ParseError("datum JSON 'type' must be a catalogue name")
         return build_root_datum(payload["type"])
     for key in ("roots", "basis"):
         if key not in payload:
             raise ParseError(f"datum JSON has neither 'type' nor {key!r}")
-    roots = [[Fraction(parse_q(str(x))) for x in row] for row in payload["roots"]]
+    rows = payload["roots"]
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ParseError("datum JSON 'roots' is not a list of coordinate lists")
+    roots = [[parse_q(str(x)) for x in row] for row in rows]
+    if any(isinstance(x, float) for row in roots for x in row):
+        raise ParseError("datum JSON 'roots' has an infinite coordinate")
     return build_root_datum(roots, basis=payload["basis"])
 
 
@@ -104,7 +110,6 @@ def _fan_payload(fan) -> dict:
 
 def _cmd_rootsys(args) -> dict:
     datum = _load_datum(args.datum)
-    weyl = weyl_enumerate(datum)
     return {
         "name": datum.name,
         "rank": datum.rank,
@@ -113,7 +118,7 @@ def _cmd_rootsys(args) -> dict:
         "root_count": len(datum.roots),
         "positive_roots": [root_label(datum, a) for a in sorted(datum.positive_roots)],
         "multipliable": [root_label(datum, a) for a in sorted(datum.multipliable)],
-        "weyl_order": len(weyl),
+        "weyl_order": datum.weyl_order,
         "simple_lengths": [fmt_q(d) for d in datum.simple_lengths],
     }
 
@@ -174,13 +179,6 @@ def _cmd_limit(args) -> dict:
     }
 
 
-def _int_field(value, what: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ParseError(f"{what} is not an integer") from None
-
-
 def _parse_poly(datum, tg: ToyGroupDatum, payload) -> ValuedPolynomial:
     width = len(tg.indexed_roots)
     monomials = payload.get("monomials") if isinstance(payload, dict) else None
@@ -201,11 +199,18 @@ def _parse_poly(datum, tg: ToyGroupDatum, payload) -> ValuedPolynomial:
             label, _, idx = body.rpartition(",")
             if not label:
                 raise ParseError(f"bad exponent key {key!r}")
-            index = _int_field(idx, f"index {idx!r} of exponent key {key!r}")
+            try:
+                index = int(idx)
+            except ValueError:
+                raise ParseError(
+                    f"index {idx!r} of exponent key {key!r} is not an integer"
+                ) from None
             coord = (parse_root_label(datum, label), index)
             if coord not in tg.indexed_roots:
                 raise ParseError(f"exponent key {key!r} is not a coordinate of the cell")
-            exp[tg.position(*coord)] += _int_field(count, f"exponent {count!r} of key {key!r}")
+            if type(count) is not int:
+                raise ParseError(f"exponent {count!r} of key {key!r} is not an integer")
+            exp[tg.position(*coord)] += count
         table[tuple(exp)] = parse_q(str(mono["logc"]))
     return ValuedPolynomial.from_terms(width, table)
 

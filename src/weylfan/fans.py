@@ -10,6 +10,17 @@ standard cone of index subset I merges the Weyl facets of type between I
 and I u (J n I-perp) under that reflection subgroup; its core is the Weyl
 facet of type I u (J n I-perp).  For J empty this is exactly the Weyl fan.
 
+*Orbit walk.*  `parabolic_fan` walks each new standard cone's orbit
+breadth first under s_1..s_n, carrying the core and the Weyl element u
+mapping the standard cone there (s_k.u for the image under s_k, which is
+unimodular and moves one coroot coordinate, so rays stay primitive).  The
+stabiliser of the standard cone of I is W_T, T = I u (J n I-perp), so each
+cone has one minimal-length u, of length its depth in the walk.  A prefix
+of a minimal u is minimal, so `weyl_enumerate`'s closure, breadth first
+too, reaches a minimal u only from the u one level up; by induction both
+meet the minimal u in the same order, through the same s_k, and give each
+the same word (Humphreys, *Reflection Groups and Coxeter Groups*, 1.10).
+
 Cone location and the face order use exact integer indices built once per
 fan.
 
@@ -63,9 +74,9 @@ core, and u_i carries it to the core of cone i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import linalg as la
 from .cones import Cone
@@ -83,7 +94,9 @@ from .rootdata import (
     WeylElement,
     components,
     orthogonal_complement,
-    weyl_enumerate,
+    point_orbits,
+    reflect_simple,
+    walk_orbits,
 )
 
 
@@ -287,7 +300,7 @@ class Fan:
         return {
             "cones": len(self.cones),
             "face_pairs": len(self.face_order),
-            "weyl_order": len(weyl_enumerate(self.datum)),
+            "weyl_order": self.datum.weyl_order,
         }
 
 
@@ -328,82 +341,76 @@ def _check_faces(fan: Fan) -> None:
 def _check_orbits(fan: Fan) -> None:
     """Weyl invariance and cores, by one walk of each cone orbit under the
     simple reflections (see the module docstring)."""
-    n = fan.datum.rank
+    datum = fan.datum
+    n = datum.rank
     number, cone_rays = fan._ray_indices
-    by_rays = {sum(1 << k for k in rays): i for i, rays in enumerate(cone_rays)}
-    reflections = [s.mat_points for s in weyl_enumerate(fan.datum).generators]
+    by_rays = {frozenset(rays): i for i, rays in enumerate(cone_rays)}
     moves = []  # per simple reflection, the index of every cone's image
-    for s in reflections:
-        image = [number.get(la.primitive(la.mat_vec(s, r))) for r in number]
-        if None in image:
-            raise PartitionFailure("fan is not Weyl invariant")
-        image_bit = [1 << k for k in image]
-        move = [by_rays.get(sum(map(image_bit.__getitem__, rays))) for rays in cone_rays]
-        if None in move:
-            raise PartitionFailure("fan is not Weyl invariant")
-        moves.append(move)
-
+    for k in range(n):
+        image = [number.get(reflect_simple(datum.cartan, r, k)) for r in number]
+        moves.append([by_rays.get(frozenset(map(image.__getitem__, rays))) for rays in cone_rays])
+    if any(None in move for move in moves):
+        raise PartitionFailure("fan is not Weyl invariant")
+    reflections = [s.mat_points for s in datum.simple_reflections]
     one = la.identity(n)
-    u: list = [None] * len(fan.cones)  # per cone: (u, u^-1) from its orbit's first cone
+    walked: set[int] = set()
     for first, c in enumerate(fan.cones):
-        if u[first] is not None:
+        if first in walked:
             continue
-        u[first] = (one, one)
-        orbit = [first]
+        # cone i -> (i, u, u^-1), u mapping the first cone to cone i
+        orbit = walk_orbits(
+            {first: (first, one, one)},
+            n,
+            lambda x, k: moves[k][x[0]],
+            lambda x, k, j: (j, la.mat_mul(reflections[k], x[1]), la.mat_mul(x[2], reflections[k])),
+        )
+        walked.update(orbit)
         fix_rows = {}  # distinct nonzero rows of the Schreier generators minus 1
-        for i in orbit:  # grows while it is walked
-            mat, inv = u[i]
+        for i, u, _ in orbit.values():
             for s, move in zip(reflections, moves):
-                j, su = move[i], la.mat_mul(s, mat)
-                if u[j] is None:
-                    u[j] = (su, la.mat_mul(inv, s))
-                    orbit.append(j)
-                    continue
-                if su == u[j][0]:
+                _, uj, uj_inv = orbit[move[i]]
+                su = la.mat_mul(s, u)
+                if su == uj:
                     continue  # the Schreier element is 1
-                for row in map(la.sub, la.mat_mul(u[j][1], su), one):
+                for row in map(la.sub, la.mat_mul(uj_inv, su), one):
                     if any(row):
                         fix_rows[row] = None
         core = Cone.from_system(n, list(c.eqs) + list(fix_rows), list(c.ins))
-        for i in orbit:
-            if _image_key(core, u[i][0]) != fan.cores[i].cone.key:
+        for i, u, _ in orbit.values():
+            if _image_key(core, u) != fan.cores[i].cone.key:
                 raise PartitionFailure(f"core of cone {i} is not the stabiliser fixed locus")
+
+
+def _reflected_key(cartan: la.Mat, cone: Cone, k: int) -> tuple:
+    """`Cone.key` of the image of a cone under s_k.  s_k is unimodular, so
+    it keeps integer generators primitive."""
+    return tuple(tuple(sorted(reflect_simple(cartan, v, k) for v in vs)) for vs in cone.key)
+
+
+def _reflected_cone(cartan: la.Mat, cone: Cone, k: int, key: Optional[tuple] = None) -> Cone:
+    """The image of a cone under s_k, given its key if it is known.  A form
+    f goes to f.s_k = f - f[k] cartan[k]."""
+    lineality, rays = key or _reflected_key(cartan, cone, k)
+    eqs, ins = ([la.sub(f, la.scale(cartan[k], f[k])) for f in fs] for fs in (cone.eqs, cone.ins))
+    return Cone(cone.dim_ambient, tuple(sorted(eqs)), tuple(sorted(ins)), lineality, rays)
 
 
 def _image_key(cone: Cone, mat_points: la.Mat) -> tuple:
     """`Cone.key` of the image of a cone under an invertible linear map."""
-    return (
-        tuple(sorted(la.primitive(la.mat_vec(mat_points, l)) for l in cone.lineality)),
-        tuple(sorted(la.primitive(la.mat_vec(mat_points, r)) for r in cone.rays)),
+    return tuple(
+        tuple(sorted(la.primitive(la.mat_vec(mat_points, v)) for v in vs)) for vs in cone.key
     )
 
 
 def weyl_facet_points(datum: RootDatum) -> list[Vec]:
     """One primitive integer relative interior point for every facet of the
     Weyl arrangement: the Weyl orbits of the primitive multiples of the sums
-    of fundamental coweights, closed under the simple reflections."""
-    coweights = datum.fundamental_coweights()
+    of fundamental coweights."""
     n = datum.rank
-    points = set()
-    for bits in range(1 << n):
-        base = la.zero_vec(n)
-        for j in range(n):
-            if bits >> j & 1:
-                base = la.add(base, coweights[j])
-        frontier = [la.primitive(base)]
-        points.add(frontier[0])
-        while frontier:
-            new = []
-            for p in frontier:
-                for k in range(n):
-                    # s_k(p) = p - <a_k, p> a_k^vee moves coroot coordinate k only
-                    pairing = la.dot(datum.cartan[k], p)
-                    q = p[:k] + (p[k] - pairing,) + p[k + 1:]
-                    if q not in points:
-                        points.add(q)
-                        new.append(q)
-            frontier = new
-    return sorted(points)
+    coweights = la.inverse(datum.cartan)  # as its columns
+    subsets = (tuple(bits >> j & 1 for j in range(n)) for bits in range(1 << n))
+    bases = (la.primitive(la.mat_vec(coweights, e)) for e in subsets)
+    return sorted(point_orbits(datum.cartan, bases))
 
 
 def _admissible_index_sets(datum: RootDatum, J: frozenset[int]) -> list[frozenset[int]]:
@@ -471,28 +478,26 @@ def parabolic_fan(datum: RootDatum, J: Iterable[int] = ()) -> Fan:
     J = validate_J(datum, J)
 
     n = datum.rank
-    weyl = weyl_enumerate(datum)
+    cartan = datum.cartan
 
-    found: dict[tuple, tuple[Cone, CoreInfo]] = {}
+    def image_key(x: tuple[Cone, CoreInfo], k: int) -> tuple:
+        return _reflected_key(cartan, x[0], k)
+
+    def make(x: tuple[Cone, CoreInfo], k: int, key: tuple) -> tuple[Cone, CoreInfo]:
+        """The image of (cone, core) under s_k, the core's u becoming s_k.u."""
+        cone, info = x
+        weyl = info.weyl.left_mul(datum.simple_reflections[k])
+        core = _reflected_cone(cartan, info.cone, k)
+        return _reflected_cone(cartan, cone, k, key), replace(info, weyl=weyl, cone=core)
+
+    found: dict[tuple, tuple[Cone, CoreInfo]] = {}  # cone key -> (cone, core)
     for I in _admissible_index_sets(datum, J):
         eqs, ins, T = standard_cone_system(datum, J, I)
         base = Cone.from_system(n, eqs, ins)
-        base_core = _facet_cone(datum, T)
-        for w in weyl:
-            key = _image_key(base, w.mat_points)
-            if key in found:
-                continue
-            moved = base.transform(w.mat_points, w.mat_points_inv)
-            core = base_core.transform(w.mat_points, w.mat_points_inv)
-            found[key] = (
-                moved,
-                CoreInfo(
-                    type_indices=T,
-                    generator_indices=I,
-                    weyl=w,
-                    cone=core,
-                ),
-            )
+        if base.key in found:
+            continue  # an orbit walked already
+        info = CoreInfo(T, I, WeylElement.identity(n), _facet_cone(datum, T))
+        found.update(walk_orbits({base.key: (base, info)}, n, image_key, make))
 
     ordered = sorted(found.values(), key=lambda pair: (pair[0].dim, pair[0].key))
     cones = [pair[0] for pair in ordered]

@@ -10,16 +10,51 @@ simple roots to squared length 2 on each irreducible component.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from typing import Iterable, Optional, Sequence
+from functools import cached_property, lru_cache, partial
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import linalg as la
 from .errors import NonRootSystem
 from .linalg import Mat, Rational, Vec
 
 Root = tuple[int, ...]  # coefficients over the simple basis
+
+
+def walk_orbits(seeds: dict, moves: int, image: Callable, make: Optional[Callable] = None) -> dict:
+    """Breadth-first closure of the items `seeds` (a dict key -> item) under
+    `moves` maps, as a dict in discovery order.  `image(x, k)` is the key of
+    the image of item x under map k; `make(x, k, key)` builds that image
+    (the key itself when `make` is None) once per new key, so a repeated
+    image costs one key lookup."""
+    found = dict(seeds)
+    walk = list(found.values())
+    for x in walk:  # grows while it is walked
+        for k in range(moves):
+            key = image(x, k)
+            if key not in found:
+                found[key] = y = key if make is None else make(x, k, key)
+                walk.append(y)
+    return found
+
+
+def reflect_simple(rows: Sequence[Vec], v: Vec, k: int) -> Vec:
+    """The simple reflection s_k, which moves coordinate k only: on coroot
+    coordinates of a point with `rows` the Cartan matrix (p - <a_k, p> a_k^vee),
+    on the coefficients of a root with `rows` its transpose (a - <a, a_k^vee> a_k)."""
+    return v[:k] + (v[k] - la.dot(rows[k], v),) + v[k + 1:]
+
+
+def point_orbits(cartan: Sequence[Vec], seeds: Iterable[Vec]) -> dict[Vec, Vec]:
+    """The points `seeds` (coroot coordinates) closed under the simple reflections."""
+    return walk_orbits({p: p for p in seeds}, len(cartan), partial(reflect_simple, cartan))
+
+
+def root_orbits(cartan: Sequence[Vec], seeds: Iterable[Root]) -> dict[Root, Root]:
+    """The roots `seeds` closed under the simple reflections."""
+    columns = la.transpose(cartan)
+    return walk_orbits({a: a for a in seeds}, len(cartan), partial(reflect_simple, columns))
 
 
 def _cartan_chain(n: int) -> list[list[int]]:
@@ -226,6 +261,27 @@ class RootDatum:
         n = int(c)
         return tuple(ai - n * bi for ai, bi in zip(a, b))
 
+    @cached_property
+    def simple_reflections(self) -> tuple["WeylElement", ...]:
+        """The simple reflections s_k as Weyl elements; W is not enumerated."""
+        one = la.identity(self.rank)
+        columns = la.transpose(self.cartan)
+
+        def moving(k: int, rows: Mat) -> Mat:  # the identity, row k minus rows[k]
+            return one[:k] + (la.sub(one[k], rows[k]),) + one[k + 1:]
+
+        return tuple(  # s_k is an involution
+            WeylElement(moving(k, self.cartan), moving(k, columns), (k,), moving(k, self.cartan))
+            for k in range(self.rank)
+        )
+
+    @cached_property
+    def weyl_order(self) -> int:
+        """|W|, without enumerating W: rho^vee, the sum of the fundamental
+        coweights, is regular, so its orbit has one point per element."""
+        rho = la.primitive(tuple(sum(row) for row in la.inverse(self.cartan)))
+        return len(point_orbits(self.cartan, [rho]))
+
     def fundamental_coweights(self) -> tuple[Vec, ...]:
         """Vectors dual to the simple roots: <alpha_i, w_j> = delta_ij."""
         inv = la.inverse(self.cartan)
@@ -275,18 +331,11 @@ def components(datum: RootDatum, subset: Iterable[int]) -> list[frozenset[int]]:
     out = []
     while todo:
         seed = min(todo)
-        comp = {seed}
-        frontier = {seed}
-        while frontier:
-            nxt = {
-                j
-                for i in frontier
-                for j in todo
-                if j not in comp and datum.adjacent(i, j)
-            }
-            comp |= nxt
-            frontier = nxt
-        todo -= comp
+        # move j from node i reaches node j if they are joined in the subset
+        comp = walk_orbits(
+            {seed: seed}, datum.rank, lambda i, j: j if j in todo and datum.adjacent(i, j) else i
+        )
+        todo -= comp.keys()
         out.append(frozenset(comp))
     return sorted(out, key=min)
 
@@ -329,29 +378,6 @@ class DiagramSubset:
 # -- construction -----------------------------------------------------------
 
 
-def _generate_reduced_roots(cartan: Sequence[Sequence[int]]) -> set[Root]:
-    n = len(cartan)
-    simples = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-
-    def reflect(a: Root, k: int) -> Root:
-        pairing = sum(a[i] * cartan[i][k] for i in range(n))
-        return tuple(a[j] - (pairing if j == k else 0) for j in range(n))
-
-    roots = set(simples)
-    frontier = set(simples)
-    while frontier:
-        new = set()
-        for a in frontier:
-            for k in range(n):
-                b = reflect(a, k)
-                if b not in roots:
-                    new.add(b)
-        roots |= new
-        frontier = new
-    roots |= {tuple(-c for c in a) for a in roots}
-    return roots
-
-
 def _block_diag(blocks: list[list[list[int]]]) -> list[list[int]]:
     n = sum(len(b) for b in blocks)
     out = [[0] * n for _ in range(n)]
@@ -374,38 +400,29 @@ def _build_catalogue(name: str) -> RootDatum:
         flags.append(non_reduced)
     cartan = _block_diag(cartans)
     rank = len(cartan)
-    roots = _generate_reduced_roots(cartan)
+    roots = set(root_orbits(cartan, la.identity(rank)))  # the orbits of the simple roots
+    roots |= {tuple(-c for c in a) for a in roots}
 
-    multipliable: set[Root] = set()
-    offset = 0
-    for (fam, n), c, non_reduced in zip(factors, cartans, flags):
-        if non_reduced:
-            # the shortest roots of the BC factor acquire doubles
-            block = range(offset, offset + len(c))
-            factor_roots = [a for a in roots if any(a[i] for i in block)]
-            datum_stub = RootDatum(
-                name=name,
-                rank=rank,
-                cartan=tuple(tuple(r) for r in cartan),
-                simple_lengths=tuple(Fraction(x) for x in lengths),
-                roots=tuple(sorted(roots)),
-                multipliable=frozenset(),
-            )
-            min_len = min(datum_stub.length_sq(a) for a in factor_roots)
-            multipliable |= {
-                a for a in factor_roots if datum_stub.length_sq(a) == min_len
-            }
-        offset += len(c)
-    roots |= {tuple(2 * c for c in a) for a in multipliable}
-
-    datum = RootDatum(
+    reduced = RootDatum(
         name=name,
         rank=rank,
         cartan=tuple(tuple(r) for r in cartan),
         simple_lengths=tuple(Fraction(x) for x in lengths),
         roots=tuple(sorted(roots)),
-        multipliable=frozenset(multipliable),
+        multipliable=frozenset(),
     )
+    multipliable: set[Root] = set()
+    offset = 0
+    for c, non_reduced in zip(cartans, flags):
+        if non_reduced:
+            # the shortest roots of the BC factor acquire doubles
+            block = range(offset, offset + len(c))
+            factor_roots = [a for a in roots if any(a[i] for i in block)]
+            min_len = min(reduced.length_sq(a) for a in factor_roots)
+            multipliable |= {a for a in factor_roots if reduced.length_sq(a) == min_len}
+        offset += len(c)
+    roots |= {tuple(2 * c for c in a) for a in multipliable}
+    datum = replace(reduced, roots=tuple(sorted(roots)), multipliable=frozenset(multipliable))
     datum.validate()
     return datum
 
@@ -426,6 +443,8 @@ def _build_explicit(raw_roots: Sequence[Sequence], basis: Sequence[int]) -> Root
 
     if not isinstance(basis, (list, tuple)):
         raise NonRootSystem(f"basis {basis!r} is not a list of root indices")
+    if not basis:
+        raise NonRootSystem("basis is empty")
     for i in basis:
         if type(i) is not int or not 0 <= i < len(vectors):
             raise NonRootSystem(f"basis entry {i!r} is not an index into the {len(vectors)} roots")
@@ -445,14 +464,11 @@ def _build_explicit(raw_roots: Sequence[Sequence], basis: Sequence[int]) -> Root
             raise NonRootSystem(f"root {v} has mixed-sign basis coefficients")
         coeffs[v] = tuple(int(c) for c in sol)
 
-    def sdot(u: Vec, w: Vec) -> Fraction:
-        return la.dot(u, w)
-
     cartan = []
     for bi in basis_vecs:
         row = []
         for bj in basis_vecs:
-            val = 2 * sdot(bi, bj) / sdot(bj, bj)
+            val = 2 * la.dot(bi, bj) / la.dot(bj, bj)
             if val.denominator != 1:
                 raise NonRootSystem("non-integral Cartan pairing in explicit list")
             row.append(int(val))
@@ -461,7 +477,7 @@ def _build_explicit(raw_roots: Sequence[Sequence], basis: Sequence[int]) -> Root
     # reflection closure over the explicit vectors
     for a in vec_set:
         for b in vec_set:
-            c = 2 * sdot(a, b) / sdot(b, b)
+            c = 2 * la.dot(a, b) / la.dot(b, b)
             if c.denominator != 1:
                 raise NonRootSystem("non-integral pairing in explicit list")
             image = la.sub(a, la.scale(b, c))
@@ -472,7 +488,7 @@ def _build_explicit(raw_roots: Sequence[Sequence], basis: Sequence[int]) -> Root
     doubled = {a for a in root_coeffs if tuple(2 * c for c in a) in root_coeffs}
 
     # normalise lengths per diagram component: short simple root squared 2
-    lengths = [sdot(b, b) for b in basis_vecs]
+    lengths = [la.dot(b, b) for b in basis_vecs]
     stub = RootDatum(
         name="explicit",
         rank=rank,
@@ -487,12 +503,9 @@ def _build_explicit(raw_roots: Sequence[Sequence], basis: Sequence[int]) -> Root
         for i in comp:
             scaled[i] = lengths[i] * 2 / m
 
-    datum = RootDatum(
-        name="explicit",
-        rank=rank,
-        cartan=tuple(tuple(r) for r in cartan),
+    datum = replace(
+        stub,
         simple_lengths=tuple(scaled),
-        roots=tuple(sorted(root_coeffs)),
         multipliable=frozenset(doubled),
         essential=la.span_rank(vectors) == ambient,
         input_rank=ambient,
@@ -538,6 +551,21 @@ class WeylElement:
     def length(self) -> int:
         return len(self.word)
 
+    @staticmethod
+    def identity(n: int) -> "WeylElement":
+        one = la.identity(n)
+        return WeylElement(one, one, (), one)
+
+    def left_mul(self, s: "WeylElement", mat_points: Optional[Mat] = None) -> "WeylElement":
+        """s.w for a simple reflection s, given the point matrix of s.w if it
+        is known.  The inverse of s.w is w^-1.s, since s is an involution."""
+        return WeylElement(
+            mat_points=mat_points or la.mat_mul(s.mat_points, self.mat_points),
+            mat_roots=la.mat_mul(s.mat_roots, self.mat_roots),
+            word=s.word + self.word,
+            mat_points_inv=la.mat_mul(self.mat_points_inv, s.mat_points),
+        )
+
     def __hash__(self) -> int:
         return hash(self.mat_points)
 
@@ -550,22 +578,8 @@ class WeylGroup:
 
     def __init__(self, datum: RootDatum):
         self.datum = datum
-        n = datum.rank
-        cartan = datum.cartan
-        one = la.identity(n)
-        gens = []
-        for k in range(n):
-            mp = tuple(
-                tuple(one[i][j] - (cartan[k][j] if i == k else 0) for j in range(n))
-                for i in range(n)
-            )
-            mr = tuple(
-                tuple(one[i][j] - (cartan[j][k] if i == k else 0) for j in range(n))
-                for i in range(n)
-            )
-            gens.append(WeylElement(mp, mr, (k,), mp))  # s_k is an involution
-        self.generators = tuple(gens)
-        self.identity = WeylElement(one, one, (), one)
+        self.generators = datum.simple_reflections
+        self.identity = WeylElement.identity(datum.rank)
         self.elements = tuple(_close(self.identity, self.generators))
 
     def __len__(self) -> int:
@@ -581,26 +595,14 @@ class WeylGroup:
 
 def _close(ident: WeylElement, gens: Sequence[WeylElement]) -> list[WeylElement]:
     """Breadth-first closure of the identity under left multiplication by
-    simple reflections, sorted by (length, point matrix).  The inverse of
-    s.w is w^-1.s, since s is an involution."""
-    seen = {ident.mat_points: ident}
-    frontier = [ident]
-    while frontier:
-        new = []
-        for w in frontier:
-            for s in gens:
-                mp = la.mat_mul(s.mat_points, w.mat_points)
-                if mp not in seen:
-                    elt = WeylElement(
-                        mat_points=mp,
-                        mat_roots=la.mat_mul(s.mat_roots, w.mat_roots),
-                        word=s.word + w.word,
-                        mat_points_inv=la.mat_mul(w.mat_points_inv, s.mat_points),
-                    )
-                    seen[mp] = elt
-                    new.append(elt)
-        frontier = new
-    return sorted(seen.values(), key=lambda w: (w.length, w.mat_points))
+    simple reflections, sorted by (length, point matrix)."""
+    found = walk_orbits(
+        {ident.mat_points: ident},
+        len(gens),
+        lambda w, k: la.mat_mul(gens[k].mat_points, w.mat_points),
+        lambda w, k, mp: w.left_mul(gens[k], mp),
+    )
+    return sorted(found.values(), key=lambda w: (w.length, w.mat_points))
 
 
 @lru_cache(maxsize=None)

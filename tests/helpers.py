@@ -1,6 +1,7 @@
 """Shared oracles and deterministic sampling for the test suite."""
 
 from fractions import Fraction as Q
+from functools import cache
 from math import lcm
 import random
 
@@ -12,11 +13,20 @@ from weylfan.compactify import (
     NoLimit,
     orthogonal_reduction,
 )
-from weylfan.cones import closure_subset, open_system_feasible
+from weylfan.cones import Cone, closure_subset, open_system_feasible
 from weylfan.errors import InconsistentProfile, PartitionFailure
-from weylfan.fans import Fan, validate_J, weyl_facet_points
+from weylfan.fans import (
+    CoreInfo,
+    Fan,
+    _admissible_index_sets,
+    _facet_cone,
+    parabolic_fan,
+    standard_cone_system,
+    validate_J,
+    weyl_facet_points,
+)
 from weylfan.parabolics import core_generating_set
-from weylfan.rootdata import components, orthogonal_complement, weyl_enumerate
+from weylfan.rootdata import build_root_datum, components, orthogonal_complement, weyl_enumerate
 
 
 FAN_CATALOGUE = ["A1", "A2", "A3", "B2", "B3", "C3", "G2", "BC1", "BC2", "A1xA1"]
@@ -32,6 +42,33 @@ def valid_js(datum):
     for J in subsets(datum.rank):
         if all(not comp <= J for comp in datum.diagram_components):
             yield J
+
+
+@cache
+def built_fan(name: str, J: tuple = ()) -> Fan:
+    """`parabolic_fan` of a catalogue type, built once per test run and
+    shared, so callers must not change it."""
+    return parabolic_fan(build_root_datum(name), J)
+
+
+def enumerated_parabolic_fan(datum, J) -> Fan:
+    """Fan oracle: every element of W, in (length, point matrix) order,
+    applied to the standard cone of every admissible I; the first element
+    reaching a cone gives its core."""
+    J = validate_J(datum, J)
+    n = datum.rank
+    found = {}
+    for I in _admissible_index_sets(datum, J):
+        eqs, ins, T = standard_cone_system(datum, J, I)
+        base = Cone.from_system(n, eqs, ins)
+        base_core = _facet_cone(datum, T)
+        for w in weyl_enumerate(datum):
+            moved = base.transform(w.mat_points, w.mat_points_inv)
+            if moved.key not in found:
+                core = base_core.transform(w.mat_points, w.mat_points_inv)
+                found[moved.key] = (moved, CoreInfo(T, I, w, core))
+    ordered = sorted(found.values(), key=lambda pair: (pair[0].dim, pair[0].key))
+    return Fan(datum, J, [c for c, _ in ordered], {i: info for i, (_, info) in enumerate(ordered)})
 
 
 def closure_face_order(fan: Fan) -> tuple:

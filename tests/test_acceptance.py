@@ -9,6 +9,7 @@ import random
 from helpers import (
     FAN_CATALOGUE,
     assert_integral_fan,
+    built_fan,
     is_J_relevant_exhaustive,
     is_J_relevant_via_perp,
     random_rational_vec,
@@ -74,7 +75,7 @@ def test_criterion_2_fan_axioms():
         built.append((f"{name} J={J}", parabolic_fan(build_root_datum(name), J)))
     for name, J in [("BC3", ()), ("A1xA2", ()), ("A4", (0, 1, 2)), ("D4", (0, 1, 2)),
                     ("A4", ()), ("B4", ()), ("F4", ())]:
-        built.append((f"{name} J={J}", parabolic_fan(build_root_datum(name), J)))
+        built.append((f"{name} J={J}", built_fan(name, J)))
     pair_count = 0
     for label, fan in built:
         stats = fan.validate()
@@ -279,11 +280,11 @@ def test_criterion_8_facade_structure():
             js = [J for J in js if len(J) <= 1][:3]
         for J in js:
             combos.append((name, J))
-    combos += [("A4", frozenset()), ("D4", frozenset()), ("BC3", frozenset())]
+    combos += [("A4", frozenset()), ("D4", frozenset()), ("BC3", frozenset()), ("F4", frozenset())]
     cones_checked = 0
     for name, J in combos:
-        datum = build_root_datum(name)
-        fan = parabolic_fan(datum, J)
+        fan = built_fan(name, tuple(sorted(J)))
+        datum = fan.datum
         for i in range(len(fan)):
             info = fan.cores[i]
             # the facade of cone i carries the Weyl translate of its core type's Levi

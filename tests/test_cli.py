@@ -201,6 +201,29 @@ def test_datum_json_basis_entries_must_be_root_indices(basis, shown):
     }
 
 
+NOT_ROOT_LISTS = "datum JSON 'roots' is not a list of coordinate lists"
+
+
+@pytest.mark.parametrize(
+    "payload,code,message",
+    [
+        ({"roots": 5, "basis": [0]}, "ParseError", NOT_ROOT_LISTS),
+        ({"roots": [5], "basis": [0]}, "ParseError", NOT_ROOT_LISTS),
+        (
+            {"roots": [["inf"], ["-inf"]], "basis": [0]},
+            "ParseError",
+            "datum JSON 'roots' has an infinite coordinate",
+        ),
+        ({"type": 5}, "ParseError", "datum JSON 'type' must be a catalogue name"),
+        ({"roots": [["1"], ["-1"]], "basis": []}, "NonRootSystem", "basis is empty"),
+    ],
+)
+def test_datum_json_fields_are_checked(payload, code, message):
+    exit_code, out = invoke(["rootsys", "--datum", json.dumps(payload)])
+    assert exit_code == 2
+    assert json.loads(out) == {"code": code, "message": message}
+
+
 def test_datum_json_basis_must_be_a_list():
     spec = json.dumps({"roots": [["1"], ["-1"]], "basis": 0})
     code, out = invoke(["rootsys", "--datum", spec])
@@ -223,6 +246,14 @@ def test_datum_json_basis_must_be_a_list():
         (
             {"monomials": [{"exp": {"(-a2,1)": "y"}, "logc": "0"}]},
             "exponent 'y' of key '(-a2,1)' is not an integer",
+        ),
+        (
+            {"monomials": [{"exp": {"(-a2,1)": 1.5}, "logc": "0"}]},
+            "exponent 1.5 of key '(-a2,1)' is not an integer",
+        ),
+        (
+            {"monomials": [{"exp": {"(-a2,1)": True}, "logc": "0"}]},
+            "exponent True of key '(-a2,1)' is not an integer",
         ),
     ],
 )

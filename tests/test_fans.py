@@ -2,8 +2,15 @@ from fractions import Fraction as Q
 
 import pytest
 
-from helpers import sample_points, sign_vector_cone_count
+from helpers import (
+    FAN_CATALOGUE,
+    enumerated_parabolic_fan,
+    sample_points,
+    sign_vector_cone_count,
+    valid_js,
+)
 from weylfan import linalg as la
+from weylfan.apartment import AffineRootPattern
 from weylfan.cones import Cone, is_face_closure, is_face_supporting
 from weylfan.errors import DegenerateJ, NotEssential, PartitionFailure, TypeMismatch
 from weylfan.fans import (
@@ -240,3 +247,52 @@ def test_weyl_fan_count_orbit_stabiliser_oracle(name):
         I = [i for i in range(datum.rank) if bits >> i & 1]
         total += len(weyl) // len(weyl.subgroup_elements(I))
     assert len(weyl_fan(datum)) == total
+
+
+WALK_CASES = [
+    (name, J) for name in FAN_CATALOGUE for J in valid_js(build_root_datum(name))
+] + [("A4", frozenset()), ("D4", frozenset())]
+
+
+@pytest.mark.parametrize(
+    "name,J", WALK_CASES, ids=[f"{name}-{sorted(J)}" for name, J in WALK_CASES]
+)
+def test_orbit_walk_matches_enumerated_fan(name, J):
+    """The orbit walk gives the cones and cores, words and matrices
+    included, of applying all of W to every standard cone."""
+    datum = build_root_datum(name)
+    fan = parabolic_fan(datum, J)
+    oracle = enumerated_parabolic_fan(datum, J)
+    assert fan.cones == oracle.cones
+    for i in range(len(fan)):
+        got, want = fan.cores[i], oracle.cores[i]
+        assert (got.type_indices, got.generator_indices, got.cone) == (
+            want.type_indices, want.generator_indices, want.cone
+        ), i
+        for field in ("word", "mat_points", "mat_roots", "mat_points_inv"):
+            assert getattr(got.weyl, field) == getattr(want.weyl, field), (i, field)
+
+
+def test_fans_validation_and_patterns_do_not_enumerate_weyl():
+    datum = build_root_datum("B3")
+    weyl_enumerate.cache_clear()
+    parabolic_fan(datum, [1]).validate()
+    weyl_fan(datum).validate()
+    AffineRootPattern.from_simple_denominators(datum, [1, 1, 2])
+    assert weyl_enumerate.cache_info().misses == 0
+
+
+@pytest.mark.parametrize(
+    "name,words",
+    [
+        ("A2", ["", "12", "21", "1", "2", "", "", "121", "12", "21", "1", "2", ""]),
+        ("G2", ["", "12121", "2121", "21212", "1212", "121", "212", "12", "21", "2", "", "1",
+                "", "212121", "12121", "21212", "2121", "1212", "121", "212", "12", "21", "2",
+                "1", ""]),
+    ],
+)
+def test_core_words_are_pinned(name, words):
+    """The printed core words (simple reflections numbered from 1) stay the
+    words of the breadth-first closure that visits s_1 before s_2."""
+    fan = weyl_fan(build_root_datum(name))
+    assert ["".join(str(k + 1) for k in fan.cores[i].weyl.word) for i in range(len(fan))] == words

@@ -21,7 +21,10 @@ CLASSICAL = [
     ("B2", 8, 8),
     ("B3", 18, 48),
     ("C3", 18, 48),
+    ("A4", 20, 120),
     ("D4", 24, 192),
+    ("B4", 32, 384),
+    ("F4", 48, 1152),
     ("G2", 12, 12),
     ("BC1", 4, 2),
     ("BC2", 12, 8),
@@ -36,6 +39,13 @@ def test_catalogue_counts(name, roots, weyl_order):
     datum.validate()
     assert len(datum.roots) == roots
     assert len(weyl_enumerate(datum)) == weyl_order
+    assert datum.weyl_order == weyl_order  # the orbit of rho-vee
+
+
+def test_weyl_order_of_an_explicit_datum():
+    roots = [[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1], [-1, -1], [1, -1], [-1, 1]]
+    datum = build_root_datum(roots, basis=[6, 2])  # B2: a1 = (1,-1), a2 = (0,1)
+    assert datum.weyl_order == len(weyl_enumerate(datum)) == 8
 
 
 def test_a2_basis_and_bc1_shape():
