@@ -215,19 +215,11 @@ def is_special_vertex(apt: Apartment, x: Sequence) -> bool:
     """Whether x lies on a wall in every nondivisible root direction.
 
     For a multipliable root the walls of the root and of its double both
-    count, which makes the admissible level set the full quarter lattice.
+    count, which makes the admissible level set the full quarter lattice
+    (1/(4d)) Z of `wall_denominator`; so x is special exactly when its
+    `special_witness` is 1.
     """
-    rel = apt.relative(x)
-    for a in apt.datum.positive_nondivisible_roots:
-        v = apt.datum.pairing(a, rel)
-        g = apt.pattern.group_of(a)
-        if g.kind == "lattice":
-            if not g.contains(v):
-                return False
-        else:
-            if not (g.contains(v) or g.double_contains(2 * v)):
-                return False
-    return True
+    return special_witness(apt, x) == 1
 
 
 def is_virtually_special(apt: Apartment, x: Sequence) -> bool:

@@ -54,6 +54,8 @@ def _load_datum(spec: str):
         payload = json.loads(Path(spec).read_text())
     else:
         return build_root_datum(spec)
+    if not isinstance(payload, dict):
+        raise ParseError("datum JSON is not an object")
     if "type" in payload:
         if not isinstance(payload["type"], str):
             raise ParseError("datum JSON 'type' must be a catalogue name")

@@ -90,20 +90,17 @@ class Cone:
     rays: tuple[Vec, ...]  # extreme rays of the closure
 
     @staticmethod
-    def from_system(
-        n: int, eqs: Sequence[Vec], ins: Sequence[Vec], check: bool = True
-    ) -> "Cone":
+    def from_system(n: int, eqs: Sequence[Vec], ins: Sequence[Vec]) -> "Cone":
         """Canonicalise {x : eqs x = 0, ins x > 0}; raises EmptyCone if empty."""
         eqs = [tuple(e) for e in eqs]
         ins = [tuple(i) for i in ins]
         lin, rays = dual_description(n, eqs, ins)
-        if check:
-            gens = rays + [l for l in lin] + [la.neg(l) for l in lin]
-            for form in ins:
-                if all(la.dot(form, g) <= 0 for g in gens):
-                    # the form vanishes identically on the closed cone, so the
-                    # strict system has no solution
-                    raise EmptyCone(f"form {form} cannot be strictly positive")
+        gens = rays + lin + [la.neg(l) for l in lin]
+        for form in ins:
+            if all(la.dot(form, g) <= 0 for g in gens):
+                # the form vanishes identically on the closed cone, so the
+                # strict system has no solution
+                raise EmptyCone(f"form {form} cannot be strictly positive")
         span = list(lin) + list(rays)
         eq_canonical, _ = la.rref(la.kernel_basis(span, n))
         eq_canonical = [la.primitive(e) for e in eq_canonical]

@@ -2,11 +2,12 @@
 
 Vectors are tuples, matrices are tuples of row vectors.  Entries are `int`
 or `Fraction`: integral data (root covectors, Weyl matrices, cone forms and
-rays) stays `int` end to end, and `Fraction` enters only with user points
-and with elimination that needs it.  `/` is only ever applied where one
-operand is a `Fraction`, so no float can arise: `rref` lifts its entries to
-`Fraction` on entry, and `rank` and `primitive` work fraction-free.  All
-decisions (rank, kernel, solvability) are exact sign decisions; no floats.
+rays) stays `int` end to end.  Elimination is fraction-free: `rref`, `rank`,
+`kernel_basis`, `solve`, `inverse` and `det` all read one integer
+Gauss-Jordan pass, `_echelon`, and `Fraction` appears only in results that
+need not be integral (echelon rows, solutions, inverses, determinants).
+No `/` is applied to two ints, so no float can arise, and every decision
+(rank, kernel, solvability) is an exact sign decision.
 """
 
 from __future__ import annotations
@@ -19,9 +20,6 @@ from typing import Iterable, Optional, Sequence, Union
 Rational = Union[int, Fraction]
 Vec = tuple[Rational, ...]
 Mat = tuple[Vec, ...]
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def vec(entries: Iterable) -> Vec:
@@ -56,12 +54,17 @@ def is_zero(u: Vec) -> bool:
     return all(a == 0 for a in u)
 
 
+def _integral(u: Vec) -> Sequence[int]:
+    """u times the lcm of its denominators: ints in the same ratios."""
+    if all(type(a) is int for a in u):
+        return u
+    denom = lcm(*(a.denominator for a in u))
+    return [a.numerator * (denom // a.denominator) for a in u]
+
+
 def primitive(u: Vec) -> tuple[int, ...]:
     """Scale by a positive rational so entries are coprime ints (zero stays zero)."""
-    ints = u
-    if not all(type(a) is int for a in u):
-        denom = lcm(*(a.denominator for a in u))
-        ints = [a.numerator * (denom // a.denominator) for a in u]
+    ints = _integral(u)
     g = gcd(*ints)
     if g == 0:
         return (0,) * len(u)
@@ -95,68 +98,71 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     return tuple(tuple(dot(row, col) for col in bt) for row in a)
 
 
-def rref(rows: Sequence[Vec]) -> tuple[list[Vec], list[int]]:
-    """Reduced row echelon form over Fraction; returns (nonzero rows, pivot columns)."""
-    m = [[Fraction(x) for x in r] for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
+def _echelon(rows: Sequence[Vec]) -> tuple[list[list[int]], list[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968).
+
+    Returns (m, pivots, d, sign): the int rows m are d times the nonzero rows
+    of the reduced row echelon form, with d > 0, and for square nonsingular
+    rows sign * d is the determinant of the rows after scaling.  A row with
+    `Fraction` entries is first scaled by the lcm of its denominators, which
+    leaves the echelon form unchanged.  After k pivots every entry is a minor
+    of order k or k + 1 of the scaled rows, so each division by the previous
+    pivot is exact.
+    """
+    m = [_integral(r) for r in rows]
+    ncols = len(m[0]) if m else 0
     pivots: list[int] = []
-    r = 0
+    d = sign = 1
     for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
+        r = len(pivots)
         if r == len(m):
             break
-    return [tuple(row) for row in m[:r]], pivots
+        p = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            m[r], m[p] = m[p], m[r]
+            sign = -sign
+        top = m[r]
+        pv = top[c]
+        for i, row in enumerate(m):
+            f = row[c]
+            if f and i != r:
+                m[i] = [(pv * x - f * y) // d for x, y in zip(row, top)]
+            elif not f and pv != d:
+                m[i] = [pv * x // d for x in row]
+        d = pv
+        pivots.append(c)
+    m = m[: len(pivots)]
+    if d < 0:
+        m = [[-x for x in row] for row in m]
+        d, sign = -d, -sign
+    return m, pivots, d, sign
+
+
+def rref(rows: Sequence[Vec]) -> tuple[list[Vec], list[int]]:
+    """Reduced row echelon form over Fraction; returns (nonzero rows, pivot columns)."""
+    m, pivots, d, _ = _echelon(rows)
+    return [tuple(Fraction(x, d) for x in row) for row in m], pivots
 
 
 def rank(rows: Sequence[Vec]) -> int:
-    """Rank by fraction-free (Bareiss) elimination on the primitive rows."""
-    m = [primitive(r) for r in rows]
-    m = [r for r in m if any(r)]
-    ncols = len(m[0]) if m else 0
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        top = m[r]
-        pv = top[c]
-        for i in range(r + 1, len(m)):
-            row = m[i]
-            f = row[c]
-            m[i] = [(pv * x - f * y) // prev for x, y in zip(row, top)]
-        prev = pv
-        r += 1
-        if r == len(m):
-            break
-    return r
+    """Dimension of the row space."""
+    return len(_echelon(rows)[1])
 
 
 def kernel_basis(rows: Sequence[Vec], n: int) -> list[Vec]:
     """Basis of {x : row . x = 0 for all rows}, canonical from RREF."""
-    red, pivots = rref(rows)
-    free = [c for c in range(n) if c not in pivots]
+    m, pivots, d, _ = _echelon(rows)
     basis = []
-    for fc in free:
+    for fc in range(n):
+        if fc in pivots:
+            continue
         v = [0] * n
-        v[fc] = 1
-        for row, pc in zip(red, pivots):
+        v[fc] = d
+        for row, pc in zip(m, pivots):
             v[pc] = -row[fc]
-        basis.append(primitive(tuple(v)))
+        basis.append(primitive(v))
     return basis
 
 
@@ -166,45 +172,28 @@ def solve(a_rows: Sequence[Vec], b: Vec) -> Optional[Vec]:
     When the system is underdetermined the free variables are set to zero.
     """
     n = len(a_rows[0]) if a_rows else 0
-    aug = [tuple(row) + (bi,) for row, bi in zip(a_rows, b)]
-    red, pivots = rref(aug)
+    m, pivots, d, _ = _echelon([tuple(row) + (bi,) for row, bi in zip(a_rows, b)])
     if n in pivots:
         return None
-    x = [ZERO] * n
-    for row, pc in zip(red, pivots):
-        x[pc] = row[n]
+    x = [Fraction(0)] * n
+    for row, pc in zip(m, pivots):
+        x[pc] = Fraction(row[n], d)
     return tuple(x)
 
 
 def inverse(m: Mat) -> Mat:
     n = len(m)
-    aug = [tuple(row) + tuple(identity(n)[i]) for i, row in enumerate(m)]
-    red, pivots = rref(aug)
+    red, pivots, d, _ = _echelon([tuple(row) + e for row, e in zip(m, identity(n))])
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
-    return tuple(tuple(row[n:]) for row in red)
+    return tuple(tuple(Fraction(x, d) for x in row[n:]) for row in red)
 
 
-def det(m: Mat) -> Rational:
-    n = len(m)
-    a = [list(row) for row in m]
-    result = ONE
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if pivot_row is None:
-            return ZERO
-        if pivot_row != c:
-            a[c], a[pivot_row] = a[pivot_row], a[c]
-            result = -result
-        result *= a[c][c]
-        inv = ONE / a[c][c]
-        for i in range(c + 1, n):
-            if a[i][c] != 0:
-                f = a[i][c] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return result
-
-
-def span_rank(vectors: Sequence[Vec]) -> int:
-    return rank(list(vectors))
-
+def det(m: Mat) -> Fraction:
+    red, _, d, sign = _echelon(m)
+    if len(red) < len(m):
+        return Fraction(0)
+    scale = 1  # the product of the row scalings made by _echelon
+    for row in m:
+        scale *= lcm(*(a.denominator for a in row))
+    return Fraction(sign * d, scale)

@@ -177,10 +177,13 @@ def facade_root_system(datum: RootDatum, fan: Fan, cone_index: int) -> tuple[Roo
 
     These are the wall directions surviving in the facade of the cone; for
     the standard cone of core type T the result is the Levi subsystem of T.
+    The core's integer generators span it, so a root vanishes on the core
+    exactly when its covector vanishes on each of them.
     """
-    span = fan.cores[cone_index].cone.span_basis
+    core = fan.cores[cone_index].cone
+    gens = core.lineality + core.rays
     return tuple(
         a
         for a in datum.roots
-        if all(la.dot(datum.covector(a), s) == 0 for s in span)
+        if all(la.dot(datum.covector(a), g) == 0 for g in gens)
     )

@@ -341,13 +341,14 @@ def components(datum: RootDatum, subset: Iterable[int]) -> list[frozenset[int]]:
 
 
 def orthogonal_complement(datum: RootDatum, subset: Iterable[int]) -> frozenset[int]:
-    """Simple roots orthogonal (for the invariant form) to all of `subset`."""
+    """Simple roots orthogonal (for the invariant form) to all of `subset`.
+
+    (alpha_j, alpha_i) is cartan[j][i] times |alpha_i|^2 / 2, so it vanishes
+    exactly when the Cartan entry does.
+    """
     sub = set(subset)
-    return frozenset(
-        j
-        for j in range(datum.rank)
-        if all(datum.inner(datum.simples[j], datum.simples[i]) == 0 for i in sub)
-    )
+    cartan = datum.cartan
+    return frozenset(j for j in range(datum.rank) if all(cartan[j][i] == 0 for i in sub))
 
 
 @dataclass(frozen=True)
@@ -450,7 +451,7 @@ def _build_explicit(raw_roots: Sequence[Sequence], basis: Sequence[int]) -> Root
             raise NonRootSystem(f"basis entry {i!r} is not an index into the {len(vectors)} roots")
     basis_vecs = [vectors[i] for i in basis]
     rank = len(basis_vecs)
-    if la.span_rank(basis_vecs) != rank:
+    if la.rank(basis_vecs) != rank:
         raise NonRootSystem("basis vectors are linearly dependent")
 
     # coefficients of each root over the basis
@@ -507,7 +508,7 @@ def _build_explicit(raw_roots: Sequence[Sequence], basis: Sequence[int]) -> Root
         stub,
         simple_lengths=tuple(scaled),
         multipliable=frozenset(doubled),
-        essential=la.span_rank(vectors) == ambient,
+        essential=la.rank(vectors) == ambient,
         input_rank=ambient,
     )
     datum.validate()

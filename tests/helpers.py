@@ -227,6 +227,32 @@ def sample_points(fan: Fan, target: int, seed: int = 2024) -> list:
     return sorted(points)
 
 
+def reference_rref(rows) -> tuple[list, list[int]]:
+    """Linear algebra oracle: reduced row echelon form by Gauss-Jordan
+    elimination over Fraction; returns (nonzero rows, pivot columns)."""
+    m = [[Q(x) for x in r] for r in rows]
+    if not m:
+        return [], []
+    pivots = []
+    r = 0
+    for c in range(len(m[0])):
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return [tuple(row) for row in m[:r]], pivots
+
+
 def random_rational_vec(rng: random.Random, n: int, num: int = 9, den: int = 5):
     return tuple(Q(rng.randint(-num, num), rng.randint(1, den)) for _ in range(n))
 

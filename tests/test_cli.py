@@ -224,6 +224,15 @@ def test_datum_json_fields_are_checked(payload, code, message):
     assert json.loads(out) == {"code": code, "message": message}
 
 
+@pytest.mark.parametrize("text", ["5", "null", '"type"', "[]"])
+def test_datum_json_file_must_hold_an_object(tmp_path, text):
+    path = tmp_path / "datum.json"
+    path.write_text(text)
+    code, out = invoke(["rootsys", "--datum", str(path)])
+    assert code == 2
+    assert json.loads(out) == {"code": "ParseError", "message": "datum JSON is not an object"}
+
+
 def test_datum_json_basis_must_be_a_list():
     spec = json.dumps({"roots": [["1"], ["-1"]], "basis": 0})
     code, out = invoke(["rootsys", "--datum", spec])

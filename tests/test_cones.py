@@ -1,4 +1,5 @@
 from fractions import Fraction as Q
+from math import gcd, lcm
 import random
 
 import pytest
@@ -14,6 +15,8 @@ from weylfan.cones import (
 )
 from weylfan.errors import EmptyCone
 from weylfan.rootdata import build_root_datum
+
+from helpers import reference_rref
 
 
 def V(*xs):
@@ -55,27 +58,114 @@ def test_linalg_returns_no_float_on_int_input():
         assert _no_float(result), result
 
 
-def test_rank_matches_rref_on_random_rational_matrices():
+def _random_rows(rng, nrows, ncols):
+    """Rational rows with repeated, zero and dependent rows, and rows of
+    plain ints or of ints mixed with Fractions."""
+    rows = []
+    for _ in range(nrows):
+        roll = rng.random()
+        if rows and roll < 0.15:
+            rows.append(rng.choice(rows))  # repeated row
+        elif roll < 0.25:
+            rows.append((Q(0),) * ncols)  # zero row
+        elif roll < 0.4 and len(rows) >= 2:
+            a, b = rng.sample(rows, 2)  # dependent row
+            c = Q(rng.randint(-3, 3), rng.randint(1, 4))
+            rows.append(la.add(a, la.scale(b, c)))
+        elif roll < 0.55:
+            rows.append(tuple(rng.randint(-6, 6) for _ in range(ncols)))  # ints only
+        else:
+            row = [Q(rng.randint(-5, 5), rng.choice([1, 1, 2, 3, 7])) for _ in range(ncols)]
+            if rng.random() < 0.3:  # mixed int and Fraction entries
+                row = [int(x) if x.denominator == 1 else x for x in row]
+            rows.append(tuple(row))
+    return rows
+
+
+def _reference_kernel(rows, n):
+    red, pivots = reference_rref(rows)
+    basis = []
+    for fc in range(n):
+        if fc in pivots:
+            continue
+        v = [Q(0)] * n
+        v[fc] = Q(1)
+        for row, pc in zip(red, pivots):
+            v[pc] = -row[fc]
+        den = lcm(*(x.denominator for x in v))
+        ints = [int(x * den) for x in v]
+        g = gcd(*ints)
+        basis.append(tuple(x // g for x in ints))
+    return basis
+
+
+def _reference_solve(rows, b):
+    n = len(rows[0]) if rows else 0
+    red, pivots = reference_rref([tuple(row) + (bi,) for row, bi in zip(rows, b)])
+    if n in pivots:
+        return None
+    x = [Q(0)] * n
+    for row, pc in zip(red, pivots):
+        x[pc] = row[n]
+    return tuple(x)
+
+
+def _reference_inverse(m):
+    """The inverse, or None if m is singular."""
+    n = len(m)
+    unit = [tuple(Q(int(i == j)) for j in range(n)) for i in range(n)]
+    red, pivots = reference_rref([tuple(row) + e for row, e in zip(m, unit)])
+    if pivots[:n] != list(range(n)):
+        return None
+    return tuple(tuple(row[n:]) for row in red)
+
+
+def _reference_det(m):
+    """det by the adjugate: inv[j][i] = (-1)^(i+j) det(m without row i and
+    column j) / det m, for an entry of the inverse that is not zero."""
+    if not m:
+        return Q(1)
+    inv = _reference_inverse(m)
+    if inv is None:
+        return Q(0)
+    n = len(m)
+    j, i = next((j, i) for j in range(n) for i in range(n) if inv[j][i])
+    minor = [row[:j] + row[j + 1 :] for k, row in enumerate(m) if k != i]
+    return (-1) ** (i + j) * _reference_det(minor) / inv[j][i]
+
+
+def _typed(x):
+    """x with the type of every container and entry, so == compares both."""
+    if isinstance(x, (list, tuple)):
+        return type(x), tuple(_typed(y) for y in x)
+    return type(x), x
+
+
+def test_linalg_matches_reference_rref_on_random_rational_matrices():
+    """`rref`, `rank`, `kernel_basis`, `solve`, `inverse` and `det` agree in
+    value and entry type with answers derived from a Gauss-Jordan
+    elimination over Fraction."""
     rng = random.Random(20221018)
-    for trial in range(400):
+    singular = 0
+    for trial in range(2000):
         nrows, ncols = rng.randint(0, 6), rng.randint(1, 5)
-        rows = []
-        for _ in range(nrows):
-            roll = rng.random()
-            if rows and roll < 0.15:
-                rows.append(rng.choice(rows))  # repeated row
-            elif roll < 0.25:
-                rows.append((Q(0),) * ncols)  # zero row
-            elif roll < 0.4 and len(rows) >= 2:
-                a, b = rng.sample(rows, 2)  # dependent row
-                c = Q(rng.randint(-3, 3), rng.randint(1, 4))
-                rows.append(la.add(a, la.scale(b, c)))
-            else:
-                row = [Q(rng.randint(-5, 5), rng.choice([1, 1, 2, 3, 7])) for _ in range(ncols)]
-                if rng.random() < 0.3:  # mixed int and Fraction entries
-                    row = [int(x) if x.denominator == 1 else x for x in row]
-                rows.append(tuple(row))
-        assert la.rank(rows) == len(la.rref(rows)[0]), rows
+        rows = _random_rows(rng, nrows, ncols)
+        square = _random_rows(rng, ncols, ncols)
+        b = tuple(rng.choice([rng.randint(-4, 4), Q(rng.randint(-4, 4), 3)]) for _ in rows)
+        red, pivots = reference_rref(rows)
+        assert _typed(la.rref(rows)) == _typed((red, pivots)), rows
+        assert la.rank(rows) == len(red), rows
+        assert _typed(la.kernel_basis(rows, ncols)) == _typed(_reference_kernel(rows, ncols)), rows
+        assert _typed(la.solve(rows, b)) == _typed(_reference_solve(rows, b)), (rows, b)
+        inv = _reference_inverse(square)
+        if inv is None:
+            singular += 1
+            with pytest.raises(ValueError):
+                la.inverse(square)
+        else:
+            assert _typed(la.inverse(square)) == _typed(inv), square
+        assert _typed(la.det(square)) == _typed(_reference_det(square)), square
+    assert 200 < singular < 1800  # both branches are well exercised
 
 
 def test_dual_description_quadrant():
