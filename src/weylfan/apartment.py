@@ -307,6 +307,8 @@ def transitivity_solve(
     determinant and gamma0 the generator of the base level group.  The
     translation by sum n_a' a'^vee * gamma0 / (N D) reproduces y - x.
     """
+    if gamma_denominator < 1:
+        raise NonRootSystem("value group denominator must be positive")
     if not datum.is_reduced():
         raise NonReduced("the Cartan system is set up for reduced root systems")
     if not datum.essential:

@@ -8,20 +8,11 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .apartment import (
-    ExtensionSpec,
-    embed_extension,
-    is_special_vertex,
-    make_apartment,
-    special_witness,
-    transitivity_solve,
-)
-from .compactify import limit_of_ray
+# A process runs one subcommand, so each handler imports the layers it calls
+# itself: `rootsys` never loads the fan, limit or seminorm modules.
 from .errors import ParseError, WeylfanError
-from .fans import parabolic_fan
-from .gaussnorm import ToyGroupDatum, ValuedPolynomial, theta_restricted
-from .parabolics import enumerate_strata, facade_root_system
 from .rootdata import build_root_datum
 from .serialize import (
     dumps,
@@ -34,6 +25,9 @@ from .serialize import (
     root_label,
     subset_labels,
 )
+
+if TYPE_CHECKING:
+    from .gaussnorm import ToyGroupDatum, ValuedPolynomial
 
 USAGE_EXIT = 64
 ERROR_EXIT = 2
@@ -79,6 +73,12 @@ def _parse_point(datum, s: str):
             f"expected {datum.rank} coordinates for {datum.name}, got {len(v)}"
         )
     return v
+
+
+def _parabolic_fan(datum, J: str):
+    from .fans import parabolic_fan
+
+    return parabolic_fan(datum, parse_subset(datum, J))
 
 
 def _fan_payload(fan) -> dict:
@@ -127,11 +127,13 @@ def _cmd_rootsys(args) -> dict:
 
 def _cmd_fan(args) -> dict:
     datum = _load_datum(args.datum)
-    fan = parabolic_fan(datum, parse_subset(datum, args.J))
+    fan = _parabolic_fan(datum, args.J)
     return _fan_payload(fan)
 
 
 def _cmd_strata(args) -> dict:
+    from .parabolics import enumerate_strata
+
     datum = _load_datum(args.datum)
     J = parse_subset(datum, args.J)
     strata = enumerate_strata(datum, J)
@@ -154,7 +156,7 @@ def _cmd_strata(args) -> dict:
 
 def _cmd_cone(args) -> dict:
     datum = _load_datum(args.datum)
-    fan = parabolic_fan(datum, parse_subset(datum, args.J))
+    fan = _parabolic_fan(datum, args.J)
     v = _parse_point(datum, args.vector)
     idx = fan.cone_containing(v)
     info = fan.cores[idx]
@@ -166,8 +168,11 @@ def _cmd_cone(args) -> dict:
 
 
 def _cmd_limit(args) -> dict:
+    from .compactify import limit_of_ray
+    from .parabolics import facade_root_system
+
     datum = _load_datum(args.datum)
-    fan = parabolic_fan(datum, parse_subset(datum, args.J))
+    fan = _parabolic_fan(datum, args.J)
     point = limit_of_ray(fan, _parse_point(datum, args.base), _parse_point(datum, args.dir))
     info = fan.cores[point.cone_index]
     facade = facade_root_system(datum, fan, point.cone_index)
@@ -182,6 +187,8 @@ def _cmd_limit(args) -> dict:
 
 
 def _parse_poly(datum, tg: ToyGroupDatum, payload) -> ValuedPolynomial:
+    from .gaussnorm import ValuedPolynomial
+
     width = len(tg.indexed_roots)
     monomials = payload.get("monomials") if isinstance(payload, dict) else None
     if not isinstance(monomials, list):
@@ -218,6 +225,8 @@ def _parse_poly(datum, tg: ToyGroupDatum, payload) -> ValuedPolynomial:
 
 
 def _cmd_seminorm(args) -> dict:
+    from .gaussnorm import ToyGroupDatum, theta_restricted
+
     datum = _load_datum(args.datum)
     T = parse_subset(datum, args.T)
     tg = ToyGroupDatum.for_parabolic(datum, T)
@@ -250,6 +259,8 @@ def _gamma_denominators(datum, gamma: str) -> list[int]:
 
 
 def _cmd_special(args) -> dict:
+    from .apartment import is_special_vertex, make_apartment, special_witness
+
     datum = _load_datum(args.datum)
     apt = make_apartment(datum, denominators=_gamma_denominators(datum, args.gamma))
     x = _parse_point(datum, args.point)
@@ -260,6 +271,8 @@ def _cmd_special(args) -> dict:
 
 
 def _cmd_embed(args) -> dict:
+    from .apartment import ExtensionSpec, embed_extension, make_apartment
+
     datum = _load_datum(args.datum)
     apt = make_apartment(datum, denominators=_gamma_denominators(datum, args.gamma))
     out = embed_extension(apt, ExtensionSpec(args.e))
@@ -272,6 +285,8 @@ def _cmd_embed(args) -> dict:
 
 
 def _cmd_transitivity(args) -> dict:
+    from .apartment import transitivity_solve
+
     datum = _load_datum(args.datum)
     sol = transitivity_solve(
         datum,
@@ -290,7 +305,7 @@ def _cmd_transitivity(args) -> dict:
 def _cmd_check(args) -> dict:
     datum = _load_datum(args.datum)
     datum.validate()
-    fan = parabolic_fan(datum, parse_subset(datum, args.J))
+    fan = _parabolic_fan(datum, args.J)
     stats = fan.validate()
     return {"ok": True, "datum": datum.name, "fan": stats}
 
@@ -377,17 +392,16 @@ def run(argv=None) -> int:
     try:
         if args.command == "seminorm" and not (args.poly or args.poly_json):
             raise ParseError("seminorm needs --poly or --poly-json")
-        payload = _HANDLERS[args.command](args)
+        text = dumps(_HANDLERS[args.command](args))
+        if args.output:
+            Path(args.output).write_text(text)
     except WeylfanError as exc:
         sys.stdout.write(dumps(exc.payload()))
         return ERROR_EXIT
     except (json.JSONDecodeError, OSError, KeyError, ValueError) as exc:
         sys.stdout.write(dumps({"code": "ParseError", "message": str(exc)}))
         return ERROR_EXIT
-    text = dumps(payload)
     sys.stdout.write(text)
-    if getattr(args, "output", None):
-        Path(args.output).write_text(text)
     return 0
 
 

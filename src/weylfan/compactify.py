@@ -17,11 +17,8 @@ from typing import Optional, Sequence, Union
 from . import linalg as la
 from .errors import InconsistentProfile, NonRootSystem
 from .fans import Fan
-from .linalg import Vec
+from .linalg import NEG_INF, POS_INF, Vec
 from .rootdata import Root, RootDatum
-
-POS_INF = float("inf")
-NEG_INF = float("-inf")
 
 ExtendedQ = Union[Fraction, float]  # a rational or an infinity
 

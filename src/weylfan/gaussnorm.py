@@ -18,9 +18,9 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
 
 from . import linalg as la
-from .compactify import NEG_INF, POS_INF, CompactifiedPoint, LimitProfile
+from .compactify import CompactifiedPoint, LimitProfile
 from .errors import NonRootSystem, ProfileMismatch
-from .linalg import Vec
+from .linalg import NEG_INF, POS_INF, Vec
 from .parabolics import ParabolicType
 from .rootdata import Root, RootDatum, WeylElement, weyl_enumerate
 

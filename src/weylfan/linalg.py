@@ -21,6 +21,12 @@ Rational = Union[int, Fraction]
 Vec = tuple[Rational, ...]
 Mat = tuple[Vec, ...]
 
+# The two infinities of the extended rationals (limit values, seminorm
+# values, the "inf"/"-inf" of the JSON encoding).  They are floats, compared
+# only by equality, and never enter an elimination.
+POS_INF = float("inf")
+NEG_INF = float("-inf")
+
 
 def vec(entries: Iterable) -> Vec:
     return tuple(Fraction(e) for e in entries)

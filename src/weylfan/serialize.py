@@ -8,9 +8,8 @@ import re
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .compactify import NEG_INF, POS_INF
 from .errors import ParseError
-from .linalg import Vec
+from .linalg import NEG_INF, POS_INF, Vec
 from .rootdata import Root, RootDatum
 
 

@@ -212,6 +212,12 @@ def test_transitivity_rejects_unspanned():
         transitivity_solve(datum, (Q(0),), (Q(1),))
 
 
+@pytest.mark.parametrize("d", [0, -2])
+def test_transitivity_rejects_non_positive_denominator(d):
+    with pytest.raises(NonRootSystem, match="^value group denominator must be positive$"):
+        transitivity_solve(build_root_datum("A1"), (Q(0),), (Q(1, 6),), gamma_denominator=d)
+
+
 def test_dense_sample_single_vertex():
     apt = make_apartment(build_root_datum("A1"))
     assert rational_dense_sample(apt, [(Q(3),)], 5) == [(Q(3),)]

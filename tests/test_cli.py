@@ -136,6 +136,30 @@ def test_output_flag(tmp_path):
     assert path.read_text() == out
 
 
+def test_output_to_a_missing_directory(tmp_path):
+    path = tmp_path / "missing" / "x.json"
+    code, out = invoke(["rootsys", "--datum", "A1", "--output", str(path)])
+    assert code == 2
+    assert json.loads(out) == {
+        "code": "ParseError",
+        "message": f"[Errno 2] No such file or directory: {str(path)!r}",
+    }
+    assert out.count("\n") == 1  # the error document alone
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("d", ["0", "-2"])
+def test_transitivity_gamma_denominator_must_be_positive(d):
+    code, out = invoke([
+        "transitivity", "--datum", "A1", "--x", "0", "--y", "1/6", "--gamma-denominator", d,
+    ])
+    assert code == 2
+    assert json.loads(out) == {
+        "code": "NonRootSystem",
+        "message": "value group denominator must be positive",
+    }
+
+
 def test_datum_json_input():
     spec = json.dumps({"roots": [["1", "0"], ["-1", "0"], ["0", "1"], ["0", "-1"]], "basis": [0, 2]})
     code, out = invoke(["rootsys", "--datum", spec])
