@@ -105,14 +105,6 @@ class AffineRootPattern:
         )
 
     @staticmethod
-    def uniform(datum: RootDatum, d: int = 1) -> "AffineRootPattern":
-        groups = []
-        for a in datum.positive_nondivisible_roots:
-            kind = "bc" if a in datum.multipliable else "lattice"
-            groups.append((a, ValueGroup(kind, d)))
-        return AffineRootPattern(datum, tuple(sorted(groups)))
-
-    @staticmethod
     def from_simple_denominators(
         datum: RootDatum, denominators: Sequence[int]
     ) -> "AffineRootPattern":
@@ -154,20 +146,17 @@ class Apartment:
             object.__setattr__(self, "origin", la.zero_vec(self.datum.rank))
 
     def relative(self, x: Sequence) -> Vec:
-        return la.sub(la.vec(x), self.origin)
+        return la.sub(self.datum.point(x), self.origin)
 
 
 def make_apartment(
-    datum: RootDatum,
-    denominators: Optional[Sequence[int]] = None,
-    d: int = 1,
+    datum: RootDatum, denominators: Optional[Sequence[int]] = None
 ) -> Apartment:
-    pattern = (
-        AffineRootPattern.from_simple_denominators(datum, denominators)
-        if denominators is not None
-        else AffineRootPattern.uniform(datum, d)
-    )
-    return Apartment(datum, pattern)
+    """The apartment whose wall levels have the given denominator on the
+    orbit of each simple root; denominator 1 everywhere when None."""
+    if denominators is None:
+        denominators = [1] * datum.rank
+    return Apartment(datum, AffineRootPattern.from_simple_denominators(datum, denominators))
 
 
 # -- symbolic coordinates for the virtually-special test ---------------------
@@ -232,6 +221,7 @@ def is_virtually_special(apt: Apartment, x: Sequence) -> bool:
     entries = []
     for c in x:
         entries.append(c if isinstance(c, SymbolicEntry) else SymbolicEntry.of(c))
+    apt.datum.point([e.rational for e in entries])  # rejects a point of the wrong length
     rel = [e.plus(SymbolicEntry.of(-o)) for e, o in zip(entries, apt.origin)]
     for a in apt.datum.roots:
         cov = apt.datum.covector(a)
@@ -261,8 +251,8 @@ def embed_extension(apt: Apartment, ext: ExtensionSpec) -> Apartment:
 
 def walls_in_box(apt: Apartment, lo: Sequence, hi: Sequence) -> list[tuple[Root, Fraction]]:
     """All walls (root direction, level) meeting a coordinate box, exactly."""
-    lo = la.vec(lo)
-    hi = la.vec(hi)
+    lo = apt.datum.point(lo)
+    hi = apt.datum.point(hi)
     n = apt.datum.rank
     corners = []
     for bits in range(1 << n):
@@ -313,7 +303,7 @@ def transitivity_solve(
         raise NonReduced("the Cartan system is set up for reduced root systems")
     if not datum.essential:
         raise Unspanned("the basis does not span the ambient space")
-    diff = la.sub(la.vec(y), la.vec(x))
+    diff = la.sub(datum.point(y), datum.point(x))
     gamma0 = Fraction(1, gamma_denominator)
     pairings = [datum.pairing(s, diff) for s in datum.simples]
 
@@ -352,16 +342,16 @@ def rational_dense_sample(
     """Rational points strictly inside the open polysimplex with the given
     vertices: the barycenter first, then dyadic-weight refinements.
 
-    A single-vertex facet collapses to that vertex.  Every returned point
-    is a positive rational convex combination of the vertices, hence
-    virtually special.
+    A facet whose vertices are all one point collapses to that point.
+    Every returned point is a positive rational convex combination of the
+    vertices, hence virtually special.
     """
-    vertices = [la.vec(v) for v in facet_vertices]
+    vertices = [apt.datum.point(v) for v in facet_vertices]
     if not vertices:
         raise EmptyFacet("facet has no vertices")
-    k = len(vertices)
-    if k == 1:
+    if len(set(vertices)) == 1:
         return [vertices[0]]
+    k = len(vertices)
 
     def combine(weights: Sequence[Fraction]) -> Vec:
         acc = la.zero_vec(len(vertices[0]))
@@ -413,7 +403,7 @@ def essential_projection(
     the image unchanged.
     """
     idx = sorted(set(levi_indices))
-    v = la.vec(x)
+    v = datum.point(x)
     return tuple(datum.pairing(datum.simples[i], v) for i in idx)
 
 

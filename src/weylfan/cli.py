@@ -1,6 +1,7 @@
 """Command-line front end: every subcommand reads flags, prints one JSON
 document on stdout, and exits 0 on success, 2 on structured errors, 64 on
-usage errors.  Output is byte-identical across repeated invocations."""
+usage errors and 70 on an internal fault (a traceback on stderr, nothing on
+stdout).  Output is byte-identical across repeated invocations."""
 
 from __future__ import annotations
 
@@ -31,6 +32,7 @@ if TYPE_CHECKING:
 
 USAGE_EXIT = 64
 ERROR_EXIT = 2
+SOFTWARE_EXIT = 70
 
 
 class _Parser(argparse.ArgumentParser):
@@ -398,9 +400,14 @@ def run(argv=None) -> int:
     except WeylfanError as exc:
         sys.stdout.write(dumps(exc.payload()))
         return ERROR_EXIT
-    except (json.JSONDecodeError, OSError, KeyError, ValueError) as exc:
+    except (json.JSONDecodeError, OSError, UnicodeDecodeError) as exc:  # unreadable input
         sys.stdout.write(dumps({"code": "ParseError", "message": str(exc)}))
         return ERROR_EXIT
+    except Exception:
+        import traceback  # here, not at the top: it adds milliseconds to every start-up
+
+        traceback.print_exc()
+        return SOFTWARE_EXIT
     sys.stdout.write(text)
     return 0
 

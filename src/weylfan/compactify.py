@@ -75,8 +75,9 @@ class CompactifiedPoint:
         return f"CompactifiedPoint(cone={self.cone_index}, base={self.base})"
 
 
-def orthogonal_reduction(datum: RootDatum, span: Sequence[Vec], x: Vec) -> Vec:
+def orthogonal_reduction(datum: RootDatum, span: Sequence[Vec], x: Sequence) -> Vec:
     """x minus its projection onto the span, for the invariant inner product."""
+    x = datum.point(x)
     if not span:
         return x
     m = datum.gram_points
@@ -94,7 +95,7 @@ def orthogonal_reduction(datum: RootDatum, span: Sequence[Vec], x: Vec) -> Vec:
 def project_to_facade(fan: Fan, cone_index: int, x: Sequence) -> CompactifiedPoint:
     """The class of x in the facade of the given cone."""
     cone = fan.cones[cone_index]
-    base = orthogonal_reduction(fan.datum, cone.span_basis, la.vec(x))
+    base = orthogonal_reduction(fan.datum, cone.span_basis, x)
     return CompactifiedPoint(fan, cone_index, base)
 
 
@@ -104,7 +105,7 @@ def limit_of_ray(fan: Fan, base: Sequence, direction: Sequence) -> CompactifiedP
     The ray converges to the facade of the unique cone containing its
     direction, over the reduced base point.
     """
-    d = la.vec(direction)
+    d = fan.datum.point(direction)
     if la.is_zero(d):
         raise NonRootSystem("ray direction must be nonzero")
     c = fan.cone_containing(d)
@@ -145,8 +146,8 @@ class LimitProfile:
 
 def ray_profile(datum: RootDatum, base: Sequence, direction: Sequence) -> LimitProfile:
     """The limit profile of the ray base + t * direction."""
-    b = la.vec(base)
-    d = la.vec(direction)
+    b = datum.point(base)
+    d = datum.point(direction)
     table: dict[Root, ExtendedQ] = {}
     for a in datum.roots:
         slope = datum.pairing(a, d)
@@ -206,7 +207,7 @@ def limit_of_profile(
         if la.dot(row, base) != want:
             raise InconsistentProfile("finite profile values are contradictory")
     if witness is not None:
-        reduced = orthogonal_reduction(datum, cone.span_basis, la.vec(witness))
+        reduced = orthogonal_reduction(datum, cone.span_basis, witness)
         if reduced != base:
             raise InconsistentProfile("witness disagrees with the profile values")
     return CompactifiedPoint(fan, idx, base)

@@ -10,7 +10,7 @@ rays) computed once by an exact double-description pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -81,11 +81,14 @@ def dual_description(
 
 @dataclass(frozen=True)
 class Cone:
-    """A nonempty relatively open polyhedral cone in coroot coordinates."""
+    """A nonempty relatively open polyhedral cone in coroot coordinates.
+
+    Equality and hashing read the ambient dimension and `key` alone, so two
+    cones are equal when they are the same set, whatever forms they store."""
 
     dim_ambient: int
-    eqs: tuple[Vec, ...]  # canonical basis of forms vanishing on the cone
-    ins: tuple[Vec, ...]  # facet forms, strictly positive on the cone
+    eqs: tuple[Vec, ...] = field(compare=False)  # a basis of the forms vanishing on the cone
+    ins: tuple[Vec, ...] = field(compare=False)  # facet forms, strictly positive on the cone
     lineality: tuple[Vec, ...]  # lineality of the closure
     rays: tuple[Vec, ...]  # extreme rays of the closure
 

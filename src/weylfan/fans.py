@@ -82,7 +82,6 @@ from . import linalg as la
 from .cones import Cone
 from .errors import (
     DegenerateJ,
-    DimensionMismatch,
     NotEssential,
     PartitionFailure,
     TypeMismatch,
@@ -234,11 +233,7 @@ class Fan:
         """Index of the one cone containing v.  Raises DimensionMismatch when
         v has the wrong length, PartitionFailure unless exactly one cone
         contains v."""
-        if len(v) != self.datum.rank:
-            raise DimensionMismatch(
-                f"point has {len(v)} coordinates, {self.datum.name} has rank {self.datum.rank}"
-            )
-        signs = self._signs(la.primitive(v))
+        signs = self._signs(la.primitive(self.datum.point(v)))
         hit = self._by_sign.get(signs)
         return hit if hit is not None else self._scan(v, signs)
 
@@ -424,17 +419,21 @@ def _admissible_index_sets(datum: RootDatum, J: frozenset[int]) -> list[frozense
     return out
 
 
+def standard_type(datum: RootDatum, J: frozenset[int], I: frozenset[int]) -> frozenset[int]:
+    """T = I u (J n I-perp), the type of the core of the standard cone of I."""
+    return I | (J & orthogonal_complement(datum, I))
+
+
 def standard_cone_system(
     datum: RootDatum, J: frozenset[int], I: frozenset[int]
 ) -> tuple[list[Vec], list[Vec], frozenset[int]]:
     """Equalities and strict forms of the standard merged cone of subset I.
 
     The cone is cut out by vanishing of the simple roots in I and positivity
-    of every positive root outside the span of T = I u (J n I-perp); returns
+    of every positive root outside the span of T = `standard_type`; returns
     (equalities, strict forms, T).
     """
-    K = J & orthogonal_complement(datum, I)
-    T = I | K
+    T = standard_type(datum, J, I)
     eqs = [datum.covector(datum.simples[i]) for i in sorted(I)]
     ins = []
     for a in datum.positive_roots:

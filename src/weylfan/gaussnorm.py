@@ -229,7 +229,7 @@ def theta_restricted(tg: ToyGroupDatum, x: Sequence) -> LogSeminorm:
     seminorm of a polynomial is the maximum over monomials of the
     coefficient log-value plus the pairing-weighted exponents.
     """
-    v = la.vec(x)
+    v = tg.datum.point(x)
     values = tuple(tg.datum.pairing(a, v) for a, _ in tg.indexed_roots)
     return LogSeminorm(tg, values)
 
@@ -287,7 +287,7 @@ def fiber_direction_space(tg: ToyGroupDatum) -> tuple[Vec, ...]:
 def cell_charts(tg: ToyGroupDatum, direction: Sequence) -> list[WeylElement]:
     """Weyl elements whose inverse carries the ray direction into the closed
     cone where every cell coordinate of the type stays bounded above."""
-    d = la.vec(direction)
+    d = tg.datum.point(direction)
     out = []
     for w in weyl_enumerate(tg.datum):
         winv_d = la.mat_vec(w.mat_points_inv, d)
@@ -305,8 +305,8 @@ def boundary_chart_values(
     against base + t * direction; the chart must make all of these bounded
     above (w taken from cell_charts), so each limit is rational or -inf.
     """
-    b = la.vec(base)
-    d = la.vec(direction)
+    b = tg.datum.point(base)
+    d = tg.datum.point(direction)
     out: list[LogValue] = []
     for a, _ in tg.indexed_roots:
         wa = w.apply_root(a)

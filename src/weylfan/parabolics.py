@@ -5,6 +5,12 @@ subsystem (roots supported on T), the unipotent weights (positive roots
 outside it), the closed dominance cone of the parabolic, relevance with
 respect to a merging subset J, and the boundary-stratum classes of the
 associated compactified apartment.
+
+T is J-relevant when T = I u (J n I-perp) (`fans.standard_type`) for an
+admissible I, none of whose components lies in J.  I -> T is a bijection
+onto the relevant types with inverse `core_generating_set`, since the
+components of T are those of I, each meeting the complement of J, and
+those of J n I-perp (orthogonal to I), each inside J.
 """
 
 from __future__ import annotations
@@ -16,8 +22,8 @@ from typing import Iterable, NamedTuple
 from . import linalg as la
 from .cones import Cone
 from .errors import InternalDisagreement
-from .fans import Fan, validate_J
-from .rootdata import Root, RootDatum, components, orthogonal_complement
+from .fans import Fan, _admissible_index_sets, standard_type, validate_J
+from .rootdata import Root, RootDatum, components
 
 
 @dataclass(frozen=True)
@@ -120,18 +126,11 @@ def is_J_relevant(datum: RootDatum, J: Iterable[int], T: Iterable[int]) -> bool:
     """Whether T decomposes as I u (J n I-perp) with admissible generator I.
 
     Decided by reconstructing the candidate generator from the components
-    of T meeting the complement of J.
+    of T meeting the complement of J (see the module docstring).
     """
-    return _is_J_relevant(datum, validate_J(datum, J), frozenset(T))
-
-
-def _is_J_relevant(datum: RootDatum, J: frozenset[int], T: frozenset[int]) -> bool:
-    """`is_J_relevant` for a J already checked by `validate_J`."""
-    I = core_generating_set(datum, J, T)
-    if any(comp <= J for comp in components(datum, I)):
-        return False
-    extra = J & orthogonal_complement(datum, I)
-    return T == I | extra and not (I & extra)
+    J = validate_J(datum, J)
+    T = frozenset(T)
+    return T == standard_type(datum, J, core_generating_set(datum, J, T))
 
 
 @dataclass(frozen=True)
@@ -150,24 +149,21 @@ class StratumDescriptor:
 
 def enumerate_strata(datum: RootDatum, J: Iterable[int]) -> list[StratumDescriptor]:
     """Stratum classes of the compactification for subset J: one descriptor
-    per relevant standard type."""
+    per relevant type T, the image of one admissible I (see the module
+    docstring), ordered by |T|, which is the Levi rank, then by T."""
     J = validate_J(datum, J)
-    n = datum.rank
     out = []
-    for bits in range(1 << n):
-        T = frozenset(j for j in range(n) if bits & (1 << j))
-        if not _is_J_relevant(datum, J, T):
-            continue
-        ptype = ParabolicType(datum, T)
-        covs = [datum.covector(a) for a in ptype.levi_roots]
-        desc = StratumDescriptor(
-            type_indices=T,
-            generating_indices=core_generating_set(datum, J, T),
-            levi_roots=ptype.levi_roots,
-            levi_rank=la.rank(covs) if covs else 0,
-            is_open_stratum=T == frozenset(range(n)),
+    for I in _admissible_index_sets(datum, J):
+        T = standard_type(datum, J, I)
+        out.append(
+            StratumDescriptor(
+                type_indices=T,
+                generating_indices=I,
+                levi_roots=ParabolicType(datum, T).levi_roots,
+                levi_rank=len(T),
+                is_open_stratum=len(T) == datum.rank,
+            )
         )
-        out.append(desc)
     out.sort(key=lambda d: (len(d.type_indices), sorted(d.type_indices)))
     return out
 

@@ -16,7 +16,7 @@ from functools import cached_property, lru_cache, partial
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import linalg as la
-from .errors import NonRootSystem
+from .errors import DimensionMismatch, NonRootSystem
 from .linalg import Mat, Rational, Vec
 
 Root = tuple[int, ...]  # coefficients over the simple basis
@@ -178,16 +178,15 @@ class RootDatum:
 
     # -- pairings and inner products ---------------------------------------
 
-    @cached_property
-    def gram_dual(self) -> Mat:
-        """Inner products (alpha_i, alpha_j) of the simple roots."""
-        return tuple(
-            tuple(
-                Fraction(self.cartan[i][j]) * self.simple_lengths[j] / 2
-                for j in range(self.rank)
+    def point(self, x: Sequence) -> Vec:
+        """x as a point of the ambient space (rational coroot coordinates);
+        raises DimensionMismatch unless it has `rank` coordinates."""
+        v = la.vec(x)
+        if len(v) != self.rank:
+            raise DimensionMismatch(
+                f"point has {len(v)} coordinates, {self.name} has rank {self.rank}"
             )
-            for i in range(self.rank)
-        )
+        return v
 
     @cached_property
     def gram_points(self) -> Mat:
@@ -218,14 +217,13 @@ class RootDatum:
     def pairing(self, a: Root, x: Vec) -> Fraction:
         return la.dot(self.covector(a), x)
 
+    def _weighted(self, b: Root) -> Vec:
+        """(b_j |alpha_j|^2)_j: (alpha_i, alpha_j) is cartan[i][j] |alpha_j|^2 / 2,
+        so (a, b) is covector(a) . _weighted(b) / 2."""
+        return tuple(c * l for c, l in zip(b, self.simple_lengths))
+
     def inner(self, a: Root, b: Root) -> Fraction:
-        g = self.gram_dual
-        return sum(
-            Fraction(a[i]) * g[i][j] * b[j]
-            for i in range(self.rank)
-            for j in range(self.rank)
-            if a[i] and b[j]
-        ) or Fraction(0)
+        return la.dot(self.covector(a), self._weighted(b)) / 2
 
     def length_sq(self, a: Root) -> Fraction:
         return self.inner(a, a)
@@ -241,14 +239,13 @@ class RootDatum:
         return {b: self._coroot_covector_of(b) for b in self.roots}
 
     def _coroot_covector_of(self, b: Root) -> Vec:
-        """(<alpha_i, b^vee>)_i, so that <a, b^vee> is linear in a; int
-        entries when they are all integral."""
-        g = self.gram_dual
+        """(<alpha_i, b^vee>)_i = (2 (alpha_i, b) / (b, b))_i, so that
+        <a, b^vee> is linear in a; int entries when they are all integral.
+        It reads the rows of the Cartan matrix, as (alpha_i, b) does, not
+        `covector(b)`: the two differ when the lengths do not fit the matrix."""
+        weighted = self._weighted(b)
         bb = self.length_sq(b)
-        row = tuple(
-            2 * sum((g[i][j] * b[j] for j in range(self.rank) if b[j]), Fraction(0)) / bb
-            for i in range(self.rank)
-        )
+        row = tuple(la.dot(r, weighted) / bb for r in self.cartan)
         if all(x.denominator == 1 for x in row):
             return tuple(int(x) for x in row)
         return row

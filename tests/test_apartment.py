@@ -156,6 +156,8 @@ def test_pattern_orbit_consistency():
     short_root = datum.simples[1]
     assert pattern.group_of(long_root).d == 2
     assert pattern.group_of(short_root).d == 3
+    with pytest.raises(NonRootSystem, match="^need one denominator per simple root$"):
+        make_apartment(datum, [])
 
 
 def test_transitivity_a1_example():
@@ -221,6 +223,9 @@ def test_transitivity_rejects_non_positive_denominator(d):
 def test_dense_sample_single_vertex():
     apt = make_apartment(build_root_datum("A1"))
     assert rational_dense_sample(apt, [(Q(3),)], 5) == [(Q(3),)]
+    # repeated vertices span one point too, and must not search for others
+    assert rational_dense_sample(apt, [(0,), (0,)], 2) == [(Q(0),)]
+    assert rational_dense_sample(apt, [(Q(1, 2),)] * 3, 4) == [(Q(1, 2),)]
 
 
 def test_dense_sample_a1_alcove():

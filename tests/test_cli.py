@@ -4,6 +4,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
+from weylfan import cli
 from weylfan.cli import run
 from weylfan.serialize import parse_q
 
@@ -146,6 +147,29 @@ def test_output_to_a_missing_directory(tmp_path):
     }
     assert out.count("\n") == 1  # the error document alone
     assert not path.exists()
+
+
+@pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe"], ids=["malformed", "not-utf8"])
+def test_unreadable_datum_file_is_a_parse_error(tmp_path, content):
+    path = tmp_path / "datum.json"
+    path.write_bytes(content)
+    with pytest.raises(ValueError) as info:  # JSONDecodeError, UnicodeDecodeError
+        json.loads(path.read_text())
+    code, out = invoke(["rootsys", "--datum", str(path)])
+    assert code == 2
+    assert json.loads(out) == {"code": "ParseError", "message": str(info.value)}
+
+
+def test_internal_fault_exits_70_with_a_traceback(monkeypatch, capsys):
+    def broken(args):
+        raise KeyError("boom")
+
+    monkeypatch.setitem(cli._HANDLERS, "rootsys", broken)
+    code = run(["rootsys", "--datum", "A1"])
+    captured = capsys.readouterr()
+    assert code == 70
+    assert captured.out == ""
+    assert captured.err.startswith("Traceback") and "KeyError: 'boom'" in captured.err
 
 
 @pytest.mark.parametrize("d", ["0", "-2"])

@@ -16,7 +16,7 @@ from weylfan.cones import (
 from weylfan.errors import EmptyCone
 from weylfan.rootdata import build_root_datum
 
-from helpers import reference_rref
+from helpers import built_fan, reference_rref
 
 
 def V(*xs):
@@ -251,6 +251,20 @@ def test_transform_matches_fresh_construction():
             n, [], [datum.covector(w.apply_root(s)) for s in datum.simples]
         )
         assert moved.key == fresh.key
+
+
+def test_cone_equality_is_equality_of_sets():
+    """Cones of the orbit walk store moved forms, not the RREF basis of
+    `from_system`; equality and hashing read only the set."""
+    fan = built_fan("A3")
+    moved = 0
+    for c in fan.cones:
+        fresh = Cone.from_system(c.dim_ambient, c.eqs, c.ins)
+        moved += fresh.eqs != c.eqs
+        assert fresh == c and hash(fresh) == hash(c)
+    assert moved  # some stored forms differ from the canonical ones
+    origins = [Cone.from_system(n, la.identity(n), []) for n in (1, 2)]
+    assert origins[0].key == origins[1].key and origins[0] != origins[1]
 
 
 def test_open_system_feasible():

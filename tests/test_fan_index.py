@@ -18,6 +18,16 @@ from helpers import (
     valid_js,
 )
 from weylfan import linalg as la
+from weylfan.apartment import (
+    essential_projection,
+    is_special_vertex,
+    is_virtually_special,
+    make_apartment,
+    rational_dense_sample,
+    special_witness,
+    transitivity_solve,
+    walls_in_box,
+)
 from weylfan.compactify import (
     NEG_INF,
     POS_INF,
@@ -25,13 +35,20 @@ from weylfan.compactify import (
     NoLimit,
     limit_of_profile,
     limit_of_ray,
+    orthogonal_reduction,
     project_to_facade,
     ray_profile,
 )
 from weylfan.cones import Cone, is_face_closure, is_face_supporting
 from weylfan.errors import DimensionMismatch, PartitionFailure, WeylfanError
 from weylfan.fans import Fan, parabolic_fan, weyl_fan
-from weylfan.gaussnorm import ToyGroupDatum, theta_boundary
+from weylfan.gaussnorm import (
+    ToyGroupDatum,
+    boundary_chart_values,
+    cell_charts,
+    theta_boundary,
+    theta_restricted,
+)
 from weylfan.rootdata import build_root_datum
 
 def _case(name, J):
@@ -111,6 +128,41 @@ def test_cone_containing_rejects_points_of_the_wrong_length():
         with pytest.raises(DimensionMismatch):
             limit_of_ray(fan, (0, 0), bad)
     assert fan.cones[fan.cone_containing((1, 2))].dim == 2
+
+
+def _a2_point_calls():
+    a2 = build_root_datum("A2")
+    apt = make_apartment(a2)
+    fan = parabolic_fan(a2, [0])
+    tg = ToyGroupDatum.for_parabolic(a2, [0])
+    one = a2.simple_reflections[0]
+    profile = ray_profile(a2, (0, 0), (1, 1))
+    return {  # each call gets one point with 1 or 3 coordinates
+        "special_witness": lambda: special_witness(apt, (Q(1, 3),)),
+        "is_special_vertex": lambda: is_special_vertex(apt, (Q(1, 3), 0, 5)),
+        "is_virtually_special": lambda: is_virtually_special(apt, (1,)),
+        "walls_in_box": lambda: walls_in_box(apt, (0,), (1, 1)),
+        "transitivity_solve": lambda: transitivity_solve(a2, (0,), (Q(1, 2), Q(1, 3))),
+        "rational_dense_sample": lambda: rational_dense_sample(apt, [(0, 0), (1,)], 2),
+        "essential_projection": lambda: essential_projection(a2, [0], (1,)),
+        "theta_restricted": lambda: theta_restricted(tg, (1,)),
+        "cell_charts": lambda: cell_charts(tg, (1, 2, 3)),
+        "boundary_chart_values": lambda: boundary_chart_values(tg, one, (0,), (1, 1)),
+        "limit_of_ray": lambda: limit_of_ray(fan, (1,), (1, 2)),
+        "project_to_facade": lambda: project_to_facade(fan, 0, (1,)),
+        "ray_profile": lambda: ray_profile(a2, (0, 0), (1,)),
+        "limit_of_profile": lambda: limit_of_profile(fan, profile, witness=(1,)),
+        "orthogonal_reduction": lambda: orthogonal_reduction(a2, [], (1,)),
+        "cone_containing": lambda: fan.cone_containing((1, 2, 3)),
+    }
+
+
+@pytest.mark.parametrize("call", sorted(_a2_point_calls()))
+def test_points_of_the_wrong_length_are_rejected(call):
+    """Every public function taking a point rejects one of the wrong length
+    with the same message, instead of cutting it short."""
+    with pytest.raises(DimensionMismatch, match=r"^point has [13] coordinates, A2 has rank 2$"):
+        _a2_point_calls()[call]()
 
 
 MUTANT_FANS = [_case("B3", ()), _case("A3", (0,)), _case("G2", ())]

@@ -1,3 +1,4 @@
+from dataclasses import astuple
 from fractions import Fraction as Q
 
 import pytest
@@ -258,16 +259,16 @@ WALK_CASES = [
     "name,J", WALK_CASES, ids=[f"{name}-{sorted(J)}" for name, J in WALK_CASES]
 )
 def test_orbit_walk_matches_enumerated_fan(name, J):
-    """The orbit walk gives the cones and cores, words and matrices
-    included, of applying all of W to every standard cone."""
+    """The orbit walk gives the cones and cores, stored forms, words and
+    matrices included, of applying all of W to every standard cone."""
     datum = build_root_datum(name)
     fan = parabolic_fan(datum, J)
     oracle = enumerated_parabolic_fan(datum, J)
-    assert fan.cones == oracle.cones
+    assert [astuple(c) for c in fan.cones] == [astuple(c) for c in oracle.cones]
     for i in range(len(fan)):
         got, want = fan.cores[i], oracle.cores[i]
-        assert (got.type_indices, got.generator_indices, got.cone) == (
-            want.type_indices, want.generator_indices, want.cone
+        assert (got.type_indices, got.generator_indices, astuple(got.cone)) == (
+            want.type_indices, want.generator_indices, astuple(want.cone)
         ), i
         for field in ("word", "mat_points", "mat_roots", "mat_points_inv"):
             assert getattr(got.weyl, field) == getattr(want.weyl, field), (i, field)

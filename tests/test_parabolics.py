@@ -1,6 +1,6 @@
 import pytest
 
-from helpers import is_J_relevant_exhaustive, is_J_relevant_via_perp
+from helpers import built_fan, is_J_relevant_exhaustive, is_J_relevant_via_perp
 from weylfan import linalg as la
 from weylfan import parabolics
 from weylfan.cones import Cone
@@ -8,6 +8,7 @@ from weylfan.errors import DegenerateJ
 from weylfan.fans import parabolic_fan, weyl_fan
 from weylfan.parabolics import (
     ParabolicType,
+    core_generating_set,
     dominance_cone,
     enumerate_strata,
     facade_root_system,
@@ -166,11 +167,23 @@ def test_via_perp_examples():
 def test_relevance_criteria_agree_everywhere(name):
     datum = build_root_datum(name)
     for J in valid_js(datum):
+        relevant = set()
         for T in subsets(datum.rank):
             a = is_J_relevant(datum, J, T)
             b = is_J_relevant_via_perp(datum, J, T)
             c = is_J_relevant_exhaustive(datum, J, T)
             assert a == b == c, (name, sorted(J), sorted(T))
+            if c:
+                relevant.add(T)
+        strata = enumerate_strata(datum, J)
+        assert len(strata) == len(relevant), (name, sorted(J))
+        assert {d.type_indices for d in strata} == relevant, (name, sorted(J))
+        for d in strata:
+            T = d.type_indices
+            covs = [datum.covector(a) for a in d.levi_roots]
+            assert d.generating_indices == core_generating_set(datum, J, T), (name, sorted(J))
+            assert d.levi_rank == (la.rank(covs) if covs else 0), (name, sorted(J))
+            assert d.is_open_stratum == (len(T) == datum.rank)
 
 
 def test_full_type_always_relevant():
@@ -207,10 +220,14 @@ def test_open_stratum_flag_and_fields():
     assert len(singles[0].levi_roots) == 2
 
 
-@pytest.mark.parametrize("name,J", [("A2", (0,)), ("A2", ()), ("G2", (1,)), ("BC2", (0,)), ("A1", ())])
+@pytest.mark.parametrize(
+    "name,J",
+    [("A2", (0,)), ("A2", ()), ("G2", (1,)), ("BC2", (0,)), ("A1", ()),
+     ("A4", ()), ("D4", (0, 2, 3)), ("F4", ())],
+)
 def test_strata_biject_with_core_orbit_classes(name, J):
-    datum = build_root_datum(name)
-    fan = parabolic_fan(datum, J)
+    fan = built_fan(name, J)
+    datum = fan.datum
     core_types = {fan.cores[i].type_indices for i in range(len(fan))}
     strata = enumerate_strata(datum, J)
     assert core_types == {d.type_indices for d in strata}
