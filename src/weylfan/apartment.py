@@ -16,7 +16,7 @@ from math import lcm
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import linalg as la
-from .errors import EmptyFacet, NonReduced, NonRootSystem, Unspanned
+from .errors import DimensionMismatch, EmptyFacet, NonReduced, NonRootSystem, Unspanned
 from .linalg import Vec
 from .rootdata import Root, RootDatum, root_orbits
 
@@ -392,6 +392,16 @@ def _compositions(total: int, parts: int):
 # -- essentialisation ----------------------------------------------------------
 
 
+def validate_levi(datum: RootDatum, levi_indices: Iterable[int]) -> list[int]:
+    """The Levi indices sorted, without repeats; raises NonRootSystem unless
+    each is an int indexing a simple root (a negative index does not wrap)."""
+    idx = set(levi_indices)
+    bad = sorted((i for i in idx if type(i) is not int or not 0 <= i < datum.rank), key=repr)
+    if bad:
+        raise NonRootSystem(f"Levi indices {bad} are not indices of the {datum.rank} simple roots")
+    return sorted(idx)
+
+
 def essential_projection(
     datum: RootDatum, levi_indices: Iterable[int], x: Sequence
 ) -> tuple[Fraction, ...]:
@@ -402,14 +412,14 @@ def essential_projection(
     subsystem, so translating by a direction every Levi root kills leaves
     the image unchanged.
     """
-    idx = sorted(set(levi_indices))
+    idx = validate_levi(datum, levi_indices)
     v = datum.point(x)
     return tuple(datum.pairing(datum.simples[i], v) for i in idx)
 
 
 def sub_datum(datum: RootDatum, levi_indices: Iterable[int]) -> RootDatum:
     """The root datum of the Levi subsystem on a subset of the basis."""
-    idx = sorted(set(levi_indices))
+    idx = validate_levi(datum, levi_indices)
     inside = [a for a in datum.roots if {i for i, c in enumerate(a) if c} <= set(idx)]
     return RootDatum(
         name=f"{datum.name}|{','.join(datum.labels[i] for i in idx)}",
@@ -424,8 +434,14 @@ def sub_datum(datum: RootDatum, levi_indices: Iterable[int]) -> RootDatum:
 def levi_point_from_pairings(
     datum: RootDatum, levi_indices: Iterable[int], pairings: Sequence[Fraction]
 ) -> Vec:
-    """Coroot coordinates in the Levi apartment matching given pairings."""
+    """Coroot coordinates in the Levi apartment matching given pairings, one
+    per Levi simple root in increasing order; raises DimensionMismatch for
+    any other number of pairings."""
     sub = sub_datum(datum, levi_indices)
+    if len(pairings) != sub.rank:
+        raise DimensionMismatch(
+            f"{len(pairings)} pairings given for the {sub.rank} simple roots of {sub.name}"
+        )
     sol = la.solve(la.mat(sub.cartan), la.vec(pairings))
     if sol is None:
         raise NonRootSystem("pairings are not realisable in the Levi apartment")

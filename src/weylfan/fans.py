@@ -11,10 +11,15 @@ and I u (J n I-perp) under that reflection subgroup; its core is the Weyl
 facet of type I u (J n I-perp).  For J empty this is exactly the Weyl fan.
 
 *Orbit walk.*  `parabolic_fan` walks each new standard cone's orbit
-breadth first under s_1..s_n, carrying the core and the Weyl element u
-mapping the standard cone there (s_k.u for the image under s_k, which is
-unimodular and moves one coroot coordinate, so rays stay primitive).  The
-stabiliser of the standard cone of I is W_T, T = I u (J n I-perp), so each
+breadth first under s_1..s_n, carrying the core, the cone's sign row (see
+*Sign table*) and the Weyl element u mapping the standard cone there.
+s_k is unimodular and moves one coroot coordinate, so rays stay
+primitive.  The image under s_k gets s_k.u, with inverse u^-1.s_k.  As a
+matrix, s_k is the identity but for row k, so s_k.M is M with row k
+replaced by (row k of s_k).M, and M.s_k is M plus the rank-one term
+(M e_k)(row k of s_k - e_k).  Both are the full products, entry by entry
+and in integers, at O(n^2) instead of O(n^3) (`rootdata.reflect_matrix`).
+The stabiliser of the standard cone of I is W_T, T = I u (J n I-perp), so each
 cone has one minimal-length u, of length its depth in the walk.  A prefix
 of a minimal u is minimal, so `weyl_enumerate`'s closure, breadth first
 too, reaches a minimal u only from the u one level up; by induction both
@@ -32,6 +37,7 @@ P or of the negative of a root in N.  Then the roots in Z cut out the
 span, and on the span each facet form has the sign of its root, so a
 point lies in the cone exactly when its own sign vector agrees with the
 cone on Z, P and N: membership depends only on the point's sign vector.
+Two cones that pass the checks and have one row are therefore one cone.
 Every root is e or 2e times a positive nondivisible root (e = 1 or -1),
 so the table gives every root's sign on every cone, and it alone serves
 cone location, profile matching (`compactify.limit_of_profile`, by the
@@ -42,6 +48,21 @@ Weyl facet point, requires exactly one hit, and records sign vector ->
 cone.  Every point has the sign vector of some Weyl facet, so on a fan
 that passed the check `cone_containing` is one dictionary lookup after
 |positive roots| dot products.
+
+*Sign transport.*  s_k maps alpha_k to -alpha_k and permutes the other
+positive roots, so it sends each positive nondivisible root P_j to
+e P_p(j) with e = -1 only at alpha_k (`RootDatum.root_permutations`).
+Since <P_j, s_k.x> = <s_k.P_j, x>, the sign of P_j on s_k.X is e times
+the sign of P_p(j) on X, and a mixed sign stays mixed.  The two checks
+carry over too: s_k maps the roots in Z of X onto, up to sign, the roots
+in Z of s_k.X, keeping their rank, and a facet form of s_k.X is f.s_k for
+a facet form f of X, so if f is c P on the span of X, f.s_k is c e P_p
+on the span of s_k.X, with the same sign class.  So `parabolic_fan`
+builds a row directly, with both checks, only for each orbit's standard
+cone, permutes it along the walk, and keys the walk by the rows: by the
+paragraph above, equal rows mean equal cones.  A `Fan(...)` made by hand
+builds every row directly.  The cover check walks the Weyl facet points
+from the dominant ones and carries their sign vectors the same way.
 
 *Ray bitsets.*  The rays of the fan are numbered, and a cone is the set
 of its ray indices.  The cones of `parabolic_fan` are pointed (the root
@@ -65,7 +86,8 @@ pair exactly when the AND of the facets of g that hold the rays of f (all
 of g if none do) is the rays of f.  This is the supporting-form criterion
 with alpha the sum of the tight facet forms, and it implies cl(f) = span(f)
 meet cl(g).  Weyl invariance and cores: each cone orbit is walked once
-under the simple reflections, with u_i mapping its first cone to cone i.
+under the simple reflections, with u_i mapping its first cone to cone i
+(u_i and u_i^-1 moved by the O(n^2) updates, which also form s.u_i).
 The Schreier elements u_j^-1 s u_i of the walk's edges i -> j generate the
 first cone's setwise stabiliser (Schreier's lemma), whose fixed locus their
 rows minus 1 cut out; one `Cone.from_system` per orbit gives the first
@@ -94,6 +116,7 @@ from .rootdata import (
     components,
     orthogonal_complement,
     point_orbits,
+    reflect_matrix,
     reflect_simple,
     walk_orbits,
 )
@@ -118,6 +141,7 @@ class Fan:
         J: frozenset[int],
         cones: Sequence[Cone],
         cores: dict[int, CoreInfo],
+        sign_table: Optional[Sequence[tuple[int, ...]]] = None,
     ):
         self.datum = datum
         self.J = J
@@ -125,6 +149,8 @@ class Fan:
         self.cores = cores
         self._index = {c.key: i for i, c in enumerate(self.cones)}
         self._by_sign: dict[tuple[int, ...], int] = {}  # sign vector -> cone
+        if sign_table is not None:  # as `parabolic_fan` transports it
+            self._sign_table = tuple(sign_table)
 
     def __len__(self) -> int:
         return len(self.cones)
@@ -140,8 +166,7 @@ class Fan:
 
     @cached_property
     def _root_forms(self) -> tuple[Vec, ...]:
-        """Covectors of the positive nondivisible roots."""
-        return tuple(self.datum.covector(a) for a in self.datum.positive_nondivisible_roots)
+        return _root_forms(self.datum)
 
     def _signs(self, v: Vec) -> tuple[int, ...]:
         """The sign vector of v: 0, 1 or -1 for each root in `_root_forms`."""
@@ -156,38 +181,10 @@ class Fan:
         """Per cone, the sign of each root in `_root_forms` on it: 0, 1, -1,
         or 2 if mixed.  Built after checking that the signs cut each cone
         out (see the module docstring)."""
-        forms = self._root_forms
         at: dict[Vec, tuple] = {}  # generator -> values of the root forms
-        table = []
-        for i, c in enumerate(self.cones):
-            span = list(c.rays) + list(c.lineality)
-            for g in span:
-                if g not in at:
-                    at[g] = tuple(la.dot(f, g) for f in forms)
-            cols = [at[g] for g in span]
-            row, zero, signed = [], [], set()
-            for k, form in enumerate(forms):
-                vals = tuple(col[k] for col in cols)
-                on_lin = vals[len(c.rays):]
-                if not any(vals):
-                    sign = 0
-                    zero.append(form)
-                elif not any(on_lin) and all(x >= 0 for x in vals):
-                    sign = 1
-                    signed.add(la.primitive(vals))
-                elif not any(on_lin) and all(x <= 0 for x in vals):
-                    sign = -1
-                    signed.add(la.primitive(la.neg(vals)))
-                else:
-                    sign = 2  # mixed sign on the cone
-                row.append(sign)
-            if la.rank(zero) != len(c.eqs):
-                raise PartitionFailure(f"roots vanishing on cone {i} do not cut out its span")
-            for form in c.ins:
-                if la.primitive(tuple(la.dot(form, g) for g in span)) not in signed:
-                    raise PartitionFailure(f"facet form {form} of cone {i} is not a root form")
-            table.append(tuple(row))
-        return tuple(table)
+        return tuple(
+            _sign_row(self._root_forms, c, f"cone {i}", at) for i, c in enumerate(self.cones)
+        )
 
     def root_sign(self, i: int, a: Root) -> int:
         """Sign of root a on cone i, as `Cone.sign_of` gives it: 0, 1, -1, or
@@ -299,11 +296,72 @@ class Fan:
         }
 
 
+def _root_forms(datum: RootDatum) -> tuple[Vec, ...]:
+    """Covectors of the positive nondivisible roots."""
+    return tuple(datum.covector(a) for a in datum.positive_nondivisible_roots)
+
+
+def _sign_row(forms: Sequence[Vec], c: Cone, label: str, at: dict) -> tuple[int, ...]:
+    """The direct build of a `_sign_table` row: the sign of each root form on
+    the cone c, after the two exactness checks (see the module docstring),
+    which name the cone by `label`.  `at` caches the forms' values at each
+    generator across calls."""
+    span = list(c.rays) + list(c.lineality)
+    for g in span:
+        if g not in at:
+            at[g] = tuple(la.dot(f, g) for f in forms)
+    cols = [at[g] for g in span]
+    row, zero, signed = [], [], set()
+    for k, form in enumerate(forms):
+        vals = tuple(col[k] for col in cols)
+        on_lin = vals[len(c.rays):]
+        if not any(vals):
+            sign = 0
+            zero.append(form)
+        elif not any(on_lin) and all(x >= 0 for x in vals):
+            sign = 1
+            signed.add(la.primitive(vals))
+        elif not any(on_lin) and all(x <= 0 for x in vals):
+            sign = -1
+            signed.add(la.primitive(la.neg(vals)))
+        else:
+            sign = 2  # mixed sign on the cone
+        row.append(sign)
+    if la.rank(zero) != len(c.eqs):
+        raise PartitionFailure(f"roots vanishing on {label} do not cut out its span")
+    for form in c.ins:
+        if la.primitive(tuple(la.dot(form, g) for g in span)) not in signed:
+            raise PartitionFailure(f"facet form {form} of {label} is not a root form")
+    return tuple(row)
+
+
+def _permuted(signs: tuple[int, ...], perm: tuple[tuple[int, ...], int]) -> tuple[int, ...]:
+    """The signs of the root forms on s_k.X from their signs on X, given the
+    signed permutation (p, m) of s_k (`RootDatum.root_permutations`): root
+    j has at s_k.x the sign of root p[j] at x, negated for j = m, since
+    <P_j, s_k.x> = <s_k.P_j, x>; mixed (2) stays 2."""
+    p, m = perm
+    out = list(map(signs.__getitem__, p))
+    if out[m] != 2:
+        out[m] = -out[m]
+    return tuple(out)
+
+
 def _check_cover(fan: Fan) -> None:
     """Partition and boundary axioms: every Weyl facet lies in exactly one
-    cone, and every facet of every closure is the closure of a fan cone."""
-    for p in weyl_facet_points(fan.datum):
-        fan._scan(p, fan._signs(p))
+    cone, and every facet of every closure is the closure of a fan cone.
+    The facet points are `weyl_facet_points`, walked from the dominant ones
+    with their sign vectors carried along."""
+    datum = fan.datum
+    perms = datum.root_permutations
+    points = walk_orbits(
+        {p: (p, fan._signs(p)) for p in _dominant_facet_points(datum)},
+        datum.rank,
+        lambda x, k: reflect_simple(datum.cartan, x[0], k),
+        lambda x, k, q: (q, _permuted(x[1], perms[k])),
+    )
+    for p, signs in points.values():
+        fan._scan(p, signs)
     for i, g in enumerate(fan.cones):
         for form in g.ins:
             facet_rays = tuple(sorted(r for r in g.rays if la.dot(form, r) == 0))
@@ -357,14 +415,18 @@ def _check_orbits(fan: Fan) -> None:
             {first: (first, one, one)},
             n,
             lambda x, k: moves[k][x[0]],
-            lambda x, k, j: (j, la.mat_mul(reflections[k], x[1]), la.mat_mul(x[2], reflections[k])),
+            lambda x, k, j: (
+                j,
+                reflect_matrix(reflections[k], k, x[1]),
+                reflect_matrix(reflections[k], k, x[2], right=True),
+            ),
         )
         walked.update(orbit)
         fix_rows = {}  # distinct nonzero rows of the Schreier generators minus 1
         for i, u, _ in orbit.values():
-            for s, move in zip(reflections, moves):
+            for k, (s, move) in enumerate(zip(reflections, moves)):
                 _, uj, uj_inv = orbit[move[i]]
-                su = la.mat_mul(s, u)
+                su = reflect_matrix(s, k, u)
                 if su == uj:
                     continue  # the Schreier element is 1
                 for row in map(la.sub, la.mat_mul(uj_inv, su), one):
@@ -376,18 +438,17 @@ def _check_orbits(fan: Fan) -> None:
                 raise PartitionFailure(f"core of cone {i} is not the stabiliser fixed locus")
 
 
-def _reflected_key(cartan: la.Mat, cone: Cone, k: int) -> tuple:
-    """`Cone.key` of the image of a cone under s_k.  s_k is unimodular, so
-    it keeps integer generators primitive."""
-    return tuple(tuple(sorted(reflect_simple(cartan, v, k) for v in vs)) for vs in cone.key)
-
-
-def _reflected_cone(cartan: la.Mat, cone: Cone, k: int, key: Optional[tuple] = None) -> Cone:
-    """The image of a cone under s_k, given its key if it is known.  A form
-    f goes to f.s_k = f - f[k] cartan[k]."""
-    lineality, rays = key or _reflected_key(cartan, cone, k)
-    eqs, ins = ([la.sub(f, la.scale(cartan[k], f[k])) for f in fs] for fs in (cone.eqs, cone.ins))
-    return Cone(cone.dim_ambient, tuple(sorted(eqs)), tuple(sorted(ins)), lineality, rays)
+def _reflected_cone(cartan: la.Mat, cone: Cone, k: int) -> Cone:
+    """The image of a cone under s_k.  s_k is unimodular, so it keeps
+    integer generators primitive; a form f goes to f.s_k = f - f[k] cartan[k]."""
+    lineality, rays = (
+        tuple(sorted(reflect_simple(cartan, v, k) for v in vs)) for vs in cone.key
+    )
+    eqs, ins = (
+        tuple(sorted(la.sub(f, la.scale(cartan[k], f[k])) if f[k] else f for f in fs))
+        for fs in (cone.eqs, cone.ins)
+    )
+    return Cone(cone.dim_ambient, eqs, ins, lineality, rays)
 
 
 def _image_key(cone: Cone, mat_points: la.Mat) -> tuple:
@@ -401,11 +462,16 @@ def weyl_facet_points(datum: RootDatum) -> list[Vec]:
     """One primitive integer relative interior point for every facet of the
     Weyl arrangement: the Weyl orbits of the primitive multiples of the sums
     of fundamental coweights."""
+    return sorted(point_orbits(datum.cartan, _dominant_facet_points(datum)))
+
+
+def _dominant_facet_points(datum: RootDatum) -> list[Vec]:
+    """The primitive multiples of the sums of fundamental coweights, one
+    per facet of the dominant chamber."""
     n = datum.rank
     coweights = la.inverse(datum.cartan)  # as its columns
     subsets = (tuple(bits >> j & 1 for j in range(n)) for bits in range(1 << n))
-    bases = (la.primitive(la.mat_vec(coweights, e)) for e in subsets)
-    return sorted(point_orbits(datum.cartan, bases))
+    return [la.primitive(la.mat_vec(coweights, e)) for e in subsets]
 
 
 def _admissible_index_sets(datum: RootDatum, J: frozenset[int]) -> list[frozenset[int]]:
@@ -478,30 +544,33 @@ def parabolic_fan(datum: RootDatum, J: Iterable[int] = ()) -> Fan:
 
     n = datum.rank
     cartan = datum.cartan
+    forms = _root_forms(datum)
+    perms = datum.root_permutations
+    Item = tuple[Cone, CoreInfo, tuple[int, ...]]  # a cone, its core and its sign row
 
-    def image_key(x: tuple[Cone, CoreInfo], k: int) -> tuple:
-        return _reflected_key(cartan, x[0], k)
-
-    def make(x: tuple[Cone, CoreInfo], k: int, key: tuple) -> tuple[Cone, CoreInfo]:
-        """The image of (cone, core) under s_k, the core's u becoming s_k.u."""
-        cone, info = x
+    def make(x: Item, k: int, row: tuple[int, ...]) -> Item:
+        """The image of x under s_k, the core's u becoming s_k.u."""
+        cone, info, _ = x
         weyl = info.weyl.left_mul(datum.simple_reflections[k])
         core = _reflected_cone(cartan, info.cone, k)
-        return _reflected_cone(cartan, cone, k, key), replace(info, weyl=weyl, cone=core)
+        return _reflected_cone(cartan, cone, k), replace(info, weyl=weyl, cone=core), row
 
-    found: dict[tuple, tuple[Cone, CoreInfo]] = {}  # cone key -> (cone, core)
+    found: dict[tuple[int, ...], Item] = {}  # sign row -> item
     for I in _admissible_index_sets(datum, J):
         eqs, ins, T = standard_cone_system(datum, J, I)
         base = Cone.from_system(n, eqs, ins)
-        if base.key in found:
+        row = _sign_row(forms, base, f"the standard cone of {sorted(I)}", {})
+        if row in found:
             continue  # an orbit walked already
         info = CoreInfo(T, I, WeylElement.identity(n), _facet_cone(datum, T))
-        found.update(walk_orbits({base.key: (base, info)}, n, image_key, make))
+        found.update(
+            walk_orbits({row: (base, info, row)}, n, lambda x, k: _permuted(x[2], perms[k]), make)
+        )
 
-    ordered = sorted(found.values(), key=lambda pair: (pair[0].dim, pair[0].key))
-    cones = [pair[0] for pair in ordered]
-    cores = {i: pair[1] for i, pair in enumerate(ordered)}
-    fan = Fan(datum, J, cones, cores)
+    ordered = sorted(found.values(), key=lambda x: (x[0].dim, x[0].key))
+    cones = [x[0] for x in ordered]
+    cores = {i: x[1] for i, x in enumerate(ordered)}
+    fan = Fan(datum, J, cones, cores, [x[2] for x in ordered])
     _check_cover(fan)
     return fan
 

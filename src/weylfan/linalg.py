@@ -95,8 +95,7 @@ def mat_vec(m: Mat, v: Vec) -> Vec:
 
 def vec_mat(v: Vec, m: Mat) -> Vec:
     """Row vector times matrix."""
-    n = len(m[0]) if m else 0
-    return tuple(sum(v[i] * m[i][j] for i in range(len(m))) for j in range(n))
+    return tuple(dot(v, col) for col in zip(*m))
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:

@@ -46,6 +46,17 @@ def reflect_simple(rows: Sequence[Vec], v: Vec, k: int) -> Vec:
     return v[:k] + (v[k] - la.dot(rows[k], v),) + v[k + 1:]
 
 
+def reflect_matrix(s: Mat, k: int, m: Mat, right: bool = False) -> Mat:
+    """s.m, or m.s when `right`, for a matrix s that is the identity but for
+    row k, as a simple reflection is on points and on roots.  s.m changes
+    only row k of m, to s[k].m; m.s is m plus the rank-one term
+    (m e_k)(s[k] - e_k).  Each costs O(n^2) where a product costs O(n^3)."""
+    if not right:
+        return m[:k] + (la.vec_mat(s[k], m),) + m[k + 1:]
+    d = s[k][:k] + (s[k][k] - 1,) + s[k][k + 1:]
+    return tuple(la.add(row, la.scale(d, row[k])) if row[k] else row for row in m)
+
+
 def point_orbits(cartan: Sequence[Vec], seeds: Iterable[Vec]) -> dict[Vec, Vec]:
     """The points `seeds` (coroot coordinates) closed under the simple reflections."""
     return walk_orbits({p: p for p in seeds}, len(cartan), partial(reflect_simple, cartan))
@@ -159,6 +170,24 @@ class RootDatum:
     @cached_property
     def positive_nondivisible_roots(self) -> tuple[Root, ...]:
         return tuple(a for a in self.nondivisible_roots if all(c >= 0 for c in a))
+
+    @cached_property
+    def root_permutations(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """Per simple reflection s_k, the signed permutation it makes of the
+        `positive_nondivisible_roots` P_0, P_1, ..., as (p, m): s_k P_j is
+        P_p[j], but for P_m = alpha_k, which goes to -alpha_k.  s_k permutes
+        the positive roots other than alpha_k and 2 alpha_k (Humphreys,
+        *Reflection Groups and Coxeter Groups*, 1.4), and a linear map keeps
+        a root nondivisible, so this holds on BC types too."""
+        columns = la.transpose(self.cartan)
+        roots = self.positive_nondivisible_roots
+        return tuple(
+            (
+                tuple(self.root_slots[reflect_simple(columns, a, k)][0] for a in roots),
+                roots.index(simple),
+            )
+            for k, simple in enumerate(self.simples)
+        )
 
     @cached_property
     def root_slots(self) -> dict[Root, tuple[int, int]]:
@@ -557,11 +586,12 @@ class WeylElement:
     def left_mul(self, s: "WeylElement", mat_points: Optional[Mat] = None) -> "WeylElement":
         """s.w for a simple reflection s, given the point matrix of s.w if it
         is known.  The inverse of s.w is w^-1.s, since s is an involution."""
+        (k,) = s.word
         return WeylElement(
-            mat_points=mat_points or la.mat_mul(s.mat_points, self.mat_points),
-            mat_roots=la.mat_mul(s.mat_roots, self.mat_roots),
+            mat_points=mat_points or reflect_matrix(s.mat_points, k, self.mat_points),
+            mat_roots=reflect_matrix(s.mat_roots, k, self.mat_roots),
             word=s.word + self.word,
-            mat_points_inv=la.mat_mul(self.mat_points_inv, s.mat_points),
+            mat_points_inv=reflect_matrix(s.mat_points, k, self.mat_points_inv, right=True),
         )
 
     def __hash__(self) -> int:
@@ -597,7 +627,7 @@ def _close(ident: WeylElement, gens: Sequence[WeylElement]) -> list[WeylElement]
     found = walk_orbits(
         {ident.mat_points: ident},
         len(gens),
-        lambda w, k: la.mat_mul(gens[k].mat_points, w.mat_points),
+        lambda w, k: reflect_matrix(gens[k].mat_points, gens[k].word[0], w.mat_points),
         lambda w, k, mp: w.left_mul(gens[k], mp),
     )
     return sorted(found.values(), key=lambda w: (w.length, w.mat_points))

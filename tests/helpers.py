@@ -30,6 +30,7 @@ from weylfan.rootdata import build_root_datum, components, orthogonal_complement
 
 
 FAN_CATALOGUE = ["A1", "A2", "A3", "B2", "B3", "C3", "G2", "BC1", "BC2", "A1xA1"]
+RANK4_CATALOGUE = FAN_CATALOGUE + ["A1xA2", "A4", "D4", "BC3", "F4"]
 
 
 def subsets(n):

@@ -8,6 +8,7 @@ import random
 
 from helpers import (
     FAN_CATALOGUE,
+    RANK4_CATALOGUE,
     assert_integral_fan,
     built_fan,
     is_J_relevant_exhaustive,
@@ -45,8 +46,6 @@ from weylfan.parabolics import (
 )
 from weylfan.rootdata import build_root_datum
 
-RANK4_CATALOGUE = FAN_CATALOGUE + ["A1xA2", "A4", "D4", "BC3", "F4"]
-
 
 def test_criterion_1_fan_counts():
     expected = {"A1": 3, "A2": 13, "B2": 17}
@@ -74,7 +73,7 @@ def test_criterion_2_fan_axioms():
                     ("A1xA2", (1,))]:
         built.append((f"{name} J={J}", parabolic_fan(build_root_datum(name), J)))
     for name, J in [("BC3", ()), ("A1xA2", ()), ("A4", (0, 1, 2)), ("D4", (0, 1, 2)),
-                    ("A4", ()), ("B4", ()), ("F4", ())]:
+                    ("A4", ()), ("B4", ()), ("F4", ()), ("A5", ())]:
         built.append((f"{name} J={J}", built_fan(name, J)))
     pair_count = 0
     for label, fan in built:

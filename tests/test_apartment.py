@@ -22,7 +22,7 @@ from weylfan.apartment import (
     transitivity_solve,
     walls_in_box,
 )
-from weylfan.errors import EmptyFacet, NonReduced, NonRootSystem, Unspanned
+from weylfan.errors import DimensionMismatch, EmptyFacet, NonReduced, NonRootSystem, Unspanned
 from weylfan.rootdata import build_root_datum
 
 
@@ -293,6 +293,28 @@ def test_essential_projection_nested_idempotence():
         sub = sub_datum(datum, [0, 1])
         nested = essential_projection(sub, [0], y)
         assert nested == inner_direct
+
+
+@pytest.mark.parametrize("levi", [[-1], [5], [0, 2], ["a1"], [True]])
+def test_levi_indices_outside_the_basis_are_rejected(levi):
+    """A negative index does not wrap to another simple root, and one past
+    the rank is a structured error, not a bare IndexError."""
+    a2 = build_root_datum("A2")
+    with pytest.raises(NonRootSystem, match="are not indices of the 2 simple roots"):
+        essential_projection(a2, levi, (1, 0))
+    with pytest.raises(NonRootSystem, match="are not indices of the 2 simple roots"):
+        sub_datum(a2, levi)
+    with pytest.raises(NonRootSystem, match="are not indices of the 2 simple roots"):
+        levi_point_from_pairings(a2, levi, (1,) * len(levi))
+
+
+@pytest.mark.parametrize("levi,pairings", [([0], (1, 2)), ([0, 1], (1,)), ([0], ())])
+def test_levi_point_needs_one_pairing_per_levi_simple_root(levi, pairings):
+    a2 = build_root_datum("A2")
+    message = f"^{len(pairings)} pairings given for the {len(levi)} simple roots"
+    with pytest.raises(DimensionMismatch, match=message):
+        levi_point_from_pairings(a2, levi, pairings)
+    assert levi_point_from_pairings(a2, [0], (1,)) == (Q(1, 2),)
 
 
 def test_walls_locally_finite():

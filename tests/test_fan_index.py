@@ -10,6 +10,7 @@ import pytest
 
 from helpers import (
     FAN_CATALOGUE,
+    RANK4_CATALOGUE,
     closure_face_order,
     random_rational_vec,
     sample_points,
@@ -41,7 +42,7 @@ from weylfan.compactify import (
 )
 from weylfan.cones import Cone, is_face_closure, is_face_supporting
 from weylfan.errors import DimensionMismatch, PartitionFailure, WeylfanError
-from weylfan.fans import Fan, parabolic_fan, weyl_fan
+from weylfan.fans import Fan, parabolic_fan, weyl_fan, weyl_facet_points
 from weylfan.gaussnorm import (
     ToyGroupDatum,
     boundary_chart_values,
@@ -59,6 +60,28 @@ def _case(name, J):
 CATALOGUE_FANS = [
     _case(name, J) for name in FAN_CATALOGUE for J in valid_js(build_root_datum(name))
 ]
+
+
+@pytest.mark.parametrize(
+    "name,J", [_case(name, J) for name in RANK4_CATALOGUE for J in valid_js(build_root_datum(name))]
+)
+def test_transported_sign_table_matches_direct_build(name, J):
+    """`parabolic_fan` carries each sign row along the orbit walk; a fan
+    built by hand from the same cones builds every row directly."""
+    fan = parabolic_fan(build_root_datum(name), J)
+    assert fan._sign_table == Fan(fan.datum, fan.J, fan.cones, fan.cores)._sign_table
+
+
+@pytest.mark.parametrize("name,J", CATALOGUE_FANS)
+def test_cover_check_records_the_scan_oracle_cone_of_each_facet(name, J):
+    """The cover check carries the facet points' sign vectors along their
+    walk; each recorded sign vector is that of a facet point and names the
+    cone the scan oracle finds for it."""
+    fan = parabolic_fan(build_root_datum(name), J)
+    points = weyl_facet_points(fan.datum)
+    assert len(fan._by_sign) == len(points)
+    for p in points:
+        assert fan._by_sign[fan._signs(p)] == scan_cone_containing(fan, p)
 
 
 @pytest.mark.parametrize("name,J", CATALOGUE_FANS + [_case("A4", ()), _case("D4", ())])

@@ -274,6 +274,16 @@ def test_orbit_walk_matches_enumerated_fan(name, J):
             assert getattr(got.weyl, field) == getattr(want.weyl, field), (i, field)
 
 
+def test_parabolic_fan_forms_no_matrix_products(monkeypatch):
+    """The orbit walk moves the Weyl matrices by O(n^2) simple-reflection
+    updates, so building F4's Weyl fan calls `linalg.mat_mul` not once."""
+    calls = []
+    mat_mul = la.mat_mul
+    monkeypatch.setattr(la, "mat_mul", lambda a, b: calls.append(1) or mat_mul(a, b))
+    assert len(parabolic_fan(build_root_datum("F4"), ())) == 5089
+    assert not calls
+
+
 def test_fans_validation_and_patterns_do_not_enumerate_weyl():
     datum = build_root_datum("B3")
     weyl_enumerate.cache_clear()

@@ -2,6 +2,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from helpers import RANK4_CATALOGUE
 from weylfan import linalg as la
 from weylfan.errors import NonRootSystem
 from weylfan.rootdata import (
@@ -110,6 +111,31 @@ def test_root_slots_cover_every_root(name):
     assert set(datum.root_slots) == set(datum.roots)
     for b, (k, e) in datum.root_slots.items():
         assert b in {tuple(m * e * c for c in ks[k]) for m in (1, 2)}
+
+
+@pytest.mark.parametrize("name", RANK4_CATALOGUE)
+def test_root_permutations_are_the_simple_reflections(name):
+    datum = build_root_datum(name)
+    roots = datum.positive_nondivisible_roots
+    for k, (p, m) in enumerate(datum.root_permutations):
+        assert roots[m] == datum.simples[k]
+        assert sorted(p) == list(range(len(roots)))
+        for j, a in enumerate(roots):
+            image = datum.reflect_root(a, datum.simples[k])
+            assert image == (tuple(-c for c in a) if j == m else roots[p[j]]), (k, j)
+
+
+@pytest.mark.parametrize("name", RANK4_CATALOGUE)
+def test_left_mul_matches_matrix_products(name):
+    """The O(n^2) updates of s.w and w^-1.s equal the full products."""
+    datum = build_root_datum(name)
+    for w in weyl_enumerate(datum):
+        for s in datum.simple_reflections:
+            sw = w.left_mul(s)
+            assert sw.word == s.word + w.word
+            assert sw.mat_points == la.mat_mul(s.mat_points, w.mat_points)
+            assert sw.mat_roots == la.mat_mul(s.mat_roots, w.mat_roots)
+            assert sw.mat_points_inv == la.mat_mul(w.mat_points_inv, s.mat_points)
 
 
 def test_weyl_action_compatible_with_pairing():
