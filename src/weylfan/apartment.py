@@ -18,7 +18,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 from . import linalg as la
 from .errors import DimensionMismatch, EmptyFacet, NonReduced, NonRootSystem, Unspanned
 from .linalg import Vec
-from .rootdata import Root, RootDatum, root_orbits
+from .rootdata import Root, RootDatum, basis_subset, positive_int, root_orbits
 
 
 @dataclass(frozen=True)
@@ -37,8 +37,7 @@ class ValueGroup:
     def __post_init__(self) -> None:
         if self.kind not in ("lattice", "bc"):
             raise NonRootSystem(f"unknown value group kind {self.kind}")
-        if self.d < 1:
-            raise NonRootSystem("value group denominator must be positive")
+        positive_int(self.d, "value group denominator must be positive")
 
     def contains(self, gamma: Fraction) -> bool:
         if self.kind == "lattice":
@@ -61,9 +60,7 @@ class ValueGroup:
         return ValueGroup(self.kind, self.d * e)
 
     def describe(self) -> dict:
-        if self.kind == "lattice":
-            return {"kind": "lattice", "denominator": self.d}
-        return {"kind": "bc", "denominator": self.d}
+        return {"kind": self.kind, "denominator": self.d}
 
 
 @dataclass(frozen=True)
@@ -73,8 +70,7 @@ class ExtensionSpec:
     e: int
 
     def __post_init__(self) -> None:
-        if self.e < 1:
-            raise NonRootSystem("ramification index must be >= 1")
+        positive_int(self.e, "ramification index must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -139,14 +135,6 @@ class Apartment:
 
     datum: RootDatum
     pattern: AffineRootPattern
-    origin: Vec = None  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.origin is None:
-            object.__setattr__(self, "origin", la.zero_vec(self.datum.rank))
-
-    def relative(self, x: Sequence) -> Vec:
-        return la.sub(self.datum.point(x), self.origin)
 
 
 def make_apartment(
@@ -222,11 +210,10 @@ def is_virtually_special(apt: Apartment, x: Sequence) -> bool:
     for c in x:
         entries.append(c if isinstance(c, SymbolicEntry) else SymbolicEntry.of(c))
     apt.datum.point([e.rational for e in entries])  # rejects a point of the wrong length
-    rel = [e.plus(SymbolicEntry.of(-o)) for e, o in zip(entries, apt.origin)]
     for a in apt.datum.roots:
         cov = apt.datum.covector(a)
         acc = SymbolicEntry.of(0)
-        for coeff, entry in zip(cov, rel):
+        for coeff, entry in zip(cov, entries):
             acc = acc.plus(entry.scaled(coeff))
         if not acc.is_rational:
             return False
@@ -235,10 +222,10 @@ def is_virtually_special(apt: Apartment, x: Sequence) -> bool:
 
 def special_witness(apt: Apartment, x: Sequence) -> int:
     """Least e >= 1 such that x is special after rescaling the pattern by e."""
-    rel = apt.relative(x)
+    p = apt.datum.point(x)
     e = 1
     for a in apt.datum.positive_nondivisible_roots:
-        v = apt.datum.pairing(a, rel)
+        v = apt.datum.pairing(a, p)
         g = apt.pattern.group_of(a)
         e = lcm(e, (v * g.wall_denominator()).denominator)
     return e
@@ -246,7 +233,7 @@ def special_witness(apt: Apartment, x: Sequence) -> int:
 
 def embed_extension(apt: Apartment, ext: ExtensionSpec) -> Apartment:
     """Apartment after base change: same points, levels scaled by 1/e."""
-    return Apartment(apt.datum, apt.pattern.rescale(ext.e), apt.origin)
+    return Apartment(apt.datum, apt.pattern.rescale(ext.e))
 
 
 def walls_in_box(apt: Apartment, lo: Sequence, hi: Sequence) -> list[tuple[Root, Fraction]]:
@@ -261,7 +248,7 @@ def walls_in_box(apt: Apartment, lo: Sequence, hi: Sequence) -> list[tuple[Root,
         )
     out = []
     for a in apt.datum.positive_nondivisible_roots:
-        vals = [apt.datum.pairing(a, apt.relative(c)) for c in corners]
+        vals = [apt.datum.pairing(a, c) for c in corners]
         vmin, vmax = min(vals), max(vals)
         g = apt.pattern.group_of(a)
         step = Fraction(1, g.wall_denominator())
@@ -297,8 +284,7 @@ def transitivity_solve(
     determinant and gamma0 the generator of the base level group.  The
     translation by sum n_a' a'^vee * gamma0 / (N D) reproduces y - x.
     """
-    if gamma_denominator < 1:
-        raise NonRootSystem("value group denominator must be positive")
+    positive_int(gamma_denominator, "value group denominator must be positive")
     if not datum.is_reduced():
         raise NonReduced("the Cartan system is set up for reduced root systems")
     if not datum.essential:
@@ -395,8 +381,7 @@ def _compositions(total: int, parts: int):
 def validate_levi(datum: RootDatum, levi_indices: Iterable[int]) -> list[int]:
     """The Levi indices sorted, without repeats; raises NonRootSystem unless
     each is an int indexing a simple root (a negative index does not wrap)."""
-    idx = set(levi_indices)
-    bad = sorted((i for i in idx if type(i) is not int or not 0 <= i < datum.rank), key=repr)
+    idx, bad = basis_subset(datum, levi_indices)
     if bad:
         raise NonRootSystem(f"Levi indices {bad} are not indices of the {datum.rank} simple roots")
     return sorted(idx)

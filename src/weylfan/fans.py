@@ -113,7 +113,9 @@ from .rootdata import (
     Root,
     RootDatum,
     WeylElement,
+    basis_subset,
     components,
+    listed,
     orthogonal_complement,
     point_orbits,
     reflect_matrix,
@@ -520,9 +522,9 @@ def _facet_cone(datum: RootDatum, T: frozenset[int]) -> Cone:
 def validate_J(datum: RootDatum, J: Iterable[int]) -> frozenset[int]:
     """J as a frozenset; raises DegenerateJ unless J is a subset of the basis
     containing no connected component of the basis diagram."""
-    J = frozenset(J)
-    if any(i not in range(datum.rank) for i in J):
-        raise DegenerateJ(f"subset {sorted(J)} is not a subset of the basis")
+    J, bad = basis_subset(datum, J)
+    if bad:
+        raise DegenerateJ(f"subset {listed(J)} is not a subset of the basis")
     for comp in datum.diagram_components:
         if comp <= J:
             raise DegenerateJ(
@@ -584,12 +586,11 @@ def cone_of_parabolic(
     fan: Fan, q_type: Iterable[int], w: WeylElement
 ) -> int:
     """Index of the open cone attached to the Weyl translate w of the
-    standard parabolic type; the type must match the fan's defining subset."""
-    if frozenset(q_type) != fan.J:
-        raise TypeMismatch(
-            f"type {sorted(set(q_type))} is not the standard type {sorted(fan.J)}"
-        )
+    standard parabolic type, which must be the fan's defining subset: the
+    image under w of the cone of the regular dominant point, C.x = (1, ..., 1)."""
     datum = fan.datum
-    eqs, ins, _ = standard_cone_system(datum, fan.J, frozenset())
-    base = Cone.from_system(datum.rank, eqs, ins)
-    return fan._index[_image_key(base, w.mat_points)]
+    q, bad = basis_subset(datum, q_type)
+    if bad or q != fan.J:
+        raise TypeMismatch(f"type {listed(q)} is not the standard type {sorted(fan.J)}")
+    regular = la.solve(la.mat(datum.cartan), (1,) * datum.rank)
+    return fan.transform_index(w, fan.cone_containing(regular))

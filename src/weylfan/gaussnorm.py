@@ -22,7 +22,7 @@ from .compactify import CompactifiedPoint, LimitProfile
 from .errors import NonRootSystem, ProfileMismatch
 from .linalg import NEG_INF, POS_INF, Vec
 from .parabolics import ParabolicType
-from .rootdata import Root, RootDatum, WeylElement, weyl_enumerate
+from .rootdata import Root, RootDatum, WeylElement, positive_int, weyl_enumerate
 
 LogValue = Union[Fraction, float]  # a rational or -inf
 
@@ -90,9 +90,7 @@ def _index_roots(
     multiplicities = multiplicities or {}
     out = []
     for a in sorted(roots):
-        n = multiplicities.get(a, 1)
-        if n < 1:
-            raise NonRootSystem(f"multiplicity of {a} must be at least 1")
+        n = positive_int(multiplicities.get(a, 1), f"multiplicity of {a} must be at least 1")
         out.extend((a, i) for i in range(1, n + 1))
     return tuple(out)
 

@@ -23,7 +23,7 @@ from . import linalg as la
 from .cones import Cone
 from .errors import InternalDisagreement
 from .fans import Fan, _admissible_index_sets, standard_type, validate_J
-from .rootdata import Root, RootDatum, components
+from .rootdata import Root, RootDatum, components, simple_indices
 
 
 @dataclass(frozen=True)
@@ -32,6 +32,9 @@ class ParabolicType:
 
     datum: RootDatum
     indices: frozenset[int]
+
+    def __post_init__(self) -> None:
+        simple_indices(self.datum, self.indices)
 
     @cached_property
     def levi_roots(self) -> tuple[Root, ...]:
@@ -129,7 +132,7 @@ def is_J_relevant(datum: RootDatum, J: Iterable[int], T: Iterable[int]) -> bool:
     of T meeting the complement of J (see the module docstring).
     """
     J = validate_J(datum, J)
-    T = frozenset(T)
+    T = simple_indices(datum, T)
     return T == standard_type(datum, J, core_generating_set(datum, J, T))
 
 

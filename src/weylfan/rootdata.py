@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
+from numbers import Real
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import linalg as la
@@ -351,9 +352,36 @@ class RootDatum:
 # -- diagram subsets --------------------------------------------------------
 
 
+def listed(items: Iterable) -> list:
+    """`items` sorted for a message: numbers in order, then the rest by repr."""
+    return sorted(items, key=lambda i: (0, i) if isinstance(i, Real) else (1, repr(i)))
+
+
+def basis_subset(datum: RootDatum, subset: Iterable) -> tuple[frozenset[int], list]:
+    """`subset` as a frozenset, and its entries that are not an int in
+    range(rank) `listed` (a bool, a float or a negative number is not one)."""
+    indices = frozenset(subset)
+    return indices, listed(i for i in indices if type(i) is not int or not 0 <= i < datum.rank)
+
+
+def simple_indices(datum: RootDatum, subset: Iterable) -> frozenset[int]:
+    """`subset` as a frozenset; NonRootSystem if `basis_subset` reports an entry."""
+    indices, bad = basis_subset(datum, subset)
+    if bad:
+        raise NonRootSystem(f"subset indices out of range: {bad}")
+    return indices
+
+
+def positive_int(n, message: str) -> int:
+    """n if it is an int >= 1 (a bool or a float is not), else NonRootSystem(message)."""
+    if type(n) is not int or n < 1:
+        raise NonRootSystem(message)
+    return n
+
+
 def components(datum: RootDatum, subset: Iterable[int]) -> list[frozenset[int]]:
     """Connected components of a subset of the basis in the Dynkin graph."""
-    todo = set(subset)
+    todo = set(simple_indices(datum, subset))
     out = []
     while todo:
         seed = min(todo)
@@ -372,7 +400,7 @@ def orthogonal_complement(datum: RootDatum, subset: Iterable[int]) -> frozenset[
     (alpha_j, alpha_i) is cartan[j][i] times |alpha_i|^2 / 2, so it vanishes
     exactly when the Cartan entry does.
     """
-    sub = set(subset)
+    sub = simple_indices(datum, subset)
     cartan = datum.cartan
     return frozenset(j for j in range(datum.rank) if all(cartan[j][i] == 0 for i in sub))
 
@@ -385,9 +413,7 @@ class DiagramSubset:
     indices: frozenset[int]
 
     def __post_init__(self) -> None:
-        bad = [i for i in self.indices if not 0 <= i < self.datum.rank]
-        if bad:
-            raise NonRootSystem(f"subset indices out of range: {bad}")
+        simple_indices(self.datum, self.indices)
 
     @cached_property
     def components(self) -> tuple[frozenset[int], ...]:
@@ -455,18 +481,22 @@ def _build_catalogue(name: str) -> RootDatum:
 
 
 def _build_explicit(raw_roots: Sequence[Sequence], basis: Sequence[int]) -> RootDatum:
+    """The datum of rational vectors whose roots numbered `basis` are simple.
+    Only the input's shape is checked here: `RootDatum.validate` judges the
+    roots over the basis, losing nothing.  Writing over a basis is injective,
+    so zero and negatives carry over; a sign-coherent basis is a base.  On
+    each diagram component the datum's form is a positive multiple of the
+    Euclidean one, and components are orthogonal in both, so the simple
+    reflections agree.  Closure under them puts every root in one component:
+    a component's Weyl group fixes no nonzero vector of its span, so it moves
+    a root's part a' there to some w a' with a coefficient of the other sign,
+    and w fixes the rest.  So all the reflections and pairings agree."""
     vectors = [la.vec(r) for r in raw_roots]
     if not vectors:
         raise NonRootSystem("empty root list")
     ambient = len(vectors[0])
     if any(len(v) != ambient for v in vectors):
         raise NonRootSystem("roots of mixed dimension")
-    if any(la.is_zero(v) for v in vectors):
-        raise NonRootSystem("zero vector in root list")
-    vec_set = {v for v in vectors}
-    for v in vec_set:
-        if la.neg(v) not in vec_set:
-            raise NonRootSystem("explicit list not closed under negation")
 
     if not isinstance(basis, (list, tuple)):
         raise NonRootSystem(f"basis {basis!r} is not a list of root indices")
@@ -482,44 +512,24 @@ def _build_explicit(raw_roots: Sequence[Sequence], basis: Sequence[int]) -> Root
 
     # coefficients of each root over the basis
     bt = la.transpose(la.mat(basis_vecs))
-    coeffs = {}
-    for v in vec_set:
+    root_coeffs = set()
+    for v in set(vectors):
         sol = la.solve(bt, v)
         if sol is None or any(c.denominator != 1 for c in sol):
             raise NonRootSystem(f"root {v} is not an integral combination of the basis")
-        if not (all(c >= 0 for c in sol) or all(c <= 0 for c in sol)):
-            raise NonRootSystem(f"root {v} has mixed-sign basis coefficients")
-        coeffs[v] = tuple(int(c) for c in sol)
+        root_coeffs.add(tuple(int(c) for c in sol))
 
-    cartan = []
-    for bi in basis_vecs:
-        row = []
-        for bj in basis_vecs:
-            val = 2 * la.dot(bi, bj) / la.dot(bj, bj)
-            if val.denominator != 1:
-                raise NonRootSystem("non-integral Cartan pairing in explicit list")
-            row.append(int(val))
-        cartan.append(row)
-
-    # reflection closure over the explicit vectors
-    for a in vec_set:
-        for b in vec_set:
-            c = 2 * la.dot(a, b) / la.dot(b, b)
-            if c.denominator != 1:
-                raise NonRootSystem("non-integral pairing in explicit list")
-            image = la.sub(a, la.scale(b, c))
-            if image not in vec_set:
-                raise NonRootSystem("explicit list not closed under reflections")
-
-    root_coeffs = {coeffs[v] for v in vec_set}
+    lengths = [la.dot(b, b) for b in basis_vecs]
+    cartan = [[2 * la.dot(bi, bj) / lj for bj, lj in zip(basis_vecs, lengths)] for bi in basis_vecs]
+    if any(c.denominator != 1 for row in cartan for c in row):
+        raise NonRootSystem("non-integral Cartan pairing in explicit list")
     doubled = {a for a in root_coeffs if tuple(2 * c for c in a) in root_coeffs}
 
     # normalise lengths per diagram component: short simple root squared 2
-    lengths = [la.dot(b, b) for b in basis_vecs]
     stub = RootDatum(
         name="explicit",
         rank=rank,
-        cartan=tuple(tuple(r) for r in cartan),
+        cartan=tuple(tuple(int(c) for c in r) for r in cartan),
         simple_lengths=tuple(lengths),
         roots=tuple(sorted(root_coeffs)),
         multipliable=frozenset(),
@@ -618,7 +628,8 @@ class WeylGroup:
 
     def subgroup_elements(self, gen_indices: Iterable[int]) -> list[WeylElement]:
         """The reflection subgroup generated by the given simple reflections."""
-        return _close(self.identity, [self.generators[i] for i in gen_indices])
+        indices = simple_indices(self.datum, gen_indices)
+        return _close(self.identity, [self.generators[i] for i in sorted(indices)])
 
 
 def _close(ident: WeylElement, gens: Sequence[WeylElement]) -> list[WeylElement]:

@@ -1,5 +1,6 @@
 """The lazy package surface and the modules each CLI subcommand loads."""
 
+import ast
 import json
 import os
 import subprocess
@@ -10,6 +11,28 @@ from types import ModuleType
 import pytest
 
 import weylfan
+from weylfan import (
+    AffineRootPattern,
+    DiagramSubset,
+    ExtensionSpec,
+    ParabolicType,
+    ToyGroupDatum,
+    build_root_datum,
+    components,
+    cone_of_parabolic,
+    dominance_cone,
+    embed_extension,
+    enumerate_strata,
+    essential_projection,
+    is_J_relevant,
+    is_non_degenerate,
+    make_apartment,
+    orthogonal_complement,
+    parabolic_fan,
+    transitivity_solve,
+    weyl_enumerate,
+)
+from weylfan.errors import DegenerateJ, NonRootSystem, TypeMismatch
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -109,3 +132,90 @@ def test_subcommand_loads_only_its_layers(argv, modules):
     code, loaded = json.loads(out)
     assert code == 0
     assert loaded == sorted(f"weylfan.{m}" for m in modules)
+
+
+def test_library_imports_only_the_standard_library():
+    for path in sorted(Path(SRC, "weylfan").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
+
+
+def _subset_calls():
+    """Each exported entry point reading a subset of the A2 basis, with the
+    code it raises for an entry that is not an index of a simple root."""
+    a2 = build_root_datum("A2")
+    fan = parabolic_fan(a2, [1])
+    one = a2.simple_reflections[0]
+    return {
+        "DiagramSubset": (NonRootSystem, lambda s: DiagramSubset(a2, frozenset(s))),
+        "components": (NonRootSystem, lambda s: components(a2, s)),
+        "orthogonal_complement": (NonRootSystem, lambda s: orthogonal_complement(a2, s)),
+        "subgroup_elements": (NonRootSystem, lambda s: weyl_enumerate(a2).subgroup_elements(s)),
+        "parabolic_fan": (DegenerateJ, lambda s: parabolic_fan(a2, s)),
+        "enumerate_strata": (DegenerateJ, lambda s: enumerate_strata(a2, s)),
+        "is_J_relevant J": (DegenerateJ, lambda s: is_J_relevant(a2, s, [])),
+        "is_J_relevant T": (NonRootSystem, lambda s: is_J_relevant(a2, [], s)),
+        "cone_of_parabolic": (TypeMismatch, lambda s: cone_of_parabolic(fan, s, one)),
+        "ParabolicType": (NonRootSystem, lambda s: ParabolicType(a2, frozenset(s))),
+        "is_non_degenerate": (NonRootSystem, lambda s: is_non_degenerate(a2, s)),
+        "dominance_cone": (NonRootSystem, lambda s: dominance_cone(a2, s)),
+        "for_parabolic": (NonRootSystem, lambda s: ToyGroupDatum.for_parabolic(a2, s)),
+        "essential_projection": (NonRootSystem, lambda s: essential_projection(a2, s, (1, 0))),
+    }
+
+
+def _positive_int_calls():
+    """Each exported entry point reading a positive integer, with its message."""
+    a1, a2 = build_root_datum("A1"), build_root_datum("A2")
+    apt = make_apartment(a1)
+    root = ToyGroupDatum.for_parabolic(a2, [0]).psi[0]
+    denominator = "^value group denominator must be positive$"
+    return {
+        "make_apartment": (denominator, lambda n: make_apartment(a1, [n])),
+        "AffineRootPattern": (
+            denominator,
+            lambda n: AffineRootPattern.from_simple_denominators(a1, [n]),
+        ),
+        "ExtensionSpec": ("^ramification index must be >= 1$", lambda n: ExtensionSpec(n)),
+        "embed_extension": (
+            "^ramification index must be >= 1$",
+            lambda n: embed_extension(apt, ExtensionSpec(n)),
+        ),
+        "transitivity_solve": (
+            denominator,
+            lambda n: transitivity_solve(a2, (0, 0), (1, 1), gamma_denominator=n),
+        ),
+        "for_parabolic": (
+            "^multiplicity of .* must be at least 1$",
+            lambda n: ToyGroupDatum.for_parabolic(a2, [0], {root: n}),
+        ),
+        "for_full_cell": (
+            "^multiplicity of .* must be at least 1$",
+            lambda n: ToyGroupDatum.for_full_cell(a2, {root: n}),
+        ),
+    }
+
+
+@pytest.mark.parametrize("value", [5, -1, 1.0, True], ids=repr)
+@pytest.mark.parametrize("call", sorted(_subset_calls()))
+def test_subsets_of_the_basis_take_only_simple_root_indices(call, value):
+    """A subset entry past the rank, negative, a float or a bool is a
+    structured error: it is neither wrapped, coerced nor ignored."""
+    error, run = _subset_calls()[call]
+    with pytest.raises(error):
+        run([value])
+
+
+@pytest.mark.parametrize("value", [0, 1.5, True], ids=repr)
+@pytest.mark.parametrize("call", sorted(_positive_int_calls()))
+def test_positive_integers_are_ints_of_at_least_one(call, value):
+    message, run = _positive_int_calls()[call]
+    with pytest.raises(NonRootSystem, match=message):
+        run(value)

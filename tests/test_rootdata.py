@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
@@ -204,6 +205,57 @@ def test_explicit_list_rejections():
         build_root_datum([[1, 0], [-1, 0], [Q(1, 2), 0], [Q(-1, 2), 0]], basis=[0])
     with pytest.raises(NonRootSystem):
         build_root_datum("Z9")
+
+
+EXPLICIT_REJECTIONS = {
+    "empty list": ([], [0]),
+    "mixed dimensions": ([[1, 0], [-1]], [0]),
+    "zero vector": ([[1], [-1], [0]], [0]),
+    "dependent basis": ([[1, 0], [-1, 0], [2, 0], [-2, 0]], [0, 2]),
+    "mixed-sign coefficients": (  # B2 over the orthogonal basis e1, e2
+        [[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1], [-1, -1], [1, -1], [-1, 1]],
+        [0, 2],
+    ),
+    "non-integral Cartan pairing": ([[1, 0], [-1, 0], [1, 3], [-1, -3]], [0, 2]),
+    "not closed under reflections": (  # A2 without e1 - e3
+        [[1, -1, 0], [-1, 1, 0], [0, 1, -1], [0, -1, 1]],
+        [0, 2],
+    ),
+    "non-integral pairing": ([[1], [-1], [3], [-3]], [0]),  # <a, (3a)^vee> = 2/3
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXPLICIT_REJECTIONS))
+def test_explicit_lists_that_are_not_root_systems_are_rejected(case):
+    roots, basis = EXPLICIT_REJECTIONS[case]
+    with pytest.raises(NonRootSystem):
+        build_root_datum(roots, basis=basis)
+
+
+def _without(roots, *dropped):
+    return tuple(a for a in roots if a not in dropped)
+
+
+@pytest.mark.parametrize(
+    "name,change,message",
+    [
+        ("A2", lambda r: r + r[:1], "^duplicate roots$"),
+        ("A2", lambda r: ((0, 0),) + r, "^zero is not a root$"),
+        ("A2", lambda r: ((1, 1),) + _without(r, (1, 1), (-1, -1)), "not closed under negation"),
+        ("A2", lambda r: ((1, -1), (-1, 1)) + r, "has mixed signs"),
+    ],
+    ids=["duplicate root", "zero root", "missing negative", "mixed signs"],
+)
+def test_validate_rejects_bad_root_sets(name, change, message):
+    datum = build_root_datum(name)
+    with pytest.raises(NonRootSystem, match=message):
+        replace(datum, roots=change(datum.roots)).validate()
+
+
+def test_validate_rejects_a_multipliable_root_without_its_double():
+    datum = replace(build_root_datum("A1"), multipliable=frozenset({(1,)}))
+    with pytest.raises(NonRootSystem, match="flagged multipliable but 2a is not a root"):
+        datum.validate()
 
 
 def test_explicit_inessential_flag():
