@@ -9,20 +9,21 @@ ramification rescaling by 1/e, which multiplies d by e.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import linalg as la
+from ._value import Value
 from .errors import DimensionMismatch, EmptyFacet, NonReduced, NonRootSystem, Unspanned
 from .linalg import Vec
 from .rootdata import Root, RootDatum, basis_subset, positive_int, root_orbits
 
+_RAMIFICATION = "ramification index must be >= 1"
 
-@dataclass(frozen=True)
-class ValueGroup:
+
+class ValueGroup(Value):
     """Wall levels in one root direction.
 
     kind "lattice": the set (1/d) Z.
@@ -57,24 +58,22 @@ class ValueGroup:
         return self.d if self.kind == "lattice" else 4 * self.d
 
     def rescale(self, e: int) -> "ValueGroup":
-        return ValueGroup(self.kind, self.d * e)
+        return ValueGroup(self.kind, self.d * positive_int(e, _RAMIFICATION))
 
     def describe(self) -> dict:
         return {"kind": self.kind, "denominator": self.d}
 
 
-@dataclass(frozen=True)
-class ExtensionSpec:
+class ExtensionSpec(Value):
     """A valued field extension seen by the apartment: ramification only."""
 
     e: int
 
     def __post_init__(self) -> None:
-        positive_int(self.e, "ramification index must be >= 1")
+        positive_int(self.e, _RAMIFICATION)
 
 
-@dataclass(frozen=True)
-class AffineRootPattern:
+class AffineRootPattern(Value):
     """Value groups for every nondivisible root, plus the cumulative scale."""
 
     datum: RootDatum
@@ -94,6 +93,7 @@ class AffineRootPattern:
         return got
 
     def rescale(self, e: int) -> "AffineRootPattern":
+        e = positive_int(e, _RAMIFICATION)
         return AffineRootPattern(
             datum=self.datum,
             groups=tuple((a, g.rescale(e)) for a, g in self.groups),
@@ -129,8 +129,7 @@ class AffineRootPattern:
         return AffineRootPattern(datum, tuple(sorted(groups)))
 
 
-@dataclass(frozen=True)
-class Apartment:
+class Apartment(Value):
     """Affine space over the coroot lattice with an affine root pattern."""
 
     datum: RootDatum
@@ -150,8 +149,7 @@ def make_apartment(
 # -- symbolic coordinates for the virtually-special test ---------------------
 
 
-@dataclass(frozen=True)
-class SymbolicEntry:
+class SymbolicEntry(Value):
     """rational + sum of irrational symbols with rational coefficients."""
 
     rational: Fraction
@@ -330,8 +328,9 @@ def rational_dense_sample(
 
     A facet whose vertices are all one point collapses to that point.
     Every returned point is a positive rational convex combination of the
-    vertices, hence virtually special.
+    vertices, hence virtually special.  `count` is an int of at least 1.
     """
+    positive_int(count, "sample count must be >= 1")
     vertices = [apt.datum.point(v) for v in facet_vertices]
     if not vertices:
         raise EmptyFacet("facet has no vertices")

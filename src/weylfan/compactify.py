@@ -10,11 +10,11 @@ no cone yields the NoLimit value rather than an error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from . import linalg as la
+from ._value import Value
 from .errors import InconsistentProfile, NonRootSystem
 from .fans import Fan
 from .linalg import NEG_INF, POS_INF, Vec
@@ -43,8 +43,7 @@ class _NoLimit:
 NoLimit = _NoLimit()
 
 
-@dataclass(frozen=True)
-class CompactifiedPoint:
+class CompactifiedPoint(Value):
     """A cone of the fan plus the reduced transverse base coordinate."""
 
     fan: Fan
@@ -112,8 +111,7 @@ def limit_of_ray(fan: Fan, base: Sequence, direction: Sequence) -> CompactifiedP
     return project_to_facade(fan, c, base)
 
 
-@dataclass(frozen=True)
-class LimitProfile:
+class LimitProfile(Value):
     """Limiting pairing values of a sequence against every root."""
 
     datum: RootDatum

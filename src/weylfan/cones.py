@@ -10,11 +10,11 @@ rays) computed once by an exact double-description pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
 
 from . import linalg as la
+from ._value import Value
 from .errors import EmptyCone
 from .linalg import Mat, Vec
 
@@ -79,16 +79,15 @@ def dual_description(
     return lineality, rays
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(Value, uncompared=("eqs", "ins")):
     """A nonempty relatively open polyhedral cone in coroot coordinates.
 
     Equality and hashing read the ambient dimension and `key` alone, so two
     cones are equal when they are the same set, whatever forms they store."""
 
     dim_ambient: int
-    eqs: tuple[Vec, ...] = field(compare=False)  # a basis of the forms vanishing on the cone
-    ins: tuple[Vec, ...] = field(compare=False)  # facet forms, strictly positive on the cone
+    eqs: tuple[Vec, ...]  # a basis of the forms vanishing on the cone
+    ins: tuple[Vec, ...]  # facet forms, strictly positive on the cone
     lineality: tuple[Vec, ...]  # lineality of the closure
     rays: tuple[Vec, ...]  # extreme rays of the closure
 

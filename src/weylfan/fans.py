@@ -96,11 +96,11 @@ core, and u_i carries it to the core of cone i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from . import linalg as la
+from ._value import Value, replace
 from .cones import Cone
 from .errors import (
     DegenerateJ,
@@ -124,8 +124,7 @@ from .rootdata import (
 )
 
 
-@dataclass(frozen=True)
-class CoreInfo:
+class CoreInfo(Value):
     """Core of a fan cone: a Weyl facet with its standard type and position."""
 
     type_indices: frozenset[int]  # I u (J n I-perp) for the standard cone
@@ -522,9 +521,10 @@ def _facet_cone(datum: RootDatum, T: frozenset[int]) -> Cone:
 def validate_J(datum: RootDatum, J: Iterable[int]) -> frozenset[int]:
     """J as a frozenset; raises DegenerateJ unless J is a subset of the basis
     containing no connected component of the basis diagram."""
-    J, bad = basis_subset(datum, J)
+    entries, bad = basis_subset(datum, J)
     if bad:
-        raise DegenerateJ(f"subset {listed(J)} is not a subset of the basis")
+        raise DegenerateJ(f"subset {listed(entries)} is not a subset of the basis")
+    J = frozenset(entries)
     for comp in datum.diagram_components:
         if comp <= J:
             raise DegenerateJ(
@@ -590,7 +590,7 @@ def cone_of_parabolic(
     image under w of the cone of the regular dominant point, C.x = (1, ..., 1)."""
     datum = fan.datum
     q, bad = basis_subset(datum, q_type)
-    if bad or q != fan.J:
+    if bad or frozenset(q) != fan.J:
         raise TypeMismatch(f"type {listed(q)} is not the standard type {sorted(fan.J)}")
     regular = la.solve(la.mat(datum.cartan), (1,) * datum.rank)
     return fan.transform_index(w, fan.cone_containing(regular))

@@ -12,23 +12,22 @@ absorbing every monomial touching a dead coordinate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
 
 from . import linalg as la
+from ._value import Value
 from .compactify import CompactifiedPoint, LimitProfile
 from .errors import NonRootSystem, ProfileMismatch
 from .linalg import NEG_INF, POS_INF, Vec
 from .parabolics import ParabolicType
-from .rootdata import Root, RootDatum, WeylElement, positive_int, weyl_enumerate
+from .rootdata import Root, RootDatum, WeylElement, positive_int, simple_indices, weyl_enumerate
 
 LogValue = Union[Fraction, float]  # a rational or -inf
 
 
-@dataclass(frozen=True)
-class ToyGroupDatum:
+class ToyGroupDatum(Value):
     """Coordinate data for the seminorm: indexed roots with multiplicities."""
 
     datum: RootDatum
@@ -42,7 +41,7 @@ class ToyGroupDatum:
         multiplicities: Optional[dict[Root, int]] = None,
     ) -> "ToyGroupDatum":
         """Coordinates on the opposite unipotent of the standard type T."""
-        tset = frozenset(T)
+        tset = simple_indices(datum, T)
         psi = ParabolicType(datum, tset).psi
         return ToyGroupDatum(datum, tset, _index_roots(psi, multiplicities))
 
@@ -95,8 +94,7 @@ def _index_roots(
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class ValuedPolynomial:
+class ValuedPolynomial(Value):
     """Finite sum of monomials with coefficient log-values.
 
     Terms map exponent tuples (aligned with the coordinate index of a
@@ -179,8 +177,7 @@ class ValuedPolynomial:
         )
 
 
-@dataclass(frozen=True)
-class LogSeminorm:
+class LogSeminorm(Value):
     """A Gauss seminorm in log coordinates: one value per indexed root."""
 
     tg: ToyGroupDatum

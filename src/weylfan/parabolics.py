@@ -15,19 +15,18 @@ those of J n I-perp (orthogonal to I), each inside J.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from . import linalg as la
+from ._value import Value
 from .cones import Cone
 from .errors import InternalDisagreement
 from .fans import Fan, _admissible_index_sets, standard_type, validate_J
 from .rootdata import Root, RootDatum, components, simple_indices
 
 
-@dataclass(frozen=True)
-class ParabolicType:
+class ParabolicType(Value):
     """A standard parabolic type T with its Levi and unipotent root data."""
 
     datum: RootDatum
@@ -79,7 +78,7 @@ def is_non_degenerate(datum: RootDatum, T: Iterable[int]) -> NonDegeneracyReport
 
     Raises InternalDisagreement if the three computations ever differ.
     """
-    tset = frozenset(T)
+    tset = simple_indices(datum, T)
     ptype = ParabolicType(datum, tset)
 
     levi = set(ptype.levi_roots)
@@ -113,7 +112,7 @@ def dominance_cone(datum: RootDatum, T: Iterable[int]) -> Cone:
     relatively open cone is its relative interior).  For T the whole basis
     this is the entire space.
     """
-    ptype = ParabolicType(datum, frozenset(T))
+    ptype = ParabolicType(datum, simple_indices(datum, T))
     forms = [datum.covector(a) for a in ptype.unipotent_roots]
     return Cone.from_system(datum.rank, [], forms)
 
@@ -136,8 +135,7 @@ def is_J_relevant(datum: RootDatum, J: Iterable[int], T: Iterable[int]) -> bool:
     return T == standard_type(datum, J, core_generating_set(datum, J, T))
 
 
-@dataclass(frozen=True)
-class StratumDescriptor:
+class StratumDescriptor(Value):
     """A boundary-stratum class of the compactified apartment."""
 
     type_indices: frozenset[int]

@@ -10,13 +10,13 @@ simple roots to squared length 2 on each irreducible component.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from numbers import Real
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import linalg as la
+from ._value import Value, replace
 from .errors import DimensionMismatch, NonRootSystem
 from .linalg import Mat, Rational, Vec
 
@@ -129,8 +129,7 @@ def _parse_catalogue_name(name: str) -> list[tuple[str, int]]:
     return factors
 
 
-@dataclass(frozen=True)
-class RootDatum:
+class RootDatum(Value):
     """A root system with basis, Cartan matrix and invariant inner product."""
 
     name: str
@@ -304,10 +303,21 @@ class RootDatum:
 
     @cached_property
     def weyl_order(self) -> int:
-        """|W|, without enumerating W: rho^vee, the sum of the fundamental
-        coweights, is regular, so its orbit has one point per element."""
-        rho = la.primitive(tuple(sum(row) for row in la.inverse(self.cartan)))
-        return len(point_orbits(self.cartan, [rho]))
+        """|W|, without enumerating W, from a stabiliser chain.  The
+        stabiliser of a dominant point is generated by the simple reflections
+        fixing it (Humphreys, *Reflection Groups and Coxeter Groups*, 1.12),
+        so |W| = |W w_k| |W_{S-k}| for the fundamental coweight w_k; then
+        recurse on the Cartan submatrix of S - k.  An end node k of the
+        diagram keeps the orbits small: n + 1 points on A_n."""
+        order, cartan = 1, self.cartan
+        while cartan:
+            n = len(cartan)
+            k = min(range(n), key=lambda i: sum(map(bool, cartan[i])))  # fewest neighbours
+            coweight = la.primitive(tuple(row[k] for row in la.inverse(cartan)))
+            order *= len(point_orbits(cartan, [coweight]))
+            rest = [i for i in range(n) if i != k]
+            cartan = [[cartan[i][j] for j in rest] for i in rest]
+        return order
 
     def fundamental_coweights(self) -> tuple[Vec, ...]:
         """Vectors dual to the simple roots: <alpha_i, w_j> = delta_ij."""
@@ -357,19 +367,26 @@ def listed(items: Iterable) -> list:
     return sorted(items, key=lambda i: (0, i) if isinstance(i, Real) else (1, repr(i)))
 
 
-def basis_subset(datum: RootDatum, subset: Iterable) -> tuple[frozenset[int], list]:
-    """`subset` as a frozenset, and its entries that are not an int in
-    range(rank) `listed` (a bool, a float or a negative number is not one)."""
-    indices = frozenset(subset)
-    return indices, listed(i for i in indices if type(i) is not int or not 0 <= i < datum.rank)
+def basis_subset(datum: RootDatum, subset: Iterable) -> tuple[list, list]:
+    """The entries of `subset`, a hashable one once, and those that are not
+    an int in range(rank) `listed` (a bool, a float, a negative number or
+    an unhashable entry is not one)."""
+    distinct, unhashable = set(), []
+    for i in subset:
+        try:
+            distinct.add(i)
+        except TypeError:
+            unhashable.append(i)
+    entries = [*distinct, *unhashable]
+    return entries, listed(i for i in entries if type(i) is not int or not 0 <= i < datum.rank)
 
 
 def simple_indices(datum: RootDatum, subset: Iterable) -> frozenset[int]:
     """`subset` as a frozenset; NonRootSystem if `basis_subset` reports an entry."""
-    indices, bad = basis_subset(datum, subset)
+    entries, bad = basis_subset(datum, subset)
     if bad:
         raise NonRootSystem(f"subset indices out of range: {bad}")
-    return indices
+    return frozenset(entries)
 
 
 def positive_int(n, message: str) -> int:
@@ -405,8 +422,7 @@ def orthogonal_complement(datum: RootDatum, subset: Iterable[int]) -> frozenset[
     return frozenset(j for j in range(datum.rank) if all(cartan[j][i] == 0 for i in sub))
 
 
-@dataclass(frozen=True)
-class DiagramSubset:
+class DiagramSubset(Value):
     """A subset of the basis with its induced Dynkin-diagram structure."""
 
     datum: RootDatum
@@ -567,8 +583,7 @@ def build_root_datum(spec, basis: Optional[Sequence[int]] = None) -> RootDatum:
 # -- Weyl group -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WeylElement:
+class WeylElement(Value):
     """An element of the Weyl group, acting on points and on roots.
 
     All three matrices are integer matrices."""

@@ -261,6 +261,13 @@ def test_dense_sample_empty_facet():
         rational_dense_sample(apt, [], 1)
 
 
+@pytest.mark.parametrize("count", [0, -2, 1.5, True], ids=repr)
+def test_dense_sample_count_is_an_int_of_at_least_one(count):
+    apt = make_apartment(build_root_datum("A1"))
+    with pytest.raises(NonRootSystem, match="^sample count must be >= 1$"):
+        rational_dense_sample(apt, [(Q(0),), (Q(1),)], count)
+
+
 def test_virtually_special_symbolics():
     apt = make_apartment(build_root_datum("A2"))
     assert is_virtually_special(apt, (Q(5, 7), Q(-3, 11)))

@@ -2,7 +2,6 @@
 seminorms and the ray-bitset face order, checked against the scan oracles
 in `helpers`, plus the checks that guard them."""
 
-import dataclasses
 from fractions import Fraction as Q
 import random
 
@@ -19,6 +18,7 @@ from helpers import (
     valid_js,
 )
 from weylfan import linalg as la
+from weylfan._value import replace
 from weylfan.apartment import (
     essential_projection,
     is_special_vertex,
@@ -196,7 +196,7 @@ def test_validate_rejects_a_dropped_facet_form(name, J):
     fan = parabolic_fan(build_root_datum(name), J)
     cones = list(fan.cones)
     chamber = cones[-1]  # cones are ordered by dimension
-    cones[-1] = dataclasses.replace(chamber, ins=chamber.ins[1:])
+    cones[-1] = replace(chamber, ins=chamber.ins[1:])
     with pytest.raises(PartitionFailure, match="face condition fails"):
         Fan(fan.datum, fan.J, cones, fan.cores).validate()
 
@@ -206,7 +206,7 @@ def test_validate_rejects_a_core_replaced_by_the_origin(name, J):
     fan = parabolic_fan(build_root_datum(name), J)
     cores = dict(fan.cores)
     i = len(fan) - 1
-    cores[i] = dataclasses.replace(cores[i], cone=fan.cones[fan.origin_index])
+    cores[i] = replace(cores[i], cone=fan.cones[fan.origin_index])
     with pytest.raises(PartitionFailure, match=f"core of cone {i} is not"):
         Fan(fan.datum, fan.J, fan.cones, cores).validate()
 

@@ -1,5 +1,5 @@
-from dataclasses import astuple
 from fractions import Fraction as Q
+from operator import attrgetter
 
 import pytest
 
@@ -22,6 +22,8 @@ from weylfan.fans import (
     weyl_facet_points,
 )
 from weylfan.rootdata import build_root_datum, weyl_enumerate
+
+astuple = attrgetter("dim_ambient", "eqs", "ins", "lineality", "rays")  # every field of a cone
 
 
 @pytest.mark.parametrize(

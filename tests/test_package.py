@@ -32,6 +32,8 @@ from weylfan import (
     transitivity_solve,
     weyl_enumerate,
 )
+from weylfan._value import replace
+from weylfan.apartment import ValueGroup
 from weylfan.errors import DegenerateJ, NonRootSystem, TypeMismatch
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -95,7 +97,7 @@ def test_star_import_in_a_fresh_interpreter():
     assert bound == EXPORTS
 
 
-BASE = {"cli", "errors", "linalg", "rootdata", "serialize"}
+BASE = {"_value", "cli", "errors", "linalg", "rootdata", "serialize"}
 APARTMENT = BASE | {"apartment"}
 FANS = BASE | {"cones", "fans"}
 STRATA = FANS | {"parabolics"}
@@ -127,11 +129,13 @@ def test_subcommand_loads_only_its_layers(argv, modules):
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    code = run({argv!r})\n"
         "loaded = sorted(m for m in sys.modules if m.startswith('weylfan.'))\n"
-        "print(json.dumps([code, loaded]))\n"
+        "heavy = [m for m in ('dataclasses', 'inspect') if m in sys.modules]\n"
+        "print(json.dumps([code, loaded, heavy]))\n"
     )
-    code, loaded = json.loads(out)
+    code, loaded, heavy = json.loads(out)
     assert code == 0
     assert loaded == sorted(f"weylfan.{m}" for m in modules)
+    assert heavy == []  # `dataclasses` would also load `inspect`, `ast` and `dis`
 
 
 def test_library_imports_only_the_standard_library():
@@ -145,6 +149,33 @@ def test_library_imports_only_the_standard_library():
                 continue
             for name in names:
                 assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
+                assert name.split(".")[0] != "dataclasses", (path.name, name)  # see `_value`
+
+
+def test_value_classes_are_immutable_records():
+    """Equality and hash read the fields (a cone's not its stored forms),
+    between instances of one class; fields cannot be assigned or deleted,
+    the repr names them, and `replace` runs the class's checks."""
+    a2 = build_root_datum("A2")
+    assert ExtensionSpec(2) == ExtensionSpec(2) != ExtensionSpec(3)
+    assert hash(ValueGroup("bc", 3)) == hash(ValueGroup("bc", 3))
+    assert DiagramSubset(a2, frozenset({0})) != ParabolicType(a2, frozenset({0}))
+
+    chamber = parabolic_fan(a2).cones[-1]
+    trimmed = replace(chamber, ins=chamber.ins[1:])
+    assert trimmed == chamber and hash(trimmed) == hash(chamber)
+    assert trimmed.ins != chamber.ins
+    assert replace(chamber, rays=chamber.rays[1:]) != chamber
+    with pytest.raises(AttributeError):
+        chamber.rays = ()
+    with pytest.raises(AttributeError):
+        del chamber.rays
+    assert chamber.key == (chamber.lineality, chamber.rays)  # a cached_property
+
+    assert repr(ValueGroup("bc", 3)) == "ValueGroup(kind='bc', d=3)"
+    assert repr(replace(ExtensionSpec(2), e=5)) == "ExtensionSpec(e=5)"
+    with pytest.raises(NonRootSystem, match="^ramification index must be >= 1$"):
+        replace(ExtensionSpec(2), e=0)
 
 
 def _subset_calls():
@@ -154,7 +185,7 @@ def _subset_calls():
     fan = parabolic_fan(a2, [1])
     one = a2.simple_reflections[0]
     return {
-        "DiagramSubset": (NonRootSystem, lambda s: DiagramSubset(a2, frozenset(s))),
+        "DiagramSubset": (NonRootSystem, lambda s: DiagramSubset(a2, s)),
         "components": (NonRootSystem, lambda s: components(a2, s)),
         "orthogonal_complement": (NonRootSystem, lambda s: orthogonal_complement(a2, s)),
         "subgroup_elements": (NonRootSystem, lambda s: weyl_enumerate(a2).subgroup_elements(s)),
@@ -163,7 +194,7 @@ def _subset_calls():
         "is_J_relevant J": (DegenerateJ, lambda s: is_J_relevant(a2, s, [])),
         "is_J_relevant T": (NonRootSystem, lambda s: is_J_relevant(a2, [], s)),
         "cone_of_parabolic": (TypeMismatch, lambda s: cone_of_parabolic(fan, s, one)),
-        "ParabolicType": (NonRootSystem, lambda s: ParabolicType(a2, frozenset(s))),
+        "ParabolicType": (NonRootSystem, lambda s: ParabolicType(a2, s)),
         "is_non_degenerate": (NonRootSystem, lambda s: is_non_degenerate(a2, s)),
         "dominance_cone": (NonRootSystem, lambda s: dominance_cone(a2, s)),
         "for_parabolic": (NonRootSystem, lambda s: ToyGroupDatum.for_parabolic(a2, s)),
@@ -200,14 +231,23 @@ def _positive_int_calls():
             "^multiplicity of .* must be at least 1$",
             lambda n: ToyGroupDatum.for_full_cell(a2, {root: n}),
         ),
+        "ValueGroup.rescale": (
+            "^ramification index must be >= 1$",
+            lambda n: apt.pattern.groups[0][1].rescale(n),
+        ),
+        "AffineRootPattern.rescale": (
+            "^ramification index must be >= 1$",
+            lambda n: apt.pattern.rescale(n),
+        ),
     }
 
 
-@pytest.mark.parametrize("value", [5, -1, 1.0, True], ids=repr)
+@pytest.mark.parametrize("value", [5, -1, 1.0, True, [0]], ids=repr)
 @pytest.mark.parametrize("call", sorted(_subset_calls()))
 def test_subsets_of_the_basis_take_only_simple_root_indices(call, value):
-    """A subset entry past the rank, negative, a float or a bool is a
-    structured error: it is neither wrapped, coerced nor ignored."""
+    """A subset entry past the rank, negative, a float, a bool or an
+    unhashable one is a structured error: it is neither wrapped, coerced
+    nor ignored."""
     error, run = _subset_calls()[call]
     with pytest.raises(error):
         run([value])

@@ -1,10 +1,10 @@
-from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
 
 from helpers import RANK4_CATALOGUE
 from weylfan import linalg as la
+from weylfan._value import replace
 from weylfan.errors import NonRootSystem
 from weylfan.rootdata import (
     DiagramSubset,
@@ -32,6 +32,8 @@ CLASSICAL = [
     ("BC2", 12, 8),
     ("A1xA1", 4, 4),
     ("A1xA2", 8, 12),
+    ("B5", 50, 3840),
+    ("A7", 56, 40320),
 ]
 
 
@@ -41,7 +43,7 @@ def test_catalogue_counts(name, roots, weyl_order):
     datum.validate()
     assert len(datum.roots) == roots
     assert len(weyl_enumerate(datum)) == weyl_order
-    assert datum.weyl_order == weyl_order  # the orbit of rho-vee
+    assert datum.weyl_order == weyl_order  # from a stabiliser chain
 
 
 def test_weyl_order_of_an_explicit_datum():
