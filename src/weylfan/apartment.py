@@ -404,7 +404,7 @@ def essential_projection(
 def sub_datum(datum: RootDatum, levi_indices: Iterable[int]) -> RootDatum:
     """The root datum of the Levi subsystem on a subset of the basis."""
     idx = validate_levi(datum, levi_indices)
-    inside = [a for a in datum.roots if {i for i, c in enumerate(a) if c} <= set(idx)]
+    inside = datum.levi_roots(idx)
     return RootDatum(
         name=f"{datum.name}|{','.join(datum.labels[i] for i in idx)}",
         rank=len(idx),

@@ -305,8 +305,7 @@ def _cmd_transitivity(args) -> dict:
 
 
 def _cmd_check(args) -> dict:
-    datum = _load_datum(args.datum)
-    datum.validate()
+    datum = _load_datum(args.datum)  # `build_root_datum` has validated it
     fan = _parabolic_fan(datum, args.J)
     stats = fan.validate()
     return {"ok": True, "datum": datum.name, "fan": stats}

@@ -502,11 +502,8 @@ def standard_cone_system(
     """
     T = standard_type(datum, J, I)
     eqs = [datum.covector(datum.simples[i]) for i in sorted(I)]
-    ins = []
-    for a in datum.positive_roots:
-        support = {i for i, c in enumerate(a) if c}
-        if not support <= T:
-            ins.append(datum.covector(a))
+    levi = set(datum.levi_roots(T))
+    ins = [datum.covector(a) for a in datum.positive_roots if a not in levi]
     return eqs, ins, T
 
 

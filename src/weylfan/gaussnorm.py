@@ -22,7 +22,7 @@ from .compactify import CompactifiedPoint, LimitProfile
 from .errors import NonRootSystem, ProfileMismatch
 from .linalg import NEG_INF, POS_INF, Vec
 from .parabolics import ParabolicType
-from .rootdata import Root, RootDatum, WeylElement, positive_int, simple_indices, weyl_enumerate
+from .rootdata import Root, RootDatum, WeylElement, positive_int, weyl_enumerate
 
 LogValue = Union[Fraction, float]  # a rational or -inf
 
@@ -41,9 +41,8 @@ class ToyGroupDatum(Value):
         multiplicities: Optional[dict[Root, int]] = None,
     ) -> "ToyGroupDatum":
         """Coordinates on the opposite unipotent of the standard type T."""
-        tset = simple_indices(datum, T)
-        psi = ParabolicType(datum, tset).psi
-        return ToyGroupDatum(datum, tset, _index_roots(psi, multiplicities))
+        ptype = ParabolicType(datum, T)
+        return ToyGroupDatum(datum, ptype.indices, _index_roots(ptype.psi, multiplicities))
 
     @staticmethod
     def for_full_cell(
@@ -87,6 +86,9 @@ def _index_roots(
     roots: Sequence[Root], multiplicities: Optional[dict[Root, int]]
 ) -> tuple[tuple[Root, int], ...]:
     multiplicities = multiplicities or {}
+    strays = set(multiplicities) - set(roots)
+    if strays:
+        raise NonRootSystem(f"multiplicity keys {sorted(strays, key=repr)} are not coordinate roots")
     out = []
     for a in sorted(roots):
         n = positive_int(multiplicities.get(a, 1), f"multiplicity of {a} must be at least 1")
@@ -112,13 +114,15 @@ class ValuedPolynomial(Value):
         for exp, c in table.items():
             if len(exp) != width:
                 raise NonRootSystem("exponent width mismatch")
+            if any(type(e) is not int for e in exp):  # not 3/2, 1.0 or True
+                raise NonRootSystem(f"exponents {exp!r} are not all ints")
             if any(e < 0 for e in exp):
                 raise NonRootSystem("exponents must be nonnegative")
             if isinstance(c, float):
                 if c == NEG_INF:
                     continue
                 raise NonRootSystem("coefficient log-values must be rational or -inf")
-            clean[tuple(int(e) for e in exp)] = Fraction(c)
+            clean[tuple(exp)] = Fraction(c)
         return ValuedPolynomial(width, tuple(sorted(clean.items())))
 
     @staticmethod

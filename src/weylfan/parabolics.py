@@ -32,16 +32,12 @@ class ParabolicType(Value):
     datum: RootDatum
     indices: frozenset[int]
 
-    def __post_init__(self) -> None:
-        simple_indices(self.datum, self.indices)
+    def __post_init__(self) -> None:  # stores the indices as a frozenset
+        object.__setattr__(self, "indices", simple_indices(self.datum, self.indices))
 
     @cached_property
     def levi_roots(self) -> tuple[Root, ...]:
-        return tuple(
-            a
-            for a in self.datum.roots
-            if {i for i, c in enumerate(a) if c} <= self.indices
-        )
+        return self.datum.levi_roots(self.indices)
 
     @cached_property
     def unipotent_roots(self) -> tuple[Root, ...]:
@@ -78,18 +74,11 @@ def is_non_degenerate(datum: RootDatum, T: Iterable[int]) -> NonDegeneracyReport
 
     Raises InternalDisagreement if the three computations ever differ.
     """
-    tset = simple_indices(datum, T)
-    ptype = ParabolicType(datum, tset)
+    ptype = ParabolicType(datum, T)
+    tset = ptype.indices
 
     levi = set(ptype.levi_roots)
-    cond1 = True
-    for comp in datum.diagram_components:
-        factor_roots = {
-            a for a in datum.roots if {i for i, c in enumerate(a) if c} <= comp
-        }
-        if factor_roots <= levi:
-            cond1 = False
-            break
+    cond1 = not any(set(datum.levi_roots(comp)) <= levi for comp in datum.diagram_components)
 
     cond2 = all(not comp <= tset for comp in datum.diagram_components)
 
@@ -112,7 +101,7 @@ def dominance_cone(datum: RootDatum, T: Iterable[int]) -> Cone:
     relatively open cone is its relative interior).  For T the whole basis
     this is the entire space.
     """
-    ptype = ParabolicType(datum, simple_indices(datum, T))
+    ptype = ParabolicType(datum, T)
     forms = [datum.covector(a) for a in ptype.unipotent_roots]
     return Cone.from_system(datum.rank, [], forms)
 
@@ -160,7 +149,7 @@ def enumerate_strata(datum: RootDatum, J: Iterable[int]) -> list[StratumDescript
             StratumDescriptor(
                 type_indices=T,
                 generating_indices=I,
-                levi_roots=ParabolicType(datum, T).levi_roots,
+                levi_roots=datum.levi_roots(T),
                 levi_rank=len(T),
                 is_open_stratum=len(T) == datum.rank,
             )

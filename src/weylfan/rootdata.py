@@ -16,7 +16,7 @@ from numbers import Real
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import linalg as la
-from ._value import Value, replace
+from ._value import Value
 from .errors import DimensionMismatch, NonRootSystem
 from .linalg import Mat, Rational, Vec
 
@@ -79,18 +79,19 @@ def _cartan_chain(n: int) -> list[list[int]]:
     return c
 
 
-def _catalogue_cartan(family: str, n: int) -> tuple[list[list[int]], list[int], bool]:
-    """Return (cartan, squared lengths of the simple roots, non_reduced)."""
+def _catalogue_cartan(family: str, n: int) -> tuple[list[list[int]], bool]:
+    """Return (cartan, non_reduced); BC_n has the Cartan matrix of B_n."""
     if family == "A" and n >= 1:
-        return _cartan_chain(n), [2] * n, False
-    if family == "B" and n >= 2:
+        return _cartan_chain(n), False
+    if (family == "B" and n >= 2) or (family == "BC" and n >= 1):
         c = _cartan_chain(n)
-        c[n - 2][n - 1] = -2
-        return c, [4] * (n - 1) + [2], False
+        if n > 1:
+            c[n - 2][n - 1] = -2
+        return c, family == "BC"
     if family == "C" and n >= 2:
         c = _cartan_chain(n)
         c[n - 1][n - 2] = -2
-        return c, [2] * (n - 1) + [4], False
+        return c, False
     if family == "D" and n >= 3:
         c = _cartan_chain(n - 1)
         for row in c:
@@ -101,20 +102,37 @@ def _catalogue_cartan(family: str, n: int) -> tuple[list[list[int]], list[int], 
         c[n - 1][n - 3] = -1
         c[n - 2][n - 1] = 0
         c[n - 1][n - 2] = 0
-        return c, [2] * n, False
+        return c, False
     if family == "G" and n == 2:
-        return [[2, -1], [-3, 2]], [2, 6], False
+        return [[2, -1], [-3, 2]], False
     if family == "F" and n == 4:
         c = _cartan_chain(4)
         c[1][2] = -2
-        return c, [4, 4, 2, 2], False
-    if family == "BC" and n >= 1:
-        if n == 1:
-            return [[2]], [2], True
-        c = _cartan_chain(n)
-        c[n - 2][n - 1] = -2
-        return c, [4] * (n - 1) + [2], True
+        return c, False
     raise NonRootSystem(f"unknown catalogue entry {family}{n}")
+
+
+def _simple_lengths(cartan: Sequence[Sequence[int]]) -> tuple[Fraction, ...]:
+    """The squared lengths of the simple roots, the weights that make the
+    Cartan matrix symmetric: cartan[i][j] |a_j|^2 = cartan[j][i] |a_i|^2
+    (both are 2 (a_i, a_j)).  Along each edge of the diagram one length fixes
+    the other, so they are fixed up to one factor per component, which sets
+    the shortest simple root there to 2."""
+    n = len(cartan)
+    lengths: list = [None] * n
+
+    def across(i: int, j: int, _) -> int:  # the edge i - j fixes |a_j|^2
+        lengths[j] = lengths[i] * cartan[j][i] / cartan[i][j]
+        return j
+
+    for seed in range(n):
+        if lengths[seed] is None:
+            lengths[seed] = Fraction(1)
+            comp = walk_orbits({seed: seed}, n, lambda i, j: j if cartan[i][j] else i, across)
+            shortest = min(lengths[i] for i in comp)
+            for i in comp:
+                lengths[i] = 2 * lengths[i] / shortest
+    return tuple(lengths)
 
 
 def _parse_catalogue_name(name: str) -> list[tuple[str, int]]:
@@ -205,17 +223,34 @@ class RootDatum(Value):
     def is_reduced(self) -> bool:
         return not self.multipliable
 
+    @cached_property
+    def _supports(self) -> tuple[frozenset[int], ...]:
+        """Per root of `roots`, the simple roots with a nonzero coefficient."""
+        return tuple(frozenset(i for i, c in enumerate(a) if c) for a in self.roots)
+
+    def levi_roots(self, subset: Iterable[int]) -> tuple[Root, ...]:
+        """The roots supported on `subset` of the basis, in `roots` order:
+        the Levi subsystem of that type."""
+        inside = simple_indices(self, subset)
+        return tuple(a for a, s in zip(self.roots, self._supports) if s <= inside)
+
     # -- pairings and inner products ---------------------------------------
 
     def point(self, x: Sequence) -> Vec:
         """x as a point of the ambient space (rational coroot coordinates);
-        raises DimensionMismatch unless it has `rank` coordinates."""
-        v = la.vec(x)
-        if len(v) != self.rank:
+        raises DimensionMismatch unless it has `rank` coordinates, and
+        NonRootSystem at a coordinate that is not a finite rational."""
+        coords = []
+        for c in x:
+            try:
+                coords.append(Fraction(c))
+            except (TypeError, ValueError, OverflowError):  # None, "x", NaN, inf
+                raise NonRootSystem(f"coordinate {c!r} is not a finite rational number") from None
+        if len(coords) != self.rank:
             raise DimensionMismatch(
-                f"point has {len(v)} coordinates, {self.name} has rank {self.rank}"
+                f"point has {len(coords)} coordinates, {self.name} has rank {self.rank}"
             )
-        return v
+        return tuple(coords)
 
     @cached_property
     def gram_points(self) -> Mat:
@@ -370,7 +405,12 @@ def listed(items: Iterable) -> list:
 def basis_subset(datum: RootDatum, subset: Iterable) -> tuple[list, list]:
     """The entries of `subset`, a hashable one once, and those that are not
     an int in range(rank) `listed` (a bool, a float, a negative number or
-    an unhashable entry is not one)."""
+    an unhashable entry is not one).  A `subset` that is not iterable is
+    read as its one bad entry."""
+    try:
+        subset = iter(subset)
+    except TypeError:
+        return [subset], [subset]
     distinct, unhashable = set(), []
     for i in subset:
         try:
@@ -428,8 +468,8 @@ class DiagramSubset(Value):
     datum: RootDatum
     indices: frozenset[int]
 
-    def __post_init__(self) -> None:
-        simple_indices(self.datum, self.indices)
+    def __post_init__(self) -> None:  # stores the indices as a frozenset
+        object.__setattr__(self, "indices", simple_indices(self.datum, self.indices))
 
     @cached_property
     def components(self) -> tuple[frozenset[int], ...]:
@@ -460,38 +500,26 @@ def _block_diag(blocks: list[list[list[int]]]) -> list[list[int]]:
 
 
 def _build_catalogue(name: str) -> RootDatum:
-    factors = _parse_catalogue_name(name)
-    cartans, lengths, flags = [], [], []
-    for fam, n in factors:
-        c, lens, non_reduced = _catalogue_cartan(fam, n)
+    cartans, doubled = [], []
+    for fam, n in _parse_catalogue_name(name):
+        c, non_reduced = _catalogue_cartan(fam, n)
         cartans.append(c)
-        lengths.extend(lens)
-        flags.append(non_reduced)
+        if non_reduced:  # the short roots of B_n, the orbit of its last simple root
+            doubled.append(sum(map(len, cartans)) - 1)
     cartan = _block_diag(cartans)
-    rank = len(cartan)
-    roots = set(root_orbits(cartan, la.identity(rank)))  # the orbits of the simple roots
-    roots |= {tuple(-c for c in a) for a in roots}
-
-    reduced = RootDatum(
-        name=name,
-        rank=rank,
-        cartan=tuple(tuple(r) for r in cartan),
-        simple_lengths=tuple(Fraction(x) for x in lengths),
-        roots=tuple(sorted(roots)),
-        multipliable=frozenset(),
-    )
-    multipliable: set[Root] = set()
-    offset = 0
-    for c, non_reduced in zip(cartans, flags):
-        if non_reduced:
-            # the shortest roots of the BC factor acquire doubles
-            block = range(offset, offset + len(c))
-            factor_roots = [a for a in roots if any(a[i] for i in block)]
-            min_len = min(reduced.length_sq(a) for a in factor_roots)
-            multipliable |= {a for a in factor_roots if reduced.length_sq(a) == min_len}
-        offset += len(c)
+    simples = la.identity(len(cartan))
+    # every root is conjugate to a simple one, and s_i a_i = -a_i
+    roots = set(root_orbits(cartan, simples))
+    multipliable = frozenset(root_orbits(cartan, [simples[i] for i in doubled]))
     roots |= {tuple(2 * c for c in a) for a in multipliable}
-    datum = replace(reduced, roots=tuple(sorted(roots)), multipliable=frozenset(multipliable))
+    datum = RootDatum(
+        name=name,
+        rank=len(cartan),
+        cartan=tuple(tuple(r) for r in cartan),
+        simple_lengths=_simple_lengths(cartan),
+        roots=tuple(sorted(roots)),
+        multipliable=multipliable,
+    )
     datum.validate()
     return datum
 
@@ -500,13 +528,15 @@ def _build_explicit(raw_roots: Sequence[Sequence], basis: Sequence[int]) -> Root
     """The datum of rational vectors whose roots numbered `basis` are simple.
     Only the input's shape is checked here: `RootDatum.validate` judges the
     roots over the basis, losing nothing.  Writing over a basis is injective,
-    so zero and negatives carry over; a sign-coherent basis is a base.  On
-    each diagram component the datum's form is a positive multiple of the
-    Euclidean one, and components are orthogonal in both, so the simple
-    reflections agree.  Closure under them puts every root in one component:
-    a component's Weyl group fixes no nonzero vector of its span, so it moves
-    a root's part a' there to some w a' with a coefficient of the other sign,
-    and w fixes the rest.  So all the reflections and pairings agree."""
+    so zero and negatives carry over; a sign-coherent basis is a base.  The
+    Euclidean |b_i|^2 make the Cartan matrix symmetric, so `_simple_lengths`
+    is them up to one factor per diagram component: on each component the
+    datum's form is a positive multiple of the Euclidean one, and components
+    are orthogonal in both, so the simple reflections agree.  Closure under
+    them puts every root in one component: a component's Weyl group fixes no
+    nonzero vector of its span, so it moves a root's part a' there to some
+    w a' with a coefficient of the other sign, and w fixes the rest.  So all
+    the reflections and pairings agree."""
     vectors = [la.vec(r) for r in raw_roots]
     if not vectors:
         raise NonRootSystem("empty root list")
@@ -535,31 +565,17 @@ def _build_explicit(raw_roots: Sequence[Sequence], basis: Sequence[int]) -> Root
             raise NonRootSystem(f"root {v} is not an integral combination of the basis")
         root_coeffs.add(tuple(int(c) for c in sol))
 
-    lengths = [la.dot(b, b) for b in basis_vecs]
-    cartan = [[2 * la.dot(bi, bj) / lj for bj, lj in zip(basis_vecs, lengths)] for bi in basis_vecs]
+    cartan = [[2 * la.dot(bi, bj) / la.dot(bj, bj) for bj in basis_vecs] for bi in basis_vecs]
     if any(c.denominator != 1 for row in cartan for c in row):
         raise NonRootSystem("non-integral Cartan pairing in explicit list")
-    doubled = {a for a in root_coeffs if tuple(2 * c for c in a) in root_coeffs}
-
-    # normalise lengths per diagram component: short simple root squared 2
-    stub = RootDatum(
+    cartan = tuple(tuple(int(c) for c in r) for r in cartan)
+    datum = RootDatum(
         name="explicit",
         rank=rank,
-        cartan=tuple(tuple(int(c) for c in r) for r in cartan),
-        simple_lengths=tuple(lengths),
+        cartan=cartan,
+        simple_lengths=_simple_lengths(cartan),
         roots=tuple(sorted(root_coeffs)),
-        multipliable=frozenset(),
-    )
-    scaled = list(lengths)
-    for comp in stub.diagram_components:
-        m = min(lengths[i] for i in comp)
-        for i in comp:
-            scaled[i] = lengths[i] * 2 / m
-
-    datum = replace(
-        stub,
-        simple_lengths=tuple(scaled),
-        multipliable=frozenset(doubled),
+        multipliable=frozenset(a for a in root_coeffs if tuple(2 * c for c in a) in root_coeffs),
         essential=la.rank(vectors) == ambient,
         input_rank=ambient,
     )

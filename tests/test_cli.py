@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 from contextlib import redirect_stdout
@@ -6,6 +7,7 @@ import pytest
 
 from weylfan import cli
 from weylfan.cli import run
+from weylfan.rootdata import RootDatum
 from weylfan.serialize import parse_q
 
 
@@ -321,3 +323,51 @@ def test_seminorm_polynomial_errors_name_the_field(poly, message):
     ])
     assert code == 2
     assert json.loads(out) == {"code": "ParseError", "message": message}
+
+
+# SHA-256 of the `rootsys` document of each catalogue name, as the
+# catalogue built it when its lengths and BC doubles were still tabulated.
+ROOTSYS_SHA256 = {
+    "A1": "ffffec21efaac2e91a72917fa3edcc026efcad8073319bcd2b0b40d206cc4ff1",
+    "A2": "163986859dbd789c6fa609faee5413e477605f9b9527066b5f97378bae309395",
+    "A3": "4fea87c1ac4fb7f888314e5d381a8bfc4052190543249316d15246bc9961fcdc",
+    "A4": "eb532618acc54e819e8da010cb7993448737aea84491225ee673a97366c89fba",
+    "A5": "c78b05b7a1374645e6dba2af31b92816dfb4faa94499c709000acceeb7df2c36",
+    "A6": "f6bbd5fa0f22dec79b1011b5fe1da02eca3103b204b1ae5efe9dc623dca10960",
+    "A7": "d986a5534f77c4da4fd3c5a95a8821f812570766886150d0e851a6c21dfbe9df",
+    "B2": "7a45fa686b61e88ae9d2754a2d72b4ab2d8eb80b018f7e4d5096f771cfea9cd8",
+    "B3": "ae64cfc9a1e8035bc0c13ab6b81b5bb375a2dab8fb9bf0592b300f57c3a844ab",
+    "B4": "72bd532941d3792e718ff8299f23c3ef6a230050ce6bab27204925c33cf5080c",
+    "B5": "4807cb7a1ce8394448b81447bbf8257b76d3709afb332fe824d9ece045c7c5ba",
+    "C2": "72a33cddc26b05d70458b7078890a19604936ce18c58867ead69302e4ecfa744",
+    "C3": "8214e9e7f24dfefb272a944ed733606304cb3bcef747b2e9995c88b94e46bbec",
+    "C4": "6a7595be540c923bb03d7029808589c0187fca79ce6f8f4949ff3287eb0676cf",
+    "D3": "2d7efd9462e395b65332236a6fcc7c36865d687b7b5b891fd67455958294a393",
+    "D4": "a1b497183884827ba66289fa5c4f7a15c710b04131976bc9f3d9542515b6147d",
+    "D5": "eb77fb7ac103116e8f901f759a504508271ecc401ef6b6a2013375d6f9f64ed3",
+    "G2": "ce01ab50c0abbca1be1c3b503f7480cdd78877ca65a3d2dc4619d0c8a0f9ea82",
+    "F4": "26d4c49ca3db2696dab396d5c7b3dfffcc2da94c43188fd12347710558b3185f",
+    "BC1": "2ab499ed6956cc5782fe175192557248fbbdd1f63964ceddb0885e96b530483d",
+    "BC2": "c7374aaae5777b64e1963119a0134ecb767bacac77616465acf21b67c5f0cf83",
+    "BC3": "c5460566e1d9662683d996cf067eb58f4b293368bcaaba226f4677e7b78b6f17",
+    "BC4": "9ec54557918cb9b3bf2330dce041640de098bf3acbca3db97b20766ea83e9bd0",
+    "A1xA2": "423ac98b636c540e7e4ad350f63998a13d3f692de811be1e3e537b1fa81e8c80",
+    "B3xG2": "b28873712fd22767f78ade4e24a90c086f832a59e55b685a59fde06b7d9dd734",
+    "C3xBC2": "a38f38af9f645f98aafb601f2bb9e44edf72184524be275f644a197c031c9c7b",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROOTSYS_SHA256))
+def test_rootsys_documents_are_unchanged(name):
+    code, out = invoke(["rootsys", "--datum", name])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ROOTSYS_SHA256[name]
+
+
+def test_check_validates_the_datum_once(monkeypatch):
+    calls = []
+    validate = RootDatum.validate
+    monkeypatch.setattr(RootDatum, "validate", lambda self: calls.append(validate(self)))
+    code, out = invoke(["check", "--datum", "BC2", "--J", "a1"])
+    assert code == 0 and json.loads(out)["ok"] is True
+    assert len(calls) == 1

@@ -3,8 +3,10 @@
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from types import ModuleType
 
@@ -17,6 +19,7 @@ from weylfan import (
     ExtensionSpec,
     ParabolicType,
     ToyGroupDatum,
+    ValuedPolynomial,
     build_root_datum,
     components,
     cone_of_parabolic,
@@ -26,9 +29,12 @@ from weylfan import (
     essential_projection,
     is_J_relevant,
     is_non_degenerate,
+    limit_of_ray,
     make_apartment,
     orthogonal_complement,
     parabolic_fan,
+    special_witness,
+    theta_restricted,
     transitivity_solve,
     weyl_enumerate,
 )
@@ -259,3 +265,87 @@ def test_positive_integers_are_ints_of_at_least_one(call, value):
     message, run = _positive_int_calls()[call]
     with pytest.raises(NonRootSystem, match=message):
         run(value)
+
+
+@pytest.mark.parametrize("value", [5, None], ids=repr)
+@pytest.mark.parametrize("call", sorted(_subset_calls()))
+def test_a_subset_that_is_not_iterable_is_one_bad_entry(call, value):
+    error, run = _subset_calls()[call]
+    with pytest.raises(error):
+        run(value)
+
+
+@pytest.mark.parametrize("record", [DiagramSubset, ParabolicType])
+def test_subset_records_store_their_indices_as_a_frozenset(record):
+    a2 = build_root_datum("A2")
+    given, stored = record(a2, [0, 0]), record(a2, frozenset({0}))
+    assert type(given.indices) is frozenset
+    assert given == stored and hash(given) == hash(stored)
+    if record is ParabolicType:
+        assert given.levi_roots == stored.levi_roots == ((-1, 0), (1, 0))
+
+
+def _point_calls():
+    """Each exported entry point reading a point, with the point passed on."""
+    a2 = build_root_datum("A2")
+    fan = parabolic_fan(a2, [0])
+    tg = ToyGroupDatum.for_parabolic(a2, [0])
+    apt = make_apartment(a2)
+    return {
+        "cone_containing": fan.cone_containing,
+        "limit_of_ray base": lambda p: limit_of_ray(fan, p, (1, 1)),
+        "limit_of_ray direction": lambda p: limit_of_ray(fan, (0, 0), p),
+        "theta_restricted": lambda p: theta_restricted(tg, p),
+        "special_witness": lambda p: special_witness(apt, p),
+        "transitivity_solve x": lambda p: transitivity_solve(a2, p, (0, 0)),
+        "transitivity_solve y": lambda p: transitivity_solve(a2, (0, 0), p),
+    }
+
+
+@pytest.mark.parametrize(
+    "value", [float("nan"), float("inf"), float("-inf"), "x", None], ids=repr
+)
+@pytest.mark.parametrize("call", sorted(_point_calls()))
+def test_a_coordinate_that_is_not_a_finite_rational_is_named(call, value):
+    run = _point_calls()[call]
+    with pytest.raises(NonRootSystem, match=f"^coordinate {re.escape(repr(value))} is not a"):
+        run((1, value))
+
+
+@pytest.mark.parametrize(
+    "exponent,message",
+    [
+        (Fraction(3, 2), "are not all ints$"),
+        (Fraction(1), "are not all ints$"),
+        (1.0, "are not all ints$"),
+        (True, "are not all ints$"),
+        ("1", "are not all ints$"),
+        (-1, "^exponents must be nonnegative$"),  # the message the CLI prints
+    ],
+    ids=repr,
+)
+def test_polynomial_exponents_are_ints_of_at_least_zero(exponent, message):
+    with pytest.raises(NonRootSystem, match=message):
+        ValuedPolynomial.from_terms(2, {(exponent, 0): Fraction(0)})
+
+
+@pytest.mark.parametrize(
+    "cell,key",
+    [
+        ("for_parabolic", (5, 5)),
+        ("for_parabolic", (1, 0)),  # a root of A2, but in the Levi of {a1}
+        ("for_parabolic", "a1"),
+        ("for_full_cell", (5, 5)),
+        ("for_full_cell", (2, 0)),
+        ("for_full_cell", "a1"),
+    ],
+    ids=repr,
+)
+def test_multiplicities_only_of_coordinate_roots(cell, key):
+    a2 = build_root_datum("A2")
+    make = {
+        "for_parabolic": lambda m: ToyGroupDatum.for_parabolic(a2, [0], m),
+        "for_full_cell": lambda m: ToyGroupDatum.for_full_cell(a2, m),
+    }[cell]
+    with pytest.raises(NonRootSystem, match="are not coordinate roots$"):
+        make({key: 2})

@@ -308,3 +308,109 @@ def test_validate_reports_the_first_bad_pairing(lengths):
     with pytest.raises(NonRootSystem) as err:
         datum.validate()
     assert str(err.value) == message
+
+
+# The squared lengths of the simple roots, family by family (Bourbaki's
+# plates, short simple roots at 2): an oracle for `_simple_lengths`, which
+# derives them from the Cartan matrix alone.
+FAMILY_LENGTHS = {
+    "A": lambda n: [2] * n,
+    "B": lambda n: [4] * (n - 1) + [2],
+    "C": lambda n: [2] * (n - 1) + [4],
+    "D": lambda n: [2] * n,
+    "G": lambda n: [2, 6],
+    "F": lambda n: [4, 4, 2, 2],
+    "BC": lambda n: [4] * (n - 1) + [2],
+}
+
+CATALOGUE_NAMES = [
+    "A1", "A2", "A3", "A4", "A5", "A6", "A7", "B2", "B3", "B4", "B5", "C2", "C3", "C4",
+    "D3", "D4", "D5", "G2", "F4", "BC1", "BC2", "BC3", "BC4", "A1xA2", "B3xG2", "C3xBC2",
+]
+
+
+def _factors(name):
+    """(family, rank, first simple root) of each factor of a catalogue name."""
+    out, offset = [], 0
+    for part in name.split("x"):
+        family = part.rstrip("0123456789")
+        n = int(part[len(family):])
+        out.append((family, n, offset))
+        offset += n
+    return out
+
+
+@pytest.mark.parametrize("name", CATALOGUE_NAMES)
+def test_catalogue_simple_lengths_match_the_family_tables(name):
+    datum = build_root_datum(name)
+    expected = [Q(x) for fam, n, _ in _factors(name) for x in FAMILY_LENGTHS[fam](n)]
+    assert list(datum.simple_lengths) == expected
+    assert all(type(x) is Q for x in datum.simple_lengths)
+
+
+@pytest.mark.parametrize("name", [n for n in CATALOGUE_NAMES if "BC" in n])
+def test_bc_multipliable_roots_are_the_short_roots_of_each_bc_factor(name):
+    datum = build_root_datum(name)
+    short = set()
+    for fam, n, first in _factors(name):
+        if fam == "BC":
+            factor = datum.levi_roots(range(first, first + n))
+            least = min(datum.length_sq(a) for a in factor)
+            short |= {a for a in factor if datum.length_sq(a) == least}
+    assert datum.multipliable == short
+    assert {tuple(2 * c for c in a) for a in short} <= datum.root_set
+
+
+EXPLICIT_LISTS = {
+    "A1xA1": ([[1, 0], [-1, 0], [0, 1], [0, -1]], [0, 2]),
+    "B2": ([[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1], [-1, -1], [1, -1], [-1, 1]], [6, 2]),
+    "A1 in a plane": ([[1, 0], [-1, 0]], [0]),
+    "BC1": ([[1], [-1], [2], [-2]], [0]),
+    "3 A1 x 3 B2": (
+        [[3, 0, 0], [-3, 0, 0], [0, 3, 0], [0, -3, 0], [0, 0, 3], [0, 0, -3],
+         [0, 3, 3], [0, -3, -3], [0, 3, -3], [0, -3, 3]],
+        [0, 8, 4],
+    ),
+    "BC1 x A1 scaled": ([[Q(1, 2), 0], [Q(-1, 2), 0], [1, 0], [-1, 0], [0, 5], [0, -5]], [0, 4]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXPLICIT_LISTS))
+def test_explicit_simple_lengths_are_the_euclidean_ones_rescaled(case):
+    """Per diagram component, the Euclidean squared lengths scaled so that
+    the shortest simple root has 2."""
+    roots, basis = EXPLICIT_LISTS[case]
+    datum = build_root_datum(roots, basis=basis)
+    euclid = [sum(Q(c) ** 2 for c in roots[i]) for i in basis]
+    expected = list(euclid)
+    for comp in datum.diagram_components:
+        least = min(euclid[i] for i in comp)
+        for i in comp:
+            expected[i] = 2 * euclid[i] / least
+    assert list(datum.simple_lengths) == expected
+    assert all(type(x) is Q for x in datum.simple_lengths)
+
+
+@pytest.mark.parametrize(
+    "spec,basis", [("BC3", None), ("C3xBC2", None), EXPLICIT_LISTS["B2"]], ids=repr
+)
+def test_a_build_constructs_one_datum(monkeypatch, spec, basis):
+    made = []
+    init = RootDatum.__init__
+    monkeypatch.setattr(RootDatum, "__init__", lambda self, *a, **k: made.append(init(self, *a, **k)))
+    build_root_datum(spec, basis)
+    assert len(made) == 1
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "G2", "BC2", "A1xA2"])
+def test_levi_roots_are_the_roots_supported_on_the_subset(name):
+    datum = build_root_datum(name)
+    for bits in range(1 << datum.rank):
+        subset = [i for i in range(datum.rank) if bits >> i & 1]
+        expected = tuple(
+            a for a in datum.roots if all(i in subset for i, c in enumerate(a) if c)
+        )
+        assert datum.levi_roots(subset) == expected
+        assert datum.levi_roots(frozenset(subset)) == expected
+    with pytest.raises(NonRootSystem):
+        datum.levi_roots([datum.rank])
