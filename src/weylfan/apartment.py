@@ -18,7 +18,7 @@ from . import linalg as la
 from ._value import Value
 from .errors import DimensionMismatch, EmptyFacet, NonReduced, NonRootSystem, Unspanned
 from .linalg import Vec
-from .rootdata import Root, RootDatum, basis_subset, positive_int, root_orbits
+from .rootdata import Root, RootDatum, basis_subset, coordinates, positive_int, root_orbits
 
 _RAMIFICATION = "ramification index must be >= 1"
 
@@ -420,13 +420,14 @@ def levi_point_from_pairings(
 ) -> Vec:
     """Coroot coordinates in the Levi apartment matching given pairings, one
     per Levi simple root in increasing order; raises DimensionMismatch for
-    any other number of pairings."""
+    any other number of pairings, and NonRootSystem as `coordinates` does."""
     sub = sub_datum(datum, levi_indices)
+    pairings = coordinates(pairings)
     if len(pairings) != sub.rank:
         raise DimensionMismatch(
             f"{len(pairings)} pairings given for the {sub.rank} simple roots of {sub.name}"
         )
-    sol = la.solve(la.mat(sub.cartan), la.vec(pairings))
+    sol = la.solve(la.mat(sub.cartan), pairings)
     if sol is None:
         raise NonRootSystem("pairings are not realisable in the Levi apartment")
     return sol

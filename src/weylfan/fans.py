@@ -25,6 +25,9 @@ of a minimal u is minimal, so `weyl_enumerate`'s closure, breadth first
 too, reaches a minimal u only from the u one level up; by induction both
 meet the minimal u in the same order, through the same s_k, and give each
 the same word (Humphreys, *Reflection Groups and Coxeter Groups*, 1.10).
+A standard cone whose type T is I itself is its own core (the face of
+the dominant chamber of type I), as is then every cone of its orbit, so
+the walk reflects one cone for both; for J empty that is every cone.
 
 Cone location and the face order use exact integer indices built once per
 fan.
@@ -43,26 +46,58 @@ so the table gives every root's sign on every cone, and it alone serves
 cone location, profile matching (`compactify.limit_of_profile`, by the
 sign class of each value: +inf, -inf or rational) and boundary seminorms
 (`gaussnorm.theta_boundary`).  One matcher ORs, per root and sign, the
-bitset of the cones that sign excludes.  The cover check matches every
-Weyl facet point, requires exactly one hit, and records sign vector ->
-cone.  Every point has the sign vector of some Weyl facet, so on a fan
-that passed the check `cone_containing` is one dictionary lookup after
-|positive roots| dot products.
+bitset of the cones that sign excludes.  `cone_containing` matches a sign
+vector the first time it meets it, requires exactly one hit, and records
+sign vector -> cone, so a sign vector met before costs one dictionary
+lookup after |positive roots| dot products.
 
 *Sign transport.*  s_k maps alpha_k to -alpha_k and permutes the other
 positive roots, so it sends each positive nondivisible root P_j to
 e P_p(j) with e = -1 only at alpha_k (`RootDatum.root_permutations`).
 Since <P_j, s_k.x> = <s_k.P_j, x>, the sign of P_j on s_k.X is e times
-the sign of P_p(j) on X, and a mixed sign stays mixed.  The two checks
-carry over too: s_k maps the roots in Z of X onto, up to sign, the roots
-in Z of s_k.X, keeping their rank, and a facet form of s_k.X is f.s_k for
-a facet form f of X, so if f is c P on the span of X, f.s_k is c e P_p
-on the span of s_k.X, with the same sign class.  So `parabolic_fan`
-builds a row directly, with both checks, only for each orbit's standard
-cone, permutes it along the walk, and keys the walk by the rows: by the
-paragraph above, equal rows mean equal cones.  A `Fan(...)` made by hand
-builds every row directly.  The cover check walks the Weyl facet points
-from the dominant ones and carries their sign vectors the same way.
+the sign of P_p(j) on X, and a mixed sign stays mixed; call this map of
+rows pi_k.  The two checks carry over too: s_k maps the roots in Z of X
+onto, up to sign, the roots in Z of s_k.X, keeping their rank, and a
+facet form of s_k.X is f.s_k for a facet form f of X, so if f is c P on
+the span of X, f.s_k is c e P_p on the span of s_k.X, with the same sign
+class.  So `parabolic_fan` builds a row directly, with both checks, only
+for each orbit's standard cone, permutes it along the walk, and keys the
+walk by the rows: by the paragraph above, equal rows mean equal cones,
+and the rows it ends with are distinct and closed under every pi_k.  A
+`Fan(...)` made by hand builds every row directly.  Let X be the cone of
+row r.  A point y lies in s_k.X when s_k.y lies in X, that is when pi_k
+of the sign vector of y agrees with r, that is when the sign vector of y
+agrees with pi_k(r), as pi_k is a signed permutation and an involution.
+So s_k.X is the set that the row pi_k(r) cuts out, and when a fan cone
+has that row it is s_k.X.  The moves table `Fan._moves` holds, per k and
+cone i, the index of the cone with row pi_k(row i): the cone s_k maps
+cone i to, for one permutation and one dictionary lookup.  Making it
+requires the rows distinct and closed under every pi_k.  Two cones with
+one row both hold the relative interior point of either, so the fan is
+not a partition.  If pi_k(row i) is no row, the cone locating s_k.x, x
+inside cone i, is not s_k.(cone i), which is then no fan cone: either
+no cone or several hold s_k.x, or one does and the fan is not Weyl
+invariant.  `cone_containing` tells these apart.
+
+*Orbit reduction.*  On distinct rows closed under every pi_k, each pi_k
+is a bijection of the rows (an involution of a finite set).  The cones
+holding a point p are those whose rows agree with its sign vector, so
+by the paragraph above the cones holding s_k.p are the images under s_k
+of those holding p, as many of them.  Every Weyl facet point is a word
+in the s_k applied to a dominant one, and every point has the sign
+vector of some Weyl facet, so the partition axiom holds as soon as each
+of the 2^n dominant facet points lies in exactly one cone.  These are
+the primitive multiples of the sums of fundamental coweights, the
+columns of C^-1; in integers, those of the adjugate d.C^-1, d = det C > 0
+(`linalg.scaled_inverse`), which differ by the factor d.  Likewise s_k
+maps the facets of the closure of cone i onto those of the closure of
+its image, and the closure of a fan cone onto the closure of a fan cone,
+so the boundary axiom holds for every cone of an orbit when it holds for
+one.  The cover check (`_check_cover`) therefore scans the dominant
+facet points, which records their sign vectors only, and checks the
+facets of one cone per orbit: in `parabolic_fan` the standard cones,
+the walk's seeds, and in `Fan.validate` the first cone of each orbit of
+the moves table.
 
 *Ray bitsets.*  The rays of the fan are numbered, and a cone is the set
 of its ray indices.  The cones of `parabolic_fan` are pointed (the root
@@ -74,24 +109,28 @@ every face of a closure is the closure of a fan cone, so r spans a fan
 cone.  By the partition and boundary axioms, the closure of g is the
 disjoint union of the fan cones that are its faces, and the open ray
 through r is one of them, so r is a ray of g.  `parabolic_fan` and
-`Fan.validate` check both axioms before the order is read.  A Weyl
-element permutes the rays, so it maps a cone to the cone with the
-permuted ray set.
+`Fan.validate` check both axioms before the order is read.
 
 *Validation.*  `Fan.validate` checks each axiom once, from integer data.
-Faces: every closure must hold its own rays, and a face of a pointed cone
-is the zero set of its tight facet forms.  So with each facet of g kept as
-the bitset of the rays of g on which its form vanishes, (f, g) is a face
-pair exactly when the AND of the facets of g that hold the rays of f (all
-of g if none do) is the rays of f.  This is the supporting-form criterion
-with alpha the sum of the tight facet forms, and it implies cl(f) = span(f)
-meet cl(g).  Weyl invariance and cores: each cone orbit is walked once
-under the simple reflections, with u_i mapping its first cone to cone i
-(u_i and u_i^-1 moved by the O(n^2) updates, which also form s.u_i).
-The Schreier elements u_j^-1 s u_i of the walk's edges i -> j generate the
-first cone's setwise stabiliser (Schreier's lemma), whose fixed locus their
-rows minus 1 cut out; one `Cone.from_system` per orbit gives the first
-core, and u_i carries it to the core of cone i.
+It may lean on the sign table: every row is built directly, with both
+exactness checks, before the moves table is read, and the table checks
+that the rows are distinct and closed (see *Sign transport*).  Partition
+and boundary: the cover check on one cone per orbit (see *Orbit
+reduction*).  Faces: every closure must hold its own rays, and a face of
+a pointed cone is the zero set of its tight facet forms.  So with each
+facet of g kept as the bitset of the rays of g on which its form
+vanishes, (f, g) is a face pair exactly when the AND of the facets of g
+that hold the rays of f (all of g if none do) is the rays of f.  This is
+the supporting-form criterion with alpha the sum of the tight facet
+forms, and it implies cl(f) = span(f) meet cl(g).  Weyl invariance and
+cores: a complete moves table is Weyl invariance, since the s_k generate
+W.  Each cone orbit is walked once along the moves, with u_i mapping its
+first cone to cone i (u_i and u_i^-1 moved by the O(n^2) updates, which
+also form s.u_i).  The Schreier elements u_j^-1 s u_i of the walk's
+edges i -> j generate the first cone's setwise stabiliser (Schreier's
+lemma), whose fixed locus their rows minus 1 cut out; one
+`Cone.from_system` per orbit gives the first core, and u_i carries it to
+the core of cone i.
 """
 
 from __future__ import annotations
@@ -235,6 +274,26 @@ class Fan:
         hit = self._by_sign.get(signs)
         return hit if hit is not None else self._scan(v, signs)
 
+    @cached_property
+    def _moves(self) -> tuple[tuple[int, ...], ...]:
+        """Per simple reflection s_k, the index of every cone's image under
+        s_k: the cone whose sign row is the permuted row (see *Sign
+        transport* in the module docstring).  Raises PartitionFailure
+        unless the rows are distinct and closed under the permutations."""
+        rows = self._sign_table
+        index = {row: i for i, row in enumerate(rows)}
+        for i, row in enumerate(rows):
+            if index[row] != i:  # another cone has this row
+                self.cone_containing(self.cones[i].relint_point())  # raises
+        perms = self.datum.root_permutations
+        moves = tuple(tuple(index.get(_permuted(row, p)) for row in rows) for p in perms)
+        for k, move in enumerate(moves):
+            if None in move:  # s_k of that cone is no fan cone
+                x = self.cones[move.index(None)].relint_point()
+                self.cone_containing(reflect_simple(self.datum.cartan, x, k))
+                raise PartitionFailure("fan is not Weyl invariant")
+        return moves
+
     # -- face order ----------------------------------------------------------
 
     @cached_property
@@ -287,9 +346,10 @@ class Fan:
             if c.lineality:
                 raise PartitionFailure(f"cone closure contains a line: {c}")
         _ = self.origin_index  # the zero cone belongs to the fan
-        _check_cover(self)
+        firsts = _orbit_firsts(self._moves)
+        _check_cover(self, firsts)
         _check_faces(self)
-        _check_orbits(self)
+        _check_orbits(self, firsts)
         return {
             "cones": len(self.cones),
             "face_pairs": len(self.face_order),
@@ -348,22 +408,27 @@ def _permuted(signs: tuple[int, ...], perm: tuple[tuple[int, ...], int]) -> tupl
     return tuple(out)
 
 
-def _check_cover(fan: Fan) -> None:
-    """Partition and boundary axioms: every Weyl facet lies in exactly one
-    cone, and every facet of every closure is the closure of a fan cone.
-    The facet points are `weyl_facet_points`, walked from the dominant ones
-    with their sign vectors carried along."""
-    datum = fan.datum
-    perms = datum.root_permutations
-    points = walk_orbits(
-        {p: (p, fan._signs(p)) for p in _dominant_facet_points(datum)},
-        datum.rank,
-        lambda x, k: reflect_simple(datum.cartan, x[0], k),
-        lambda x, k, q: (q, _permuted(x[1], perms[k])),
-    )
-    for p, signs in points.values():
-        fan._scan(p, signs)
-    for i, g in enumerate(fan.cones):
+def _orbit_firsts(moves: Sequence[Sequence[int]]) -> list[int]:
+    """The first cone of each orbit of the moves table, in cone order."""
+    walked: set[int] = set()
+    firsts = []
+    for i in range(len(moves[0])):
+        if i not in walked:
+            firsts.append(i)
+            walked.update(walk_orbits({i: i}, len(moves), lambda j, k: moves[k][j]))
+    return firsts
+
+
+def _check_cover(fan: Fan, firsts: Iterable[int]) -> None:
+    """Partition and boundary axioms on a fan whose rows are distinct and
+    closed under the sign permutations: every dominant facet point lies in
+    exactly one cone, and every facet of the closure of each cone in
+    `firsts`, one per orbit, is the closure of a fan cone (see *Orbit
+    reduction* in the module docstring)."""
+    for p in _dominant_facet_points(fan.datum):
+        fan._scan(p, fan._signs(p))
+    for i in firsts:
+        g = fan.cones[i]
         for form in g.ins:
             facet_rays = tuple(sorted(r for r in g.rays if la.dot(form, r) == 0))
             if ((), facet_rays) not in fan._index:
@@ -392,25 +457,14 @@ def _check_faces(fan: Fan) -> None:
             raise PartitionFailure(f"face condition fails for cones {f} <= {g}")
 
 
-def _check_orbits(fan: Fan) -> None:
-    """Weyl invariance and cores, by one walk of each cone orbit under the
-    simple reflections (see the module docstring)."""
-    datum = fan.datum
-    n = datum.rank
-    number, cone_rays = fan._ray_indices
-    by_rays = {frozenset(rays): i for i, rays in enumerate(cone_rays)}
-    moves = []  # per simple reflection, the index of every cone's image
-    for k in range(n):
-        image = [number.get(reflect_simple(datum.cartan, r, k)) for r in number]
-        moves.append([by_rays.get(frozenset(map(image.__getitem__, rays))) for rays in cone_rays])
-    if any(None in move for move in moves):
-        raise PartitionFailure("fan is not Weyl invariant")
-    reflections = [s.mat_points for s in datum.simple_reflections]
+def _check_orbits(fan: Fan, firsts: Iterable[int]) -> None:
+    """Cores, by one walk of each cone orbit, from its cone in `firsts`,
+    along the moves table (see the module docstring)."""
+    n = fan.datum.rank
+    moves = fan._moves
+    reflections = [s.mat_points for s in fan.datum.simple_reflections]
     one = la.identity(n)
-    walked: set[int] = set()
-    for first, c in enumerate(fan.cones):
-        if first in walked:
-            continue
+    for first in firsts:
         # cone i -> (i, u, u^-1), u mapping the first cone to cone i
         orbit = walk_orbits(
             {first: (first, one, one)},
@@ -422,7 +476,6 @@ def _check_orbits(fan: Fan) -> None:
                 reflect_matrix(reflections[k], k, x[2], right=True),
             ),
         )
-        walked.update(orbit)
         fix_rows = {}  # distinct nonzero rows of the Schreier generators minus 1
         for i, u, _ in orbit.values():
             for k, (s, move) in enumerate(zip(reflections, moves)):
@@ -433,6 +486,7 @@ def _check_orbits(fan: Fan) -> None:
                 for row in map(la.sub, la.mat_mul(uj_inv, su), one):
                     if any(row):
                         fix_rows[row] = None
+        c = fan.cones[first]
         core = Cone.from_system(n, list(c.eqs) + list(fix_rows), list(c.ins))
         for i, u, _ in orbit.values():
             if _image_key(core, u) != fan.cores[i].cone.key:
@@ -468,11 +522,12 @@ def weyl_facet_points(datum: RootDatum) -> list[Vec]:
 
 def _dominant_facet_points(datum: RootDatum) -> list[Vec]:
     """The primitive multiples of the sums of fundamental coweights, one
-    per facet of the dominant chamber."""
+    per facet of the dominant chamber, from the columns of the adjugate of
+    the Cartan matrix, positive multiples of the coweights."""
     n = datum.rank
-    coweights = la.inverse(datum.cartan)  # as its columns
+    adjugate = la.scaled_inverse(datum.cartan)[0]  # coweights as its columns
     subsets = (tuple(bits >> j & 1 for j in range(n)) for bits in range(1 << n))
-    return [la.primitive(la.mat_vec(coweights, e)) for e in subsets]
+    return [la.primitive(la.mat_vec(adjugate, e)) for e in subsets]
 
 
 def _admissible_index_sets(datum: RootDatum, J: frozenset[int]) -> list[frozenset[int]]:
@@ -551,17 +606,21 @@ def parabolic_fan(datum: RootDatum, J: Iterable[int] = ()) -> Fan:
         """The image of x under s_k, the core's u becoming s_k.u."""
         cone, info, _ = x
         weyl = info.weyl.left_mul(datum.simple_reflections[k])
-        core = _reflected_cone(cartan, info.cone, k)
-        return _reflected_cone(cartan, cone, k), replace(info, weyl=weyl, cone=core), row
+        image = _reflected_cone(cartan, cone, k)
+        core = image if info.cone is cone else _reflected_cone(cartan, info.cone, k)
+        return image, replace(info, weyl=weyl, cone=core), row
 
     found: dict[tuple[int, ...], Item] = {}  # sign row -> item
+    seeds = []  # the standard cones, one per orbit
     for I in _admissible_index_sets(datum, J):
         eqs, ins, T = standard_cone_system(datum, J, I)
         base = Cone.from_system(n, eqs, ins)
         row = _sign_row(forms, base, f"the standard cone of {sorted(I)}", {})
         if row in found:
             continue  # an orbit walked already
-        info = CoreInfo(T, I, WeylElement.identity(n), _facet_cone(datum, T))
+        seeds.append(base.key)
+        core = base if T == I else _facet_cone(datum, T)
+        info = CoreInfo(T, I, WeylElement.identity(n), core)
         found.update(
             walk_orbits({row: (base, info, row)}, n, lambda x, k: _permuted(x[2], perms[k]), make)
         )
@@ -570,7 +629,7 @@ def parabolic_fan(datum: RootDatum, J: Iterable[int] = ()) -> Fan:
     cones = [x[0] for x in ordered]
     cores = {i: x[1] for i, x in enumerate(ordered)}
     fan = Fan(datum, J, cones, cores, [x[2] for x in ordered])
-    _check_cover(fan)
+    _check_cover(fan, [fan._index[key] for key in seeds])
     return fan
 
 

@@ -3,9 +3,9 @@
 Vectors are tuples, matrices are tuples of row vectors.  Entries are `int`
 or `Fraction`: integral data (root covectors, Weyl matrices, cone forms and
 rays) stays `int` end to end.  Elimination is fraction-free: `rref`, `rank`,
-`kernel_basis`, `solve`, `inverse` and `det` all read one integer
-Gauss-Jordan pass, `_echelon`, and `Fraction` appears only in results that
-need not be integral (echelon rows, solutions, inverses, determinants).
+`kernel_basis`, `solve`, `scaled_inverse`, `inverse` and `det` all read one
+integer Gauss-Jordan pass, `_echelon`, and `Fraction` appears only in results
+that need not be integral (echelon rows, solutions, inverses, determinants).
 No `/` is applied to two ints, so no float can arise, and every decision
 (rank, kernel, solvability) is an exact sign decision.
 """
@@ -186,12 +186,19 @@ def solve(a_rows: Sequence[Vec], b: Vec) -> Optional[Vec]:
     return tuple(x)
 
 
-def inverse(m: Mat) -> Mat:
+def scaled_inverse(m: Mat) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(d m^-1, d) with d > 0 and d m^-1 in ints: the adjugate of an int
+    matrix of positive determinant, read off one integer elimination."""
     n = len(m)
     red, pivots, d, _ = _echelon([tuple(row) + e for row, e in zip(m, identity(n))])
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
-    return tuple(tuple(Fraction(x, d) for x in row[n:]) for row in red)
+    return tuple(tuple(row[n:]) for row in red), d
+
+
+def inverse(m: Mat) -> Mat:
+    scaled, d = scaled_inverse(m)
+    return tuple(tuple(Fraction(x, d) for x in row) for row in scaled)
 
 
 def det(m: Mat) -> Fraction:

@@ -147,6 +147,22 @@ def _parse_catalogue_name(name: str) -> list[tuple[str, int]]:
     return factors
 
 
+def coordinates(x: Iterable) -> Vec:
+    """x as a tuple of Fractions; raises NonRootSystem unless x is an
+    iterable of finite rational numbers, naming the first entry that is not."""
+    try:
+        entries = iter(x)
+    except TypeError:  # None, 5
+        raise NonRootSystem(f"{x!r} is not a sequence of coordinates") from None
+    coords = []
+    for c in entries:
+        try:
+            coords.append(Fraction(c))
+        except (TypeError, ValueError, OverflowError):  # None, "x", NaN, inf
+            raise NonRootSystem(f"coordinate {c!r} is not a finite rational number") from None
+    return tuple(coords)
+
+
 class RootDatum(Value):
     """A root system with basis, Cartan matrix and invariant inner product."""
 
@@ -239,13 +255,8 @@ class RootDatum(Value):
     def point(self, x: Sequence) -> Vec:
         """x as a point of the ambient space (rational coroot coordinates);
         raises DimensionMismatch unless it has `rank` coordinates, and
-        NonRootSystem at a coordinate that is not a finite rational."""
-        coords = []
-        for c in x:
-            try:
-                coords.append(Fraction(c))
-            except (TypeError, ValueError, OverflowError):  # None, "x", NaN, inf
-                raise NonRootSystem(f"coordinate {c!r} is not a finite rational number") from None
+        NonRootSystem as `coordinates` does."""
+        coords = coordinates(x)
         if len(coords) != self.rank:
             raise DimensionMismatch(
                 f"point has {len(coords)} coordinates, {self.name} has rank {self.rank}"
@@ -537,7 +548,7 @@ def _build_explicit(raw_roots: Sequence[Sequence], basis: Sequence[int]) -> Root
     nonzero vector of its span, so it moves a root's part a' there to some
     w a' with a coefficient of the other sign, and w fixes the rest.  So all
     the reflections and pairings agree."""
-    vectors = [la.vec(r) for r in raw_roots]
+    vectors = [coordinates(r) for r in raw_roots]
     if not vectors:
         raise NonRootSystem("empty root list")
     ambient = len(vectors[0])

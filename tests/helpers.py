@@ -26,7 +26,13 @@ from weylfan.fans import (
     weyl_facet_points,
 )
 from weylfan.parabolics import core_generating_set
-from weylfan.rootdata import build_root_datum, components, orthogonal_complement, weyl_enumerate
+from weylfan.rootdata import (
+    build_root_datum,
+    components,
+    orthogonal_complement,
+    reflect_simple,
+    weyl_enumerate,
+)
 
 
 FAN_CATALOGUE = ["A1", "A2", "A3", "B2", "B3", "C3", "G2", "BC1", "BC2", "A1xA1"]
@@ -70,6 +76,35 @@ def enumerated_parabolic_fan(datum, J) -> Fan:
                 found[moved.key] = (moved, CoreInfo(T, I, w, core))
     ordered = sorted(found.values(), key=lambda pair: (pair[0].dim, pair[0].key))
     return Fan(datum, J, [c for c, _ in ordered], {i: info for i, (_, info) in enumerate(ordered)})
+
+
+def ray_reflection_moves(fan: Fan) -> tuple:
+    """Moves table oracle: per simple reflection s_k, the index of the cone
+    whose ray set is s_k of the rays of cone i (None if there is none)."""
+    index = {frozenset(c.rays): i for i, c in enumerate(fan.cones)}
+    return tuple(
+        tuple(
+            index.get(frozenset(reflect_simple(fan.datum.cartan, r, k) for r in c.rays))
+            for c in fan.cones
+        )
+        for k in range(fan.datum.rank)
+    )
+
+
+def orbit_labels(moves) -> list[int]:
+    """Per cone, the number of its orbit under a complete moves table."""
+    labels = [None] * len(moves[0])
+    count = 0
+    for i in range(len(labels)):
+        if labels[i] is None:
+            labels[i], walk = count, [i]
+            for j in walk:
+                for move in moves:
+                    if labels[move[j]] is None:
+                        labels[move[j]] = count
+                        walk.append(move[j])
+            count += 1
+    return labels
 
 
 def closure_face_order(fan: Fan) -> tuple:

@@ -10,13 +10,17 @@ import pytest
 from helpers import (
     FAN_CATALOGUE,
     RANK4_CATALOGUE,
+    built_fan,
     closure_face_order,
+    orbit_labels,
     random_rational_vec,
+    ray_reflection_moves,
     sample_points,
     scan_cone_containing,
     scan_limit_of_profile,
     valid_js,
 )
+from weylfan import fans
 from weylfan import linalg as la
 from weylfan._value import replace
 from weylfan.apartment import (
@@ -42,7 +46,7 @@ from weylfan.compactify import (
 )
 from weylfan.cones import Cone, is_face_closure, is_face_supporting
 from weylfan.errors import DimensionMismatch, PartitionFailure, WeylfanError
-from weylfan.fans import Fan, parabolic_fan, weyl_fan, weyl_facet_points
+from weylfan.fans import Fan, _dominant_facet_points, parabolic_fan, weyl_fan, weyl_facet_points
 from weylfan.gaussnorm import (
     ToyGroupDatum,
     boundary_chart_values,
@@ -60,11 +64,12 @@ def _case(name, J):
 CATALOGUE_FANS = [
     _case(name, J) for name in FAN_CATALOGUE for J in valid_js(build_root_datum(name))
 ]
+RANK4_FANS = [
+    _case(name, J) for name in RANK4_CATALOGUE for J in valid_js(build_root_datum(name))
+]
 
 
-@pytest.mark.parametrize(
-    "name,J", [_case(name, J) for name in RANK4_CATALOGUE for J in valid_js(build_root_datum(name))]
-)
+@pytest.mark.parametrize("name,J", RANK4_FANS)
 def test_transported_sign_table_matches_direct_build(name, J):
     """`parabolic_fan` carries each sign row along the orbit walk; a fan
     built by hand from the same cones builds every row directly."""
@@ -74,14 +79,76 @@ def test_transported_sign_table_matches_direct_build(name, J):
 
 @pytest.mark.parametrize("name,J", CATALOGUE_FANS)
 def test_cover_check_records_the_scan_oracle_cone_of_each_facet(name, J):
-    """The cover check carries the facet points' sign vectors along their
-    walk; each recorded sign vector is that of a facet point and names the
-    cone the scan oracle finds for it."""
+    """The cover check scans the dominant facet points only, so right after
+    the build the sign map holds exactly their 2^rank sign vectors; every
+    Weyl facet point is then located where the scan oracle finds it."""
     fan = parabolic_fan(build_root_datum(name), J)
-    points = weyl_facet_points(fan.datum)
-    assert len(fan._by_sign) == len(points)
-    for p in points:
-        assert fan._by_sign[fan._signs(p)] == scan_cone_containing(fan, p)
+    dominant = {fan._signs(p) for p in _dominant_facet_points(fan.datum)}
+    assert len(dominant) == 2 ** fan.datum.rank
+    assert set(fan._by_sign) == dominant
+    for p in weyl_facet_points(fan.datum):
+        assert fan.cone_containing(p) == scan_cone_containing(fan, p)
+
+
+@pytest.mark.parametrize("name,J", RANK4_FANS)
+def test_moves_from_the_rows_match_ray_reflection(name, J):
+    """The moves table, one permuted sign row and one lookup per cone and
+    reflection, names the cone whose rays are the reflected rays."""
+    fan = built_fan(name, J)
+    assert fan._moves == ray_reflection_moves(fan)
+
+
+def test_the_cover_check_scans_only_the_dominant_facet_points(monkeypatch):
+    """F4 has 5,089 Weyl facets; the cover check matches the 2^4 dominant
+    ones and leaves the rest to the orbit argument."""
+    scanned = []
+    scan = Fan._scan
+    monkeypatch.setattr(Fan, "_scan", lambda fan, v, signs: scanned.append(v) or scan(fan, v, signs))
+    fan = parabolic_fan(build_root_datum("F4"), ())
+    assert len(fan) == 5089
+    assert len(scanned) == 16
+
+
+@pytest.mark.parametrize("name,J", [_case("B3", ()), _case("B3", (1,)), _case("A1xA2", (1,))])
+def test_the_cover_check_gets_one_cone_per_orbit(monkeypatch, name, J):
+    """`parabolic_fan` hands the cover check its standard cones, the walk's
+    seeds, and `Fan.validate` the first cone of each orbit of the moves."""
+    given = []
+    check = fans._check_cover
+    monkeypatch.setattr(
+        fans, "_check_cover", lambda fan, firsts: given.append(list(firsts)) or check(fan, firsts)
+    )
+    fan = parabolic_fan(build_root_datum(name), J)
+    Fan(fan.datum, fan.J, fan.cones, fan.cores).validate()
+    built, validated = given
+    labels = orbit_labels(ray_reflection_moves(fan))
+    assert sorted(built) == [i for i in range(len(fan)) if fan.cores[i].weyl.word == ()]
+    assert sorted(labels[i] for i in built) == list(range(max(labels) + 1))
+    assert validated == [i for i, label in enumerate(labels) if label not in labels[:i]]
+
+
+def _unglued_fan():
+    """A1xA2 with the merged fan of J = {a2} off the wall of a1 and the
+    Weyl fan on it: a Weyl invariant partition into cones cut out by root
+    signs, but the closure of a merged cone meets the wall in the union of
+    two Weyl chambers of A2, which is no fan cone."""
+    datum = build_root_datum("A1xA2")
+    merged, weyl = parabolic_fan(datum, [1]), weyl_fan(datum)
+    a1 = datum.simples[0]
+    cones = [c for i, c in enumerate(merged.cones) if merged.root_sign(i, a1) != 0]
+    cones += [c for i, c in enumerate(weyl.cones) if weyl.root_sign(i, a1) == 0]
+    cones.sort(key=lambda c: (c.dim, c.key))
+    cores = {k: weyl.cores[weyl.origin_index] for k in range(len(cones))}
+    return Fan(datum, merged.J, cones, cores)
+
+
+def test_validate_rejects_a_fan_whose_facets_are_not_fan_cones():
+    fan = _unglued_fan()
+    for p in weyl_facet_points(fan.datum):  # a partition all the same
+        scan_cone_containing(fan, p)
+    assert fan._moves == ray_reflection_moves(fan)  # and Weyl invariant
+    with pytest.raises(PartitionFailure, match="is not the closure of a fan cone"):
+        fan.validate()
 
 
 @pytest.mark.parametrize("name,J", CATALOGUE_FANS + [_case("A4", ()), _case("D4", ())])

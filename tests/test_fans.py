@@ -135,6 +135,26 @@ def test_validate_rejects_a_dropped_cone():
             _without_cone(fan, drop).validate()
 
 
+def _with_cone_twice(fan, repeat):
+    cores = dict(fan.cores)
+    cores[len(fan)] = fan.cores[repeat]
+    return Fan(fan.datum, fan.J, list(fan.cones) + [fan.cones[repeat]], cores)
+
+
+@pytest.mark.parametrize("name,J", [("B3", (1,)), ("A4", ())])
+def test_validate_rejects_a_dropped_or_repeated_cone_off_the_dominant_chamber(name, J):
+    """The cover check scans the dominant facet points only; a cone that
+    none of them lies in (its core word is not empty), dropped or given
+    twice, leaves a hole or an overlap that the moves table finds."""
+    fan = parabolic_fan(build_root_datum(name), J)
+    last = {c.dim: i for i, c in enumerate(fan.cones) if fan.cores[i].weyl.word}
+    assert sorted(last) == list(range(1, fan.datum.rank + 1))
+    for i in last.values():
+        for mutant in (_without_cone(fan, i), _with_cone_twice(fan, i)):
+            with pytest.raises(PartitionFailure, match="not a partition"):
+                mutant.validate()
+
+
 def test_validate_rejects_swapped_cores():
     fan = parabolic_fan(build_root_datum("B2"), ())
     i, j = [k for k, c in enumerate(fan.cones) if c.dim == 2][:2]

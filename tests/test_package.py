@@ -39,7 +39,7 @@ from weylfan import (
     weyl_enumerate,
 )
 from weylfan._value import replace
-from weylfan.apartment import ValueGroup
+from weylfan.apartment import ValueGroup, levi_point_from_pairings
 from weylfan.errors import DegenerateJ, NonRootSystem, TypeMismatch
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -310,6 +310,45 @@ def test_a_coordinate_that_is_not_a_finite_rational_is_named(call, value):
     run = _point_calls()[call]
     with pytest.raises(NonRootSystem, match=f"^coordinate {re.escape(repr(value))} is not a"):
         run((1, value))
+
+
+@pytest.mark.parametrize("value", [None, 5], ids=repr)
+@pytest.mark.parametrize("call", sorted(_point_calls()))
+def test_a_point_that_is_not_iterable_is_named(call, value):
+    run = _point_calls()[call]
+    with pytest.raises(NonRootSystem, match=f"^{value!r} is not a sequence of coordinates$"):
+        run(value)
+
+
+def _coordinate_calls():
+    """The other readers of rational coordinates: explicit roots and Levi
+    pairings, each given the bad entry where a coordinate belongs."""
+    a2 = build_root_datum("A2")
+    return {
+        "explicit root": lambda c: build_root_datum([[c], [1], [-1]], basis=[1]),
+        "levi pairing": lambda c: levi_point_from_pairings(a2, [0], (c,)),
+    }
+
+
+@pytest.mark.parametrize(
+    "value", [float("nan"), float("inf"), float("-inf"), "x", None], ids=repr
+)
+@pytest.mark.parametrize("call", sorted(_coordinate_calls()))
+def test_roots_and_pairings_name_a_coordinate_that_is_not_a_finite_rational(call, value):
+    run = _coordinate_calls()[call]
+    with pytest.raises(NonRootSystem, match=f"^coordinate {re.escape(repr(value))} is not a"):
+        run(value)
+
+
+@pytest.mark.parametrize("value", [None, 5], ids=repr)
+def test_roots_and_pairings_that_are_not_iterable_are_named(value):
+    a2 = build_root_datum("A2")
+    for run in [
+        lambda: build_root_datum([value, [1], [-1]], basis=[1]),
+        lambda: levi_point_from_pairings(a2, [0], value),
+    ]:
+        with pytest.raises(NonRootSystem, match=f"^{value!r} is not a sequence of coordinates$"):
+            run()
 
 
 @pytest.mark.parametrize(
