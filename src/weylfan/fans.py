@@ -124,13 +124,19 @@ that hold the rays of f (all of g if none do) is the rays of f.  This is
 the supporting-form criterion with alpha the sum of the tight facet
 forms, and it implies cl(f) = span(f) meet cl(g).  Weyl invariance and
 cores: a complete moves table is Weyl invariance, since the s_k generate
-W.  Each cone orbit is walked once along the moves, with u_i mapping its
-first cone to cone i (u_i and u_i^-1 moved by the O(n^2) updates, which
-also form s.u_i).  The Schreier elements u_j^-1 s u_i of the walk's
-edges i -> j generate the first cone's setwise stabiliser (Schreier's
-lemma), whose fixed locus their rows minus 1 cut out; one
-`Cone.from_system` per orbit gives the first core, and u_i carries it to
-the core of cone i.
+W.  The core of a cone X is the set of its points that its setwise
+stabiliser Stab(X) fixes.  Let X be the first cone of an orbit and p the
+sum of its rays; then Stab(X) is W_p, the stabiliser of p.  A g in
+Stab(X) permutes the primitive rays of X, as W acts unimodularly on
+coroot coordinates, so it fixes p.  A g in W_p maps X to a fan cone (Weyl
+invariance) through p, which is X (partition).  W_p is generated by the
+reflections it contains, those in the roots vanishing at p (Chevalley's
+lemma; Humphreys 1.12), so its fixed points are the zero set of those
+roots, and one `Cone.from_system` of the equalities of X, those root
+forms and the facet forms of X gives the first core (`_fixed_core`).
+Stab(s_k.X) is s_k Stab(X) s_k, so s_k maps the core of X onto the core
+of s_k.X: each orbit is walked once along the moves, carrying the first
+core by `_reflected_cone`, with no Weyl matrix.
 """
 
 from __future__ import annotations
@@ -157,7 +163,6 @@ from .rootdata import (
     listed,
     orthogonal_complement,
     point_orbits,
-    reflect_matrix,
     reflect_simple,
     walk_orbits,
 )
@@ -349,7 +354,7 @@ class Fan:
         firsts = _orbit_firsts(self._moves)
         _check_cover(self, firsts)
         _check_faces(self)
-        _check_orbits(self, firsts)
+        _check_cores(self, firsts)
         return {
             "cones": len(self.cones),
             "face_pairs": len(self.face_order),
@@ -457,39 +462,30 @@ def _check_faces(fan: Fan) -> None:
             raise PartitionFailure(f"face condition fails for cones {f} <= {g}")
 
 
-def _check_orbits(fan: Fan, firsts: Iterable[int]) -> None:
-    """Cores, by one walk of each cone orbit, from its cone in `firsts`,
-    along the moves table (see the module docstring)."""
-    n = fan.datum.rank
-    moves = fan._moves
-    reflections = [s.mat_points for s in fan.datum.simple_reflections]
-    one = la.identity(n)
+def _fixed_core(fan: Fan, i: int) -> Cone:
+    """Cone i cut down by the roots vanishing at the sum p of its rays: the
+    fixed locus of its stabiliser W_p in it (see *Validation* in the module
+    docstring)."""
+    c = fan.cones[i]
+    p = c.relint_point()
+    fixed = [f for f in fan._root_forms if la.dot(f, p) == 0]
+    return Cone.from_system(fan.datum.rank, list(c.eqs) + fixed, list(c.ins))
+
+
+def _check_cores(fan: Fan, firsts: Iterable[int]) -> None:
+    """Cores: the first core of each orbit, from the cone in `firsts`, is
+    `_fixed_core`, and each move s_k carries the core of cone i to that
+    of its image (see *Validation* in the module docstring)."""
+    n, cartan, moves = fan.datum.rank, fan.datum.cartan, fan._moves
     for first in firsts:
-        # cone i -> (i, u, u^-1), u mapping the first cone to cone i
         orbit = walk_orbits(
-            {first: (first, one, one)},
+            {first: (first, _fixed_core(fan, first))},
             n,
             lambda x, k: moves[k][x[0]],
-            lambda x, k, j: (
-                j,
-                reflect_matrix(reflections[k], k, x[1]),
-                reflect_matrix(reflections[k], k, x[2], right=True),
-            ),
+            lambda x, k, j: (j, _reflected_cone(cartan, x[1], k)),
         )
-        fix_rows = {}  # distinct nonzero rows of the Schreier generators minus 1
-        for i, u, _ in orbit.values():
-            for k, (s, move) in enumerate(zip(reflections, moves)):
-                _, uj, uj_inv = orbit[move[i]]
-                su = reflect_matrix(s, k, u)
-                if su == uj:
-                    continue  # the Schreier element is 1
-                for row in map(la.sub, la.mat_mul(uj_inv, su), one):
-                    if any(row):
-                        fix_rows[row] = None
-        c = fan.cones[first]
-        core = Cone.from_system(n, list(c.eqs) + list(fix_rows), list(c.ins))
-        for i, u, _ in orbit.values():
-            if _image_key(core, u) != fan.cores[i].cone.key:
+        for i, core in orbit.values():
+            if core.key != fan.cores[i].cone.key:
                 raise PartitionFailure(f"core of cone {i} is not the stabiliser fixed locus")
 
 

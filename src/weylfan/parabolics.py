@@ -163,13 +163,9 @@ def facade_root_system(datum: RootDatum, fan: Fan, cone_index: int) -> tuple[Roo
 
     These are the wall directions surviving in the facade of the cone; for
     the standard cone of core type T the result is the Levi subsystem of T.
-    The core's integer generators span it, so a root vanishes on the core
-    exactly when its covector vanishes on each of them.
+    They are the roots vanishing at the sum of the cone's rays, which lies
+    in the core, and each root has one sign on the core, a Weyl facet (see
+    *Validation* in the `fans` docstring).
     """
-    core = fan.cores[cone_index].cone
-    gens = core.lineality + core.rays
-    return tuple(
-        a
-        for a in datum.roots
-        if all(la.dot(datum.covector(a), g) == 0 for g in gens)
-    )
+    p = fan.cones[cone_index].relint_point()
+    return tuple(a for a in datum.roots if la.dot(datum.covector(a), p) == 0)

@@ -149,16 +149,22 @@ def _parse_catalogue_name(name: str) -> list[tuple[str, int]]:
 
 def coordinates(x: Iterable) -> Vec:
     """x as a tuple of Fractions; raises NonRootSystem unless x is an
-    iterable of finite rational numbers, naming the first entry that is not."""
+    iterable of finite rational numbers, naming the first entry that is not.
+    `Fraction` reads a string and a bool, but neither is such a number, and
+    a string is no sequence of them."""
     try:
+        if isinstance(x, (str, bytes)):
+            raise TypeError
         entries = iter(x)
-    except TypeError:  # None, 5
+    except TypeError:  # None, 5, "12"
         raise NonRootSystem(f"{x!r} is not a sequence of coordinates") from None
     coords = []
     for c in entries:
         try:
+            if isinstance(c, (str, bool)):
+                raise TypeError
             coords.append(Fraction(c))
-        except (TypeError, ValueError, OverflowError):  # None, "x", NaN, inf
+        except (TypeError, ValueError, OverflowError):  # None, "1", True, NaN, inf
             raise NonRootSystem(f"coordinate {c!r} is not a finite rational number") from None
     return tuple(coords)
 
@@ -548,7 +554,11 @@ def _build_explicit(raw_roots: Sequence[Sequence], basis: Sequence[int]) -> Root
     nonzero vector of its span, so it moves a root's part a' there to some
     w a' with a coefficient of the other sign, and w fixes the rest.  So all
     the reflections and pairings agree."""
-    vectors = [coordinates(r) for r in raw_roots]
+    try:
+        rows = iter(raw_roots)
+    except TypeError:  # None, 5
+        raise NonRootSystem(f"{raw_roots!r} is not a list of roots") from None
+    vectors = [coordinates(r) for r in rows]
     if not vectors:
         raise NonRootSystem("empty root list")
     ambient = len(vectors[0])

@@ -30,7 +30,9 @@ from weylfan.rootdata import (
     build_root_datum,
     components,
     orthogonal_complement,
+    reflect_matrix,
     reflect_simple,
+    walk_orbits,
     weyl_enumerate,
 )
 
@@ -88,6 +90,47 @@ def ray_reflection_moves(fan: Fan) -> tuple:
             for c in fan.cones
         )
         for k in range(fan.datum.rank)
+    )
+
+
+def schreier_core(fan: Fan, first: int) -> Cone:
+    """Core oracle: the core of cone `first` as the fixed locus of the
+    Schreier elements u_j^-1 s_k u_i of a walk of its orbit along the
+    moves, u_i mapping it to cone i, which generate its setwise stabiliser
+    (Schreier's lemma); their rows minus 1 cut the cone down."""
+    n = fan.datum.rank
+    moves = fan._moves
+    reflections = [s.mat_points for s in fan.datum.simple_reflections]
+    one = la.identity(n)
+    orbit = walk_orbits(  # cone i -> (i, u_i, u_i^-1)
+        {first: (first, one, one)},
+        n,
+        lambda x, k: moves[k][x[0]],
+        lambda x, k, j: (
+            j,
+            reflect_matrix(reflections[k], k, x[1]),
+            reflect_matrix(reflections[k], k, x[2], right=True),
+        ),
+    )
+    fix_rows = {}
+    for i, u, _ in orbit.values():
+        for k, (s, move) in enumerate(zip(reflections, moves)):
+            _, uj, uj_inv = orbit[move[i]]
+            for row in map(la.sub, la.mat_mul(uj_inv, reflect_matrix(s, k, u)), one):
+                if any(row):
+                    fix_rows[row] = None
+    c = fan.cones[first]
+    return Cone.from_system(n, list(c.eqs) + list(fix_rows), list(c.ins))
+
+
+def core_generator_roots(fan: Fan, i: int) -> tuple:
+    """Facade root oracle: the roots whose covectors vanish on every
+    generator of the stored core of cone i."""
+    core = fan.cores[i].cone
+    gens = core.lineality + core.rays
+    datum = fan.datum
+    return tuple(
+        a for a in datum.roots if all(la.dot(datum.covector(a), g) == 0 for g in gens)
     )
 
 

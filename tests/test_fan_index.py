@@ -18,6 +18,7 @@ from helpers import (
     sample_points,
     scan_cone_containing,
     scan_limit_of_profile,
+    schreier_core,
     valid_js,
 )
 from weylfan import fans
@@ -107,6 +108,15 @@ def test_the_cover_check_scans_only_the_dominant_facet_points(monkeypatch):
     fan = parabolic_fan(build_root_datum("F4"), ())
     assert len(fan) == 5089
     assert len(scanned) == 16
+
+
+@pytest.mark.parametrize("name,J", RANK4_FANS)
+def test_first_cores_from_the_vanishing_roots_match_the_schreier_oracle(name, J):
+    """The roots vanishing at the sum of the rays of each orbit's first
+    cone cut out the fixed locus of its Schreier generators."""
+    fan = built_fan(name, J)
+    for i in fans._orbit_firsts(fan._moves):
+        assert fans._fixed_core(fan, i).key == schreier_core(fan, i).key, i
 
 
 @pytest.mark.parametrize("name,J", [_case("B3", ()), _case("B3", (1,)), _case("A1xA2", (1,))])
@@ -276,6 +286,35 @@ def test_validate_rejects_a_core_replaced_by_the_origin(name, J):
     cores[i] = replace(cores[i], cone=fan.cones[fan.origin_index])
     with pytest.raises(PartitionFailure, match=f"core of cone {i} is not"):
         Fan(fan.datum, fan.J, fan.cones, cores).validate()
+
+
+@pytest.mark.parametrize("name,J", MUTANT_FANS)
+def test_validate_rejects_cores_swapped_within_an_orbit(name, J):
+    """Two cones of one orbit, neither its first, trade cores: the first
+    core holds, and the walk fails at whichever of the two it meets first."""
+    fan = parabolic_fan(build_root_datum(name), J)
+    labels = orbit_labels(fan._moves)
+    i, j = [k for k, label in enumerate(labels) if label == labels[-1]][-2:]
+    assert labels.index(labels[-1]) < i
+    cores = dict(fan.cores)
+    cores[i], cores[j] = cores[j], cores[i]
+    with pytest.raises(PartitionFailure, match=f"core of cone ({i}|{j}) is not"):
+        Fan(fan.datum, fan.J, fan.cones, cores).validate()
+
+
+def test_validate_rejects_a_merged_cone_as_its_own_core():
+    """In B3 {a2}, a cone whose core type T is not I is larger than its
+    core; given as its own core, the first or the last cone of its orbit
+    fails there."""
+    fan = parabolic_fan(build_root_datum("B3"), [1])
+    merged = [k for k, info in fan.cores.items() if info.type_indices != info.generator_indices]
+    labels = orbit_labels(fan._moves)
+    last = merged[-1]
+    for i in (labels.index(labels[last]), last):
+        cores = dict(fan.cores)
+        cores[i] = replace(cores[i], cone=fan.cones[i])
+        with pytest.raises(PartitionFailure, match=f"core of cone {i} is not"):
+            Fan(fan.datum, fan.J, fan.cones, cores).validate()
 
 
 @pytest.mark.parametrize("name,J", CATALOGUE_FANS)

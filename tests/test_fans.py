@@ -306,6 +306,18 @@ def test_parabolic_fan_forms_no_matrix_products(monkeypatch):
     assert not calls
 
 
+def test_validate_forms_no_matrix_products(monkeypatch):
+    """`Fan.validate` carries each orbit's first core along the moves by
+    reflecting cones, so validating F4's Weyl fan calls `linalg.mat_mul`
+    not once."""
+    fan = parabolic_fan(build_root_datum("F4"), ())
+    calls = []
+    mat_mul = la.mat_mul
+    monkeypatch.setattr(la, "mat_mul", lambda a, b: calls.append(1) or mat_mul(a, b))
+    assert fan.validate()["cones"] == 5089
+    assert not calls
+
+
 def test_fans_validation_and_patterns_do_not_enumerate_weyl():
     datum = build_root_datum("B3")
     weyl_enumerate.cache_clear()

@@ -303,7 +303,7 @@ def _point_calls():
 
 
 @pytest.mark.parametrize(
-    "value", [float("nan"), float("inf"), float("-inf"), "x", None], ids=repr
+    "value", [float("nan"), float("inf"), float("-inf"), "x", None, "1", True], ids=repr
 )
 @pytest.mark.parametrize("call", sorted(_point_calls()))
 def test_a_coordinate_that_is_not_a_finite_rational_is_named(call, value):
@@ -312,7 +312,7 @@ def test_a_coordinate_that_is_not_a_finite_rational_is_named(call, value):
         run((1, value))
 
 
-@pytest.mark.parametrize("value", [None, 5], ids=repr)
+@pytest.mark.parametrize("value", [None, 5, "12"], ids=repr)
 @pytest.mark.parametrize("call", sorted(_point_calls()))
 def test_a_point_that_is_not_iterable_is_named(call, value):
     run = _point_calls()[call]
@@ -331,7 +331,7 @@ def _coordinate_calls():
 
 
 @pytest.mark.parametrize(
-    "value", [float("nan"), float("inf"), float("-inf"), "x", None], ids=repr
+    "value", [float("nan"), float("inf"), float("-inf"), "x", None, "1", True], ids=repr
 )
 @pytest.mark.parametrize("call", sorted(_coordinate_calls()))
 def test_roots_and_pairings_name_a_coordinate_that_is_not_a_finite_rational(call, value):
@@ -340,7 +340,7 @@ def test_roots_and_pairings_name_a_coordinate_that_is_not_a_finite_rational(call
         run(value)
 
 
-@pytest.mark.parametrize("value", [None, 5], ids=repr)
+@pytest.mark.parametrize("value", [None, 5, "2"], ids=repr)
 def test_roots_and_pairings_that_are_not_iterable_are_named(value):
     a2 = build_root_datum("A2")
     for run in [
@@ -349,6 +349,12 @@ def test_roots_and_pairings_that_are_not_iterable_are_named(value):
     ]:
         with pytest.raises(NonRootSystem, match=f"^{value!r} is not a sequence of coordinates$"):
             run()
+
+
+@pytest.mark.parametrize("value", [None, 5], ids=repr)
+def test_a_root_list_that_is_not_iterable_is_named(value):
+    with pytest.raises(NonRootSystem, match=f"^{value!r} is not a list of roots$"):
+        build_root_datum(value, basis=[0])
 
 
 @pytest.mark.parametrize(

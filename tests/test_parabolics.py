@@ -1,6 +1,12 @@
 import pytest
 
-from helpers import built_fan, is_J_relevant_exhaustive, is_J_relevant_via_perp
+from helpers import (
+    RANK4_CATALOGUE,
+    built_fan,
+    core_generator_roots,
+    is_J_relevant_exhaustive,
+    is_J_relevant_via_perp,
+)
 from weylfan import linalg as la
 from weylfan import parabolics
 from weylfan.cones import Cone
@@ -235,6 +241,22 @@ def test_strata_biject_with_core_orbit_classes(name, J):
     weyl = weyl_enumerate(datum)
     orbits = [len(weyl) // len(weyl.subgroup_elements(d.type_indices)) for d in strata]
     assert sum(orbits) == len(fan)
+
+
+@pytest.mark.parametrize(
+    "name,J",
+    [
+        pytest.param(name, tuple(sorted(J)), id=f"{name}-{sorted(J)}")
+        for name in RANK4_CATALOGUE
+        for J in valid_js(build_root_datum(name))
+    ],
+)
+def test_facade_root_system_matches_the_core_generator_oracle(name, J):
+    """The roots vanishing at a cone's interior point are those vanishing
+    on every generator of its stored core."""
+    fan = built_fan(name, J)
+    for i in range(len(fan)):
+        assert facade_root_system(fan.datum, fan, i) == core_generator_roots(fan, i), i
 
 
 def test_facade_root_system_examples():
