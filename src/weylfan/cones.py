@@ -6,6 +6,50 @@ exactly the relative interior of the closed cone obtained by relaxing the
 strict inequalities, so equality of cones reduces to equality of closures,
 decided through canonical generator data (lineality basis plus extreme
 rays) computed once by an exact double-description pass.
+
+*Double description.*  `dual_description` adds the inequalities of
+{x : eqs x = 0, ineqs x >= 0} one at a time to the space {eqs x = 0},
+keeping the lineality L of the cone so far (cut out by eqs and the
+processed inequalities) and its extreme rays modulo L, each with its
+tight set: the bitset of the processed inequalities that vanish on it
+(Motzkin et al., 1953; Fukuda and Prodon, *Double description method
+revisited*, 1996).  The next inequality a either meets L or vanishes on
+it.
+
+- If a meets L, take a pivot l in L with a.l > 0.  Projecting along l
+  onto ker a maps L onto L' = L n ker a, and induces an isomorphism of
+  V / L onto ker a / L'.  The cone C n {a >= 0} is the projection of C
+  plus the ray of l, so its extreme rays modulo L' are the projections of
+  the old rays, still extreme and distinct, and l: no ray is dropped.
+  The processed forms vanish on l, so a projected ray keeps its tight set
+  and gains a, and l is tight on every earlier inequality and not on a.
+- Otherwise C / L is pointed, cut out by the processed forms.  The rays
+  with a.r >= 0 stay extreme, and the new extreme rays are the points on
+  a = 0 of the 2-faces of C spanned by a ray p with a.p > 0 and a ray n
+  with a.n < 0.  The smallest face holding p and n is the set where the
+  forms of Z(p) n Z(n) vanish, and its extreme rays are those whose tight
+  sets contain Z(p) n Z(n); it is a 2-face exactly when p and n are the
+  only ones (the combinatorial adjacency test).  A point of the open
+  segment from p to n is tight exactly on Z(p) n Z(n), plus a on the
+  combination (a.p) n - (a.n) p.
+
+So each step yields exactly the extreme rays of the new cone, and no
+elimination is needed beyond the kernel of eqs that starts the pass.
+
+*Canonical form.*  `Cone.from_system` rejects a system one of whose
+strict forms vanishes on every generator of the closed cone (EmptyCone).
+Past that check, each strict form is positive somewhere on the closed
+cone, and the sum of one such point per form is positive on all of them,
+so the closed cone has a point interior to {eqs x = 0} and spans it.  The
+forms vanishing on the cone are then the row space of eqs, and their
+canonical basis is the primitive rows of its reduced row echelon form,
+unique for the subspace.  Every facet of {eqs = 0, ins >= 0} is the zero
+set of some form in ins, and every zero set of a form in ins is a proper
+face, inside some facet.  A face is the lineality plus the rays it holds,
+so the faces nest as their ray sets do, and a form is a facet form
+exactly when its set of vanishing rays is maximal among those of the
+forms in ins.  Forms of one facet agree, on the span, up to a positive
+factor, so they reduce modulo the equalities to one primitive form.
 """
 
 from __future__ import annotations
@@ -15,7 +59,7 @@ from typing import Optional, Sequence
 
 from . import linalg as la
 from ._value import Value
-from .errors import EmptyCone
+from .errors import DimensionMismatch, EmptyCone
 from .linalg import Mat, Vec
 
 
@@ -26,22 +70,16 @@ def dual_description(
 
     Rays are primitive and canonical up to order; together with the
     lineality they generate the cone.  Rays are extreme modulo lineality.
+    Raises DimensionMismatch for a form whose length is not n.
     """
+    for form in (*eqs, *ineqs):
+        if len(form) != n:
+            raise DimensionMismatch(f"form {tuple(form)} has {len(form)} entries, not {n}")
     lineality = la.kernel_basis(list(eqs), n)
     rays: list[Vec] = []
-    processed: list[Vec] = list(eqs)
-
-    def prune(rays_in: list[Vec], lin_dim: int) -> list[Vec]:
-        # a ray is extreme iff its tight constraints cut its span plus lineality
-        kept = []
-        for r in rays_in:
-            tight = [a for a in processed if la.dot(a, r) == 0]
-            nullity = n - la.rank(tight)
-            if nullity == lin_dim + 1:
-                kept.append(r)
-        return kept
-
-    for a in ineqs:
+    tight: list[int] = []  # per ray, the bitset of the processed ineqs vanishing on it
+    for i, a in enumerate(ineqs):
+        bit = 1 << i
         pivot = next((l for l in lineality if la.dot(a, l) != 0), None)
         if pivot is not None:
             if la.dot(a, pivot) < 0:
@@ -52,31 +90,26 @@ def dual_description(
                 # pa > 0, so this is the primitive form of v - (a.v / pa) pivot
                 return la.primitive(la.sub(la.scale(v, pa), la.scale(pivot, la.dot(a, v))))
 
-            lineality = [project(l) for l in lineality if l is not pivot]
-            lineality = [l for l in lineality if any(l)]
-            rays = [project(r) for r in rays]
-            rays = [r for r in rays if any(r)]
-            rays.append(la.primitive(pivot))
-        else:
-            pos = [r for r in rays if la.dot(a, r) > 0]
-            zero = [r for r in rays if la.dot(a, r) == 0]
-            negs = [r for r in rays if la.dot(a, r) < 0]
-            combos = []
-            for rp in pos:
-                ap = la.dot(a, rp)
-                for rn in negs:
-                    an = la.dot(a, rn)
-                    combo = la.primitive(la.sub(la.scale(rn, ap), la.scale(rp, an)))
-                    if not la.is_zero(combo):
-                        combos.append(combo)
-            rays = pos + zero + combos
-        processed.append(a)
-        seen = set()
-        rays = [r for r in rays if not (r in seen or seen.add(r))]
-        rays = prune(rays, len(lineality))
-
-    rays = sorted(set(la.primitive(r) for r in rays))
-    return lineality, rays
+            # the pivot projects to zero, the rest of the basis does not
+            lineality = [l for l in map(project, lineality) if any(l)]
+            rays = [project(r) for r in rays] + [la.primitive(pivot)]
+            tight = [t | bit for t in tight] + [bit - 1]
+            continue
+        vals = [la.dot(a, r) for r in rays]
+        pos = [j for j, v in enumerate(vals) if v > 0]
+        negs = [j for j, v in enumerate(vals) if v < 0]
+        new_rays = [r for r, v in zip(rays, vals) if v >= 0]
+        new_tight = [t | bit if v == 0 else t for t, v in zip(tight, vals) if v >= 0]
+        for p in pos:
+            for q in negs:
+                common = tight[p] & tight[q]
+                if sum(common & t == common for t in tight) > 2:
+                    continue  # a third ray lies on the smallest face of p and q
+                ap, aq = vals[p], vals[q]
+                new_rays.append(la.primitive(la.sub(la.scale(rays[q], ap), la.scale(rays[p], aq))))
+                new_tight.append(common | bit)
+        rays, tight = new_rays, new_tight
+    return lineality, sorted(rays)
 
 
 class Cone(Value, uncompared=("eqs", "ins")):
@@ -93,41 +126,35 @@ class Cone(Value, uncompared=("eqs", "ins")):
 
     @staticmethod
     def from_system(n: int, eqs: Sequence[Vec], ins: Sequence[Vec]) -> "Cone":
-        """Canonicalise {x : eqs x = 0, ins x > 0}; raises EmptyCone if empty."""
+        """Canonicalise {x : eqs x = 0, ins x > 0}; raises EmptyCone if empty
+        and DimensionMismatch for a form whose length is not n (see
+        *Canonical form* in the module docstring)."""
         eqs = [tuple(e) for e in eqs]
         ins = [tuple(i) for i in ins]
         lin, rays = dual_description(n, eqs, ins)
-        gens = rays + lin + [la.neg(l) for l in lin]
-        for form in ins:
-            if all(la.dot(form, g) <= 0 for g in gens):
+        # per form, the bitset of the rays it vanishes on; it is >= 0 on the
+        # rays and vanishes on the lineality
+        zeros = [sum(1 << j for j, r in enumerate(rays) if not la.dot(form, r)) for form in ins]
+        every = (1 << len(rays)) - 1
+        for form, zero in zip(ins, zeros):
+            if zero == every:
                 # the form vanishes identically on the closed cone, so the
                 # strict system has no solution
                 raise EmptyCone(f"form {form} cannot be strictly positive")
-        span = list(lin) + list(rays)
-        eq_canonical, _ = la.rref(la.kernel_basis(span, n))
-        eq_canonical = [la.primitive(e) for e in eq_canonical]
-
-        span_dim = n - len(eq_canonical)
-        facet_forms = []
-        seen = set()
-        for form in ins:
-            red = _reduce_mod(form, eq_canonical)
-            if la.is_zero(red):
-                continue
-            red = la.primitive(red)
-            if red in seen:
-                continue
-            # keep only facet forms: tight locus has dimension span_dim - 1
-            tight = [g for g in span if la.dot(form, g) == 0]
-            if la.rank(tight) == span_dim - 1:
-                seen.add(red)
-                facet_forms.append(red)
+        eq_canonical = la.row_basis(eqs)
+        distinct = set(zeros)
+        facets = {z for z in distinct if not any(z != w and z & w == z for w in distinct)}
+        facet_forms = {
+            la.primitive(_reduce_mod(form, eq_canonical))
+            for form, zero in zip(ins, zeros)
+            if zero in facets
+        }
         return Cone(
             dim_ambient=n,
             eqs=tuple(sorted(eq_canonical)),
             ins=tuple(sorted(facet_forms)),
-            lineality=tuple(sorted(la.primitive(l) for l in lin)),
-            rays=tuple(sorted(rays)),
+            lineality=tuple(sorted(lin)),
+            rays=tuple(rays),
         )
 
     # -- geometry ------------------------------------------------------------
@@ -151,8 +178,7 @@ class Cone(Value, uncompared=("eqs", "ins")):
 
     @cached_property
     def span_basis(self) -> tuple[Vec, ...]:
-        basis, _ = la.rref(list(self.lineality) + list(self.rays))
-        return tuple(la.primitive(b) for b in basis)
+        return tuple(la.row_basis((*self.lineality, *self.rays)))
 
     def contains(self, x: Vec) -> bool:
         """Membership in the relatively open cone."""

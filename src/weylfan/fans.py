@@ -25,6 +25,8 @@ of a minimal u is minimal, so `weyl_enumerate`'s closure, breadth first
 too, reaches a minimal u only from the u one level up; by induction both
 meet the minimal u in the same order, through the same s_k, and give each
 the same word (Humphreys, *Reflection Groups and Coxeter Groups*, 1.10).
+The orbits share their u, so each s_k.u is formed once per build, keyed
+by k and the word of u, which determines it.
 A standard cone whose type T is I itself is its own core (the face of
 the dominant chamber of type I), as is then every cone of its orbit, so
 the walk reflects one cone for both; for J empty that is every cone.
@@ -135,8 +137,9 @@ lemma; Humphreys 1.12), so its fixed points are the zero set of those
 roots, and one `Cone.from_system` of the equalities of X, those root
 forms and the facet forms of X gives the first core (`_fixed_core`).
 Stab(s_k.X) is s_k Stab(X) s_k, so s_k maps the core of X onto the core
-of s_k.X: each orbit is walked once along the moves, carrying the first
-core by `_reflected_cone`, with no Weyl matrix.
+of s_k.X: each orbit is walked once along the moves, carrying the key
+(lineality and rays) of the first core by `_reflected_key`, with no Weyl
+matrix.
 """
 
 from __future__ import annotations
@@ -473,28 +476,35 @@ def _fixed_core(fan: Fan, i: int) -> Cone:
 
 
 def _check_cores(fan: Fan, firsts: Iterable[int]) -> None:
-    """Cores: the first core of each orbit, from the cone in `firsts`, is
-    `_fixed_core`, and each move s_k carries the core of cone i to that
-    of its image (see *Validation* in the module docstring)."""
+    """Cores: every cone has one, the first core of each orbit, from the
+    cone in `firsts`, is `_fixed_core`, and each move s_k carries the core
+    of cone i to that of its image (see *Validation* in the module
+    docstring).  Only the cores' keys are compared, so only they are moved."""
+    missing = next((i for i in range(len(fan.cones)) if i not in fan.cores), None)
+    if missing is not None:
+        raise PartitionFailure(f"cone {missing} has no core")
     n, cartan, moves = fan.datum.rank, fan.datum.cartan, fan._moves
     for first in firsts:
         orbit = walk_orbits(
-            {first: (first, _fixed_core(fan, first))},
+            {first: (first, _fixed_core(fan, first).key)},
             n,
             lambda x, k: moves[k][x[0]],
-            lambda x, k, j: (j, _reflected_cone(cartan, x[1], k)),
+            lambda x, k, j: (j, _reflected_key(cartan, x[1], k)),
         )
-        for i, core in orbit.values():
-            if core.key != fan.cores[i].cone.key:
+        for i, key in orbit.values():
+            if key != fan.cores[i].cone.key:
                 raise PartitionFailure(f"core of cone {i} is not the stabiliser fixed locus")
 
 
+def _reflected_key(cartan: la.Mat, key: tuple, k: int) -> tuple:
+    """The `Cone.key` of the image under s_k of the cone with this key.  s_k
+    is unimodular, so it keeps integer generators primitive."""
+    return tuple(tuple(sorted(reflect_simple(cartan, v, k) for v in vs)) for vs in key)
+
+
 def _reflected_cone(cartan: la.Mat, cone: Cone, k: int) -> Cone:
-    """The image of a cone under s_k.  s_k is unimodular, so it keeps
-    integer generators primitive; a form f goes to f.s_k = f - f[k] cartan[k]."""
-    lineality, rays = (
-        tuple(sorted(reflect_simple(cartan, v, k) for v in vs)) for vs in cone.key
-    )
+    """The image of a cone under s_k; a form f goes to f.s_k = f - f[k] cartan[k]."""
+    lineality, rays = _reflected_key(cartan, cone.key, k)
     eqs, ins = (
         tuple(sorted(la.sub(f, la.scale(cartan[k], f[k])) if f[k] else f for f in fs))
         for fs in (cone.eqs, cone.ins)
@@ -598,10 +608,15 @@ def parabolic_fan(datum: RootDatum, J: Iterable[int] = ()) -> Fan:
     perms = datum.root_permutations
     Item = tuple[Cone, CoreInfo, tuple[int, ...]]  # a cone, its core and its sign row
 
+    products: dict[tuple[int, tuple[int, ...]], WeylElement] = {}  # (k, u.word) -> s_k.u
+
     def make(x: Item, k: int, row: tuple[int, ...]) -> Item:
-        """The image of x under s_k, the core's u becoming s_k.u."""
+        """The image of x under s_k, the core's u becoming s_k.u, formed once
+        per build for all the orbits that meet it."""
         cone, info, _ = x
-        weyl = info.weyl.left_mul(datum.simple_reflections[k])
+        weyl = products.get((k, info.weyl.word))
+        if weyl is None:
+            weyl = products[k, info.weyl.word] = info.weyl.left_mul(datum.simple_reflections[k])
         image = _reflected_cone(cartan, cone, k)
         core = image if info.cone is cone else _reflected_cone(cartan, info.cone, k)
         return image, replace(info, weyl=weyl, cone=core), row

@@ -2,10 +2,11 @@
 
 Vectors are tuples, matrices are tuples of row vectors.  Entries are `int`
 or `Fraction`: integral data (root covectors, Weyl matrices, cone forms and
-rays) stays `int` end to end.  Elimination is fraction-free: `rref`, `rank`,
-`kernel_basis`, `solve`, `scaled_inverse`, `inverse` and `det` all read one
-integer Gauss-Jordan pass, `_echelon`, and `Fraction` appears only in results
-that need not be integral (echelon rows, solutions, inverses, determinants).
+rays) stays `int` end to end.  Elimination is fraction-free: `rref`,
+`row_basis`, `rank`, `kernel_basis`, `solve`, `scaled_inverse`, `inverse`
+and `det` all read one integer Gauss-Jordan pass, `_echelon`, and
+`Fraction` appears only in results that need not be integral (echelon
+rows, solutions, inverses, determinants).
 No `/` is applied to two ints, so no float can arise, and every decision
 (rank, kernel, solvability) is an exact sign decision.
 """
@@ -149,6 +150,13 @@ def rref(rows: Sequence[Vec]) -> tuple[list[Vec], list[int]]:
     """Reduced row echelon form over Fraction; returns (nonzero rows, pivot columns)."""
     m, pivots, d, _ = _echelon(rows)
     return [tuple(Fraction(x, d) for x in row) for row in m], pivots
+
+
+def row_basis(rows: Sequence[Vec]) -> list[tuple[int, ...]]:
+    """The canonical basis of the row space: the primitive int rows of its
+    reduced row echelon form, read off `_echelon`'s rows (positive
+    multiples of them) with no `Fraction`."""
+    return [primitive(row) for row in _echelon(rows)[0]]
 
 
 def rank(rows: Sequence[Vec]) -> int:

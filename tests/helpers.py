@@ -13,8 +13,8 @@ from weylfan.compactify import (
     NoLimit,
     orthogonal_reduction,
 )
-from weylfan.cones import Cone, closure_subset, open_system_feasible
-from weylfan.errors import InconsistentProfile, PartitionFailure
+from weylfan.cones import Cone, _reduce_mod, closure_subset, open_system_feasible
+from weylfan.errors import EmptyCone, InconsistentProfile, PartitionFailure
 from weylfan.fans import (
     CoreInfo,
     Fan,
@@ -365,3 +365,120 @@ def is_J_relevant_exhaustive(datum, J, T) -> bool:
         if not (I & extra) and T == I | extra:
             return True
     return False
+
+
+def reference_dual_description(n, eqs, ineqs):
+    """Double description oracle: the same pass as `cones.dual_description`,
+    but it combines every pair of rays across each new inequality and
+    prunes each ray by a rank test after every step (a ray is extreme iff
+    its tight forms cut out its span plus the lineality)."""
+    lineality = la.kernel_basis(list(eqs), n)
+    rays = []
+    processed = list(eqs)
+
+    def prune(rays_in, lin_dim):
+        kept = []
+        for r in rays_in:
+            tight = [a for a in processed if la.dot(a, r) == 0]
+            if n - la.rank(tight) == lin_dim + 1:
+                kept.append(r)
+        return kept
+
+    for a in ineqs:
+        pivot = next((l for l in lineality if la.dot(a, l) != 0), None)
+        if pivot is not None:
+            if la.dot(a, pivot) < 0:
+                pivot = la.neg(pivot)
+            pa = la.dot(a, pivot)
+
+            def project(v):
+                return la.primitive(la.sub(la.scale(v, pa), la.scale(pivot, la.dot(a, v))))
+
+            lineality = [project(l) for l in lineality if l is not pivot]
+            lineality = [l for l in lineality if any(l)]
+            rays = [project(r) for r in rays]
+            rays = [r for r in rays if any(r)]
+            rays.append(la.primitive(pivot))
+        else:
+            pos = [r for r in rays if la.dot(a, r) > 0]
+            zero = [r for r in rays if la.dot(a, r) == 0]
+            negs = [r for r in rays if la.dot(a, r) < 0]
+            combos = []
+            for rp in pos:
+                ap = la.dot(a, rp)
+                for rn in negs:
+                    an = la.dot(a, rn)
+                    combo = la.primitive(la.sub(la.scale(rn, ap), la.scale(rp, an)))
+                    if not la.is_zero(combo):
+                        combos.append(combo)
+            rays = pos + zero + combos
+        processed.append(a)
+        seen = set()
+        rays = [r for r in rays if not (r in seen or seen.add(r))]
+        rays = prune(rays, len(lineality))
+
+    rays = sorted(set(la.primitive(r) for r in rays))
+    return lineality, rays
+
+
+def reference_from_system(n, eqs, ins) -> Cone:
+    """`Cone.from_system` oracle: the equalities from the kernel of the
+    generators' span, and each facet form by the rank of the generators it
+    vanishes on."""
+    eqs = [tuple(e) for e in eqs]
+    ins = [tuple(i) for i in ins]
+    lin, rays = reference_dual_description(n, eqs, ins)
+    gens = rays + lin + [la.neg(l) for l in lin]
+    for form in ins:
+        if all(la.dot(form, g) <= 0 for g in gens):
+            raise EmptyCone(f"form {form} cannot be strictly positive")
+    span = list(lin) + list(rays)
+    eq_canonical, _ = la.rref(la.kernel_basis(span, n))
+    eq_canonical = [la.primitive(e) for e in eq_canonical]
+    span_dim = n - len(eq_canonical)
+    facet_forms = []
+    seen = set()
+    for form in ins:
+        red = _reduce_mod(form, eq_canonical)
+        if la.is_zero(red):
+            continue
+        red = la.primitive(red)
+        if red in seen:
+            continue
+        tight = [g for g in span if la.dot(form, g) == 0]
+        if la.rank(tight) == span_dim - 1:
+            seen.add(red)
+            facet_forms.append(red)
+    return Cone(
+        dim_ambient=n,
+        eqs=tuple(sorted(eq_canonical)),
+        ins=tuple(sorted(facet_forms)),
+        lineality=tuple(sorted(la.primitive(l) for l in lin)),
+        rays=tuple(sorted(rays)),
+    )
+
+
+def random_cone_system(rng: random.Random) -> tuple:
+    """(n, eqs, ins) with n <= 6: int forms, with some repeated, scaled (by
+    an int or by 1/2, which gives Fraction entries), negated or zero, so
+    that lineality, redundant forms and empty open cones all occur."""
+    n = rng.randint(1, 6)
+
+    def fresh():
+        return tuple(rng.randint(-3, 3) for _ in range(n))
+
+    eqs = [fresh() for _ in range(rng.choice((0, 0, 0, 1, 1, 2)))]
+    ins = []
+    for _ in range(rng.randint(0, n + 4)):
+        roll = rng.random()
+        if ins and roll < 0.1:
+            ins.append(rng.choice(ins))
+        elif ins and roll < 0.2:
+            ins.append(la.scale(rng.choice(ins), rng.choice((2, 3, Q(1, 2)))))
+        elif ins and roll < 0.25:
+            ins.append(la.neg(rng.choice(ins)))
+        elif roll < 0.28:
+            ins.append((0,) * n)
+        else:
+            ins.append(fresh())
+    return n, eqs, ins

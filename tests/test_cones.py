@@ -13,10 +13,19 @@ from weylfan.cones import (
     is_face_supporting,
     open_system_feasible,
 )
-from weylfan.errors import EmptyCone
+from weylfan.errors import DimensionMismatch, EmptyCone
+from weylfan.fans import Fan, _admissible_index_sets, _facet_cone, _fixed_core, standard_cone_system
 from weylfan.rootdata import build_root_datum
 
-from helpers import built_fan, reference_rref
+from helpers import (
+    RANK4_CATALOGUE,
+    built_fan,
+    random_cone_system,
+    reference_dual_description,
+    reference_from_system,
+    reference_rref,
+    valid_js,
+)
 
 
 def V(*xs):
@@ -316,3 +325,71 @@ def test_double_dual_involution_random_systems():
             assert sorted(ddrays) == sorted(rays)
             checked += 1
     assert checked > 100
+
+
+def _canonical(from_system, n, eqs, ins):
+    """Every field of the cone, with the type of every entry, or the
+    EmptyCone message."""
+    try:
+        c = from_system(n, eqs, ins)
+    except EmptyCone as e:
+        return str(e)
+    return _typed((c.dim_ambient, c.eqs, c.ins, c.lineality, c.rays))
+
+
+def test_dual_description_and_from_system_match_their_oracles_on_random_systems():
+    """The incidence-based double description and facet test give, field
+    by field and entry type by entry type, what the rank-pruning oracles
+    give, on random systems with lineality, repeated, scaled and zero
+    forms, and empty open cones."""
+    rng = random.Random(17)
+    empty = combined = 0
+    for _ in range(2500):
+        n, eqs, ins = random_cone_system(rng)
+        got = dual_description(n, eqs, ins)
+        assert _typed(got) == _typed(reference_dual_description(n, eqs, ins)), (n, eqs, ins)
+        cone = _canonical(Cone.from_system, n, eqs, ins)
+        assert cone == _canonical(reference_from_system, n, eqs, ins), (n, eqs, ins)
+        empty += isinstance(cone, str)
+        combined += len(got[1]) > n - len(eqs)  # more rays than a simplicial cone
+    assert 500 < empty < 2000 and combined > 100  # every branch is well exercised
+
+
+def test_from_system_matches_oracle_on_catalogue_cones(monkeypatch):
+    """Every standard cone, `_facet_cone` and `_fixed_core` (of the
+    standard cones) of every rank <= 4 catalogue type and valid J is the
+    oracle's cone."""
+    new = Cone.from_system
+    systems = []
+
+    def checked(n, eqs, ins):
+        systems.append(n)
+        assert _canonical(new, n, eqs, ins) == _canonical(reference_from_system, n, eqs, ins)
+        return new(n, eqs, ins)
+
+    monkeypatch.setattr(Cone, "from_system", staticmethod(checked))
+    for name in RANK4_CATALOGUE:
+        datum = build_root_datum(name)
+        for J in valid_js(datum):
+            standard = []
+            for I in _admissible_index_sets(datum, J):
+                eqs, ins, T = standard_cone_system(datum, J, I)
+                standard.append(Cone.from_system(datum.rank, eqs, ins))
+                _facet_cone(datum, T)
+            fan = Fan(datum, J, standard, {})
+            for i in range(len(standard)):
+                _fixed_core(fan, i)
+    assert len(systems) > 1000
+
+
+@pytest.mark.parametrize(
+    "eqs,ins",
+    [([], [(1, 0, 0)]), ([(1,)], [(1, 0)]), ([], [(1, 0), (0,)]), ([(0, 1, 2)], [])],
+)
+def test_forms_of_the_wrong_length_are_rejected(eqs, ins):
+    """A form longer or shorter than the ambient dimension is an error, not
+    truncated by `zip`."""
+    with pytest.raises(DimensionMismatch):
+        dual_description(2, eqs, ins)
+    with pytest.raises(DimensionMismatch):
+        Cone.from_system(2, eqs, ins)

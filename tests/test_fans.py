@@ -1,5 +1,6 @@
 from fractions import Fraction as Q
 from operator import attrgetter
+import sys
 
 import pytest
 
@@ -164,6 +165,16 @@ def test_validate_rejects_swapped_cores():
         Fan(fan.datum, fan.J, fan.cones, cores).validate()
 
 
+def test_validate_rejects_a_missing_core():
+    fan = parabolic_fan(build_root_datum("A2"), [0])
+    with pytest.raises(PartitionFailure, match="cone 0 has no core"):
+        Fan(fan.datum, fan.J, fan.cones, {}).validate()
+    cores = dict(fan.cores)
+    del cores[len(fan) - 1]
+    with pytest.raises(PartitionFailure, match=f"cone {len(fan) - 1} has no core"):
+        Fan(fan.datum, fan.J, fan.cones, cores).validate()
+
+
 def test_partition_on_samples_a2():
     fan = parabolic_fan(build_root_datum("A2"), [0])
     for p in sample_points(fan, 200):
@@ -316,6 +327,21 @@ def test_validate_forms_no_matrix_products(monkeypatch):
     monkeypatch.setattr(la, "mat_mul", lambda a, b: calls.append(1) or mat_mul(a, b))
     assert fan.validate()["cones"] == 5089
     assert not calls
+
+
+def test_ranks_are_tested_only_by_the_sign_rows(monkeypatch):
+    """Cones come from ray incidence: building and validating F4's Weyl
+    fan tests no rank in `cones`, and in `fans` only in `_sign_row`."""
+    callers = []
+    rank = la.rank
+
+    def counted(rows):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return rank(rows)
+
+    monkeypatch.setattr(la, "rank", counted)
+    parabolic_fan(build_root_datum("F4"), ()).validate()
+    assert set(callers) == {"_sign_row"}
 
 
 def test_fans_validation_and_patterns_do_not_enumerate_weyl():
