@@ -54,12 +54,13 @@ factor, so they reduce modulo the equalities to one primitive form.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
 from . import linalg as la
 from ._value import Value
-from .errors import DimensionMismatch, EmptyCone
+from .errors import DimensionMismatch, EmptyCone, TypeMismatch
 from .linalg import Mat, Vec
 
 
@@ -70,11 +71,16 @@ def dual_description(
 
     Rays are primitive and canonical up to order; together with the
     lineality they generate the cone.  Rays are extreme modulo lineality.
-    Raises DimensionMismatch for a form whose length is not n.
+    Raises DimensionMismatch unless n is an int >= 1 and every form has n
+    entries, and TypeMismatch unless every entry is an int or a Fraction.
     """
+    if type(n) is not int or n < 1:
+        raise DimensionMismatch(f"ambient dimension {n!r} is not an int >= 1")
     for form in (*eqs, *ineqs):
         if len(form) != n:
             raise DimensionMismatch(f"form {tuple(form)} has {len(form)} entries, not {n}")
+        if any(type(c) is not int and type(c) is not Fraction for c in form):
+            raise TypeMismatch(f"form {tuple(form)} has an entry that is not an int or a Fraction")
     lineality = la.kernel_basis(list(eqs), n)
     rays: list[Vec] = []
     tight: list[int] = []  # per ray, the bitset of the processed ineqs vanishing on it
@@ -126,8 +132,8 @@ class Cone(Value, uncompared=("eqs", "ins")):
 
     @staticmethod
     def from_system(n: int, eqs: Sequence[Vec], ins: Sequence[Vec]) -> "Cone":
-        """Canonicalise {x : eqs x = 0, ins x > 0}; raises EmptyCone if empty
-        and DimensionMismatch for a form whose length is not n (see
+        """Canonicalise {x : eqs x = 0, ins x > 0}; raises EmptyCone if empty,
+        and DimensionMismatch or TypeMismatch as `dual_description` does (see
         *Canonical form* in the module docstring)."""
         eqs = [tuple(e) for e in eqs]
         ins = [tuple(i) for i in ins]
@@ -192,12 +198,7 @@ class Cone(Value, uncompared=("eqs", "ins")):
         )
 
     def relint_point(self) -> Vec:
-        if not self.rays:
-            return la.zero_vec(self.dim_ambient)
-        acc = self.rays[0]
-        for r in self.rays[1:]:
-            acc = la.add(acc, r)
-        return acc
+        return tuple(map(sum, zip(*self.rays))) if self.rays else la.zero_vec(self.dim_ambient)
 
     def closure_generators(self) -> list[Vec]:
         return list(self.rays) + [v for l in self.lineality for v in (l, la.neg(l))]

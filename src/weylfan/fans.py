@@ -114,9 +114,12 @@ through r is one of them, so r is a ray of g.  `parabolic_fan` and
 `Fan.validate` check both axioms before the order is read.
 
 *Validation.*  `Fan.validate` checks each axiom once, from integer data.
-It may lean on the sign table: every row is built directly, with both
-exactness checks, before the moves table is read, and the table checks
-that the rows are distinct and closed (see *Sign transport*).  Partition
+It reads the sign table as the fan holds it.  A `Fan(...)` made by hand
+builds every row directly, with both exactness checks; one from
+`parabolic_fan` keeps its walk's rows (B3, J empty: 8 built, one per
+standard cone, none in `validate`), the others transported to image
+cones, which pass both checks by *Sign transport*.  The moves table
+checks that the rows are distinct and closed under each pi_k.  Partition
 and boundary: the cover check on one cone per orbit (see *Orbit
 reduction*).  Faces: every closure must hold its own rays, and a face of
 a pointed cone is the zero set of its tight facet forms.  So with each

@@ -6,19 +6,40 @@ as its integer coefficient tuple over the basis; its pairing covector
 against coroot coordinates is the corresponding row combination of the
 Cartan matrix.  The fixed Weyl-invariant inner product normalises short
 simple roots to squared length 2 on each irreducible component.
+
+*Validation.*  `RootDatum.validate` takes time linear in the roots R
+(integer tuples over the basis a_1..a_n).  Past the checks of R itself
+(no duplicate, no zero, closed under negation, one sign over the basis),
+the Cartan matrix C must have 2 on its diagonal and the squared lengths L
+must be positive with C[i][j] L_j = C[j][i] L_i.  Then (a, b) =
+sum a_i C[i][j] L_j b_j / 2 is symmetric, and `reflect_simple` on the
+columns of C, s_k a = a - <a, a_k^vee> a_k, is the reflection in a_k.
+Next each a_k must be a root, each s_k map R into R, and R be the orbits
+of the a_k plus twice those of the a_k with 2 a_k a root; this walk stays
+in R, so it ends.  Then each b in R is w a_k or 2 w a_k for a word w in
+the s_k, and s_b = w s_k w^-1 (Humphreys, *Reflection Groups and Coxeter
+Groups*, 1.2) maps R onto R.  Its pairings <a, b^vee> are <w^-1 a,
+a_k^vee>, an integer, or half of it, an integer for every a in R exactly
+when C[j][k] is even for all j != k.  Conversely, in a root system each
+positive root b that is no multiple of a simple root pairs positively
+with some a_k, as (b, b) > 0, and s_k b is positive of smaller height; so
+b is conjugate to some m a_k, and <a_k, (m a_k)^vee> = 2/m is an integer
+only for m = 1, 2 (Humphreys 1.5).  A root a with 2a = w m a_k has m = 2,
+as a_k is primitive: the multipliable roots are the orbits of the doubled a_k.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
+from itertools import product
 from numbers import Real
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import linalg as la
 from ._value import Value
 from .errors import DimensionMismatch, NonRootSystem
-from .linalg import Mat, Rational, Vec
+from .linalg import Mat, Vec
 
 Root = tuple[int, ...]  # coefficients over the simple basis
 
@@ -69,6 +90,13 @@ def root_orbits(cartan: Sequence[Vec], seeds: Iterable[Root]) -> dict[Root, Root
     return walk_orbits({a: a for a in seeds}, len(cartan), partial(reflect_simple, columns))
 
 
+def _generated_roots(cartan: Sequence[Vec], doubled: Iterable[int]) -> tuple[set, frozenset]:
+    """The orbits of the simple roots plus twice those of the `doubled` ones, and the latter."""
+    simples = la.identity(len(cartan))
+    multipliable = frozenset(root_orbits(cartan, [simples[i] for i in doubled]))
+    return set(root_orbits(cartan, simples)) | {la.scale(a, 2) for a in multipliable}, multipliable
+
+
 def _cartan_chain(n: int) -> list[list[int]]:
     c = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -92,16 +120,10 @@ def _catalogue_cartan(family: str, n: int) -> tuple[list[list[int]], bool]:
         c = _cartan_chain(n)
         c[n - 1][n - 2] = -2
         return c, False
-    if family == "D" and n >= 3:
-        c = _cartan_chain(n - 1)
-        for row in c:
-            row.append(0)
-        c.append([0] * n)
-        c[n - 1][n - 1] = 2
-        c[n - 3][n - 1] = -1
-        c[n - 1][n - 3] = -1
-        c[n - 2][n - 1] = 0
-        c[n - 1][n - 2] = 0
+    if family == "D" and n >= 3:  # the last node hangs off n - 3, not n - 2
+        c = _cartan_chain(n)
+        c[n - 2][n - 1] = c[n - 1][n - 2] = 0
+        c[n - 3][n - 1] = c[n - 1][n - 3] = -1
         return c, False
     if family == "G" and n == 2:
         return [[2, -1], [-3, 2]], False
@@ -185,10 +207,7 @@ class RootDatum(Value):
 
     @cached_property
     def simples(self) -> tuple[Root, ...]:
-        return tuple(
-            tuple(1 if j == i else 0 for j in range(self.rank))
-            for i in range(self.rank)
-        )
+        return la.identity(self.rank)
 
     @cached_property
     def labels(self) -> tuple[str, ...]:
@@ -204,7 +223,7 @@ class RootDatum(Value):
 
     @cached_property
     def nondivisible_roots(self) -> tuple[Root, ...]:
-        doubles = {tuple(2 * c for c in a) for a in self.roots}
+        doubles = {la.scale(a, 2) for a in self.roots}
         return tuple(a for a in self.roots if a not in doubles)
 
     @cached_property
@@ -233,14 +252,13 @@ class RootDatum(Value):
     def root_slots(self) -> dict[Root, tuple[int, int]]:
         """Every root b as (k, e): b is e or 2e times the positive
         nondivisible root k, with e = 1 or -1."""
-        slots = {}
-        for k, a in enumerate(self.positive_nondivisible_roots):
-            for e in (1, -1):
-                for m in (e, 2 * e):
-                    b = tuple(m * c for c in a)
-                    if b in self.root_set:
-                        slots[b] = (k, e)
-        return slots
+        return {
+            b: (k, e)
+            for k, a in enumerate(self.positive_nondivisible_roots)
+            for e in (1, -1)
+            for b in (la.scale(a, e), la.scale(a, 2 * e))
+            if b in self.root_set
+        }
 
     def is_reduced(self) -> bool:
         return not self.multipliable
@@ -273,27 +291,18 @@ class RootDatum(Value):
     def gram_points(self) -> Mat:
         """Inner products of the simple coroots (the form on point space V)."""
         return tuple(
-            tuple(
-                2 * Fraction(self.cartan[i][j]) / self.simple_lengths[i]
-                for j in range(self.rank)
-            )
-            for i in range(self.rank)
+            tuple(2 * Fraction(c) / length for c in row)
+            for row, length in zip(self.cartan, self.simple_lengths)
         )
 
     @cached_property
     def _covectors(self) -> dict[Root, Vec]:
-        return {a: self._covector_of(a) for a in self.roots}
-
-    def _covector_of(self, a: Root) -> Vec:
-        return tuple(
-            sum(a[i] * self.cartan[i][j] for i in range(self.rank))
-            for j in range(self.rank)
-        )
+        return {a: la.vec_mat(a, self.cartan) for a in self.roots}
 
     def covector(self, a: Root) -> Vec:
         """The linear form <a, .> on coroot coordinates."""
         cached = self._covectors.get(a)
-        return cached if cached is not None else self._covector_of(a)
+        return cached if cached is not None else la.vec_mat(a, self.cartan)
 
     def pairing(self, a: Root, x: Vec) -> Fraction:
         return la.dot(self.covector(a), x)
@@ -308,36 +317,6 @@ class RootDatum(Value):
 
     def length_sq(self, a: Root) -> Fraction:
         return self.inner(a, a)
-
-    def coroot_pairing(self, a: Root, b: Root) -> Rational:
-        """<a, b^vee> = 2(a,b)/(b,b), an int whenever b's coroot covector is
-        integral (always, for a root system)."""
-        cached = self._coroot_covectors.get(b)
-        return la.dot(a, cached if cached is not None else self._coroot_covector_of(b))
-
-    @cached_property
-    def _coroot_covectors(self) -> dict[Root, Vec]:
-        return {b: self._coroot_covector_of(b) for b in self.roots}
-
-    def _coroot_covector_of(self, b: Root) -> Vec:
-        """(<alpha_i, b^vee>)_i = (2 (alpha_i, b) / (b, b))_i, so that
-        <a, b^vee> is linear in a; int entries when they are all integral.
-        It reads the rows of the Cartan matrix, as (alpha_i, b) does, not
-        `covector(b)`: the two differ when the lengths do not fit the matrix."""
-        weighted = self._weighted(b)
-        bb = self.length_sq(b)
-        row = tuple(la.dot(r, weighted) / bb for r in self.cartan)
-        if all(x.denominator == 1 for x in row):
-            return tuple(int(x) for x in row)
-        return row
-
-    def reflect_root(self, a: Root, b: Root) -> Root:
-        """s_b(a) = a - <a, b^vee> b."""
-        c = self.coroot_pairing(a, b)
-        if c.denominator != 1:
-            raise NonRootSystem(f"non-integral Cartan pairing {c} for {a}, {b}")
-        n = int(c)
-        return tuple(ai - n * bi for ai, bi in zip(a, b))
 
     @cached_property
     def simple_reflections(self) -> tuple["WeylElement", ...]:
@@ -373,8 +352,7 @@ class RootDatum(Value):
 
     def fundamental_coweights(self) -> tuple[Vec, ...]:
         """Vectors dual to the simple roots: <alpha_i, w_j> = delta_ij."""
-        inv = la.inverse(self.cartan)
-        return tuple(tuple(inv[i][j] for i in range(self.rank)) for j in range(self.rank))
+        return la.transpose(la.inverse(self.cartan))
 
     # -- Dynkin diagram ----------------------------------------------------
 
@@ -388,24 +366,51 @@ class RootDatum(Value):
     # -- validation ---------------------------------------------------------
 
     def validate(self) -> None:
-        if len(set(self.roots)) != len(self.roots):
+        """Raise NonRootSystem unless this is a root system; see *Validation* above."""
+        roots, root_set, simples = self.roots, self.root_set, self.simples
+        n, cartan, lengths = self.rank, self.cartan, self.simple_lengths
+        if len(root_set) != len(roots):
             raise NonRootSystem("duplicate roots")
-        zero = tuple(0 for _ in range(self.rank))
-        if zero in self.root_set:
+        if (0,) * n in root_set:
             raise NonRootSystem("zero is not a root")
-        for a in self.roots:
-            if tuple(-c for c in a) not in self.root_set:
+        for a in roots:
+            if len(a) != n:
+                raise NonRootSystem(f"root {a} does not have {n} coefficients")
+            if la.neg(a) not in root_set:
                 raise NonRootSystem(f"root set not closed under negation at {a}")
-            pos = all(c >= 0 for c in a)
-            neg = all(c <= 0 for c in a)
-            if not (pos or neg):
+            if min(a) < 0 < max(a):
                 raise NonRootSystem(f"root {a} has mixed signs over the basis")
-            for b in self.roots:
-                if self.reflect_root(a, b) not in self.root_set:
-                    raise NonRootSystem(f"reflection s_{b} does not preserve roots at {a}")
         for a in self.multipliable:
-            if tuple(2 * c for c in a) not in self.root_set:
+            if la.scale(a, 2) not in root_set:
                 raise NonRootSystem(f"{a} flagged multipliable but 2a is not a root")
+        for i in range(n):
+            if cartan[i][i] != 2:
+                raise NonRootSystem(f"Cartan entry {cartan[i][i]} at a{i + 1}, a{i + 1} is not 2")
+            if not lengths[i] > 0:
+                raise NonRootSystem(f"squared length {lengths[i]} of a{i + 1} is not positive")
+        for i, j in product(range(n), repeat=2):
+            if cartan[i][j] * lengths[j] != cartan[j][i] * lengths[i]:
+                raise NonRootSystem(f"lengths do not fit the Cartan matrix at a{i + 1}, a{j + 1}")
+        for s in simples:
+            if s not in root_set:
+                raise NonRootSystem(f"simple root {s} is not a root")
+        columns = la.transpose(cartan)
+        for a in roots:
+            for k, s in enumerate(simples):
+                if reflect_simple(columns, a, k) not in root_set:
+                    raise NonRootSystem(f"reflection s_{s} does not preserve roots at {a}")
+        doubled = [k for k, s in enumerate(simples) if la.scale(s, 2) in root_set]
+        for j, k in product(range(n), doubled):
+            if cartan[j][k] % 2:  # <a_j, (2 a_k)^vee> = cartan[j][k] / 2
+                pair = f"{Fraction(cartan[j][k], 2)} for {simples[j]}, {la.scale(simples[k], 2)}"
+                raise NonRootSystem(f"non-integral Cartan pairing {pair}")
+        generated, multipliable = _generated_roots(cartan, doubled)
+        for a in roots:
+            if a not in generated:
+                raise NonRootSystem(f"root {a} is not conjugate to a simple root or its double")
+        if self.multipliable != multipliable:
+            diff = listed(self.multipliable ^ multipliable)
+            raise NonRootSystem(f"multipliable roots are not the roots a with 2a a root: {diff}")
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RootDatum({self.name}, rank={self.rank}, roots={len(self.roots)})"
@@ -505,14 +510,9 @@ class DiagramSubset(Value):
 
 
 def _block_diag(blocks: list[list[list[int]]]) -> list[list[int]]:
-    n = sum(len(b) for b in blocks)
-    out = [[0] * n for _ in range(n)]
-    offset = 0
+    n, out = sum(map(len, blocks)), []
     for b in blocks:
-        for i, row in enumerate(b):
-            for j, v in enumerate(row):
-                out[offset + i][offset + j] = v
-        offset += len(b)
+        out += [[0] * len(out) + row + [0] * (n - len(out) - len(b)) for row in b]
     return out
 
 
@@ -524,11 +524,7 @@ def _build_catalogue(name: str) -> RootDatum:
         if non_reduced:  # the short roots of B_n, the orbit of its last simple root
             doubled.append(sum(map(len, cartans)) - 1)
     cartan = _block_diag(cartans)
-    simples = la.identity(len(cartan))
-    # every root is conjugate to a simple one, and s_i a_i = -a_i
-    roots = set(root_orbits(cartan, simples))
-    multipliable = frozenset(root_orbits(cartan, [simples[i] for i in doubled]))
-    roots |= {tuple(2 * c for c in a) for a in multipliable}
+    roots, multipliable = _generated_roots(cartan, doubled)
     datum = RootDatum(
         name=name,
         rank=len(cartan),
@@ -596,7 +592,7 @@ def _build_explicit(raw_roots: Sequence[Sequence], basis: Sequence[int]) -> Root
         cartan=cartan,
         simple_lengths=_simple_lengths(cartan),
         roots=tuple(sorted(root_coeffs)),
-        multipliable=frozenset(a for a in root_coeffs if tuple(2 * c for c in a) in root_coeffs),
+        multipliable=frozenset(a for a in root_coeffs if la.scale(a, 2) in root_coeffs),
         essential=la.rank(vectors) == ambient,
         input_rank=ambient,
     )

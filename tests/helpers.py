@@ -14,7 +14,7 @@ from weylfan.compactify import (
     orthogonal_reduction,
 )
 from weylfan.cones import Cone, _reduce_mod, closure_subset, open_system_feasible
-from weylfan.errors import EmptyCone, InconsistentProfile, PartitionFailure
+from weylfan.errors import EmptyCone, InconsistentProfile, NonRootSystem, PartitionFailure
 from weylfan.fans import (
     CoreInfo,
     Fan,
@@ -27,6 +27,7 @@ from weylfan.fans import (
 )
 from weylfan.parabolics import core_generating_set
 from weylfan.rootdata import (
+    RootDatum,
     build_root_datum,
     components,
     orthogonal_complement,
@@ -38,6 +39,7 @@ from weylfan.rootdata import (
 
 
 FAN_CATALOGUE = ["A1", "A2", "A3", "B2", "B3", "C3", "G2", "BC1", "BC2", "A1xA1"]
+RANK3_CATALOGUE = FAN_CATALOGUE + ["A1xA2", "BC3"]
 RANK4_CATALOGUE = FAN_CATALOGUE + ["A1xA2", "A4", "D4", "BC3", "F4"]
 
 
@@ -482,3 +484,110 @@ def random_cone_system(rng: random.Random) -> tuple:
         else:
             ins.append(fresh())
     return n, eqs, ins
+
+
+
+def coroot_covector(datum, b) -> tuple:
+    """Root-system oracle: (<alpha_i, b^vee>)_i = (2 (alpha_i, b) / (b, b))_i
+    by the invariant form (`RootDatum.inner`) alone, so that <a, b^vee> is
+    linear in a.  It reads (alpha_i, b) off the rows of the Cartan matrix
+    and the lengths, so it shares no code with `reflect_simple`, which
+    reads the columns."""
+    weighted = datum._weighted(b)
+    bb = datum.length_sq(b)
+    return tuple(la.dot(r, weighted) / bb for r in datum.cartan)
+
+
+def coroot_pairing(datum, a, b):
+    """<a, b^vee> by `coroot_covector`, an int when it is integral."""
+    c = la.dot(a, coroot_covector(datum, b))
+    return int(c) if c.denominator == 1 else c
+
+
+def reflect_root(datum, a, b, pairing=coroot_pairing):
+    """s_b(a) = a - <a, b^vee> b; NonRootSystem when the pairing is not an
+    integer."""
+    c = pairing(datum, a, b)
+    if c.denominator != 1:
+        raise NonRootSystem(f"non-integral Cartan pairing {c} for {a}, {b}")
+    return tuple(ai - int(c) * bi for ai, bi in zip(a, b))
+
+
+def reference_validate(datum) -> None:
+    """Validation oracle: the sign checks of `RootDatum.validate`, every
+    root reflected in every root by `reflect_root` (O(|roots|^2)), and the
+    roots flagged multipliable having their doubles."""
+    if len(set(datum.roots)) != len(datum.roots):
+        raise NonRootSystem("duplicate roots")
+    if (0,) * datum.rank in datum.root_set:
+        raise NonRootSystem("zero is not a root")
+    covectors = {}  # b -> coroot_covector(datum, b), built once
+
+    def pairing(datum, a, b):
+        if b not in covectors:
+            covectors[b] = coroot_covector(datum, b)
+        return la.dot(a, covectors[b])
+
+    for a in datum.roots:
+        if tuple(-c for c in a) not in datum.root_set:
+            raise NonRootSystem(f"root set not closed under negation at {a}")
+        if not (all(c >= 0 for c in a) or all(c <= 0 for c in a)):
+            raise NonRootSystem(f"root {a} has mixed signs over the basis")
+        for b in datum.roots:
+            if reflect_root(datum, a, b, pairing) not in datum.root_set:
+                raise NonRootSystem(f"reflection s_{b} does not preserve roots at {a}")
+    for a in datum.multipliable:
+        if tuple(2 * c for c in a) not in datum.root_set:
+            raise NonRootSystem(f"{a} flagged multipliable but 2a is not a root")
+
+
+def perturbed_root_datum(rng: random.Random) -> RootDatum:
+    """A hand-made `RootDatum`: a catalogue one of rank <= 3 changed once or
+    twice, by dropping a root or a +- pair, adding a small vector (maybe
+    with its negative) or the doubles of some roots, rescaling a root, or
+    changing a simple length, a Cartan entry or the multipliable roots."""
+    datum = build_root_datum(rng.choice(RANK3_CATALOGUE))
+    n = datum.rank
+    roots = list(datum.roots)
+    cartan = [list(row) for row in datum.cartan]
+    lengths = list(datum.simple_lengths)
+    multipliable = set(datum.multipliable)
+    for _ in range(rng.choice((1, 1, 2))):
+        roll = rng.randrange(8)
+        a = rng.choice(roots) if roots else (1,) * n
+        if roll == 0:
+            drop = {a, tuple(-c for c in a)} if rng.random() < 0.5 else {a}
+            roots = [b for b in roots if b not in drop]
+        elif roll == 1:
+            v = tuple(rng.randint(-3, 3) for _ in range(n))
+            roots += [v, tuple(-c for c in v)] if rng.random() < 0.7 else [v]
+        elif roll == 2:  # the doubles of every root, or of those of one length
+            length = rng.choice([None, *{datum.length_sq(b) for b in datum.roots}])
+            roots += [
+                tuple(2 * c for c in b)
+                for b in datum.roots
+                if length is None or datum.length_sq(b) == length
+            ]
+            multipliable = {b for b in roots if tuple(2 * c for c in b) in roots}
+        elif roll == 3:
+            m = rng.choice((2, 3, -1))
+            pair = (a, tuple(-c for c in a))
+            roots = [tuple(m * c for c in b) if b in pair else b for b in roots]
+        elif roll == 4:
+            i = rng.randrange(n)
+            lengths[i] = Q(rng.choice((1, 2, 3, 4, 6, 8, 0, -2)))
+        elif roll == 5:
+            i, j = rng.randrange(n), rng.randrange(n)
+            cartan[i][j] = rng.choice((cartan[i][j] - 1, cartan[i][j] + 1, 0, -1, -2, -3))
+        elif roll == 6:
+            multipliable = rng.choice((set(), multipliable | {a}))
+        else:
+            multipliable = {b for b in roots if tuple(2 * c for c in b) in roots}
+    return RootDatum(
+        name="perturbed",
+        rank=n,
+        cartan=tuple(map(tuple, cartan)),
+        simple_lengths=tuple(lengths),
+        roots=tuple(roots),
+        multipliable=frozenset(multipliable),
+    )

@@ -13,7 +13,7 @@ from weylfan.cones import (
     is_face_supporting,
     open_system_feasible,
 )
-from weylfan.errors import DimensionMismatch, EmptyCone
+from weylfan.errors import DimensionMismatch, EmptyCone, TypeMismatch
 from weylfan.fans import Fan, _admissible_index_sets, _facet_cone, _fixed_core, standard_cone_system
 from weylfan.rootdata import build_root_datum
 
@@ -393,3 +393,35 @@ def test_forms_of_the_wrong_length_are_rejected(eqs, ins):
         dual_description(2, eqs, ins)
     with pytest.raises(DimensionMismatch):
         Cone.from_system(2, eqs, ins)
+
+
+@pytest.mark.parametrize(
+    "n,eqs,ins,error",
+    [
+        (2, [], [(0.5, 1)], TypeMismatch),
+        (2, [], [("1", 1)], TypeMismatch),
+        (2, [], [(1, None)], TypeMismatch),
+        (2, [], [(True, 1)], TypeMismatch),
+        (2, [(1, 0.0)], [], TypeMismatch),
+        (-1, [], [], DimensionMismatch),
+        (0, [], [], DimensionMismatch),
+        (2.0, [], [(1, 0)], DimensionMismatch),
+        (True, [], [(1,)], DimensionMismatch),
+    ],
+    ids=["float", "str", "None", "bool", "float eq", "n -1", "n 0", "n float", "n bool"],
+)
+def test_inexact_entries_and_bad_dimensions_are_rejected(n, eqs, ins, error):
+    """Entries must be exact numbers, read as they are, and the ambient
+    dimension an int >= 1."""
+    with pytest.raises(error):
+        dual_description(n, eqs, ins)
+    with pytest.raises(error):
+        Cone.from_system(n, eqs, ins)
+
+
+def test_int_and_fraction_forms_are_read_as_they_are():
+    """All-int forms give all-int fields; a Fraction form is its primitive
+    multiple."""
+    cone = Cone.from_system(2, [], [(1, 0), (1, 3)])
+    assert cone == Cone.from_system(2, [], [(1, 0), (Q(1, 2), Q(3, 2))])
+    assert all(type(c) is int for v in cone.ins + cone.rays for c in v)

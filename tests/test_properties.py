@@ -5,8 +5,10 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
+from helpers import RANK3_CATALOGUE, built_fan, valid_js
 from weylfan import linalg as la
 from weylfan.cones import dual_description
+from weylfan.rootdata import build_root_datum, reflect_simple
 
 
 @st.composite
@@ -43,3 +45,32 @@ def test_double_dual_round_trip(system):
     assert len(twice[1]) == len(cone[1])
     if not cone[0]:
         assert twice[1] == cone[1]
+
+
+@st.composite
+def fan_moves(draw):
+    """(fan, x, k): a `built_fan` of a rank <= 3 type and valid J, a point
+    x, and a simple reflection k.  x is a small integer vector or the
+    relative interior point of a fan cone, so that points on walls, where
+    roots vanish, are drawn as often as generic ones."""
+    datum = build_root_datum(draw(st.sampled_from(RANK3_CATALOGUE)))
+    J = draw(st.sampled_from(sorted(map(sorted, valid_js(datum)))))
+    fan = built_fan(datum.name, tuple(J))
+    if draw(st.booleans()):
+        x = draw(st.tuples(*[st.integers(-3, 3)] * datum.rank))
+    else:
+        x = fan.cones[draw(st.integers(0, len(fan) - 1))].relint_point()
+    return fan, x, draw(st.integers(0, datum.rank - 1))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(fan_moves())
+def test_cone_containing_is_weyl_invariant(move):
+    """s_k maps the cone holding x onto the cone holding s_k.x: the cone
+    located at the reflected point is the cone's image under the Weyl
+    element s_k."""
+    fan, x, k = move
+    datum = fan.datum
+    i = fan.cone_containing(x)
+    image = fan.cone_containing(reflect_simple(datum.cartan, x, k))
+    assert image == fan.transform_index(datum.simple_reflections[k], i)

@@ -1,8 +1,16 @@
+from collections import Counter
 from fractions import Fraction as Q
+import random
 
 import pytest
 
-from helpers import RANK4_CATALOGUE
+from helpers import (
+    RANK4_CATALOGUE,
+    coroot_pairing,
+    perturbed_root_datum,
+    reference_validate,
+    reflect_root,
+)
 from weylfan import linalg as la
 from weylfan._value import replace
 from weylfan.errors import NonRootSystem
@@ -76,7 +84,7 @@ def test_reflection_identity(name):
     datum = build_root_datum(name)
     for a in datum.roots:
         for b in datum.roots:
-            c = datum.coroot_pairing(a, b)
+            c = coroot_pairing(datum, a, b)
             assert c.denominator == 1
             image = tuple(x - int(c) * y for x, y in zip(a, b))
             assert image in datum.root_set
@@ -87,7 +95,7 @@ def test_cartan_matches_inner_product(name):
     datum = build_root_datum(name)
     for i, a in enumerate(datum.simples):
         for j, b in enumerate(datum.simples):
-            assert datum.coroot_pairing(a, b) == datum.cartan[i][j]
+            assert coroot_pairing(datum, a, b) == datum.cartan[i][j]
 
 
 @pytest.mark.parametrize("name", ["A2", "B2", "G2", "BC2"])
@@ -124,7 +132,7 @@ def test_root_permutations_are_the_simple_reflections(name):
         assert roots[m] == datum.simples[k]
         assert sorted(p) == list(range(len(roots)))
         for j, a in enumerate(roots):
-            image = datum.reflect_root(a, datum.simples[k])
+            image = reflect_root(datum, a, datum.simples[k])
             assert image == (tuple(-c for c in a) if j == m else roots[p[j]]), (k, j)
 
 
@@ -224,6 +232,16 @@ EXPLICIT_REJECTIONS = {
         [0, 2],
     ),
     "non-integral pairing": ([[1], [-1], [3], [-3]], [0]),  # <a, (3a)^vee> = 2/3
+    "A2 with every root doubled": (  # <a1, (2 a2)^vee> = -1/2
+        [[1, -1, 0], [-1, 1, 0], [0, 1, -1], [0, -1, 1], [1, 0, -1], [-1, 0, 1],
+         [2, -2, 0], [-2, 2, 0], [0, 2, -2], [0, -2, 2], [2, 0, -2], [-2, 0, 2]],
+        [0, 2],
+    ),
+    "B2 with its long roots doubled": (  # <e2, (2 (e1 - e2))^vee> = -1/2
+        [[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1], [-1, -1], [1, -1], [-1, 1],
+         [2, 2], [-2, -2], [2, -2], [-2, 2]],
+        [6, 2],
+    ),
 }
 
 
@@ -260,6 +278,122 @@ def test_validate_rejects_a_multipliable_root_without_its_double():
         datum.validate()
 
 
+def _a2_without(*dropped):
+    return _without(build_root_datum("A2").roots, *dropped)
+
+
+@pytest.mark.parametrize(
+    "name,changes,message",
+    [
+        ("A2", dict(cartan=((2, -1), (-1, 0))), "Cartan entry 0 at a2, a2 is not 2"),
+        ("A2", dict(simple_lengths=(Q(2), Q(0))), "squared length 0 of a2 is not positive"),
+        (  # the all-pairs oracle divides by a zero squared length here
+            "B2",
+            dict(cartan=((2, -2), (-2, 2))),
+            "lengths do not fit the Cartan matrix at a1, a2",
+        ),
+        ("A2", dict(roots=_a2_without((1, 0), (-1, 0))), "simple root (1, 0) is not a root"),
+        (
+            "A2",
+            dict(roots=_a2_without((1, 1), (-1, -1))),
+            "reflection s_(0, 1) does not preserve roots at (-1, 0)",
+        ),
+        (
+            "A1",
+            dict(roots=((-3,), (-1,), (1,), (3,))),
+            "root (-3,) is not conjugate to a simple root or its double",
+        ),
+        (
+            "BC1",
+            dict(
+                roots=((-4,), (-2,), (-1,), (1,), (2,), (4,)),
+                multipliable=frozenset({(-2,), (-1,), (1,), (2,)}),
+            ),
+            "root (-4,) is not conjugate to a simple root or its double",
+        ),
+        ("A2", dict(roots=_a2_without() + ((1,), (-1,))), "root (1,) does not have 2 coefficients"),
+        (
+            "A2",
+            dict(roots=_a2_without() + ((1, 1, 0), (-1, -1, 0))),
+            "root (1, 1, 0) does not have 2 coefficients",
+        ),
+    ],
+    ids=[
+        "Cartan diagonal", "length", "lengths fit", "simple root", "closure", "3a", "4a",
+        "short root", "long root",
+    ],
+)
+def test_validate_names_the_failing_axiom(name, changes, message):
+    with pytest.raises(NonRootSystem) as err:
+        replace(build_root_datum(name), **changes).validate()
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("name,long", [("A2", False), ("B2", True)])
+def test_validate_rejects_a_doubled_simple_root_with_an_odd_cartan_entry(name, long):
+    """A2 with every root doubled, and B2 with its long roots doubled: each
+    root is a simple root or its double up to W, but <a_j, (2 a_k)^vee> is
+    cartan[j][k] / 2, which is -1/2 here."""
+    datum = build_root_datum(name)
+    top = max(map(datum.length_sq, datum.roots))
+    halves = {a for a in datum.roots if not long or datum.length_sq(a) == top}
+    doubled = replace(
+        datum,
+        roots=datum.roots + tuple(tuple(2 * c for c in a) for a in halves),
+        multipliable=frozenset(halves),
+    )
+    with pytest.raises(NonRootSystem, match="^non-integral Cartan pairing -1/2 for "):
+        doubled.validate()
+    with pytest.raises(NonRootSystem, match="non-integral Cartan pairing"):
+        reference_validate(doubled)
+
+
+def test_validate_requires_every_root_with_a_double_root_multipliable():
+    """BC2 with no multipliable root would read as reduced."""
+    bc2 = build_root_datum("BC2")
+    for multipliable, diff in [
+        (frozenset(), [(-1, -1), (0, -1), (0, 1), (1, 1)]),
+        (bc2.multipliable - {(0, 1)}, [(0, 1)]),
+    ]:
+        with pytest.raises(NonRootSystem) as err:
+            replace(bc2, multipliable=multipliable).validate()
+        assert str(err.value) == f"multipliable roots are not the roots a with 2a a root: {diff}"
+
+
+# The classes in which `RootDatum.validate` may reject what the all-pairs
+# oracle accepts: the oracle never reads the Cartan diagonal, accepts lengths
+# that the pairing formula alone tolerates, takes any roots as the simple
+# ones, and only asks that flagged roots have doubles.
+STRICTER = ("is not 2", "is not positive", "do not fit", "simple root", "multipliable roots")
+
+
+def test_validate_agrees_with_the_all_pairs_oracle_on_perturbed_data():
+    """Whatever validate accepts the oracle accepts; what the oracle accepts
+    validate rejects only in the STRICTER classes, and where the oracle
+    divides by a zero squared length validate raises NonRootSystem."""
+    rng = random.Random(18)
+    outcomes = Counter()
+    for _ in range(600):
+        datum = perturbed_root_datum(rng)
+        try:
+            datum.validate()
+            new = None
+        except NonRootSystem as err:
+            new = str(err)
+        try:
+            reference_validate(datum)
+            old = None
+        except (NonRootSystem, ZeroDivisionError) as err:
+            old = type(err).__name__
+        if new is None:
+            assert old is None, datum
+        elif old is None:
+            assert any(s in new for s in STRICTER), (datum, new)
+        outcomes[new is None, old] += 1
+    # accepted by both, rejected by both, stricter, and the oracle dividing by zero
+    assert len(outcomes) == 4 and min(outcomes.values()) > 20, outcomes
+
+
 def test_explicit_inessential_flag():
     datum = build_root_datum([[1, 0], [-1, 0]], basis=[0])
     assert not datum.essential
@@ -271,29 +405,16 @@ def test_coroot_pairing_matches_inner_product_formula(name):
     datum = build_root_datum(name)
     for a in datum.roots:
         for b in datum.roots:
-            c = datum.coroot_pairing(a, b)
+            c = coroot_pairing(datum, a, b)
             assert type(c) is int
             assert c == 2 * datum.inner(a, b) / datum.length_sq(b)
 
 
-def _first_validate_failure(datum):
-    """The message of the first reflection failure, by the inner-product
-    formula, in the order `RootDatum.validate` meets them."""
-    for a in datum.roots:
-        for b in datum.roots:
-            c = 2 * datum.inner(a, b) / datum.length_sq(b)
-            if c.denominator != 1:
-                return f"non-integral Cartan pairing {c} for {a}, {b}"
-            image = tuple(x - int(c) * y for x, y in zip(a, b))
-            if image not in datum.root_set:
-                return f"reflection s_{b} does not preserve roots at {a}"
-    return None
-
-
 @pytest.mark.parametrize("lengths", [(2, 3), (2, 6), (3, 2), (4, 2)])
 def test_validate_reports_the_first_bad_pairing(lengths):
-    """Root data whose lengths do not fit their Cartan matrix: validate
-    names the same first failure as the inner-product formula."""
+    """Root data whose lengths do not fit their Cartan matrix: the all-pairs
+    oracle rejects them by a pairing, and validate names the first pair of
+    simple roots whose lengths do not fit the matrix."""
     a2 = build_root_datum("A2")
     datum = RootDatum(
         name="bad",
@@ -303,11 +424,11 @@ def test_validate_reports_the_first_bad_pairing(lengths):
         roots=a2.roots,
         multipliable=frozenset(),
     )
-    message = _first_validate_failure(datum)
-    assert message is not None
+    with pytest.raises(NonRootSystem, match="pairing|reflection"):
+        reference_validate(datum)
     with pytest.raises(NonRootSystem) as err:
         datum.validate()
-    assert str(err.value) == message
+    assert str(err.value) == "lengths do not fit the Cartan matrix at a1, a2"
 
 
 # The squared lengths of the simple roots, family by family (Bourbaki's
