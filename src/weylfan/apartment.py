@@ -5,6 +5,26 @@ occur: a lattice (1/d) Z, and, for multipliable roots, the punctured
 quarter lattice (1/(4d)) Z minus (1/(2d)) Z whose missing half comes from
 the levels of the doubled root.  Both shapes are stable under the
 ramification rescaling by 1/e, which multiplies d by e.
+
+*Closed forms.*  Points are in coroot coordinates, so the pairings of x
+with the simple roots are C x for the Cartan matrix C, which is
+nonsingular, and every root is an integer combination of simple roots.
+
+- `transitivity_solve`.  Let v = C (y - x), N the least integer with
+  m = N v / gamma0 in Z^n, and (adj, D) = `la.scaled_inverse`(C), so
+  adj = D C^-1 is an integer matrix and D = det C > 0.  Then n = adj m is
+  integral, C n = D m = N D v / gamma0, and n gamma0 / (N D) = C^-1 v =
+  y - x: the Cartan system has exactly this solution, and it reproduces
+  the translation.
+- `is_virtually_special`.  Write each coordinate as a rational plus a
+  combination of symbols, and let S_s be the column of coefficients of a
+  symbol s.  The symbolic part of the simple-root pairings is C S_s, zero
+  exactly when S_s is, and then every root pairing is rational.  So x is
+  virtually special exactly when every coordinate, once its repeated
+  symbols are merged, has no symbol left.
+- `levi_point_from_pairings`.  A Levi Cartan matrix is a principal
+  submatrix of C, itself the Cartan matrix of a root system, so it is
+  nonsingular and the pairings always have one solution.
 """
 
 from __future__ import annotations
@@ -161,11 +181,6 @@ class SymbolicEntry(Value):
             return SymbolicEntry(Fraction(value))
         return SymbolicEntry(Fraction(value), ((symbol, Fraction(1)),))
 
-    def scaled(self, c: Fraction) -> "SymbolicEntry":
-        return SymbolicEntry(
-            self.rational * c, tuple((s, v * c) for s, v in self.symbols if v * c != 0)
-        )
-
     def plus(self, other: "SymbolicEntry") -> "SymbolicEntry":
         acc = dict(self.symbols)
         for s, v in other.symbols:
@@ -202,20 +217,12 @@ def is_virtually_special(apt: Apartment, x: Sequence) -> bool:
 
     Accepts plain rational points (always True) and points with marked
     irrational coordinates, for which the symbolic parts must cancel in
-    every root direction.
+    every root direction: see *Closed forms* above.
     """
-    entries = []
-    for c in x:
-        entries.append(c if isinstance(c, SymbolicEntry) else SymbolicEntry.of(c))
+    entries = [c if isinstance(c, SymbolicEntry) else SymbolicEntry.of(c) for c in x]
     apt.datum.point([e.rational for e in entries])  # rejects a point of the wrong length
-    for a in apt.datum.roots:
-        cov = apt.datum.covector(a)
-        acc = SymbolicEntry.of(0)
-        for coeff, entry in zip(cov, entries):
-            acc = acc.plus(entry.scaled(coeff))
-        if not acc.is_rational:
-            return False
-    return True
+    zero = SymbolicEntry.of(0)
+    return all(zero.plus(e).is_rational for e in entries)  # plus merges repeated symbols
 
 
 def special_witness(apt: Apartment, x: Sequence) -> int:
@@ -280,7 +287,8 @@ def transitivity_solve(
     then the unique integer solution of the Cartan system
     sum_a' <a, a'^vee> n_a' = N D <a, y-x> / gamma0, with D the Cartan
     determinant and gamma0 the generator of the base level group.  The
-    translation by sum n_a' a'^vee * gamma0 / (N D) reproduces y - x.
+    translation by sum n_a' a'^vee * gamma0 / (N D) reproduces y - x; see
+    *Closed forms* above.
     """
     positive_int(gamma_denominator, "value group denominator must be positive")
     if not datum.is_reduced():
@@ -289,31 +297,10 @@ def transitivity_solve(
         raise Unspanned("the basis does not span the ambient space")
     diff = la.sub(datum.point(y), datum.point(x))
     gamma0 = Fraction(1, gamma_denominator)
-    pairings = [datum.pairing(s, diff) for s in datum.simples]
-
-    N = 1
-    for v in pairings:
-        N = lcm(N, (v / gamma0).denominator)
-
-    cartan = la.mat(datum.cartan)
-    D_frac = la.det(cartan)
-    if D_frac.denominator != 1 or D_frac <= 0:
-        raise NonRootSystem("Cartan determinant must be a positive integer")
-    D = int(D_frac)
-
-    rhs = [N * D * v / gamma0 for v in pairings]
-    for r in rhs:
-        if r.denominator != 1 or int(r) % D != 0:
-            raise NonRootSystem("right-hand side escaped the determinant lattice")
-    sol = la.solve(cartan, la.vec(rhs))
-    if sol is None or any(c.denominator != 1 for c in sol):
-        raise NonRootSystem("Cartan system has no integral solution")
-    n = tuple(int(c) for c in sol)
-
-    # exact substitution check: the translation vector reproduces y - x
-    translation = tuple(Fraction(c) * gamma0 / (N * D) for c in n)
-    if translation != diff:
-        raise NonRootSystem("transitivity solution failed to reproduce y - x")
+    pairings = [datum.pairing(s, diff) / gamma0 for s in datum.simples]
+    N = lcm(1, *(v.denominator for v in pairings))
+    adj, D = la.scaled_inverse(datum.cartan)
+    n = la.mat_vec(adj, [int(N * v) for v in pairings])
     return TransitivitySolution(N, n, D, gamma0)
 
 
@@ -427,7 +414,4 @@ def levi_point_from_pairings(
         raise DimensionMismatch(
             f"{len(pairings)} pairings given for the {sub.rank} simple roots of {sub.name}"
         )
-    sol = la.solve(la.mat(sub.cartan), pairings)
-    if sol is None:
-        raise NonRootSystem("pairings are not realisable in the Levi apartment")
-    return sol
+    return la.solve(sub.cartan, pairings)

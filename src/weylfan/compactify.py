@@ -6,6 +6,16 @@ cone's span under the fixed Weyl-invariant inner product.  Interior points
 are the points over the origin cone.  Ray limits and limit profiles are
 matched against the fan exactly; a profile whose divergence pattern fits
 no cone yields the NoLimit value rather than an error.
+
+*Facade points.*  The invariant form is positive definite, so for any
+span S the Gram system of a basis of S is nonsingular, and
+`orthogonal_reduction` gives the one point of x + S orthogonal to S.  It
+is the library's one facade solver.  In `limit_of_profile`, the roots
+vanishing on the matched cone cut out the cone's span S: the fan's sign
+table checks that they have rank `len(cone.eqs)` (see *Sign table* in
+`fans`).  So the points at which those roots take the profile's finite
+values are either none, when the values are contradictory, or a
+translate x0 + S, and reducing any such x0 gives the one facade point.
 """
 
 from __future__ import annotations
@@ -79,16 +89,10 @@ def orthogonal_reduction(datum: RootDatum, span: Sequence[Vec], x: Sequence) -> 
     x = datum.point(x)
     if not span:
         return x
-    m = datum.gram_points
-    gram = [[la.dot(la.mat_vec(m, s), t) for t in span] for s in span]
-    rhs = [la.dot(la.mat_vec(m, s), x) for s in span]
-    coeffs = la.solve(la.mat(gram), la.vec(rhs))
-    if coeffs is None:
-        raise NonRootSystem("degenerate Gram system in facade reduction")
-    proj = la.zero_vec(len(x))
-    for c, s in zip(coeffs, span):
-        proj = la.add(proj, la.scale(s, c))
-    return la.sub(x, proj)
+    images = [la.mat_vec(datum.gram_points, s) for s in span]
+    gram = [[la.dot(g, t) for t in span] for g in images]
+    coeffs = la.solve(gram, [la.dot(g, x) for g in images])
+    return la.sub(x, la.vec_mat(coeffs, span))
 
 
 def project_to_facade(fan: Fan, cone_index: int, x: Sequence) -> CompactifiedPoint:
@@ -167,7 +171,8 @@ def limit_of_profile(
     +infinity in the profile, every root everywhere-negative diverges to
     -infinity, and every root vanishing on it has a finite value; roots of
     mixed sign on the cone are unconstrained.  The finite values must then
-    be realisable by a transverse base point, which they pin down uniquely.
+    be realisable by a transverse base point, which they pin down uniquely
+    (see *Facade points* above).
     """
     datum = fan.datum
     table = dict(profile.values)
@@ -186,24 +191,13 @@ def limit_of_profile(
     cone = fan.cones[idx]
 
     vanishing = [a for a in datum.roots if fan.root_sign(idx, a) == 0]
-    n = datum.rank
-    rows = [datum.covector(a) for a in vanishing]
-    rhs = [table[a] for a in vanishing]
-    # transverse orthogonality pins the remaining coordinates
-    m = datum.gram_points
-    for s in cone.span_basis:
-        rows.append(la.mat_vec(m, s))
-        rhs.append(Fraction(0))
-    if la.rank(rows) != n:
-        raise InconsistentProfile(
-            "vanishing roots do not determine the facade coordinate"
-        )
-    base = la.solve(la.mat(rows), la.vec([Fraction(v) for v in rhs]))
-    if base is None:
-        raise InconsistentProfile("finite profile values are contradictory")
-    for row, want in zip(rows, rhs):
-        if la.dot(row, base) != want:
+    if vanishing:
+        x0 = la.solve([datum.covector(a) for a in vanishing], la.vec(table[a] for a in vanishing))
+        if x0 is None:
             raise InconsistentProfile("finite profile values are contradictory")
+    else:  # the cone spans V, so every point reduces to the origin
+        x0 = la.zero_vec(datum.rank)
+    base = orthogonal_reduction(datum, cone.span_basis, x0)
     if witness is not None:
         reduced = orthogonal_reduction(datum, cone.span_basis, witness)
         if reduced != base:

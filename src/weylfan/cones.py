@@ -64,6 +64,22 @@ from .errors import DimensionMismatch, EmptyCone, TypeMismatch
 from .linalg import Mat, Vec
 
 
+def _forms(forms, name: str) -> list[tuple]:
+    """`forms` as a list of tuples; raises TypeMismatch, naming `name` or the
+    form, if `forms` or one of its forms is not iterable."""
+    try:
+        forms = list(forms)
+    except TypeError:  # None, 5
+        raise TypeMismatch(f"{name} {forms!r} is not a sequence of forms") from None
+    rows = []
+    for form in forms:
+        try:
+            rows.append(tuple(form))
+        except TypeError:
+            raise TypeMismatch(f"form {form!r} is not a sequence of entries") from None
+    return rows
+
+
 def dual_description(
     n: int, eqs: Sequence[Vec], ineqs: Sequence[Vec]
 ) -> tuple[list[Vec], list[Vec]]:
@@ -72,16 +88,18 @@ def dual_description(
     Rays are primitive and canonical up to order; together with the
     lineality they generate the cone.  Rays are extreme modulo lineality.
     Raises DimensionMismatch unless n is an int >= 1 and every form has n
-    entries, and TypeMismatch unless every entry is an int or a Fraction.
+    entries, and TypeMismatch unless the forms and each form are iterable
+    and every entry is an int or a Fraction.
     """
     if type(n) is not int or n < 1:
         raise DimensionMismatch(f"ambient dimension {n!r} is not an int >= 1")
+    eqs, ineqs = _forms(eqs, "eqs"), _forms(ineqs, "ineqs")
     for form in (*eqs, *ineqs):
         if len(form) != n:
-            raise DimensionMismatch(f"form {tuple(form)} has {len(form)} entries, not {n}")
+            raise DimensionMismatch(f"form {form} has {len(form)} entries, not {n}")
         if any(type(c) is not int and type(c) is not Fraction for c in form):
-            raise TypeMismatch(f"form {tuple(form)} has an entry that is not an int or a Fraction")
-    lineality = la.kernel_basis(list(eqs), n)
+            raise TypeMismatch(f"form {form} has an entry that is not an int or a Fraction")
+    lineality = la.kernel_basis(eqs, n)
     rays: list[Vec] = []
     tight: list[int] = []  # per ray, the bitset of the processed ineqs vanishing on it
     for i, a in enumerate(ineqs):
@@ -135,8 +153,7 @@ class Cone(Value, uncompared=("eqs", "ins")):
         """Canonicalise {x : eqs x = 0, ins x > 0}; raises EmptyCone if empty,
         and DimensionMismatch or TypeMismatch as `dual_description` does (see
         *Canonical form* in the module docstring)."""
-        eqs = [tuple(e) for e in eqs]
-        ins = [tuple(i) for i in ins]
+        eqs, ins = _forms(eqs, "eqs"), _forms(ins, "ins")
         lin, rays = dual_description(n, eqs, ins)
         # per form, the bitset of the rays it vanishes on; it is >= 0 on the
         # rays and vanishes on the lineality

@@ -3,10 +3,10 @@
 Vectors are tuples, matrices are tuples of row vectors.  Entries are `int`
 or `Fraction`: integral data (root covectors, Weyl matrices, cone forms and
 rays) stays `int` end to end.  Elimination is fraction-free: `rref`,
-`row_basis`, `rank`, `kernel_basis`, `solve`, `scaled_inverse`, `inverse`
-and `det` all read one integer Gauss-Jordan pass, `_echelon`, and
+`row_basis`, `rank`, `kernel_basis`, `solve`, `scaled_inverse` and
+`inverse` all read one integer Gauss-Jordan pass, `_echelon`, and
 `Fraction` appears only in results that need not be integral (echelon
-rows, solutions, inverses, determinants).
+rows, solutions, inverses).
 No `/` is applied to two ints, so no float can arise, and every decision
 (rank, kernel, solvability) is an exact sign decision.
 """
@@ -104,12 +104,12 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     return tuple(tuple(dot(row, col) for col in bt) for row in a)
 
 
-def _echelon(rows: Sequence[Vec]) -> tuple[list[list[int]], list[int], int, int]:
+def _echelon(rows: Sequence[Vec]) -> tuple[list[list[int]], list[int], int]:
     """Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968).
 
-    Returns (m, pivots, d, sign): the int rows m are d times the nonzero rows
-    of the reduced row echelon form, with d > 0, and for square nonsingular
-    rows sign * d is the determinant of the rows after scaling.  A row with
+    Returns (m, pivots, d): the int rows m are d times the nonzero rows of
+    the reduced row echelon form, with d > 0; for square nonsingular int
+    rows, d is the absolute value of their determinant.  A row with
     `Fraction` entries is first scaled by the lcm of its denominators, which
     leaves the echelon form unchanged.  After k pivots every entry is a minor
     of order k or k + 1 of the scaled rows, so each division by the previous
@@ -118,7 +118,7 @@ def _echelon(rows: Sequence[Vec]) -> tuple[list[list[int]], list[int], int, int]
     m = [_integral(r) for r in rows]
     ncols = len(m[0]) if m else 0
     pivots: list[int] = []
-    d = sign = 1
+    d = 1
     for c in range(ncols):
         r = len(pivots)
         if r == len(m):
@@ -126,9 +126,7 @@ def _echelon(rows: Sequence[Vec]) -> tuple[list[list[int]], list[int], int, int]
         p = next((i for i in range(r, len(m)) if m[i][c]), None)
         if p is None:
             continue
-        if p != r:
-            m[r], m[p] = m[p], m[r]
-            sign = -sign
+        m[r], m[p] = m[p], m[r]
         top = m[r]
         pv = top[c]
         for i, row in enumerate(m):
@@ -142,13 +140,13 @@ def _echelon(rows: Sequence[Vec]) -> tuple[list[list[int]], list[int], int, int]
     m = m[: len(pivots)]
     if d < 0:
         m = [[-x for x in row] for row in m]
-        d, sign = -d, -sign
-    return m, pivots, d, sign
+        d = -d
+    return m, pivots, d
 
 
 def rref(rows: Sequence[Vec]) -> tuple[list[Vec], list[int]]:
     """Reduced row echelon form over Fraction; returns (nonzero rows, pivot columns)."""
-    m, pivots, d, _ = _echelon(rows)
+    m, pivots, d = _echelon(rows)
     return [tuple(Fraction(x, d) for x in row) for row in m], pivots
 
 
@@ -166,7 +164,7 @@ def rank(rows: Sequence[Vec]) -> int:
 
 def kernel_basis(rows: Sequence[Vec], n: int) -> list[Vec]:
     """Basis of {x : row . x = 0 for all rows}, canonical from RREF."""
-    m, pivots, d, _ = _echelon(rows)
+    m, pivots, d = _echelon(rows)
     basis = []
     for fc in range(n):
         if fc in pivots:
@@ -185,7 +183,7 @@ def solve(a_rows: Sequence[Vec], b: Vec) -> Optional[Vec]:
     When the system is underdetermined the free variables are set to zero.
     """
     n = len(a_rows[0]) if a_rows else 0
-    m, pivots, d, _ = _echelon([tuple(row) + (bi,) for row, bi in zip(a_rows, b)])
+    m, pivots, d = _echelon([tuple(row) + (bi,) for row, bi in zip(a_rows, b)])
     if n in pivots:
         return None
     x = [Fraction(0)] * n
@@ -198,7 +196,7 @@ def scaled_inverse(m: Mat) -> tuple[tuple[tuple[int, ...], ...], int]:
     """(d m^-1, d) with d > 0 and d m^-1 in ints: the adjugate of an int
     matrix of positive determinant, read off one integer elimination."""
     n = len(m)
-    red, pivots, d, _ = _echelon([tuple(row) + e for row, e in zip(m, identity(n))])
+    red, pivots, d = _echelon([tuple(row) + e for row, e in zip(m, identity(n))])
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
     return tuple(tuple(row[n:]) for row in red), d
@@ -208,12 +206,3 @@ def inverse(m: Mat) -> Mat:
     scaled, d = scaled_inverse(m)
     return tuple(tuple(Fraction(x, d) for x in row) for row in scaled)
 
-
-def det(m: Mat) -> Fraction:
-    red, _, d, sign = _echelon(m)
-    if len(red) < len(m):
-        return Fraction(0)
-    scale = 1  # the product of the row scalings made by _echelon
-    for row in m:
-        scale *= lcm(*(a.denominator for a in row))
-    return Fraction(sign * d, scale)

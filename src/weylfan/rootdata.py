@@ -8,8 +8,9 @@ Cartan matrix.  The fixed Weyl-invariant inner product normalises short
 simple roots to squared length 2 on each irreducible component.
 
 *Validation.*  `RootDatum.validate` takes time linear in the roots R
-(integer tuples over the basis a_1..a_n).  Past the checks of R itself
-(no duplicate, no zero, closed under negation, one sign over the basis),
+(integer tuples over the basis a_1..a_n).  Past the checks of shape (n
+rows of n Cartan entries, n squared lengths) and of R itself (no
+duplicate, no zero, closed under negation, one sign over the basis),
 the Cartan matrix C must have 2 on its diagonal and the squared lengths L
 must be positive with C[i][j] L_j = C[j][i] L_i.  Then (a, b) =
 sum a_i C[i][j] L_j b_j / 2 is symmetric, and `reflect_simple` on the
@@ -369,6 +370,10 @@ class RootDatum(Value):
         """Raise NonRootSystem unless this is a root system; see *Validation* above."""
         roots, root_set, simples = self.roots, self.root_set, self.simples
         n, cartan, lengths = self.rank, self.cartan, self.simple_lengths
+        if len(cartan) != n or any(len(row) != n for row in cartan):
+            raise NonRootSystem(f"Cartan matrix is not {n} rows of {n} entries")
+        if len(lengths) != n:
+            raise NonRootSystem(f"simple lengths have {len(lengths)} entries, not {n}")
         if len(root_set) != len(roots):
             raise NonRootSystem("duplicate roots")
         if (0,) * n in root_set:

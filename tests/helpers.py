@@ -6,6 +6,7 @@ from math import lcm
 import random
 
 from weylfan import linalg as la
+from weylfan.apartment import SymbolicEntry, TransitivitySolution
 from weylfan.compactify import (
     NEG_INF,
     POS_INF,
@@ -14,7 +15,14 @@ from weylfan.compactify import (
     orthogonal_reduction,
 )
 from weylfan.cones import Cone, _reduce_mod, closure_subset, open_system_feasible
-from weylfan.errors import EmptyCone, InconsistentProfile, NonRootSystem, PartitionFailure
+from weylfan.errors import (
+    EmptyCone,
+    InconsistentProfile,
+    NonReduced,
+    NonRootSystem,
+    PartitionFailure,
+    Unspanned,
+)
 from weylfan.fans import (
     CoreInfo,
     Fan,
@@ -31,6 +39,7 @@ from weylfan.rootdata import (
     build_root_datum,
     components,
     orthogonal_complement,
+    positive_int,
     reflect_matrix,
     reflect_simple,
     walk_orbits,
@@ -332,6 +341,79 @@ def reference_rref(rows) -> tuple[list, list[int]]:
         if r == len(m):
             break
     return [tuple(row) for row in m[:r]], pivots
+
+
+def reference_inverse(m):
+    """The inverse, or None if m is singular."""
+    n = len(m)
+    unit = [tuple(Q(int(i == j)) for j in range(n)) for i in range(n)]
+    red, pivots = reference_rref([tuple(row) + e for row, e in zip(m, unit)])
+    if pivots[:n] != list(range(n)):
+        return None
+    return tuple(tuple(row[n:]) for row in red)
+
+
+def reference_det(m):
+    """det by the adjugate: inv[j][i] = (-1)^(i+j) det(m without row i and
+    column j) / det m, for an entry of the inverse that is not zero."""
+    if not m:
+        return Q(1)
+    inv = reference_inverse(m)
+    if inv is None:
+        return Q(0)
+    n = len(m)
+    j, i = next((j, i) for j in range(n) for i in range(n) if inv[j][i])
+    minor = [row[:j] + row[j + 1 :] for k, row in enumerate(m) if k != i]
+    return (-1) ** (i + j) * reference_det(minor) / inv[j][i]
+
+
+def reference_transitivity_solve(datum, x, y, gamma_denominator=1) -> TransitivitySolution:
+    """`transitivity_solve` oracle: the Cartan system solved by elimination,
+    with its determinant from `reference_det`, and every identity the
+    closed form rests on checked on the answer."""
+    positive_int(gamma_denominator, "value group denominator must be positive")
+    if not datum.is_reduced():
+        raise NonReduced("the Cartan system is set up for reduced root systems")
+    if not datum.essential:
+        raise Unspanned("the basis does not span the ambient space")
+    diff = la.sub(datum.point(y), datum.point(x))
+    gamma0 = Q(1, gamma_denominator)
+    pairings = [datum.pairing(s, diff) for s in datum.simples]
+    N = 1
+    for v in pairings:
+        N = lcm(N, (v / gamma0).denominator)
+    cartan = la.mat(datum.cartan)
+    D_frac = reference_det(cartan)
+    if D_frac.denominator != 1 or D_frac <= 0:
+        raise NonRootSystem("Cartan determinant must be a positive integer")
+    D = int(D_frac)
+    rhs = [N * D * v / gamma0 for v in pairings]
+    for r in rhs:
+        if r.denominator != 1 or int(r) % D != 0:
+            raise NonRootSystem("right-hand side escaped the determinant lattice")
+    sol = la.solve(cartan, la.vec(rhs))
+    if sol is None or any(c.denominator != 1 for c in sol):
+        raise NonRootSystem("Cartan system has no integral solution")
+    n = tuple(int(c) for c in sol)
+    translation = tuple(Q(c) * gamma0 / (N * D) for c in n)
+    if translation != diff:
+        raise NonRootSystem("transitivity solution failed to reproduce y - x")
+    return TransitivitySolution(N, n, D, gamma0)
+
+
+def reference_is_virtually_special(apt, x) -> bool:
+    """`is_virtually_special` oracle: the symbolic pairing of every root
+    with x, accumulated term by term."""
+    entries = [c if isinstance(c, SymbolicEntry) else SymbolicEntry.of(c) for c in x]
+    apt.datum.point([e.rational for e in entries])
+    for a in apt.datum.roots:
+        acc = SymbolicEntry.of(0)
+        for coeff, entry in zip(apt.datum.covector(a), entries):
+            symbols = tuple((s, v * coeff) for s, v in entry.symbols if v * coeff != 0)
+            acc = acc.plus(SymbolicEntry(entry.rational * coeff, symbols))
+        if not acc.is_rational:
+            return False
+    return True
 
 
 def random_rational_vec(rng: random.Random, n: int, num: int = 9, den: int = 5):

@@ -3,12 +3,20 @@ import random
 
 import pytest
 
-from helpers import random_rational_vec
+from helpers import (
+    RANK4_CATALOGUE,
+    random_rational_vec,
+    reference_det,
+    reference_is_virtually_special,
+    reference_transitivity_solve,
+    subsets,
+)
 from weylfan import linalg as la
 from weylfan.apartment import (
     AffineRootPattern,
     ExtensionSpec,
     SymbolicEntry,
+    TransitivitySolution,
     ValueGroup,
     embed_extension,
     essential_projection,
@@ -22,7 +30,14 @@ from weylfan.apartment import (
     transitivity_solve,
     walls_in_box,
 )
-from weylfan.errors import DimensionMismatch, EmptyFacet, NonReduced, NonRootSystem, Unspanned
+from weylfan.errors import (
+    DimensionMismatch,
+    EmptyFacet,
+    NonReduced,
+    NonRootSystem,
+    Unspanned,
+    WeylfanError,
+)
 from weylfan.rootdata import build_root_datum
 
 
@@ -218,6 +233,98 @@ def test_transitivity_rejects_unspanned():
 def test_transitivity_rejects_non_positive_denominator(d):
     with pytest.raises(NonRootSystem, match="^value group denominator must be positive$"):
         transitivity_solve(build_root_datum("A1"), (Q(0),), (Q(1, 6),), gamma_denominator=d)
+
+
+PRODUCT_TYPES = ["A1xB2", "A2xG2", "B2xC3", "A1xA1xA1", "A1xBC2"]
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except WeylfanError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("name", RANK4_CATALOGUE + PRODUCT_TYPES)
+def test_transitivity_matches_the_solve_then_recheck_oracle(name):
+    """The closed form adj m equals, field by field and with int fields,
+    the integer solution of the Cartan system found by elimination and
+    checked against every identity it rests on."""
+    datum = build_root_datum(name)
+    rng = random.Random(name)
+    for _ in range(40):
+        x = random_rational_vec(rng, datum.rank, num=6, den=6)
+        y = x if rng.random() < 0.1 else random_rational_vec(rng, datum.rank, num=6, den=6)
+        d = rng.randint(1, 4)
+        got = _outcome(transitivity_solve, datum, x, y, d)
+        assert got == _outcome(reference_transitivity_solve, datum, x, y, d)
+        if isinstance(got, TransitivitySolution):
+            assert all(type(v) is int for v in (got.N, got.cartan_det, *got.coefficients))
+
+
+@pytest.mark.parametrize("name", RANK4_CATALOGUE + PRODUCT_TYPES + ["B4", "C4", "D5", "A7"])
+def test_cartan_det_is_the_determinant(name):
+    """`la.scaled_inverse` of the Cartan matrix is (adjugate, det): the
+    determinant by cofactors, and C adj = det 1."""
+    datum = build_root_datum(name)
+    adj, det = la.scaled_inverse(datum.cartan)
+    assert det == reference_det(la.mat(datum.cartan)) > 0
+    assert la.mat_mul(datum.cartan, adj) == tuple(la.scale(r, det) for r in la.identity(datum.rank))
+    if datum.is_reduced():
+        origin = la.zero_vec(datum.rank)
+        assert transitivity_solve(datum, origin, origin).cartan_det == det
+
+
+def _symbolic_entry(rng):
+    """A rational or a SymbolicEntry whose terms may repeat a symbol, carry
+    a zero coefficient, or cancel."""
+    rational = Q(rng.randint(-4, 4), rng.randint(1, 3))
+    roll = rng.random()
+    if roll < 0.25:
+        return rational
+    if roll < 0.5:  # a symbol and its negative, maybe split over two terms
+        c = Q(rng.randint(1, 3), rng.randint(1, 2))
+        terms = [("s", c), ("s", -c)] if rng.random() < 0.5 else [("s", c), ("s", -c / 2), ("s", -c / 2)]
+    else:
+        terms = [
+            (rng.choice("st"), Q(rng.choice((-2, -1, 0, 0, 1, 2)), rng.randint(1, 2)))
+            for _ in range(rng.randint(1, 3))
+        ]
+    rng.shuffle(terms)
+    return SymbolicEntry(rational, tuple(terms))
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2", "BC2", "A3", "C3", "A1xA2", "F4"])
+def test_virtually_special_matches_the_root_by_root_oracle(name):
+    """Merging each coordinate's symbols decides virtual specialness as the
+    symbolic pairing with every root does."""
+    apt = make_apartment(build_root_datum(name))
+    rng = random.Random(name)
+    seen = set()
+    for _ in range(150):
+        x = tuple(_symbolic_entry(rng) for _ in range(apt.datum.rank))
+        want = reference_is_virtually_special(apt, x)
+        assert is_virtually_special(apt, x) == want, x
+        seen.add(want)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("name", ["A2", "B3", "G2", "BC2", "A1xA2", "F4"])
+def test_levi_point_round_trips_through_the_levi_pairings(name):
+    """The Levi point of given pairings has those pairings in the Levi
+    apartment, and the Levi point of a projection projects back."""
+    datum = build_root_datum(name)
+    rng = random.Random(name)
+    for levi in subsets(datum.rank):
+        sub = sub_datum(datum, levi)
+        for _ in range(5):
+            pairings = random_rational_vec(rng, len(levi))
+            y = levi_point_from_pairings(datum, levi, pairings)
+            assert tuple(sub.pairing(s, y) for s in sub.simples) == pairings
+            x = random_rational_vec(rng, datum.rank)
+            projected = essential_projection(datum, levi, x)
+            y = levi_point_from_pairings(datum, levi, projected)
+            assert essential_projection(sub, range(sub.rank), y) == projected
 
 
 def test_dense_sample_single_vertex():

@@ -394,6 +394,38 @@ def test_limit_of_profile_matches_sign_of_oracle(name, J):
     assert len(outcomes) > 2
 
 
+def _moved_profiles(fan, count, seed):
+    """Seeded ray profiles into random cones, most with the finite value of
+    one root moved, each with no witness, the ray's base or the base moved
+    by a random vector."""
+    datum = fan.datum
+    rng = random.Random(seed)
+    for _ in range(count):
+        base = random_rational_vec(rng, datum.rank)
+        table = dict(ray_profile(datum, base, rng.choice(fan.cones).relint_point()).values)
+        finite = [a for a in datum.positive_roots if not isinstance(table[a], float)]
+        if finite and rng.random() < 0.7:
+            table[rng.choice(finite)] += Q(rng.choice((-1, 1)), rng.randint(1, 4))
+        moved = la.add(base, random_rational_vec(rng, datum.rank, num=2, den=3))
+        witness = rng.choice((None, base, moved))
+        yield LimitProfile.of(datum, {a: table[a] for a in datum.positive_roots}), witness
+
+
+@pytest.mark.parametrize("name,J", CATALOGUE_FANS)
+def test_limit_of_profile_matches_the_oracle_on_moved_finite_values(name, J):
+    """The facade point reduced from any solution of the vanishing roots'
+    system rejects exactly the contradictory values and disagreeing
+    witnesses that the solve-then-recheck oracle rejects."""
+    fan = built_fan(name, J)
+    outcomes = set()
+    for profile, witness in _moved_profiles(fan, 120, seed=len(fan)):
+        want = _outcome(scan_limit_of_profile, fan, profile, witness)
+        assert _outcome(limit_of_profile, fan, profile, witness) == want
+        rejected = isinstance(want, tuple) and isinstance(want[0], str)
+        outcomes.add(want[1] if rejected else "answer")
+    assert "answer" in outcomes and len(outcomes) > 1
+
+
 def _boundary_oracle(tg, point):
     """theta_boundary by `Cone.sign_of`: the values, or ProfileMismatch."""
     datum = tg.datum

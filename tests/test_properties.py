@@ -3,10 +3,11 @@
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from helpers import RANK3_CATALOGUE, built_fan, valid_js
 from weylfan import linalg as la
+from weylfan.compactify import limit_of_profile, limit_of_ray, ray_profile
 from weylfan.cones import dual_description
 from weylfan.rootdata import build_root_datum, reflect_simple
 
@@ -47,20 +48,28 @@ def test_double_dual_round_trip(system):
         assert twice[1] == cone[1]
 
 
-@st.composite
-def fan_moves(draw):
-    """(fan, x, k): a `built_fan` of a rank <= 3 type and valid J, a point
-    x, and a simple reflection k.  x is a small integer vector or the
-    relative interior point of a fan cone, so that points on walls, where
-    roots vanish, are drawn as often as generic ones."""
+def _fan(draw):
+    """A `built_fan` of a rank <= 3 type and valid J."""
     datum = build_root_datum(draw(st.sampled_from(RANK3_CATALOGUE)))
     J = draw(st.sampled_from(sorted(map(sorted, valid_js(datum)))))
-    fan = built_fan(datum.name, tuple(J))
+    return built_fan(datum.name, tuple(J))
+
+
+def _point(draw, fan):
+    """A small integer vector or the relative interior point of a fan cone,
+    so that points on walls, where roots vanish, are drawn as often as
+    generic ones."""
     if draw(st.booleans()):
-        x = draw(st.tuples(*[st.integers(-3, 3)] * datum.rank))
-    else:
-        x = fan.cones[draw(st.integers(0, len(fan) - 1))].relint_point()
-    return fan, x, draw(st.integers(0, datum.rank - 1))
+        return draw(st.tuples(*[st.integers(-3, 3)] * fan.datum.rank))
+    return fan.cones[draw(st.integers(0, len(fan) - 1))].relint_point()
+
+
+@st.composite
+def fan_moves(draw):
+    """(fan, x, k): a fan, a point x (see `_point`) and a simple reflection k."""
+    fan = _fan(draw)
+    x = _point(draw, fan)
+    return fan, x, draw(st.integers(0, fan.datum.rank - 1))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -74,3 +83,20 @@ def test_cone_containing_is_weyl_invariant(move):
     i = fan.cone_containing(x)
     image = fan.cone_containing(reflect_simple(datum.cartan, x, k))
     assert image == fan.transform_index(datum.simple_reflections[k], i)
+
+
+@st.composite
+def fan_rays(draw):
+    """(fan, b, d): a fan, a base point b and a direction d (see `_point`)."""
+    fan = _fan(draw)
+    return fan, _point(draw, fan), _point(draw, fan)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(fan_rays())
+def test_limit_of_ray_is_the_limit_of_its_profile(ray):
+    """The ray b + t d converges to the facade point its limit profile
+    names: the cone holding d, over the reduced base point."""
+    fan, b, d = ray
+    assume(any(d))
+    assert limit_of_ray(fan, b, d) == limit_of_profile(fan, ray_profile(fan.datum, b, d))

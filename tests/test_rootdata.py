@@ -317,10 +317,21 @@ def _a2_without(*dropped):
             dict(roots=_a2_without() + ((1, 1, 0), (-1, -1, 0))),
             "root (1, 1, 0) does not have 2 coefficients",
         ),
+        ("A2", dict(simple_lengths=(Q(2),)), "simple lengths have 1 entries, not 2"),
+        ("A2", dict(simple_lengths=(Q(2),) * 3), "simple lengths have 3 entries, not 2"),
+        ("A2", dict(cartan=((2, -1),)), "Cartan matrix is not 2 rows of 2 entries"),
+        ("A2", dict(cartan=((2, -1), (-1,))), "Cartan matrix is not 2 rows of 2 entries"),
+        ("A2", dict(cartan=((2, -1, 0), (-1, 2, 0))), "Cartan matrix is not 2 rows of 2 entries"),
+        (  # the shapes are checked before the roots
+            "A2",
+            dict(cartan=((2,),), roots=((1, 0),) * 2),
+            "Cartan matrix is not 2 rows of 2 entries",
+        ),
     ],
     ids=[
         "Cartan diagonal", "length", "lengths fit", "simple root", "closure", "3a", "4a",
-        "short root", "long root",
+        "short root", "long root", "1 length", "3 lengths", "1 Cartan row", "short Cartan row",
+        "long Cartan rows", "shapes first",
     ],
 )
 def test_validate_names_the_failing_axiom(name, changes, message):
