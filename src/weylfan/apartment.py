@@ -20,8 +20,8 @@ nonsingular, and every root is an integer combination of simple roots.
   combination of symbols, and let S_s be the column of coefficients of a
   symbol s.  The symbolic part of the simple-root pairings is C S_s, zero
   exactly when S_s is, and then every root pairing is rational.  So x is
-  virtually special exactly when every coordinate, once its repeated
-  symbols are merged, has no symbol left.
+  virtually special exactly when no coordinate has a symbol left, as a
+  `SymbolicEntry` keeps one nonzero term per symbol.
 - `levi_point_from_pairings`.  A Levi Cartan matrix is a principal
   submatrix of C, itself the Cartan matrix of a root system, so it is
   nonsingular and the pairings always have one solution.
@@ -170,10 +170,17 @@ def make_apartment(
 
 
 class SymbolicEntry(Value):
-    """rational + sum of irrational symbols with rational coefficients."""
+    """rational + sum of irrational symbols with rational coefficients; the
+    terms are kept one per symbol, nonzero and sorted."""
 
     rational: Fraction
     symbols: tuple[tuple[str, Fraction], ...] = ()
+
+    def __post_init__(self) -> None:
+        acc: dict[str, Fraction] = {}
+        for s, v in self.symbols:
+            acc[s] = acc.get(s, Fraction(0)) + v
+        object.__setattr__(self, "symbols", tuple(sorted((s, v) for s, v in acc.items() if v)))
 
     @staticmethod
     def of(value, symbol: Optional[str] = None) -> "SymbolicEntry":
@@ -182,13 +189,7 @@ class SymbolicEntry(Value):
         return SymbolicEntry(Fraction(value), ((symbol, Fraction(1)),))
 
     def plus(self, other: "SymbolicEntry") -> "SymbolicEntry":
-        acc = dict(self.symbols)
-        for s, v in other.symbols:
-            acc[s] = acc.get(s, Fraction(0)) + v
-        return SymbolicEntry(
-            self.rational + other.rational,
-            tuple(sorted((s, v) for s, v in acc.items() if v != 0)),
-        )
+        return SymbolicEntry(self.rational + other.rational, self.symbols + other.symbols)
 
     @property
     def is_rational(self) -> bool:
@@ -219,10 +220,9 @@ def is_virtually_special(apt: Apartment, x: Sequence) -> bool:
     irrational coordinates, for which the symbolic parts must cancel in
     every root direction: see *Closed forms* above.
     """
-    entries = [c if isinstance(c, SymbolicEntry) else SymbolicEntry.of(c) for c in x]
+    entries = [c if isinstance(c, SymbolicEntry) else SymbolicEntry(coordinates([c])[0]) for c in x]
     apt.datum.point([e.rational for e in entries])  # rejects a point of the wrong length
-    zero = SymbolicEntry.of(0)
-    return all(zero.plus(e).is_rational for e in entries)  # plus merges repeated symbols
+    return all(e.is_rational for e in entries)
 
 
 def special_witness(apt: Apartment, x: Sequence) -> int:

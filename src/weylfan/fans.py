@@ -31,6 +31,23 @@ A standard cone whose type T is I itself is its own core (the face of
 the dominant chamber of type I), as is then every cone of its orbit, so
 the walk reflects one cone for both; for J empty that is every cone.
 
+*Standard cones.*  The standard cone of I is {x : alpha_I(x) = 0,
+beta(x) > 0 for beta in Phi+ - Phi_T}, and `standard_cone_system` gives
+it by its facet roots only: the W_K-orbits of the simple roots alpha_j,
+j not in T, with K = T - I = J n I-perp (for T = I, the alpha_j alone).
+Each is in Phi+ - Phi_T, as s_k, k in K, keeps the coefficient of
+alpha_j.  Conversely, let x satisfy the smaller system.  K is orthogonal
+to I, so W_K fixes each alpha_i, i in I; and W_K, inside W_T, permutes
+Phi+ - Phi_T.  Sort x into the closed dominant chamber of K with simple
+reflections in K, y = w^-1.x for a w in W_K.  Then alpha_I(y) = 0,
+alpha_k(y) >= 0 for k in K, and alpha_j(y) = (w.alpha_j)(x) > 0 for j
+not in T, so every beta in Phi+ - Phi_T, which has nonnegative
+coefficients and a positive one off T, is positive at y, and beta(x) =
+(w^-1.beta)(y) > 0.  Both systems cut out one open cone, so
+`Cone.from_system`'s canonical output is the same (Chevalley's lemma for
+the sort; Humphreys 1.12).  For B3 with J empty the chamber takes 3
+forms where Phi+ - Phi_T has 9.
+
 Cone location and the face order use exact integer indices built once per
 fan.
 
@@ -122,10 +139,12 @@ cones, which pass both checks by *Sign transport*.  The moves table
 checks that the rows are distinct and closed under each pi_k.  Partition
 and boundary: the cover check on one cone per orbit (see *Orbit
 reduction*).  Faces: every closure must hold its own rays, and a face of
-a pointed cone is the zero set of its tight facet forms.  So with each
-facet of g kept as the bitset of the rays of g on which its form
-vanishes, (f, g) is a face pair exactly when the AND of the facets of g
-that hold the rays of f (all of g if none do) is the rays of f.  This is
+a pointed cone is the zero set of its tight facet forms; one incidence
+table per cone, its equalities and facet forms at its rays, gives both
+checks their data.  So with each facet of g kept as the bitset of the
+rays of g on which its form vanishes, (f, g) is a face pair exactly when
+the AND of the facets of g that hold the rays of f (all of g if none do)
+is the rays of f.  This is
 the supporting-form criterion with alpha the sum of the tight facet
 forms, and it implies cl(f) = span(f) meet cl(g).  Weyl invariance and
 cores: a complete moves table is Weyl invariance, since the s_k generate
@@ -137,12 +156,18 @@ coroot coordinates, so it fixes p.  A g in W_p maps X to a fan cone (Weyl
 invariance) through p, which is X (partition).  W_p is generated by the
 reflections it contains, those in the roots vanishing at p (Chevalley's
 lemma; Humphreys 1.12), so its fixed points are the zero set of those
-roots, and one `Cone.from_system` of the equalities of X, those root
-forms and the facet forms of X gives the first core (`_fixed_core`).
-Stab(s_k.X) is s_k Stab(X) s_k, so s_k maps the core of X onto the core
-of s_k.X: each orbit is walked once along the moves, carrying the key
-(lineality and rays) of the first core by `_reflected_key`, with no Weyl
-matrix.
+roots.  The sign row of X names them: a root of sign 0 vanishes on the
+span of X already and one of sign + or - is nonzero at p, so only the
+mixed roots that vanish at p cut X down.  If there is none, the core is
+X; otherwise one `Cone.from_system` of the equalities of X, those root
+forms and the facet forms of X gives it (`_fixed_core`).  Stab(s_k.X) is
+s_k Stab(X) s_k, so s_k maps the core of X onto the core of s_k.X: each
+orbit is walked once along the moves, carrying the key (lineality and
+rays) of the first core by `_reflected_key`, with no Weyl matrix.  When
+the first core is X, s_k maps cone i onto cone `moves[k][i]`, so each
+core of the orbit is its own cone and is compared with that cone's key;
+for J empty this is every orbit, and `validate` calls no
+`Cone.from_system`.
 """
 
 from __future__ import annotations
@@ -151,7 +176,7 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from . import linalg as la
-from ._value import Value, replace
+from ._value import Value
 from .cones import Cone
 from .errors import (
     DegenerateJ,
@@ -453,12 +478,13 @@ def _check_faces(fan: Fan) -> None:
     _, cone_rays = fan._ray_indices
     ray_sets, zero_sets = [], []  # per cone: its rays, and each facet's rays
     for i, (c, rays) in enumerate(zip(fan.cones, cone_rays)):
-        if not all(c.closure_contains(r) for r in c.rays):
+        # one table of the cone's forms at its rays serves both checks
+        on_eqs = (la.dot(form, r) for form in c.eqs for r in c.rays)
+        on_ins = [[la.dot(form, r) for r in c.rays] for form in c.ins]
+        if any(on_eqs) or any(v < 0 for vals in on_ins for v in vals):
             raise PartitionFailure(f"face condition fails for cones {i} <= {i}")
         ray_sets.append(sum(1 << k for k in rays))
-        zero_sets.append(
-            [sum(1 << k for k, r in zip(rays, c.rays) if la.dot(form, r) == 0) for form in c.ins]
-        )
+        zero_sets.append([sum(1 << k for k, v in zip(rays, vals) if not v) for vals in on_ins])
     for f, g in fan.face_order:
         rays, meet = ray_sets[f], ray_sets[g]
         for zero in zero_sets[g]:
@@ -470,29 +496,35 @@ def _check_faces(fan: Fan) -> None:
 
 def _fixed_core(fan: Fan, i: int) -> Cone:
     """Cone i cut down by the roots vanishing at the sum p of its rays: the
-    fixed locus of its stabiliser W_p in it (see *Validation* in the module
+    fixed locus of its stabiliser W_p in it, which is cone i itself when no
+    root of mixed sign on it vanishes at p (see *Validation* in the module
     docstring)."""
     c = fan.cones[i]
     p = c.relint_point()
-    fixed = [f for f in fan._root_forms if la.dot(f, p) == 0]
-    return Cone.from_system(fan.datum.rank, list(c.eqs) + fixed, list(c.ins))
+    fixed = [
+        f for f, sign in zip(fan._root_forms, fan._sign_table[i]) if sign == 2 and not la.dot(f, p)
+    ]
+    return Cone.from_system(fan.datum.rank, list(c.eqs) + fixed, list(c.ins)) if fixed else c
 
 
 def _check_cores(fan: Fan, firsts: Iterable[int]) -> None:
     """Cores: every cone has one, the first core of each orbit, from the
     cone in `firsts`, is `_fixed_core`, and each move s_k carries the core
     of cone i to that of its image (see *Validation* in the module
-    docstring).  Only the cores' keys are compared, so only they are moved."""
+    docstring).  Only the cores' keys are compared, so only they are moved;
+    when the first core is its cone, each core of the orbit is its own cone."""
     missing = next((i for i in range(len(fan.cones)) if i not in fan.cores), None)
     if missing is not None:
         raise PartitionFailure(f"cone {missing} has no core")
     n, cartan, moves = fan.datum.rank, fan.datum.cartan, fan._moves
     for first in firsts:
+        core = _fixed_core(fan, first)
+        own = core is fan.cones[first]  # then so is every core of the orbit
         orbit = walk_orbits(
-            {first: (first, _fixed_core(fan, first).key)},
+            {first: (first, core.key)},
             n,
             lambda x, k: moves[k][x[0]],
-            lambda x, k, j: (j, _reflected_key(cartan, x[1], k)),
+            lambda x, k, j: (j, fan.cones[j].key if own else _reflected_key(cartan, x[1], k)),
         )
         for i, key in orbit.values():
             if key != fan.cores[i].cone.key:
@@ -561,14 +593,20 @@ def standard_cone_system(
     """Equalities and strict forms of the standard merged cone of subset I.
 
     The cone is cut out by vanishing of the simple roots in I and positivity
-    of every positive root outside the span of T = `standard_type`; returns
+    of the W_K-orbits of the simple roots outside T = `standard_type`,
+    K = T - I (see *Standard cones* in the module docstring); returns
     (equalities, strict forms, T).
     """
     T = standard_type(datum, J, I)
     eqs = [datum.covector(datum.simples[i]) for i in sorted(I)]
-    levi = set(datum.levi_roots(T))
-    ins = [datum.covector(a) for a in datum.positive_roots if a not in levi]
-    return eqs, ins, T
+    K = sorted(T - I)
+    columns = la.transpose(datum.cartan)
+    outside = walk_orbits(
+        {a: a for a in (datum.simples[j] for j in range(datum.rank) if j not in T)},
+        len(K),
+        lambda a, m: reflect_simple(columns, a, K[m]),
+    )
+    return eqs, [datum.covector(a) for a in outside], T
 
 
 def _facet_cone(datum: RootDatum, T: frozenset[int]) -> Cone:
@@ -622,7 +660,7 @@ def parabolic_fan(datum: RootDatum, J: Iterable[int] = ()) -> Fan:
             weyl = products[k, info.weyl.word] = info.weyl.left_mul(datum.simple_reflections[k])
         image = _reflected_cone(cartan, cone, k)
         core = image if info.cone is cone else _reflected_cone(cartan, info.cone, k)
-        return image, replace(info, weyl=weyl, cone=core), row
+        return image, CoreInfo(info.type_indices, info.generator_indices, weyl, core), row
 
     found: dict[tuple[int, ...], Item] = {}  # sign row -> item
     seeds = []  # the standard cones, one per orbit

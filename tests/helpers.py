@@ -29,7 +29,7 @@ from weylfan.fans import (
     _admissible_index_sets,
     _facet_cone,
     parabolic_fan,
-    standard_cone_system,
+    standard_type,
     validate_J,
     weyl_facet_points,
 )
@@ -71,6 +71,16 @@ def built_fan(name: str, J: tuple = ()) -> Fan:
     return parabolic_fan(build_root_datum(name), J)
 
 
+def reference_standard_cone_system(datum, J, I) -> tuple[list, list, frozenset]:
+    """`standard_cone_system` oracle: the simple roots in I vanish and every
+    positive root outside the span of T = `standard_type` is positive."""
+    T = standard_type(datum, J, I)
+    eqs = [datum.covector(datum.simples[i]) for i in sorted(I)]
+    levi = set(datum.levi_roots(T))
+    ins = [datum.covector(a) for a in datum.positive_roots if a not in levi]
+    return eqs, ins, T
+
+
 def enumerated_parabolic_fan(datum, J) -> Fan:
     """Fan oracle: every element of W, in (length, point matrix) order,
     applied to the standard cone of every admissible I; the first element
@@ -79,7 +89,7 @@ def enumerated_parabolic_fan(datum, J) -> Fan:
     n = datum.rank
     found = {}
     for I in _admissible_index_sets(datum, J):
-        eqs, ins, T = standard_cone_system(datum, J, I)
+        eqs, ins, T = reference_standard_cone_system(datum, J, I)
         base = Cone.from_system(n, eqs, ins)
         base_core = _facet_cone(datum, T)
         for w in weyl_enumerate(datum):

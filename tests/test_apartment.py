@@ -384,6 +384,34 @@ def test_virtually_special_symbolics():
     assert is_virtually_special(apt, (SymbolicEntry.of(Q(1)), SymbolicEntry.of(Q(2))))
 
 
+@pytest.mark.parametrize("entry", ["1", True, None], ids=repr)
+def test_virtually_special_reads_plain_entries_as_coordinates(entry):
+    """An entry that is not a SymbolicEntry is read as `datum.point` reads
+    a coordinate, so a string, a bool or None is rejected, not converted."""
+    apt = make_apartment(build_root_datum("A2"))
+    message = f"^coordinate {entry!r} is not a finite rational number$"
+    with pytest.raises(NonRootSystem, match=message):
+        apt.datum.point([entry, 2])
+    for x in ([entry, 2], [2, entry], [entry, SymbolicEntry.of(0, "s")]):
+        with pytest.raises(NonRootSystem, match=message):
+            is_virtually_special(apt, x)
+
+
+def test_symbolic_entries_merge_their_symbols_on_construction():
+    """Repeated symbols are merged, zero coefficients dropped and the terms
+    sorted, so `plus` gives one entry in either order."""
+    cancelled = SymbolicEntry(0, (("s", 1), ("s", -1)))
+    assert cancelled.symbols == () and cancelled.is_rational
+    mixed = SymbolicEntry(Q(1, 2), (("t", Q(1, 3)), ("s", 0), ("t", Q(2, 3)), ("r", -1)))
+    assert mixed.symbols == (("r", -1), ("t", 1))
+    zero = SymbolicEntry.of(0)
+    for e in (cancelled, mixed, SymbolicEntry(1, (("s", 2), ("s", -1)))):
+        assert e.plus(zero) == zero.plus(e) == e
+    a = SymbolicEntry(1, (("s", 1), ("t", 2)))
+    b = SymbolicEntry(2, (("t", -2), ("s", 1), ("u", 1)))
+    assert a.plus(b) == b.plus(a) == SymbolicEntry(3, (("s", 2), ("u", 1)))
+
+
 def test_essential_projection_examples():
     datum = build_root_datum("A2")
     x = (Q(1, 2), Q(1, 3))

@@ -18,6 +18,7 @@ from helpers import (
     sample_points,
     scan_cone_containing,
     scan_limit_of_profile,
+    reference_standard_cone_system,
     schreier_core,
     valid_js,
 )
@@ -117,6 +118,71 @@ def test_first_cores_from_the_vanishing_roots_match_the_schreier_oracle(name, J)
     fan = built_fan(name, J)
     for i in fans._orbit_firsts(fan._moves):
         assert fans._fixed_core(fan, i).key == schreier_core(fan, i).key, i
+
+
+@pytest.mark.parametrize("name,J", RANK4_FANS)
+def test_standard_cones_from_facet_roots_match_the_reference_system(name, J):
+    """The W_K-orbits of the simple roots outside T, a subset of the
+    reference's Phi+ - Phi_T, cut out the same cone, field by field."""
+    datum = build_root_datum(name)
+    J = frozenset(J)
+    for I in fans._admissible_index_sets(datum, J):
+        eqs, ins, T = fans.standard_cone_system(datum, J, I)
+        want_eqs, want_ins, want_T = reference_standard_cone_system(datum, J, I)
+        assert (eqs, T) == (want_eqs, want_T)
+        assert set(ins) <= set(want_ins)
+        got = Cone.from_system(datum.rank, eqs, ins)
+        want = Cone.from_system(datum.rank, want_eqs, want_ins)
+        fields = Cone._fields
+        assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields], I
+
+
+def _count_from_system(monkeypatch) -> list:
+    """Record every `Cone.from_system` call from now on."""
+    calls = []
+    from_system = Cone.from_system
+    monkeypatch.setattr(
+        Cone, "from_system", staticmethod(lambda *args: calls.append(args) or from_system(*args))
+    )
+    return calls
+
+
+@pytest.mark.parametrize("name", RANK4_CATALOGUE)
+def test_validate_of_a_weyl_fan_solves_no_cone_system(monkeypatch, name):
+    """For J empty each orbit's first cone is its own core, so `validate`
+    compares each core with its cone and calls no `Cone.from_system`."""
+    fan = built_fan(name)
+    calls = _count_from_system(monkeypatch)
+    fan.validate()
+    assert calls == []
+
+
+def _cut_by_a_mixed_root(fan, i) -> bool:
+    """Whether a root of mixed sign on cone i vanishes at the sum of its rays."""
+    c = fan.cones[i]
+    p = c.relint_point()
+    return any(c.sign_of(f) == 2 and la.dot(f, p) == 0 for f in fans._root_forms(fan.datum))
+
+
+@pytest.mark.parametrize("name,J", [case for case in RANK4_FANS if case.values[1]])
+def test_validate_solves_one_cone_system_per_orbit_cut_by_a_mixed_root(monkeypatch, name, J):
+    """`validate` calls `Cone.from_system` once for each orbit whose first
+    cone has a mixed root vanishing at its ray sum, and not otherwise."""
+    fan = built_fan(name, J)
+    want = sum(_cut_by_a_mixed_root(fan, i) for i in fans._orbit_firsts(fan._moves))
+    calls = _count_from_system(monkeypatch)
+    fan.validate()
+    assert len(calls) == want
+
+
+def test_merged_orbits_are_cut_by_a_mixed_root():
+    """The orbits whose cone is larger than its core are the ones that
+    `validate` cuts down: in B3 {a2}, those with T not I."""
+    fan = built_fan("B3", (1,))
+    for i in fans._orbit_firsts(fan._moves):
+        info = fan.cores[i]
+        assert _cut_by_a_mixed_root(fan, i) == (info.type_indices != info.generator_indices), i
+        assert (fans._fixed_core(fan, i) is fan.cones[i]) == (info.cone == fan.cones[i]), i
 
 
 @pytest.mark.parametrize("name,J", [_case("B3", ()), _case("B3", (1,)), _case("A1xA2", (1,))])
@@ -284,7 +350,8 @@ def test_validate_rejects_a_core_replaced_by_the_origin(name, J):
     cores = dict(fan.cores)
     i = len(fan) - 1
     cores[i] = replace(cores[i], cone=fan.cones[fan.origin_index])
-    with pytest.raises(PartitionFailure, match=f"core of cone {i} is not"):
+    message = f"core of cone {i} is not the stabiliser fixed locus"
+    with pytest.raises(PartitionFailure, match=message):
         Fan(fan.datum, fan.J, fan.cones, cores).validate()
 
 
@@ -298,7 +365,8 @@ def test_validate_rejects_cores_swapped_within_an_orbit(name, J):
     assert labels.index(labels[-1]) < i
     cores = dict(fan.cores)
     cores[i], cores[j] = cores[j], cores[i]
-    with pytest.raises(PartitionFailure, match=f"core of cone ({i}|{j}) is not"):
+    message = f"core of cone ({i}|{j}) is not the stabiliser fixed locus"
+    with pytest.raises(PartitionFailure, match=message):
         Fan(fan.datum, fan.J, fan.cones, cores).validate()
 
 
@@ -313,7 +381,8 @@ def test_validate_rejects_a_merged_cone_as_its_own_core():
     for i in (labels.index(labels[last]), last):
         cores = dict(fan.cores)
         cores[i] = replace(cores[i], cone=fan.cones[i])
-        with pytest.raises(PartitionFailure, match=f"core of cone {i} is not"):
+        message = f"core of cone {i} is not the stabiliser fixed locus"
+        with pytest.raises(PartitionFailure, match=message):
             Fan(fan.datum, fan.J, fan.cones, cores).validate()
 
 

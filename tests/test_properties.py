@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from helpers import RANK3_CATALOGUE, built_fan, valid_js
 from weylfan import linalg as la
-from weylfan.compactify import limit_of_profile, limit_of_ray, ray_profile
+from weylfan.compactify import NEG_INF, POS_INF, limit_of_profile, limit_of_ray, ray_profile
 from weylfan.cones import dual_description
 from weylfan.rootdata import build_root_datum, reflect_simple
 
@@ -100,3 +100,25 @@ def test_limit_of_ray_is_the_limit_of_its_profile(ray):
     fan, b, d = ray
     assume(any(d))
     assert limit_of_ray(fan, b, d) == limit_of_profile(fan, ray_profile(fan.datum, b, d))
+
+
+@st.composite
+def datum_rays(draw):
+    """(datum, b, d): a rank <= 3 catalogue datum, an integer base point b
+    and an integer direction d, on walls as often as the small range gives."""
+    datum = build_root_datum(draw(st.sampled_from(RANK3_CATALOGUE)))
+    vector = st.tuples(*[st.integers(-3, 3)] * datum.rank)
+    return datum, draw(vector), draw(vector)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(datum_rays())
+def test_ray_profile_is_odd(ray):
+    """<-a, b + t d> = -<a, b + t d>: the profile gives -v to -a whenever
+    it gives v to a, with +inf and -inf swapped."""
+    datum, b, d = ray
+    table = dict(ray_profile(datum, b, d).values)
+    assert set(table) == set(datum.roots)
+    swapped = {POS_INF: NEG_INF, NEG_INF: POS_INF}
+    for a, v in table.items():
+        assert table[la.neg(a)] == (swapped[v] if v in swapped else -v), (a, v)
