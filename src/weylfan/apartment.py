@@ -184,9 +184,11 @@ class SymbolicEntry(Value):
 
     @staticmethod
     def of(value, symbol: Optional[str] = None) -> "SymbolicEntry":
-        if symbol is None:
-            return SymbolicEntry(Fraction(value))
-        return SymbolicEntry(Fraction(value), ((symbol, Fraction(1)),))
+        """value, plus symbol if one is given.  value is read as
+        `rootdata.coordinates` reads a coordinate, so NonRootSystem unless
+        it is a finite rational number."""
+        (rational,) = coordinates([value])
+        return SymbolicEntry(rational, () if symbol is None else ((symbol, Fraction(1)),))
 
     def plus(self, other: "SymbolicEntry") -> "SymbolicEntry":
         return SymbolicEntry(self.rational + other.rational, self.symbols + other.symbols)
@@ -220,7 +222,13 @@ def is_virtually_special(apt: Apartment, x: Sequence) -> bool:
     irrational coordinates, for which the symbolic parts must cancel in
     every root direction: see *Closed forms* above.
     """
-    entries = [c if isinstance(c, SymbolicEntry) else SymbolicEntry(coordinates([c])[0]) for c in x]
+    try:
+        if isinstance(x, (str, bytes)):
+            raise TypeError
+        x = iter(x)
+    except TypeError:  # None, 5, "12", as `rootdata.coordinates` rejects them
+        raise NonRootSystem(f"{x!r} is not a sequence of coordinates") from None
+    entries = [c if isinstance(c, SymbolicEntry) else SymbolicEntry.of(c) for c in x]
     apt.datum.point([e.rational for e in entries])  # rejects a point of the wrong length
     return all(e.is_rational for e in entries)
 

@@ -98,7 +98,7 @@ def _fan_payload(fan) -> dict:
                 "core": {
                     "type": subset_labels(datum, info.type_indices),
                     "generator": subset_labels(datum, info.generator_indices),
-                    "weyl_word": [datum.labels[k] for k in info.weyl.word],
+                    "weyl_word": [datum.labels[k] for k in info.word],
                     "rays": [fmt_vec(r) for r in info.cone.rays],
                 },
             }

@@ -10,26 +10,28 @@ standard cone of index subset I merges the Weyl facets of type between I
 and I u (J n I-perp) under that reflection subgroup; its core is the Weyl
 facet of type I u (J n I-perp).  For J empty this is exactly the Weyl fan.
 
-*Orbit walk.*  `parabolic_fan` walks each new standard cone's orbit
-breadth first under s_1..s_n, carrying the core, the cone's sign row (see
-*Sign table*) and the Weyl element u mapping the standard cone there.
-s_k is unimodular and moves one coroot coordinate, so rays stay
-primitive.  The image under s_k gets s_k.u, with inverse u^-1.s_k.  As a
-matrix, s_k is the identity but for row k, so s_k.M is M with row k
-replaced by (row k of s_k).M, and M.s_k is M plus the rank-one term
-(M e_k)(row k of s_k - e_k).  Both are the full products, entry by entry
-and in integers, at O(n^2) instead of O(n^3) (`rootdata.reflect_matrix`).
+*Orbit walk.*  `parabolic_fan` walks each standard cone's orbit breadth
+first under s_1..s_n, carrying the core, the cone's sign row (see *Sign
+table*) and the reduced word of the Weyl element u mapping the standard
+cone there; s_k.u has the word k, u.  s_k is unimodular and moves one
+coroot coordinate, so rays stay primitive.
 The stabiliser of the standard cone of I is W_T, T = I u (J n I-perp), so each
 cone has one minimal-length u, of length its depth in the walk.  A prefix
 of a minimal u is minimal, so `weyl_enumerate`'s closure, breadth first
 too, reaches a minimal u only from the u one level up; by induction both
 meet the minimal u in the same order, through the same s_k, and give each
 the same word (Humphreys, *Reflection Groups and Coxeter Groups*, 1.10).
-The orbits share their u, so each s_k.u is formed once per build, keyed
-by k and the word of u, which determines it.
+A word moves cones along the moves table (see *Sign transport*):
+s_k1...s_km maps cone i to moves[k1][...moves[km][i]], with no matrix.
 A standard cone whose type T is I itself is its own core (the face of
 the dominant chamber of type I), as is then every cone of its orbit, so
 the walk reflects one cone for both; for J empty that is every cone.
+Each standard cone seeds an orbit of its own: W maps cores onto cores,
+the core of the standard cone of I is the face of the dominant chamber
+of type T, and each W-orbit meets the closed dominant chamber once
+(Humphreys 1.12), so one orbit has one T, which determines I as the
+union of its components meeting the complement of J
+(`parabolics.core_generating_set`).
 
 *Standard cones.*  The standard cone of I is {x : alpha_I(x) = 0,
 beta(x) > 0 for beta in Phi+ - Phi_T}, and `standard_cone_system` gives
@@ -47,9 +49,6 @@ coefficients and a positive one off T, is positive at y, and beta(x) =
 `Cone.from_system`'s canonical output is the same (Chevalley's lemma for
 the sort; Humphreys 1.12).  For B3 with J empty the chamber takes 3
 forms where Phi+ - Phi_T has 9.
-
-Cone location and the face order use exact integer indices built once per
-fan.
 
 *Sign table.*  One table per fan holds the sign of every positive
 nondivisible root on every cone: 0 (Z), + (P), - (N) or mixed.  Building
@@ -180,6 +179,7 @@ from ._value import Value
 from .cones import Cone
 from .errors import (
     DegenerateJ,
+    DimensionMismatch,
     NotEssential,
     PartitionFailure,
     TypeMismatch,
@@ -204,7 +204,7 @@ class CoreInfo(Value):
 
     type_indices: frozenset[int]  # I u (J n I-perp) for the standard cone
     generator_indices: frozenset[int]  # the subset I generating the cone
-    weyl: WeylElement  # translate mapping the standard cone here
+    word: tuple[int, ...]  # reduced word of the translate mapping the standard cone here
     cone: Cone  # the core as a relatively open cone
 
 
@@ -364,11 +364,13 @@ class Fan:
     # -- W action ----------------------------------------------------------
 
     def transform_index(self, w: WeylElement, i: int) -> int:
-        """Index of the image of cone i under a Weyl element."""
-        j = self._index.get(_image_key(self.cones[i], w.mat_points))
-        if j is None:
-            raise PartitionFailure("fan is not Weyl invariant")
-        return j
+        """Index of the image of cone i under a Weyl element, by the moves
+        of its word (see *Orbit walk* in the module docstring)."""
+        if not set(w.word) <= set(range(self.datum.rank)):
+            raise DimensionMismatch(f"word {w.word} has a letter past rank {self.datum.rank}")
+        for k in reversed(w.word):
+            i = self._moves[k][i]
+        return i
 
     # -- validation ----------------------------------------------------------
 
@@ -547,13 +549,6 @@ def _reflected_cone(cartan: la.Mat, cone: Cone, k: int) -> Cone:
     return Cone(cone.dim_ambient, eqs, ins, lineality, rays)
 
 
-def _image_key(cone: Cone, mat_points: la.Mat) -> tuple:
-    """`Cone.key` of the image of a cone under an invertible linear map."""
-    return tuple(
-        tuple(sorted(la.primitive(la.mat_vec(mat_points, v)) for v in vs)) for vs in cone.key
-    )
-
-
 def weyl_facet_points(datum: RootDatum) -> list[Vec]:
     """One primitive integer relative interior point for every facet of the
     Weyl arrangement: the Weyl orbits of the primitive multiples of the sums
@@ -609,14 +604,6 @@ def standard_cone_system(
     return eqs, [datum.covector(a) for a in outside], T
 
 
-def _facet_cone(datum: RootDatum, T: frozenset[int]) -> Cone:
-    """The face of the fundamental chamber with vanishing type T."""
-    n = datum.rank
-    eqs = [datum.covector(datum.simples[i]) for i in sorted(T)]
-    ins = [datum.covector(datum.simples[i]) for i in range(n) if i not in T]
-    return Cone.from_system(n, eqs, ins)
-
-
 def validate_J(datum: RootDatum, J: Iterable[int]) -> frozenset[int]:
     """J as a frozenset; raises DegenerateJ unless J is a subset of the basis
     containing no connected component of the basis diagram."""
@@ -649,39 +636,30 @@ def parabolic_fan(datum: RootDatum, J: Iterable[int] = ()) -> Fan:
     perms = datum.root_permutations
     Item = tuple[Cone, CoreInfo, tuple[int, ...]]  # a cone, its core and its sign row
 
-    products: dict[tuple[int, tuple[int, ...]], WeylElement] = {}  # (k, u.word) -> s_k.u
-
     def make(x: Item, k: int, row: tuple[int, ...]) -> Item:
-        """The image of x under s_k, the core's u becoming s_k.u, formed once
-        per build for all the orbits that meet it."""
+        """The image of x under s_k, the core's u becoming s_k.u."""
         cone, info, _ = x
-        weyl = products.get((k, info.weyl.word))
-        if weyl is None:
-            weyl = products[k, info.weyl.word] = info.weyl.left_mul(datum.simple_reflections[k])
         image = _reflected_cone(cartan, cone, k)
         core = image if info.cone is cone else _reflected_cone(cartan, info.cone, k)
-        return image, CoreInfo(info.type_indices, info.generator_indices, weyl, core), row
+        word = (k,) + info.word
+        return image, CoreInfo(info.type_indices, info.generator_indices, word, core), row
 
-    found: dict[tuple[int, ...], Item] = {}  # sign row -> item
-    seeds = []  # the standard cones, one per orbit
+    items: list[Item] = []
     for I in _admissible_index_sets(datum, J):
         eqs, ins, T = standard_cone_system(datum, J, I)
         base = Cone.from_system(n, eqs, ins)
         row = _sign_row(forms, base, f"the standard cone of {sorted(I)}", {})
-        if row in found:
-            continue  # an orbit walked already
-        seeds.append(base.key)
-        core = base if T == I else _facet_cone(datum, T)
-        info = CoreInfo(T, I, WeylElement.identity(n), core)
-        found.update(
-            walk_orbits({row: (base, info, row)}, n, lambda x, k: _permuted(x[2], perms[k]), make)
-        )
+        core = base
+        if T != I:  # the face of the dominant chamber of type T: T's standard cone for J empty
+            core = Cone.from_system(n, *standard_cone_system(datum, frozenset(), T)[:2])
+        seed = (base, CoreInfo(T, I, (), core), row)
+        items += walk_orbits({row: seed}, n, lambda x, k: _permuted(x[2], perms[k]), make).values()
 
-    ordered = sorted(found.values(), key=lambda x: (x[0].dim, x[0].key))
+    ordered = sorted(items, key=lambda x: (x[0].dim, x[0].key))
     cones = [x[0] for x in ordered]
     cores = {i: x[1] for i, x in enumerate(ordered)}
     fan = Fan(datum, J, cones, cores, [x[2] for x in ordered])
-    _check_cover(fan, [fan._index[key] for key in seeds])
+    _check_cover(fan, [i for i, info in cores.items() if not info.word])  # the standard cones
     return fan
 
 
@@ -690,15 +668,14 @@ def weyl_fan(datum: RootDatum) -> Fan:
     return parabolic_fan(datum, ())
 
 
-def cone_of_parabolic(
-    fan: Fan, q_type: Iterable[int], w: WeylElement
-) -> int:
+def cone_of_parabolic(fan: Fan, q_type: Iterable[int], w: WeylElement) -> int:
     """Index of the open cone attached to the Weyl translate w of the
     standard parabolic type, which must be the fan's defining subset: the
-    image under w of the cone of the regular dominant point, C.x = (1, ..., 1)."""
+    image under w of the cone of the sum of the fundamental coweights, on
+    the ray of the adjugate's column sum, which `parabolic_fan` located."""
     datum = fan.datum
     q, bad = basis_subset(datum, q_type)
     if bad or frozenset(q) != fan.J:
         raise TypeMismatch(f"type {listed(q)} is not the standard type {sorted(fan.J)}")
-    regular = la.solve(la.mat(datum.cartan), (1,) * datum.rank)
+    regular = la.mat_vec(la.scaled_inverse(datum.cartan)[0], (1,) * datum.rank)
     return fan.transform_index(w, fan.cone_containing(regular))

@@ -27,7 +27,6 @@ from weylfan.fans import (
     CoreInfo,
     Fan,
     _admissible_index_sets,
-    _facet_cone,
     parabolic_fan,
     standard_type,
     validate_J,
@@ -36,6 +35,7 @@ from weylfan.fans import (
 from weylfan.parabolics import core_generating_set
 from weylfan.rootdata import (
     RootDatum,
+    WeylElement,
     build_root_datum,
     components,
     orthogonal_complement,
@@ -84,21 +84,43 @@ def reference_standard_cone_system(datum, J, I) -> tuple[list, list, frozenset]:
 def enumerated_parabolic_fan(datum, J) -> Fan:
     """Fan oracle: every element of W, in (length, point matrix) order,
     applied to the standard cone of every admissible I; the first element
-    reaching a cone gives its core."""
+    reaching a cone gives its core and the word stored with it."""
     J = validate_J(datum, J)
     n = datum.rank
     found = {}
     for I in _admissible_index_sets(datum, J):
         eqs, ins, T = reference_standard_cone_system(datum, J, I)
         base = Cone.from_system(n, eqs, ins)
-        base_core = _facet_cone(datum, T)
+        base_core = Cone.from_system(n, *reference_standard_cone_system(datum, frozenset(), T)[:2])
         for w in weyl_enumerate(datum):
             moved = base.transform(w.mat_points, w.mat_points_inv)
             if moved.key not in found:
                 core = base_core.transform(w.mat_points, w.mat_points_inv)
-                found[moved.key] = (moved, CoreInfo(T, I, w, core))
+                found[moved.key] = (moved, CoreInfo(T, I, w.word, core))
     ordered = sorted(found.values(), key=lambda pair: (pair[0].dim, pair[0].key))
     return Fan(datum, J, [c for c, _ in ordered], {i: info for i, (_, info) in enumerate(ordered)})
+
+
+def word_element(datum, word) -> WeylElement:
+    """The Weyl element s_k1...s_km of a word (k1, ..., km), all three
+    matrices, as a fold of the simple reflections by `left_mul`."""
+    w = WeylElement.identity(datum.rank)
+    for k in reversed(word):
+        w = w.left_mul(datum.simple_reflections[k])
+    return w
+
+
+def reference_transform_index(fan: Fan, w: WeylElement, i: int) -> int:
+    """`Fan.transform_index` oracle: the cone whose key is the key of cone
+    i mapped by the point matrix of w."""
+    key = tuple(
+        tuple(sorted(la.primitive(la.mat_vec(w.mat_points, v)) for v in vs))
+        for vs in fan.cones[i].key
+    )
+    j = fan._index.get(key)
+    if j is None:
+        raise PartitionFailure("fan is not Weyl invariant")
+    return j
 
 
 def ray_reflection_moves(fan: Fan) -> tuple:

@@ -18,6 +18,7 @@ from helpers import (
     sign_vector_cone_count,
     subsets,
     valid_js,
+    word_element,
 )
 from weylfan import linalg as la
 from weylfan.apartment import (
@@ -289,7 +290,8 @@ def test_criterion_8_facade_structure():
             # the facade of cone i carries the Weyl translate of its core type's Levi
             got = set(facade_root_system(datum, fan, i))
             levi = ParabolicType(datum, info.type_indices).levi_roots
-            assert got == {info.weyl.apply_root(a) for a in levi}, (name, J, i)
+            u = word_element(datum, info.word)
+            assert got == {u.apply_root(a) for a in levi}, (name, J, i)
             cones_checked += 1
     print(f"ACCEPTANCE 8 PASS: facade root system equals the Weyl translate of "
           f"the Levi subsystem of the core type on {cones_checked} cones over "

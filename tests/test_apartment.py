@@ -1,5 +1,6 @@
 from fractions import Fraction as Q
 import random
+import re
 
 import pytest
 
@@ -395,6 +396,22 @@ def test_virtually_special_reads_plain_entries_as_coordinates(entry):
     for x in ([entry, 2], [2, entry], [entry, SymbolicEntry.of(0, "s")]):
         with pytest.raises(NonRootSystem, match=message):
             is_virtually_special(apt, x)
+
+
+@pytest.mark.parametrize("value", ["1", True, None, float("nan")], ids=repr)
+def test_symbolic_entries_read_their_value_as_a_coordinate(value):
+    """`SymbolicEntry.of` reads its value as `datum.point` reads a
+    coordinate, with or without a symbol, so `is_virtually_special` is
+    never handed a string or a bool disguised as a rational entry."""
+    message = f"^coordinate {re.escape(repr(value))} is not a finite rational number$"
+    for symbol in (None, "s"):
+        with pytest.raises(NonRootSystem, match=message):
+            SymbolicEntry.of(value, symbol)
+    assert SymbolicEntry.of(Q(1, 2), "s") == SymbolicEntry(Q(1, 2), (("s", 1),))
+    assert SymbolicEntry.of(3).rational == 3 and SymbolicEntry.of(3).is_rational
+    apt = make_apartment(build_root_datum("A2"))
+    with pytest.raises(NonRootSystem, match=message):
+        is_virtually_special(apt, [SymbolicEntry.of(value), 2])
 
 
 def test_symbolic_entries_merge_their_symbols_on_construction():

@@ -14,7 +14,7 @@ from weylfan.cones import (
     open_system_feasible,
 )
 from weylfan.errors import DimensionMismatch, EmptyCone, TypeMismatch
-from weylfan.fans import Fan, _admissible_index_sets, _facet_cone, _fixed_core, standard_cone_system
+from weylfan.fans import Fan, _admissible_index_sets, _fixed_core, standard_cone_system
 from weylfan.rootdata import build_root_datum
 
 from helpers import (
@@ -330,9 +330,10 @@ def test_dual_description_and_from_system_match_their_oracles_on_random_systems(
 
 
 def test_from_system_matches_oracle_on_catalogue_cones(monkeypatch):
-    """Every standard cone, `_facet_cone` and `_fixed_core` (of the
-    standard cones) of every rank <= 4 catalogue type and valid J is the
-    oracle's cone."""
+    """Every standard cone, the J = empty standard cone of its type T (the
+    core of a standard cone that is not its own core) and `_fixed_core` (of
+    the standard cones) of every rank <= 4 catalogue type and valid J is
+    the oracle's cone."""
     new = Cone.from_system
     systems = []
 
@@ -349,7 +350,7 @@ def test_from_system_matches_oracle_on_catalogue_cones(monkeypatch):
             for I in _admissible_index_sets(datum, J):
                 eqs, ins, T = standard_cone_system(datum, J, I)
                 standard.append(Cone.from_system(datum.rank, eqs, ins))
-                _facet_cone(datum, T)
+                Cone.from_system(datum.rank, *standard_cone_system(datum, frozenset(), T)[:2])
             fan = Fan(datum, J, standard, {})
             for i in range(len(standard)):
                 _fixed_core(fan, i)

@@ -198,7 +198,7 @@ def test_the_cover_check_gets_one_cone_per_orbit(monkeypatch, name, J):
     Fan(fan.datum, fan.J, fan.cones, fan.cores).validate()
     built, validated = given
     labels = orbit_labels(ray_reflection_moves(fan))
-    assert sorted(built) == [i for i in range(len(fan)) if fan.cores[i].weyl.word == ()]
+    assert sorted(built) == [i for i in range(len(fan)) if fan.cores[i].word == ()]
     assert sorted(labels[i] for i in built) == list(range(max(labels) + 1))
     assert validated == [i for i, label in enumerate(labels) if label not in labels[:i]]
 
@@ -257,7 +257,7 @@ def _split_chamber(order):
     says where the three new cones go."""
     fan = weyl_fan(build_root_datum("A2"))
     chamber = next(
-        i for i, c in enumerate(fan.cones) if c.dim == 2 and fan.cores[i].weyl.word == ()
+        i for i, c in enumerate(fan.cones) if c.dim == 2 and fan.cores[i].word == ()
     )
     u, w = fan.cones[chamber].rays
     mid = la.add(u, w)

@@ -1,5 +1,6 @@
 from fractions import Fraction as Q
 from operator import attrgetter
+import re
 import sys
 
 import pytest
@@ -7,14 +8,22 @@ import pytest
 from helpers import (
     FAN_CATALOGUE,
     enumerated_parabolic_fan,
+    reference_transform_index,
     sample_points,
     sign_vector_cone_count,
     valid_js,
+    word_element,
 )
-from weylfan import linalg as la
+from weylfan import linalg as la, rootdata
 from weylfan.apartment import AffineRootPattern
 from weylfan.cones import Cone, is_face_closure, is_face_supporting
-from weylfan.errors import DegenerateJ, NotEssential, PartitionFailure, TypeMismatch
+from weylfan.errors import (
+    DegenerateJ,
+    DimensionMismatch,
+    NotEssential,
+    PartitionFailure,
+    TypeMismatch,
+)
 from weylfan.fans import (
     Fan,
     cone_of_parabolic,
@@ -22,7 +31,7 @@ from weylfan.fans import (
     weyl_fan,
     weyl_facet_points,
 )
-from weylfan.rootdata import build_root_datum, weyl_enumerate
+from weylfan.rootdata import WeylElement, build_root_datum, weyl_enumerate
 
 astuple = attrgetter("dim_ambient", "eqs", "ins", "lineality", "rays")  # every field of a cone
 
@@ -84,7 +93,7 @@ def test_fan_fj_core_example():
     idx = [
         i
         for i in range(len(fan))
-        if fan.cones[i].dim == 2 and cores[i].weyl.word == ()
+        if fan.cones[i].dim == 2 and cores[i].word == ()
     ]
     assert len(idx) == 1
     info = cores[idx[0]]
@@ -148,7 +157,7 @@ def test_validate_rejects_a_dropped_or_repeated_cone_off_the_dominant_chamber(na
     none of them lies in (its core word is not empty), dropped or given
     twice, leaves a hole or an overlap that the moves table finds."""
     fan = parabolic_fan(build_root_datum(name), J)
-    last = {c.dim: i for i, c in enumerate(fan.cones) if fan.cores[i].weyl.word}
+    last = {c.dim: i for i, c in enumerate(fan.cones) if fan.cores[i].word}
     assert sorted(last) == list(range(1, fan.datum.rank + 1))
     for i in last.values():
         for mutant in (_without_cone(fan, i), _with_cone_twice(fan, i)):
@@ -219,13 +228,13 @@ def test_cone_containing_examples():
     assert datum.pairing(datum.simples[0], wall) == 0
     wall_idx = fan.cone_containing(wall)
     assert fan.cones[wall_idx].dim == 2
-    assert fan.cores[wall_idx].weyl.word == ()  # the fundamental merged cone
+    assert fan.cores[wall_idx].word == ()  # the fundamental merged cone
     wfan = weyl_fan(datum)
     dominant = (Q(2), Q(3))
     assert all(datum.pairing(s, dominant) > 0 for s in datum.simples)
     idx = wfan.cone_containing(dominant)
     assert wfan.cones[idx].dim == 2
-    assert wfan.cores[idx].weyl.word == ()
+    assert wfan.cores[idx].word == ()
 
 
 def test_cone_of_parabolic():
@@ -235,7 +244,7 @@ def test_cone_of_parabolic():
     ident = weyl.identity
     s1, s2 = weyl.generators
     base = cone_of_parabolic(fan, [0], ident)
-    assert fan.cores[base].weyl.word == () and fan.cones[base].dim == 2
+    assert fan.cores[base].word == () and fan.cones[base].dim == 2
     assert cone_of_parabolic(fan, [0], s1) == base
     assert cone_of_parabolic(fan, [0], s2) != base
     with pytest.raises(TypeMismatch):
@@ -253,6 +262,19 @@ def test_weyl_invariance_orbit_closure():
     for w in weyl:
         for i in range(len(fan)):
             fan.transform_index(w, i)
+
+
+def test_weyl_words_past_the_rank_are_rejected():
+    """A word is read in the fan's own simple reflections, so a letter past
+    its rank is an error, not an index past the moves table."""
+    fan = parabolic_fan(build_root_datum("A2"), [0])
+    for name in ("A3", "B3"):
+        w = weyl_enumerate(build_root_datum(name)).elements[-1]
+        message = f"^word {re.escape(str(w.word))} has a letter past rank 2$"
+        with pytest.raises(DimensionMismatch, match=message):
+            fan.transform_index(w, 0)
+        with pytest.raises(DimensionMismatch, match=message):
+            cone_of_parabolic(fan, [0], w)
 
 
 def test_strict_convexity():
@@ -283,28 +305,48 @@ def test_weyl_fan_count_orbit_stabiliser_oracle(name):
     assert len(weyl_fan(datum)) == total
 
 
-WALK_CASES = [
-    (name, J) for name in FAN_CATALOGUE for J in valid_js(build_root_datum(name))
-] + [("A4", frozenset()), ("D4", frozenset())]
+FAN_CASES = [(name, J) for name in FAN_CATALOGUE for J in valid_js(build_root_datum(name))]
+WALK_CASES = FAN_CASES + [("A4", frozenset()), ("D4", frozenset())]
 
 
 @pytest.mark.parametrize(
     "name,J", WALK_CASES, ids=[f"{name}-{sorted(J)}" for name, J in WALK_CASES]
 )
 def test_orbit_walk_matches_enumerated_fan(name, J):
-    """The orbit walk gives the cones and cores, stored forms, words and
-    matrices included, of applying all of W to every standard cone."""
+    """The orbit walk gives the cones and cores, stored forms and words
+    included, of applying all of W to every standard cone, and each word
+    names the oracle's element, in all three matrices."""
     datum = build_root_datum(name)
     fan = parabolic_fan(datum, J)
     oracle = enumerated_parabolic_fan(datum, J)
+    elements = {w.word: w for w in weyl_enumerate(datum)}
     assert [astuple(c) for c in fan.cones] == [astuple(c) for c in oracle.cones]
     for i in range(len(fan)):
         got, want = fan.cores[i], oracle.cores[i]
-        assert (got.type_indices, got.generator_indices, astuple(got.cone)) == (
-            want.type_indices, want.generator_indices, astuple(want.cone)
+        assert (got.type_indices, got.generator_indices, got.word, astuple(got.cone)) == (
+            want.type_indices, want.generator_indices, want.word, astuple(want.cone)
         ), i
+        product, element = word_element(datum, got.word), elements[want.word]
         for field in ("word", "mat_points", "mat_roots", "mat_points_inv"):
-            assert getattr(got.weyl, field) == getattr(want.weyl, field), (i, field)
+            assert getattr(product, field) == getattr(element, field), (i, field)
+
+
+@pytest.mark.parametrize(
+    "name,J", FAN_CASES, ids=[f"{name}-{sorted(J)}" for name, J in FAN_CASES]
+)
+def test_transform_index_follows_the_moves_of_the_word(name, J):
+    """`transform_index` along the moves of a word is the cone whose key is
+    the image of the cone's key under the element's point matrix, for every
+    element of W and every cone, and `cone_of_parabolic` is that image of
+    the cone holding the solution of C.x = (1, ..., 1)."""
+    datum = build_root_datum(name)
+    fan = parabolic_fan(datum, J)
+    chamber = fan.cone_containing(la.solve(la.mat(datum.cartan), (1,) * datum.rank))
+    for w in weyl_enumerate(datum):
+        for i in range(len(fan)):
+            assert fan.transform_index(w, i) == reference_transform_index(fan, w, i), (w.word, i)
+        want = reference_transform_index(fan, w, chamber)
+        assert cone_of_parabolic(fan, J, w) == want, w.word
 
 
 def test_parabolic_fan_forms_no_matrix_products(monkeypatch):
@@ -314,6 +356,21 @@ def test_parabolic_fan_forms_no_matrix_products(monkeypatch):
     mat_mul = la.mat_mul
     monkeypatch.setattr(la, "mat_mul", lambda a, b: calls.append(1) or mat_mul(a, b))
     assert len(parabolic_fan(build_root_datum("F4"), ())) == 5089
+    assert not calls
+
+
+def test_parabolic_fan_forms_no_weyl_elements(monkeypatch):
+    """The orbit walk carries words, not Weyl matrices, so building F4's
+    Weyl fan calls neither `WeylElement.left_mul` nor
+    `rootdata.reflect_matrix`."""
+    datum = build_root_datum("F4")
+    calls = []
+    left_mul, reflect_matrix = WeylElement.left_mul, rootdata.reflect_matrix
+    monkeypatch.setattr(WeylElement, "left_mul", lambda *a: calls.append(a) or left_mul(*a))
+    monkeypatch.setattr(
+        rootdata, "reflect_matrix", lambda *a, **k: calls.append(a) or reflect_matrix(*a, **k)
+    )
+    assert len(parabolic_fan(datum, ())) == 5089
     assert not calls
 
 
@@ -366,4 +423,4 @@ def test_core_words_are_pinned(name, words):
     """The printed core words (simple reflections numbered from 1) stay the
     words of the breadth-first closure that visits s_1 before s_2."""
     fan = weyl_fan(build_root_datum(name))
-    assert ["".join(str(k + 1) for k in fan.cores[i].weyl.word) for i in range(len(fan))] == words
+    assert ["".join(str(k + 1) for k in fan.cores[i].word) for i in range(len(fan))] == words

@@ -216,7 +216,7 @@ def test_boundary_compatibility_along_cell_rays():
             next(
                 i
                 for i in range(len(fan))
-                if fan.cones[i].dim == datum.rank and fan.cores[i].weyl.word == ()
+                if fan.cones[i].dim == datum.rank and fan.cores[i].word == ()
             )
         ]
         trials = 0

@@ -29,6 +29,7 @@ from weylfan import (
     essential_projection,
     is_J_relevant,
     is_non_degenerate,
+    is_virtually_special,
     limit_of_ray,
     make_apartment,
     orthogonal_complement,
@@ -297,6 +298,7 @@ def _point_calls():
         "limit_of_ray direction": lambda p: limit_of_ray(fan, (0, 0), p),
         "theta_restricted": lambda p: theta_restricted(tg, p),
         "special_witness": lambda p: special_witness(apt, p),
+        "is_virtually_special": lambda p: is_virtually_special(apt, p),
         "transitivity_solve x": lambda p: transitivity_solve(a2, p, (0, 0)),
         "transitivity_solve y": lambda p: transitivity_solve(a2, (0, 0), p),
     }

@@ -86,6 +86,26 @@ def test_cone_containing_is_weyl_invariant(move):
 
 
 @st.composite
+def fan_reflections(draw):
+    """(fan, k): a fan (see `_fan`) and a simple reflection k."""
+    fan = _fan(draw)
+    return fan, draw(st.integers(0, fan.datum.rank - 1))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(fan_reflections())
+def test_face_order_is_weyl_invariant(move):
+    """The face relation is Weyl invariant: s_k maps a face of the closure
+    of g onto a face of the closure of its image, and s_k is an
+    involution, so (f, g) is a face pair if and only if (moves[k][f],
+    moves[k][g]) is."""
+    fan, k = move
+    move_k = fan._moves[k]
+    pairs = set(fan.face_order)
+    assert {(move_k[f], move_k[g]) for f, g in pairs} == pairs
+
+
+@st.composite
 def fan_rays(draw):
     """(fan, b, d): a fan, a base point b and a direction d (see `_point`)."""
     fan = _fan(draw)
