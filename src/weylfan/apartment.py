@@ -171,15 +171,29 @@ def make_apartment(
 
 class SymbolicEntry(Value):
     """rational + sum of irrational symbols with rational coefficients; the
-    terms are kept one per symbol, nonzero and sorted."""
+    terms are kept one per symbol, nonzero and sorted.  The rational part
+    and each coefficient are read as `rootdata.coordinates` reads a
+    coordinate, and each symbol must be a string, so NonRootSystem
+    otherwise."""
 
     rational: Fraction
     symbols: tuple[tuple[str, Fraction], ...] = ()
 
     def __post_init__(self) -> None:
+        (rational,) = coordinates([self.rational])
+        try:
+            terms = [(s, v) for s, v in self.symbols]
+        except (TypeError, ValueError):  # None, 5, (("s", 1, 2),)
+            raise NonRootSystem(
+                f"symbols {self.symbols!r} are not (symbol, coefficient) pairs"
+            ) from None
+        for s, _ in terms:
+            if not isinstance(s, str):
+                raise NonRootSystem(f"symbol {s!r} is not a string")
         acc: dict[str, Fraction] = {}
-        for s, v in self.symbols:
-            acc[s] = acc.get(s, Fraction(0)) + v
+        for (s, _), v in zip(terms, coordinates(v for _, v in terms)):
+            acc[s] = acc.get(s, 0) + v
+        object.__setattr__(self, "rational", rational)
         object.__setattr__(self, "symbols", tuple(sorted((s, v) for s, v in acc.items() if v)))
 
     @staticmethod
@@ -187,8 +201,7 @@ class SymbolicEntry(Value):
         """value, plus symbol if one is given.  value is read as
         `rootdata.coordinates` reads a coordinate, so NonRootSystem unless
         it is a finite rational number."""
-        (rational,) = coordinates([value])
-        return SymbolicEntry(rational, () if symbol is None else ((symbol, Fraction(1)),))
+        return SymbolicEntry(value, () if symbol is None else ((symbol, 1),))
 
     def plus(self, other: "SymbolicEntry") -> "SymbolicEntry":
         return SymbolicEntry(self.rational + other.rational, self.symbols + other.symbols)

@@ -26,6 +26,12 @@ s_k1...s_km maps cone i to moves[k1][...moves[km][i]], with no matrix.
 A standard cone whose type T is I itself is its own core (the face of
 the dominant chamber of type I), as is then every cone of its orbit, so
 the walk reflects one cone for both; for J empty that is every cone.
+Rays and forms recur across the cones of a walk, so `parabolic_fan`
+keeps, per s_k and for the length of one call, a `functools.cache` of
+the images of the vectors met so far (`_reflections`): each distinct ray
+or form is reflected once per s_k, and the cones share the image
+tuples.  F4 with J empty reflects its 240 distinct rays 414 times in
+all, where reflecting every ray of every new cone took 14,512.
 Each standard cone seeds an orbit of its own: W maps cores onto cores,
 the core of the standard cone of I is the face of the dominant chamber
 of type T, and each W-orbit meets the closed dominant chamber once
@@ -49,6 +55,22 @@ coefficients and a positive one off T, is positive at y, and beta(x) =
 `Cone.from_system`'s canonical output is the same (Chevalley's lemma for
 the sort; Humphreys 1.12).  For B3 with J empty the chamber takes 3
 forms where Phi+ - Phi_T has 9.
+
+When T = I (always for J empty) the standard cone is the face of type T
+of the dominant chamber, {alpha_i = 0 for i in T, alpha_j > 0 for j not
+in T}, and so is the core of every standard cone (the face of type T).
+`_dominant_face` writes it down as `Cone.from_system` would give it, with
+no double description.  The root form of alpha_i is row i of the Cartan
+matrix C, so the equalities are the `la.row_basis` of the rows in T.
+Every x is the sum of alpha_j(x) omega_j over the fundamental coweights
+omega_j, the columns of C^-1, so the closed face is the simplicial cone
+spanned by the omega_j, j not in T: these are its extreme rays, the
+primitive columns j of the adjugate d C^-1 (d = det C > 0,
+`la.scaled_inverse`), and there is no lineality.  Each alpha_j, j not in
+T, vanishes on every ray but omega_j, so each zero set is maximal and
+every alpha_j is a facet form, which `Cone.from_system` reduces modulo
+the equalities (`cones._reduce_mod`) to a primitive form.  One adjugate
+per build serves every face.
 
 *Sign table.*  One table per fan holds the sign of every positive
 nondivisible root on every cone: 0 (Z), + (P), - (N) or mixed.  Building
@@ -132,20 +154,20 @@ through r is one of them, so r is a ray of g.  `parabolic_fan` and
 *Validation.*  `Fan.validate` checks each axiom once, from integer data.
 It reads the sign table as the fan holds it.  A `Fan(...)` made by hand
 builds every row directly, with both exactness checks; one from
-`parabolic_fan` keeps its walk's rows (B3, J empty: 8 built, one per
-standard cone, none in `validate`), the others transported to image
-cones, which pass both checks by *Sign transport*.  The moves table
-checks that the rows are distinct and closed under each pi_k.  Partition
-and boundary: the cover check on one cone per orbit (see *Orbit
-reduction*).  Faces: every closure must hold its own rays, and a face of
-a pointed cone is the zero set of its tight facet forms; one incidence
-table per cone, its equalities and facet forms at its rays, gives both
-checks their data.  So with each facet of g kept as the bitset of the
-rays of g on which its form vanishes, (f, g) is a face pair exactly when
-the AND of the facets of g that hold the rays of f (all of g if none do)
-is the rays of f.  This is
-the supporting-form criterion with alpha the sum of the tight facet
-forms, and it implies cl(f) = span(f) meet cl(g).  Weyl invariance and
+`parabolic_fan` keeps its walk's rows: one built directly per standard
+cone (B3, J empty: 8 of its 147 rows, and none in `validate`), the
+others transported to image cones, which pass both checks by *Sign
+transport*.  The moves table checks that the rows are distinct and
+closed under each pi_k.  Partition and boundary: the cover check on one
+cone per orbit (see *Orbit reduction*).  Faces: every closure must hold
+its own rays, and a face of a pointed cone is the zero set of its tight
+facet forms; one incidence table per cone, its equalities and facet
+forms at its rays, gives both checks their data.  So with each facet of
+g kept as the bitset of the rays of g on which its form vanishes, (f, g)
+is a face pair exactly when the AND of the facets of g that hold the
+rays of f (all of g if none do) is the rays of f.  This is the
+supporting-form criterion with alpha the sum of the tight facet forms,
+and it implies cl(f) = span(f) meet cl(g).  Weyl invariance and
 cores: a complete moves table is Weyl invariance, since the s_k generate
 W.  The core of a cone X is the set of its points that its setwise
 stabiliser Stab(X) fixes.  Let X be the first cone of an orbit and p the
@@ -171,12 +193,12 @@ for J empty this is every orbit, and `validate` calls no
 
 from __future__ import annotations
 
-from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from functools import cache, cached_property, partial
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import linalg as la
 from ._value import Value
-from .cones import Cone
+from .cones import Cone, _reduce_mod
 from .errors import (
     DegenerateJ,
     DimensionMismatch,
@@ -365,9 +387,16 @@ class Fan:
 
     def transform_index(self, w: WeylElement, i: int) -> int:
         """Index of the image of cone i under a Weyl element, by the moves
-        of its word (see *Orbit walk* in the module docstring)."""
-        if not set(w.word) <= set(range(self.datum.rank)):
-            raise DimensionMismatch(f"word {w.word} has a letter past rank {self.datum.rank}")
+        of its word (see *Orbit walk* in the module docstring).  Raises
+        DimensionMismatch when the word has a letter past the rank, and
+        TypeMismatch unless the point matrix of w is the product of the
+        fan's simple reflections along its word, as for an element of
+        another root datum."""
+        datum = self.datum
+        if not set(w.word) <= set(range(datum.rank)):
+            raise DimensionMismatch(f"word {w.word} has a letter past rank {datum.rank}")
+        if _word_columns(datum.cartan, w.word) != la.transpose(w.mat_points):
+            raise TypeMismatch(f"Weyl element of word {w.word} is not an element of {datum.name}")
         for k in reversed(w.word):
             i = self._moves[k][i]
         return i
@@ -446,6 +475,18 @@ def _permuted(signs: tuple[int, ...], perm: tuple[tuple[int, ...], int]) -> tupl
     return tuple(out)
 
 
+def _word_columns(cartan: la.Mat, word: Sequence[int]) -> tuple[Vec, ...]:
+    """The columns of the point matrix of s_k1...s_km for the word (k1,
+    ..., km): each unit vector reflected by s_km first, with no matrix
+    product."""
+    columns = []
+    for v in la.identity(len(cartan)):
+        for k in reversed(word):
+            v = reflect_simple(cartan, v, k)
+        columns.append(v)
+    return tuple(columns)
+
+
 def _orbit_firsts(moves: Sequence[Sequence[int]]) -> list[int]:
     """The first cone of each orbit of the moves table, in cone order."""
     walked: set[int] = set()
@@ -519,6 +560,10 @@ def _check_cores(fan: Fan, firsts: Iterable[int]) -> None:
     if missing is not None:
         raise PartitionFailure(f"cone {missing} has no core")
     n, cartan, moves = fan.datum.rank, fan.datum.cartan, fan._moves
+
+    def reflected(key: tuple, k: int) -> tuple:
+        return _reflected_key(partial(reflect_simple, cartan, k=k), key)
+
     for first in firsts:
         core = _fixed_core(fan, first)
         own = core is fan.cones[first]  # then so is every core of the orbit
@@ -526,26 +571,38 @@ def _check_cores(fan: Fan, firsts: Iterable[int]) -> None:
             {first: (first, core.key)},
             n,
             lambda x, k: moves[k][x[0]],
-            lambda x, k, j: (j, fan.cones[j].key if own else _reflected_key(cartan, x[1], k)),
+            lambda x, k, j: (j, fan.cones[j].key if own else reflected(x[1], k)),
         )
         for i, key in orbit.values():
             if key != fan.cores[i].cone.key:
                 raise PartitionFailure(f"core of cone {i} is not the stabiliser fixed locus")
 
 
-def _reflected_key(cartan: la.Mat, key: tuple, k: int) -> tuple:
-    """The `Cone.key` of the image under s_k of the cone with this key.  s_k
-    is unimodular, so it keeps integer generators primitive."""
-    return tuple(tuple(sorted(reflect_simple(cartan, v, k) for v in vs)) for vs in key)
+def _reflections(cartan: la.Mat) -> tuple[list[Callable], list[Callable]]:
+    """Per simple reflection s_k, its action on points, s_k.p, and on forms,
+    f.s_k = f - f[k] cartan[k], each image computed once per distinct
+    vector for the lifetime of the returned functions."""
+    n = len(cartan)
+    points = [cache(partial(reflect_simple, cartan, k=k)) for k in range(n)]
+    forms = [
+        cache(lambda f, row=cartan[k], k=k: la.sub(f, la.scale(row, f[k])) if f[k] else f)
+        for k in range(n)
+    ]
+    return points, forms
 
 
-def _reflected_cone(cartan: la.Mat, cone: Cone, k: int) -> Cone:
-    """The image of a cone under s_k; a form f goes to f.s_k = f - f[k] cartan[k]."""
-    lineality, rays = _reflected_key(cartan, cone.key, k)
-    eqs, ins = (
-        tuple(sorted(la.sub(f, la.scale(cartan[k], f[k])) if f[k] else f for f in fs))
-        for fs in (cone.eqs, cone.ins)
-    )
+def _reflected_key(reflect: Callable[[Vec], Vec], key: tuple) -> tuple:
+    """The `Cone.key` of the image under s_k of the cone with this key,
+    given s_k on points as `reflect`.  s_k is unimodular, so it keeps
+    integer generators primitive."""
+    return tuple(tuple(sorted(map(reflect, vs))) for vs in key)
+
+
+def _reflected_cone(cone: Cone, points: Callable, forms: Callable) -> Cone:
+    """The image of a cone under s_k, given s_k on points and on forms
+    (`_reflections`)."""
+    lineality, rays = _reflected_key(points, cone.key)
+    eqs, ins = (tuple(sorted(map(forms, fs))) for fs in (cone.eqs, cone.ins))
     return Cone(cone.dim_ambient, eqs, ins, lineality, rays)
 
 
@@ -564,6 +621,18 @@ def _dominant_facet_points(datum: RootDatum) -> list[Vec]:
     adjugate = la.scaled_inverse(datum.cartan)[0]  # coweights as its columns
     subsets = (tuple(bits >> j & 1 for j in range(n)) for bits in range(1 << n))
     return [la.primitive(la.mat_vec(adjugate, e)) for e in subsets]
+
+
+def _dominant_face(cartan: la.Mat, adjugate: la.Mat, T: frozenset[int]) -> Cone:
+    """The face of type T of the dominant chamber, {x : alpha_i(x) = 0 for
+    i in T, alpha_j(x) > 0 for j not in T}, as `Cone.from_system` gives it,
+    in closed form from the Cartan rows and the columns of the adjugate
+    of the Cartan matrix (see *Standard cones* in the module docstring)."""
+    eqs = la.row_basis([cartan[i] for i in sorted(T)])
+    outside = [j for j in range(len(cartan)) if j not in T]
+    ins = {la.primitive(_reduce_mod(cartan[j], eqs)) for j in outside}
+    rays = (la.primitive(tuple(row[j] for row in adjugate)) for j in outside)
+    return Cone(len(cartan), tuple(sorted(eqs)), tuple(sorted(ins)), (), tuple(sorted(rays)))
 
 
 def _admissible_index_sets(datum: RootDatum, J: frozenset[int]) -> list[frozenset[int]]:
@@ -634,24 +703,25 @@ def parabolic_fan(datum: RootDatum, J: Iterable[int] = ()) -> Fan:
     cartan = datum.cartan
     forms = _root_forms(datum)
     perms = datum.root_permutations
+    adjugate = la.scaled_inverse(cartan)[0]  # the fundamental coweights as its columns
+    points, covectors = _reflections(cartan)
     Item = tuple[Cone, CoreInfo, tuple[int, ...]]  # a cone, its core and its sign row
 
     def make(x: Item, k: int, row: tuple[int, ...]) -> Item:
         """The image of x under s_k, the core's u becoming s_k.u."""
         cone, info, _ = x
-        image = _reflected_cone(cartan, cone, k)
-        core = image if info.cone is cone else _reflected_cone(cartan, info.cone, k)
+        image = _reflected_cone(cone, points[k], covectors[k])
+        core = image if info.cone is cone else _reflected_cone(info.cone, points[k], covectors[k])
         word = (k,) + info.word
         return image, CoreInfo(info.type_indices, info.generator_indices, word, core), row
 
     items: list[Item] = []
+    at: dict[Vec, tuple] = {}  # generator -> values of the root forms
     for I in _admissible_index_sets(datum, J):
-        eqs, ins, T = standard_cone_system(datum, J, I)
-        base = Cone.from_system(n, eqs, ins)
-        row = _sign_row(forms, base, f"the standard cone of {sorted(I)}", {})
-        core = base
-        if T != I:  # the face of the dominant chamber of type T: T's standard cone for J empty
-            core = Cone.from_system(n, *standard_cone_system(datum, frozenset(), T)[:2])
+        T = standard_type(datum, J, I)
+        core = _dominant_face(cartan, adjugate, T)
+        base = core if T == I else Cone.from_system(n, *standard_cone_system(datum, J, I)[:2])
+        row = _sign_row(forms, base, f"the standard cone of {sorted(I)}", at)
         seed = (base, CoreInfo(T, I, (), core), row)
         items += walk_orbits({row: seed}, n, lambda x, k: _permuted(x[2], perms[k]), make).values()
 

@@ -20,6 +20,7 @@ from helpers import (
     scan_limit_of_profile,
     reference_standard_cone_system,
     schreier_core,
+    subsets,
     valid_js,
 )
 from weylfan import fans
@@ -135,6 +136,21 @@ def test_standard_cones_from_facet_roots_match_the_reference_system(name, J):
         want = Cone.from_system(datum.rank, want_eqs, want_ins)
         fields = Cone._fields
         assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields], I
+
+
+@pytest.mark.parametrize("name", RANK4_CATALOGUE + ["B4", "D5"])
+def test_dominant_faces_in_closed_form_match_from_system(name):
+    """The face of type T of the dominant chamber, from the Cartan rows in
+    T and the adjugate's columns outside T, is the cone that
+    `Cone.from_system` makes of T's J = empty standard cone system, field
+    by field, for every T."""
+    datum = build_root_datum(name)
+    adjugate = la.scaled_inverse(datum.cartan)[0]
+    for T in subsets(datum.rank):
+        got = fans._dominant_face(datum.cartan, adjugate, T)
+        want = Cone.from_system(datum.rank, *fans.standard_cone_system(datum, frozenset(), T)[:2])
+        fields = Cone._fields
+        assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields], sorted(T)
 
 
 def _count_from_system(monkeypatch) -> list:

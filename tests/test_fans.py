@@ -14,7 +14,7 @@ from helpers import (
     valid_js,
     word_element,
 )
-from weylfan import linalg as la, rootdata
+from weylfan import cones, fans, linalg as la, rootdata
 from weylfan.apartment import AffineRootPattern
 from weylfan.cones import Cone, is_face_closure, is_face_supporting
 from weylfan.errors import (
@@ -277,6 +277,34 @@ def test_weyl_words_past_the_rank_are_rejected():
             cone_of_parabolic(fan, [0], w)
 
 
+def test_weyl_elements_of_another_datum_are_rejected():
+    """A word is read in the fan's own simple reflections, so an element
+    whose point matrix is not their product along its word, as one of
+    another datum with letters below the rank, is a TypeMismatch, not a
+    cone; every element of the fan's own Weyl group maps as the matrix
+    oracle does."""
+    datum = build_root_datum("A2")
+    fan = parabolic_fan(datum, [0])
+    others = [
+        weyl_enumerate(build_root_datum("B2")).elements[-1],  # word (1, 0, 1, 0)
+        weyl_enumerate(build_root_datum("A1")).generators[0],
+    ]
+    for w in others:
+        message = f"^Weyl element of word {re.escape(str(w.word))} is not an element of A2$"
+        with pytest.raises(TypeMismatch, match=message):
+            fan.transform_index(w, 0)
+        with pytest.raises(TypeMismatch, match=message):
+            cone_of_parabolic(fan, [0], w)
+    chamber = fan.cone_containing((1, 1))
+    images = []
+    for w in weyl_enumerate(datum):
+        for i in range(len(fan)):
+            assert fan.transform_index(w, i) == reference_transform_index(fan, w, i), (w.word, i)
+        images.append(cone_of_parabolic(fan, [0], w))
+    assert images == [reference_transform_index(fan, w, chamber) for w in weyl_enumerate(datum)]
+    assert images == [6, 6, 5, 5, 4, 4]
+
+
 def test_strict_convexity():
     for name in ["A2", "B2", "G2", "BC2"]:
         fan = weyl_fan(build_root_datum(name))
@@ -357,6 +385,33 @@ def test_parabolic_fan_forms_no_matrix_products(monkeypatch):
     monkeypatch.setattr(la, "mat_mul", lambda a, b: calls.append(1) or mat_mul(a, b))
     assert len(parabolic_fan(build_root_datum("F4"), ())) == 5089
     assert not calls
+
+
+def test_parabolic_fan_runs_no_double_description_and_reflects_each_vector_once(monkeypatch):
+    """With J empty every standard cone is a face of the dominant chamber,
+    built in closed form, so building F4's Weyl fan calls
+    `cones.dual_description` not once; and the walk reflects each distinct
+    ray once per simple reflection at most, so `rootdata.reflect_simple`
+    runs at most 4 times per distinct ray of the fan."""
+    datum = build_root_datum("F4")
+    calls = {"dual_description": 0, "reflect_simple": 0}
+    dual_description, reflect_simple = cones.dual_description, rootdata.reflect_simple
+
+    def counted(name, f):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(cones, "dual_description", counted("dual_description", dual_description))
+    for module in (rootdata, fans):  # `fans` holds the name too
+        monkeypatch.setattr(module, "reflect_simple", counted("reflect_simple", reflect_simple))
+    fan = parabolic_fan(datum, ())
+    rays = {r for c in fan.cones for r in c.rays}
+    assert (len(fan), len(rays)) == (5089, 240)
+    assert calls["dual_description"] == 0
+    assert calls["reflect_simple"] <= 4 * len(rays)
 
 
 def test_parabolic_fan_forms_no_weyl_elements(monkeypatch):

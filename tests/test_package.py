@@ -40,7 +40,7 @@ from weylfan import (
     weyl_enumerate,
 )
 from weylfan._value import replace
-from weylfan.apartment import ValueGroup, levi_point_from_pairings
+from weylfan.apartment import SymbolicEntry, ValueGroup, levi_point_from_pairings
 from weylfan.errors import DegenerateJ, NonRootSystem, TypeMismatch
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -323,12 +323,15 @@ def test_a_point_that_is_not_iterable_is_named(call, value):
 
 
 def _coordinate_calls():
-    """The other readers of rational coordinates: explicit roots and Levi
-    pairings, each given the bad entry where a coordinate belongs."""
+    """The other readers of rational coordinates: explicit roots, Levi
+    pairings and symbolic entries, each given the bad entry where a
+    coordinate belongs."""
     a2 = build_root_datum("A2")
     return {
         "explicit root": lambda c: build_root_datum([[c], [1], [-1]], basis=[1]),
         "levi pairing": lambda c: levi_point_from_pairings(a2, [0], (c,)),
+        "symbolic rational": lambda c: SymbolicEntry(c),
+        "symbolic coefficient": lambda c: SymbolicEntry(0, (("s", 1), ("s", c))),
     }
 
 
@@ -351,6 +354,22 @@ def test_roots_and_pairings_that_are_not_iterable_are_named(value):
     ]:
         with pytest.raises(NonRootSystem, match=f"^{value!r} is not a sequence of coordinates$"):
             run()
+
+
+@pytest.mark.parametrize(
+    "symbols,message",
+    [
+        (((1, 1),), "^symbol 1 is not a string$"),
+        ((("s", 1), (None, 1)), "^symbol None is not a string$"),
+        (5, "^symbols 5 are not"),
+        (None, "^symbols None are not"),
+        ((("s", 1, 2),), r"^symbols \(\('s', 1, 2\),\) are not \(symbol, coefficient\) pairs$"),
+    ],
+    ids=repr,
+)
+def test_symbolic_entries_take_string_symbols_in_pairs(symbols, message):
+    with pytest.raises(NonRootSystem, match=message):
+        SymbolicEntry(0, symbols)
 
 
 @pytest.mark.parametrize("value", [None, 5], ids=repr)

@@ -122,6 +122,25 @@ def test_limit_of_ray_is_the_limit_of_its_profile(ray):
     assert limit_of_ray(fan, b, d) == limit_of_profile(fan, ray_profile(fan.datum, b, d))
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(fan_rays())
+def test_a_limit_lies_in_the_facade_of_the_cone_of_its_direction(ray):
+    """The ray b + t d converges to a point of the facade of the cone that
+    d lies in: the point differs from b by a vector of the cone's span, the
+    zero set of its equalities, and is orthogonal to that span under the
+    invariant form."""
+    fan, b, d = ray
+    assume(any(d))
+    limit, i = limit_of_ray(fan, b, d), fan.cone_containing(d)
+    assert limit.cone_index == i
+    cone = fan.cones[i]
+    shift = la.sub(fan.datum.point(b), limit.base)
+    assert all(la.dot(e, shift) == 0 for e in cone.eqs)
+    gram = fan.datum.gram_points
+    span = (*cone.lineality, *cone.rays)
+    assert all(la.dot(la.mat_vec(gram, g), limit.base) == 0 for g in span)
+
+
 @st.composite
 def datum_rays(draw):
     """(datum, b, d): a rank <= 3 catalogue datum, an integer base point b
