@@ -11,7 +11,7 @@ with the simple roots are C x for the Cartan matrix C, which is
 nonsingular, and every root is an integer combination of simple roots.
 
 - `transitivity_solve`.  Let v = C (y - x), N the least integer with
-  m = N v / gamma0 in Z^n, and (adj, D) = `la.scaled_inverse`(C), so
+  m = N v / gamma0 in Z^n, and (adj, D) = `RootDatum.cartan_adjugate`, so
   adj = D C^-1 is an integer matrix and D = det C > 0.  Then n = adj m is
   integral, C n = D m = N D v / gamma0, and n gamma0 / (N D) = C^-1 v =
   y - x: the Cartan system has exactly this solution, and it reproduces
@@ -320,7 +320,7 @@ def transitivity_solve(
     gamma0 = Fraction(1, gamma_denominator)
     pairings = [datum.pairing(s, diff) / gamma0 for s in datum.simples]
     N = lcm(1, *(v.denominator for v in pairings))
-    adj, D = la.scaled_inverse(datum.cartan)
+    adj, D = datum.cartan_adjugate
     n = la.mat_vec(adj, [int(N * v) for v in pairings])
     return TransitivitySolution(N, n, D, gamma0)
 

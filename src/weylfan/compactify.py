@@ -96,8 +96,8 @@ def orthogonal_reduction(datum: RootDatum, span: Sequence[Vec], x: Sequence) -> 
 
 
 def project_to_facade(fan: Fan, cone_index: int, x: Sequence) -> CompactifiedPoint:
-    """The class of x in the facade of the given cone."""
-    cone = fan.cones[cone_index]
+    """The class of x in the facade of the cone `Fan.read_index` reads."""
+    cone = fan.cones[fan.read_index(cone_index)]
     base = orthogonal_reduction(fan.datum, cone.span_basis, x)
     return CompactifiedPoint(fan, cone_index, base)
 

@@ -36,20 +36,22 @@ it.
 So each step yields exactly the extreme rays of the new cone, and no
 elimination is needed beyond the kernel of eqs that starts the pass.
 
-*Canonical form.*  `Cone.from_system` rejects a system one of whose
-strict forms vanishes on every generator of the closed cone (EmptyCone).
-Past that check, each strict form is positive somewhere on the closed
-cone, and the sum of one such point per form is positive on all of them,
-so the closed cone has a point interior to {eqs x = 0} and spans it.  The
-forms vanishing on the cone are then the row space of eqs, and their
-canonical basis is the primitive rows of its reduced row echelon form,
-unique for the subspace.  Every facet of {eqs = 0, ins >= 0} is the zero
-set of some form in ins, and every zero set of a form in ins is a proper
-face, inside some facet.  A face is the lineality plus the rays it holds,
-so the faces nest as their ray sets do, and a form is a facet form
-exactly when its set of vanishing rays is maximal among those of the
-forms in ins.  Forms of one facet agree, on the span, up to a positive
-factor, so they reduce modulo the equalities to one primitive form.
+*Canonical form.*  `_canonical_cone` writes a system given the lineality
+and extreme rays of its closure, from `dual_description` or in closed
+form (`fans`).  It rejects a system one of whose strict forms vanishes on
+every generator of the closed cone (EmptyCone).  Past that check, each
+strict form is positive somewhere on the closed cone, and the sum of one
+such point per form is positive on all of them, so the closed cone has a
+point interior to {eqs x = 0} and spans it.  The forms vanishing on the
+cone are then the row space of eqs, and their canonical basis is the
+primitive rows of its reduced row echelon form, unique for the subspace.
+Every facet of {eqs = 0, ins >= 0} is the zero set of some form in ins,
+and every zero set of a form in ins is a proper face, inside some facet.
+A face is the lineality plus the rays it holds, so the faces nest as
+their ray sets do, and a form is a facet form exactly when its set of
+vanishing rays is maximal among those of the forms in ins (`_maximal`).
+Forms of one facet agree, on the span, up to a positive factor, so they
+reduce modulo the equalities to one primitive form.
 """
 
 from __future__ import annotations
@@ -154,31 +156,7 @@ class Cone(Value, uncompared=("eqs", "ins")):
         and DimensionMismatch or TypeMismatch as `dual_description` does (see
         *Canonical form* in the module docstring)."""
         eqs, ins = _forms(eqs, "eqs"), _forms(ins, "ins")
-        lin, rays = dual_description(n, eqs, ins)
-        # per form, the bitset of the rays it vanishes on; it is >= 0 on the
-        # rays and vanishes on the lineality
-        zeros = [sum(1 << j for j, r in enumerate(rays) if not la.dot(form, r)) for form in ins]
-        every = (1 << len(rays)) - 1
-        for form, zero in zip(ins, zeros):
-            if zero == every:
-                # the form vanishes identically on the closed cone, so the
-                # strict system has no solution
-                raise EmptyCone(f"form {form} cannot be strictly positive")
-        eq_canonical = la.row_basis(eqs)
-        distinct = set(zeros)
-        facets = {z for z in distinct if not any(z != w and z & w == z for w in distinct)}
-        facet_forms = {
-            la.primitive(_reduce_mod(form, eq_canonical))
-            for form, zero in zip(ins, zeros)
-            if zero in facets
-        }
-        return Cone(
-            dim_ambient=n,
-            eqs=tuple(sorted(eq_canonical)),
-            ins=tuple(sorted(facet_forms)),
-            lineality=tuple(sorted(lin)),
-            rays=tuple(rays),
-        )
+        return _canonical_cone(n, eqs, ins, *dual_description(n, eqs, ins))
 
     # -- geometry ------------------------------------------------------------
 
@@ -243,6 +221,30 @@ class Cone(Value, uncompared=("eqs", "ins")):
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Cone(dim={self.dim}, rays={len(self.rays)})"
+
+
+def _canonical_cone(
+    n: int, eqs: Sequence[Vec], ins: Sequence[Vec], lineality: Sequence[Vec], rays: Sequence[Vec]
+) -> Cone:
+    """The canonical form of {x : eqs x = 0, ins x > 0}, given the lineality
+    basis and the primitive extreme rays of its closure; raises EmptyCone
+    if it is empty (see *Canonical form* in the module docstring)."""
+    # per form, the bitset of the rays it vanishes on (it is >= 0 on the cone)
+    zeros = [sum(1 << j for j, r in enumerate(rays) if not la.dot(form, r)) for form in ins]
+    every = (1 << len(rays)) - 1
+    for form, zero in zip(ins, zeros):
+        if zero == every:  # zero on the closed cone, so never strictly positive
+            raise EmptyCone(f"form {form} cannot be strictly positive")
+    eqs = la.row_basis(eqs)
+    ins = {la.primitive(_reduce_mod(form, eqs)) for form in _maximal(ins, zeros)}
+    return Cone(n, *(tuple(sorted(vs)) for vs in (eqs, ins, lineality, rays)))
+
+
+def _maximal(items: Sequence, sets: Sequence[int]) -> list:
+    """The items whose bitsets, in `sets`, lie inside no other one of them."""
+    distinct = set(sets)
+    top = {z for z in distinct if not any(z != w and z & w == z for w in distinct)}
+    return [x for x, z in zip(items, sets) if z in top]
 
 
 def _reduce_mod(form: Vec, eq_rref: Sequence[Vec]) -> Vec:

@@ -14,14 +14,14 @@ facet of type I u (J n I-perp).  For J empty this is exactly the Weyl fan.
 first under s_1..s_n, carrying the core, the cone's sign row (see *Sign
 table*) and the reduced word of the Weyl element u mapping the standard
 cone there; s_k.u has the word k, u.  s_k is unimodular and moves one
-coroot coordinate, so rays stay primitive.
-The stabiliser of the standard cone of I is W_T, T = I u (J n I-perp), so each
-cone has one minimal-length u, of length its depth in the walk.  A prefix
-of a minimal u is minimal, so `weyl_enumerate`'s closure, breadth first
-too, reaches a minimal u only from the u one level up; by induction both
-meet the minimal u in the same order, through the same s_k, and give each
-the same word (Humphreys, *Reflection Groups and Coxeter Groups*, 1.10).
-A word moves cones along the moves table (see *Sign transport*):
+coroot coordinate, so rays stay primitive.  The stabiliser of the
+standard cone of I is W_T, T = I u (J n I-perp), so each cone has one
+minimal-length u, of length its depth in the walk.  A prefix of a
+minimal u is minimal, so `weyl_enumerate`'s closure, breadth first too,
+reaches a minimal u only from the u one level up; by induction both meet
+the minimal u in the same order, through the same s_k, and give each the
+same word (Humphreys, *Reflection Groups and Coxeter Groups*, 1.10).  A
+word moves cones along the moves table (see *Sign transport*):
 s_k1...s_km maps cone i to moves[k1][...moves[km][i]], with no matrix.
 A standard cone whose type T is I itself is its own core (the face of
 the dominant chamber of type I), as is then every cone of its orbit, so
@@ -29,48 +29,43 @@ the walk reflects one cone for both; for J empty that is every cone.
 Rays and forms recur across the cones of a walk, so `parabolic_fan`
 keeps, per s_k and for the length of one call, a `functools.cache` of
 the images of the vectors met so far (`_reflections`): each distinct ray
-or form is reflected once per s_k, and the cones share the image
-tuples.  F4 with J empty reflects its 240 distinct rays 414 times in
-all, where reflecting every ray of every new cone took 14,512.
-Each standard cone seeds an orbit of its own: W maps cores onto cores,
-the core of the standard cone of I is the face of the dominant chamber
-of type T, and each W-orbit meets the closed dominant chamber once
-(Humphreys 1.12), so one orbit has one T, which determines I as the
-union of its components meeting the complement of J
-(`parabolics.core_generating_set`).
+or form is reflected once per s_k, and the cones share the image tuples;
+the standard cones' W_K-orbits use the same caches.  Each standard cone
+seeds an orbit of its own: W maps cores onto cores, the core of the
+standard cone of I is the face of the dominant chamber of type T, and
+each W-orbit meets the closed dominant chamber once (Humphreys 1.12), so
+one orbit has one T, which determines I as the union of its components
+meeting the complement of J (`parabolics.core_generating_set`).
 
-*Standard cones.*  The standard cone of I is {x : alpha_I(x) = 0,
-beta(x) > 0 for beta in Phi+ - Phi_T}, and `standard_cone_system` gives
-it by its facet roots only: the W_K-orbits of the simple roots alpha_j,
-j not in T, with K = T - I = J n I-perp (for T = I, the alpha_j alone).
-Each is in Phi+ - Phi_T, as s_k, k in K, keeps the coefficient of
-alpha_j.  Conversely, let x satisfy the smaller system.  K is orthogonal
-to I, so W_K fixes each alpha_i, i in I; and W_K, inside W_T, permutes
-Phi+ - Phi_T.  Sort x into the closed dominant chamber of K with simple
-reflections in K, y = w^-1.x for a w in W_K.  Then alpha_I(y) = 0,
-alpha_k(y) >= 0 for k in K, and alpha_j(y) = (w.alpha_j)(x) > 0 for j
-not in T, so every beta in Phi+ - Phi_T, which has nonnegative
-coefficients and a positive one off T, is positive at y, and beta(x) =
-(w^-1.beta)(y) > 0.  Both systems cut out one open cone, so
-`Cone.from_system`'s canonical output is the same (Chevalley's lemma for
-the sort; Humphreys 1.12).  For B3 with J empty the chamber takes 3
-forms where Phi+ - Phi_T has 9.
-
-When T = I (always for J empty) the standard cone is the face of type T
-of the dominant chamber, {alpha_i = 0 for i in T, alpha_j > 0 for j not
-in T}, and so is the core of every standard cone (the face of type T).
-`_dominant_face` writes it down as `Cone.from_system` would give it, with
-no double description.  The root form of alpha_i is row i of the Cartan
-matrix C, so the equalities are the `la.row_basis` of the rows in T.
-Every x is the sum of alpha_j(x) omega_j over the fundamental coweights
-omega_j, the columns of C^-1, so the closed face is the simplicial cone
-spanned by the omega_j, j not in T: these are its extreme rays, the
-primitive columns j of the adjugate d C^-1 (d = det C > 0,
-`la.scaled_inverse`), and there is no lineality.  Each alpha_j, j not in
-T, vanishes on every ray but omega_j, so each zero set is maximal and
-every alpha_j is a facet form, which `Cone.from_system` reduces modulo
-the equalities (`cones._reduce_mod`) to a primitive form.  One adjugate
-per build serves every face.
+*Standard cones.*  `_standard_cone` writes down C_I = {x : alpha_I(x) = 0,
+beta(x) > 0 for beta in Phi+ - Phi_T} with no double description; for T =
+I it is F_I, the face of type I of the dominant chamber, and each core is
+such a face.  Let K = T - I = J n I-perp.  W_K fixes the alpha_I (K is
+orthogonal to I) and permutes Phi+ - Phi_T, which holds the facet roots,
+the W_K-orbits of the alpha_j, j not in T (s_k, k in K, keeps the
+coefficient of alpha_j).  Sort an x with alpha_I(x) = 0 and the facet
+roots >= 0 into the closed dominant chamber of K, y = w^-1.x, w in W_K
+(Chevalley's lemma; Humphreys 1.12): alpha_I(y) = 0, alpha_k(y) >= 0 for
+k in K and alpha_j(y) = (w.alpha_j)(x) >= 0 for j not in T, so y lies in
+cl(F_I), where every positive root is >= 0, and so is beta(x) =
+(w^-1.beta)(y) for beta in Phi+ - Phi_T; with the facet roots > 0 at x,
+each such beta, positive off T, is > 0 at y and at x.  So the alpha_I and
+the facet roots cut out C_I, and cl(C_I) = W_K.cl(F_I) is spanned by the
+W_K-orbits of the fundamental coweights omega_j, j not in I (x is the sum
+of alpha_j(x) omega_j): the generators, walked from the primitive columns
+of the adjugate d C^-1 (d = det C > 0, `RootDatum.cartan_adjugate`).  s_k
+moves coordinate k only, so each keeps the coordinates off K of its
+omega_j, >= 0 and not all 0 (C^-1 is positive on each component, and K
+holds none), and their sum is positive on it: cl(C_I) is pointed, and its
+extreme rays are the generators whose zero sets (of facet roots) are
+maximal (`cones._maximal`).  The smallest face F holding a generator g,
+where the roots of its zero set vanish, is spanned by the generators in
+it.  If g is not extreme, F holds an extreme ray r, whose zero set holds
+that of g and more, as the smallest face holding r is its ray; if g is
+extreme, a generator whose zero set holds that of g lies in F, its ray,
+so is g.  For K empty the generators are independent, all extreme.
+`cones._canonical_cone` writes the cone from these rays and the alpha_I
+(rows of C) and facet roots.
 
 *Sign table.*  One table per fan holds the sign of every positive
 nondivisible root on every cone: 0 (Z), + (P), - (N) or mixed.  Building
@@ -121,42 +116,41 @@ invariant.  `cone_containing` tells these apart.
 
 *Orbit reduction.*  On distinct rows closed under every pi_k, each pi_k
 is a bijection of the rows (an involution of a finite set).  The cones
-holding a point p are those whose rows agree with its sign vector, so
-by the paragraph above the cones holding s_k.p are the images under s_k
-of those holding p, as many of them.  Every Weyl facet point is a word
-in the s_k applied to a dominant one, and every point has the sign
-vector of some Weyl facet, so the partition axiom holds as soon as each
-of the 2^n dominant facet points lies in exactly one cone.  These are
-the primitive multiples of the sums of fundamental coweights, the
-columns of C^-1; in integers, those of the adjugate d.C^-1, d = det C > 0
-(`linalg.scaled_inverse`), which differ by the factor d.  Likewise s_k
-maps the facets of the closure of cone i onto those of the closure of
-its image, and the closure of a fan cone onto the closure of a fan cone,
-so the boundary axiom holds for every cone of an orbit when it holds for
-one.  The cover check (`_check_cover`) therefore scans the dominant
-facet points, which records their sign vectors only, and checks the
-facets of one cone per orbit: in `parabolic_fan` the standard cones,
-the walk's seeds, and in `Fan.validate` the first cone of each orbit of
-the moves table.
+holding a point p are those whose rows agree with its sign vector, so by
+the paragraph above the cones holding s_k.p are the images under s_k of
+those holding p, as many of them.  Every Weyl facet point is a word in
+the s_k applied to a dominant one, and every point has the sign vector
+of some Weyl facet, so the partition axiom holds as soon as each of the
+2^n dominant facet points lies in exactly one cone: the primitive
+multiples of the sums of the columns of the adjugate d C^-1 (see
+*Standard cones*).  Likewise s_k maps the facets of the closure of cone
+i onto those of the closure of its image, and the closure of a fan cone
+onto the closure of a fan cone, so the boundary axiom holds for every
+cone of an orbit when it holds for one.  The cover check
+(`_check_cover`) therefore scans the dominant facet points, which
+records their sign vectors only, and checks the facets of one cone per
+orbit: in `parabolic_fan` the standard cones, the walk's seeds, and in
+`Fan.validate` the first cone of each orbit of the moves table.
 
 *Ray bitsets.*  The rays of the fan are numbered, and a cone is the set
-of its ray indices.  The cones of `parabolic_fan` are pointed (the root
-system is essential), and for pointed cones (f, g) is a face pair
-exactly when the rays of f are rays of g.  If so, the closure of f lies
-in that of g.  Conversely, let the closure of f lie in the closure of g
-and let r be a ray of f.  By the boundary axiom, applied facet by facet,
-every face of a closure is the closure of a fan cone, so r spans a fan
-cone.  By the partition and boundary axioms, the closure of g is the
-disjoint union of the fan cones that are its faces, and the open ray
-through r is one of them, so r is a ray of g.  `parabolic_fan` and
-`Fan.validate` check both axioms before the order is read.
+of its ray indices.  The cones of `parabolic_fan` are pointed (see
+*Standard cones*), and for pointed cones (f, g) is a face pair exactly
+when the rays of f are rays of g.  If so, the closure of f lies in that
+of g.  Conversely, let the closure of f lie in the closure of g and let r
+be a ray of f.  By the boundary axiom, applied facet by facet, every face
+of a closure is the closure of a fan cone, so r spans a fan cone.  By the
+partition and boundary axioms, the closure of g is the disjoint union of
+the fan cones that are its faces, and the open ray through r is one of
+them, so r is a ray of g.  `parabolic_fan` and `Fan.validate` check both
+axioms before the order is read.
 
 *Validation.*  `Fan.validate` checks each axiom once, from integer data.
-It reads the sign table as the fan holds it.  A `Fan(...)` made by hand
-builds every row directly, with both exactness checks; one from
-`parabolic_fan` keeps its walk's rows: one built directly per standard
-cone (B3, J empty: 8 of its 147 rows, and none in `validate`), the
-others transported to image cones, which pass both checks by *Sign
+It reads the cones as stored, not the closed form of *Standard cones*
+that built them, and the sign table as the fan holds it.  A `Fan(...)`
+made by hand builds every row directly, with both exactness checks; one
+from `parabolic_fan` keeps its walk's rows: one built directly per
+standard cone (B3, J empty: 8 of its 147 rows, and none in `validate`),
+the others transported to image cones, which pass both checks by *Sign
 transport*.  The moves table checks that the rows are distinct and
 closed under each pi_k.  Partition and boundary: the cover check on one
 cone per orbit (see *Orbit reduction*).  Faces: every closure must hold
@@ -167,29 +161,27 @@ g kept as the bitset of the rays of g on which its form vanishes, (f, g)
 is a face pair exactly when the AND of the facets of g that hold the
 rays of f (all of g if none do) is the rays of f.  This is the
 supporting-form criterion with alpha the sum of the tight facet forms,
-and it implies cl(f) = span(f) meet cl(g).  Weyl invariance and
-cores: a complete moves table is Weyl invariance, since the s_k generate
-W.  The core of a cone X is the set of its points that its setwise
-stabiliser Stab(X) fixes.  Let X be the first cone of an orbit and p the
-sum of its rays; then Stab(X) is W_p, the stabiliser of p.  A g in
-Stab(X) permutes the primitive rays of X, as W acts unimodularly on
-coroot coordinates, so it fixes p.  A g in W_p maps X to a fan cone (Weyl
-invariance) through p, which is X (partition).  W_p is generated by the
-reflections it contains, those in the roots vanishing at p (Chevalley's
-lemma; Humphreys 1.12), so its fixed points are the zero set of those
-roots.  The sign row of X names them: a root of sign 0 vanishes on the
-span of X already and one of sign + or - is nonzero at p, so only the
-mixed roots that vanish at p cut X down.  If there is none, the core is
-X; otherwise one `Cone.from_system` of the equalities of X, those root
-forms and the facet forms of X gives it (`_fixed_core`).  Stab(s_k.X) is
-s_k Stab(X) s_k, so s_k maps the core of X onto the core of s_k.X: each
-orbit is walked once along the moves, carrying the key (lineality and
-rays) of the first core by `_reflected_key`, with no Weyl matrix.  When
-the first core is X, s_k maps cone i onto cone `moves[k][i]`, so each
-core of the orbit is its own cone and is compared with that cone's key;
-for J empty this is every orbit, and `validate` calls no
-`Cone.from_system`.
-"""
+and it implies cl(f) = span(f) meet cl(g).  Weyl invariance and cores: a
+complete moves table is Weyl invariance, since the s_k generate W.  The
+core of a cone X is the set of its points that its setwise stabiliser
+Stab(X) fixes.  Let X be the first cone of an orbit and p the sum of its
+rays; then Stab(X) is W_p, the stabiliser of p.  A g in Stab(X) permutes
+the primitive rays of X, as W acts unimodularly on coroot coordinates,
+so it fixes p.  A g in W_p maps X to a fan cone (Weyl invariance)
+through p, which is X (partition).  W_p is generated by the reflections
+it contains, those in the roots vanishing at p (Chevalley's lemma;
+Humphreys 1.12), so its fixed points are the zero set of those roots.
+The sign row of X names them: a root of sign 0 vanishes on the span of X
+already and one of sign + or - is nonzero at p, so only the mixed roots
+that vanish at p cut X down.  If there is none, the core is X; otherwise
+one `Cone.from_system` of the equalities of X, those root forms and the
+facet forms of X gives it (`_fixed_core`).  Stab(s_k.X) is s_k Stab(X)
+s_k, so s_k maps the core of X onto the core of s_k.X: each orbit is
+walked once along the moves, carrying the key (lineality and rays) of
+the first core by `_reflected_key`, with no Weyl matrix.  When the first
+core is X, s_k maps cone i onto cone `moves[k][i]`, so each core of the
+orbit is its own cone and is compared with that cone's key; for J empty
+this is every orbit, and `validate` calls no `Cone.from_system`. """
 
 from __future__ import annotations
 
@@ -198,7 +190,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from . import linalg as la
 from ._value import Value
-from .cones import Cone, _reduce_mod
+from .cones import Cone, _canonical_cone, _maximal
 from .errors import (
     DegenerateJ,
     DimensionMismatch,
@@ -212,7 +204,6 @@ from .rootdata import (
     RootDatum,
     WeylElement,
     basis_subset,
-    components,
     listed,
     orthogonal_complement,
     point_orbits,
@@ -252,6 +243,15 @@ class Fan:
 
     def __len__(self) -> int:
         return len(self.cones)
+
+    def read_index(self, i) -> int:
+        """i, a cone index; raises TypeMismatch unless it is an int (a bool
+        is not), and DimensionMismatch unless it is in range(len(self))."""
+        if type(i) is not int:
+            raise TypeMismatch(f"cone index {i!r} is not an int")
+        if not 0 <= i < len(self.cones):
+            raise DimensionMismatch(f"cone index {i} is not in range({len(self.cones)})")
+        return i
 
     @cached_property
     def origin_index(self) -> int:
@@ -387,11 +387,12 @@ class Fan:
 
     def transform_index(self, w: WeylElement, i: int) -> int:
         """Index of the image of cone i under a Weyl element, by the moves
-        of its word (see *Orbit walk* in the module docstring).  Raises
-        DimensionMismatch when the word has a letter past the rank, and
-        TypeMismatch unless the point matrix of w is the product of the
-        fan's simple reflections along its word, as for an element of
-        another root datum."""
+        of its word (see *Orbit walk* in the module docstring).  Raises as
+        `read_index` does for i, DimensionMismatch when the word has a
+        letter past the rank, and TypeMismatch unless the point matrix of
+        w is the product of the fan's simple reflections along its word,
+        as for an element of another root datum."""
+        i = self.read_index(i)
         datum = self.datum
         if not set(w.word) <= set(range(datum.rank)):
             raise DimensionMismatch(f"word {w.word} has a letter past rank {datum.rank}")
@@ -618,31 +619,26 @@ def _dominant_facet_points(datum: RootDatum) -> list[Vec]:
     per facet of the dominant chamber, from the columns of the adjugate of
     the Cartan matrix, positive multiples of the coweights."""
     n = datum.rank
-    adjugate = la.scaled_inverse(datum.cartan)[0]  # coweights as its columns
+    adjugate = datum.cartan_adjugate[0]  # coweights as its columns
     subsets = (tuple(bits >> j & 1 for j in range(n)) for bits in range(1 << n))
     return [la.primitive(la.mat_vec(adjugate, e)) for e in subsets]
 
 
-def _dominant_face(cartan: la.Mat, adjugate: la.Mat, T: frozenset[int]) -> Cone:
-    """The face of type T of the dominant chamber, {x : alpha_i(x) = 0 for
-    i in T, alpha_j(x) > 0 for j not in T}, as `Cone.from_system` gives it,
-    in closed form from the Cartan rows and the columns of the adjugate
-    of the Cartan matrix (see *Standard cones* in the module docstring)."""
-    eqs = la.row_basis([cartan[i] for i in sorted(T)])
-    outside = [j for j in range(len(cartan)) if j not in T]
-    ins = {la.primitive(_reduce_mod(cartan[j], eqs)) for j in outside}
-    rays = (la.primitive(tuple(row[j] for row in adjugate)) for j in outside)
-    return Cone(len(cartan), tuple(sorted(eqs)), tuple(sorted(ins)), (), tuple(sorted(rays)))
-
-
 def _admissible_index_sets(datum: RootDatum, J: frozenset[int]) -> list[frozenset[int]]:
-    """Subsets I of the basis none of whose components lie inside J."""
+    """Subsets I of the basis none of whose components lie inside J: those
+    that a walk inside I from I - J covers, over bitsets of the basis."""
     n = datum.rank
+    near = [sum(1 << j for j in range(n) if datum.adjacent(i, j)) for i in range(n)]
+    off_J = sum(1 << j for j in range(n) if j not in J)
     out = []
     for bits in range(1 << n):
-        I = frozenset(j for j in range(n) if bits & (1 << j))
-        if all(not comp <= J for comp in components(datum, I)):
-            out.append(I)
+        reached = todo = bits & off_J
+        while todo:
+            step = near[(todo & -todo).bit_length() - 1] & bits & ~reached
+            todo = (todo & (todo - 1)) | step
+            reached |= step
+        if reached == bits:
+            out.append(frozenset(j for j in range(n) if bits >> j & 1))
     return out
 
 
@@ -651,26 +647,22 @@ def standard_type(datum: RootDatum, J: frozenset[int], I: frozenset[int]) -> fro
     return I | (J & orthogonal_complement(datum, I))
 
 
-def standard_cone_system(
-    datum: RootDatum, J: frozenset[int], I: frozenset[int]
-) -> tuple[list[Vec], list[Vec], frozenset[int]]:
-    """Equalities and strict forms of the standard merged cone of subset I.
-
-    The cone is cut out by vanishing of the simple roots in I and positivity
-    of the W_K-orbits of the simple roots outside T = `standard_type`,
-    K = T - I (see *Standard cones* in the module docstring); returns
-    (equalities, strict forms, T).
-    """
-    T = standard_type(datum, J, I)
-    eqs = [datum.covector(datum.simples[i]) for i in sorted(I)]
+def _standard_cone(
+    cartan: la.Mat, coweights: Sequence[Vec], reflections: tuple, I: frozenset, T: frozenset
+) -> Cone:
+    """The standard cone of I and core type T in closed form, from the
+    primitive fundamental `coweights` and the build's `_reflections` (see
+    *Standard cones* in the module docstring)."""
+    rays = [coweights[j] for j in range(len(cartan)) if j not in I]
+    roots = [cartan[j] for j in range(len(cartan)) if j not in T]
     K = sorted(T - I)
-    columns = la.transpose(datum.cartan)
-    outside = walk_orbits(
-        {a: a for a in (datum.simples[j] for j in range(datum.rank) if j not in T)},
-        len(K),
-        lambda a, m: reflect_simple(columns, a, K[m]),
-    )
-    return eqs, [datum.covector(a) for a in outside], T
+    if K:  # otherwise the coweights are independent, and each is extreme
+        points, forms = reflections
+        rays = list(walk_orbits({g: g for g in rays}, len(K), lambda g, m: points[K[m]](g)))
+        roots = list(walk_orbits({f: f for f in roots}, len(K), lambda f, m: forms[K[m]](f)))
+        zeros = [sum(1 << i for i, f in enumerate(roots) if not la.dot(f, g)) for g in rays]
+        rays = _maximal(rays, zeros)
+    return _canonical_cone(len(cartan), [cartan[i] for i in sorted(I)], roots, (), rays)
 
 
 def validate_J(datum: RootDatum, J: Iterable[int]) -> frozenset[int]:
@@ -700,11 +692,10 @@ def parabolic_fan(datum: RootDatum, J: Iterable[int] = ()) -> Fan:
     J = validate_J(datum, J)
 
     n = datum.rank
-    cartan = datum.cartan
     forms = _root_forms(datum)
     perms = datum.root_permutations
-    adjugate = la.scaled_inverse(cartan)[0]  # the fundamental coweights as its columns
-    points, covectors = _reflections(cartan)
+    reflections = points, covectors = _reflections(datum.cartan)
+    coweights = [la.primitive(w) for w in la.transpose(datum.cartan_adjugate[0])]
     Item = tuple[Cone, CoreInfo, tuple[int, ...]]  # a cone, its core and its sign row
 
     def make(x: Item, k: int, row: tuple[int, ...]) -> Item:
@@ -719,8 +710,8 @@ def parabolic_fan(datum: RootDatum, J: Iterable[int] = ()) -> Fan:
     at: dict[Vec, tuple] = {}  # generator -> values of the root forms
     for I in _admissible_index_sets(datum, J):
         T = standard_type(datum, J, I)
-        core = _dominant_face(cartan, adjugate, T)
-        base = core if T == I else Cone.from_system(n, *standard_cone_system(datum, J, I)[:2])
+        base = _standard_cone(datum.cartan, coweights, reflections, I, T)
+        core = base if T == I else _standard_cone(datum.cartan, coweights, reflections, T, T)
         row = _sign_row(forms, base, f"the standard cone of {sorted(I)}", at)
         seed = (base, CoreInfo(T, I, (), core), row)
         items += walk_orbits({row: seed}, n, lambda x, k: _permuted(x[2], perms[k]), make).values()
@@ -747,5 +738,5 @@ def cone_of_parabolic(fan: Fan, q_type: Iterable[int], w: WeylElement) -> int:
     q, bad = basis_subset(datum, q_type)
     if bad or frozenset(q) != fan.J:
         raise TypeMismatch(f"type {listed(q)} is not the standard type {sorted(fan.J)}")
-    regular = la.mat_vec(la.scaled_inverse(datum.cartan)[0], (1,) * datum.rank)
+    regular = la.mat_vec(datum.cartan_adjugate[0], (1,) * datum.rank)
     return fan.transform_index(w, fan.cone_containing(regular))

@@ -165,7 +165,7 @@ def facade_root_system(datum: RootDatum, fan: Fan, cone_index: int) -> tuple[Roo
     the standard cone of core type T the result is the Levi subsystem of T.
     They are the roots vanishing at the sum of the cone's rays, which lies
     in the core, and each root has one sign on the core, a Weyl facet (see
-    *Validation* in the `fans` docstring).
+    *Validation* in the `fans` docstring).  The index is `Fan.read_index`'s.
     """
-    p = fan.cones[cone_index].relint_point()
+    p = fan.cones[fan.read_index(cone_index)].relint_point()
     return tuple(a for a in datum.roots if la.dot(datum.covector(a), p) == 0)

@@ -351,9 +351,15 @@ class RootDatum(Value):
             cartan = [[cartan[i][j] for j in rest] for i in rest]
         return order
 
+    @cached_property
+    def cartan_adjugate(self) -> tuple[Mat, int]:
+        """(d C^-1, d), d = det C > 0, for the Cartan matrix C (`la.scaled_inverse`)."""
+        return la.scaled_inverse(self.cartan)
+
     def fundamental_coweights(self) -> tuple[Vec, ...]:
         """Vectors dual to the simple roots: <alpha_i, w_j> = delta_ij."""
-        return la.transpose(la.inverse(self.cartan))
+        adjugate, d = self.cartan_adjugate
+        return tuple(tuple(Fraction(x, d) for x in w) for w in la.transpose(adjugate))
 
     # -- Dynkin diagram ----------------------------------------------------
 

@@ -71,6 +71,29 @@ def built_fan(name: str, J: tuple = ()) -> Fan:
     return parabolic_fan(build_root_datum(name), J)
 
 
+def reference_admissible_index_sets(datum, J) -> list[frozenset]:
+    """`_admissible_index_sets` oracle: the subsets I, in the order of their
+    bitsets, none of whose `components` lie inside J."""
+    return [I for I in subsets(datum.rank) if all(not c <= J for c in components(datum, I))]
+
+
+def standard_cone_system(datum, J, I) -> tuple[list, list, frozenset]:
+    """Equalities and strict forms of the standard merged cone of subset I:
+    the simple roots in I vanish and the W_K-orbits of the simple roots
+    outside T = `standard_type`, K = T - I, are positive (see *Standard
+    cones* in the `fans` docstring); returns (equalities, strict forms, T)."""
+    T = standard_type(datum, J, I)
+    eqs = [datum.covector(datum.simples[i]) for i in sorted(I)]
+    K = sorted(T - I)
+    columns = la.transpose(datum.cartan)
+    outside = walk_orbits(
+        {a: a for a in (datum.simples[j] for j in range(datum.rank) if j not in T)},
+        len(K),
+        lambda a, m: reflect_simple(columns, a, K[m]),
+    )
+    return eqs, [datum.covector(a) for a in outside], T
+
+
 def reference_standard_cone_system(datum, J, I) -> tuple[list, list, frozenset]:
     """`standard_cone_system` oracle: the simple roots in I vanish and every
     positive root outside the span of T = `standard_type` is positive."""

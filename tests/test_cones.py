@@ -14,7 +14,7 @@ from weylfan.cones import (
     open_system_feasible,
 )
 from weylfan.errors import DimensionMismatch, EmptyCone, TypeMismatch
-from weylfan.fans import Fan, _admissible_index_sets, _fixed_core, standard_cone_system
+from weylfan.fans import Fan, _admissible_index_sets, _fixed_core
 from weylfan.rootdata import build_root_datum
 
 from helpers import (
@@ -25,6 +25,7 @@ from helpers import (
     reference_from_system,
     reference_inverse,
     reference_rref,
+    standard_cone_system,
     valid_js,
 )
 

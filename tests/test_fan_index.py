@@ -15,15 +15,16 @@ from helpers import (
     orbit_labels,
     random_rational_vec,
     ray_reflection_moves,
+    reference_admissible_index_sets,
     sample_points,
     scan_cone_containing,
     scan_limit_of_profile,
     reference_standard_cone_system,
     schreier_core,
-    subsets,
+    standard_cone_system,
     valid_js,
 )
-from weylfan import fans
+from weylfan import cones, fans
 from weylfan import linalg as la
 from weylfan._value import replace
 from weylfan.apartment import (
@@ -121,6 +122,15 @@ def test_first_cores_from_the_vanishing_roots_match_the_schreier_oracle(name, J)
         assert fans._fixed_core(fan, i).key == schreier_core(fan, i).key, i
 
 
+@pytest.mark.parametrize("name", RANK4_CATALOGUE + ["B4", "D5"])
+def test_admissible_index_sets_match_the_components_oracle(name):
+    """The walk inside I from I - J covers I exactly when no component of I
+    lies in J: the same subsets, in the same order, for every valid J."""
+    datum = build_root_datum(name)
+    for J in valid_js(datum):
+        assert fans._admissible_index_sets(datum, J) == reference_admissible_index_sets(datum, J)
+
+
 @pytest.mark.parametrize("name,J", RANK4_FANS)
 def test_standard_cones_from_facet_roots_match_the_reference_system(name, J):
     """The W_K-orbits of the simple roots outside T, a subset of the
@@ -128,7 +138,7 @@ def test_standard_cones_from_facet_roots_match_the_reference_system(name, J):
     datum = build_root_datum(name)
     J = frozenset(J)
     for I in fans._admissible_index_sets(datum, J):
-        eqs, ins, T = fans.standard_cone_system(datum, J, I)
+        eqs, ins, T = standard_cone_system(datum, J, I)
         want_eqs, want_ins, want_T = reference_standard_cone_system(datum, J, I)
         assert (eqs, T) == (want_eqs, want_T)
         assert set(ins) <= set(want_ins)
@@ -139,18 +149,39 @@ def test_standard_cones_from_facet_roots_match_the_reference_system(name, J):
 
 
 @pytest.mark.parametrize("name", RANK4_CATALOGUE + ["B4", "D5"])
-def test_dominant_faces_in_closed_form_match_from_system(name):
-    """The face of type T of the dominant chamber, from the Cartan rows in
-    T and the adjugate's columns outside T, is the cone that
-    `Cone.from_system` makes of T's J = empty standard cone system, field
-    by field, for every T."""
+def test_standard_cones_in_closed_form_match_from_system(name):
+    """Every standard cone and every core, from the W_K-orbits of the
+    adjugate's columns outside I and of the Cartan rows outside T, is the
+    cone that `Cone.from_system` makes of the reference system, with
+    Phi+ - Phi_T, field by field, for every valid J and admissible I."""
     datum = build_root_datum(name)
-    adjugate = la.scaled_inverse(datum.cartan)[0]
-    for T in subsets(datum.rank):
-        got = fans._dominant_face(datum.cartan, adjugate, T)
-        want = Cone.from_system(datum.rank, *fans.standard_cone_system(datum, frozenset(), T)[:2])
-        fields = Cone._fields
-        assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields], sorted(T)
+    coweights = [la.primitive(w) for w in la.transpose(datum.cartan_adjugate[0])]
+    reflections = fans._reflections(datum.cartan)
+    fields = Cone._fields
+    for J in valid_js(datum):
+        for I in fans._admissible_index_sets(datum, J):
+            T = fans.standard_type(datum, J, I)
+            for system, (gen, typ) in ((J, (I, T)), (frozenset(), (T, T))):
+                got = fans._standard_cone(datum.cartan, coweights, reflections, gen, typ)
+                eqs, ins, _ = reference_standard_cone_system(datum, system, gen)
+                want = Cone.from_system(datum.rank, eqs, ins)
+                assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields], (
+                    sorted(J),
+                    sorted(gen),
+                )
+
+
+@pytest.mark.parametrize("name,J", RANK4_FANS)
+def test_parabolic_fan_runs_no_double_description(monkeypatch, name, J):
+    """Every standard cone and core is written in closed form, so no build
+    calls `cones.dual_description`, whatever J."""
+    calls = []
+    dual_description = cones.dual_description
+    monkeypatch.setattr(
+        cones, "dual_description", lambda *args: calls.append(args) or dual_description(*args)
+    )
+    parabolic_fan(build_root_datum(name), J)
+    assert calls == []
 
 
 def _count_from_system(monkeypatch) -> list:

@@ -16,6 +16,7 @@ from helpers import (
 )
 from weylfan import cones, fans, linalg as la, rootdata
 from weylfan.apartment import AffineRootPattern
+from weylfan.compactify import project_to_facade
 from weylfan.cones import Cone, is_face_closure, is_face_supporting
 from weylfan.errors import (
     DegenerateJ,
@@ -31,6 +32,7 @@ from weylfan.fans import (
     weyl_fan,
     weyl_facet_points,
 )
+from weylfan.parabolics import facade_root_system
 from weylfan.rootdata import WeylElement, build_root_datum, weyl_enumerate
 
 astuple = attrgetter("dim_ambient", "eqs", "ins", "lineality", "rays")  # every field of a cone
@@ -275,6 +277,40 @@ def test_weyl_words_past_the_rank_are_rejected():
             fan.transform_index(w, 0)
         with pytest.raises(DimensionMismatch, match=message):
             cone_of_parabolic(fan, [0], w)
+
+
+@pytest.mark.parametrize(
+    "i,error,message",
+    [
+        (-1, DimensionMismatch, r"^cone index -1 is not in range\(7\)$"),
+        (7, DimensionMismatch, r"^cone index 7 is not in range\(7\)$"),
+        (99, DimensionMismatch, r"^cone index 99 is not in range\(7\)$"),
+        (True, TypeMismatch, r"^cone index True is not an int$"),
+        (1.0, TypeMismatch, r"^cone index 1\.0 is not an int$"),
+        ("1", TypeMismatch, r"^cone index '1' is not an int$"),
+        (None, TypeMismatch, r"^cone index None is not an int$"),
+    ],
+)
+def test_cone_indices_are_read_not_wrapped(i, error, message):
+    """A cone index is an int in range(len(fan)), read by `Fan.read_index`:
+    a negative one does not count from the end, and a bool or a float is
+    no index, for `transform_index` (by the identity or by s_1),
+    `project_to_facade` and `facade_root_system` alike."""
+    datum = build_root_datum("A2")
+    fan = parabolic_fan(datum, [0])
+    assert len(fan) == 7
+    ident, s1 = WeylElement.identity(2), datum.simple_reflections[0]
+    calls = [
+        lambda: fan.transform_index(ident, i),
+        lambda: fan.transform_index(s1, i),
+        lambda: project_to_facade(fan, i, (1, 2)),
+        lambda: facade_root_system(datum, fan, i),
+    ]
+    for call in calls:
+        with pytest.raises(error, match=message):
+            call()
+    assert [fan.transform_index(ident, j) for j in range(7)] == list(range(7))
+    assert project_to_facade(fan, 6, (1, 2)).cone_index == 6
 
 
 def test_weyl_elements_of_another_datum_are_rejected():
