@@ -54,11 +54,15 @@ NoLimit = _NoLimit()
 
 
 class CompactifiedPoint(Value):
-    """A cone of the fan plus the reduced transverse base coordinate."""
+    """A cone of the fan plus the reduced transverse base coordinate.
+    Raises as `Fan.read_index` does for the cone index."""
 
     fan: Fan
     cone_index: int
     base: Vec
+
+    def __post_init__(self) -> None:
+        self.fan.read_index(self.cone_index)
 
     def __eq__(self, other) -> bool:
         return (

@@ -172,7 +172,7 @@ class Cone(Value, uncompared=("eqs", "ins")):
     def pointed(self) -> bool:
         return not self.lineality
 
-    @cached_property
+    @property
     def key(self) -> tuple:
         """Canonical identity: lineality plus extreme rays of the closure."""
         return (self.lineality, self.rays)

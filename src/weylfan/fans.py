@@ -80,8 +80,16 @@ Every root is e or 2e times a positive nondivisible root (e = 1 or -1),
 so the table gives every root's sign on every cone, and it alone serves
 cone location, profile matching (`compactify.limit_of_profile`, by the
 sign class of each value: +inf, -inf or rational) and boundary seminorms
-(`gaussnorm.theta_boundary`).  One matcher ORs, per root and sign, the
-bitset of the cones that sign excludes.  `cone_containing` matches a sign
+(`gaussnorm.theta_boundary`).  One matcher ORs, per root and sign at a
+point, the bitset of the cones that sign excludes (`Fan._excluding`).
+Each such bitset is read off the root's column of the table: one byte
+per cone (-1 as 3), cone 0 last, which one `bytes.translate` turns into
+the binary digits 1 where the cone's sign excludes the point's and 0
+elsewhere, and one `int(digits, 2)` into an integer.  CPython converts
+a power-of-two base in time linear in the digits, and such bases are
+exempt from its limit on the digits of a str-to-int conversion, so the
+build is linear in the cone count, where ORing `1 << i` per cone would
+copy a growing integer each time.  `cone_containing` matches a sign
 vector the first time it meets it, requires exactly one hit, and records
 sign vector -> cone, so a sign vector met before costs one dictionary
 lookup after |positive roots| dot products.
@@ -91,18 +99,19 @@ positive roots, so it sends each positive nondivisible root P_j to
 e P_p(j) with e = -1 only at alpha_k (`RootDatum.root_permutations`).
 Since <P_j, s_k.x> = <s_k.P_j, x>, the sign of P_j on s_k.X is e times
 the sign of P_p(j) on X, and a mixed sign stays mixed; call this map of
-rows pi_k.  The two checks carry over too: s_k maps the roots in Z of X
-onto, up to sign, the roots in Z of s_k.X, keeping their rank, and a
-facet form of s_k.X is f.s_k for a facet form f of X, so if f is c P on
-the span of X, f.s_k is c e P_p on the span of s_k.X, with the same sign
-class.  So `parabolic_fan` builds a row directly, with both checks, only
-for each orbit's standard cone, permutes it along the walk, and keys the
-walk by the rows: by the paragraph above, equal rows mean equal cones,
-and the rows it ends with are distinct and closed under every pi_k.  A
-`Fan(...)` made by hand builds every row directly.  Let X be the cone of
-row r.  A point y lies in s_k.X when s_k.y lies in X, that is when pi_k
-of the sign vector of y agrees with r, that is when the sign vector of y
-agrees with pi_k(r), as pi_k is a signed permutation and an involution.
+rows pi_k (`_sign_permutations`).  The two checks carry over too: s_k
+maps the roots in Z of X onto, up to sign, the roots in Z of s_k.X,
+keeping their rank, and a facet form of s_k.X is f.s_k for a facet form
+f of X, so if f is c P on the span of X, f.s_k is c e P_p on the span
+of s_k.X, with the same sign class.  So `parabolic_fan` builds a row
+directly, with both checks, only for each orbit's standard cone,
+permutes it along the walk, and keys the walk by the rows: by the
+paragraph above, equal rows mean equal cones, and the rows it ends with
+are distinct and closed under every pi_k.  A `Fan(...)` made by hand
+builds every row directly.  Let X be the cone of row r.  A point y lies
+in s_k.X when s_k.y lies in X, that is when pi_k of the sign vector of y
+agrees with r, that is when the sign vector of y agrees with pi_k(r), as
+pi_k is a signed permutation and an involution.
 So s_k.X is the set that the row pi_k(r) cuts out, and when a fan cone
 has that row it is s_k.X.  The moves table `Fan._moves` holds, per k and
 cone i, the index of the cone with row pi_k(row i): the cone s_k maps
@@ -186,6 +195,7 @@ this is every orbit, and `validate` calls no `Cone.from_system`. """
 from __future__ import annotations
 
 from functools import cache, cached_property, partial
+from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import linalg as la
@@ -286,9 +296,9 @@ class Fan:
 
     def root_sign(self, i: int, a: Root) -> int:
         """Sign of root a on cone i, as `Cone.sign_of` gives it: 0, 1, -1, or
-        2 if mixed."""
+        2 if mixed.  Raises as `read_index` does for i."""
         k, e = self.datum.root_slots[a]
-        s = self._sign_table[i][k]
+        s = self._sign_table[self.read_index(i)][k]
         return s if s == 2 else e * s
 
     @cached_property
@@ -296,13 +306,16 @@ class Fan:
         """For root k and a sign s of it at a point, `_excluding[k][s]` is the
         set (a bitset over cone indices) of the cones on which root k has
         another sign, so cannot hold the point; a mixed sign excludes
-        nothing.  The tuples are ordered (0, 1, -1) to be indexed by s."""
-        having = [[0, 0, 0] for _ in self._root_forms]  # cones with sign 0, 1, -1
-        for i, row in enumerate(self._sign_table):
-            for k, sign in enumerate(row):
-                if sign != 2:
-                    having[k][sign] |= 1 << i
-        return tuple((p | n, z | n, z | p) for z, p, n in having)
+        nothing.  The tuples are ordered (0, 1, -1) to be indexed by s.
+        Each root's column of signs becomes one byte per cone, cone 0 last,
+        and each set one `bytes.translate` into binary digits and one
+        `int(digits, 2)`, in time linear in the cone count (see *Sign table*
+        in the module docstring)."""
+        rows = self._sign_table
+        if not rows:
+            return ((0, 0, 0),) * len(self._root_forms)
+        columns = (bytes(map((3).__and__, column))[::-1] for column in zip(*rows))
+        return tuple(tuple(int(column.translate(t), 2) for t in _EXCLUDES) for column in columns)
 
     def matching_cones(self, signs: Iterable[tuple[int, int]]) -> int:
         """The bitset over cone indices of the cones on which, for every pair
@@ -343,8 +356,8 @@ class Fan:
         for i, row in enumerate(rows):
             if index[row] != i:  # another cone has this row
                 self.cone_containing(self.cones[i].relint_point())  # raises
-        perms = self.datum.root_permutations
-        moves = tuple(tuple(index.get(_permuted(row, p)) for row in rows) for p in perms)
+        permutations = _sign_permutations(self.datum)
+        moves = tuple(tuple(map(index.get, map(pi, rows))) for pi in permutations)
         for k, move in enumerate(moves):
             if None in move:  # s_k of that cone is no fan cone
                 x = self.cones[move.index(None)].relint_point()
@@ -435,27 +448,28 @@ def _sign_row(forms: Sequence[Vec], c: Cone, label: str, at: dict) -> tuple[int,
     the cone c, after the two exactness checks (see the module docstring),
     which name the cone by `label`.  `at` caches the forms' values at each
     generator across calls."""
-    span = list(c.rays) + list(c.lineality)
+    span = c.rays + c.lineality
     for g in span:
         if g not in at:
             at[g] = tuple(la.dot(f, g) for f in forms)
-    cols = [at[g] for g in span]
+    # per form, its values at the rays and then at the lineality basis
+    columns = zip(*map(at.__getitem__, span)) if span else [()] * len(forms)
+    on_rays = len(c.rays)
     row, zero, signed = [], [], set()
-    for k, form in enumerate(forms):
-        vals = tuple(col[k] for col in cols)
-        on_lin = vals[len(c.rays):]
+    for form, vals in zip(forms, columns):
         if not any(vals):
-            sign = 0
+            row.append(0)
             zero.append(form)
-        elif not any(on_lin) and all(x >= 0 for x in vals):
-            sign = 1
+        elif c.lineality and any(vals[on_rays:]):
+            row.append(2)  # mixed: nonzero on the lineality
+        elif min(vals) >= 0:
+            row.append(1)
             signed.add(la.primitive(vals))
-        elif not any(on_lin) and all(x <= 0 for x in vals):
-            sign = -1
+        elif max(vals) <= 0:
+            row.append(-1)
             signed.add(la.primitive(la.neg(vals)))
         else:
-            sign = 2  # mixed sign on the cone
-        row.append(sign)
+            row.append(2)  # mixed sign on the rays
     if la.rank(zero) != len(c.eqs):
         raise PartitionFailure(f"roots vanishing on {label} do not cut out its span")
     for form in c.ins:
@@ -464,16 +478,30 @@ def _sign_row(forms: Sequence[Vec], c: Cone, label: str, at: dict) -> tuple[int,
     return tuple(row)
 
 
-def _permuted(signs: tuple[int, ...], perm: tuple[tuple[int, ...], int]) -> tuple[int, ...]:
-    """The signs of the root forms on s_k.X from their signs on X, given the
-    signed permutation (p, m) of s_k (`RootDatum.root_permutations`): root
-    j has at s_k.x the sign of root p[j] at x, negated for j = m, since
-    <P_j, s_k.x> = <s_k.P_j, x>; mixed (2) stays 2."""
-    p, m = perm
-    out = list(map(signs.__getitem__, p))
-    if out[m] != 2:
-        out[m] = -out[m]
-    return tuple(out)
+# a sign (0, 1, 2 for mixed, -1) -> its negation, mixed staying mixed
+_NEGATED = (0, -1, 2, 1)
+
+# per sign s of a root at a point, in the order (0, 1, -1): a `bytes.translate`
+# table taking a cone's sign byte (0, 1, 2 for mixed, 3 for -1) to the digit 1
+# when it excludes s, and to 0 when it is s or mixed
+_EXCLUDES = tuple(bytes(b"01"[b not in (s & 3, 2)] for b in range(256)) for s in (0, 1, -1))
+
+
+def _sign_permutations(datum: RootDatum) -> list[Callable[[tuple], tuple]]:
+    """Per s_k, the map pi_k of sign rows: the signs of the root forms on
+    s_k.X from their signs on X, by the signed permutation (p, m) of s_k
+    (`RootDatum.root_permutations`).  Root j has at s_k.x the sign of root
+    p[j] at x, negated for j = m, since <P_j, s_k.x> = <s_k.P_j, x>; mixed
+    (2) stays 2.  Each map is one `itemgetter` call on the row extended by
+    the negated sign of root p[m], which position m takes."""
+    maps = []
+    for p, m in datum.root_permutations:
+        if len(p) == 1:  # A1, BC1: an itemgetter of one index returns no tuple
+            maps.append(lambda row, j=p[0]: (_NEGATED[row[j]],))
+        else:
+            get = itemgetter(*p[:m], len(p), *p[m + 1 :])
+            maps.append(lambda row, get=get, j=p[m]: get(row + (_NEGATED[row[j]],)))
+    return maps
 
 
 def _word_columns(cartan: la.Mat, word: Sequence[int]) -> tuple[Vec, ...]:
@@ -601,10 +629,14 @@ def _reflected_key(reflect: Callable[[Vec], Vec], key: tuple) -> tuple:
 
 def _reflected_cone(cone: Cone, points: Callable, forms: Callable) -> Cone:
     """The image of a cone under s_k, given s_k on points and on forms
-    (`_reflections`)."""
-    lineality, rays = _reflected_key(points, cone.key)
-    eqs, ins = (tuple(sorted(map(forms, fs))) for fs in (cone.eqs, cone.ins))
-    return Cone(cone.dim_ambient, eqs, ins, lineality, rays)
+    (`_reflections`), field by field."""
+    return Cone(
+        cone.dim_ambient,
+        tuple(sorted(map(forms, cone.eqs))),
+        tuple(sorted(map(forms, cone.ins))),
+        tuple(sorted(map(points, cone.lineality))),
+        tuple(sorted(map(points, cone.rays))),
+    )
 
 
 def weyl_facet_points(datum: RootDatum) -> list[Vec]:
@@ -693,7 +725,7 @@ def parabolic_fan(datum: RootDatum, J: Iterable[int] = ()) -> Fan:
 
     n = datum.rank
     forms = _root_forms(datum)
-    perms = datum.root_permutations
+    permutations = _sign_permutations(datum)
     reflections = points, covectors = _reflections(datum.cartan)
     coweights = [la.primitive(w) for w in la.transpose(datum.cartan_adjugate[0])]
     Item = tuple[Cone, CoreInfo, tuple[int, ...]]  # a cone, its core and its sign row
@@ -714,7 +746,7 @@ def parabolic_fan(datum: RootDatum, J: Iterable[int] = ()) -> Fan:
         core = base if T == I else _standard_cone(datum.cartan, coweights, reflections, T, T)
         row = _sign_row(forms, base, f"the standard cone of {sorted(I)}", at)
         seed = (base, CoreInfo(T, I, (), core), row)
-        items += walk_orbits({row: seed}, n, lambda x, k: _permuted(x[2], perms[k]), make).values()
+        items += walk_orbits({row: seed}, n, lambda x, k: permutations[k](x[2]), make).values()
 
     ordered = sorted(items, key=lambda x: (x[0].dim, x[0].key))
     cones = [x[0] for x in ordered]

@@ -133,6 +133,28 @@ def word_element(datum, word) -> WeylElement:
     return w
 
 
+def reference_excluding(fan: Fan) -> tuple:
+    """`Fan._excluding` oracle: the big-int build, which ORs `1 << i` into
+    the set of each sign other than mixed, per cone i and root."""
+    having = [[0, 0, 0] for _ in fan._root_forms]  # cones with sign 0, 1, -1
+    for i, row in enumerate(fan._sign_table):
+        for k, sign in enumerate(row):
+            if sign != 2:
+                having[k][sign] |= 1 << i
+    return tuple((p | n, z | n, z | p) for z, p, n in having)
+
+
+def reference_permuted(row: tuple, perm: tuple) -> tuple:
+    """`fans._sign_permutations` oracle: pi_k of a sign row as a list, from
+    the signed permutation (p, m) of s_k: root j takes the sign of root
+    p[j], negated at j = m unless mixed."""
+    p, m = perm
+    out = [row[j] for j in p]
+    if out[m] != 2:
+        out[m] = -out[m]
+    return tuple(out)
+
+
 def reference_transform_index(fan: Fan, w: WeylElement, i: int) -> int:
     """`Fan.transform_index` oracle: the cone whose key is the key of cone
     i mapped by the point matrix of w."""

@@ -16,6 +16,8 @@ from helpers import (
     random_rational_vec,
     ray_reflection_moves,
     reference_admissible_index_sets,
+    reference_excluding,
+    reference_permuted,
     sample_points,
     scan_cone_containing,
     scan_limit_of_profile,
@@ -100,6 +102,38 @@ def test_moves_from_the_rows_match_ray_reflection(name, J):
     reflection, names the cone whose rays are the reflected rays."""
     fan = built_fan(name, J)
     assert fan._moves == ray_reflection_moves(fan)
+
+
+# B4, D5 and B5 with J empty: 1,697, 12,483 and 24,483 cones, so the
+# exclusion bitsets run to thousands of binary digits
+KERNEL_FANS = RANK4_FANS + [_case("B4", ()), _case("D5", ()), _case("B5", ())]
+
+
+@pytest.mark.parametrize("name,J", KERNEL_FANS)
+def test_exclusion_bitsets_from_byte_columns_match_the_big_int_oracle(name, J):
+    fan = built_fan(name, J)
+    assert fan._excluding == reference_excluding(fan)
+
+
+def test_a_fan_with_no_cones_locates_no_point():
+    """No sign column to read: every root excludes no cone, and a point
+    lies in none."""
+    empty = Fan(build_root_datum("A2"), frozenset(), [], {})
+    assert empty._excluding == reference_excluding(empty) == ((0, 0, 0),) * 3
+    with pytest.raises(PartitionFailure, match="lies in 0 cones"):
+        empty.cone_containing((1, 2))
+
+
+@pytest.mark.parametrize("name,J", KERNEL_FANS)
+def test_sign_permutations_match_the_list_reference(name, J):
+    """Every pi_k on every row, A1 and BC1 (one root, so a one-index
+    getter) included."""
+    fan = built_fan(name, J)
+    permutations = fans._sign_permutations(fan.datum)
+    assert len(permutations) == fan.datum.rank
+    for pi, perm in zip(permutations, fan.datum.root_permutations):
+        for row in fan._sign_table:
+            assert pi(row) == reference_permuted(row, perm)
 
 
 def test_the_cover_check_scans_only_the_dominant_facet_points(monkeypatch):

@@ -16,7 +16,7 @@ from helpers import (
 )
 from weylfan import cones, fans, linalg as la, rootdata
 from weylfan.apartment import AffineRootPattern
-from weylfan.compactify import project_to_facade
+from weylfan.compactify import CompactifiedPoint, project_to_facade
 from weylfan.cones import Cone, is_face_closure, is_face_supporting
 from weylfan.errors import (
     DegenerateJ,
@@ -295,7 +295,8 @@ def test_cone_indices_are_read_not_wrapped(i, error, message):
     """A cone index is an int in range(len(fan)), read by `Fan.read_index`:
     a negative one does not count from the end, and a bool or a float is
     no index, for `transform_index` (by the identity or by s_1),
-    `project_to_facade` and `facade_root_system` alike."""
+    `project_to_facade`, `facade_root_system`, `root_sign` and the
+    `CompactifiedPoint` constructor alike."""
     datum = build_root_datum("A2")
     fan = parabolic_fan(datum, [0])
     assert len(fan) == 7
@@ -305,12 +306,18 @@ def test_cone_indices_are_read_not_wrapped(i, error, message):
         lambda: fan.transform_index(s1, i),
         lambda: project_to_facade(fan, i, (1, 2)),
         lambda: facade_root_system(datum, fan, i),
+        lambda: fan.root_sign(i, (1, 0)),
+        lambda: CompactifiedPoint(fan, i, (0, 0)),
     ]
     for call in calls:
         with pytest.raises(error, match=message):
             call()
     assert [fan.transform_index(ident, j) for j in range(7)] == list(range(7))
     assert project_to_facade(fan, 6, (1, 2)).cone_index == 6
+    assert [fan.root_sign(j, (1, 0)) for j in range(7)] == [
+        fan.cones[j].sign_of(datum.covector((1, 0))) for j in range(7)
+    ]
+    assert CompactifiedPoint(fan, 6, (0, 0)).facade_dim == 2 - fan.cones[6].dim
 
 
 def test_weyl_elements_of_another_datum_are_rejected():
