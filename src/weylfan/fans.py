@@ -27,15 +27,17 @@ A standard cone whose type T is I itself is its own core (the face of
 the dominant chamber of type I), as is then every cone of its orbit, so
 the walk reflects one cone for both; for J empty that is every cone.
 Rays and forms recur across the cones of a walk, so `parabolic_fan`
-keeps, per s_k and for the length of one call, a `functools.cache` of
-the images of the vectors met so far (`_reflections`): each distinct ray
-or form is reflected once per s_k, and the cones share the image tuples;
-the standard cones' W_K-orbits use the same caches.  Each standard cone
-seeds an orbit of its own: W maps cores onto cores, the core of the
-standard cone of I is the face of the dominant chamber of type T, and
-each W-orbit meets the closed dominant chamber once (Humphreys 1.12), so
-one orbit has one T, which determines I as the union of its components
-meeting the complement of J (`parabolics.core_generating_set`).
+keeps, per s_k and for the length of one call, a dictionary of the
+images of the vectors met so far, which computes an image on its first
+lookup (`_reflections`): each distinct ray or form is reflected once per
+s_k, and the cones share the image tuples; the standard cones'
+W_K-orbits use the same dictionaries.  Each standard cone seeds an orbit
+of its own: W maps cores onto cores, the core of the standard cone of I
+is the face of the dominant chamber of type T, and each W-orbit meets
+the closed dominant chamber once (Humphreys 1.12), so one orbit has one
+T, which determines I as the union of its components meeting the
+complement of J (`parabolics.core_generating_set`).  The admissible I
+and their T come from bitsets of the basis (`_admissible_index_sets`).
 
 *Standard cones.*  `_standard_cone` writes down C_I = {x : alpha_I(x) = 0,
 beta(x) > 0 for beta in Phi+ - Phi_T} with no double description; for T =
@@ -82,17 +84,21 @@ cone location, profile matching (`compactify.limit_of_profile`, by the
 sign class of each value: +inf, -inf or rational) and boundary seminorms
 (`gaussnorm.theta_boundary`).  One matcher ORs, per root and sign at a
 point, the bitset of the cones that sign excludes (`Fan._excluding`).
-Each such bitset is read off the root's column of the table: one byte
-per cone (-1 as 3), cone 0 last, which one `bytes.translate` turns into
-the binary digits 1 where the cone's sign excludes the point's and 0
-elsewhere, and one `int(digits, 2)` into an integer.  CPython converts
+It is built on the first `cone_containing` miss (or profile match);
+neither `parabolic_fan` nor `Fan.validate` needs it (see *Orbit
+reduction*).  Each such bitset is read off the root's column of the
+table: one byte per cone (-1 as 3), cone 0 last, which one
+`bytes.translate` turns into the binary digits 1 where the cone's sign
+excludes the point's and 0 elsewhere, and one `int(digits, 2)` into an
+integer.  CPython converts
 a power-of-two base in time linear in the digits, and such bases are
 exempt from its limit on the digits of a str-to-int conversion, so the
 build is linear in the cone count, where ORing `1 << i` per cone would
 copy a growing integer each time.  `cone_containing` matches a sign
 vector the first time it meets it, requires exactly one hit, and records
-sign vector -> cone, so a sign vector met before costs one dictionary
-lookup after |positive roots| dot products.
+sign vector -> cone (`Fan._record`, which the cover check shares), so a
+sign vector met before costs one dictionary lookup after |positive
+roots| dot products.
 
 *Sign transport.*  s_k maps alpha_k to -alpha_k and permutes the other
 positive roots, so it sends each positive nondivisible root P_j to
@@ -131,15 +137,24 @@ those holding p, as many of them.  Every Weyl facet point is a word in
 the s_k applied to a dominant one, and every point has the sign vector
 of some Weyl facet, so the partition axiom holds as soon as each of the
 2^n dominant facet points lies in exactly one cone: the primitive
-multiples of the sums of the columns of the adjugate d C^-1 (see
-*Standard cones*).  Likewise s_k maps the facets of the closure of cone
-i onto those of the closure of its image, and the closure of a fan cone
-onto the closure of a fan cone, so the boundary axiom holds for every
-cone of an orbit when it holds for one.  The cover check
-(`_check_cover`) therefore scans the dominant facet points, which
-records their sign vectors only, and checks the facets of one cone per
-orbit: in `parabolic_fan` the standard cones, the walk's seeds, and in
-`Fan.validate` the first cone of each orbit of the moves table.
+multiples p_S of the sums over S of the columns of the adjugate d C^-1
+(see *Standard cones*).  Their sign vectors need no dot product.  The
+column j is d omega_j, and <beta, omega_j> is the coefficient c_j of
+alpha_j in beta = sum c_j alpha_j, so <beta, p_S> is a positive multiple
+of the sum of the c_j over S.  A positive root has every c_j >= 0
+(Humphreys 1.3), so its sign at p_S is 1 when its support meets S and 0
+otherwise (`_dominant_signs`).  Such a sign vector has no -1, so a cone
+whose row has -1 at some root cannot hold p_S, and the hits among the
+other rows, mixed entries included, are all the hits.  Likewise s_k maps
+the facets of the closure of cone i onto those of the closure of its
+image, and the closure of a fan cone onto the closure of a fan cone, so
+the boundary axiom holds for every cone of an orbit when it holds for
+one.  The cover check
+(`_check_cover`) therefore matches the dominant sign vectors against
+the rows with no -1, which records those sign vectors only, and checks
+the facets of one cone per orbit: in `parabolic_fan` the standard cones,
+the walk's seeds, and in `Fan.validate` the first cone of each orbit of
+the moves table.
 
 *Ray bitsets.*  The rays of the fan are numbered, and a cone is the set
 of its ray indices.  The cones of `parabolic_fan` are pointed (see
@@ -185,16 +200,21 @@ already and one of sign + or - is nonzero at p, so only the mixed roots
 that vanish at p cut X down.  If there is none, the core is X; otherwise
 one `Cone.from_system` of the equalities of X, those root forms and the
 facet forms of X gives it (`_fixed_core`).  Stab(s_k.X) is s_k Stab(X)
-s_k, so s_k maps the core of X onto the core of s_k.X: each orbit is
-walked once along the moves, carrying the key (lineality and rays) of
-the first core by `_reflected_key`, with no Weyl matrix.  When the first
-core is X, s_k maps cone i onto cone `moves[k][i]`, so each core of the
-orbit is its own cone and is compared with that cone's key; for J empty
-this is every orbit, and `validate` calls no `Cone.from_system`. """
+s_k, so s_k maps the core of X onto the core of s_k.X.  `validate`
+walks each orbit once, breadth first along the moves (`_orbit_walks`):
+the walk gives the first cones for the cover check and keeps, per cone,
+the letter k of the move that reached it, one byte; s_k is an
+involution, so the cone it came from is `moves[k]` of it.  The core
+check then carries the key (lineality and rays) of the first core along
+those moves by `_reflected_key`, through a per-call dictionary of
+reflected points, with no Weyl matrix.  When the first core is X, s_k maps cone i
+onto cone `moves[k][i]`, so each core of the orbit is its own cone and is
+compared with that cone's key, and no key is moved; for J empty this is
+every orbit, and `validate` calls no `Cone.from_system`. """
 
 from __future__ import annotations
 
-from functools import cache, cached_property, partial
+from functools import cached_property, partial
 from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -326,13 +346,14 @@ class Fan:
             misses |= excluding[k][s]
         return ~misses & ((1 << len(self.cones)) - 1)
 
-    def _scan(self, v: Vec, signs: tuple[int, ...]) -> int:
-        """The one cone whose signs agree with the sign vector of v; records
-        it under the sign vector."""
-        hits = self.matching_cones(enumerate(signs))
+    def _record(self, signs: tuple[int, ...], hits: int, point: Callable[[], Vec]) -> int:
+        """The one cone in `hits`, the bitset of the cones whose rows agree
+        with the sign vector `signs` of a point; records it under `signs`.
+        Raises PartitionFailure, naming the point that `point()` gives,
+        unless there is exactly one."""
         if hits.bit_count() != 1:
             raise PartitionFailure(
-                f"point {v} lies in {hits.bit_count()} cones; fan is not a partition"
+                f"point {point()} lies in {hits.bit_count()} cones; fan is not a partition"
             )
         self._by_sign[signs] = hit = hits.bit_length() - 1
         return hit
@@ -343,7 +364,9 @@ class Fan:
         contains v."""
         signs = self._signs(la.primitive(self.datum.point(v)))
         hit = self._by_sign.get(signs)
-        return hit if hit is not None else self._scan(v, signs)
+        if hit is None:
+            hit = self._record(signs, self.matching_cones(enumerate(signs)), lambda: v)
+        return hit
 
     @cached_property
     def _moves(self) -> tuple[tuple[int, ...], ...]:
@@ -427,10 +450,10 @@ class Fan:
             if c.lineality:
                 raise PartitionFailure(f"cone closure contains a line: {c}")
         _ = self.origin_index  # the zero cone belongs to the fan
-        firsts = _orbit_firsts(self._moves)
-        _check_cover(self, firsts)
+        walks = _orbit_walks(self._moves)
+        _check_cover(self, [cones[0] for cones, _ in walks])
         _check_faces(self)
-        _check_cores(self, firsts)
+        _check_cores(self, walks)
         return {
             "cones": len(self.cones),
             "face_pairs": len(self.face_order),
@@ -487,6 +510,14 @@ _NEGATED = (0, -1, 2, 1)
 _EXCLUDES = tuple(bytes(b"01"[b not in (s & 3, 2)] for b in range(256)) for s in (0, 1, -1))
 
 
+def _zeros_and_ones(row: tuple[int, ...]) -> tuple[int, int]:
+    """For a sign row with no -1, the bitsets over the roots (root 0 the
+    lowest bit) of its entries 0 and of its entries 1: on such bytes the
+    `_EXCLUDES` tables of a point's signs 1 and 0 mark exactly those."""
+    digits = bytes(row)[::-1]
+    return int(digits.translate(_EXCLUDES[1]), 2), int(digits.translate(_EXCLUDES[0]), 2)
+
+
 def _sign_permutations(datum: RootDatum) -> list[Callable[[tuple], tuple]]:
     """Per s_k, the map pi_k of sign rows: the signs of the root forms on
     s_k.X from their signs on X, by the signed permutation (p, m) of s_k
@@ -516,15 +547,28 @@ def _word_columns(cartan: la.Mat, word: Sequence[int]) -> tuple[Vec, ...]:
     return tuple(columns)
 
 
-def _orbit_firsts(moves: Sequence[Sequence[int]]) -> list[int]:
-    """The first cone of each orbit of the moves table, in cone order."""
-    walked: set[int] = set()
-    firsts = []
-    for i in range(len(moves[0])):
-        if i not in walked:
-            firsts.append(i)
-            walked.update(walk_orbits({i: i}, len(moves), lambda j, k: moves[k][j]))
-    return firsts
+def _orbit_walks(moves: Sequence[Sequence[int]]) -> list[tuple[list[int], bytearray]]:
+    """Each orbit of the moves table, by its first cone in cone order,
+    walked once breadth first under s_1..s_n as `walk_orbits` walks: its
+    cones in the order met, and per cone the letter k of the move s_k that
+    met it (0 for the first cone), one byte each.  Each move is an
+    involution, so cone j was met from cone `moves[k][j]`."""
+    seen = bytearray(len(moves[0]))
+    walks = []
+    for first in range(len(seen)):
+        if seen[first]:
+            continue
+        seen[first] = 1
+        cones, letters = [first], bytearray(1)
+        for i in cones:  # grows while it is walked
+            for k, move in enumerate(moves):
+                j = move[i]
+                if not seen[j]:
+                    seen[j] = 1
+                    cones.append(j)
+                    letters.append(k)
+        walks.append((cones, letters))
+    return walks
 
 
 def _check_cover(fan: Fan, firsts: Iterable[int]) -> None:
@@ -532,9 +576,18 @@ def _check_cover(fan: Fan, firsts: Iterable[int]) -> None:
     closed under the sign permutations: every dominant facet point lies in
     exactly one cone, and every facet of the closure of each cone in
     `firsts`, one per orbit, is the closure of a fan cone (see *Orbit
-    reduction* in the module docstring)."""
-    for p in _dominant_facet_points(fan.datum):
-        fan._scan(p, fan._signs(p))
+    reduction* in the module docstring): by their sign vectors
+    (`_dominant_signs`), against the rows with no -1 only, each kept as the
+    bitsets of its roots of sign 0 and of sign 1; a row agrees with a sign
+    vector when no root is 0 on one and 1 on the other.  A point itself is
+    made only to name it in an error."""
+    datum = fan.datum
+    rows = fan._sign_table
+    candidates = [(1 << i, *_zeros_and_ones(row)) for i, row in enumerate(rows) if -1 not in row]
+    for S, signs in enumerate(_dominant_signs(datum)):
+        zeros, ones = _zeros_and_ones(signs)
+        hits = sum(bit for bit, z, o in candidates if not (z & ones or o & zeros))
+        fan._record(signs, hits, lambda: _dominant_facet_points(datum)[S])
     for i in firsts:
         g = fan.cones[i]
         for form in g.ins:
@@ -579,63 +632,83 @@ def _fixed_core(fan: Fan, i: int) -> Cone:
     return Cone.from_system(fan.datum.rank, list(c.eqs) + fixed, list(c.ins)) if fixed else c
 
 
-def _check_cores(fan: Fan, firsts: Iterable[int]) -> None:
-    """Cores: every cone has one, the first core of each orbit, from the
-    cone in `firsts`, is `_fixed_core`, and each move s_k carries the core
+def _check_cores(fan: Fan, walks: Iterable[tuple[list[int], bytearray]]) -> None:
+    """Cores: every cone has one, the first core of each orbit of `walks`
+    (`_orbit_walks`) is `_fixed_core`, and each move s_k carries the core
     of cone i to that of its image (see *Validation* in the module
-    docstring).  Only the cores' keys are compared, so only they are moved;
-    when the first core is its cone, each core of the orbit is its own cone."""
+    docstring).  Only the cores' keys are compared, so only they are moved,
+    along the moves of the walk; when the first core is its cone, each
+    core of the orbit is its own cone, and no key is moved."""
     missing = next((i for i in range(len(fan.cones)) if i not in fan.cores), None)
     if missing is not None:
         raise PartitionFailure(f"cone {missing} has no core")
-    n, cartan, moves = fan.datum.rank, fan.datum.cartan, fan._moves
-
-    def reflected(key: tuple, k: int) -> tuple:
-        return _reflected_key(partial(reflect_simple, cartan, k=k), key)
-
-    for first in firsts:
+    moves, points = fan._moves, None
+    for cones, letters in walks:
+        first = cones[0]
         core = _fixed_core(fan, first)
-        own = core is fan.cones[first]  # then so is every core of the orbit
-        orbit = walk_orbits(
-            {first: (first, core.key)},
-            n,
-            lambda x, k: moves[k][x[0]],
-            lambda x, k, j: (j, fan.cones[j].key if own else reflected(x[1], k)),
-        )
-        for i, key in orbit.values():
+        if core is fan.cones[first]:
+            keys = (fan.cones[i].key for i in cones)
+        else:
+            points = points or _point_images(fan.datum.cartan)
+            moved = {first: core.key}
+            for i, k in zip(cones[1:], letters[1:]):
+                moved[i] = _reflected_key(points[k], moved[moves[k][i]])
+            keys = moved.values()
+        for i, key in zip(cones, keys):
             if key != fan.cores[i].cone.key:
                 raise PartitionFailure(f"core of cone {i} is not the stabiliser fixed locus")
 
 
-def _reflections(cartan: la.Mat) -> tuple[list[Callable], list[Callable]]:
-    """Per simple reflection s_k, its action on points, s_k.p, and on forms,
-    f.s_k = f - f[k] cartan[k], each image computed once per distinct
-    vector for the lifetime of the returned functions."""
-    n = len(cartan)
-    points = [cache(partial(reflect_simple, cartan, k=k)) for k in range(n)]
-    forms = [
-        cache(lambda f, row=cartan[k], k=k: la.sub(f, la.scale(row, f[k])) if f[k] else f)
-        for k in range(n)
-    ]
-    return points, forms
+class _Images(dict):
+    """The images of vectors under one map, `image`, each computed on its
+    first lookup and kept for the lifetime of the dict."""
+
+    __slots__ = ("image",)
+
+    def __init__(self, image: Callable[[Vec], Vec]):
+        super().__init__()
+        self.image = image
+
+    def __missing__(self, v: Vec) -> Vec:
+        self[v] = w = self.image(v)
+        return w
 
 
-def _reflected_key(reflect: Callable[[Vec], Vec], key: tuple) -> tuple:
+def _reflected_form(row: Vec, k: int, f: Vec) -> Vec:
+    """f.s_k = f - f[k] row, for `row` row k of the Cartan matrix."""
+    c = f[k]
+    return tuple(a - c * b for a, b in zip(f, row)) if c else f
+
+
+def _reflections(cartan: la.Mat) -> tuple[list[_Images], list[_Images]]:
+    """Per simple reflection s_k, its images of points, s_k.p, and of
+    forms, f.s_k = f - f[k] cartan[k], each computed once per distinct
+    vector for the lifetime of the returned `_Images`."""
+    forms = [_Images(partial(_reflected_form, row, k)) for k, row in enumerate(cartan)]
+    return _point_images(cartan), forms
+
+
+def _point_images(cartan: la.Mat) -> list[_Images]:
+    """Per simple reflection s_k, its images of points, s_k.p."""
+    return [_Images(partial(reflect_simple, cartan, k=k)) for k in range(len(cartan))]
+
+
+def _reflected_key(points: _Images, key: tuple) -> tuple:
     """The `Cone.key` of the image under s_k of the cone with this key,
-    given s_k on points as `reflect`.  s_k is unimodular, so it keeps
+    given the images of points under s_k.  s_k is unimodular, so it keeps
     integer generators primitive."""
-    return tuple(tuple(sorted(map(reflect, vs))) for vs in key)
+    return tuple(tuple(sorted(map(points.__getitem__, vs))) for vs in key)
 
 
-def _reflected_cone(cone: Cone, points: Callable, forms: Callable) -> Cone:
-    """The image of a cone under s_k, given s_k on points and on forms
-    (`_reflections`), field by field."""
+def _reflected_cone(cone: Cone, points: _Images, forms: _Images) -> Cone:
+    """The image of a cone under s_k, given the images under s_k of
+    points and of forms (`_reflections`), field by field."""
     return Cone(
         cone.dim_ambient,
-        tuple(sorted(map(forms, cone.eqs))),
-        tuple(sorted(map(forms, cone.ins))),
-        tuple(sorted(map(points, cone.lineality))),
-        tuple(sorted(map(points, cone.rays))),
+        tuple(sorted(map(forms.__getitem__, cone.eqs))),
+        tuple(sorted(map(forms.__getitem__, cone.ins))),
+        tuple(sorted(map(points.__getitem__, cone.lineality))),
+        tuple(sorted(map(points.__getitem__, cone.rays))),
     )
 
 
@@ -644,6 +717,16 @@ def weyl_facet_points(datum: RootDatum) -> list[Vec]:
     Weyl arrangement: the Weyl orbits of the primitive multiples of the sums
     of fundamental coweights."""
     return sorted(point_orbits(datum.cartan, _dominant_facet_points(datum)))
+
+
+def _dominant_signs(datum: RootDatum) -> list[tuple[int, ...]]:
+    """The sign vectors of the dominant facet points, in the order of
+    `_dominant_facet_points`: at the point of S, 1 on the roots whose
+    support meets S and 0 on the others (see *Orbit reduction* in the
+    module docstring)."""
+    roots = datum.positive_nondivisible_roots
+    supports = [sum(1 << j for j, c in enumerate(a) if c) for a in roots]
+    return [tuple(1 if s & S else 0 for s in supports) for S in range(1 << datum.rank)]
 
 
 def _dominant_facet_points(datum: RootDatum) -> list[Vec]:
@@ -656,13 +739,19 @@ def _dominant_facet_points(datum: RootDatum) -> list[Vec]:
     return [la.primitive(la.mat_vec(adjugate, e)) for e in subsets]
 
 
-def _admissible_index_sets(datum: RootDatum, J: frozenset[int]) -> list[frozenset[int]]:
+def _admissible_index_sets(
+    datum: RootDatum, J: frozenset[int]
+) -> dict[frozenset[int], frozenset[int]]:
     """Subsets I of the basis none of whose components lie inside J: those
-    that a walk inside I from I - J covers, over bitsets of the basis."""
+    that a walk inside I from I - J covers, over bitsets of the basis.  Each
+    maps to its standard type T = I u (J n I-perp) (`standard_type`), the
+    part of J outside I and its neighbours: a Cartan entry vanishes exactly
+    when its transpose does."""
     n = datum.rank
     near = [sum(1 << j for j in range(n) if datum.adjacent(i, j)) for i in range(n)]
-    off_J = sum(1 << j for j in range(n) if j not in J)
-    out = []
+    on_J = sum(1 << j for j in J)
+    off_J = (1 << n) - 1 - on_J
+    out = {}
     for bits in range(1 << n):
         reached = todo = bits & off_J
         while todo:
@@ -670,8 +759,18 @@ def _admissible_index_sets(datum: RootDatum, J: frozenset[int]) -> list[frozense
             todo = (todo & (todo - 1)) | step
             reached |= step
         if reached == bits:
-            out.append(frozenset(j for j in range(n) if bits >> j & 1))
+            around = bits
+            for i in range(n):
+                if bits >> i & 1:
+                    around |= near[i]
+            T = bits | on_J & ~around
+            out[_indices(bits, n)] = _indices(T, n)
     return out
+
+
+def _indices(bits: int, n: int) -> frozenset[int]:
+    """The set of the j < n whose bit is set in `bits`."""
+    return frozenset(j for j in range(n) if bits >> j & 1)
 
 
 def standard_type(datum: RootDatum, J: frozenset[int], I: frozenset[int]) -> frozenset[int]:
@@ -690,8 +789,8 @@ def _standard_cone(
     K = sorted(T - I)
     if K:  # otherwise the coweights are independent, and each is extreme
         points, forms = reflections
-        rays = list(walk_orbits({g: g for g in rays}, len(K), lambda g, m: points[K[m]](g)))
-        roots = list(walk_orbits({f: f for f in roots}, len(K), lambda f, m: forms[K[m]](f)))
+        rays = list(walk_orbits({g: g for g in rays}, len(K), lambda g, m: points[K[m]][g]))
+        roots = list(walk_orbits({f: f for f in roots}, len(K), lambda f, m: forms[K[m]][f]))
         zeros = [sum(1 << i for i, f in enumerate(roots) if not la.dot(f, g)) for g in rays]
         rays = _maximal(rays, zeros)
     return _canonical_cone(len(cartan), [cartan[i] for i in sorted(I)], roots, (), rays)
@@ -740,15 +839,15 @@ def parabolic_fan(datum: RootDatum, J: Iterable[int] = ()) -> Fan:
 
     items: list[Item] = []
     at: dict[Vec, tuple] = {}  # generator -> values of the root forms
-    for I in _admissible_index_sets(datum, J):
-        T = standard_type(datum, J, I)
+    for I, T in _admissible_index_sets(datum, J).items():
         base = _standard_cone(datum.cartan, coweights, reflections, I, T)
         core = base if T == I else _standard_cone(datum.cartan, coweights, reflections, T, T)
         row = _sign_row(forms, base, f"the standard cone of {sorted(I)}", at)
         seed = (base, CoreInfo(T, I, (), core), row)
         items += walk_orbits({row: seed}, n, lambda x, k: permutations[k](x[2]), make).values()
 
-    ordered = sorted(items, key=lambda x: (x[0].dim, x[0].key))
+    # (dim, key) on pointed cones, with the lineality () left out
+    ordered = sorted(items, key=lambda x: (-len(x[0].eqs), x[0].rays))
     cones = [x[0] for x in ordered]
     cores = {i: x[1] for i, x in enumerate(ordered)}
     fan = Fan(datum, J, cones, cores, [x[2] for x in ordered])

@@ -4,6 +4,7 @@ in `helpers`, plus the checks that guard them."""
 
 from fractions import Fraction as Q
 import random
+import re
 
 import pytest
 
@@ -60,7 +61,7 @@ from weylfan.gaussnorm import (
     theta_boundary,
     theta_restricted,
 )
-from weylfan.rootdata import build_root_datum
+from weylfan.rootdata import build_root_datum, reflect_simple, walk_orbits
 
 def _case(name, J):
     labels = ",".join(f"a{i + 1}" for i in sorted(J))
@@ -73,6 +74,11 @@ CATALOGUE_FANS = [
 RANK4_FANS = [
     _case(name, J) for name in RANK4_CATALOGUE for J in valid_js(build_root_datum(name))
 ]
+
+
+def _orbit_firsts(fan) -> list[int]:
+    """The first cone of each orbit of the fan's moves, from its walks."""
+    return [cones[0] for cones, _ in fans._orbit_walks(fan._moves)]
 
 
 @pytest.mark.parametrize("name,J", RANK4_FANS)
@@ -140,11 +146,124 @@ def test_the_cover_check_scans_only_the_dominant_facet_points(monkeypatch):
     """F4 has 5,089 Weyl facets; the cover check matches the 2^4 dominant
     ones and leaves the rest to the orbit argument."""
     scanned = []
-    scan = Fan._scan
-    monkeypatch.setattr(Fan, "_scan", lambda fan, v, signs: scanned.append(v) or scan(fan, v, signs))
+    record = Fan._record
+    monkeypatch.setattr(
+        Fan,
+        "_record",
+        lambda fan, signs, hits, point: scanned.append(point()) or record(fan, signs, hits, point),
+    )
     fan = parabolic_fan(build_root_datum("F4"), ())
     assert len(fan) == 5089
     assert len(scanned) == 16
+    assert scanned == _dominant_facet_points(fan.datum)
+
+
+@pytest.mark.parametrize("name", RANK4_CATALOGUE + ["B4", "D5"])
+def test_dominant_signs_from_root_supports_match_the_dot_products(name):
+    """At the dominant facet point of S a positive root has sign 1 when its
+    support meets S and 0 otherwise: the sign vectors that the dot products
+    give, as ints, in the order of the points."""
+    datum = build_root_datum(name)
+    want = [Fan(datum, frozenset(), [], {})._signs(p) for p in _dominant_facet_points(datum)]
+    got = fans._dominant_signs(datum)
+    assert got == want
+    assert {type(s) for signs in got for s in signs} == {int}
+
+
+# J empty and not, with merged cones (mixed signs) holding dominant points
+COVER_FANS = [
+    _case("B3", ()),
+    _case("A3", (0,)),
+    _case("G2", ()),
+    _case("A1xA2", (1,)),
+    _case("BC3", (0, 1)),
+]
+
+
+@pytest.mark.parametrize("name,J", RANK4_FANS)
+def test_the_build_records_the_scan_oracle_cone_of_each_dominant_point(name, J):
+    """Right after `parabolic_fan` the sign map holds the sign vector of
+    each dominant facet point, in the order of the points, with the cone
+    that `Cone.contains` finds, and no exclusion bitset is built."""
+    fan = parabolic_fan(build_root_datum(name), J)
+    points = _dominant_facet_points(fan.datum)
+    want = [(fan._signs(p), scan_cone_containing(fan, p)) for p in points]
+    assert list(fan._by_sign.items()) == want
+    assert "_excluding" not in vars(fan)
+
+
+@pytest.mark.parametrize("name,J", COVER_FANS)
+def test_exclusion_bitsets_are_built_on_the_first_miss(name, J):
+    """Neither the build nor `validate` reads the exclusion bitsets, nor a
+    point whose sign vector the build recorded; the first other point
+    builds them, equal to the big-int oracle."""
+    fan = parabolic_fan(build_root_datum(name), J)
+    fan.validate()
+    Fan(fan.datum, fan.J, fan.cones, fan.cores).validate()
+    for p in _dominant_facet_points(fan.datum):
+        fan.cone_containing(p)
+    assert "_excluding" not in vars(fan)
+    regular = _dominant_facet_points(fan.datum)[-1]
+    assert fan.cone_containing(la.neg(regular)) == scan_cone_containing(fan, la.neg(regular))
+    assert fan._excluding == reference_excluding(fan)
+
+
+@pytest.mark.parametrize("name,J", COVER_FANS)
+def test_the_cover_check_names_the_first_dominant_point_of_a_doubled_cone(name, J):
+    """A cone given twice: the cover check fails at the first dominant
+    facet point the cone holds, which lies in 2 cones, as a scan finds."""
+    fan = built_fan(name, J)
+    points = _dominant_facet_points(fan.datum)
+    located = [scan_cone_containing(fan, p) for p in points]
+    for i in sorted(set(located)):
+        twice = Fan(fan.datum, fan.J, list(fan.cones) + [fan.cones[i]], {})
+        message = f"point {points[located.index(i)]} lies in 2 cones"
+        with pytest.raises(PartitionFailure, match=re.escape(message)):
+            fans._check_cover(twice, [])
+
+
+@pytest.mark.parametrize("name", RANK4_CATALOGUE + ["B4", "D5"])
+def test_standard_types_from_bitsets_match_standard_type(name):
+    datum = build_root_datum(name)
+    for J in valid_js(datum):
+        for I, T in fans._admissible_index_sets(datum, J).items():
+            assert T == fans.standard_type(datum, J, I), (sorted(J), sorted(I))
+
+
+@pytest.mark.parametrize("name,J", RANK4_FANS)
+def test_orbit_walks_match_the_breadth_first_closure(name, J):
+    """One walk per orbit, by first cone in cone order: its cones in the
+    order of `walk_orbits`, each met by its letter's move from an earlier
+    one, which that move maps back, and every cone in one walk."""
+    fan = built_fan(name, J)
+    moves, n = fan._moves, fan.datum.rank
+    walks = fans._orbit_walks(moves)
+    labels = orbit_labels(moves)
+    assert _orbit_firsts(fan) == [labels.index(c) for c in range(max(labels) + 1)]
+    for cones, letters in walks:
+        assert cones == list(walk_orbits({cones[0]: cones[0]}, n, lambda i, k: moves[k][i]))
+        assert len(letters) == len(cones) and letters[0] == 0
+        at = {i: p for p, i in enumerate(cones)}
+        for p in range(1, len(cones)):
+            k = letters[p]
+            came_from = moves[k][cones[p]]
+            assert at[came_from] < p and moves[k][came_from] == cones[p]
+    assert sorted(i for cones, _ in walks for i in cones) == list(range(len(fan)))
+
+
+@pytest.mark.parametrize("name", ["G2", "BC3", "F4"])
+def test_reflection_images_match_the_simple_reflection(name):
+    """The per-call images of points and forms under s_k: s_k.p and
+    f - f[k] cartan[k], as the rays and forms of every cone give them."""
+    fan = built_fan(name)
+    cartan = fan.datum.cartan
+    points, forms = fans._reflections(cartan)
+    for k, row in enumerate(cartan):
+        for c in fan.cones:
+            for r in c.rays:
+                assert points[k][r] == reflect_simple(cartan, r, k)
+            for f in c.eqs + c.ins:
+                assert forms[k][f] == la.sub(f, la.scale(row, f[k]))
 
 
 @pytest.mark.parametrize("name,J", RANK4_FANS)
@@ -152,7 +271,7 @@ def test_first_cores_from_the_vanishing_roots_match_the_schreier_oracle(name, J)
     """The roots vanishing at the sum of the rays of each orbit's first
     cone cut out the fixed locus of its Schreier generators."""
     fan = built_fan(name, J)
-    for i in fans._orbit_firsts(fan._moves):
+    for i in _orbit_firsts(fan):
         assert fans._fixed_core(fan, i).key == schreier_core(fan, i).key, i
 
 
@@ -162,7 +281,8 @@ def test_admissible_index_sets_match_the_components_oracle(name):
     lies in J: the same subsets, in the same order, for every valid J."""
     datum = build_root_datum(name)
     for J in valid_js(datum):
-        assert fans._admissible_index_sets(datum, J) == reference_admissible_index_sets(datum, J)
+        got = list(fans._admissible_index_sets(datum, J))
+        assert got == reference_admissible_index_sets(datum, J)
 
 
 @pytest.mark.parametrize("name,J", RANK4_FANS)
@@ -250,7 +370,7 @@ def test_validate_solves_one_cone_system_per_orbit_cut_by_a_mixed_root(monkeypat
     """`validate` calls `Cone.from_system` once for each orbit whose first
     cone has a mixed root vanishing at its ray sum, and not otherwise."""
     fan = built_fan(name, J)
-    want = sum(_cut_by_a_mixed_root(fan, i) for i in fans._orbit_firsts(fan._moves))
+    want = sum(_cut_by_a_mixed_root(fan, i) for i in _orbit_firsts(fan))
     calls = _count_from_system(monkeypatch)
     fan.validate()
     assert len(calls) == want
@@ -260,7 +380,7 @@ def test_merged_orbits_are_cut_by_a_mixed_root():
     """The orbits whose cone is larger than its core are the ones that
     `validate` cuts down: in B3 {a2}, those with T not I."""
     fan = built_fan("B3", (1,))
-    for i in fans._orbit_firsts(fan._moves):
+    for i in _orbit_firsts(fan):
         info = fan.cores[i]
         assert _cut_by_a_mixed_root(fan, i) == (info.type_indices != info.generator_indices), i
         assert (fans._fixed_core(fan, i) is fan.cones[i]) == (info.cone == fan.cones[i]), i
@@ -404,7 +524,32 @@ def _a2_point_calls():
     }
 
 
-@pytest.mark.parametrize("call", sorted(_a2_point_calls()))
+# listed by name, so that collecting the test builds no fan
+A2_POINT_CALLS = [
+    "boundary_chart_values",
+    "cell_charts",
+    "cone_containing",
+    "essential_projection",
+    "is_special_vertex",
+    "is_virtually_special",
+    "limit_of_profile",
+    "limit_of_ray",
+    "orthogonal_reduction",
+    "project_to_facade",
+    "rational_dense_sample",
+    "ray_profile",
+    "special_witness",
+    "theta_restricted",
+    "transitivity_solve",
+    "walls_in_box",
+]
+
+
+def test_the_point_calls_are_listed_by_name():
+    assert A2_POINT_CALLS == sorted(_a2_point_calls())
+
+
+@pytest.mark.parametrize("call", A2_POINT_CALLS)
 def test_points_of_the_wrong_length_are_rejected(call):
     """Every public function taking a point rejects one of the wrong length
     with the same message, instead of cutting it short."""
