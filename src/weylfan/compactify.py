@@ -194,7 +194,7 @@ def limit_of_profile(
     idx = hits.bit_length() - 1
     cone = fan.cones[idx]
 
-    vanishing = [a for a in datum.roots if fan.root_sign(idx, a) == 0]
+    vanishing = [a for a, s in zip(datum.roots, fan.root_signs(idx, datum.roots)) if s == 0]
     if vanishing:
         x0 = la.solve([datum.covector(a) for a in vanishing], la.vec(table[a] for a in vanishing))
         if x0 is None:

@@ -16,12 +16,16 @@ table*) and the reduced word of the Weyl element u mapping the standard
 cone there; s_k.u has the word k, u.  s_k is unimodular and moves one
 coroot coordinate, so rays stay primitive.  The stabiliser of the
 standard cone of I is W_T, T = I u (J n I-perp), so each cone has one
-minimal-length u, of length its depth in the walk.  A prefix of a
-minimal u is minimal, so `weyl_enumerate`'s closure, breadth first too,
-reaches a minimal u only from the u one level up; by induction both meet
-the minimal u in the same order, through the same s_k, and give each the
-same word (Humphreys, *Reflection Groups and Coxeter Groups*, 1.10).  A
-word moves cones along the moves table (see *Sign transport*):
+minimal-length u, of length its depth in the walk.  `weyl_enumerate`
+walks the orbit of the regular rho^vee breadth first under s_1..s_n too,
+and gives s_k.w the word k, w, as w.rho^vee determines w and s_k.(w.rho^vee)
+= (s_k w).rho^vee.  A prefix v = s_k.u of a minimal u is minimal, and s_k
+maps the cone of a minimal v one level up to that of u only if s_k.v, in
+u W_T and no longer than u, is u; so both walks reach each minimal u
+from the same v through the same s_k, and by induction meet the minimal
+u in the same order and give each the same word (Humphreys, *Reflection
+Groups and Coxeter Groups*, 1.10).  A word moves cones along the moves
+table (see *Sign transport*):
 s_k1...s_km maps cone i to moves[k1][...moves[km][i]], with no matrix.
 A standard cone whose type T is I itself is its own core (the face of
 the dominant chamber of type I), as is then every cone of its orbit, so
@@ -314,12 +318,16 @@ class Fan:
             _sign_row(self._root_forms, c, f"cone {i}", at) for i, c in enumerate(self.cones)
         )
 
+    def root_signs(self, i: int, roots: Iterable[Root]) -> list[int]:
+        """The sign of each of `roots` on cone i, as `Cone.sign_of` gives it (0,
+        1, -1, or 2 if mixed), from one read of its row; raises as `read_index`."""
+        row = self._sign_table[self.read_index(i)]
+        signs = ((row[k], e) for k, e in map(self.datum.root_slots.__getitem__, roots))
+        return [s if s == 2 else e * s for s, e in signs]
+
     def root_sign(self, i: int, a: Root) -> int:
-        """Sign of root a on cone i, as `Cone.sign_of` gives it: 0, 1, -1, or
-        2 if mixed.  Raises as `read_index` does for i."""
-        k, e = self.datum.root_slots[a]
-        s = self._sign_table[self.read_index(i)][k]
-        return s if s == 2 else e * s
+        """Sign of root a on cone i, as `root_signs` gives it."""
+        return self.root_signs(i, (a,))[0]
 
     @cached_property
     def _excluding(self) -> tuple[tuple[int, int, int], ...]:
@@ -425,14 +433,13 @@ class Fan:
         """Index of the image of cone i under a Weyl element, by the moves
         of its word (see *Orbit walk* in the module docstring).  Raises as
         `read_index` does for i, DimensionMismatch when the word has a
-        letter past the rank, and TypeMismatch unless the point matrix of
-        w is the product of the fan's simple reflections along its word,
-        as for an element of another root datum."""
+        letter past the rank, and TypeMismatch when w is an element of a
+        datum with another Cartan matrix."""
         i = self.read_index(i)
         datum = self.datum
         if not set(w.word) <= set(range(datum.rank)):
             raise DimensionMismatch(f"word {w.word} has a letter past rank {datum.rank}")
-        if _word_columns(datum.cartan, w.word) != la.transpose(w.mat_points):
+        if w.datum.cartan != datum.cartan:
             raise TypeMismatch(f"Weyl element of word {w.word} is not an element of {datum.name}")
         for k in reversed(w.word):
             i = self._moves[k][i]
@@ -533,18 +540,6 @@ def _sign_permutations(datum: RootDatum) -> list[Callable[[tuple], tuple]]:
             get = itemgetter(*p[:m], len(p), *p[m + 1 :])
             maps.append(lambda row, get=get, j=p[m]: get(row + (_NEGATED[row[j]],)))
     return maps
-
-
-def _word_columns(cartan: la.Mat, word: Sequence[int]) -> tuple[Vec, ...]:
-    """The columns of the point matrix of s_k1...s_km for the word (k1,
-    ..., km): each unit vector reflected by s_km first, with no matrix
-    product."""
-    columns = []
-    for v in la.identity(len(cartan)):
-        for k in reversed(word):
-            v = reflect_simple(cartan, v, k)
-        columns.append(v)
-    return tuple(columns)
 
 
 def _orbit_walks(moves: Sequence[Sequence[int]]) -> list[tuple[list[int], bytearray]]:
@@ -863,11 +858,11 @@ def weyl_fan(datum: RootDatum) -> Fan:
 def cone_of_parabolic(fan: Fan, q_type: Iterable[int], w: WeylElement) -> int:
     """Index of the open cone attached to the Weyl translate w of the
     standard parabolic type, which must be the fan's defining subset: the
-    image under w of the cone of the sum of the fundamental coweights, on
-    the ray of the adjugate's column sum, which `parabolic_fan` located."""
+    image under w of the cone holding rho^vee (`RootDatum.regular_point`,
+    on the ray of the fundamental coweights' sum), which `parabolic_fan`
+    located."""
     datum = fan.datum
     q, bad = basis_subset(datum, q_type)
     if bad or frozenset(q) != fan.J:
         raise TypeMismatch(f"type {listed(q)} is not the standard type {sorted(fan.J)}")
-    regular = la.mat_vec(datum.cartan_adjugate[0], (1,) * datum.rank)
-    return fan.transform_index(w, fan.cone_containing(regular))
+    return fan.transform_index(w, fan.cone_containing(datum.regular_point))

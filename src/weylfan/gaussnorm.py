@@ -252,8 +252,8 @@ def theta_boundary(
     """
     values = []
     if isinstance(point, CompactifiedPoint):
-        for a, _ in tg.indexed_roots:
-            sign = point.fan.root_sign(point.cone_index, a)
+        roots = [a for a, _ in tg.indexed_roots]
+        for a, sign in zip(roots, point.fan.root_signs(point.cone_index, roots)):
             if sign == 0:
                 values.append(tg.datum.pairing(a, point.base))
             elif sign == -1:
@@ -328,9 +328,7 @@ def boundary_rays_equal(
     to different cells and are never equal; when several common charts
     exist their verdicts agree, which is asserted.
     """
-    charts1 = set(cell_charts(tg, ray1[1]))
-    charts2 = set(cell_charts(tg, ray2[1]))
-    common = sorted(charts1 & charts2, key=lambda w: (w.length, w.mat_points))
+    common = set(cell_charts(tg, ray1[1])) & set(cell_charts(tg, ray2[1]))
     if not common:
         return False
     verdicts = {

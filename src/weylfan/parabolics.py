@@ -143,8 +143,7 @@ def enumerate_strata(datum: RootDatum, J: Iterable[int]) -> list[StratumDescript
     docstring), ordered by |T|, which is the Levi rank, then by T."""
     J = validate_J(datum, J)
     out = []
-    for I in _admissible_index_sets(datum, J):
-        T = standard_type(datum, J, I)
+    for I, T in _admissible_index_sets(datum, J).items():
         out.append(
             StratumDescriptor(
                 type_indices=T,

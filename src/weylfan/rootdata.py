@@ -69,17 +69,6 @@ def reflect_simple(rows: Sequence[Vec], v: Vec, k: int) -> Vec:
     return v[:k] + (v[k] - la.dot(rows[k], v),) + v[k + 1:]
 
 
-def reflect_matrix(s: Mat, k: int, m: Mat, right: bool = False) -> Mat:
-    """s.m, or m.s when `right`, for a matrix s that is the identity but for
-    row k, as a simple reflection is on points and on roots.  s.m changes
-    only row k of m, to s[k].m; m.s is m plus the rank-one term
-    (m e_k)(s[k] - e_k).  Each costs O(n^2) where a product costs O(n^3)."""
-    if not right:
-        return m[:k] + (la.vec_mat(s[k], m),) + m[k + 1:]
-    d = s[k][:k] + (s[k][k] - 1,) + s[k][k + 1:]
-    return tuple(la.add(row, la.scale(d, row[k])) if row[k] else row for row in m)
-
-
 def point_orbits(cartan: Sequence[Vec], seeds: Iterable[Vec]) -> dict[Vec, Vec]:
     """The points `seeds` (coroot coordinates) closed under the simple reflections."""
     return walk_orbits({p: p for p in seeds}, len(cartan), partial(reflect_simple, cartan))
@@ -322,16 +311,7 @@ class RootDatum(Value):
     @cached_property
     def simple_reflections(self) -> tuple["WeylElement", ...]:
         """The simple reflections s_k as Weyl elements; W is not enumerated."""
-        one = la.identity(self.rank)
-        columns = la.transpose(self.cartan)
-
-        def moving(k: int, rows: Mat) -> Mat:  # the identity, row k minus rows[k]
-            return one[:k] + (la.sub(one[k], rows[k]),) + one[k + 1:]
-
-        return tuple(  # s_k is an involution
-            WeylElement(moving(k, self.cartan), moving(k, columns), (k,), moving(k, self.cartan))
-            for k in range(self.rank)
-        )
+        return tuple(WeylElement(self, (k,)) for k in range(self.rank))
 
     @cached_property
     def weyl_order(self) -> int:
@@ -355,6 +335,12 @@ class RootDatum(Value):
     def cartan_adjugate(self) -> tuple[Mat, int]:
         """(d C^-1, d), d = det C > 0, for the Cartan matrix C (`la.scaled_inverse`)."""
         return la.scaled_inverse(self.cartan)
+
+    @cached_property
+    def regular_point(self) -> Vec:
+        """rho^vee = d C^-1 (1, ..., 1): each simple root is d > 0 on it, so it is
+        regular dominant, with trivial stabiliser in W (Humphreys 1.12)."""
+        return la.mat_vec(self.cartan_adjugate[0], (1,) * self.rank)
 
     def fundamental_coweights(self) -> tuple[Vec, ...]:
         """Vectors dual to the simple roots: <alpha_i, w_j> = delta_ij."""
@@ -627,15 +613,45 @@ def build_root_datum(spec, basis: Optional[Sequence[int]] = None) -> RootDatum:
 # -- Weyl group -------------------------------------------------------------
 
 
+def _word_columns(rows: Sequence[Vec], word: Sequence[int]) -> Mat:
+    """The columns of the matrix of s_k1...s_km on the coordinates that
+    `reflect_simple` moves with `rows`: the unit vectors, s_km applied first."""
+    columns = la.identity(len(rows))
+    for k in reversed(word):
+        columns = tuple(reflect_simple(rows, v, k) for v in columns)
+    return columns
+
+
 class WeylElement(Value):
-    """An element of the Weyl group, acting on points and on roots.
+    """The element s_k1...s_km of the Weyl group of `datum`, for the word
+    (k1, ..., km), acting on points and on roots.  rho^vee is regular
+    (`RootDatum.regular_point`), so w.rho^vee (`regular_image`) determines w:
+    equality and hash read it and the Cartan matrix, whatever the word.  The
+    three integer matrices are views, made from the word on first read
+    (`_word_columns`)."""
 
-    All three matrices are integer matrices."""
-
-    mat_points: Mat  # action on coroot coordinates
-    mat_roots: Mat  # action on root coefficient vectors
+    datum: RootDatum
     word: tuple[int, ...]
-    mat_points_inv: Mat  # the inverse element's action on coroot coordinates
+
+    @cached_property
+    def regular_image(self) -> Vec:
+        """w.rho^vee, rho^vee reflected along the word."""
+        p = self.datum.regular_point
+        for k in reversed(self.word):
+            p = reflect_simple(self.datum.cartan, p, k)
+        return p
+
+    @cached_property
+    def mat_points(self) -> Mat:  # action on coroot coordinates
+        return la.transpose(_word_columns(self.datum.cartan, self.word))
+
+    @cached_property
+    def mat_roots(self) -> Mat:  # action on root coefficient vectors
+        return la.transpose(_word_columns(la.transpose(self.datum.cartan), self.word))
+
+    @cached_property
+    def mat_points_inv(self) -> Mat:  # the inverse element's action on coroot coordinates
+        return la.transpose(_word_columns(self.datum.cartan, self.word[::-1]))
 
     def apply_point(self, x: Vec) -> Vec:
         return la.mat_vec(self.mat_points, x)
@@ -647,37 +663,23 @@ class WeylElement(Value):
     def length(self) -> int:
         return len(self.word)
 
-    @staticmethod
-    def identity(n: int) -> "WeylElement":
-        one = la.identity(n)
-        return WeylElement(one, one, (), one)
-
-    def left_mul(self, s: "WeylElement", mat_points: Optional[Mat] = None) -> "WeylElement":
-        """s.w for a simple reflection s, given the point matrix of s.w if it
-        is known.  The inverse of s.w is w^-1.s, since s is an involution."""
-        (k,) = s.word
-        return WeylElement(
-            mat_points=mat_points or reflect_matrix(s.mat_points, k, self.mat_points),
-            mat_roots=reflect_matrix(s.mat_roots, k, self.mat_roots),
-            word=s.word + self.word,
-            mat_points_inv=reflect_matrix(s.mat_points, k, self.mat_points_inv, right=True),
-        )
-
     def __hash__(self) -> int:
-        return hash(self.mat_points)
+        return hash((self.datum.cartan, self.regular_image))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, WeylElement) and self.mat_points == other.mat_points
+        same = isinstance(other, WeylElement) and self.datum.cartan == other.datum.cartan
+        return same and self.regular_image == other.regular_image
 
 
 class WeylGroup:
-    """The finite reflection group of a root datum, fully enumerated."""
+    """The finite reflection group of a root datum, fully enumerated (`_close`):
+    breadth first from the identity, so by nondecreasing length."""
 
     def __init__(self, datum: RootDatum):
         self.datum = datum
         self.generators = datum.simple_reflections
-        self.identity = WeylElement.identity(datum.rank)
-        self.elements = tuple(_close(self.identity, self.generators))
+        self.elements = tuple(_close(datum, range(datum.rank)))
+        self.identity = self.elements[0]
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -687,23 +689,27 @@ class WeylGroup:
 
     def subgroup_elements(self, gen_indices: Iterable[int]) -> list[WeylElement]:
         """The reflection subgroup generated by the given simple reflections."""
-        indices = simple_indices(self.datum, gen_indices)
-        return _close(self.identity, [self.generators[i] for i in sorted(indices)])
+        return _close(self.datum, sorted(simple_indices(self.datum, gen_indices)))
 
 
-def _close(ident: WeylElement, gens: Sequence[WeylElement]) -> list[WeylElement]:
-    """Breadth-first closure of the identity under left multiplication by
-    simple reflections, sorted by (length, point matrix)."""
-    found = walk_orbits(
-        {ident.mat_points: ident},
-        len(gens),
-        lambda w, k: reflect_matrix(gens[k].mat_points, gens[k].word[0], w.mat_points),
-        lambda w, k, mp: w.left_mul(gens[k], mp),
-    )
-    return sorted(found.values(), key=lambda w: (w.length, w.mat_points))
+def _close(datum: RootDatum, letters: Sequence[int]) -> list[WeylElement]:
+    """The subgroup generated by the s_k, k in `letters`, breadth first from
+    the identity as the orbit of rho^vee, keyed by the points w.rho^vee (no
+    matrix), as s_k.(w.rho^vee) = (s_k w).rho^vee; s_k.w has the word k, w."""
+
+    def make(w: WeylElement, m: int, point: Vec) -> WeylElement:
+        sw = WeylElement(datum, (letters[m],) + w.word)
+        vars(sw)["regular_image"] = point  # where the cached_property keeps it
+        return sw
+
+    def image(w: WeylElement, m: int) -> Vec:
+        return reflect_simple(datum.cartan, w.regular_image, letters[m])
+
+    one = WeylElement(datum, ())
+    return list(walk_orbits({one.regular_image: one}, len(letters), image, make).values())
 
 
 @lru_cache(maxsize=None)
 def weyl_enumerate(datum: RootDatum) -> WeylGroup:
-    """Enumerate the Weyl group by closing the simple reflections."""
+    """The Weyl group of `datum` (`WeylGroup`), enumerated once per datum."""
     return WeylGroup(datum)

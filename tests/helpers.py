@@ -40,7 +40,6 @@ from weylfan.rootdata import (
     components,
     orthogonal_complement,
     positive_int,
-    reflect_matrix,
     reflect_simple,
     walk_orbits,
     weyl_enumerate,
@@ -105,9 +104,10 @@ def reference_standard_cone_system(datum, J, I) -> tuple[list, list, frozenset]:
 
 
 def enumerated_parabolic_fan(datum, J) -> Fan:
-    """Fan oracle: every element of W, in (length, point matrix) order,
-    applied to the standard cone of every admissible I; the first element
-    reaching a cone gives its core and the word stored with it."""
+    """Fan oracle: every element of W, in `weyl_enumerate`'s order, by
+    nondecreasing length, applied to the standard cone of every admissible
+    I; the first element reaching a cone, the shortest of its coset, gives
+    its core and the word stored with it."""
     J = validate_J(datum, J)
     n = datum.rank
     found = {}
@@ -124,12 +124,47 @@ def enumerated_parabolic_fan(datum, J) -> Fan:
     return Fan(datum, J, [c for c, _ in ordered], {i: info for i, (_, info) in enumerate(ordered)})
 
 
+@cache
+def simple_reflection_matrices(datum) -> tuple[list, list]:
+    """Per simple reflection s_k, its matrix on coroot coordinates, the
+    identity but row k, e_k minus row k of the Cartan matrix (p - <a_k, p>
+    a_k^vee), and on root coefficients, the identity but row k, e_k minus
+    column k (a - <a, a_k^vee> a_k)."""
+    one = la.identity(datum.rank)
+
+    def moving(k, rows):
+        return one[:k] + (la.sub(one[k], rows[k]),) + one[k + 1:]
+
+    columns = la.transpose(datum.cartan)
+    n = datum.rank
+    return [moving(k, datum.cartan) for k in range(n)], [moving(k, columns) for k in range(n)]
+
+
+@cache
+def word_matrices(datum, word: tuple) -> tuple:
+    """The point, root and inverse point matrices of s_k1...s_km for a word
+    (k1, ..., km), as a `la.mat_mul` fold of the simple reflection matrices,
+    the oracle of `WeylElement`'s matrix views.  The fold runs from the
+    right and is kept per word, so a word whose suffix (k2, ..., km) was
+    folded before costs three products."""
+    if not word:
+        one = la.identity(datum.rank)
+        return one, one, one
+    on_points, on_roots = simple_reflection_matrices(datum)
+    points, roots, inverse = word_matrices(datum, word[1:])
+    k = word[0]
+    return (
+        la.mat_mul(on_points[k], points),
+        la.mat_mul(on_roots[k], roots),
+        la.mat_mul(inverse, on_points[k]),
+    )
+
+
 def word_element(datum, word) -> WeylElement:
-    """The Weyl element s_k1...s_km of a word (k1, ..., km), all three
-    matrices, as a fold of the simple reflections by `left_mul`."""
-    w = WeylElement.identity(datum.rank)
-    for k in reversed(word):
-        w = w.left_mul(datum.simple_reflections[k])
+    """The Weyl element s_k1...s_km of a word (k1, ..., km), its three
+    matrix views set to the `word_matrices` fold, not made by the library."""
+    w = WeylElement(datum, tuple(word))
+    vars(w).update(zip(("mat_points", "mat_roots", "mat_points_inv"), word_matrices(datum, w.word)))
     return w
 
 
@@ -188,7 +223,7 @@ def schreier_core(fan: Fan, first: int) -> Cone:
     (Schreier's lemma); their rows minus 1 cut the cone down."""
     n = fan.datum.rank
     moves = fan._moves
-    reflections = [s.mat_points for s in fan.datum.simple_reflections]
+    reflections = simple_reflection_matrices(fan.datum)[0]
     one = la.identity(n)
     orbit = walk_orbits(  # cone i -> (i, u_i, u_i^-1)
         {first: (first, one, one)},
@@ -196,15 +231,15 @@ def schreier_core(fan: Fan, first: int) -> Cone:
         lambda x, k: moves[k][x[0]],
         lambda x, k, j: (
             j,
-            reflect_matrix(reflections[k], k, x[1]),
-            reflect_matrix(reflections[k], k, x[2], right=True),
+            la.mat_mul(reflections[k], x[1]),
+            la.mat_mul(x[2], reflections[k]),
         ),
     )
     fix_rows = {}
     for i, u, _ in orbit.values():
-        for k, (s, move) in enumerate(zip(reflections, moves)):
+        for s, move in zip(reflections, moves):
             _, uj, uj_inv = orbit[move[i]]
-            for row in map(la.sub, la.mat_mul(uj_inv, reflect_matrix(s, k, u)), one):
+            for row in map(la.sub, la.mat_mul(uj_inv, la.mat_mul(s, u)), one):
                 if any(row):
                     fix_rows[row] = None
     c = fan.cones[first]

@@ -295,18 +295,19 @@ def test_cone_indices_are_read_not_wrapped(i, error, message):
     """A cone index is an int in range(len(fan)), read by `Fan.read_index`:
     a negative one does not count from the end, and a bool or a float is
     no index, for `transform_index` (by the identity or by s_1),
-    `project_to_facade`, `facade_root_system`, `root_sign` and the
-    `CompactifiedPoint` constructor alike."""
+    `project_to_facade`, `facade_root_system`, `root_sign`, `root_signs`
+    and the `CompactifiedPoint` constructor alike."""
     datum = build_root_datum("A2")
     fan = parabolic_fan(datum, [0])
     assert len(fan) == 7
-    ident, s1 = WeylElement.identity(2), datum.simple_reflections[0]
+    ident, s1 = WeylElement(datum, ()), datum.simple_reflections[0]
     calls = [
         lambda: fan.transform_index(ident, i),
         lambda: fan.transform_index(s1, i),
         lambda: project_to_facade(fan, i, (1, 2)),
         lambda: facade_root_system(datum, fan, i),
         lambda: fan.root_sign(i, (1, 0)),
+        lambda: fan.root_signs(i, [(1, 0), (0, -1)]),
         lambda: CompactifiedPoint(fan, i, (0, 0)),
     ]
     for call in calls:
@@ -317,20 +318,25 @@ def test_cone_indices_are_read_not_wrapped(i, error, message):
     assert [fan.root_sign(j, (1, 0)) for j in range(7)] == [
         fan.cones[j].sign_of(datum.covector((1, 0))) for j in range(7)
     ]
+    for j in range(7):
+        signs = [fan.cones[j].sign_of(datum.covector(a)) for a in datum.roots]
+        assert fan.root_signs(j, datum.roots) == signs
     assert CompactifiedPoint(fan, 6, (0, 0)).facade_dim == 2 - fan.cones[6].dim
 
 
 def test_weyl_elements_of_another_datum_are_rejected():
-    """A word is read in the fan's own simple reflections, so an element
-    whose point matrix is not their product along its word, as one of
-    another datum with letters below the rank, is a TypeMismatch, not a
-    cone; every element of the fan's own Weyl group maps as the matrix
+    """A word is read in the fan's own simple reflections, so an element of
+    a datum with another Cartan matrix, with letters below the rank, is a
+    TypeMismatch, not a cone, even B2's identity, whose point matrix is the
+    identity; every element of the fan's own Weyl group maps as the matrix
     oracle does."""
     datum = build_root_datum("A2")
     fan = parabolic_fan(datum, [0])
+    b2 = weyl_enumerate(build_root_datum("B2"))
     others = [
-        weyl_enumerate(build_root_datum("B2")).elements[-1],  # word (1, 0, 1, 0)
+        b2.elements[-1],  # word (1, 0, 1, 0)
         weyl_enumerate(build_root_datum("A1")).generators[0],
+        b2.identity,
     ]
     for w in others:
         message = f"^Weyl element of word {re.escape(str(w.word))} is not an element of A2$"
@@ -421,8 +427,8 @@ def test_transform_index_follows_the_moves_of_the_word(name, J):
 
 
 def test_parabolic_fan_forms_no_matrix_products(monkeypatch):
-    """The orbit walk moves the Weyl matrices by O(n^2) simple-reflection
-    updates, so building F4's Weyl fan calls `linalg.mat_mul` not once."""
+    """The orbit walk reflects cones and carries words, so building F4's
+    Weyl fan calls `linalg.mat_mul` not once."""
     calls = []
     mat_mul = la.mat_mul
     monkeypatch.setattr(la, "mat_mul", lambda a, b: calls.append(1) or mat_mul(a, b))
@@ -458,17 +464,31 @@ def test_parabolic_fan_runs_no_double_description_and_reflects_each_vector_once(
 
 
 def test_parabolic_fan_forms_no_weyl_elements(monkeypatch):
-    """The orbit walk carries words, not Weyl matrices, so building F4's
-    Weyl fan calls neither `WeylElement.left_mul` nor
-    `rootdata.reflect_matrix`."""
+    """The orbit walk carries words, not Weyl elements, so building F4's
+    Weyl fan constructs no `WeylElement`."""
     datum = build_root_datum("F4")
     calls = []
-    left_mul, reflect_matrix = WeylElement.left_mul, rootdata.reflect_matrix
-    monkeypatch.setattr(WeylElement, "left_mul", lambda *a: calls.append(a) or left_mul(*a))
-    monkeypatch.setattr(
-        rootdata, "reflect_matrix", lambda *a, **k: calls.append(a) or reflect_matrix(*a, **k)
-    )
+    init = WeylElement.__init__
+    monkeypatch.setattr(WeylElement, "__init__", lambda *a: calls.append(a) or init(*a))
     assert len(parabolic_fan(datum, ())) == 5089
+    assert not calls
+
+
+def test_enumerating_weyl_reads_no_matrix_view(monkeypatch):
+    """`weyl_enumerate` walks the orbit of rho^vee, keyed by points, so
+    enumerating F4's Weyl group reads none of the three matrix views of an
+    element and calls `linalg.mat_mul` not once."""
+    datum = build_root_datum("F4")
+    calls = []
+    for view in ("mat_points", "mat_roots", "mat_points_inv"):
+        made = getattr(WeylElement, view).func  # the cached_property's function
+        monkeypatch.setattr(
+            WeylElement, view, property(lambda w, v=view, f=made: calls.append(v) or f(w))
+        )
+    mat_mul = la.mat_mul
+    monkeypatch.setattr(la, "mat_mul", lambda a, b: calls.append("mat_mul") or mat_mul(a, b))
+    weyl_enumerate.cache_clear()
+    assert len(weyl_enumerate(datum)) == 1152
     assert not calls
 
 

@@ -10,6 +10,7 @@ from helpers import (
     perturbed_root_datum,
     reference_validate,
     reflect_root,
+    word_matrices,
 )
 from weylfan import linalg as la
 from weylfan._value import replace
@@ -17,6 +18,7 @@ from weylfan.errors import NonRootSystem
 from weylfan.rootdata import (
     DiagramSubset,
     RootDatum,
+    WeylElement,
     build_root_datum,
     components,
     orthogonal_complement,
@@ -137,16 +139,59 @@ def test_root_permutations_are_the_simple_reflections(name):
 
 
 @pytest.mark.parametrize("name", RANK4_CATALOGUE)
-def test_left_mul_matches_matrix_products(name):
-    """The O(n^2) updates of s.w and w^-1.s equal the full products."""
+def test_matrix_views_match_the_fold_of_simple_reflections(name):
+    """Every element's three matrix views, made from its word, equal the
+    `la.mat_mul` fold of the simple reflection matrices along that word."""
     datum = build_root_datum(name)
     for w in weyl_enumerate(datum):
-        for s in datum.simple_reflections:
-            sw = w.left_mul(s)
-            assert sw.word == s.word + w.word
-            assert sw.mat_points == la.mat_mul(s.mat_points, w.mat_points)
-            assert sw.mat_roots == la.mat_mul(s.mat_roots, w.mat_roots)
-            assert sw.mat_points_inv == la.mat_mul(w.mat_points_inv, s.mat_points)
+        assert (w.mat_points, w.mat_roots, w.mat_points_inv) == word_matrices(datum, w.word)
+
+
+@pytest.mark.parametrize("name", ["A2", "B3", "G2", "BC2", "A1xA2"])
+def test_elements_are_equal_exactly_when_their_point_matrices_are(name):
+    """Equality and hash read the Cartan matrix and w.rho^vee, not the word:
+    two elements of one Cartan matrix, of reduced words or not, are equal
+    exactly when their point matrices are, and equal ones hash alike."""
+    datum = build_root_datum(name)
+    group = weyl_enumerate(datum)
+    rng = random.Random(7)
+    words = [w.word for w in group]
+    words += [tuple(rng.randrange(datum.rank) for _ in range(rng.randrange(9))) for _ in range(40)]
+    elements = [WeylElement(datum, word) for word in words]
+    points = [word_matrices(datum, word)[0] for word in words]
+    for u, p in zip(elements, points):
+        for v, q in zip(elements, points):
+            assert (u == v) == (p == q), (u.word, v.word)
+            if u == v:
+                assert hash(u) == hash(v)
+    assert len(set(elements)) == len(group) == len(set(points))
+
+
+def test_elements_of_data_compare_by_cartan_matrix():
+    """The identities of A2 and B2 have one point matrix but are not equal,
+    while an explicit B2 with the catalogue's Cartan matrix has the same
+    elements."""
+    a2, b2 = build_root_datum("A2"), build_root_datum("B2")
+    assert WeylElement(a2, ()).mat_points == WeylElement(b2, ()).mat_points
+    assert WeylElement(a2, ()) != WeylElement(b2, ())
+    roots = [[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1], [-1, -1], [1, -1], [-1, 1]]
+    explicit = build_root_datum(roots, basis=[6, 2])
+    assert explicit.cartan == b2.cartan
+    assert set(weyl_enumerate(explicit)) == set(weyl_enumerate(b2))
+
+
+def test_enumeration_order_is_breadth_first():
+    """`weyl_enumerate` lists the elements in the order its walk meets them:
+    by nondecreasing length, each word a letter k followed by the word of
+    an element listed before it."""
+    for name in ["A3", "B3", "D4"]:
+        group = weyl_enumerate(build_root_datum(name))
+        seen = set()
+        for w in group:
+            assert not w.word or w.word[1:] in seen
+            seen.add(w.word)
+        lengths = [w.length for w in group]
+        assert lengths == sorted(lengths)
 
 
 def test_weyl_action_compatible_with_pairing():
