@@ -25,6 +25,14 @@ nonsingular, and every root is an integer combination of simple roots.
 - `levi_point_from_pairings`.  A Levi Cartan matrix is a principal
   submatrix of C, itself the Cartan matrix of a root system, so it is
   nonsingular and the pairings always have one solution.
+- `AffineRootPattern.from_simple_denominators`.  The W-orbit of a
+  nondivisible root is fixed by its diagram component, which W keeps, and
+  its squared length: the nondivisible roots of a component form an
+  irreducible reduced system (B_n for BC_n), where roots of one length are
+  conjugate (Bourbaki, *Lie*, ch. VI, 1.3), and to a simple root.
+- `walls_in_box`.  A linear form sum c_i x_i on the box of the x_i between
+  lo_i and hi_i, in either order, ranges from sum min(c_i lo_i, c_i hi_i)
+  to sum max(c_i lo_i, c_i hi_i).
 """
 
 from __future__ import annotations
@@ -32,13 +40,14 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from operator import mul
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import linalg as la
 from ._value import Value
 from .errors import DimensionMismatch, EmptyFacet, NonReduced, NonRootSystem, Unspanned
 from .linalg import Vec
-from .rootdata import Root, RootDatum, basis_subset, coordinates, positive_int, root_orbits
+from .rootdata import Root, RootDatum, basis_subset, coordinates, positive_int
 
 _RAMIFICATION = "ramification index must be >= 1"
 
@@ -124,28 +133,25 @@ class AffineRootPattern(Value):
     def from_simple_denominators(
         datum: RootDatum, denominators: Sequence[int]
     ) -> "AffineRootPattern":
-        """Assign a denominator per Weyl orbit via the simple roots.
-
-        Two simple roots in one orbit must be given equal denominators.
-        """
+        """Assign a denominator per Weyl orbit via the simple roots, each
+        orbit read as a diagram component and a squared length (see *Closed
+        forms* above).  Two simple roots in one orbit must be given equal
+        denominators."""
         if len(denominators) != datum.rank:
             raise NonRootSystem("need one denominator per simple root")
-        orbit_of: dict[Root, int] = {}
+        component = {i: c for c in datum.diagram_components for i in c}
+        roots = datum.positive_nondivisible_roots
+        # a positive root lies in the component of its largest coefficient
+        orbit = {a: (component[a.index(max(a))], datum.length_sq(a)) for a in roots}
+        first: dict[tuple, int] = {}  # the first simple root of each orbit
         for i, s in enumerate(datum.simples):
-            for img in root_orbits(datum.cartan, [s]):
-                prev = orbit_of.get(img)
-                if prev is not None and denominators[prev] != denominators[i]:
-                    raise NonRootSystem(
-                        "inconsistent denominators inside one Weyl orbit"
-                    )
-                orbit_of.setdefault(img, i)
+            j = first.setdefault(orbit[s], i)
+            if j != i and denominators[j] != denominators[i]:
+                raise NonRootSystem("inconsistent denominators inside one Weyl orbit")
         groups = []
-        for a in datum.positive_nondivisible_roots:
-            i = orbit_of.get(a, orbit_of.get(tuple(-c for c in a)))
-            if i is None:
-                raise NonRootSystem(f"root {a} is not Weyl conjugate to a simple root")
+        for a in roots:
             kind = "bc" if a in datum.multipliable else "lattice"
-            groups.append((a, ValueGroup(kind, denominators[i])))
+            groups.append((a, ValueGroup(kind, denominators[first[orbit[a]]])))
         return AffineRootPattern(datum, tuple(sorted(groups)))
 
 
@@ -263,23 +269,15 @@ def embed_extension(apt: Apartment, ext: ExtensionSpec) -> Apartment:
 
 
 def walls_in_box(apt: Apartment, lo: Sequence, hi: Sequence) -> list[tuple[Root, Fraction]]:
-    """All walls (root direction, level) meeting a coordinate box, exactly."""
-    lo = apt.datum.point(lo)
-    hi = apt.datum.point(hi)
-    n = apt.datum.rank
-    corners = []
-    for bits in range(1 << n):
-        corners.append(
-            tuple(hi[i] if bits >> i & 1 else lo[i] for i in range(n))
-        )
+    """All walls (root direction, level) meeting a coordinate box, exactly,
+    from the bounds of each root on the box (see *Closed forms* above)."""
+    lo, hi = apt.datum.point(lo), apt.datum.point(hi)
     out = []
     for a in apt.datum.positive_nondivisible_roots:
-        vals = [apt.datum.pairing(a, c) for c in corners]
-        vmin, vmax = min(vals), max(vals)
-        g = apt.pattern.group_of(a)
-        step = Fraction(1, g.wall_denominator())
-        k = -(-vmin // step)  # ceil division
-        level = k * step
+        ends = [(c * l, c * h) for c, l, h in zip(apt.datum.covector(a), lo, hi)]
+        vmin, vmax = sum(map(min, ends)), sum(map(max, ends))
+        step = Fraction(1, apt.pattern.group_of(a).wall_denominator())
+        level = -(-vmin // step) * step  # the least multiple of step >= vmin
         while level <= vmax:
             out.append((a, -level))
             level += step
@@ -334,52 +332,41 @@ def rational_dense_sample(
     """Rational points strictly inside the open polysimplex with the given
     vertices: the barycenter first, then dyadic-weight refinements.
 
-    A facet whose vertices are all one point collapses to that point.
-    Every returned point is a positive rational convex combination of the
-    vertices, hence virtually special.  `count` is an int of at least 1.
+    Each distinct vertex counts once, so a facet whose vertices are all one
+    point collapses to that point.  Every returned point is a positive
+    rational convex combination of the vertices, hence virtually special.
+    `count` is an int of at least 1.
     """
     positive_int(count, "sample count must be >= 1")
-    vertices = [apt.datum.point(v) for v in facet_vertices]
+    vertices = list(dict.fromkeys(apt.datum.point(v) for v in facet_vertices))
     if not vertices:
         raise EmptyFacet("facet has no vertices")
-    if len(set(vertices)) == 1:
-        return [vertices[0]]
     k = len(vertices)
+    if k == 1:
+        return vertices
 
     def combine(weights: Sequence[Fraction]) -> Vec:
-        acc = la.zero_vec(len(vertices[0]))
-        for wgt, v in zip(weights, vertices):
-            acc = la.add(acc, la.scale(v, wgt))
-        return acc
+        return tuple(sum(map(mul, weights, coords)) for coords in zip(*vertices))
 
-    out: list[Vec] = []
-    seen = set()
-    bary = combine([Fraction(1, k)] * k)
-    out.append(bary)
-    seen.add(bary)
-
-    level = 1
-    while len(out) < count and level < 40:
-        denom = 1 << level
-        for combo in _compositions(denom, k):
-            if all(m > 0 for m in combo):
-                p = combine([Fraction(m, denom) for m in combo])
-                if p not in seen:
-                    seen.add(p)
-                    out.append(p)
-                    if len(out) >= count:
-                        break
+    out = dict.fromkeys([combine([Fraction(1, k)] * k)])  # insertion-ordered points
+    level = 0
+    while len(out) < count and level < 39:
         level += 1
-    return out[:count]
+        for parts in _positive_compositions(1 << level, k):
+            out.setdefault(combine([Fraction(m, 1 << level) for m in parts]))
+            if len(out) == count:
+                break
+    return list(out)
 
 
-def _compositions(total: int, parts: int):
+def _positive_compositions(total: int, parts: int):
+    """`total` as `parts` positive summands, one way at a time, in lexicographic order."""
     if parts == 1:
         yield (total,)
         return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    for first in range(1, total - parts + 2):
+        for rest in _positive_compositions(total - first, parts - 1):
+            yield (first, *rest)
 
 
 # -- essentialisation ----------------------------------------------------------

@@ -40,8 +40,8 @@ of its own: W maps cores onto cores, the core of the standard cone of I
 is the face of the dominant chamber of type T, and each W-orbit meets
 the closed dominant chamber once (Humphreys 1.12), so one orbit has one
 T, which determines I as the union of its components meeting the
-complement of J (`parabolics.core_generating_set`).  The admissible I
-and their T come from bitsets of the basis (`_admissible_index_sets`).
+complement of J.  The admissible I and their T come from bitsets of the
+basis (`_admissible_index_sets`, which gives the argument).
 
 *Standard cones.*  `_standard_cone` writes down C_I = {x : alpha_I(x) = 0,
 beta(x) > 0 for beta in Phi+ - Phi_T} with no double description; for T =
@@ -239,7 +239,6 @@ from .rootdata import (
     WeylElement,
     basis_subset,
     listed,
-    orthogonal_complement,
     point_orbits,
     reflect_simple,
     walk_orbits,
@@ -739,9 +738,12 @@ def _admissible_index_sets(
 ) -> dict[frozenset[int], frozenset[int]]:
     """Subsets I of the basis none of whose components lie inside J: those
     that a walk inside I from I - J covers, over bitsets of the basis.  Each
-    maps to its standard type T = I u (J n I-perp) (`standard_type`), the
-    part of J outside I and its neighbours: a Cartan entry vanishes exactly
-    when its transpose does."""
+    maps to its standard type T = I u (J n I-perp), I plus the part of J
+    outside I and its neighbours (a Cartan entry vanishes exactly when its
+    transpose does), and I -> T is a bijection onto the J-relevant types:
+    K = J n I-perp is orthogonal to I, so T has the components of I, each
+    meeting the complement of J, and those of K, inside J: I is the union
+    of the components of T meeting the complement of J."""
     n = datum.rank
     near = [sum(1 << j for j in range(n) if datum.adjacent(i, j)) for i in range(n)]
     on_J = sum(1 << j for j in J)
@@ -766,11 +768,6 @@ def _admissible_index_sets(
 def _indices(bits: int, n: int) -> frozenset[int]:
     """The set of the j < n whose bit is set in `bits`."""
     return frozenset(j for j in range(n) if bits >> j & 1)
-
-
-def standard_type(datum: RootDatum, J: frozenset[int], I: frozenset[int]) -> frozenset[int]:
-    """T = I u (J n I-perp), the type of the core of the standard cone of I."""
-    return I | (J & orthogonal_complement(datum, I))
 
 
 def _standard_cone(

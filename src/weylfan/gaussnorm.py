@@ -22,7 +22,7 @@ from .compactify import CompactifiedPoint, LimitProfile
 from .errors import NonRootSystem, ProfileMismatch
 from .linalg import NEG_INF, POS_INF, Vec
 from .parabolics import ParabolicType
-from .rootdata import Root, RootDatum, WeylElement, positive_int, weyl_enumerate
+from .rootdata import Root, RootDatum, WeylElement, check_same_roots, positive_int, weyl_enumerate
 
 LogValue = Union[Fraction, float]  # a rational or -inf
 
@@ -248,8 +248,10 @@ def theta_boundary(
     Coordinates whose root dies along the limit become minus infinity and
     absorb every monomial touching them.  A coordinate escaping to plus
     infinity means the input leaves the closed cell; that is a
-    ProfileMismatch.
+    ProfileMismatch.  The point's fan or the profile must be one of the
+    datum of `tg`, so TypeMismatch (`rootdata.check_same_roots`).
     """
+    check_same_roots(getattr(point, "fan", point).datum, tg.datum)  # the fan's or the profile's
     values = []
     if isinstance(point, CompactifiedPoint):
         roots = [a for a, _ in tg.indexed_roots]

@@ -6,11 +6,9 @@ outside it), the closed dominance cone of the parabolic, relevance with
 respect to a merging subset J, and the boundary-stratum classes of the
 associated compactified apartment.
 
-T is J-relevant when T = I u (J n I-perp) (`fans.standard_type`) for an
-admissible I, none of whose components lies in J.  I -> T is a bijection
-onto the relevant types with inverse `core_generating_set`, since the
-components of T are those of I, each meeting the complement of J, and
-those of J n I-perp (orthogonal to I), each inside J.
+T is J-relevant when T = I u (J n I-perp) for an admissible I, none of
+whose components lies in J: relevance and the strata read the map I -> T,
+`fans._admissible_index_sets`, whose docstring argues that it is a bijection.
 """
 
 from __future__ import annotations
@@ -22,8 +20,8 @@ from . import linalg as la
 from ._value import Value
 from .cones import Cone
 from .errors import InternalDisagreement
-from .fans import Fan, _admissible_index_sets, standard_type, validate_J
-from .rootdata import Root, RootDatum, components, simple_indices
+from .fans import Fan, _admissible_index_sets, validate_J
+from .rootdata import Root, RootDatum, check_same_roots, simple_indices
 
 
 class ParabolicType(Value):
@@ -106,22 +104,12 @@ def dominance_cone(datum: RootDatum, T: Iterable[int]) -> Cone:
     return Cone.from_system(datum.rank, [], forms)
 
 
-def core_generating_set(datum: RootDatum, J: frozenset[int], T: frozenset[int]) -> frozenset[int]:
-    """Union of the connected components of T meeting the complement of J."""
-    return frozenset(
-        i for comp in components(datum, T) if not comp <= J for i in comp
-    )
-
-
 def is_J_relevant(datum: RootDatum, J: Iterable[int], T: Iterable[int]) -> bool:
-    """Whether T decomposes as I u (J n I-perp) with admissible generator I.
-
-    Decided by reconstructing the candidate generator from the components
-    of T meeting the complement of J (see the module docstring).
-    """
+    """Whether T is I u (J n I-perp) for an admissible generator I: a type
+    of `fans._admissible_index_sets` (see the module docstring)."""
     J = validate_J(datum, J)
     T = simple_indices(datum, T)
-    return T == standard_type(datum, J, core_generating_set(datum, J, T))
+    return T in _admissible_index_sets(datum, J).values()
 
 
 class StratumDescriptor(Value):
@@ -164,7 +152,9 @@ def facade_root_system(datum: RootDatum, fan: Fan, cone_index: int) -> tuple[Roo
     the standard cone of core type T the result is the Levi subsystem of T.
     They are the roots vanishing at the sum of the cone's rays, which lies
     in the core, and each root has one sign on the core, a Weyl facet (see
-    *Validation* in the `fans` docstring).  The index is `Fan.read_index`'s.
+    *Validation* in the `fans` docstring).  The index is `Fan.read_index`'s;
+    TypeMismatch unless the fan is one of `datum` (`check_same_roots`).
     """
     p = fan.cones[fan.read_index(cone_index)].relint_point()
+    check_same_roots(fan.datum, datum)
     return tuple(a for a in datum.roots if la.dot(datum.covector(a), p) == 0)

@@ -39,7 +39,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from . import linalg as la
 from ._value import Value
-from .errors import DimensionMismatch, NonRootSystem
+from .errors import DimensionMismatch, NonRootSystem, TypeMismatch
 from .linalg import Mat, Vec
 
 Root = tuple[int, ...]  # coefficients over the simple basis
@@ -74,17 +74,13 @@ def point_orbits(cartan: Sequence[Vec], seeds: Iterable[Vec]) -> dict[Vec, Vec]:
     return walk_orbits({p: p for p in seeds}, len(cartan), partial(reflect_simple, cartan))
 
 
-def root_orbits(cartan: Sequence[Vec], seeds: Iterable[Root]) -> dict[Root, Root]:
-    """The roots `seeds` closed under the simple reflections."""
-    columns = la.transpose(cartan)
-    return walk_orbits({a: a for a in seeds}, len(cartan), partial(reflect_simple, columns))
-
-
 def _generated_roots(cartan: Sequence[Vec], doubled: Iterable[int]) -> tuple[set, frozenset]:
     """The orbits of the simple roots plus twice those of the `doubled` ones, and the latter."""
-    simples = la.identity(len(cartan))
-    multipliable = frozenset(root_orbits(cartan, [simples[i] for i in doubled]))
-    return set(root_orbits(cartan, simples)) | {la.scale(a, 2) for a in multipliable}, multipliable
+    n, simples = len(cartan), la.identity(len(cartan))
+    reflect = partial(reflect_simple, la.transpose(cartan))
+    multipliable = frozenset(walk_orbits({simples[i]: simples[i] for i in doubled}, n, reflect))
+    roots = walk_orbits({s: s for s in simples}, n, reflect)
+    return set(roots) | {la.scale(a, 2) for a in multipliable}, multipliable
 
 
 def _cartan_chain(n: int) -> list[list[int]]:
@@ -455,6 +451,13 @@ def positive_int(n, message: str) -> int:
     return n
 
 
+def check_same_roots(datum: RootDatum, other: RootDatum) -> None:
+    """TypeMismatch unless `other` has the Cartan matrix and the roots of
+    `datum` (B3 and BC3 share a Cartan matrix, not their roots)."""
+    if other is not datum and (other.cartan, other.root_set) != (datum.cartan, datum.root_set):
+        raise TypeMismatch(f"root datum {other.name} is not the root datum {datum.name}")
+
+
 def components(datum: RootDatum, subset: Iterable[int]) -> list[frozenset[int]]:
     """Connected components of a subset of the basis in the Dynkin graph."""
     todo = set(simple_indices(datum, subset))
@@ -628,10 +631,23 @@ class WeylElement(Value):
     (`RootDatum.regular_point`), so w.rho^vee (`regular_image`) determines w:
     equality and hash read it and the Cartan matrix, whatever the word.  The
     three integer matrices are views, made from the word on first read
-    (`_word_columns`)."""
+    (`_word_columns`).  Each letter must be an int (a bool is not), so
+    TypeMismatch, in range(rank), so DimensionMismatch."""
 
     datum: RootDatum
     word: tuple[int, ...]
+
+    def __post_init__(self) -> None:  # stores the word as a tuple
+        try:
+            word = tuple(self.word)
+        except TypeError:  # None, 5
+            raise TypeMismatch(f"word {self.word!r} is not a sequence of letters") from None
+        if not {int}.issuperset(map(type, word)):
+            bad = next(k for k in word if type(k) is not int)
+            raise TypeMismatch(f"letter {bad!r} of word {word} is not an int")
+        if word and (min(word) < 0 or max(word) >= self.datum.rank):
+            raise DimensionMismatch(f"word {word} has a letter past rank {self.datum.rank}")
+        object.__setattr__(self, "word", word)
 
     @cached_property
     def regular_image(self) -> Vec:
@@ -659,9 +675,13 @@ class WeylElement(Value):
     def apply_root(self, a: Root) -> Root:
         return la.mat_vec(self.mat_roots, a)
 
-    @property
+    @cached_property
     def length(self) -> int:
-        return len(self.word)
+        """The length of w, whatever the word: the number of positive
+        (nondivisible) roots a that w^-1 makes negative (Humphreys 1.6-1.7),
+        those negative at w.rho^vee, as <a, w.rho^vee> = <w^-1 a, rho^vee>."""
+        p, datum = self.regular_image, self.datum
+        return sum(la.dot(datum.covector(a), p) < 0 for a in datum.positive_nondivisible_roots)
 
     def __hash__(self) -> int:
         return hash((self.datum.cartan, self.regular_image))

@@ -1,12 +1,17 @@
 """Shared oracles and deterministic sampling for the test suite."""
 
 from fractions import Fraction as Q
-from functools import cache
+from functools import cache, partial
 from math import lcm
 import random
 
 from weylfan import linalg as la
-from weylfan.apartment import SymbolicEntry, TransitivitySolution
+from weylfan.apartment import (
+    AffineRootPattern,
+    SymbolicEntry,
+    TransitivitySolution,
+    ValueGroup,
+)
 from weylfan.compactify import (
     NEG_INF,
     POS_INF,
@@ -28,11 +33,9 @@ from weylfan.fans import (
     Fan,
     _admissible_index_sets,
     parabolic_fan,
-    standard_type,
     validate_J,
     weyl_facet_points,
 )
-from weylfan.parabolics import core_generating_set
 from weylfan.rootdata import (
     RootDatum,
     WeylElement,
@@ -41,6 +44,7 @@ from weylfan.rootdata import (
     orthogonal_complement,
     positive_int,
     reflect_simple,
+    simple_indices,
     walk_orbits,
     weyl_enumerate,
 )
@@ -49,6 +53,10 @@ from weylfan.rootdata import (
 FAN_CATALOGUE = ["A1", "A2", "A3", "B2", "B3", "C3", "G2", "BC1", "BC2", "A1xA1"]
 RANK3_CATALOGUE = FAN_CATALOGUE + ["A1xA2", "BC3"]
 RANK4_CATALOGUE = FAN_CATALOGUE + ["A1xA2", "A4", "D4", "BC3", "F4"]
+CATALOGUE_NAMES = [
+    "A1", "A2", "A3", "A4", "A5", "A6", "A7", "B2", "B3", "B4", "B5", "C2", "C3", "C4",
+    "D3", "D4", "D5", "G2", "F4", "BC1", "BC2", "BC3", "BC4", "A1xA2", "B3xG2", "C3xBC2",
+]
 
 
 def subsets(n):
@@ -74,6 +82,19 @@ def reference_admissible_index_sets(datum, J) -> list[frozenset]:
     """`_admissible_index_sets` oracle: the subsets I, in the order of their
     bitsets, none of whose `components` lie inside J."""
     return [I for I in subsets(datum.rank) if all(not c <= J for c in components(datum, I))]
+
+
+def standard_type(datum, J, I) -> frozenset:
+    """T = I u (J n I-perp), the type of the core of the standard cone of I:
+    the `_admissible_index_sets` oracle by set algebra."""
+    return I | (J & orthogonal_complement(datum, I))
+
+
+def core_generating_set(datum, J, T) -> frozenset:
+    """The union of the connected components of T meeting the complement of
+    J: the inverse of `standard_type` on the J-relevant types (see
+    `_admissible_index_sets`)."""
+    return frozenset(i for comp in components(datum, T) if not comp <= J for i in comp)
 
 
 def standard_cone_system(datum, J, I) -> tuple[list, list, frozenset]:
@@ -532,6 +553,15 @@ def random_rational_vec(rng: random.Random, n: int, num: int = 9, den: int = 5):
     return tuple(Q(rng.randint(-num, num), rng.randint(1, den)) for _ in range(n))
 
 
+def reference_is_J_relevant(datum, J, T) -> bool:
+    """`is_J_relevant` oracle by set algebra, with its reads of J and T: T
+    is relevant exactly when it is the `standard_type` of its own
+    `core_generating_set`."""
+    J = validate_J(datum, J)
+    T = simple_indices(datum, T)
+    return T == standard_type(datum, J, core_generating_set(datum, J, T))
+
+
 def is_J_relevant_via_perp(datum, J, T) -> bool:
     """Relevance by the orthogonality criterion: any simple root of J
     orthogonal to every component of T meeting the complement of J must
@@ -785,3 +815,92 @@ def perturbed_root_datum(rng: random.Random) -> RootDatum:
         roots=tuple(roots),
         multipliable=frozenset(multipliable),
     )
+
+
+def root_orbit(datum, a) -> dict:
+    """The Weyl orbit of root a, walked under the simple reflections."""
+    reflect = partial(reflect_simple, la.transpose(datum.cartan))
+    return walk_orbits({a: a}, datum.rank, reflect)
+
+
+def orbit_walk_pattern(datum, denominators) -> AffineRootPattern:
+    """`AffineRootPattern.from_simple_denominators` oracle: walk the root
+    orbit of each simple root, give each root the denominator of the first
+    simple root whose orbit holds it, and require equal denominators inside
+    one orbit."""
+    if len(denominators) != datum.rank:
+        raise NonRootSystem("need one denominator per simple root")
+    orbit_of = {}
+    for i, s in enumerate(datum.simples):
+        for img in root_orbit(datum, s):
+            prev = orbit_of.get(img)
+            if prev is not None and denominators[prev] != denominators[i]:
+                raise NonRootSystem("inconsistent denominators inside one Weyl orbit")
+            orbit_of.setdefault(img, i)
+    groups = []
+    for a in datum.positive_nondivisible_roots:
+        kind = "bc" if a in datum.multipliable else "lattice"
+        groups.append((a, ValueGroup(kind, denominators[orbit_of[a]])))
+    return AffineRootPattern(datum, tuple(sorted(groups)))
+
+
+def simple_root_orbits(datum) -> list[int]:
+    """Per simple root, the number of its Weyl orbit, the orbits numbered
+    by their first simple root, by root orbit walks."""
+    orbit = {}
+    for s in datum.simples:
+        if s not in orbit:
+            number = len(set(orbit.values()))
+            orbit.update(dict.fromkeys(root_orbit(datum, s), number))
+    return [orbit[s] for s in datum.simples]
+
+
+def corner_walls_in_box(apt, lo, hi) -> list:
+    """`walls_in_box` oracle: the least and greatest value of each root over
+    the 2^n corners of the box, then the wall levels between them."""
+    lo, hi = apt.datum.point(lo), apt.datum.point(hi)
+    n = apt.datum.rank
+    corners = [
+        tuple(hi[i] if bits >> i & 1 else lo[i] for i in range(n)) for bits in range(1 << n)
+    ]
+    out = []
+    for a in apt.datum.positive_nondivisible_roots:
+        vals = [apt.datum.pairing(a, c) for c in corners]
+        step = Q(1, apt.pattern.group_of(a).wall_denominator())
+        level = -(-min(vals) // step) * step
+        while level <= max(vals):
+            out.append((a, -level))
+            level += step
+    return out
+
+
+def filtered_dense_sample(apt, facet_vertices, count) -> list:
+    """`rational_dense_sample` oracle on vertex lists without repeats: the
+    barycenter, then for each dyadic denominator 2, 4, 8, ... every
+    composition of it into one part per vertex, in lexicographic order,
+    kept when each part is positive and its point is new."""
+    vertices = [apt.datum.point(v) for v in facet_vertices]
+    k, n = len(vertices), apt.datum.rank
+
+    def combine(weights):
+        return tuple(sum(w * v[j] for w, v in zip(weights, vertices)) for j in range(n))
+
+    def compositions(total, parts):
+        if parts == 1:
+            yield (total,)
+            return
+        for first in range(total + 1):
+            for rest in compositions(total - first, parts - 1):
+                yield (first,) + rest
+
+    out = [combine([Q(1, k)] * k)]
+    level = 1
+    while True:
+        denom = 1 << level
+        for combo in filter(all, compositions(denom, k)):
+            p = combine([Q(m, denom) for m in combo])
+            if len(out) == count:
+                return out
+            if p not in out:
+                out.append(p)
+        level += 1

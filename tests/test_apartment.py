@@ -5,11 +5,16 @@ import re
 import pytest
 
 from helpers import (
+    CATALOGUE_NAMES,
     RANK4_CATALOGUE,
+    corner_walls_in_box,
+    filtered_dense_sample,
+    orbit_walk_pattern,
     random_rational_vec,
     reference_det,
     reference_is_virtually_special,
     reference_transitivity_solve,
+    simple_root_orbits,
     subsets,
 )
 from weylfan import linalg as la
@@ -174,6 +179,33 @@ def test_pattern_orbit_consistency():
     assert pattern.group_of(short_root).d == 3
     with pytest.raises(NonRootSystem, match="^need one denominator per simple root$"):
         make_apartment(datum, [])
+
+
+def _pattern_or_message(call):
+    try:
+        return call()
+    except NonRootSystem as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("name", CATALOGUE_NAMES)
+def test_patterns_from_orbit_classes_match_the_orbit_walks(name):
+    """The value groups keyed by diagram component and squared length are
+    those of the root orbit walks, or the same error, for denominators all
+    one, one per orbit and one per simple root."""
+    datum = build_root_datum(name)
+    orbits = simple_root_orbits(datum)
+    kinds = [
+        ([1] * datum.rank, False),
+        ([o + 2 for o in orbits], False),
+        (list(range(1, datum.rank + 1)), len(set(orbits)) < datum.rank),
+    ]
+    for denominators, raises in kinds:
+        got = _pattern_or_message(
+            lambda: AffineRootPattern.from_simple_denominators(datum, denominators)
+        )
+        assert got == _pattern_or_message(lambda: orbit_walk_pattern(datum, denominators))
+        assert isinstance(got, str) == raises, denominators
 
 
 def test_transitivity_a1_example():
@@ -363,6 +395,47 @@ def test_dense_sample_triangle_interior():
         assert is_virtually_special(apt, p)
 
 
+def _a1_power_alcove(n):
+    """The 2^n corners of [0, 1/2]^n, the alcove of (A1)^n."""
+    return [tuple(Q(bits >> i & 1, 2) for i in range(n)) for bits in range(1 << n)]
+
+
+def test_dense_samples_without_repeats_match_the_filtered_compositions():
+    """On vertex lists without repeats the positive compositions give the
+    points of every composition with the zero ones filtered out, in order."""
+    a2 = build_root_datum("A2")
+    triangle = [(0, 0), *a2.fundamental_coweights()]
+    cases = [
+        ("A1", [(0,), (1,)], 9),
+        ("A2", triangle, 12),
+        ("A2", triangle[::-1], 7),
+        ("A1xA1xA1", _a1_power_alcove(3), 2),
+        ("A3", [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)], 15),
+        ("G2", [(0, 0), (1, 0), (1, 2)], 8),
+    ]
+    for name, vertices, count in cases:
+        apt = make_apartment(build_root_datum(name))
+        want = filtered_dense_sample(apt, vertices, count)
+        assert rational_dense_sample(apt, vertices, count) == want, name
+
+
+def test_dense_samples_of_many_or_repeated_vertices_return():
+    """Each point comes from the first positive compositions, and each
+    distinct vertex counts once: the 16-vertex alcove of (A1)^4 and a
+    segment listed with one end five times return at once."""
+    apt = make_apartment(build_root_datum("A1xA1xA1xA1"))
+    alcove = _a1_power_alcove(4)
+    for count in (2, 20):
+        pts = rational_dense_sample(apt, alcove, count)
+        assert len(set(pts)) == count and pts[0] == (Q(1, 4),) * 4
+        assert all(0 < c < Q(1, 2) for p in pts for c in p)
+    apt = make_apartment(build_root_datum("A2"))
+    pts = rational_dense_sample(apt, [(0, 0)] + [(1, 0)] * 5, 40)
+    assert pts == rational_dense_sample(apt, [(0, 0), (1, 0)], 40)
+    assert pts[0] == (Q(1, 2), 0) and len(set(pts)) == 40
+    assert all(0 < x < 1 and y == 0 for x, y in pts)
+
+
 def test_dense_sample_empty_facet():
     apt = make_apartment(build_root_datum("A1"))
     with pytest.raises(EmptyFacet):
@@ -474,6 +547,24 @@ def test_levi_point_needs_one_pairing_per_levi_simple_root(levi, pairings):
     with pytest.raises(DimensionMismatch, match=message):
         levi_point_from_pairings(a2, levi, pairings)
     assert levi_point_from_pairings(a2, [0], (1,)) == (Q(1, 2),)
+
+
+def test_walls_from_box_bounds_match_the_corners():
+    """Each root's least and greatest value on a box, read from the bounds
+    coordinate by coordinate, give the walls of the 2^n corners, on boxes
+    with lo above hi in some coordinates too."""
+    rng = random.Random(27)
+    cases = [("A1", None), ("A2", [3, 3]), ("B2", [1, 2]), ("G2", None), ("BC1", [2]),
+             ("BC2", [1, 3]), ("A3", None), ("B3", [2, 2, 1])]
+    crossed = 0
+    for name, denominators in cases:
+        apt = make_apartment(build_root_datum(name), denominators)
+        for _ in range(40):
+            lo = random_rational_vec(rng, apt.datum.rank, num=4, den=3)
+            hi = random_rational_vec(rng, apt.datum.rank, num=4, den=3)
+            crossed += any(a > b for a, b in zip(lo, hi))
+            assert walls_in_box(apt, lo, hi) == corner_walls_in_box(apt, lo, hi), (name, lo, hi)
+    assert crossed > 100
 
 
 def test_walls_locally_finite():

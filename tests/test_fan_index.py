@@ -25,6 +25,7 @@ from helpers import (
     reference_standard_cone_system,
     schreier_core,
     standard_cone_system,
+    standard_type,
     valid_js,
 )
 from weylfan import cones, fans
@@ -227,7 +228,7 @@ def test_standard_types_from_bitsets_match_standard_type(name):
     datum = build_root_datum(name)
     for J in valid_js(datum):
         for I, T in fans._admissible_index_sets(datum, J).items():
-            assert T == fans.standard_type(datum, J, I), (sorted(J), sorted(I))
+            assert T == standard_type(datum, J, I), (sorted(J), sorted(I))
 
 
 @pytest.mark.parametrize("name,J", RANK4_FANS)
@@ -314,7 +315,7 @@ def test_standard_cones_in_closed_form_match_from_system(name):
     fields = Cone._fields
     for J in valid_js(datum):
         for I in fans._admissible_index_sets(datum, J):
-            T = fans.standard_type(datum, J, I)
+            T = standard_type(datum, J, I)
             for system, (gen, typ) in ((J, (I, T)), (frozenset(), (T, T))):
                 got = fans._standard_cone(datum.cartan, coweights, reflections, gen, typ)
                 eqs, ins, _ = reference_standard_cone_system(datum, system, gen)

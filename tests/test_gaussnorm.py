@@ -5,8 +5,9 @@ import pytest
 
 from helpers import random_rational_vec
 from weylfan import linalg as la
-from weylfan.compactify import NEG_INF, limit_of_ray, ray_profile
-from weylfan.errors import ProfileMismatch
+from weylfan._value import replace
+from weylfan.compactify import NEG_INF, limit_of_ray, project_to_facade, ray_profile
+from weylfan.errors import ProfileMismatch, TypeMismatch
 from weylfan.fans import parabolic_fan
 from weylfan.gaussnorm import (
     ToyGroupDatum,
@@ -173,8 +174,6 @@ def test_boundary_interior_profile_matches_theta():
     tg = ToyGroupDatum.for_parabolic(datum, [0])
     x = (Q(1, 2), Q(3))
     interior = limit_of_ray(fan, x, (Q(1), Q(1)))  # any; replaced below
-    from weylfan.compactify import project_to_facade
-
     interior = project_to_facade(fan, fan.origin_index, x)
     assert theta_boundary(tg, interior) == theta_restricted(tg, x)
 
@@ -202,6 +201,30 @@ def test_boundary_profile_mismatch_on_positive_escape():
     prof = ray_profile(datum, (Q(0), Q(0)), (Q(-2), Q(-3)))
     with pytest.raises(ProfileMismatch):
         theta_boundary(tg, prof)
+
+
+def test_boundary_seminorms_take_points_of_their_datum():
+    """A point of a fan, or a profile, of a datum with another Cartan
+    matrix or other roots (B3 and BC3 share their Cartan matrix) is a
+    TypeMismatch, not a missing root; a datum equal in both is accepted
+    under any name."""
+    a2, b2, b3, bc3 = (build_root_datum(name) for name in ("A2", "B2", "B3", "BC3"))
+    fan2, fan3 = parabolic_fan(a2, [0]), parabolic_fan(b3, [])
+    pairs = [
+        (b2, project_to_facade(fan2, fan2.origin_index, (1, 2))),
+        (b2, ray_profile(a2, (0, 0), (1, 2))),
+        (bc3, project_to_facade(fan3, fan3.origin_index, (1, 2, 3))),
+        (bc3, ray_profile(b3, (0, 0, 0), (1, 2, 3))),
+    ]
+    for datum, point in pairs:
+        source = point.fan.datum if hasattr(point, "fan") else point.datum
+        message = f"^root datum {datum.name} is not the root datum {source.name}$"
+        with pytest.raises(TypeMismatch, match=message):
+            theta_boundary(ToyGroupDatum.for_parabolic(datum, [0]), point)
+    again = replace(a2, name="A2 again")
+    for _, point in pairs[:2]:
+        want = theta_boundary(ToyGroupDatum.for_parabolic(a2, [0]), point)
+        assert theta_boundary(ToyGroupDatum.for_parabolic(again, [0]), point) == want
 
 
 def test_boundary_compatibility_along_cell_rays():

@@ -3,19 +3,21 @@ import pytest
 from helpers import (
     RANK4_CATALOGUE,
     built_fan,
+    core_generating_set,
     core_generator_roots,
     is_J_relevant_exhaustive,
     is_J_relevant_via_perp,
+    reference_is_J_relevant,
     word_element,
 )
 from weylfan import linalg as la
 from weylfan import parabolics
 from weylfan.cones import Cone
-from weylfan.errors import DegenerateJ
+from weylfan._value import replace
+from weylfan.errors import DegenerateJ, NonRootSystem, TypeMismatch
 from weylfan.fans import parabolic_fan, weyl_fan
 from weylfan.parabolics import (
     ParabolicType,
-    core_generating_set,
     dominance_cone,
     enumerate_strata,
     facade_root_system,
@@ -191,6 +193,46 @@ def test_relevance_criteria_agree_everywhere(name):
             assert d.generating_indices == core_generating_set(datum, J, T), (name, sorted(J))
             assert d.levi_rank == (la.rank(covs) if covs else 0), (name, sorted(J))
             assert d.is_open_stratum == (len(T) == datum.rank)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except (DegenerateJ, NonRootSystem) as err:
+        return type(err), str(err)
+
+
+@pytest.mark.parametrize("name", RANK4_CATALOGUE)
+def test_relevance_from_the_admissible_map_matches_the_set_algebra(name):
+    """`is_J_relevant` reads the admissible map; on every J and T, valid or
+    not, it answers or raises as the set-algebra oracle does."""
+    datum = build_root_datum(name)
+    n = datum.rank
+    bad = [[n], [-1], [True], [0, 1.0]]
+    for J in [*subsets(n), *bad]:
+        for T in [*subsets(n), *bad]:
+            got = _outcome(lambda: is_J_relevant(datum, J, T))
+            assert got == _outcome(lambda: reference_is_J_relevant(datum, J, T)), (J, T)
+
+
+def test_facade_root_systems_take_a_fan_of_their_datum():
+    """A fan of a datum with another Cartan matrix or other roots (B3 and
+    BC3 share their Cartan matrix) is a TypeMismatch; a datum equal in both
+    is accepted under any name."""
+    a2, b3, bc3 = (build_root_datum(name) for name in ("A2", "B3", "BC3"))
+    pairs = [
+        (build_root_datum("B2"), built_fan("A2", (0,))),
+        (bc3, built_fan("B3")),
+        (b3, built_fan("BC3")),
+    ]
+    for datum, fan in pairs:
+        message = f"^root datum {datum.name} is not the root datum {fan.datum.name}$"
+        with pytest.raises(TypeMismatch, match=message):
+            facade_root_system(datum, fan, 0)
+    fan = built_fan("A2", (0,))
+    again = replace(a2, name="A2 again")
+    for i in range(len(fan)):
+        assert facade_root_system(again, fan, i) == facade_root_system(a2, fan, i)
 
 
 def test_full_type_always_relevant():

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from helpers import (
+    CATALOGUE_NAMES,
     RANK4_CATALOGUE,
     coroot_pairing,
     perturbed_root_datum,
@@ -14,7 +15,7 @@ from helpers import (
 )
 from weylfan import linalg as la
 from weylfan._value import replace
-from weylfan.errors import NonRootSystem
+from weylfan.errors import DimensionMismatch, NonRootSystem, TypeMismatch
 from weylfan.rootdata import (
     DiagramSubset,
     RootDatum,
@@ -217,6 +218,51 @@ def test_word_lengths_start_at_identity():
     weyl = weyl_enumerate(build_root_datum("A2"))
     lengths = sorted(w.length for w in weyl)
     assert lengths == [0, 1, 1, 2, 2, 3]
+
+
+@pytest.mark.parametrize("name", RANK4_CATALOGUE)
+def test_length_counts_the_roots_made_negative(name):
+    """The enumerated words are reduced, so each element's length is the
+    length of its word; an unreduced word gets the length of the element
+    it equals, whatever its own length."""
+    group = weyl_enumerate(build_root_datum(name))
+    assert all(w.length == len(w.word) for w in group)
+    reduced = {w: len(w.word) for w in group}
+    rng = random.Random(len(group))
+    for _ in range(40):
+        word = tuple(rng.randrange(group.datum.rank) for _ in range(rng.randint(0, 12)))
+        w = WeylElement(group.datum, word)
+        assert w.length == reduced[w], word
+
+
+def test_unreduced_words_have_the_length_of_their_element():
+    a2 = build_root_datum("A2")
+    assert WeylElement(a2, (0, 0)) == WeylElement(a2, ())
+    assert WeylElement(a2, (0, 0)).length == 0
+    assert WeylElement(a2, (0, 1, 0, 1)).length == 2  # (s1 s2)^-1 = s2 s1
+    assert WeylElement(a2, (0, 1, 0, 1, 0, 1)).length == 0
+    assert WeylElement(build_root_datum("BC2"), (0, 1, 0, 1)).length == 4  # w0
+
+
+@pytest.mark.parametrize(
+    "word,error,message",
+    [
+        ((-1,), DimensionMismatch, r"^word \(-1,\) has a letter past rank 2$"),
+        ((0, 2), DimensionMismatch, r"^word \(0, 2\) has a letter past rank 2$"),
+        ((True,), TypeMismatch, r"^letter True of word \(True,\) is not an int$"),
+        ((0, 1.0), TypeMismatch, r"^letter 1\.0 of word \(0, 1\.0\) is not an int$"),
+        (("0",), TypeMismatch, r"^letter '0' of word \('0',\) is not an int$"),
+        (None, TypeMismatch, r"^word None is not a sequence of letters$"),
+        (5, TypeMismatch, r"^word 5 is not a sequence of letters$"),
+    ],
+)
+def test_weyl_words_are_read_letter_by_letter(word, error, message):
+    """A letter is an int (a bool is not) indexing a simple reflection; a
+    letter past the rank, or a negative one, is read nowhere."""
+    a2 = build_root_datum("A2")
+    with pytest.raises(error, match=message):
+        WeylElement(a2, word)
+    assert WeylElement(a2, [1, 0]).word == (1, 0)
 
 
 def test_components_examples():
@@ -499,11 +545,6 @@ FAMILY_LENGTHS = {
     "F": lambda n: [4, 4, 2, 2],
     "BC": lambda n: [4] * (n - 1) + [2],
 }
-
-CATALOGUE_NAMES = [
-    "A1", "A2", "A3", "A4", "A5", "A6", "A7", "B2", "B3", "B4", "B5", "C2", "C3", "C4",
-    "D3", "D4", "D5", "G2", "F4", "BC1", "BC2", "BC3", "BC4", "A1xA2", "B3xG2", "C3xBC2",
-]
 
 
 def _factors(name):
