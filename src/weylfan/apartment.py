@@ -29,7 +29,11 @@ nonsingular, and every root is an integer combination of simple roots.
   nondivisible root is fixed by its diagram component, which W keeps, and
   its squared length: the nondivisible roots of a component form an
   irreducible reduced system (B_n for BC_n), where roots of one length are
-  conjugate (Bourbaki, *Lie*, ch. VI, 1.3), and to a simple root.
+  conjugate (Bourbaki, *Lie*, ch. VI, 1.3), and to a simple root.  The
+  length is read in integers: for a = sum c_j a_j, (a, a) = sum c_j (a,
+  a_j) = sum c_j <a, a_j^vee> |a_j|^2 / 2, and the |a_j|^2 are a positive
+  multiple of the primitive integer vector w, so sum c_j <a, a_j^vee> w_j
+  is |a|^2 up to one positive factor, with no `Fraction`.
 - `walls_in_box`.  A linear form sum c_i x_i on the box of the x_i between
   lo_i and hi_i, in either order, ranges from sum min(c_i lo_i, c_i hi_i)
   to sum max(c_i lo_i, c_i hi_i).
@@ -141,8 +145,15 @@ class AffineRootPattern(Value):
             raise NonRootSystem("need one denominator per simple root")
         component = {i: c for c in datum.diagram_components for i in c}
         roots = datum.positive_nondivisible_roots
+        columns = la.transpose(datum.cartan)
+        weights = la.primitive(datum.simple_lengths)  # ints in the ratios of the |a_j|^2
+
+        def length(a: Root) -> int:
+            """|a|^2 up to one positive factor (see *Closed forms* above)."""
+            return sum(c * w * la.dot(a, col) for c, w, col in zip(a, weights, columns))
+
         # a positive root lies in the component of its largest coefficient
-        orbit = {a: (component[a.index(max(a))], datum.length_sq(a)) for a in roots}
+        orbit = {a: (component[a.index(max(a))], length(a)) for a in roots}
         first: dict[tuple, int] = {}  # the first simple root of each orbit
         for i, s in enumerate(datum.simples):
             j = first.setdefault(orbit[s], i)
@@ -360,13 +371,22 @@ def rational_dense_sample(
 
 
 def _positive_compositions(total: int, parts: int):
-    """`total` as `parts` positive summands, one way at a time, in lexicographic order."""
-    if parts == 1:
-        yield (total,)
+    """`total` as `parts` positive summands, one way at a time, in
+    lexicographic order, with no recursion: the successor of c raises the
+    entry before its last entry j above 1 and moves c_j - 1 to the end."""
+    if total < parts:
         return
-    for first in range(1, total - parts + 2):
-        for rest in _positive_compositions(total - first, parts - 1):
-            yield (first, *rest)
+    c = [1] * parts
+    c[-1] = total - parts + 1
+    while True:
+        yield tuple(c)
+        j = parts - 1
+        while j and c[j] == 1:
+            j -= 1
+        if not j:
+            return
+        c[j - 1] += 1
+        c[j], c[-1] = 1, c[j] - 1
 
 
 # -- essentialisation ----------------------------------------------------------

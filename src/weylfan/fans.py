@@ -11,37 +11,53 @@ and I u (J n I-perp) under that reflection subgroup; its core is the Weyl
 facet of type I u (J n I-perp).  For J empty this is exactly the Weyl fan.
 
 *Orbit walk.*  `parabolic_fan` walks each standard cone's orbit breadth
-first under s_1..s_n, carrying the core, the cone's sign row (see *Sign
-table*) and the reduced word of the Weyl element u mapping the standard
-cone there; s_k.u has the word k, u.  s_k is unimodular and moves one
-coroot coordinate, so rays stay primitive.  The stabiliser of the
-standard cone of I is W_T, T = I u (J n I-perp), so each cone has one
-minimal-length u, of length its depth in the walk.  `weyl_enumerate`
-walks the orbit of the regular rho^vee breadth first under s_1..s_n too,
-and gives s_k.w the word k, w, as w.rho^vee determines w and s_k.(w.rho^vee)
-= (s_k w).rho^vee.  A prefix v = s_k.u of a minimal u is minimal, and s_k
-maps the cone of a minimal v one level up to that of u only if s_k.v, in
-u W_T and no longer than u, is u; so both walks reach each minimal u
-from the same v through the same s_k, and by induction meet the minimal
-u in the same order and give each the same word (Humphreys, *Reflection
-Groups and Coxeter Groups*, 1.10).  A word moves cones along the moves
-table (see *Sign transport*):
+first under s_1..s_n, keyed by sign rows (see *Sign table*), and keeps
+per cone the cone it was met from and the letter k of that move: the
+reduced word of the Weyl element u mapping the standard cone there is k
+and then the word of that cone, as s_k.u has the word k, u.  s_k is
+unimodular and moves one coroot coordinate, so rays stay primitive.  The
+stabiliser of the standard cone of I is W_T, T = I u (J n I-perp), so
+each cone has one minimal-length u, of length its depth in the walk.
+`weyl_enumerate` walks the orbit of the regular rho^vee breadth first
+under s_1..s_n too, and gives s_k.w the word k, w, as w.rho^vee
+determines w and s_k.(w.rho^vee) = (s_k w).rho^vee.  A prefix v = s_k.u
+of a minimal u is minimal, and s_k maps the cone of a minimal v one
+level up to that of u only if s_k.v, in u W_T and no longer than u, is
+u; so both walks reach each minimal u from the same v through the same
+s_k, and by induction meet the minimal u in the same order and give each
+the same word (Humphreys, *Reflection Groups and Coxeter Groups*, 1.10).
+A word moves cones along the moves table (see *Sign transport*):
 s_k1...s_km maps cone i to moves[k1][...moves[km][i]], with no matrix.
 A standard cone whose type T is I itself is its own core (the face of
 the dominant chamber of type I), as is then every cone of its orbit, so
 the walk reflects one cone for both; for J empty that is every cone.
-Rays and forms recur across the cones of a walk, so `parabolic_fan`
-keeps, per s_k and for the length of one call, a dictionary of the
-images of the vectors met so far, which computes an image on its first
-lookup (`_reflections`): each distinct ray or form is reflected once per
-s_k, and the cones share the image tuples; the standard cones'
-W_K-orbits use the same dictionaries.  Each standard cone seeds an orbit
-of its own: W maps cores onto cores, the core of the standard cone of I
-is the face of the dominant chamber of type T, and each W-orbit meets
-the closed dominant chamber once (Humphreys 1.12), so one orbit has one
-T, which determines I as the union of its components meeting the
-complement of J.  The admissible I and their T come from bitsets of the
-basis (`_admissible_index_sets`, which gives the argument).
+Each standard cone seeds an orbit of its own: W maps cores onto cores,
+the core of the standard cone of I is the face of the dominant chamber
+of type T, and each W-orbit meets the closed dominant chamber once
+(Humphreys 1.12), so one orbit has one T, which determines I as the
+union of its components meeting the complement of J.  The admissible I
+and their T come from bitsets of the basis (`_admissible_index_sets`,
+which gives the argument).
+
+*Tables.*  A fan is held as integer tables.  A build numbers the
+distinct rays and forms it meets (`_points`, `_forms`) and keeps
+per cone the ids of its equalities, facet forms and rays (`_eqs`, `_ins`,
+`_rays`), of its core's rays (`_core_rays`, the cone's own tuple when
+T = I), its sign row, the cone it was met from and its letter.  The walk
+reflects ids, not vectors: per s_k, a dictionary gives the id of the
+image of each id, computed on its first lookup (`_id_images`, over the
+per-call vector dictionaries of `_reflections` that the standard cones'
+W_K-orbits use), so each distinct ray or form is reflected once per s_k
+and build, and an image cone costs a few tuples of small ints.  The rays
+are then ranked once by vector and renumbered by rank, so a sorted tuple
+of ray ids lists its rays in vector order, and the cone order, by
+dimension and then rays, compares ids.  `Fan.cones` and `Fan.cores` are
+views made from the tables on first read, a word by following the
+parents (`_along_parents`) and a core with T not I by reflecting the
+core of the cone met before; no step of `parabolic_fan`, `face_order`
+or `validate` makes them.  A hand-made `Fan(...)` keeps the cones and
+cores it is given and numbers their vectors by rank too; a core with a
+lineality stores each lineality vector as ~id, so it equals no ray ids.
 
 *Standard cones.*  `_standard_cone` writes down C_I = {x : alpha_I(x) = 0,
 beta(x) > 0 for beta in Phi+ - Phi_T} with no double description; for T =
@@ -160,61 +176,71 @@ the facets of one cone per orbit: in `parabolic_fan` the standard cones,
 the walk's seeds, and in `Fan.validate` the first cone of each orbit of
 the moves table.
 
-*Ray bitsets.*  The rays of the fan are numbered, and a cone is the set
-of its ray indices.  The cones of `parabolic_fan` are pointed (see
-*Standard cones*), and for pointed cones (f, g) is a face pair exactly
-when the rays of f are rays of g.  If so, the closure of f lies in that
-of g.  Conversely, let the closure of f lie in the closure of g and let r
-be a ray of f.  By the boundary axiom, applied facet by facet, every face
-of a closure is the closure of a fan cone, so r spans a fan cone.  By the
-partition and boundary axioms, the closure of g is the disjoint union of
-the fan cones that are its faces, and the open ray through r is one of
-them, so r is a ray of g.  `parabolic_fan` and `Fan.validate` check both
-axioms before the order is read.
+*Ray bitsets.*  A cone is the set of its ray ids (see *Tables*).  The
+cones of `parabolic_fan` are pointed (see *Standard cones*), and for
+pointed cones (f, g) is a face pair exactly when the rays of f are rays
+of g.  If so, the closure of f lies in that of g.  Conversely, let the
+closure of f lie in the closure of g and let r be a ray of f.  By the
+boundary axiom, applied facet by facet, every face of a closure is the
+closure of a fan cone, so r spans a fan cone.  By the partition and
+boundary axioms, the closure of g is the disjoint union of the fan cones
+that are its faces, and the open ray through r is one of them, so r is a
+ray of g.  `parabolic_fan` and `Fan.validate` check both axioms before
+the order is read.
 
 *Validation.*  `Fan.validate` checks each axiom once, from integer data.
-It reads the cones as stored, not the closed form of *Standard cones*
-that built them, and the sign table as the fan holds it.  A `Fan(...)`
-made by hand builds every row directly, with both exactness checks; one
-from `parabolic_fan` keeps its walk's rows: one built directly per
-standard cone (B3, J empty: 8 of its 147 rows, and none in `validate`),
-the others transported to image cones, which pass both checks by *Sign
-transport*.  The moves table checks that the rows are distinct and
-closed under each pi_k.  Partition and boundary: the cover check on one
-cone per orbit (see *Orbit reduction*).  Faces: every closure must hold
-its own rays, and a face of a pointed cone is the zero set of its tight
-facet forms; one incidence table per cone, its equalities and facet
-forms at its rays, gives both checks their data.  So with each facet of
-g kept as the bitset of the rays of g on which its form vanishes, (f, g)
-is a face pair exactly when the AND of the facets of g that hold the
-rays of f (all of g if none do) is the rays of f.  This is the
-supporting-form criterion with alpha the sum of the tight facet forms,
-and it implies cl(f) = span(f) meet cl(g).  Weyl invariance and cores: a
-complete moves table is Weyl invariance, since the s_k generate W.  The
-core of a cone X is the set of its points that its setwise stabiliser
-Stab(X) fixes.  Let X be the first cone of an orbit and p the sum of its
-rays; then Stab(X) is W_p, the stabiliser of p.  A g in Stab(X) permutes
-the primitive rays of X, as W acts unimodularly on coroot coordinates,
-so it fixes p.  A g in W_p maps X to a fan cone (Weyl invariance)
-through p, which is X (partition).  W_p is generated by the reflections
-it contains, those in the roots vanishing at p (Chevalley's lemma;
-Humphreys 1.12), so its fixed points are the zero set of those roots.
-The sign row of X names them: a root of sign 0 vanishes on the span of X
-already and one of sign + or - is nonzero at p, so only the mixed roots
-that vanish at p cut X down.  If there is none, the core is X; otherwise
-one `Cone.from_system` of the equalities of X, those root forms and the
-facet forms of X gives it (`_fixed_core`).  Stab(s_k.X) is s_k Stab(X)
-s_k, so s_k maps the core of X onto the core of s_k.X.  `validate`
-walks each orbit once, breadth first along the moves (`_orbit_walks`):
-the walk gives the first cones for the cover check and keeps, per cone,
-the letter k of the move that reached it, one byte; s_k is an
-involution, so the cone it came from is `moves[k]` of it.  The core
-check then carries the key (lineality and rays) of the first core along
-those moves by `_reflected_key`, through a per-call dictionary of
-reflected points, with no Weyl matrix.  When the first core is X, s_k maps cone i
-onto cone `moves[k][i]`, so each core of the orbit is its own cone and is
-compared with that cone's key, and no key is moved; for J empty this is
-every orbit, and `validate` calls no `Cone.from_system`. """
+It reads the cones as the tables hold them, not the closed form of
+*Standard cones* that built them, and the sign table as the fan holds
+it.  A `Fan(...)` made by hand builds every row directly, with both
+exactness checks; one from `parabolic_fan` keeps its walk's rows: one
+built directly per standard cone (B3, J empty: 8 of its 147 rows, and
+none in `validate`), the others transported to image cones, which pass
+both checks by *Sign transport*.  The moves table checks that the rows
+are distinct and closed under each pi_k.  `parabolic_fan` keeps its
+walk's lookups as that table once all its rows are distinct.  Each
+orbit's walk is a breadth-first closure: for each row it holds and each
+k, it looks up pi_k(row) among the rows of its orbit and adds it if new,
+so the rows of an orbit are closed under each pi_k, and the lookup names
+the cone of the orbit with the row pi_k(row).  With the rows of all
+orbits distinct, that is the one cone of the fan with that row, so the
+lookups are the table that the rows give, and the rows are distinct and
+closed under every pi_k.  Otherwise the build leaves the table to be
+made from the rows (`Fan._moves`), which raises.  Partition and
+boundary: the cover check on one cone per orbit (see *Orbit reduction*).
+Faces: every closure must hold its own rays, and a face of a pointed
+cone is the zero set of its tight facet forms; one incidence table per
+cone, its equalities and facet forms at its rays, gives both checks
+their data.  So with each facet of g kept as the bitset of the rays of g
+on which its form vanishes, (f, g) is a face pair exactly when the AND
+of the facets of g that hold the rays of f (all of g if none do) is the
+rays of f.  This is the supporting-form criterion with alpha the sum of
+the tight facet forms, and it implies cl(f) = span(f) meet cl(g).  Weyl
+invariance and cores: a complete moves table is Weyl invariance, since
+the s_k generate W.  The core of a cone X is the set of its points that
+its setwise stabiliser Stab(X) fixes.  Let X be the first cone of an
+orbit and p the sum of its rays; then Stab(X) is W_p, the stabiliser of
+p.  A g in Stab(X) permutes the primitive rays of X, as W acts
+unimodularly on coroot coordinates, so it fixes p.  A g in W_p maps X to
+a fan cone (Weyl invariance) through p, which is X (partition).  W_p is
+generated by the reflections it contains, those in the roots vanishing
+at p (Chevalley's lemma; Humphreys 1.12), so its fixed points are the
+zero set of those roots.  The sign row of X names them: a root of sign 0
+vanishes on the span of X already and one of sign + or - is nonzero at
+p, so only the mixed roots that vanish at p cut X down.  If there is
+none, the core is X; otherwise one `Cone.from_system` of the equalities
+of X, those root forms and the facet forms of X gives it
+(`_fixed_core`).  Stab(s_k.X) is s_k Stab(X) s_k, so s_k maps the core
+of X onto the core of s_k.X.  `validate` walks each orbit once, breadth
+first along the moves (`_orbit_walks`): the walk gives the first cones
+for the cover check and keeps, per cone, the letter k of the move that
+reached it, one byte; s_k is an involution, so the cone it came from is
+`moves[k]` of it.  The core check then carries the ray ids of the first
+core, pointed as it lies in the closure of X, along those moves through
+per-call `_id_images`, with no Weyl matrix, and compares them with
+`_core_rays`.  When the first core is X (`_fixed_core` is None), s_k
+maps cone i onto cone `moves[k][i]`, so each core of the orbit is its
+own cone and is compared with that cone's rays, and no id is moved; for
+J empty this is every orbit, and `validate` makes no `Cone`."""
 
 from __future__ import annotations
 
@@ -255,43 +281,102 @@ class CoreInfo(Value):
 
 
 class Fan:
-    """An immutable fan with cores, built from a root datum and a subset J."""
+    """An immutable fan with cores, built from a root datum and a subset J,
+    and held as integer tables (see *Tables* in the module docstring)."""
+
+    _lineal: Sequence[int] = ()  # the cones whose closures hold a line
 
     def __init__(
-        self,
-        datum: RootDatum,
-        J: frozenset[int],
-        cones: Sequence[Cone],
-        cores: dict[int, CoreInfo],
-        sign_table: Optional[Sequence[tuple[int, ...]]] = None,
+        self, datum: RootDatum, J: frozenset[int], cones: Sequence[Cone], cores: dict[int, CoreInfo]
     ):
+        """A fan made by hand: it keeps `cones` and `cores` as its views
+        and fills its tables from them."""
+        self.cones = cones = tuple(cones)
+        self.cores = cores
+        given = [cores[i].cone if i in cores else None for i in range(len(cones))]
+        vectors = {v for c in cones + tuple(filter(None, given)) for v in c.rays + c.lineality}
+        points, forms = _Numbering(sorted(vectors)), _Numbering()
+        self._adopt(
+            datum,
+            J,
+            points.vectors,
+            forms.vectors,
+            [tuple(map(forms.__getitem__, c.eqs)) for c in cones],
+            [tuple(map(forms.__getitem__, c.ins)) for c in cones],
+            [tuple(map(points.__getitem__, c.rays)) for c in cones],
+            [None if c is None else _core_ids(points, c) for c in given],
+        )
+        self._lineal = [i for i, c in enumerate(cones) if c.lineality]
+
+    def _adopt(self, datum, J, points, forms, eqs, ins, rays, core_rays) -> None:
         self.datum = datum
         self.J = J
-        self.cones = tuple(cones)
-        self.cores = cores
-        self._index = {c.key: i for i, c in enumerate(self.cones)}
+        self._points, self._forms = points, forms  # vectors by id
+        self._eqs, self._ins, self._rays = eqs, ins, rays  # per cone, ids
+        self._core_rays = core_rays  # per cone, its core's ray ids; None if it has none
         self._by_sign: dict[tuple[int, ...], int] = {}  # sign vector -> cone
-        if sign_table is not None:  # as `parabolic_fan` transports it
-            self._sign_table = tuple(sign_table)
 
     def __len__(self) -> int:
-        return len(self.cones)
+        return len(self._rays)
 
     def read_index(self, i) -> int:
         """i, a cone index; raises TypeMismatch unless it is an int (a bool
         is not), and DimensionMismatch unless it is in range(len(self))."""
         if type(i) is not int:
             raise TypeMismatch(f"cone index {i!r} is not an int")
-        if not 0 <= i < len(self.cones):
-            raise DimensionMismatch(f"cone index {i} is not in range({len(self.cones)})")
+        if not 0 <= i < len(self):
+            raise DimensionMismatch(f"cone index {i} is not in range({len(self)})")
         return i
 
     @cached_property
+    def cones(self) -> tuple[Cone, ...]:
+        """Each cone as a `Cone`, made from the tables on first read."""
+        n, points, forms = self.datum.rank, self._points, self._forms
+        return tuple(
+            Cone(
+                n,
+                tuple(sorted(map(forms.__getitem__, eqs))),
+                tuple(sorted(map(forms.__getitem__, ins))),
+                (),
+                tuple(map(points.__getitem__, rays)),
+            )
+            for eqs, ins, rays in zip(self._eqs, self._ins, self._rays)
+        )
+
+    @cached_property
+    def cores(self) -> dict[int, CoreInfo]:
+        """Each cone's core, made on first read along the walk that found
+        the cone: its word is its letter and then the word of the cone it
+        was met from, and its core is that cone's core reflected by the
+        letter, or the cone itself when the standard type T is I."""
+        points, forms = _reflections(self.datum.cartan)
+
+        def step(x: tuple, k: int) -> tuple:
+            s, word, core = x
+            if core is not None:  # T is not I
+                core = _reflected_cone(core, points[k], forms[k])
+            return s, (k,) + word, core
+
+        standard, cones = self._standard, self.cones
+        seeds = [(s, (), core) for s, (_, _, core) in enumerate(standard)]
+        walked = _along_parents(self._parents, self._letters, seeds, step)
+        return {
+            i: CoreInfo(standard[s][1], standard[s][0], word, cones[i] if core is None else core)
+            for i, (s, word, core) in enumerate(walked)
+        }
+
+    @cached_property
     def origin_index(self) -> int:
-        for i, c in enumerate(self.cones):
-            if c.is_origin:
+        for i, eqs in enumerate(self._eqs):
+            if len(eqs) == self.datum.rank:
                 return i
         raise PartitionFailure("fan has no origin cone")
+
+    @cached_property
+    def _pointed(self) -> set[tuple[int, ...]]:
+        """The ray ids of each cone whose closure holds no line."""
+        lineal = set(self._lineal)
+        return {rays for i, rays in enumerate(self._rays) if i not in lineal}
 
     # -- sign table ----------------------------------------------------------
 
@@ -351,7 +436,7 @@ class Fan:
         misses = 0
         for k, s in signs:
             misses |= excluding[k][s]
-        return ~misses & ((1 << len(self.cones)) - 1)
+        return ~misses & ((1 << len(self)) - 1)
 
     def _record(self, signs: tuple[int, ...], hits: int, point: Callable[[], Vec]) -> int:
         """The one cone in `hits`, the bitset of the cones whose rows agree
@@ -380,7 +465,8 @@ class Fan:
         """Per simple reflection s_k, the index of every cone's image under
         s_k: the cone whose sign row is the permuted row (see *Sign
         transport* in the module docstring).  Raises PartitionFailure
-        unless the rows are distinct and closed under the permutations."""
+        unless the rows are distinct and closed under the permutations.
+        `parabolic_fan` keeps its walk's lookups instead (see *Validation*)."""
         rows = self._sign_table
         index = {row: i for i, row in enumerate(rows)}
         for i, row in enumerate(rows):
@@ -398,26 +484,17 @@ class Fan:
     # -- face order ----------------------------------------------------------
 
     @cached_property
-    def _ray_indices(self) -> tuple[dict[Vec, int], tuple[tuple[int, ...], ...]]:
-        """Every ray of the fan numbered, and each cone's rays as indices."""
-        number: dict[Vec, int] = {}
-        cone_rays = tuple(
-            tuple(number.setdefault(r, len(number)) for r in c.rays) for c in self.cones
-        )
-        return number, cone_rays
-
-    @cached_property
     def face_order(self) -> tuple[tuple[int, int], ...]:
         """All pairs (f, g) with f a face of g, as the facade closure order:
         the rays of f are rays of g (see the module docstring)."""
-        number, cone_rays = self._ray_indices
-        cones_with = [0] * len(number)  # per ray, a bitset of the cones having it
-        for g, rays in enumerate(cone_rays):
+        cones_with = [0] * len(self._points)  # per ray, a bitset of the cones having it
+        for g, rays in enumerate(self._rays):
             for k in rays:
                 cones_with[k] |= 1 << g
         pairs = []
-        for f, rays in enumerate(cone_rays):
-            above = (1 << len(self.cones)) - 1
+        every = (1 << len(self)) - 1
+        for f, rays in enumerate(self._rays):
+            above = every
             for k in rays:
                 above &= cones_with[k]
             while above:
@@ -452,19 +529,58 @@ class Fan:
         Checks strict convexity of closures, the origin cone, partition and
         boundary axioms, the face condition on every face pair, Weyl
         invariance and the cores as stabiliser fixed loci."""
-        for c in self.cones:
-            if c.lineality:
-                raise PartitionFailure(f"cone closure contains a line: {c}")
+        if self._lineal:
+            raise PartitionFailure(f"cone closure contains a line: {self.cones[self._lineal[0]]}")
         _ = self.origin_index  # the zero cone belongs to the fan
         walks = _orbit_walks(self._moves)
         _check_cover(self, [cones[0] for cones, _ in walks])
         _check_faces(self)
         _check_cores(self, walks)
         return {
-            "cones": len(self.cones),
+            "cones": len(self),
             "face_pairs": len(self.face_order),
             "weyl_order": self.datum.weyl_order,
         }
+
+
+class _Numbering(dict):
+    """Distinct vectors numbered from 0, first those given, in order, then
+    each new one on its first lookup: `self[v]` is the id of v and
+    `vectors[i]` the vector of id i."""
+
+    __slots__ = ("vectors",)
+
+    def __init__(self, vectors: Sequence[Vec] = ()):
+        super().__init__(zip(vectors, range(len(vectors))))
+        self.vectors = list(vectors)
+
+    def __missing__(self, v: Vec) -> int:
+        self[v] = i = len(self.vectors)
+        self.vectors.append(v)
+        return i
+
+
+def _core_ids(points: _Numbering, core: Cone) -> tuple[int, ...]:
+    """The ids of the rays of a given core, then ~id for each vector of its
+    lineality basis, so that a core with a lineality equals no ray ids."""
+    return tuple(map(points.__getitem__, core.rays)) + tuple(~points[v] for v in core.lineality)
+
+
+def _along_parents(parents: Sequence[int], letters: bytes, seeds: Sequence, step: Callable) -> list:
+    """Per cone, a value made once along the walk that found it: `seeds[s]`
+    for the cone that seeded the walk of standard cone s (its parent is
+    ~s), and `step(value of its parent, its letter)` for any other."""
+    out = [None] * len(parents)
+    for i in range(len(parents)):
+        chain, j = [], i
+        while out[j] is None and parents[j] >= 0:
+            chain.append(j)
+            j = parents[j]
+        if out[j] is None:
+            out[j] = seeds[~parents[j]]
+        for j in reversed(chain):
+            out[j] = step(out[parents[j]], letters[j])
+    return out
 
 
 def _root_forms(datum: RootDatum) -> tuple[Vec, ...]:
@@ -582,24 +698,24 @@ def _check_cover(fan: Fan, firsts: Iterable[int]) -> None:
         zeros, ones = _zeros_and_ones(signs)
         hits = sum(bit for bit, z, o in candidates if not (z & ones or o & zeros))
         fan._record(signs, hits, lambda: _dominant_facet_points(datum)[S])
+    points, forms = fan._points, fan._forms
     for i in firsts:
-        g = fan.cones[i]
-        for form in g.ins:
-            facet_rays = tuple(sorted(r for r in g.rays if la.dot(form, r) == 0))
-            if ((), facet_rays) not in fan._index:
-                raise PartitionFailure(
-                    f"facet of cone {i} is not the closure of a fan cone"
-                )
+        rays = fan._rays[i]
+        for f in fan._ins[i]:
+            form = forms[f]
+            if tuple(sorted(r for r in rays if not la.dot(form, points[r]))) not in fan._pointed:
+                raise PartitionFailure(f"facet of cone {i} is not the closure of a fan cone")
 
 
 def _check_faces(fan: Fan) -> None:
     """Face condition on every pair of the face order, by ray incidence."""
-    _, cone_rays = fan._ray_indices
+    points, forms = fan._points, fan._forms
     ray_sets, zero_sets = [], []  # per cone: its rays, and each facet's rays
-    for i, (c, rays) in enumerate(zip(fan.cones, cone_rays)):
+    for i, (eqs, ins, rays) in enumerate(zip(fan._eqs, fan._ins, fan._rays)):
         # one table of the cone's forms at its rays serves both checks
-        on_eqs = (la.dot(form, r) for form in c.eqs for r in c.rays)
-        on_ins = [[la.dot(form, r) for r in c.rays] for form in c.ins]
+        at = [points[r] for r in rays]
+        on_eqs = (la.dot(forms[f], r) for f in eqs for r in at)
+        on_ins = [[la.dot(forms[f], r) for r in at] for f in ins]
         if any(on_eqs) or any(v < 0 for vals in on_ins for v in vals):
             raise PartitionFailure(f"face condition fails for cones {i} <= {i}")
         ray_sets.append(sum(1 << k for k in rays))
@@ -613,43 +729,50 @@ def _check_faces(fan: Fan) -> None:
             raise PartitionFailure(f"face condition fails for cones {f} <= {g}")
 
 
-def _fixed_core(fan: Fan, i: int) -> Cone:
+def _fixed_core(fan: Fan, i: int) -> Optional[Cone]:
     """Cone i cut down by the roots vanishing at the sum p of its rays: the
-    fixed locus of its stabiliser W_p in it, which is cone i itself when no
-    root of mixed sign on it vanishes at p (see *Validation* in the module
-    docstring)."""
-    c = fan.cones[i]
-    p = c.relint_point()
+    fixed locus of its stabiliser W_p in it; None when no root of mixed
+    sign on it vanishes at p, as the locus is then cone i itself (see
+    *Validation* in the module docstring)."""
+    points, forms, n = fan._points, fan._forms, fan.datum.rank
+    p = tuple(map(sum, zip(*map(points.__getitem__, fan._rays[i])))) or la.zero_vec(n)
     fixed = [
         f for f, sign in zip(fan._root_forms, fan._sign_table[i]) if sign == 2 and not la.dot(f, p)
     ]
-    return Cone.from_system(fan.datum.rank, list(c.eqs) + fixed, list(c.ins)) if fixed else c
+    if not fixed:
+        return None
+    eqs, ins = (sorted(map(forms.__getitem__, ids)) for ids in (fan._eqs[i], fan._ins[i]))
+    return Cone.from_system(n, eqs + fixed, ins)
 
 
 def _check_cores(fan: Fan, walks: Iterable[tuple[list[int], bytearray]]) -> None:
     """Cores: every cone has one, the first core of each orbit of `walks`
     (`_orbit_walks`) is `_fixed_core`, and each move s_k carries the core
     of cone i to that of its image (see *Validation* in the module
-    docstring).  Only the cores' keys are compared, so only they are moved,
-    along the moves of the walk; when the first core is its cone, each
-    core of the orbit is its own cone, and no key is moved."""
-    missing = next((i for i in range(len(fan.cones)) if i not in fan.cores), None)
+    docstring).  Only the cores' ray ids are compared, so only they are
+    moved, along the moves of the walk; when the first core is its cone,
+    each core of the orbit is its own cone, and no id is moved."""
+    cores = fan._core_rays
+    missing = next((i for i, core in enumerate(cores) if core is None), None)
     if missing is not None:
         raise PartitionFailure(f"cone {missing} has no core")
-    moves, points = fan._moves, None
+    moves, images = fan._moves, None
     for cones, letters in walks:
         first = cones[0]
         core = _fixed_core(fan, first)
-        if core is fan.cones[first]:
-            keys = (fan.cones[i].key for i in cones)
-        else:
-            points = points or _point_images(fan.datum.cartan)
-            moved = {first: core.key}
+        if core is None:
+            keys = map(fan._rays.__getitem__, cones)
+        else:  # a pointed cone, in the closure of cone `first`
+            if images is None:
+                points, cartan = _Numbering(fan._points), fan.datum.cartan
+                reflect = [partial(reflect_simple, cartan, k=k) for k in range(len(cartan))]
+                images = [_id_images(points, image) for image in reflect]
+            moved = {first: tuple(sorted(map(points.__getitem__, core.rays)))}
             for i, k in zip(cones[1:], letters[1:]):
-                moved[i] = _reflected_key(points[k], moved[moves[k][i]])
+                moved[i] = tuple(sorted(map(images[k].__getitem__, moved[moves[k][i]])))
             keys = moved.values()
         for i, key in zip(cones, keys):
-            if key != fan.cores[i].cone.key:
+            if key != cores[i]:
                 raise PartitionFailure(f"core of cone {i} is not the stabiliser fixed locus")
 
 
@@ -678,20 +801,15 @@ def _reflections(cartan: la.Mat) -> tuple[list[_Images], list[_Images]]:
     """Per simple reflection s_k, its images of points, s_k.p, and of
     forms, f.s_k = f - f[k] cartan[k], each computed once per distinct
     vector for the lifetime of the returned `_Images`."""
-    forms = [_Images(partial(_reflected_form, row, k)) for k, row in enumerate(cartan)]
-    return _point_images(cartan), forms
+    points = [_Images(partial(reflect_simple, cartan, k=k)) for k in range(len(cartan))]
+    return points, [_Images(partial(_reflected_form, row, k)) for k, row in enumerate(cartan)]
 
 
-def _point_images(cartan: la.Mat) -> list[_Images]:
-    """Per simple reflection s_k, its images of points, s_k.p."""
-    return [_Images(partial(reflect_simple, cartan, k=k)) for k in range(len(cartan))]
-
-
-def _reflected_key(points: _Images, key: tuple) -> tuple:
-    """The `Cone.key` of the image under s_k of the cone with this key,
-    given the images of points under s_k.  s_k is unimodular, so it keeps
-    integer generators primitive."""
-    return tuple(tuple(sorted(map(points.__getitem__, vs))) for vs in key)
+def _id_images(numbering: _Numbering, image: Callable[[Vec], Vec]) -> _Images:
+    """The id of the image under `image` of the vector of each id, each
+    computed on its first lookup and numbered by `numbering` if new."""
+    vectors = numbering.vectors
+    return _Images(lambda i: numbering[image(vectors[i])])
 
 
 def _reflected_cone(cone: Cone, points: _Images, forms: _Images) -> Cone:
@@ -738,31 +856,47 @@ def _admissible_index_sets(
 ) -> dict[frozenset[int], frozenset[int]]:
     """Subsets I of the basis none of whose components lie inside J: those
     that a walk inside I from I - J covers, over bitsets of the basis.  Each
-    maps to its standard type T = I u (J n I-perp), I plus the part of J
-    outside I and its neighbours (a Cartan entry vanishes exactly when its
-    transpose does), and I -> T is a bijection onto the J-relevant types:
-    K = J n I-perp is orthogonal to I, so T has the components of I, each
-    meeting the complement of J, and those of K, inside J: I is the union
-    of the components of T meeting the complement of J."""
+    maps to its standard type T = I u (J n I-perp) (`_standard_bits`), and
+    I -> T is a bijection onto the J-relevant types: K = J n I-perp is
+    orthogonal to I, so T has the components of I, each meeting the
+    complement of J, and those of K, inside J: I is the union of the
+    components of T meeting the complement of J."""
     n = datum.rank
-    near = [sum(1 << j for j in range(n) if datum.adjacent(i, j)) for i in range(n)]
+    near = _neighbours(datum)
     on_J = sum(1 << j for j in J)
-    off_J = (1 << n) - 1 - on_J
     out = {}
     for bits in range(1 << n):
-        reached = todo = bits & off_J
-        while todo:
-            step = near[(todo & -todo).bit_length() - 1] & bits & ~reached
-            todo = (todo & (todo - 1)) | step
-            reached |= step
-        if reached == bits:
-            around = bits
-            for i in range(n):
-                if bits >> i & 1:
-                    around |= near[i]
-            T = bits | on_J & ~around
-            out[_indices(bits, n)] = _indices(T, n)
+        if _reached(near, bits, bits & ~on_J) == bits:
+            out[_indices(bits, n)] = _indices(_standard_bits(near, bits, on_J), n)
     return out
+
+
+def _neighbours(datum: RootDatum) -> list[int]:
+    """Per simple root, the bitset of the simple roots joined to it in the
+    diagram (a Cartan entry vanishes exactly when its transpose does)."""
+    n = datum.rank
+    return [sum(1 << j for j in range(n) if datum.adjacent(i, j)) for i in range(n)]
+
+
+def _reached(near: Sequence[int], within: int, start: int) -> int:
+    """The bitset of the roots of `within` that a walk inside `within` along
+    the diagram (`near`, from `_neighbours`) reaches from `start`."""
+    reached = todo = start
+    while todo:
+        step = near[(todo & -todo).bit_length() - 1] & within & ~reached
+        todo = (todo & (todo - 1)) | step
+        reached |= step
+    return reached
+
+
+def _standard_bits(near: Sequence[int], I: int, on_J: int) -> int:
+    """T = I u (J n I-perp) as a bitset: I plus the part of J outside I
+    and its neighbours."""
+    around = I
+    for i, joined in enumerate(near):
+        if I >> i & 1:
+            around |= joined
+    return I | on_J & ~around
 
 
 def _indices(bits: int, n: int) -> frozenset[int]:
@@ -814,36 +948,82 @@ def parabolic_fan(datum: RootDatum, J: Iterable[int] = ()) -> Fan:
         raise NotEssential("root system does not span the ambient space")
     J = validate_J(datum, J)
 
-    n = datum.rank
-    forms = _root_forms(datum)
+    n, cartan = datum.rank, datum.cartan
+    root_forms = _root_forms(datum)
     permutations = _sign_permutations(datum)
-    reflections = points, covectors = _reflections(datum.cartan)
+    reflections = _reflections(cartan)
     coweights = [la.primitive(w) for w in la.transpose(datum.cartan_adjugate[0])]
-    Item = tuple[Cone, CoreInfo, tuple[int, ...]]  # a cone, its core and its sign row
+    points, forms = _Numbering(), _Numbering()
+    on_points = [_id_images(points, partial(reflect_simple, cartan, k=k)) for k in range(n)]
+    on_forms = [_id_images(forms, partial(_reflected_form, row, k)) for k, row in enumerate(cartan)]
 
-    def make(x: Item, k: int, row: tuple[int, ...]) -> Item:
-        """The image of x under s_k, the core's u becoming s_k.u."""
-        cone, info, _ = x
-        image = _reflected_cone(cone, points[k], covectors[k])
-        core = image if info.cone is cone else _reflected_cone(info.cone, points[k], covectors[k])
-        word = (k,) + info.word
-        return image, CoreInfo(info.type_indices, info.generator_indices, word, core), row
+    # per cone in walk order: sign row, ids of equalities, facet forms, rays
+    # and core rays, the cone it was met from (~s for the seed of standard
+    # cone s) and the letter of that move; per s_k, the cone of each row's image
+    rows, eqs, ins, rays, cores, parents, letters = [], [], [], [], [], [], bytearray()
+    moves: list[list[int]] = [[] for _ in range(n)]
+    index: dict[tuple[int, ...], int] = {}  # sign row -> its cone in the latest orbit
+    standard, seeds, at = [], [], {}
+    for s, (I, T) in enumerate(_admissible_index_sets(datum, J).items()):
+        base = _standard_cone(cartan, coweights, reflections, I, T)
+        core = None if T == I else _standard_cone(cartan, coweights, reflections, T, T)
+        standard.append((I, T, core))
+        start = len(rows)
+        seeds.append(start)
+        row = _sign_row(root_forms, base, f"the standard cone of {sorted(I)}", at)
+        index[row] = start
+        rows.append(row)
+        eqs.append(tuple(map(forms.__getitem__, base.eqs)))
+        ins.append(tuple(map(forms.__getitem__, base.ins)))
+        rays.append(tuple(map(points.__getitem__, base.rays)))
+        cores.append(rays[-1] if core is None else tuple(map(points.__getitem__, core.rays)))
+        parents.append(~s)
+        letters.append(0)
+        i = start
+        while i < len(rows):  # the orbit grows while it is walked
+            row = rows[i]
+            for k, pi in enumerate(permutations):
+                image = pi(row)
+                j = index.get(image, -1)
+                if j < start:  # new to this orbit
+                    index[image] = j = len(rows)
+                    rows.append(image)
+                    reflect = on_forms[k].__getitem__
+                    eqs.append(tuple(map(reflect, eqs[i])))
+                    ins.append(tuple(map(reflect, ins[i])))
+                    reflect = on_points[k].__getitem__
+                    rays.append(tuple(map(reflect, rays[i])))
+                    cores.append(rays[-1] if core is None else tuple(map(reflect, cores[i])))
+                    parents.append(i)
+                    letters.append(k)
+                moves[k].append(j)
+            i += 1
 
-    items: list[Item] = []
-    at: dict[Vec, tuple] = {}  # generator -> values of the root forms
-    for I, T in _admissible_index_sets(datum, J).items():
-        base = _standard_cone(datum.cartan, coweights, reflections, I, T)
-        core = base if T == I else _standard_cone(datum.cartan, coweights, reflections, T, T)
-        row = _sign_row(forms, base, f"the standard cone of {sorted(I)}", at)
-        seed = (base, CoreInfo(T, I, (), core), row)
-        items += walk_orbits({row: seed}, n, lambda x, k: permutations[k](x[2]), make).values()
+    # rank the rays by vector, so that sorted ids list rays in vector order
+    vectors = points.vectors
+    by_vector = sorted(range(len(vectors)), key=vectors.__getitem__)
+    rank = sorted(range(len(vectors)), key=by_vector.__getitem__)  # the inverse permutation
+    for i, (own, core) in enumerate(zip(rays, cores)):
+        rays[i] = tuple(sorted(map(rank.__getitem__, own)))
+        cores[i] = rays[i] if core is own else tuple(sorted(map(rank.__getitem__, core)))
+    order = sorted(range(len(rows)), key=lambda i: (-len(eqs[i]), rays[i]))  # (dim, key)
+    position = sorted(range(len(rows)), key=order.__getitem__)
 
-    # (dim, key) on pointed cones, with the lineality () left out
-    ordered = sorted(items, key=lambda x: (-len(x[0].eqs), x[0].rays))
-    cones = [x[0] for x in ordered]
-    cores = {i: x[1] for i, x in enumerate(ordered)}
-    fan = Fan(datum, J, cones, cores, [x[2] for x in ordered])
-    _check_cover(fan, [i for i, info in cores.items() if not info.word])  # the standard cones
+    def ordered(column: Sequence) -> list:
+        return list(map(column.__getitem__, order))
+
+    fan = Fan.__new__(Fan)
+    points = list(map(vectors.__getitem__, by_vector))
+    fan._adopt(
+        datum, J, points, forms.vectors, ordered(eqs), ordered(ins), ordered(rays), ordered(cores)
+    )
+    fan._sign_table = tuple(ordered(rows))
+    fan._parents = [p if p < 0 else position[p] for p in ordered(parents)]
+    fan._letters = bytes(ordered(letters))
+    fan._standard = standard
+    if len(index) == len(rows):  # every row distinct (see *Validation*)
+        fan._moves = tuple(tuple(map(position.__getitem__, ordered(move))) for move in moves)
+    _check_cover(fan, sorted(map(position.__getitem__, seeds)))
     return fan
 
 

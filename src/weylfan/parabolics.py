@@ -7,8 +7,10 @@ respect to a merging subset J, and the boundary-stratum classes of the
 associated compactified apartment.
 
 T is J-relevant when T = I u (J n I-perp) for an admissible I, none of
-whose components lies in J: relevance and the strata read the map I -> T,
-`fans._admissible_index_sets`, whose docstring argues that it is a bijection.
+whose components lies in J: the strata read the map I -> T,
+`fans._admissible_index_sets`, whose docstring argues that it is a
+bijection, and relevance its inverse, which takes T to the union of its
+components meeting the complement of J.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from . import linalg as la
 from ._value import Value
 from .cones import Cone
 from .errors import InternalDisagreement
-from .fans import Fan, _admissible_index_sets, validate_J
+from .fans import Fan, _admissible_index_sets, _neighbours, _reached, _standard_bits, validate_J
 from .rootdata import Root, RootDatum, check_same_roots, simple_indices
 
 
@@ -106,10 +108,15 @@ def dominance_cone(datum: RootDatum, T: Iterable[int]) -> Cone:
 
 def is_J_relevant(datum: RootDatum, J: Iterable[int], T: Iterable[int]) -> bool:
     """Whether T is I u (J n I-perp) for an admissible generator I: a type
-    of `fans._admissible_index_sets` (see the module docstring)."""
+    of `fans._admissible_index_sets`.  By that bijection (see the module
+    docstring) the only candidate I is the union of the components of T
+    meeting the complement of J, one walk inside T over bitsets, and T is
+    relevant exactly when it is the type of that I: O(n^2) bit operations."""
     J = validate_J(datum, J)
-    T = simple_indices(datum, T)
-    return T in _admissible_index_sets(datum, J).values()
+    near = _neighbours(datum)
+    on_J = sum(1 << j for j in J)
+    t = sum(1 << j for j in simple_indices(datum, T))
+    return _standard_bits(near, _reached(near, t, t & ~on_J), on_J) == t
 
 
 class StratumDescriptor(Value):

@@ -32,6 +32,12 @@ from weylfan.fans import (
     CoreInfo,
     Fan,
     _admissible_index_sets,
+    _reflected_cone,
+    _reflections,
+    _root_forms,
+    _sign_permutations,
+    _sign_row,
+    _standard_cone,
     parabolic_fan,
     validate_J,
     weyl_facet_points,
@@ -145,6 +151,39 @@ def enumerated_parabolic_fan(datum, J) -> Fan:
     return Fan(datum, J, [c for c, _ in ordered], {i: info for i, (_, info) in enumerate(ordered)})
 
 
+def object_walk_fan(datum, J) -> Fan:
+    """`parabolic_fan` oracle: the same standard cones, sign rows and
+    breadth-first walk, carrying each cone, its core and its reduced word
+    as objects (`_reflected_cone`, `CoreInfo`) instead of integer tables;
+    a hand-made `Fan` of the cones in (dim, rays) order, holding the
+    walk's transported sign rows."""
+    J = validate_J(datum, J)
+    cartan = datum.cartan
+    forms = _root_forms(datum)
+    permutations = _sign_permutations(datum)
+    reflections = points, covectors = _reflections(cartan)
+    coweights = [la.primitive(w) for w in la.transpose(datum.cartan_adjugate[0])]
+
+    def make(x, k, row):
+        cone, info, _ = x
+        image = _reflected_cone(cone, points[k], covectors[k])
+        core = image if info.cone is cone else _reflected_cone(info.cone, points[k], covectors[k])
+        word = (k,) + info.word
+        return image, CoreInfo(info.type_indices, info.generator_indices, word, core), row
+
+    items, at = [], {}
+    for I, T in _admissible_index_sets(datum, J).items():
+        base = _standard_cone(cartan, coweights, reflections, I, T)
+        core = base if T == I else _standard_cone(cartan, coweights, reflections, T, T)
+        row = _sign_row(forms, base, f"the standard cone of {sorted(I)}", at)
+        seed = {row: (base, CoreInfo(T, I, (), core), row)}
+        items += walk_orbits(seed, datum.rank, lambda x, k: permutations[k](x[2]), make).values()
+    ordered = sorted(items, key=lambda x: (-len(x[0].eqs), x[0].rays))
+    fan = Fan(datum, J, [x[0] for x in ordered], {i: x[1] for i, x in enumerate(ordered)})
+    vars(fan)["_sign_table"] = tuple(x[2] for x in ordered)
+    return fan
+
+
 @cache
 def simple_reflection_matrices(datum) -> tuple[list, list]:
     """Per simple reflection s_k, its matrix on coroot coordinates, the
@@ -211,6 +250,12 @@ def reference_permuted(row: tuple, perm: tuple) -> tuple:
     return tuple(out)
 
 
+@cache
+def cone_keys(fan: Fan) -> dict:
+    """Each cone's `Cone.key` -> its index, once per fan."""
+    return {c.key: i for i, c in enumerate(fan.cones)}
+
+
 def reference_transform_index(fan: Fan, w: WeylElement, i: int) -> int:
     """`Fan.transform_index` oracle: the cone whose key is the key of cone
     i mapped by the point matrix of w."""
@@ -218,7 +263,7 @@ def reference_transform_index(fan: Fan, w: WeylElement, i: int) -> int:
         tuple(sorted(la.primitive(la.mat_vec(w.mat_points, v)) for v in vs))
         for vs in fan.cones[i].key
     )
-    j = fan._index.get(key)
+    j = cone_keys(fan).get(key)
     if j is None:
         raise PartitionFailure("fan is not Weyl invariant")
     return j

@@ -1,4 +1,5 @@
 from fractions import Fraction as Q
+from itertools import combinations
 import random
 import re
 
@@ -24,6 +25,7 @@ from weylfan.apartment import (
     SymbolicEntry,
     TransitivitySolution,
     ValueGroup,
+    _positive_compositions,
     embed_extension,
     essential_projection,
     is_special_vertex,
@@ -434,6 +436,28 @@ def test_dense_samples_of_many_or_repeated_vertices_return():
     assert pts == rational_dense_sample(apt, [(0, 0), (1, 0)], 40)
     assert pts[0] == (Q(1, 2), 0) and len(set(pts)) == 40
     assert all(0 < x < 1 and y == 0 for x, y in pts)
+
+
+def test_positive_compositions_match_the_cuts_of_the_total():
+    """The compositions of t into k positive parts, in lexicographic order,
+    are the gaps between 0, the k - 1 cuts of `itertools.combinations` of
+    1..t-1, and t."""
+    for total in range(1, 14):
+        for parts in range(1, 8):
+            want = [
+                tuple(b - a for a, b in zip((0,) + cuts, cuts + (total,)))
+                for cuts in combinations(range(1, total), parts - 1)
+            ]
+            assert list(_positive_compositions(total, parts)) == want, (total, parts)
+
+
+def test_dense_sample_of_a_thousand_vertices_does_not_recurse():
+    """1,100 distinct vertices i/1100 of an A1 segment: the compositions are
+    enumerated with no recursion, so the sample is the barycenter and two
+    points from the first compositions of 2^11, not a RecursionError."""
+    apt = make_apartment(build_root_datum("A1"))
+    pts = rational_dense_sample(apt, [(Q(i, 1100),) for i in range(1100)], 3)
+    assert pts == [(Q(1099, 2200),), (Q(823151, 1126400),), (Q(1646301, 2252800),)]
 
 
 def test_dense_sample_empty_facet():

@@ -7,7 +7,9 @@ import pytest
 
 from helpers import (
     FAN_CATALOGUE,
+    RANK4_CATALOGUE,
     enumerated_parabolic_fan,
+    object_walk_fan,
     reference_transform_index,
     sample_points,
     sign_vector_cone_count,
@@ -26,6 +28,7 @@ from weylfan.errors import (
     TypeMismatch,
 )
 from weylfan.fans import (
+    CoreInfo,
     Fan,
     cone_of_parabolic,
     parabolic_fan,
@@ -384,6 +387,51 @@ def test_weyl_fan_count_orbit_stabiliser_oracle(name):
 
 FAN_CASES = [(name, J) for name in FAN_CATALOGUE for J in valid_js(build_root_datum(name))]
 WALK_CASES = FAN_CASES + [("A4", frozenset()), ("D4", frozenset())]
+
+
+RANK4_CASES = [
+    (name, J) for name in RANK4_CATALOGUE for J in valid_js(build_root_datum(name))
+]
+
+
+@pytest.mark.parametrize(
+    "name,J", RANK4_CASES, ids=[f"{name}-{sorted(J)}" for name, J in RANK4_CASES]
+)
+def test_table_walk_matches_the_object_walk(name, J):
+    """The integer tables give the object walk's cones and cores, field by
+    field, words included, its transported sign rows and, from the walk's
+    own lookups, the moves table that its rows give."""
+    datum = build_root_datum(name)
+    fan, oracle = parabolic_fan(datum, J), object_walk_fan(datum, J)
+    assert [astuple(c) for c in fan.cones] == [astuple(c) for c in oracle.cones]
+    for i in range(len(fan)):
+        got, want = fan.cores[i], oracle.cores[i]
+        assert (got.type_indices, got.generator_indices, got.word, astuple(got.cone)) == (
+            want.type_indices, want.generator_indices, want.word, astuple(want.cone)
+        ), i
+        assert (got.cone is fan.cones[i]) == (want.cone is oracle.cones[i]), i
+    assert fan._sign_table == oracle._sign_table
+    assert vars(fan)["_moves"] == oracle._moves
+
+
+def test_build_order_and_validate_make_no_cone_but_the_standard_cones(monkeypatch):
+    """On F4 with J empty, `parabolic_fan`, `face_order` and `validate()`
+    make one `Cone` per standard cone (2^4) and no other, and no
+    `CoreInfo`: the walk and every check read the integer tables."""
+    made = []
+    for cls in (Cone, CoreInfo):
+
+        def counted(self, *args, init=cls.__init__, cls=cls, **kwargs):
+            made.append(cls)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    fan = parabolic_fan(build_root_datum("F4"))
+    assert (len(fan), len(fan.face_order)) == (5089, 42913)
+    assert fan.validate()["cones"] == 5089
+    assert made == [Cone] * 16
+    monkeypatch.undo()
+    assert fan.cores[len(fan) - 1].cone is fan.cones[-1]  # the views, made on first read
 
 
 @pytest.mark.parametrize(

@@ -157,6 +157,10 @@ def test_library_imports_only_the_standard_library():
             for name in names:
                 assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
                 assert name.split(".")[0] != "dataclasses", (path.name, name)  # see `_value`
+                # no gc.disable() or gc.freeze(): either is a side effect on
+                # the whole calling process, so speed must come from fewer
+                # tracked objects
+                assert name.split(".")[0] != "gc", (path.name, name)
 
 
 def test_value_classes_are_immutable_records():

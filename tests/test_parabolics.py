@@ -8,6 +8,7 @@ from helpers import (
     is_J_relevant_exhaustive,
     is_J_relevant_via_perp,
     reference_is_J_relevant,
+    valid_js,
     word_element,
 )
 from weylfan import linalg as la
@@ -15,7 +16,7 @@ from weylfan import parabolics
 from weylfan.cones import Cone
 from weylfan._value import replace
 from weylfan.errors import DegenerateJ, NonRootSystem, TypeMismatch
-from weylfan.fans import parabolic_fan, weyl_fan
+from weylfan.fans import _admissible_index_sets, parabolic_fan, weyl_fan
 from weylfan.parabolics import (
     ParabolicType,
     dominance_cone,
@@ -129,6 +130,17 @@ def test_relevance_examples():
         is_J_relevant(a2, [0, 1], [0])
     with pytest.raises(DegenerateJ):
         is_J_relevant_via_perp(a2, [0, 1], [0])
+
+
+@pytest.mark.parametrize("name", RANK4_CATALOGUE)
+def test_relevance_is_the_image_of_the_admissible_map(name):
+    """`is_J_relevant`, one walk inside T, holds exactly for the types of
+    `fans._admissible_index_sets`, for every valid J and every T."""
+    datum = build_root_datum(name)
+    for J in valid_js(datum):
+        types = set(_admissible_index_sets(datum, J).values())
+        for T in subsets(datum.rank):
+            assert is_J_relevant(datum, J, T) == (T in types), (sorted(J), sorted(T))
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ from helpers import RANK3_CATALOGUE, built_fan, valid_js
 from weylfan import linalg as la
 from weylfan.compactify import NEG_INF, POS_INF, limit_of_profile, limit_of_ray, ray_profile
 from weylfan.cones import dual_description
+from weylfan.gaussnorm import ToyGroupDatum, boundary_rays_equal
 from weylfan.rootdata import build_root_datum, reflect_simple
 
 
@@ -161,3 +162,34 @@ def test_ray_profile_is_odd(ray):
     swapped = {POS_INF: NEG_INF, NEG_INF: POS_INF}
     for a, v in table.items():
         assert table[la.neg(a)] == (swapped[v] if v in swapped else -v), (a, v)
+
+
+@st.composite
+def ray_pairs(draw):
+    """(fan, r1, r2): a fan and two rays (b, d), d nonzero (see `_point`).
+    Half the time r2 has the limit of r1 by construction: its direction
+    is the relative interior point of the cone holding d, and its base is
+    b shifted by an integer combination of that cone's rays."""
+    fan = _fan(draw)
+    b, d = _point(draw, fan), _point(draw, fan)
+    assume(any(d))
+    if draw(st.booleans()):
+        b2, d2 = _point(draw, fan), _point(draw, fan)
+        assume(any(d2))
+    else:
+        cone = fan.cones[fan.cone_containing(d)]
+        b2, d2 = b, cone.relint_point()
+        for r in cone.rays:
+            b2 = la.add(b2, la.scale(r, draw(st.integers(-2, 2))))
+    return fan, (b, d), (b2, d2)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(ray_pairs())
+def test_limits_are_equal_exactly_when_boundary_seminorms_are(pair):
+    """Two rays have one limit in the compactification of J exactly when
+    they acquire the same boundary seminorm data of the parabolic type J."""
+    fan, r1, r2 = pair
+    tg = ToyGroupDatum.for_parabolic(fan.datum, fan.J)
+    same_limit = limit_of_ray(fan, *r1) == limit_of_ray(fan, *r2)
+    assert same_limit == boundary_rays_equal(tg, r1, r2)
