@@ -28,7 +28,7 @@ from ._value import Value
 from .errors import InconsistentProfile, NonRootSystem
 from .fans import Fan
 from .linalg import NEG_INF, POS_INF, Vec
-from .rootdata import Root, RootDatum
+from .rootdata import Root, RootDatum, check_same_roots
 
 ExtendedQ = Union[Fraction, float]  # a rational or an infinity
 
@@ -119,6 +119,16 @@ def limit_of_ray(fan: Fan, base: Sequence, direction: Sequence) -> CompactifiedP
     return project_to_facade(fan, c, base)
 
 
+def _extended(v) -> ExtendedQ:
+    """v as a profile value: an int (a bool is not) as a Fraction, and a
+    Fraction or an infinity as itself; InconsistentProfile for any other v."""
+    if type(v) is int:
+        return Fraction(v)
+    if not (isinstance(v, Fraction) or isinstance(v, float) and v in (POS_INF, NEG_INF)):
+        raise InconsistentProfile(f"finite profile values must be rational, not {v!r}")
+    return v
+
+
 class LimitProfile(Value):
     """Limiting pairing values of a sequence against every root."""
 
@@ -127,8 +137,7 @@ class LimitProfile(Value):
 
     def __post_init__(self) -> None:
         for _, v in self.values:
-            if isinstance(v, float) and v not in (POS_INF, NEG_INF):
-                raise InconsistentProfile("finite profile values must be rational")
+            _extended(v)
         table = dict(self.values)
         if set(table) != set(self.datum.roots):
             raise InconsistentProfile("profile must assign a value to every root")
@@ -141,7 +150,7 @@ class LimitProfile(Value):
 
     @staticmethod
     def of(datum: RootDatum, table: dict[Root, ExtendedQ]) -> "LimitProfile":
-        vals = {a: v if isinstance(v, float) else Fraction(v) for a, v in table.items()}
+        vals = {a: _extended(v) for a, v in table.items()}
         for a in datum.roots:
             if a not in vals:
                 neg = tuple(-c for c in a)
@@ -176,9 +185,11 @@ def limit_of_profile(
     -infinity, and every root vanishing on it has a finite value; roots of
     mixed sign on the cone are unconstrained.  The finite values must then
     be realisable by a transverse base point, which they pin down uniquely
-    (see *Facade points* above).
+    (see *Facade points* above).  TypeMismatch unless the profile is one of
+    the fan's datum (`rootdata.check_same_roots`).
     """
     datum = fan.datum
+    check_same_roots(datum, profile.datum)
     table = dict(profile.values)
     signs = []  # root a is e or 2e times root k; +inf, -inf, rational: 1, -1, 0
     for a, v in table.items():

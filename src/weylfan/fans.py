@@ -11,13 +11,16 @@ and I u (J n I-perp) under that reflection subgroup; its core is the Weyl
 facet of type I u (J n I-perp).  For J empty this is exactly the Weyl fan.
 
 *Orbit walk.*  `parabolic_fan` walks each standard cone's orbit breadth
-first under s_1..s_n, keyed by sign rows (see *Sign table*), and keeps
-per cone the cone it was met from and the letter k of that move: the
-reduced word of the Weyl element u mapping the standard cone there is k
-and then the word of that cone, as s_k.u has the word k, u.  s_k is
-unimodular and moves one coroot coordinate, so rays stay primitive.  The
-stabiliser of the standard cone of I is W_T, T = I u (J n I-perp), so
-each cone has one minimal-length u, of length its depth in the walk.
+first under s_1..s_n, keyed by sign rows (see *Sign table*), adds a cone
+at its first lookup in the orbit and keeps every lookup as the moves
+table (see *Sign transport*).  So a breadth-first replay of the table
+from each standard cone (`_orbit_walks`) meets the cones in the build's
+order, each from the same cone by the same letter k, and the reduced
+word of the Weyl element u mapping the standard cone there is k and then
+the word of that cone, as s_k.u has the word k, u.  s_k is unimodular and
+moves one coroot coordinate, so rays stay primitive.  The stabiliser of
+the standard cone of I is W_T, T = I u (J n I-perp), so each cone has
+one minimal-length u, of length its depth in the walk.
 `weyl_enumerate` walks the orbit of the regular rho^vee breadth first
 under s_1..s_n too, and gives s_k.w the word k, w, as w.rho^vee
 determines w and s_k.(w.rho^vee) = (s_k w).rho^vee.  A prefix v = s_k.u
@@ -43,7 +46,8 @@ which gives the argument).
 distinct rays and forms it meets (`_points`, `_forms`) and keeps
 per cone the ids of its equalities, facet forms and rays (`_eqs`, `_ins`,
 `_rays`), of its core's rays (`_core_rays`, the cone's own tuple when
-T = I), its sign row, the cone it was met from and its letter.  The walk
+T = I) and its sign row, and per s_k the moves table (see *Orbit walk*),
+with the indices of the standard cones that seed it.  The walk
 reflects ids, not vectors: per s_k, a dictionary gives the id of the
 image of each id, computed on its first lookup (`_id_images`, over the
 per-call vector dictionaries of `_reflections` that the standard cones'
@@ -52,12 +56,13 @@ and build, and an image cone costs a few tuples of small ints.  The rays
 are then ranked once by vector and renumbered by rank, so a sorted tuple
 of ray ids lists its rays in vector order, and the cone order, by
 dimension and then rays, compares ids.  `Fan.cones` and `Fan.cores` are
-views made from the tables on first read, a word by following the
-parents (`_along_parents`) and a core with T not I by reflecting the
-core of the cone met before; no step of `parabolic_fan`, `face_order`
-or `validate` makes them.  A hand-made `Fan(...)` keeps the cones and
-cores it is given and numbers their vectors by rank too; a core with a
-lineality stores each lineality vector as ~id, so it equals no ray ids.
+views made from the tables on first read, a word and a core with T not I
+carried along the replayed walk (`_carry`): the letter in front of the
+word of the cone met before, and that cone's core reflected by the
+letter; no step of `parabolic_fan`, `face_order` or `validate` makes
+them.  A hand-made `Fan(...)` keeps the cones and cores it is given and
+numbers their vectors by rank too; a core with a lineality stores each
+lineality vector as ~id, so it equals no ray ids.
 
 *Standard cones.*  `_standard_cone` writes down C_I = {x : alpha_I(x) = 0,
 beta(x) > 0 for beta in Phi+ - Phi_T} with no double description; for T =
@@ -205,8 +210,9 @@ the cone of the orbit with the row pi_k(row).  With the rows of all
 orbits distinct, that is the one cone of the fan with that row, so the
 lookups are the table that the rows give, and the rows are distinct and
 closed under every pi_k.  Otherwise the build leaves the table to be
-made from the rows (`Fan._moves`), which raises.  Partition and
-boundary: the cover check on one cone per orbit (see *Orbit reduction*).
+made from the rows (`Fan._moves`), which raises, as `Fan.cores` then
+does.  Partition and boundary: the cover check on one cone per orbit
+(see *Orbit reduction*).
 Faces: every closure must hold its own rays, and a face of a pointed
 cone is the zero set of its tight facet forms; one incidence table per
 cone, its equalities and facet forms at its rays, gives both checks
@@ -230,21 +236,23 @@ p, so only the mixed roots that vanish at p cut X down.  If there is
 none, the core is X; otherwise one `Cone.from_system` of the equalities
 of X, those root forms and the facet forms of X gives it
 (`_fixed_core`).  Stab(s_k.X) is s_k Stab(X) s_k, so s_k maps the core
-of X onto the core of s_k.X.  `validate` walks each orbit once, breadth
-first along the moves (`_orbit_walks`): the walk gives the first cones
-for the cover check and keeps, per cone, the letter k of the move that
-reached it, one byte; s_k is an involution, so the cone it came from is
-`moves[k]` of it.  The core check then carries the ray ids of the first
-core, pointed as it lies in the closure of X, along those moves through
-per-call `_id_images`, with no Weyl matrix, and compares them with
-`_core_rays`.  When the first core is X (`_fixed_core` is None), s_k
-maps cone i onto cone `moves[k][i]`, so each core of the orbit is its
-own cone and is compared with that cone's rays, and no id is moved; for
-J empty this is every orbit, and `validate` makes no `Cone`."""
+of X onto the core of s_k.X.  `validate` replays each orbit once, from
+its first cone in cone order (`_orbit_walks`): the replay gives the
+first cones for the cover check and keeps, per cone, the letter k of the
+move that reached it; s_k is an involution, so the cone it came from is
+`moves[k]` of it.  The core check then carries (`_carry`)
+the ray ids of the first core, pointed as it lies in the closure of X,
+along those moves through per-call `_id_images`, with no Weyl matrix,
+and compares them with `_core_rays`.  When the first core is X
+(`_fixed_core` is None), s_k maps cone i onto cone `moves[k][i]`, so
+each core of the orbit is its own cone and is compared with that cone's
+rays, and no id is moved; for J empty this is every orbit, and
+`validate` makes no `Cone`."""
 
 from __future__ import annotations
 
 from functools import cached_property, partial
+from itertools import islice
 from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -260,14 +268,8 @@ from .errors import (
 )
 from .linalg import Vec
 from .rootdata import (
-    Root,
-    RootDatum,
-    WeylElement,
-    basis_subset,
-    listed,
-    point_orbits,
-    reflect_simple,
-    walk_orbits,
+    Root, RootDatum, WeylElement, basis_subset, bit_indices, diagram_neighbours, listed,
+    orthogonal_bits, point_orbits, reached, reflect_simple, walk_orbits,
 )
 
 
@@ -345,25 +347,26 @@ class Fan:
 
     @cached_property
     def cores(self) -> dict[int, CoreInfo]:
-        """Each cone's core, made on first read along the walk that found
-        the cone: its word is its letter and then the word of the cone it
-        was met from, and its core is that cone's core reflected by the
-        letter, or the cone itself when the standard type T is I."""
-        points, forms = _reflections(self.datum.cartan)
+        """Each cone's core, made on first read along the replayed walk of
+        its orbit (`_orbit_walks`): its word is its letter and then the word
+        of the cone it was met from, and its core is the cone itself when
+        the standard type T is I, and otherwise that cone's core reflected
+        by the letter."""
+        cones, moves = self.cones, self._moves
+        out, reflections = [None] * len(self), None
+        for (I, T, core), walk in zip(self._standard, _orbit_walks(moves, self._seeds)):
+            if core is None:  # carry the words; each core is its cone
+                _carry(moves, walk, (), lambda word, k: (k,) + word, out)
+                for i in walk[0]:
+                    out[i] = CoreInfo(T, I, out[i], cones[i])
+                continue
+            points, forms = reflections = reflections or _reflections(self.datum.cartan)
 
-        def step(x: tuple, k: int) -> tuple:
-            s, word, core = x
-            if core is not None:  # T is not I
-                core = _reflected_cone(core, points[k], forms[k])
-            return s, (k,) + word, core
+            def step(x: CoreInfo, k: int) -> CoreInfo:
+                return CoreInfo(T, I, (k,) + x.word, _reflected_cone(x.cone, points[k], forms[k]))
 
-        standard, cones = self._standard, self.cones
-        seeds = [(s, (), core) for s, (_, _, core) in enumerate(standard)]
-        walked = _along_parents(self._parents, self._letters, seeds, step)
-        return {
-            i: CoreInfo(standard[s][1], standard[s][0], word, cones[i] if core is None else core)
-            for i, (s, word, core) in enumerate(walked)
-        }
+            _carry(moves, walk, CoreInfo(T, I, (), core), step, out)
+        return dict(enumerate(out))
 
     @cached_property
     def origin_index(self) -> int:
@@ -532,7 +535,7 @@ class Fan:
         if self._lineal:
             raise PartitionFailure(f"cone closure contains a line: {self.cones[self._lineal[0]]}")
         _ = self.origin_index  # the zero cone belongs to the fan
-        walks = _orbit_walks(self._moves)
+        walks = _orbit_walks(self._moves, range(len(self)))
         _check_cover(self, [cones[0] for cones, _ in walks])
         _check_faces(self)
         _check_cores(self, walks)
@@ -564,23 +567,6 @@ def _core_ids(points: _Numbering, core: Cone) -> tuple[int, ...]:
     """The ids of the rays of a given core, then ~id for each vector of its
     lineality basis, so that a core with a lineality equals no ray ids."""
     return tuple(map(points.__getitem__, core.rays)) + tuple(~points[v] for v in core.lineality)
-
-
-def _along_parents(parents: Sequence[int], letters: bytes, seeds: Sequence, step: Callable) -> list:
-    """Per cone, a value made once along the walk that found it: `seeds[s]`
-    for the cone that seeded the walk of standard cone s (its parent is
-    ~s), and `step(value of its parent, its letter)` for any other."""
-    out = [None] * len(parents)
-    for i in range(len(parents)):
-        chain, j = [], i
-        while out[j] is None and parents[j] >= 0:
-            chain.append(j)
-            j = parents[j]
-        if out[j] is None:
-            out[j] = seeds[~parents[j]]
-        for j in reversed(chain):
-            out[j] = step(out[parents[j]], letters[j])
-    return out
 
 
 def _root_forms(datum: RootDatum) -> tuple[Vec, ...]:
@@ -657,21 +643,21 @@ def _sign_permutations(datum: RootDatum) -> list[Callable[[tuple], tuple]]:
     return maps
 
 
-def _orbit_walks(moves: Sequence[Sequence[int]]) -> list[tuple[list[int], bytearray]]:
-    """Each orbit of the moves table, by its first cone in cone order,
-    walked once breadth first under s_1..s_n as `walk_orbits` walks: its
-    cones in the order met, and per cone the letter k of the move s_k that
-    met it (0 for the first cone), one byte each.  Each move is an
-    involution, so cone j was met from cone `moves[k][j]`."""
+def _orbit_walks(moves: Sequence[Sequence[int]], starts: Iterable[int]) -> list[tuple]:
+    """The orbit of each cone of `starts` not in an earlier one's, walked
+    once breadth first under s_1..s_n as `walk_orbits` walks: its cones in
+    the order met, and per cone the letter k of the move s_k that met it
+    (0 for the first cone).  Each move is an involution, so cone j was met
+    from cone `moves[k][j]` (`_carry`)."""
     seen = bytearray(len(moves[0]))
-    walks = []
-    for first in range(len(seen)):
+    walks, numbered = [], list(enumerate(moves))
+    for first in starts:
         if seen[first]:
             continue
         seen[first] = 1
-        cones, letters = [first], bytearray(1)
+        cones, letters = [first], [0]
         for i in cones:  # grows while it is walked
-            for k, move in enumerate(moves):
+            for k, move in numbered:
                 j = move[i]
                 if not seen[j]:
                     seen[j] = 1
@@ -679,6 +665,15 @@ def _orbit_walks(moves: Sequence[Sequence[int]]) -> list[tuple[list[int], bytear
                     letters.append(k)
         walks.append((cones, letters))
     return walks
+
+
+def _carry(moves: Sequence[Sequence[int]], walk: tuple, value, step: Callable, out) -> None:
+    """Sets `out[i]` for each cone i of a walk of `_orbit_walks`: `value` at
+    its first cone, and `step(out[j], k)` at a cone met by s_k from cone j."""
+    cones, letters = walk
+    out[cones[0]] = value
+    for i, k in islice(zip(cones, letters), 1, None):
+        out[i] = step(out[moves[k][i]], k)
 
 
 def _check_cover(fan: Fan, firsts: Iterable[int]) -> None:
@@ -745,7 +740,7 @@ def _fixed_core(fan: Fan, i: int) -> Optional[Cone]:
     return Cone.from_system(n, eqs + fixed, ins)
 
 
-def _check_cores(fan: Fan, walks: Iterable[tuple[list[int], bytearray]]) -> None:
+def _check_cores(fan: Fan, walks: Iterable[tuple[list[int], list[int]]]) -> None:
     """Cores: every cone has one, the first core of each orbit of `walks`
     (`_orbit_walks`) is `_fixed_core`, and each move s_k carries the core
     of cone i to that of its image (see *Validation* in the module
@@ -757,19 +752,22 @@ def _check_cores(fan: Fan, walks: Iterable[tuple[list[int], bytearray]]) -> None
     if missing is not None:
         raise PartitionFailure(f"cone {missing} has no core")
     moves, images = fan._moves, None
-    for cones, letters in walks:
-        first = cones[0]
-        core = _fixed_core(fan, first)
+
+    def step(ids: tuple, k: int) -> tuple:
+        return tuple(sorted(map(images[k].__getitem__, ids)))
+
+    for walk in walks:
+        cones = walk[0]
+        core = _fixed_core(fan, cones[0])
         if core is None:
             keys = map(fan._rays.__getitem__, cones)
-        else:  # a pointed cone, in the closure of cone `first`
+        else:  # a pointed cone, in the closure of the walk's first cone
             if images is None:
                 points, cartan = _Numbering(fan._points), fan.datum.cartan
                 reflect = [partial(reflect_simple, cartan, k=k) for k in range(len(cartan))]
                 images = [_id_images(points, image) for image in reflect]
-            moved = {first: tuple(sorted(map(points.__getitem__, core.rays)))}
-            for i, k in zip(cones[1:], letters[1:]):
-                moved[i] = tuple(sorted(map(images[k].__getitem__, moved[moves[k][i]])))
+            moved: dict[int, tuple] = {}  # in the order of the walk
+            _carry(moves, walk, tuple(sorted(map(points.__getitem__, core.rays))), step, moved)
             keys = moved.values()
         for i, key in zip(cones, keys):
             if key != cores[i]:
@@ -856,52 +854,19 @@ def _admissible_index_sets(
 ) -> dict[frozenset[int], frozenset[int]]:
     """Subsets I of the basis none of whose components lie inside J: those
     that a walk inside I from I - J covers, over bitsets of the basis.  Each
-    maps to its standard type T = I u (J n I-perp) (`_standard_bits`), and
+    maps to its standard type T = I u (J n I-perp) (`orthogonal_bits`), and
     I -> T is a bijection onto the J-relevant types: K = J n I-perp is
     orthogonal to I, so T has the components of I, each meeting the
     complement of J, and those of K, inside J: I is the union of the
     components of T meeting the complement of J."""
     n = datum.rank
-    near = _neighbours(datum)
+    near = diagram_neighbours(datum)
     on_J = sum(1 << j for j in J)
     out = {}
     for bits in range(1 << n):
-        if _reached(near, bits, bits & ~on_J) == bits:
-            out[_indices(bits, n)] = _indices(_standard_bits(near, bits, on_J), n)
+        if reached(near, bits, bits & ~on_J) == bits:
+            out[bit_indices(bits, n)] = bit_indices(bits | on_J & orthogonal_bits(near, bits), n)
     return out
-
-
-def _neighbours(datum: RootDatum) -> list[int]:
-    """Per simple root, the bitset of the simple roots joined to it in the
-    diagram (a Cartan entry vanishes exactly when its transpose does)."""
-    n = datum.rank
-    return [sum(1 << j for j in range(n) if datum.adjacent(i, j)) for i in range(n)]
-
-
-def _reached(near: Sequence[int], within: int, start: int) -> int:
-    """The bitset of the roots of `within` that a walk inside `within` along
-    the diagram (`near`, from `_neighbours`) reaches from `start`."""
-    reached = todo = start
-    while todo:
-        step = near[(todo & -todo).bit_length() - 1] & within & ~reached
-        todo = (todo & (todo - 1)) | step
-        reached |= step
-    return reached
-
-
-def _standard_bits(near: Sequence[int], I: int, on_J: int) -> int:
-    """T = I u (J n I-perp) as a bitset: I plus the part of J outside I
-    and its neighbours."""
-    around = I
-    for i, joined in enumerate(near):
-        if I >> i & 1:
-            around |= joined
-    return I | on_J & ~around
-
-
-def _indices(bits: int, n: int) -> frozenset[int]:
-    """The set of the j < n whose bit is set in `bits`."""
-    return frozenset(j for j in range(n) if bits >> j & 1)
 
 
 def _standard_cone(
@@ -931,9 +896,7 @@ def validate_J(datum: RootDatum, J: Iterable[int]) -> frozenset[int]:
     J = frozenset(entries)
     for comp in datum.diagram_components:
         if comp <= J:
-            raise DegenerateJ(
-                f"J contains the connected component {sorted(comp)} of the basis"
-            )
+            raise DegenerateJ(f"J contains the connected component {sorted(comp)} of the basis")
     return J
 
 
@@ -958,13 +921,12 @@ def parabolic_fan(datum: RootDatum, J: Iterable[int] = ()) -> Fan:
     on_forms = [_id_images(forms, partial(_reflected_form, row, k)) for k, row in enumerate(cartan)]
 
     # per cone in walk order: sign row, ids of equalities, facet forms, rays
-    # and core rays, the cone it was met from (~s for the seed of standard
-    # cone s) and the letter of that move; per s_k, the cone of each row's image
-    rows, eqs, ins, rays, cores, parents, letters = [], [], [], [], [], [], bytearray()
+    # and core rays; per s_k, the cone of each row's image
+    rows, eqs, ins, rays, cores = [], [], [], [], []
     moves: list[list[int]] = [[] for _ in range(n)]
     index: dict[tuple[int, ...], int] = {}  # sign row -> its cone in the latest orbit
     standard, seeds, at = [], [], {}
-    for s, (I, T) in enumerate(_admissible_index_sets(datum, J).items()):
+    for I, T in _admissible_index_sets(datum, J).items():
         base = _standard_cone(cartan, coweights, reflections, I, T)
         core = None if T == I else _standard_cone(cartan, coweights, reflections, T, T)
         standard.append((I, T, core))
@@ -977,8 +939,6 @@ def parabolic_fan(datum: RootDatum, J: Iterable[int] = ()) -> Fan:
         ins.append(tuple(map(forms.__getitem__, base.ins)))
         rays.append(tuple(map(points.__getitem__, base.rays)))
         cores.append(rays[-1] if core is None else tuple(map(points.__getitem__, core.rays)))
-        parents.append(~s)
-        letters.append(0)
         i = start
         while i < len(rows):  # the orbit grows while it is walked
             row = rows[i]
@@ -994,8 +954,6 @@ def parabolic_fan(datum: RootDatum, J: Iterable[int] = ()) -> Fan:
                     reflect = on_points[k].__getitem__
                     rays.append(tuple(map(reflect, rays[i])))
                     cores.append(rays[-1] if core is None else tuple(map(reflect, cores[i])))
-                    parents.append(i)
-                    letters.append(k)
                 moves[k].append(j)
             i += 1
 
@@ -1018,12 +976,11 @@ def parabolic_fan(datum: RootDatum, J: Iterable[int] = ()) -> Fan:
         datum, J, points, forms.vectors, ordered(eqs), ordered(ins), ordered(rays), ordered(cores)
     )
     fan._sign_table = tuple(ordered(rows))
-    fan._parents = [p if p < 0 else position[p] for p in ordered(parents)]
-    fan._letters = bytes(ordered(letters))
     fan._standard = standard
+    fan._seeds = list(map(position.__getitem__, seeds))  # the standard cones
     if len(index) == len(rows):  # every row distinct (see *Validation*)
         fan._moves = tuple(tuple(map(position.__getitem__, ordered(move))) for move in moves)
-    _check_cover(fan, sorted(map(position.__getitem__, seeds)))
+    _check_cover(fan, sorted(fan._seeds))
     return fan
 
 

@@ -22,8 +22,10 @@ from . import linalg as la
 from ._value import Value
 from .cones import Cone
 from .errors import InternalDisagreement
-from .fans import Fan, _admissible_index_sets, _neighbours, _reached, _standard_bits, validate_J
-from .rootdata import Root, RootDatum, check_same_roots, simple_indices
+from .fans import Fan, _admissible_index_sets, validate_J
+from .rootdata import (
+    Root, RootDatum, check_same_roots, diagram_neighbours, orthogonal_bits, reached, simple_indices
+)
 
 
 class ParabolicType(Value):
@@ -113,10 +115,11 @@ def is_J_relevant(datum: RootDatum, J: Iterable[int], T: Iterable[int]) -> bool:
     meeting the complement of J, one walk inside T over bitsets, and T is
     relevant exactly when it is the type of that I: O(n^2) bit operations."""
     J = validate_J(datum, J)
-    near = _neighbours(datum)
+    near = diagram_neighbours(datum)
     on_J = sum(1 << j for j in J)
     t = sum(1 << j for j in simple_indices(datum, T))
-    return _standard_bits(near, _reached(near, t, t & ~on_J), on_J) == t
+    I = reached(near, t, t & ~on_J)
+    return (I | on_J & orthogonal_bits(near, I)) == t
 
 
 class StratumDescriptor(Value):

@@ -458,30 +458,57 @@ def check_same_roots(datum: RootDatum, other: RootDatum) -> None:
         raise TypeMismatch(f"root datum {other.name} is not the root datum {datum.name}")
 
 
+def diagram_neighbours(datum: RootDatum) -> list[int]:
+    """Per simple root, the bitset of the simple roots joined to it in the
+    diagram (a Cartan entry vanishes exactly when its transpose does)."""
+    n = datum.rank
+    return [sum(1 << j for j in range(n) if datum.adjacent(i, j)) for i in range(n)]
+
+
+def reached(near: Sequence[int], within: int, start: int) -> int:
+    """The bitset of the roots of `within` that a walk inside `within` along
+    the diagram (`near`, from `diagram_neighbours`) reaches from `start`."""
+    found = todo = start
+    while todo:
+        step = near[(todo & -todo).bit_length() - 1] & within & ~found
+        todo = (todo & (todo - 1)) | step
+        found |= step
+    return found
+
+
+def orthogonal_bits(near: Sequence[int], bits: int) -> int:
+    """The bitset of the simple roots orthogonal (for the invariant form)
+    to all of `bits`: those neither in it nor joined to it in the diagram
+    (`near`), as (alpha_j, alpha_i) is cartan[j][i] times |alpha_i|^2 / 2."""
+    around = bits
+    for i, joined in enumerate(near):
+        if bits >> i & 1:
+            around |= joined
+    return ~around & ((1 << len(near)) - 1)
+
+
+def bit_indices(bits: int, n: int) -> frozenset[int]:
+    """The set of the j < n whose bit is set in `bits`."""
+    return frozenset(j for j in range(n) if bits >> j & 1)
+
+
 def components(datum: RootDatum, subset: Iterable[int]) -> list[frozenset[int]]:
-    """Connected components of a subset of the basis in the Dynkin graph."""
-    todo = set(simple_indices(datum, subset))
+    """Connected components of a subset of the basis in the Dynkin graph,
+    each walked from the least root left, so in the order of their least roots."""
+    near = diagram_neighbours(datum)
+    todo = sum(1 << j for j in simple_indices(datum, subset))
     out = []
     while todo:
-        seed = min(todo)
-        # move j from node i reaches node j if they are joined in the subset
-        comp = walk_orbits(
-            {seed: seed}, datum.rank, lambda i, j: j if j in todo and datum.adjacent(i, j) else i
-        )
-        todo -= comp.keys()
-        out.append(frozenset(comp))
-    return sorted(out, key=min)
+        comp = reached(near, todo, todo & -todo)
+        todo &= ~comp
+        out.append(bit_indices(comp, datum.rank))
+    return out
 
 
 def orthogonal_complement(datum: RootDatum, subset: Iterable[int]) -> frozenset[int]:
-    """Simple roots orthogonal (for the invariant form) to all of `subset`.
-
-    (alpha_j, alpha_i) is cartan[j][i] times |alpha_i|^2 / 2, so it vanishes
-    exactly when the Cartan entry does.
-    """
-    sub = simple_indices(datum, subset)
-    cartan = datum.cartan
-    return frozenset(j for j in range(datum.rank) if all(cartan[j][i] == 0 for i in sub))
+    """Simple roots orthogonal (for the invariant form) to all of `subset`."""
+    bits = sum(1 << j for j in simple_indices(datum, subset))
+    return bit_indices(orthogonal_bits(diagram_neighbours(datum), bits), datum.rank)
 
 
 class DiagramSubset(Value):

@@ -1,5 +1,7 @@
+from decimal import Decimal
 from fractions import Fraction as Q
 import random
+import re
 
 import pytest
 
@@ -16,7 +18,7 @@ from weylfan.compactify import (
     ray_profile,
 )
 from weylfan.cones import is_face_closure
-from weylfan.errors import InconsistentProfile, NonRootSystem
+from weylfan.errors import InconsistentProfile, NonRootSystem, TypeMismatch
 from weylfan.fans import parabolic_fan, weyl_fan
 from weylfan.rootdata import build_root_datum
 
@@ -101,6 +103,49 @@ def test_profile_rejects_finite_floats():
     with pytest.raises(InconsistentProfile, match="finite profile values must be rational"):
         LimitProfile.of(a1, {(1,): 0.5})
     assert limit_of_profile(weyl_fan(a1), LimitProfile.of(a1, {(1,): POS_INF}))
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        {(1,): True},  # a bool is no int here
+        {(1,): "1/2"},
+        {(1,): None},
+        {(1,): 0.5},
+        {(1,): float("nan")},
+        {(1,): Decimal(1)},
+        {(-1,): "1", (1,): "-1"},
+    ],
+    ids=["bool", "str", "None", "finite-float", "nan", "Decimal", "str-pair"],
+)
+def test_profile_values_are_ints_fractions_or_infinities(values):
+    """Both constructors name the first value that is not an int (a bool is
+    not), a Fraction or one of the two float infinities."""
+    a1 = build_root_datum("A1")
+    value = next(iter(values.values()))
+    with pytest.raises(InconsistentProfile, match=re.escape(repr(value))):
+        LimitProfile.of(a1, values)
+    with pytest.raises(InconsistentProfile, match=re.escape(repr(value))):
+        LimitProfile(a1, tuple(values.items()))
+
+
+def test_profile_values_keep_ints_fractions_and_infinities():
+    a1 = build_root_datum("A1")
+    assert LimitProfile.of(a1, {(1,): 2}).values == (((-1,), Q(-2)), ((1,), Q(2)))
+    assert LimitProfile.of(a1, {(1,): Q(1, 2)}).values == (((-1,), Q(-1, 2)), ((1,), Q(1, 2)))
+    assert LimitProfile.of(a1, {(-1,): NEG_INF}).values == (((-1,), NEG_INF), ((1,), POS_INF))
+    assert LimitProfile(a1, (((-1,), -1), ((1,), 1))).value((1,)) == 1
+
+
+@pytest.mark.parametrize("name", ["A2", "C2"])
+def test_profiles_of_another_datum_are_rejected(name):
+    """A profile is matched only against a fan of its own datum: on the B2
+    fan, one of A2 (other roots) and one of C2 (B2's Cartan matrix
+    transposed) are TypeMismatch, not a cone or a KeyError."""
+    fan = weyl_fan(build_root_datum("B2"))
+    profile = ray_profile(build_root_datum(name), (0, 0), (1, 2))
+    with pytest.raises(TypeMismatch, match=f"root datum {name} is not the root datum B2"):
+        limit_of_profile(fan, profile)
 
 
 def test_profile_of_ray_matches_limit_everywhere(a2, fan_j1, wfan):

@@ -79,7 +79,7 @@ RANK4_FANS = [
 
 def _orbit_firsts(fan) -> list[int]:
     """The first cone of each orbit of the fan's moves, from its walks."""
-    return [cones[0] for cones, _ in fans._orbit_walks(fan._moves)]
+    return [cones[0] for cones, _ in fans._orbit_walks(fan._moves, range(len(fan)))]
 
 
 @pytest.mark.parametrize("name,J", RANK4_FANS)
@@ -238,7 +238,7 @@ def test_orbit_walks_match_the_breadth_first_closure(name, J):
     one, which that move maps back, and every cone in one walk."""
     fan = built_fan(name, J)
     moves, n = fan._moves, fan.datum.rank
-    walks = fans._orbit_walks(moves)
+    walks = fans._orbit_walks(moves, range(len(fan)))
     labels = orbit_labels(moves)
     assert _orbit_firsts(fan) == [labels.index(c) for c in range(max(labels) + 1)]
     for cones, letters in walks:

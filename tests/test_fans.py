@@ -1,4 +1,5 @@
 from fractions import Fraction as Q
+from itertools import product
 from operator import attrgetter
 import re
 import sys
@@ -12,6 +13,7 @@ from helpers import (
     object_walk_fan,
     reference_transform_index,
     sample_points,
+    scan_cone_containing,
     sign_vector_cone_count,
     valid_js,
     word_element,
@@ -187,6 +189,33 @@ def test_validate_rejects_a_missing_core():
     del cores[len(fan) - 1]
     with pytest.raises(PartitionFailure, match=f"cone {len(fan) - 1} has no core"):
         Fan(fan.datum, fan.J, fan.cones, cores).validate()
+
+
+def test_validate_rejects_a_cone_whose_closure_holds_a_line():
+    fan = weyl_fan(build_root_datum("A1xA1"))
+    half_plane = Cone.from_system(2, [], [(1, 0)])
+    with pytest.raises(PartitionFailure, match="cone closure contains a line"):
+        Fan(fan.datum, fan.J, list(fan.cones) + [half_plane], fan.cores).validate()
+
+
+def test_validate_rejects_a_partition_that_is_not_weyl_invariant():
+    """The nine cones cut out by the signs of a1 and a2 alone partition the
+    plane, but s_1 maps the chamber where both are positive across a1 + a2."""
+    datum = build_root_datum("A2")
+    forms = [datum.covector(a) for a in datum.simples]
+    cones = [
+        Cone.from_system(
+            2,
+            [f for f, s in zip(forms, signs) if not s],
+            [la.scale(f, s) for f, s in zip(forms, signs) if s],
+        )
+        for signs in product((-1, 0, 1), repeat=2)
+    ]
+    fan = Fan(datum, frozenset(), cones, {})
+    for p in sample_points(fan, 50):
+        scan_cone_containing(fan, p)  # a partition
+    with pytest.raises(PartitionFailure, match="fan is not Weyl invariant"):
+        fan.validate()
 
 
 def test_partition_on_samples_a2():

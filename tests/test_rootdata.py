@@ -282,6 +282,28 @@ def test_orthogonal_complement_examples():
     assert orthogonal_complement(a3, set()) == frozenset({0, 1, 2})
 
 
+@pytest.mark.parametrize("name", RANK4_CATALOGUE + ["B4", "D5"])
+def test_components_and_complements_from_bitsets_match_the_cartan_entries(name):
+    """On every subset of the basis: the components, by least index, are
+    the classes of the pairs joined by a nonzero Cartan entry inside the
+    subset, and the complement is the roots with a zero entry at each."""
+    datum = build_root_datum(name)
+    cartan, n = datum.cartan, datum.rank
+    for bits in range(1 << n):
+        S = {i for i in range(n) if bits >> i & 1}
+        classes = {i: {i} for i in S}
+        for i in S:
+            for j in S:
+                if cartan[i][j] and classes[i] is not classes[j]:
+                    classes[i] |= classes[j]
+                    for k in classes[j]:
+                        classes[k] = classes[i]
+        want = sorted({frozenset(c) for c in classes.values()}, key=min)
+        assert components(datum, S) == want
+        perp = frozenset(j for j in range(n) if all(cartan[j][i] == 0 for i in S))
+        assert orthogonal_complement(datum, S) == perp
+
+
 def test_diagram_subset_type():
     a3 = build_root_datum("A3")
     ds = DiagramSubset(a3, frozenset({0, 2}))
