@@ -141,6 +141,8 @@ class AffineRootPattern(Value):
         orbit read as a diagram component and a squared length (see *Closed
         forms* above).  Two simple roots in one orbit must be given equal
         denominators."""
+        if not isinstance(denominators, Sequence):
+            raise NonRootSystem(f"denominators {denominators!r} are not a sequence")
         if len(denominators) != datum.rank:
             raise NonRootSystem("need one denominator per simple root")
         component = {i: c for c in datum.diagram_components for i in c}

@@ -136,8 +136,9 @@ class LimitProfile(Value):
     values: tuple[tuple[Root, ExtendedQ], ...]
 
     def __post_init__(self) -> None:
-        for _, v in self.values:
-            _extended(v)
+        for _, v in self.values:  # `_extended` names a bad value; most are plain
+            if type(v) is not Fraction and not (type(v) is float and v in (POS_INF, NEG_INF)):
+                _extended(v)
         table = dict(self.values)
         if set(table) != set(self.datum.roots):
             raise InconsistentProfile("profile must assign a value to every root")
@@ -146,7 +147,11 @@ class LimitProfile(Value):
                 raise InconsistentProfile(f"profile is not odd at {a}")
 
     def value(self, a: Root) -> ExtendedQ:
-        return dict(self.values)[a]
+        """The value of root a; NonRootSystem, naming a, unless it is a root."""
+        try:
+            return dict(self.values)[a]
+        except (KeyError, TypeError):  # TypeError: an unhashable a
+            raise NonRootSystem(f"{a!r} is not a root of the profile's datum") from None
 
     @staticmethod
     def of(datum: RootDatum, table: dict[Root, ExtendedQ]) -> "LimitProfile":

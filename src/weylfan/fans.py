@@ -46,23 +46,26 @@ which gives the argument).
 distinct rays and forms it meets (`_points`, `_forms`) and keeps
 per cone the ids of its equalities, facet forms and rays (`_eqs`, `_ins`,
 `_rays`), of its core's rays (`_core_rays`, the cone's own tuple when
-T = I) and its sign row, and per s_k the moves table (see *Orbit walk*),
-with the indices of the standard cones that seed it.  The walk
-reflects ids, not vectors: per s_k, a dictionary gives the id of the
-image of each id, computed on its first lookup (`_id_images`, over the
-per-call vector dictionaries of `_reflections` that the standard cones'
-W_K-orbits use), so each distinct ray or form is reflected once per s_k
-and build, and an image cone costs a few tuples of small ints.  The rays
-are then ranked once by vector and renumbered by rank, so a sorted tuple
-of ray ids lists its rays in vector order, and the cone order, by
-dimension and then rays, compares ids.  `Fan.cones` and `Fan.cores` are
-views made from the tables on first read, a word and a core with T not I
-carried along the replayed walk (`_carry`): the letter in front of the
-word of the cone met before, and that cone's core reflected by the
-letter; no step of `parabolic_fan`, `face_order` or `validate` makes
-them.  A hand-made `Fan(...)` keeps the cones and cores it is given and
-numbers their vectors by rank too; a core with a lineality stores each
-lineality vector as ~id, so it equals no ray ids.
+T = I) and its sign row, of its core's equalities and facet forms when
+T is not I (`_core_forms`, empty for J empty), and per s_k the moves
+table (see *Orbit walk*), with the indices of the standard cones that
+seed it.  The walk reflects ids, not vectors: per s_k, a dictionary
+gives the id of the image of each id, computed on its first lookup
+(`_id_reflections`), so each distinct ray or form is reflected once per
+s_k and build, and an image cone or core costs a few tuples of small
+ints.  The rays are then ranked once by vector and renumbered by rank,
+so a sorted tuple of ray ids lists its rays in vector order, and the
+cone order, by dimension and then rays, compares ids.  `Fan.cones` and
+`Fan.cores` are views made from the tables on first read, each `Cone`
+from its ids (`Fan._cone`; every field sorted by vector, so a core is
+the standard core's image as a vector cone), a core with T = I being
+its cone; only the words are carried, along the replayed walk
+(`_carry`): the letter in front of the word of the cone met before.  So
+reading them reflects no vector, and no step of `parabolic_fan`,
+`face_order` or `validate` makes them.  A hand-made `Fan(...)` keeps
+the cones and cores it is given and numbers their vectors by rank too;
+a core with a lineality stores each lineality vector as ~id, so it
+equals no ray ids.
 
 *Standard cones.*  `_standard_cone` writes down C_I = {x : alpha_I(x) = 0,
 beta(x) > 0 for beta in Phi+ - Phi_T} with no double description; for T =
@@ -80,7 +83,8 @@ each such beta, positive off T, is > 0 at y and at x.  So the alpha_I and
 the facet roots cut out C_I, and cl(C_I) = W_K.cl(F_I) is spanned by the
 W_K-orbits of the fundamental coweights omega_j, j not in I (x is the sum
 of alpha_j(x) omega_j): the generators, walked from the primitive columns
-of the adjugate d C^-1 (d = det C > 0, `RootDatum.cartan_adjugate`).  s_k
+of the adjugate d C^-1 (d = det C > 0, `RootDatum.cartan_adjugate`),
+by `reflect_simple`, as the roots by `_reflected_form`, with no memo.  s_k
 moves coordinate k only, so each keeps the coordinates off K of its
 omega_j, >= 0 and not all 0 (C^-1 is positive on each component, and K
 holds none), and their sum is positive on it: cl(C_I) is pointed, and its
@@ -242,7 +246,7 @@ first cones for the cover check and keeps, per cone, the letter k of the
 move that reached it; s_k is an involution, so the cone it came from is
 `moves[k]` of it.  The core check then carries (`_carry`)
 the ray ids of the first core, pointed as it lies in the closure of X,
-along those moves through per-call `_id_images`, with no Weyl matrix,
+along those moves through per-call `_id_reflections`, with no Weyl matrix,
 and compares them with `_core_rays`.  When the first core is X
 (`_fixed_core` is None), s_k maps cone i onto cone `moves[k][i]`, so
 each core of the orbit is its own cone and is compared with that cone's
@@ -251,7 +255,7 @@ rays, and no id is moved; for J empty this is every orbit, and
 
 from __future__ import annotations
 
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import islice
 from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
@@ -333,40 +337,32 @@ class Fan:
     @cached_property
     def cones(self) -> tuple[Cone, ...]:
         """Each cone as a `Cone`, made from the tables on first read."""
-        n, points, forms = self.datum.rank, self._points, self._forms
-        return tuple(
-            Cone(
-                n,
-                tuple(sorted(map(forms.__getitem__, eqs))),
-                tuple(sorted(map(forms.__getitem__, ins))),
-                (),
-                tuple(map(points.__getitem__, rays)),
-            )
-            for eqs, ins, rays in zip(self._eqs, self._ins, self._rays)
-        )
+        return tuple(map(self._cone, self._eqs, self._ins, self._rays))
 
     @cached_property
     def cores(self) -> dict[int, CoreInfo]:
-        """Each cone's core, made on first read along the replayed walk of
-        its orbit (`_orbit_walks`): its word is its letter and then the word
-        of the cone it was met from, and its core is the cone itself when
-        the standard type T is I, and otherwise that cone's core reflected
-        by the letter."""
-        cones, moves = self.cones, self._moves
-        out, reflections = [None] * len(self), None
-        for (I, T, core), walk in zip(self._standard, _orbit_walks(moves, self._seeds)):
-            if core is None:  # carry the words; each core is its cone
-                _carry(moves, walk, (), lambda word, k: (k,) + word, out)
-                for i in walk[0]:
-                    out[i] = CoreInfo(T, I, out[i], cones[i])
-                continue
-            points, forms = reflections = reflections or _reflections(self.datum.cartan)
-
-            def step(x: CoreInfo, k: int) -> CoreInfo:
-                return CoreInfo(T, I, (k,) + x.word, _reflected_cone(x.cone, points[k], forms[k]))
-
-            _carry(moves, walk, CoreInfo(T, I, (), core), step, out)
+        """Each cone's core, made on first read: its cone when T = I, else
+        made from the core's ids, and its word carried along the replayed
+        walk (`_orbit_walks`), the letter and the word of the cone before."""
+        cones, moves, forms, rays = self.cones, self._moves, self._core_forms, self._core_rays
+        out = [None] * len(self)
+        for (I, T), walk in zip(self._standard, _orbit_walks(moves, self._seeds)):
+            _carry(moves, walk, (), lambda word, k: (k,) + word, out)
+            for i in walk[0]:
+                core = cones[i] if T == I else self._cone(*forms[i], rays[i])
+                out[i] = CoreInfo(T, I, out[i], core)
         return dict(enumerate(out))
+
+    def _cone(self, eqs: Sequence[int], ins: Sequence[int], rays: Sequence[int]) -> Cone:
+        """The pointed `Cone` of form ids and sorted ray ids, sorted by vector."""
+        forms = self._forms
+        return Cone(
+            self.datum.rank,
+            tuple(sorted(map(forms.__getitem__, eqs))),
+            tuple(sorted(map(forms.__getitem__, ins))),
+            (),
+            tuple(map(self._points.__getitem__, rays)),
+        )
 
     @cached_property
     def origin_index(self) -> int:
@@ -377,9 +373,9 @@ class Fan:
 
     @cached_property
     def _pointed(self) -> set[tuple[int, ...]]:
-        """The ray ids of each cone whose closure holds no line."""
-        lineal = set(self._lineal)
-        return {rays for i, rays in enumerate(self._rays) if i not in lineal}
+        """The ray ids of every cone, each pointed: `validate` raises on a
+        cone whose closure holds a line before it reads them."""
+        return set(self._rays)
 
     # -- sign table ----------------------------------------------------------
 
@@ -763,9 +759,8 @@ def _check_cores(fan: Fan, walks: Iterable[tuple[list[int], list[int]]]) -> None
             keys = map(fan._rays.__getitem__, cones)
         else:  # a pointed cone, in the closure of the walk's first cone
             if images is None:
-                points, cartan = _Numbering(fan._points), fan.datum.cartan
-                reflect = [partial(reflect_simple, cartan, k=k) for k in range(len(cartan))]
-                images = [_id_images(points, image) for image in reflect]
+                points = _Numbering(fan._points)
+                images = _id_reflections(fan.datum.cartan, points, reflect_simple)
             moved: dict[int, tuple] = {}  # in the order of the walk
             _carry(moves, walk, tuple(sorted(map(points.__getitem__, core.rays))), step, moved)
             keys = moved.values()
@@ -775,51 +770,32 @@ def _check_cores(fan: Fan, walks: Iterable[tuple[list[int], list[int]]]) -> None
 
 
 class _Images(dict):
-    """The images of vectors under one map, `image`, each computed on its
+    """The images of keys under one map, `image`, each computed on its
     first lookup and kept for the lifetime of the dict."""
 
     __slots__ = ("image",)
 
-    def __init__(self, image: Callable[[Vec], Vec]):
+    def __init__(self, image: Callable):
         super().__init__()
         self.image = image
 
-    def __missing__(self, v: Vec) -> Vec:
+    def __missing__(self, v):
         self[v] = w = self.image(v)
         return w
 
 
-def _reflected_form(row: Vec, k: int, f: Vec) -> Vec:
-    """f.s_k = f - f[k] row, for `row` row k of the Cartan matrix."""
+def _reflected_form(cartan: la.Mat, f: Vec, k: int) -> Vec:
+    """f.s_k = f - f[k] cartan[k], as `reflect_simple` gives s_k.p."""
     c = f[k]
-    return tuple(a - c * b for a, b in zip(f, row)) if c else f
+    return tuple(a - c * b for a, b in zip(f, cartan[k])) if c else f
 
 
-def _reflections(cartan: la.Mat) -> tuple[list[_Images], list[_Images]]:
-    """Per simple reflection s_k, its images of points, s_k.p, and of
-    forms, f.s_k = f - f[k] cartan[k], each computed once per distinct
-    vector for the lifetime of the returned `_Images`."""
-    points = [_Images(partial(reflect_simple, cartan, k=k)) for k in range(len(cartan))]
-    return points, [_Images(partial(_reflected_form, row, k)) for k, row in enumerate(cartan)]
-
-
-def _id_images(numbering: _Numbering, image: Callable[[Vec], Vec]) -> _Images:
-    """The id of the image under `image` of the vector of each id, each
-    computed on its first lookup and numbered by `numbering` if new."""
-    vectors = numbering.vectors
-    return _Images(lambda i: numbering[image(vectors[i])])
-
-
-def _reflected_cone(cone: Cone, points: _Images, forms: _Images) -> Cone:
-    """The image of a cone under s_k, given the images under s_k of
-    points and of forms (`_reflections`), field by field."""
-    return Cone(
-        cone.dim_ambient,
-        tuple(sorted(map(forms.__getitem__, cone.eqs))),
-        tuple(sorted(map(forms.__getitem__, cone.ins))),
-        tuple(sorted(map(points.__getitem__, cone.lineality))),
-        tuple(sorted(map(points.__getitem__, cone.rays))),
-    )
+def _id_reflections(cartan: la.Mat, numbering: _Numbering, reflect: Callable) -> list[_Images]:
+    """Per s_k, the id of `reflect(cartan, v, k)` (`reflect_simple`, or
+    `_reflected_form` for forms) for the vector v of each id, computed on
+    its first lookup and numbered by `numbering` if new."""
+    vectors, letters = numbering.vectors, range(len(cartan))
+    return [_Images(lambda i, k=k: numbering[reflect(cartan, vectors[i], k)]) for k in letters]
 
 
 def weyl_facet_points(datum: RootDatum) -> list[Vec]:
@@ -869,19 +845,18 @@ def _admissible_index_sets(
     return out
 
 
-def _standard_cone(
-    cartan: la.Mat, coweights: Sequence[Vec], reflections: tuple, I: frozenset, T: frozenset
-) -> Cone:
+def _standard_cone(cartan: la.Mat, coweights: Sequence[Vec], I: frozenset, T: frozenset) -> Cone:
     """The standard cone of I and core type T in closed form, from the
-    primitive fundamental `coweights` and the build's `_reflections` (see
-    *Standard cones* in the module docstring)."""
+    primitive fundamental `coweights` (see *Standard cones* in the module
+    docstring)."""
     rays = [coweights[j] for j in range(len(cartan)) if j not in I]
     roots = [cartan[j] for j in range(len(cartan)) if j not in T]
     K = sorted(T - I)
     if K:  # otherwise the coweights are independent, and each is extreme
-        points, forms = reflections
-        rays = list(walk_orbits({g: g for g in rays}, len(K), lambda g, m: points[K[m]][g]))
-        roots = list(walk_orbits({f: f for f in roots}, len(K), lambda f, m: forms[K[m]][f]))
+        rays, roots = (  # their W_K-orbits, each walked as soon as it is made
+            list(walk_orbits({v: v for v in vs}, len(K), lambda v, m: reflect(cartan, v, K[m])))
+            for vs, reflect in ((rays, reflect_simple), (roots, _reflected_form))
+        )
         zeros = [sum(1 << i for i, f in enumerate(roots) if not la.dot(f, g)) for g in rays]
         rays = _maximal(rays, zeros)
     return _canonical_cone(len(cartan), [cartan[i] for i in sorted(I)], roots, (), rays)
@@ -914,22 +889,21 @@ def parabolic_fan(datum: RootDatum, J: Iterable[int] = ()) -> Fan:
     n, cartan = datum.rank, datum.cartan
     root_forms = _root_forms(datum)
     permutations = _sign_permutations(datum)
-    reflections = _reflections(cartan)
     coweights = [la.primitive(w) for w in la.transpose(datum.cartan_adjugate[0])]
     points, forms = _Numbering(), _Numbering()
-    on_points = [_id_images(points, partial(reflect_simple, cartan, k=k)) for k in range(n)]
-    on_forms = [_id_images(forms, partial(_reflected_form, row, k)) for k, row in enumerate(cartan)]
+    on_points = _id_reflections(cartan, points, reflect_simple)
+    on_forms = _id_reflections(cartan, forms, _reflected_form)
 
     # per cone in walk order: sign row, ids of equalities, facet forms, rays
-    # and core rays; per s_k, the cone of each row's image
-    rows, eqs, ins, rays, cores = [], [], [], [], []
+    # and core rays, and of core forms for T not I; per s_k, each row's image
+    rows, eqs, ins, rays, cores, core_forms = [], [], [], [], [], {}
     moves: list[list[int]] = [[] for _ in range(n)]
     index: dict[tuple[int, ...], int] = {}  # sign row -> its cone in the latest orbit
     standard, seeds, at = [], [], {}
     for I, T in _admissible_index_sets(datum, J).items():
-        base = _standard_cone(cartan, coweights, reflections, I, T)
-        core = None if T == I else _standard_cone(cartan, coweights, reflections, T, T)
-        standard.append((I, T, core))
+        base = _standard_cone(cartan, coweights, I, T)
+        core = None if T == I else _standard_cone(cartan, coweights, T, T)
+        standard.append((I, T))
         start = len(rows)
         seeds.append(start)
         row = _sign_row(root_forms, base, f"the standard cone of {sorted(I)}", at)
@@ -939,6 +913,8 @@ def parabolic_fan(datum: RootDatum, J: Iterable[int] = ()) -> Fan:
         ins.append(tuple(map(forms.__getitem__, base.ins)))
         rays.append(tuple(map(points.__getitem__, base.rays)))
         cores.append(rays[-1] if core is None else tuple(map(points.__getitem__, core.rays)))
+        if core is not None:
+            core_forms[start] = [tuple(map(forms.__getitem__, f)) for f in (core.eqs, core.ins)]
         i = start
         while i < len(rows):  # the orbit grows while it is walked
             row = rows[i]
@@ -951,6 +927,8 @@ def parabolic_fan(datum: RootDatum, J: Iterable[int] = ()) -> Fan:
                     reflect = on_forms[k].__getitem__
                     eqs.append(tuple(map(reflect, eqs[i])))
                     ins.append(tuple(map(reflect, ins[i])))
+                    if core is not None:
+                        core_forms[j] = [tuple(map(reflect, f)) for f in core_forms[i]]
                     reflect = on_points[k].__getitem__
                     rays.append(tuple(map(reflect, rays[i])))
                     cores.append(rays[-1] if core is None else tuple(map(reflect, cores[i])))
@@ -976,6 +954,7 @@ def parabolic_fan(datum: RootDatum, J: Iterable[int] = ()) -> Fan:
         datum, J, points, forms.vectors, ordered(eqs), ordered(ins), ordered(rays), ordered(cores)
     )
     fan._sign_table = tuple(ordered(rows))
+    fan._core_forms = {position[i]: ids for i, ids in core_forms.items()}
     fan._standard = standard
     fan._seeds = list(map(position.__getitem__, seeds))  # the standard cones
     if len(index) == len(rows):  # every row distinct (see *Validation*)

@@ -62,7 +62,11 @@ class ToyGroupDatum(Value):
         return tuple(seen)
 
     def position(self, a: Root, i: int) -> int:
-        return self.indexed_roots.index((a, i))
+        """The position of coordinate (a, i); NonRootSystem unless it is one."""
+        try:
+            return self.indexed_roots.index((a, i))
+        except ValueError:
+            raise NonRootSystem(f"{(a, i)!r} is not a coordinate of the cell") from None
 
     def relabel(self, w: WeylElement) -> tuple["ToyGroupDatum", tuple[int, ...]]:
         """Transport the coordinates along a Weyl element.
@@ -85,7 +89,9 @@ class ToyGroupDatum(Value):
 def _index_roots(
     roots: Sequence[Root], multiplicities: Optional[dict[Root, int]]
 ) -> tuple[tuple[Root, int], ...]:
-    multiplicities = multiplicities or {}
+    multiplicities = {} if multiplicities is None else multiplicities
+    if not isinstance(multiplicities, dict):
+        raise NonRootSystem(f"multiplicities {multiplicities!r} are not a dict of roots")
     strays = set(multiplicities) - set(roots)
     if strays:
         raise NonRootSystem(f"multiplicity keys {sorted(strays, key=repr)} are not coordinate roots")
@@ -110,19 +116,22 @@ class ValuedPolynomial(Value):
 
     @staticmethod
     def from_terms(width: int, table: dict[tuple[int, ...], LogValue]) -> "ValuedPolynomial":
+        """The polynomial of `table`, exponent tuple -> coefficient log-value:
+        an int (not a bool), a Fraction, or -inf; NonRootSystem otherwise."""
+        if not isinstance(table, dict):
+            raise NonRootSystem(f"terms {table!r} are not a dict of exponents to log-values")
         clean = {}
         for exp, c in table.items():
-            if len(exp) != width:
-                raise NonRootSystem("exponent width mismatch")
+            if type(exp) is not tuple or len(exp) != width:
+                raise NonRootSystem(f"exponents {exp!r} are not a tuple of width {width}")
             if any(type(e) is not int for e in exp):  # not 3/2, 1.0 or True
                 raise NonRootSystem(f"exponents {exp!r} are not all ints")
             if any(e < 0 for e in exp):
                 raise NonRootSystem("exponents must be nonnegative")
-            if isinstance(c, float):
-                if c == NEG_INF:
-                    continue
-                raise NonRootSystem("coefficient log-values must be rational or -inf")
-            clean[tuple(exp)] = Fraction(c)
+            if type(c) is int or isinstance(c, Fraction):
+                clean[exp] = Fraction(c)
+            elif not (isinstance(c, float) and c == NEG_INF):
+                raise NonRootSystem(f"coefficient log-value {c!r} is not an int, Fraction or -inf")
         return ValuedPolynomial(width, tuple(sorted(clean.items())))
 
     @staticmethod
@@ -131,6 +140,10 @@ class ValuedPolynomial(Value):
 
     @staticmethod
     def coordinate(width: int, position: int, logc: LogValue = Fraction(0)) -> "ValuedPolynomial":
+        """The coordinate at `position`, an int in range(width), times the
+        coefficient of log-value `logc`; NonRootSystem otherwise."""
+        if type(position) is not int or not 0 <= position < width:
+            raise NonRootSystem(f"position {position!r} is not in range({width})")
         exp = tuple(1 if k == position else 0 for k in range(width))
         return ValuedPolynomial.from_terms(width, {exp: logc})
 

@@ -31,9 +31,9 @@ from weylfan.errors import (
 from weylfan.fans import (
     CoreInfo,
     Fan,
+    _Images,
     _admissible_index_sets,
-    _reflected_cone,
-    _reflections,
+    _reflected_form,
     _root_forms,
     _sign_permutations,
     _sign_row,
@@ -151,30 +151,53 @@ def enumerated_parabolic_fan(datum, J) -> Fan:
     return Fan(datum, J, [c for c, _ in ordered], {i: info for i, (_, info) in enumerate(ordered)})
 
 
+def reflections(cartan) -> tuple[list, list]:
+    """Per simple reflection s_k, its images of points, s_k.p, and of
+    forms, f.s_k = f - f[k] cartan[k], each computed once per distinct
+    vector for the lifetime of the returned `_Images`."""
+    letters = range(len(cartan))
+    return (
+        [_Images(partial(reflect_simple, cartan, k=k)) for k in letters],
+        [_Images(partial(_reflected_form, cartan, k=k)) for k in letters],
+    )
+
+
+def reflected_cone(cone: Cone, points, forms) -> Cone:
+    """The image of a cone under s_k, given the images under s_k of points
+    and of forms (`reflections`), field by field."""
+    return Cone(
+        cone.dim_ambient,
+        tuple(sorted(map(forms.__getitem__, cone.eqs))),
+        tuple(sorted(map(forms.__getitem__, cone.ins))),
+        tuple(sorted(map(points.__getitem__, cone.lineality))),
+        tuple(sorted(map(points.__getitem__, cone.rays))),
+    )
+
+
 def object_walk_fan(datum, J) -> Fan:
     """`parabolic_fan` oracle: the same standard cones, sign rows and
     breadth-first walk, carrying each cone, its core and its reduced word
-    as objects (`_reflected_cone`, `CoreInfo`) instead of integer tables;
+    as objects (`reflected_cone`, `CoreInfo`) instead of integer tables;
     a hand-made `Fan` of the cones in (dim, rays) order, holding the
     walk's transported sign rows."""
     J = validate_J(datum, J)
     cartan = datum.cartan
     forms = _root_forms(datum)
     permutations = _sign_permutations(datum)
-    reflections = points, covectors = _reflections(cartan)
+    points, covectors = reflections(cartan)
     coweights = [la.primitive(w) for w in la.transpose(datum.cartan_adjugate[0])]
 
     def make(x, k, row):
         cone, info, _ = x
-        image = _reflected_cone(cone, points[k], covectors[k])
-        core = image if info.cone is cone else _reflected_cone(info.cone, points[k], covectors[k])
+        image = reflected_cone(cone, points[k], covectors[k])
+        core = image if info.cone is cone else reflected_cone(info.cone, points[k], covectors[k])
         word = (k,) + info.word
         return image, CoreInfo(info.type_indices, info.generator_indices, word, core), row
 
     items, at = [], {}
     for I, T in _admissible_index_sets(datum, J).items():
-        base = _standard_cone(cartan, coweights, reflections, I, T)
-        core = base if T == I else _standard_cone(cartan, coweights, reflections, T, T)
+        base = _standard_cone(cartan, coweights, I, T)
+        core = base if T == I else _standard_cone(cartan, coweights, T, T)
         row = _sign_row(forms, base, f"the standard cone of {sorted(I)}", at)
         seed = {row: (base, CoreInfo(T, I, (), core), row)}
         items += walk_orbits(seed, datum.rank, lambda x, k: permutations[k](x[2]), make).values()

@@ -254,17 +254,24 @@ def test_orbit_walks_match_the_breadth_first_closure(name, J):
 
 @pytest.mark.parametrize("name", ["G2", "BC3", "F4"])
 def test_reflection_images_match_the_simple_reflection(name):
-    """The per-call images of points and forms under s_k: s_k.p and
-    f - f[k] cartan[k], as the rays and forms of every cone give them."""
+    """The id memos of the build and of the core check (`_id_reflections`)
+    give, per s_k, the id of s_k.p for every ray id and of f - f[k]
+    cartan[k] for every form id of a Weyl fan, its rays closed under each
+    s_k, and move the rays of each cone onto those of its image in
+    `_moves`."""
     fan = built_fan(name)
     cartan = fan.datum.cartan
-    points, forms = fans._reflections(cartan)
+    points, forms = fans._Numbering(fan._points), fans._Numbering(fan._forms)
+    on_points = fans._id_reflections(cartan, points, reflect_simple)
+    on_forms = fans._id_reflections(cartan, forms, fans._reflected_form)
     for k, row in enumerate(cartan):
-        for c in fan.cones:
-            for r in c.rays:
-                assert points[k][r] == reflect_simple(cartan, r, k)
-            for f in c.eqs + c.ins:
-                assert forms[k][f] == la.sub(f, la.scale(row, f[k]))
+        for r, p in enumerate(fan._points):
+            assert points.vectors[on_points[k][r]] == reflect_simple(cartan, p, k)
+        for f, form in enumerate(fan._forms):
+            assert forms.vectors[on_forms[k][f]] == la.sub(form, la.scale(row, form[k]))
+        for i, rays in enumerate(fan._rays):
+            assert tuple(sorted(map(on_points[k].__getitem__, rays))) == fan._rays[fan._moves[k][i]]
+    assert points.vectors == fan._points
 
 
 @pytest.mark.parametrize("name,J", RANK4_FANS)
@@ -312,13 +319,12 @@ def test_standard_cones_in_closed_form_match_from_system(name):
     Phi+ - Phi_T, field by field, for every valid J and admissible I."""
     datum = build_root_datum(name)
     coweights = [la.primitive(w) for w in la.transpose(datum.cartan_adjugate[0])]
-    reflections = fans._reflections(datum.cartan)
     fields = Cone._fields
     for J in valid_js(datum):
         for I in fans._admissible_index_sets(datum, J):
             T = standard_type(datum, J, I)
             for system, (gen, typ) in ((J, (I, T)), (frozenset(), (T, T))):
-                got = fans._standard_cone(datum.cartan, coweights, reflections, gen, typ)
+                got = fans._standard_cone(datum.cartan, coweights, gen, typ)
                 eqs, ins, _ = reference_standard_cone_system(datum, system, gen)
                 want = Cone.from_system(datum.rank, eqs, ins)
                 assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields], (

@@ -463,6 +463,21 @@ def test_build_order_and_validate_make_no_cone_but_the_standard_cones(monkeypatc
     assert fan.cores[len(fan) - 1].cone is fan.cones[-1]  # the views, made on first read
 
 
+@pytest.mark.parametrize("name,J", [("B3", (1,)), ("F4", (0, 1))])
+def test_reading_cores_reflects_no_vector(monkeypatch, name, J):
+    """`Fan.cores` makes every core from the ids that the build carried, so
+    reading it on a fan whose cores are not all their cones calls neither
+    `reflect_simple` nor `_reflected_form` in `fans`."""
+    fan = parabolic_fan(build_root_datum(name), J)
+    calls = []
+    for name in ("reflect_simple", "_reflected_form"):
+        reflect = getattr(fans, name)
+        monkeypatch.setattr(fans, name, lambda *a, f=reflect: calls.append(a) or f(*a))
+    cores = fan.cores
+    assert any(info.cone is not fan.cones[i] for i, info in cores.items())
+    assert not calls
+
+
 @pytest.mark.parametrize(
     "name,J", WALK_CASES, ids=[f"{name}-{sorted(J)}" for name, J in WALK_CASES]
 )

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from types import ModuleType
@@ -41,7 +42,9 @@ from weylfan import (
 )
 from weylfan._value import replace
 from weylfan.apartment import SymbolicEntry, ValueGroup, levi_point_from_pairings
+from weylfan.compactify import ray_profile
 from weylfan.errors import DegenerateJ, NonRootSystem, TypeMismatch
+from weylfan.linalg import NEG_INF
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -397,6 +400,67 @@ def test_a_root_list_that_is_not_iterable_is_named(value):
 def test_polynomial_exponents_are_ints_of_at_least_zero(exponent, message):
     with pytest.raises(NonRootSystem, match=message):
         ValuedPolynomial.from_terms(2, {(exponent, 0): Fraction(0)})
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (("from_terms", 1, {(0,): True}), "^coefficient log-value True is not an int"),
+        (("from_terms", 1, {(0,): "1/2"}), "^coefficient log-value '1/2' is not an int"),
+        (("from_terms", 1, {(0,): Decimal("0.5")}), r"^coefficient log-value Decimal\('0.5'\)"),
+        (("from_terms", 1, {(0,): None}), "^coefficient log-value None is not an int"),
+        (("from_terms", 1, {(0,): 0.5}), "^coefficient log-value 0.5 is not an int"),
+        (("from_terms", 1, {(0,): float("inf")}), "^coefficient log-value inf is not an int"),
+        (("from_terms", 1, {0: Fraction(0)}), "^exponents 0 are not a tuple of width 1$"),
+        (("from_terms", 2, {(0,): Fraction(0)}), r"^exponents \(0,\) are not a tuple of width 2$"),
+        (("from_terms", 1, None), "^terms None are not a dict of exponents to log-values$"),
+        (("from_terms", 1, [((0,), 1)]), r"^terms \[\(\(0,\), 1\)\] are not a dict"),
+        (("coordinate", 2, 5), r"^position 5 is not in range\(2\)$"),
+        (("coordinate", 2, -1), r"^position -1 is not in range\(2\)$"),
+        (("coordinate", 2, True), r"^position True is not in range\(2\)$"),
+        (("coordinate", 2, 1.0), r"^position 1.0 is not in range\(2\)$"),
+        (("constant", 1, "0"), "^coefficient log-value '0' is not an int"),
+    ],
+    ids=repr,
+)
+def test_polynomials_take_exact_coefficients_and_positions(call, message):
+    """Coefficients are ints (not bools), Fractions or -inf, exponent keys
+    tuples of the width and positions ints in range(width); anything else
+    is NonRootSystem naming it, where it was coerced or a bare error."""
+    name, *args = call
+    with pytest.raises(NonRootSystem, match=message):
+        getattr(ValuedPolynomial, name)(*args)
+    poly = ValuedPolynomial.from_terms(2, {(0, 1): 3, (1, 0): Fraction(1, 2), (1, 1): NEG_INF})
+    assert poly.terms == (((0, 1), Fraction(3)), ((1, 0), Fraction(1, 2)))
+
+
+@pytest.mark.parametrize(
+    "lookup,message",
+    [
+        ("position", r"^\(\(5, 5\), 1\) is not a coordinate of the cell$"),
+        ("value_of", r"^\(\(1, 0\), 1\) is not a coordinate of the cell$"),
+        ("profile", r"^\(5, 5\) is not a root of the profile's datum$"),
+        ("profile list", r"^\[1, 0\] is not a root of the profile's datum$"),
+        ("apartment", "^denominators 5 are not a sequence$"),
+        ("multiplicities", "^multiplicities 5 are not a dict of roots$"),
+    ],
+    ids=repr,
+)
+def test_lookups_of_what_is_not_there_name_it(lookup, message):
+    """A coordinate, root or argument that is not there raises
+    NonRootSystem naming it, not a bare ValueError, KeyError or TypeError."""
+    a2 = build_root_datum("A2")
+    tg = ToyGroupDatum.for_parabolic(a2, [0])  # (1, 0) lies in the Levi
+    call = {
+        "position": lambda: tg.position((5, 5), 1),
+        "value_of": lambda: theta_restricted(tg, (1, 2)).value_of((1, 0)),
+        "profile": lambda: ray_profile(a2, (0, 0), (1, 2)).value((5, 5)),
+        "profile list": lambda: ray_profile(a2, (0, 0), (1, 2)).value([1, 0]),
+        "apartment": lambda: make_apartment(a2, 5),
+        "multiplicities": lambda: ToyGroupDatum.for_parabolic(a2, [0], 5),
+    }[lookup]
+    with pytest.raises(NonRootSystem, match=message):
+        call()
 
 
 @pytest.mark.parametrize(
