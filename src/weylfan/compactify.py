@@ -21,6 +21,7 @@ translate x0 + S, and reducing any such x0 gives the one facade point.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence, Union
 
 from . import linalg as la
@@ -165,19 +166,33 @@ class LimitProfile(Value):
 
 
 def ray_profile(datum: RootDatum, base: Sequence, direction: Sequence) -> LimitProfile:
-    """The limit profile of the ray base + t * direction."""
-    b = datum.point(base)
-    d = datum.point(direction)
-    table: dict[Root, ExtendedQ] = {}
-    for a in datum.roots:
-        slope = datum.pairing(a, d)
-        if slope > 0:
-            table[a] = POS_INF
-        elif slope < 0:
-            table[a] = NEG_INF
+    """The limit profile of the ray base + t * direction: each root diverges
+    with the sign of its pairing with the direction, or keeps its pairing
+    with the base where that is 0.  Each positive nondivisible root a is
+    paired once with each point, in integers over one common denominator
+    per point; a root c a (`RootDatum.root_slots`, c = e or 2e) takes c
+    times those values."""
+    (b, bs), (d, _) = (_over_denominator(datum.point(x)) for x in (base, direction))
+    positive = datum.positive_nondivisible_roots
+    covectors = list(map(datum.covector, positive))
+    slopes = [la.dot(f, d) for f in covectors]
+    values = [None if s else Fraction(la.dot(f, b), bs) for f, s in zip(covectors, slopes)]
+    lead = [next(j for j, x in enumerate(a) if x) for a in positive]  # a coordinate of a not 0
+    table = []
+    for a, (k, _) in datum.root_slots.items():
+        slope, value = slopes[k], values[k]
+        c = a[lead[k]] // positive[k][lead[k]]
+        if slope:
+            table.append((a, POS_INF if (slope > 0) == (c > 0) else NEG_INF))
         else:
-            table[a] = datum.pairing(a, b)
-    return LimitProfile(datum, tuple(sorted(table.items())))
+            table.append((a, value if c == 1 else c * value))
+    return LimitProfile(datum, tuple(sorted(table)))
+
+
+def _over_denominator(x: Vec) -> tuple[tuple[int, ...], int]:
+    """A point of Fractions as integers over their least common denominator."""
+    den = lcm(*(c.denominator for c in x))
+    return tuple(c.numerator * (den // c.denominator) for c in x), den
 
 
 def limit_of_profile(

@@ -42,30 +42,29 @@ union of its components meeting the complement of J.  The admissible I
 and their T come from bitsets of the basis (`_admissible_index_sets`,
 which gives the argument).
 
-*Tables.*  A fan is held as integer tables.  A build numbers the
-distinct rays and forms it meets (`_points`, `_forms`) and keeps
-per cone the ids of its equalities, facet forms and rays (`_eqs`, `_ins`,
-`_rays`), of its core's rays (`_core_rays`, the cone's own tuple when
-T = I) and its sign row, of its core's equalities and facet forms when
-T is not I (`_core_forms`, empty for J empty), and per s_k the moves
-table (see *Orbit walk*), with the indices of the standard cones that
-seed it.  The walk reflects ids, not vectors: per s_k, a dictionary
-gives the id of the image of each id, computed on its first lookup
-(`_id_reflections`), so each distinct ray or form is reflected once per
-s_k and build, and an image cone or core costs a few tuples of small
-ints.  The rays are then ranked once by vector and renumbered by rank,
-so a sorted tuple of ray ids lists its rays in vector order, and the
-cone order, by dimension and then rays, compares ids.  `Fan.cones` and
-`Fan.cores` are views made from the tables on first read, each `Cone`
-from its ids (`Fan._cone`; every field sorted by vector, so a core is
-the standard core's image as a vector cone), a core with T = I being
-its cone; only the words are carried, along the replayed walk
-(`_carry`): the letter in front of the word of the cone met before.  So
-reading them reflects no vector, and no step of `parabolic_fan`,
-`face_order` or `validate` makes them.  A hand-made `Fan(...)` keeps
-the cones and cores it is given and numbers their vectors by rank too;
-a core with a lineality stores each lineality vector as ~id, so it
-equals no ray ids.
+*Tables.*  A fan is held as integer tables.  A build numbers the distinct
+rays and forms it meets (`_points`, `_forms`) and keeps per cone the ids
+of its rays (`_rays`) and of its core's (`_core_rays`, the cone's own
+tuple when T = I), its sign row, per s_k the moves table (see *Orbit
+walk*), and per standard cone (`_seeds`) the ids of its equalities and
+facet forms (`_cone_forms`) and, for T not I, of its core's
+(`_core_forms`).  The walk moves ray ids through per-s_k dictionaries
+that reflect an id on its first lookup (`_id_reflections`), so each
+distinct ray is reflected once per s_k and build.  The rays are then
+ranked by vector and renumbered, so a sorted tuple of ray ids lists its
+rays in vector order, and the cone order, by dimension (its orbit's) and
+then rays, compares ids.  `Fan.cones` and `Fan.cores` are views made on
+first read, which transports the other cones' forms: a replay of each
+orbit from its standard cone (`_orbit_walks`), meeting each cone from the
+cone the build met it from by the same s_k, carries the standard cone's
+form ids, its core's and the empty word, s_k moving each id through
+per-call `_id_reflections` and putting k in front of the word
+(`_carried`).  So each `Cone` (`Fan._cone`, every field sorted by vector)
+is its standard cone's image, and a core with T = I is its cone.  No step
+of `parabolic_fan`, `face_order` or `validate` makes them.  A hand-made
+`Fan(...)` keeps the cones and cores it is given, holds every cone's form
+ids and numbers its vectors by rank too; a core with a lineality stores
+each lineality vector as ~id, so it equals no ray ids.
 
 *Standard cones.*  `_standard_cone` writes down C_I = {x : alpha_I(x) = 0,
 beta(x) > 0 for beta in Phi+ - Phi_T} with no double description; for T =
@@ -178,12 +177,10 @@ other rows, mixed entries included, are all the hits.  Likewise s_k maps
 the facets of the closure of cone i onto those of the closure of its
 image, and the closure of a fan cone onto the closure of a fan cone, so
 the boundary axiom holds for every cone of an orbit when it holds for
-one.  The cover check
-(`_check_cover`) therefore matches the dominant sign vectors against
-the rows with no -1, which records those sign vectors only, and checks
-the facets of one cone per orbit: in `parabolic_fan` the standard cones,
-the walk's seeds, and in `Fan.validate` the first cone of each orbit of
-the moves table.
+one.  The cover check (`_check_cover`) therefore matches the dominant
+sign vectors against the rows with no -1, which records those sign
+vectors only, and checks the facets of one cone per orbit: the standard
+cones in `parabolic_fan`, and the first cone of each replay in `validate`.
 
 *Ray bitsets.*  A cone is the set of its ray ids (see *Tables*).  The
 cones of `parabolic_fan` are pointed (see *Standard cones*), and for
@@ -197,61 +194,64 @@ that are its faces, and the open ray through r is one of them, so r is a
 ray of g.  `parabolic_fan` and `Fan.validate` check both axioms before
 the order is read.
 
-*Validation.*  `Fan.validate` checks each axiom once, from integer data.
-It reads the cones as the tables hold them, not the closed form of
-*Standard cones* that built them, and the sign table as the fan holds
-it.  A `Fan(...)` made by hand builds every row directly, with both
-exactness checks; one from `parabolic_fan` keeps its walk's rows: one
-built directly per standard cone (B3, J empty: 8 of its 147 rows, and
-none in `validate`), the others transported to image cones, which pass
-both checks by *Sign transport*.  The moves table checks that the rows
-are distinct and closed under each pi_k.  `parabolic_fan` keeps its
-walk's lookups as that table once all its rows are distinct.  Each
-orbit's walk is a breadth-first closure: for each row it holds and each
-k, it looks up pi_k(row) among the rows of its orbit and adds it if new,
-so the rows of an orbit are closed under each pi_k, and the lookup names
-the cone of the orbit with the row pi_k(row).  With the rows of all
-orbits distinct, that is the one cone of the fan with that row, so the
-lookups are the table that the rows give, and the rows are distinct and
-closed under every pi_k.  Otherwise the build leaves the table to be
-made from the rows (`Fan._moves`), which raises, as `Fan.cores` then
-does.  Partition and boundary: the cover check on one cone per orbit
-(see *Orbit reduction*).
-Faces: every closure must hold its own rays, and a face of a pointed
-cone is the zero set of its tight facet forms; one incidence table per
-cone, its equalities and facet forms at its rays, gives both checks
-their data.  So with each facet of g kept as the bitset of the rays of g
-on which its form vanishes, (f, g) is a face pair exactly when the AND
-of the facets of g that hold the rays of f (all of g if none do) is the
-rays of f.  This is the supporting-form criterion with alpha the sum of
-the tight facet forms, and it implies cl(f) = span(f) meet cl(g).  Weyl
-invariance and cores: a complete moves table is Weyl invariance, since
-the s_k generate W.  The core of a cone X is the set of its points that
-its setwise stabiliser Stab(X) fixes.  Let X be the first cone of an
-orbit and p the sum of its rays; then Stab(X) is W_p, the stabiliser of
-p.  A g in Stab(X) permutes the primitive rays of X, as W acts
-unimodularly on coroot coordinates, so it fixes p.  A g in W_p maps X to
-a fan cone (Weyl invariance) through p, which is X (partition).  W_p is
-generated by the reflections it contains, those in the roots vanishing
-at p (Chevalley's lemma; Humphreys 1.12), so its fixed points are the
-zero set of those roots.  The sign row of X names them: a root of sign 0
-vanishes on the span of X already and one of sign + or - is nonzero at
-p, so only the mixed roots that vanish at p cut X down.  If there is
-none, the core is X; otherwise one `Cone.from_system` of the equalities
-of X, those root forms and the facet forms of X gives it
-(`_fixed_core`).  Stab(s_k.X) is s_k Stab(X) s_k, so s_k maps the core
-of X onto the core of s_k.X.  `validate` replays each orbit once, from
-its first cone in cone order (`_orbit_walks`): the replay gives the
-first cones for the cover check and keeps, per cone, the letter k of the
-move that reached it; s_k is an involution, so the cone it came from is
-`moves[k]` of it.  The core check then carries (`_carry`)
-the ray ids of the first core, pointed as it lies in the closure of X,
-along those moves through per-call `_id_reflections`, with no Weyl matrix,
-and compares them with `_core_rays`.  When the first core is X
-(`_fixed_core` is None), s_k maps cone i onto cone `moves[k][i]`, so
-each core of the orbit is its own cone and is compared with that cone's
-rays, and no id is moved; for J empty this is every orbit, and
-`validate` makes no `Cone`."""
+*Validation.*  `Fan.validate` checks each axiom once, from integer data:
+the tables and the sign table as the fan holds them.  A hand-made
+`Fan(...)` builds every row directly, with both exactness checks; a
+built one keeps its walk's rows, one built directly per standard cone
+and the others transported, which pass both checks by *Sign transport*.
+The moves table checks that the rows are distinct and closed under each
+pi_k.  A build's walk closes each orbit's rows under each pi_k, and each
+lookup names the cone of the orbit with the row pi_k(row); with the rows
+of all orbits distinct, that is the one fan cone with that row, so the
+build keeps its lookups as the table.  Otherwise it leaves the table to
+be made from the rows (`Fan._moves`), which raises, as `Fan.cones` and
+`Fan.cores` then do.  `validate` replays each orbit once
+(`_orbit_walks`), from its standard cone for a built fan and from its
+first cone in cone order for a hand-made one; each other cone Y is met
+by some s_k from Z = `moves[k][Y]` (s_k is an involution).  Partition
+and boundary: the cover check on the first cones (see *Orbit reduction*).
+Faces, at each first cone by arithmetic: every closure must hold its own
+rays, and a face of a pointed cone is the zero set of its tight facet
+forms; one incidence table, the cone's equalities and facet forms at its
+rays, gives both checks their data.  So with each facet of g kept as the
+bitset of the rays of g on which its form vanishes, (f, g) is a face pair
+exactly when the AND of the facets of g that hold the rays of f (all of
+g if none do) is the rays of f: the supporting-form criterion with alpha
+the sum of the tight facet forms, which implies cl(f) = span(f) meet
+cl(g).  Faces, at each other cone Y by transport: the ray ids of Y must
+be those of Z moved by s_k, and its forms are those of Z moved by s_k, as
+a built fan holds no others (see *Tables*) and a hand-made one's are
+compared likewise.  Then Y is s_k.Z, forms and rays, and <f.s_k, s_k.x>
+= <f, x>, so the incidence table of Y is that of Z and, by induction, of
+the first cone.  s_k maps fan cones onto fan cones (*Orbit reduction*),
+each with the rays of its closure, so (f, Y) is a face pair exactly when
+(s_k.f, Z) is, and the criterion holds at both or neither.  A hand-made
+cone may hold other forms (`Cone.from_system` writes the equalities as a
+row basis and reduces the facet forms modulo it; B3, J empty: 84 of 147
+cones), and then gets the checks of a first cone, face pairs included; a
+built cone whose ray ids are not the moved ones fails, as its moved
+forms cut out s_k.Z.  Weyl invariance and cores: a complete moves table
+is Weyl invariance, since the s_k generate W.  The core of a cone X is
+the set of its points that its setwise stabiliser Stab(X) fixes.  Let X
+be the first cone of an orbit and p the sum of its rays; then Stab(X) is
+W_p, the stabiliser of p.  A g in Stab(X) permutes the primitive rays of
+X, as W acts unimodularly on coroot coordinates, so it fixes p.  A g in
+W_p maps X to a fan cone (Weyl invariance) through p, which is X
+(partition).  W_p is generated by the reflections it contains, those in
+the roots vanishing at p (Chevalley's lemma; Humphreys 1.12), so its
+fixed points are the zero set of those roots.  The sign row of X names
+them: a root of sign 0 vanishes on the span of X already and one of sign
++ or - is nonzero at p, so only the mixed roots that vanish at p cut X
+down.  If there is none, the core is X; otherwise one `Cone.from_system`
+of the equalities of X, those root forms and the facet forms of X gives
+it (`_fixed_core`).  Stab(s_k.X) is s_k Stab(X) s_k, so s_k maps the
+core of X onto the core of s_k.X.  So the core check compares
+`_core_rays` at each first cone with the ray ids of `_fixed_core`,
+pointed as it lies in the closure of X, and at each other cone Y, before
+its rays, with those of the core of Z moved by s_k.  When `_fixed_core`
+is None, each core of the orbit is its cone and is compared with the
+moved rays of Z; for J empty this is every orbit, and `validate` makes
+no `Cone`."""
 
 from __future__ import annotations
 
@@ -296,30 +296,26 @@ class Fan:
         self, datum: RootDatum, J: frozenset[int], cones: Sequence[Cone], cores: dict[int, CoreInfo]
     ):
         """A fan made by hand: it keeps `cones` and `cores` as its views
-        and fills its tables from them."""
+        and fills its tables from them, every cone's forms included."""
         self.cones = cones = tuple(cones)
         self.cores = cores
         given = [cores[i].cone if i in cores else None for i in range(len(cones))]
         vectors = {v for c in cones + tuple(filter(None, given)) for v in c.rays + c.lineality}
         points, forms = _Numbering(sorted(vectors)), _Numbering()
-        self._adopt(
-            datum,
-            J,
-            points.vectors,
-            forms.vectors,
-            [tuple(map(forms.__getitem__, c.eqs)) for c in cones],
-            [tuple(map(forms.__getitem__, c.ins)) for c in cones],
-            [tuple(map(points.__getitem__, c.rays)) for c in cones],
-            [None if c is None else _core_ids(points, c) for c in given],
-        )
+        held = {i: _ids_of_forms(forms, c) for i, c in enumerate(cones)}
+        rays = [tuple(map(points.__getitem__, c.rays)) for c in cones]
+        given = [None if c is None else _core_ids(points, c) for c in given]
+        self._adopt(datum, J, points.vectors, forms.vectors, held, rays, given, range(len(cones)))
         self._lineal = [i for i, c in enumerate(cones) if c.lineality]
 
-    def _adopt(self, datum, J, points, forms, eqs, ins, rays, core_rays) -> None:
+    def _adopt(self, datum, J, points, forms, cone_forms, rays, core_rays, seeds) -> None:
         self.datum = datum
         self.J = J
         self._points, self._forms = points, forms  # vectors by id
-        self._eqs, self._ins, self._rays = eqs, ins, rays  # per cone, ids
+        self._cone_forms = cone_forms  # cone -> ids of its equalities and facet forms, where held
+        self._rays = rays  # per cone, its ray ids
         self._core_rays = core_rays  # per cone, its core's ray ids; None if it has none
+        self._seeds = seeds  # the cones `_orbit_walks` starts from
         self._by_sign: dict[tuple[int, ...], int] = {}  # sign vector -> cone
 
     def __len__(self) -> int:
@@ -336,37 +332,59 @@ class Fan:
 
     @cached_property
     def cones(self) -> tuple[Cone, ...]:
-        """Each cone as a `Cone`, made from the tables on first read."""
-        return tuple(map(self._cone, self._eqs, self._ins, self._rays))
+        """Each cone as a `Cone`, made on first read from its ray ids and the
+        form ids of `_carried`."""
+        return tuple(map(self._cone, self._carried[2], self._rays))
 
     @cached_property
     def cores(self) -> dict[int, CoreInfo]:
         """Each cone's core, made on first read: its cone when T = I, else
-        made from the core's ids, and its word carried along the replayed
-        walk (`_orbit_walks`), the letter and the word of the cone before."""
-        cones, moves, forms, rays = self.cones, self._moves, self._core_forms, self._core_rays
+        made from its ray ids and the form ids of `_carried`, with the word
+        of `_carried`."""
+        cones, rays = self.cones, self._core_rays
+        walks, words, forms = self._carried
         out = [None] * len(self)
-        for (I, T), walk in zip(self._standard, _orbit_walks(moves, self._seeds)):
-            _carry(moves, walk, (), lambda word, k: (k,) + word, out)
-            for i in walk[0]:
-                core = cones[i] if T == I else self._cone(*forms[i], rays[i])
-                out[i] = CoreInfo(T, I, out[i], core)
+        for (I, T), (walk, _) in zip(self._standard, walks):
+            for i in walk:
+                core = cones[i] if T == I else self._cone(forms[i][2:], rays[i])
+                out[i] = CoreInfo(T, I, words[i], core)
         return dict(enumerate(out))
 
-    def _cone(self, eqs: Sequence[int], ins: Sequence[int], rays: Sequence[int]) -> Cone:
-        """The pointed `Cone` of form ids and sorted ray ids, sorted by vector."""
-        forms = self._forms
-        return Cone(
-            self.datum.rank,
-            tuple(sorted(map(forms.__getitem__, eqs))),
-            tuple(sorted(map(forms.__getitem__, ins))),
-            (),
-            tuple(map(self._points.__getitem__, rays)),
-        )
+    @cached_property
+    def _carried(self) -> tuple[list, list, list]:
+        """The walks of `_orbit_walks` from the standard cones and, per cone,
+        its word and the ids of its forms and, for T not I, of its core's,
+        carried from its standard cone (see *Tables* in the module docstring)."""
+        moves, forms = self._moves, _Numbering(self._forms)
+        images = [m.__getitem__ for m in _id_reflections(self.datum.cartan, forms, _reflected_form)]
+        walks = _orbit_walks(moves, self._seeds)
+        words, out = [()] * len(self), [None] * len(self)
+        for cones, letters in walks:
+            out[cones[0]] = self._cone_forms[cones[0]] + self._core_forms.get(cones[0], ())
+            for i, k in islice(zip(cones, letters), 1, None):  # met by s_k from moves[k][i]
+                j, reflect = moves[k][i], images[k]
+                words[i] = (k,) + words[j]
+                out[i] = tuple([tuple(map(reflect, ids)) for ids in out[j]])
+        self._forms = forms.vectors
+        return walks, words, out
+
+    def _ray_sum(self, i: int) -> Vec:
+        """The sum of the rays of cone i, as `Cone.relint_point` gives it,
+        from the tables: `_moves` needs it, and a built fan's views need
+        `_moves`."""
+        rays = map(self._points.__getitem__, self._rays[i])
+        return tuple(map(sum, zip(*rays))) or la.zero_vec(self.datum.rank)
+
+    def _cone(self, forms: Sequence[Sequence[int]], rays: Sequence[int]) -> Cone:
+        """The pointed `Cone` of the ids of its equalities and facet forms
+        and its sorted ray ids, every field sorted by vector."""
+        form = self._forms.__getitem__
+        eqs, ins = tuple(sorted(map(form, forms[0]))), tuple(sorted(map(form, forms[1])))
+        return Cone(self.datum.rank, eqs, ins, (), tuple(map(self._points.__getitem__, rays)))
 
     @cached_property
     def origin_index(self) -> int:
-        for i, eqs in enumerate(self._eqs):
+        for i, (eqs, _) in self._cone_forms.items():
             if len(eqs) == self.datum.rank:
                 return i
         raise PartitionFailure("fan has no origin cone")
@@ -417,11 +435,8 @@ class Fan:
         """For root k and a sign s of it at a point, `_excluding[k][s]` is the
         set (a bitset over cone indices) of the cones on which root k has
         another sign, so cannot hold the point; a mixed sign excludes
-        nothing.  The tuples are ordered (0, 1, -1) to be indexed by s.
-        Each root's column of signs becomes one byte per cone, cone 0 last,
-        and each set one `bytes.translate` into binary digits and one
-        `int(digits, 2)`, in time linear in the cone count (see *Sign table*
-        in the module docstring)."""
+        nothing.  The tuples are ordered (0, 1, -1) to be indexed by s, and
+        read off byte columns (see *Sign table* in the module docstring)."""
         rows = self._sign_table
         if not rows:
             return ((0, 0, 0),) * len(self._root_forms)
@@ -470,12 +485,12 @@ class Fan:
         index = {row: i for i, row in enumerate(rows)}
         for i, row in enumerate(rows):
             if index[row] != i:  # another cone has this row
-                self.cone_containing(self.cones[i].relint_point())  # raises
+                self.cone_containing(self._ray_sum(i))  # raises
         permutations = _sign_permutations(self.datum)
         moves = tuple(tuple(map(index.get, map(pi, rows))) for pi in permutations)
         for k, move in enumerate(moves):
             if None in move:  # s_k of that cone is no fan cone
-                x = self.cones[move.index(None)].relint_point()
+                x = self._ray_sum(move.index(None))
                 self.cone_containing(reflect_simple(self.datum.cartan, x, k))
                 raise PartitionFailure("fan is not Weyl invariant")
         return moves
@@ -526,15 +541,15 @@ class Fan:
         """Verify the fan axioms exactly; returns a few summary counts.
 
         Checks strict convexity of closures, the origin cone, partition and
-        boundary axioms, the face condition on every face pair, Weyl
-        invariance and the cores as stabiliser fixed loci."""
+        boundary axioms, Weyl invariance, the face condition, by arithmetic
+        on one cone per orbit and by transport on the others, and the cores
+        as stabiliser fixed loci (see *Validation* in the module docstring)."""
         if self._lineal:
             raise PartitionFailure(f"cone closure contains a line: {self.cones[self._lineal[0]]}")
         _ = self.origin_index  # the zero cone belongs to the fan
-        walks = _orbit_walks(self._moves, range(len(self)))
+        walks = _orbit_walks(self._moves, self._seeds)
         _check_cover(self, [cones[0] for cones, _ in walks])
-        _check_faces(self)
-        _check_cores(self, walks)
+        _check_orbits(self, walks)
         return {
             "cones": len(self),
             "face_pairs": len(self.face_order),
@@ -557,6 +572,12 @@ class _Numbering(dict):
         self[v] = i = len(self.vectors)
         self.vectors.append(v)
         return i
+
+
+def _ids_of_forms(forms: _Numbering, cone: Cone) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The ids of the equalities and of the facet forms of a cone, sorted."""
+    ids = forms.__getitem__
+    return tuple(sorted(map(ids, cone.eqs))), tuple(sorted(map(ids, cone.ins)))
 
 
 def _core_ids(points: _Numbering, core: Cone) -> tuple[int, ...]:
@@ -644,7 +665,7 @@ def _orbit_walks(moves: Sequence[Sequence[int]], starts: Iterable[int]) -> list[
     once breadth first under s_1..s_n as `walk_orbits` walks: its cones in
     the order met, and per cone the letter k of the move s_k that met it
     (0 for the first cone).  Each move is an involution, so cone j was met
-    from cone `moves[k][j]` (`_carry`)."""
+    from cone `moves[k][j]`."""
     seen = bytearray(len(moves[0]))
     walks, numbered = [], list(enumerate(moves))
     for first in starts:
@@ -663,25 +684,14 @@ def _orbit_walks(moves: Sequence[Sequence[int]], starts: Iterable[int]) -> list[
     return walks
 
 
-def _carry(moves: Sequence[Sequence[int]], walk: tuple, value, step: Callable, out) -> None:
-    """Sets `out[i]` for each cone i of a walk of `_orbit_walks`: `value` at
-    its first cone, and `step(out[j], k)` at a cone met by s_k from cone j."""
-    cones, letters = walk
-    out[cones[0]] = value
-    for i, k in islice(zip(cones, letters), 1, None):
-        out[i] = step(out[moves[k][i]], k)
-
-
 def _check_cover(fan: Fan, firsts: Iterable[int]) -> None:
     """Partition and boundary axioms on a fan whose rows are distinct and
     closed under the sign permutations: every dominant facet point lies in
     exactly one cone, and every facet of the closure of each cone in
     `firsts`, one per orbit, is the closure of a fan cone (see *Orbit
-    reduction* in the module docstring): by their sign vectors
-    (`_dominant_signs`), against the rows with no -1 only, each kept as the
-    bitsets of its roots of sign 0 and of sign 1; a row agrees with a sign
-    vector when no root is 0 on one and 1 on the other.  A point itself is
-    made only to name it in an error."""
+    reduction* in the module docstring), by sign vectors against the rows
+    with no -1, each kept as the bitsets of its roots of sign 0 and 1.  A
+    point is made only to name it in an error."""
     datum = fan.datum
     rows = fan._sign_table
     candidates = [(1 << i, *_zeros_and_ones(row)) for i, row in enumerate(rows) if -1 not in row]
@@ -689,35 +699,40 @@ def _check_cover(fan: Fan, firsts: Iterable[int]) -> None:
         zeros, ones = _zeros_and_ones(signs)
         hits = sum(bit for bit, z, o in candidates if not (z & ones or o & zeros))
         fan._record(signs, hits, lambda: _dominant_facet_points(datum)[S])
-    points, forms = fan._points, fan._forms
+    points = fan._points
     for i in firsts:
-        rays = fan._rays[i]
-        for f in fan._ins[i]:
-            form = forms[f]
+        rays, ins = fan._rays[i], fan._cone_forms[i][1]
+        for form in map(fan._forms.__getitem__, ins):
             if tuple(sorted(r for r in rays if not la.dot(form, points[r]))) not in fan._pointed:
                 raise PartitionFailure(f"facet of cone {i} is not the closure of a fan cone")
 
 
-def _check_faces(fan: Fan) -> None:
-    """Face condition on every pair of the face order, by ray incidence."""
+def _check_faces(fan: Fan, direct: Iterable[int]) -> None:
+    """Face condition at the cones of `direct`, by arithmetic: on each its
+    equalities vanish and its facet forms are >= 0 at its rays, and every
+    face pair (f, g) with g among them holds, by ray incidence."""
     points, forms = fan._points, fan._forms
-    ray_sets, zero_sets = [], []  # per cone: its rays, and each facet's rays
-    for i, (eqs, ins, rays) in enumerate(zip(fan._eqs, fan._ins, fan._rays)):
+    facets = {}  # per cone of `direct`: its rays, and each facet's rays, as bitsets
+    for g in sorted(direct):
+        eqs, ins = fan._cone_forms[g]
+        rays = fan._rays[g]
         # one table of the cone's forms at its rays serves both checks
         at = [points[r] for r in rays]
         on_eqs = (la.dot(forms[f], r) for f in eqs for r in at)
         on_ins = [[la.dot(forms[f], r) for r in at] for f in ins]
         if any(on_eqs) or any(v < 0 for vals in on_ins for v in vals):
-            raise PartitionFailure(f"face condition fails for cones {i} <= {i}")
-        ray_sets.append(sum(1 << k for k in rays))
-        zero_sets.append([sum(1 << k for k, v in zip(rays, vals) if not v) for vals in on_ins])
+            raise PartitionFailure(f"face condition fails for cones {g} <= {g}")
+        zeros = [sum(1 << k for k, v in zip(rays, vals) if not v) for vals in on_ins]
+        facets[g] = sum(1 << k for k in rays), zeros
     for f, g in fan.face_order:
-        rays, meet = ray_sets[f], ray_sets[g]
-        for zero in zero_sets[g]:
-            if zero & rays == rays:
-                meet &= zero
-        if meet != rays:
-            raise PartitionFailure(f"face condition fails for cones {f} <= {g}")
+        if g in facets:
+            rays = sum(1 << k for k in fan._rays[f])
+            meet, zeros = facets[g]
+            for zero in zeros:
+                if zero & rays == rays:
+                    meet &= zero
+            if meet != rays:
+                raise PartitionFailure(f"face condition fails for cones {f} <= {g}")
 
 
 def _fixed_core(fan: Fan, i: int) -> Optional[Cone]:
@@ -725,48 +740,54 @@ def _fixed_core(fan: Fan, i: int) -> Optional[Cone]:
     fixed locus of its stabiliser W_p in it; None when no root of mixed
     sign on it vanishes at p, as the locus is then cone i itself (see
     *Validation* in the module docstring)."""
-    points, forms, n = fan._points, fan._forms, fan.datum.rank
-    p = tuple(map(sum, zip(*map(points.__getitem__, fan._rays[i])))) or la.zero_vec(n)
+    p = fan._ray_sum(i)
     fixed = [
         f for f, sign in zip(fan._root_forms, fan._sign_table[i]) if sign == 2 and not la.dot(f, p)
     ]
     if not fixed:
         return None
-    eqs, ins = (sorted(map(forms.__getitem__, ids)) for ids in (fan._eqs[i], fan._ins[i]))
-    return Cone.from_system(n, eqs + fixed, ins)
+    eqs, ins = (sorted(map(fan._forms.__getitem__, ids)) for ids in fan._cone_forms[i])
+    return Cone.from_system(fan.datum.rank, eqs + fixed, ins)
 
 
-def _check_cores(fan: Fan, walks: Iterable[tuple[list[int], list[int]]]) -> None:
-    """Cores: every cone has one, the first core of each orbit of `walks`
-    (`_orbit_walks`) is `_fixed_core`, and each move s_k carries the core
-    of cone i to that of its image (see *Validation* in the module
-    docstring).  Only the cores' ray ids are compared, so only they are
-    moved, along the moves of the walk; when the first core is its cone,
-    each core of the orbit is its own cone, and no id is moved."""
-    cores = fan._core_rays
-    missing = next((i for i, core in enumerate(cores) if core is None), None)
-    if missing is not None:
-        raise PartitionFailure(f"cone {missing} has no core")
-    moves, images = fan._moves, None
+def _check_orbits(fan: Fan, walks: list) -> None:
+    """Faces and cores along the walks of `_orbit_walks`, by arithmetic at
+    each first cone and by transport at the others (see *Validation* in the
+    module docstring): a cone with held forms and ids other than the moved
+    ones gets the face check by arithmetic, and a cone with none fails."""
+    _check_faces(fan, [cones[0] for cones, _ in walks])
+    rays, cores, held, moves = fan._rays, fan._core_rays, fan._cone_forms, fan._moves
+    if None in cores:
+        raise PartitionFailure(f"cone {cores.index(None)} has no core")
+    points, forms = _Numbering(fan._points), _Numbering(fan._forms)
+    on_points = _id_reflections(fan.datum.cartan, points, reflect_simple)
+    on_forms = _id_reflections(fan.datum.cartan, forms, _reflected_form)
 
-    def step(ids: tuple, k: int) -> tuple:
+    def moved(ids: Iterable[int], k: int, images: list = on_points) -> tuple[int, ...]:
         return tuple(sorted(map(images[k].__getitem__, ids)))
 
-    for walk in walks:
-        cones = walk[0]
-        core = _fixed_core(fan, cones[0])
-        if core is None:
-            keys = map(fan._rays.__getitem__, cones)
-        else:  # a pointed cone, in the closure of the walk's first cone
-            if images is None:
-                points = _Numbering(fan._points)
-                images = _id_reflections(fan.datum.cartan, points, reflect_simple)
-            moved: dict[int, tuple] = {}  # in the order of the walk
-            _carry(moves, walk, tuple(sorted(map(points.__getitem__, core.rays))), step, moved)
-            keys = moved.values()
-        for i, key in zip(cones, keys):
-            if key != cores[i]:
+    unlike = []  # cones whose held ids are not the moved ones
+    for cones, letters in walks:
+        core = _fixed_core(fan, cones[0])  # None: each core of the orbit is its cone
+        first = rays[cones[0]]
+        if core is not None:  # a pointed cone, in the closure of the walk's first cone
+            first = tuple(sorted(map(points.__getitem__, core.rays)))
+        if first != cores[cones[0]]:
+            raise PartitionFailure(f"core of cone {cones[0]} is not the stabiliser fixed locus")
+        for i, k in islice(zip(cones, letters), 1, None):
+            j = moves[k][i]
+            image = moved(rays[j], k)
+            if (image if core is None else moved(cores[j], k)) != cores[i]:
                 raise PartitionFailure(f"core of cone {i} is not the stabiliser fixed locus")
+            if i not in held:  # its forms are the moved ones
+                if image != rays[i]:
+                    raise PartitionFailure(f"face condition fails for cones {i} <= {i}")
+            elif image != rays[i] or held[i] != tuple(
+                moved(f, k, on_forms) for f in held.get(j, ())
+            ):
+                unlike.append(i)
+    if unlike:
+        _check_faces(fan, unlike)
 
 
 class _Images(dict):
@@ -892,11 +913,11 @@ def parabolic_fan(datum: RootDatum, J: Iterable[int] = ()) -> Fan:
     coweights = [la.primitive(w) for w in la.transpose(datum.cartan_adjugate[0])]
     points, forms = _Numbering(), _Numbering()
     on_points = _id_reflections(cartan, points, reflect_simple)
-    on_forms = _id_reflections(cartan, forms, _reflected_form)
 
-    # per cone in walk order: sign row, ids of equalities, facet forms, rays
-    # and core rays, and of core forms for T not I; per s_k, each row's image
-    rows, eqs, ins, rays, cores, core_forms = [], [], [], [], [], {}
+    # per cone in walk order: sign row, ids of rays and core rays, and the
+    # codimension of its orbit; per standard cone, the ids of its forms and,
+    # for T not I, of its core's; per s_k, each row's image
+    rows, rays, cores, codims, cone_forms, core_forms = [], [], [], [], [], {}
     moves: list[list[int]] = [[] for _ in range(n)]
     index: dict[tuple[int, ...], int] = {}  # sign row -> its cone in the latest orbit
     standard, seeds, at = [], [], {}
@@ -909,12 +930,11 @@ def parabolic_fan(datum: RootDatum, J: Iterable[int] = ()) -> Fan:
         row = _sign_row(root_forms, base, f"the standard cone of {sorted(I)}", at)
         index[row] = start
         rows.append(row)
-        eqs.append(tuple(map(forms.__getitem__, base.eqs)))
-        ins.append(tuple(map(forms.__getitem__, base.ins)))
+        cone_forms.append(_ids_of_forms(forms, base))
         rays.append(tuple(map(points.__getitem__, base.rays)))
         cores.append(rays[-1] if core is None else tuple(map(points.__getitem__, core.rays)))
         if core is not None:
-            core_forms[start] = [tuple(map(forms.__getitem__, f)) for f in (core.eqs, core.ins)]
+            core_forms[start] = _ids_of_forms(forms, core)
         i = start
         while i < len(rows):  # the orbit grows while it is walked
             row = rows[i]
@@ -924,16 +944,12 @@ def parabolic_fan(datum: RootDatum, J: Iterable[int] = ()) -> Fan:
                 if j < start:  # new to this orbit
                     index[image] = j = len(rows)
                     rows.append(image)
-                    reflect = on_forms[k].__getitem__
-                    eqs.append(tuple(map(reflect, eqs[i])))
-                    ins.append(tuple(map(reflect, ins[i])))
-                    if core is not None:
-                        core_forms[j] = [tuple(map(reflect, f)) for f in core_forms[i]]
                     reflect = on_points[k].__getitem__
                     rays.append(tuple(map(reflect, rays[i])))
                     cores.append(rays[-1] if core is None else tuple(map(reflect, cores[i])))
                 moves[k].append(j)
             i += 1
+        codims += [len(base.eqs)] * (len(rows) - start)
 
     # rank the rays by vector, so that sorted ids list rays in vector order
     vectors = points.vectors
@@ -942,24 +958,22 @@ def parabolic_fan(datum: RootDatum, J: Iterable[int] = ()) -> Fan:
     for i, (own, core) in enumerate(zip(rays, cores)):
         rays[i] = tuple(sorted(map(rank.__getitem__, own)))
         cores[i] = rays[i] if core is own else tuple(sorted(map(rank.__getitem__, core)))
-    order = sorted(range(len(rows)), key=lambda i: (-len(eqs[i]), rays[i]))  # (dim, key)
+    order = sorted(range(len(rows)), key=lambda i: (-codims[i], rays[i]))  # (dim, key)
     position = sorted(range(len(rows)), key=order.__getitem__)
 
     def ordered(column: Sequence) -> list:
         return list(map(column.__getitem__, order))
 
     fan = Fan.__new__(Fan)
-    points = list(map(vectors.__getitem__, by_vector))
-    fan._adopt(
-        datum, J, points, forms.vectors, ordered(eqs), ordered(ins), ordered(rays), ordered(cores)
-    )
+    seeds = list(map(position.__getitem__, seeds))  # the standard cones
+    points, cone_forms = list(map(vectors.__getitem__, by_vector)), dict(zip(seeds, cone_forms))
+    fan._adopt(datum, J, points, forms.vectors, cone_forms, ordered(rays), ordered(cores), seeds)
     fan._sign_table = tuple(ordered(rows))
     fan._core_forms = {position[i]: ids for i, ids in core_forms.items()}
     fan._standard = standard
-    fan._seeds = list(map(position.__getitem__, seeds))  # the standard cones
     if len(index) == len(rows):  # every row distinct (see *Validation*)
         fan._moves = tuple(tuple(map(position.__getitem__, ordered(move))) for move in moves)
-    _check_cover(fan, sorted(fan._seeds))
+    _check_cover(fan, sorted(seeds))
     return fan
 
 

@@ -6,6 +6,7 @@ from math import lcm
 import random
 
 from weylfan import linalg as la
+from weylfan._value import replace
 from weylfan.apartment import (
     AffineRootPattern,
     SymbolicEntry,
@@ -33,6 +34,7 @@ from weylfan.fans import (
     Fan,
     _Images,
     _admissible_index_sets,
+    _orbit_walks,
     _reflected_form,
     _root_forms,
     _sign_permutations,
@@ -360,6 +362,122 @@ def orbit_labels(moves) -> list[int]:
                         walk.append(move[j])
             count += 1
     return labels
+
+
+# the classes of `fan_mutants`, in the order it yields them
+MUTANT_CLASSES = (
+    "dropped cone",
+    "doubled cone",
+    "dropped facet form",
+    "dropped ray",
+    "extra ray",
+    "missing core",
+    "origin as core",
+    "cores swapped",
+    "image under the wrong s_k",
+    "table ray id",
+    "table move",
+)
+
+
+def fan_mutants(fan: Fan, seed: int):
+    """Mutants of a built fan that `Fan.validate` must reject, each as
+    (class, where, mutant, message), message a regex of the
+    `PartitionFailure` it raises.  Each hand-made class is made twice, on
+    the first cone (in cone order) of the orbit of open cones, "first", and
+    on a later cone of it that is not its standard cone, which `seed`
+    picks, "later"; a dropped ray is made on the orbit of the last cone
+    with as many rays as its dimension instead, as a merged cone with one
+    ray less can cut out the same sign row.  The two table classes mutate
+    a fresh build's own tables, which the transport check reads: one ray
+    id of the later cone becomes that of a fan ray off its closure; and for
+    J not empty, where the open cones' cores are not their cones, two pairs
+    of open cones swap their images under one s_k, chosen so that the walks
+    from the standard cones and from each orbit's first cone both meet one
+    of the four from the wrong cone, and so carry it the wrong core."""
+    rng = random.Random(seed)
+    datum, J, cones, cores, moves = fan.datum, fan.J, fan.cones, fan.cores, fan._moves
+    labels = orbit_labels(moves)
+    orbit = [i for i, label in enumerate(labels) if label == labels[-1]]
+    points, forms = reflections(datum.cartan)
+    walk = _orbit_walks(moves, range(len(fan)))  # from each orbit's first cone
+    later = rng.choice([i for i in orbit[1:] if cores[i].word])
+    simplicial = [i for i, c in enumerate(cones) if len(c.rays) == c.dim]
+    simplicial = [i for i in simplicial if labels[i] == labels[simplicial[-1]]]
+    for where, i in (("first", orbit[0]), ("later", later)):
+        cone = cones[i]
+
+        def with_cone(new, i=i):
+            return Fan(datum, J, cones[:i] + (new,) + cones[i + 1 :], cores)
+
+        def with_cores(changes):
+            return Fan(datum, J, cones, {**cores, **changes})
+
+        keep = [j for j in range(len(fan)) if j != i]
+        dropped = Fan(datum, J, [cones[j] for j in keep], {k: cores[j] for k, j in enumerate(keep)})
+        yield "dropped cone", where, dropped, "lies in 0 cones; fan is not a partition$"
+        doubled = Fan(datum, J, cones + (cone,), {**cores, len(fan): cores[i]})
+        yield "doubled cone", where, doubled, "lies in 2 cones; fan is not a partition$"
+        message = rf"^face condition fails for cones \d+ <= {i}$"
+        yield "dropped facet form", where, with_cone(replace(cone, ins=cone.ins[1:])), message
+        s = simplicial[0 if where == "first" else rng.randrange(1, len(simplicial))]
+        message = rf"^roots vanishing on cone {s} do not cut out its span$"
+        yield "dropped ray", where, with_cone(replace(cones[s], rays=cones[s].rays[1:]), s), message
+        extra = rng.choice(sorted({r for c in cones for r in c.rays} - set(cone.rays)))
+        mutant = with_cone(replace(cone, rays=tuple(sorted(cone.rays + (extra,)))))
+        yield "extra ray", where, mutant, rf"^facet form .* of cone {i} is not a root form$"
+        missing = Fan(datum, J, cones, {j: info for j, info in cores.items() if j != i})
+        yield "missing core", where, missing, rf"^cone {i} has no core$"
+        origin = replace(cores[i], cone=cones[fan.origin_index])
+        message = rf"^core of cone {i} is not the stabiliser fixed locus$"
+        yield "origin as core", where, with_cores({i: origin}), message
+        j = rng.choice([j for j in orbit[1:] if j != i])
+        message = rf"^core of cone ({i}|{j}) is not the stabiliser fixed locus$"
+        yield "cores swapped", where, with_cores({i: cores[j], j: cores[i]}), message
+        # the first cone by an s_k that moves it, a later one by the wrong
+        # s_k from the cone its walk met it from: a cone the fan has already
+        cones_met, letters = next(w for w in walk if i in w[0])
+        at = cones_met.index(i)
+        source = moves[letters[at]][i] if at else i
+        m = rng.choice([m for m in range(datum.rank) if moves[m][source] != i])
+        image = reflected_cone(cones[source], points[m], forms[m])
+        yield "image under the wrong s_k", where, with_cone(image), "lies in 2 cones; fan is not a partition$"
+    fresh = parabolic_fan(datum, J)
+    rays = list(fresh._rays[later])
+    rays[rng.randrange(len(rays))] = rng.choice(sorted({r for c in fresh._rays for r in c} - set(rays)))
+    fresh._rays[later] = tuple(sorted(rays))
+    yield "table ray id", "later", fresh, rf"^face condition fails for cones {later} <= {later}$"
+    # two pairs a <-> c and e <-> f of open cones swap their partners under s_k
+    swaps = [
+        (k, a, e)
+        for k in range(datum.rank if J else 0)
+        for a in orbit
+        for e in orbit
+        if a < moves[k][a] and a < e < moves[k][e] and moves[k][a] != e
+    ]
+    rng.shuffle(swaps)
+    starts = (range(len(fan)), _standard_cones(fan))
+    for k, a, e in swaps:
+        c, f = moves[k][a], moves[k][e]
+        move = list(moves[k])
+        move[a], move[e], move[c], move[f] = e, a, f, c
+        table = moves[:k] + (tuple(move),) + moves[k + 1 :]
+        if all(_meets(_orbit_walks(table, s), k, (a, c, e, f)) for s in starts):
+            fresh = parabolic_fan(datum, J)
+            vars(fresh)["_moves"] = table
+            message = rf"^core of cone ({a}|{c}|{e}|{f}) is not the stabiliser fixed locus$"
+            yield "table move", "later", fresh, message
+            return
+
+
+def _meets(walks: list, k: int, cones: tuple) -> bool:
+    """Whether the walks of `_orbit_walks` meet one of `cones` by s_k."""
+    return any(c in cones and m == k for walk in walks for c, m in zip(*walk))
+
+
+def _standard_cones(fan: Fan) -> list[int]:
+    """The cones whose core word is empty: the standard cones of a build."""
+    return [i for i, info in fan.cores.items() if not info.word]
 
 
 def closure_face_order(fan: Fan) -> tuple:

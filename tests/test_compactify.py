@@ -148,6 +148,35 @@ def test_profiles_of_another_datum_are_rejected(name):
         limit_of_profile(fan, profile)
 
 
+def _pairing_profile(datum, base, direction) -> tuple:
+    """`ray_profile` oracle: every root, negative and divisible ones
+    included, paired with both points in `Fraction` arithmetic."""
+    b, d = datum.point(base), datum.point(direction)
+    table = {}
+    for a in datum.roots:
+        slope = datum.pairing(a, d)
+        table[a] = POS_INF if slope > 0 else NEG_INF if slope < 0 else datum.pairing(a, b)
+    return tuple(sorted(table.items()))
+
+
+@pytest.mark.parametrize("name", ["A2", "B3", "G2", "BC2", "BC3", "A1xA2", "F4"])
+def test_ray_profiles_from_the_positive_roots_match_pairing_every_root(name):
+    """Pairing each positive nondivisible root once, over integers, gives
+    every root's value of the pairing oracle, in value and in type, for
+    directions on walls and off them and for int and Fraction points."""
+    datum = build_root_datum(name)
+    rng = random.Random(31)
+    for _ in range(40):
+        base = random_rational_vec(rng, datum.rank, num=6, den=4)
+        d = [rng.choice([0, 0, 1, -1, 2, Q(-1, 3)]) for _ in range(datum.rank)]
+        d[rng.randrange(datum.rank)] = 1
+        if rng.random() < 0.25:
+            base = [int(v) for v in base]
+        got = ray_profile(datum, base, d).values
+        want = _pairing_profile(datum, base, d)
+        assert [(a, type(v), v) for a, v in got] == [(a, type(v), v) for a, v in want]
+
+
 def test_profile_of_ray_matches_limit_everywhere(a2, fan_j1, wfan):
     rng = random.Random(17)
     for fan in (fan_j1, wfan):

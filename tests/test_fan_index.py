@@ -10,9 +10,11 @@ import pytest
 
 from helpers import (
     FAN_CATALOGUE,
+    MUTANT_CLASSES,
     RANK4_CATALOGUE,
     built_fan,
     closure_face_order,
+    fan_mutants,
     orbit_labels,
     random_rational_vec,
     ray_reflection_moves,
@@ -254,12 +256,13 @@ def test_orbit_walks_match_the_breadth_first_closure(name, J):
 
 @pytest.mark.parametrize("name", ["G2", "BC3", "F4"])
 def test_reflection_images_match_the_simple_reflection(name):
-    """The id memos of the build and of the core check (`_id_reflections`)
-    give, per s_k, the id of s_k.p for every ray id and of f - f[k]
-    cartan[k] for every form id of a Weyl fan, its rays closed under each
-    s_k, and move the rays of each cone onto those of its image in
-    `_moves`."""
+    """The id memos of the build, the first read and `validate`
+    (`_id_reflections`) give, per s_k, the id of s_k.p for every ray id
+    and of f - f[k] cartan[k] for every form id of a Weyl fan, its rays
+    closed under each s_k, and move the rays of each cone onto those of
+    its image in `_moves`."""
     fan = built_fan(name)
+    fan.cones  # the first read carries every cone's form ids
     cartan = fan.datum.cartan
     points, forms = fans._Numbering(fan._points), fans._Numbering(fan._forms)
     on_points = fans._id_reflections(cartan, points, reflect_simple)
@@ -276,10 +279,11 @@ def test_reflection_images_match_the_simple_reflection(name):
 
 @pytest.mark.parametrize("name,J", RANK4_FANS)
 def test_first_cores_from_the_vanishing_roots_match_the_schreier_oracle(name, J):
-    """The roots vanishing at the sum of the rays of each orbit's first
-    cone cut out the fixed locus of its Schreier generators."""
+    """The roots vanishing at the sum of the rays of each orbit's standard
+    cone, where `validate` starts its walk, cut out the fixed locus of its
+    Schreier generators."""
     fan = built_fan(name, J)
-    for i in _orbit_firsts(fan):
+    for i in fan._seeds:
         core = fans._fixed_core(fan, i) or fan.cones[i]  # None: the cone itself
         assert core.key == schreier_core(fan, i).key, i
 
@@ -388,7 +392,7 @@ def test_merged_orbits_are_cut_by_a_mixed_root():
     """The orbits whose cone is larger than its core are the ones that
     `validate` cuts down: in B3 {a2}, those with T not I."""
     fan = built_fan("B3", (1,))
-    for i in _orbit_firsts(fan):
+    for i in fan._seeds:
         info = fan.cores[i]
         assert _cut_by_a_mixed_root(fan, i) == (info.type_indices != info.generator_indices), i
         assert (fans._fixed_core(fan, i) is None) == (info.cone == fan.cones[i]), i
@@ -765,3 +769,55 @@ def test_theta_boundary_matches_sign_of_oracle(name, J):
             except WeylfanError as exc:
                 got = type(exc).__name__
             assert got == want
+
+
+MUTANT_CORPUS = [
+    _case("A2", (0,)), _case("B3", ()), _case("B3", (1,)), _case("G2", ()), _case("BC3", ()),
+    _case("F4", (0, 1)),
+]
+
+
+@pytest.mark.parametrize("name,J", MUTANT_CORPUS)
+def test_validate_rejects_every_mutant_of_the_corpus(name, J):
+    """Every class of `fan_mutants`, on the first and on a later cone of an
+    orbit, fails `validate` with its named message; the table move needs
+    four open cones and J not empty.  Budget: about 1.5 s for the six fans
+    on one core, most of it F4 {a1,a2}'s hand-made fans of 865 cones."""
+    fan = parabolic_fan(build_root_datum(name), J)
+    made = []
+    for label, where, mutant, message in fan_mutants(fan, seed=31):
+        with pytest.raises(PartitionFailure, match=message):
+            mutant.validate()
+        made.append((label, where))
+    classes = [c for c in MUTANT_CLASSES if not c.startswith("table")]
+    want = [(c, where) for where in ("first", "later") for c in classes]
+    want += [("table ray id", "later")] + [("table move", "later")] * (name in ("B3", "F4") and bool(J))
+    assert made == want
+
+
+@pytest.mark.parametrize(
+    "name,J,differ", [("B3", (), 84), ("A3", (0,), 20), ("F4", (0, 1), 647)]
+)
+def test_a_fan_of_canonical_cones_validates_by_arithmetic_where_ids_differ(
+    monkeypatch, name, J, differ
+):
+    """A hand-made fan of each cone's own `Cone.from_system` canonical forms
+    (equalities a row basis, facet forms reduced modulo it) is the built
+    fan, with other forms on `differ` cones.  `validate` checks the face
+    condition by arithmetic on each orbit's first cone and on every cone
+    whose form ids are not the moved ones of the cone its walk met it from,
+    and passes with the built fan's summary; on the built fan it does so on
+    the standard cones only."""
+    fan = parabolic_fan(build_root_datum(name), J)
+    canonical = [Cone.from_system(fan.datum.rank, c.eqs, c.ins) for c in fan.cones]
+    assert [c.rays for c in canonical] == [c.rays for c in fan.cones]
+    assert sum((a.eqs, a.ins) != (b.eqs, b.ins) for a, b in zip(canonical, fan.cones)) == differ
+    checked = []
+    check = fans._check_faces
+    monkeypatch.setattr(
+        fans, "_check_faces", lambda fan, cones: checked.append(sorted(cones)) or check(fan, cones)
+    )
+    assert Fan(fan.datum, fan.J, canonical, fan.cores).validate() == fan.validate()
+    firsts, unlike, standard = checked
+    assert firsts == _orbit_firsts(fan) and unlike and not set(firsts) & set(unlike)
+    assert standard == sorted(i for i, info in fan.cores.items() if not info.word)

@@ -463,19 +463,49 @@ def test_build_order_and_validate_make_no_cone_but_the_standard_cones(monkeypatc
     assert fan.cores[len(fan) - 1].cone is fan.cones[-1]  # the views, made on first read
 
 
-@pytest.mark.parametrize("name,J", [("B3", (1,)), ("F4", (0, 1))])
-def test_reading_cores_reflects_no_vector(monkeypatch, name, J):
-    """`Fan.cores` makes every core from the ids that the build carried, so
-    reading it on a fan whose cores are not all their cones calls neither
-    `reflect_simple` nor `_reflected_form` in `fans`."""
-    fan = parabolic_fan(build_root_datum(name), J)
-    calls = []
-    for name in ("reflect_simple", "_reflected_form"):
+def _count_reflections(monkeypatch) -> dict:
+    """Record, from now on, the (vector, k) of every call of `reflect_simple`
+    and `_reflected_form` in `fans`."""
+    calls = {"reflect_simple": [], "_reflected_form": []}
+    for name, made in calls.items():
         reflect = getattr(fans, name)
-        monkeypatch.setattr(fans, name, lambda *a, f=reflect: calls.append(a) or f(*a))
+        monkeypatch.setattr(fans, name, lambda *a, f=reflect, made=made: made.append(a[1:]) or f(*a))
+    return calls
+
+
+@pytest.mark.parametrize("name", ["B3", "F4"])
+def test_building_and_validating_a_weyl_fan_reflect_no_form(monkeypatch, name):
+    """With J empty every standard cone is a face of the dominant chamber,
+    written with no reflected form, the build moves ray ids only, and
+    `validate` moves no form id of a built fan, so neither calls
+    `_reflected_form`."""
+    calls = _count_reflections(monkeypatch)
+    fan = parabolic_fan(build_root_datum(name), ())
+    fan.validate()
+    assert calls["reflect_simple"] and not calls["_reflected_form"]
+
+
+@pytest.mark.parametrize("name,J", [("B3", (1,)), ("F4", (0, 1))])
+def test_the_first_read_reflects_each_form_once(monkeypatch, name, J):
+    """A built fan holds the form ids of its standard cones only.  The
+    first read of `Fan.cones` carries every cone's and core's form ids
+    from them, reflecting each distinct form at most once per s_k and no
+    point; `validate` before it reflects no form, and reading `Fan.cores`
+    after it reflects nothing."""
+    calls = _count_reflections(monkeypatch)  # before the build: no memo hides a call
+    fan = parabolic_fan(build_root_datum(name), J)
+    forms = calls["_reflected_form"]
+    forms.clear()
+    fan.validate()
+    assert not forms
+    calls["reflect_simple"].clear()
+    cones = fan.cones
+    assert forms and len(set(forms)) == len(forms)
+    assert not calls["reflect_simple"]
+    forms.clear()
     cores = fan.cores
-    assert any(info.cone is not fan.cones[i] for i, info in cores.items())
-    assert not calls
+    assert any(info.cone is not cones[i] for i, info in cores.items())
+    assert not forms and not calls["reflect_simple"]
 
 
 @pytest.mark.parametrize(
