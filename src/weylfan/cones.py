@@ -229,15 +229,23 @@ def _canonical_cone(
     """The canonical form of {x : eqs x = 0, ins x > 0}, given the lineality
     basis and the primitive extreme rays of its closure; raises EmptyCone
     if it is empty (see *Canonical form* in the module docstring)."""
-    # per form, the bitset of the rays it vanishes on (it is >= 0 on the cone)
+    eqs = la.row_basis(eqs)
+    ins = {la.primitive(_reduce_mod(form, eqs)) for form in _facet_forms(ins, rays)}
+    return Cone(n, *(tuple(sorted(vs)) for vs in (eqs, ins, lineality, rays)))
+
+
+def _facet_forms(ins: Sequence[Vec], rays: Sequence[Vec]) -> list[Vec]:
+    """The forms of `ins`, each >= 0 on the closed cone that the lineality
+    and `rays` generate, whose sets of vanishing rays are maximal among
+    them: its facet forms; raises EmptyCone if one of them vanishes on
+    every ray (see *Canonical form* in the module docstring)."""
+    # per form, the bitset of the rays it vanishes on
     zeros = [sum(1 << j for j, r in enumerate(rays) if not la.dot(form, r)) for form in ins]
     every = (1 << len(rays)) - 1
     for form, zero in zip(ins, zeros):
         if zero == every:  # zero on the closed cone, so never strictly positive
             raise EmptyCone(f"form {form} cannot be strictly positive")
-    eqs = la.row_basis(eqs)
-    ins = {la.primitive(_reduce_mod(form, eqs)) for form in _maximal(ins, zeros)}
-    return Cone(n, *(tuple(sorted(vs)) for vs in (eqs, ins, lineality, rays)))
+    return _maximal(ins, zeros)
 
 
 def _maximal(items: Sequence, sets: Sequence[int]) -> list:

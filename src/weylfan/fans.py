@@ -45,26 +45,31 @@ which gives the argument).
 *Tables.*  A fan is held as integer tables.  A build numbers the distinct
 rays and forms it meets (`_points`, `_forms`) and keeps per cone the ids
 of its rays (`_rays`) and of its core's (`_core_rays`, the cone's own
-tuple when T = I), its sign row, per s_k the moves table (see *Orbit
-walk*), and per standard cone (`_seeds`) the ids of its equalities and
-facet forms (`_cone_forms`) and, for T not I, of its core's
-(`_core_forms`).  The walk moves ray ids through per-s_k dictionaries
-that reflect an id on its first lookup (`_id_reflections`), so each
-distinct ray is reflected once per s_k and build.  The rays are then
-ranked by vector and renumbered, so a sorted tuple of ray ids lists its
-rays in vector order, and the cone order, by dimension (its orbit's) and
-then rays, compares ids.  `Fan.cones` and `Fan.cores` are views made on
-first read, which transports the other cones' forms: a replay of each
-orbit from its standard cone (`_orbit_walks`), meeting each cone from the
-cone the build met it from by the same s_k, carries the standard cone's
-form ids, its core's and the empty word, s_k moving each id through
-per-call `_id_reflections` and putting k in front of the word
+tuple when T = I), its codimension (`_codims`, its orbit's), its sign
+row, per s_k the moves table (see *Orbit walk*), and per standard cone
+(`_seeds`) the ids of its raw root forms (`_cone_forms`), the Cartan rows
+in I as equalities and its facet roots as facet forms (see *Standard
+cones*), and, for T not I, those of its core (`_core_forms`).  The walk
+moves ray ids through per-s_k dictionaries that reflect an id on its
+first lookup (`_id_reflections`), so each distinct ray is reflected once
+per s_k and build.  The rays are then ranked by vector and renumbered, so
+a sorted tuple of ray ids lists its rays in vector order, and the cone
+order, by dimension (its orbit's) and then rays, compares ids.
+`Fan.cones` and `Fan.cores` are views made on first read, which writes
+each standard cone's canonical form and its core's from the raw forms
+and rays (`cones._canonical_cone`) and transports them to the other
+cones: a replay of each orbit from its standard cone (`_orbit_walks`),
+meeting each cone from the cone the build met it from by the same s_k,
+carries the canonical form ids and the empty word, s_k moving each id
+through per-call `_id_reflections` and putting k in front of the word
 (`_carried`).  So each `Cone` (`Fan._cone`, every field sorted by vector)
 is its standard cone's image, and a core with T = I is its cone.  No step
-of `parabolic_fan`, `face_order` or `validate` makes them.  A hand-made
-`Fan(...)` keeps the cones and cores it is given, holds every cone's form
-ids and numbers its vectors by rank too; a core with a lineality stores
-each lineality vector as ~id, so it equals no ray ids.
+of `parabolic_fan`, `face_order` or `validate` makes the views or writes
+a standard cone's canonical form.  A hand-made `Fan(...)` keeps the cones
+and cores it is given, holds every cone's form ids and, as codimension,
+its number of equalities, and numbers its vectors by rank too; a core
+with a lineality stores each lineality vector as ~id, so it equals no ray
+ids.
 
 *Standard cones.*  `_standard_cone` writes down C_I = {x : alpha_I(x) = 0,
 beta(x) > 0 for beta in Phi+ - Phi_T} with no double description; for T =
@@ -93,9 +98,12 @@ where the roots of its zero set vanish, is spanned by the generators in
 it.  If g is not extreme, F holds an extreme ray r, whose zero set holds
 that of g and more, as the smallest face holding r is its ray; if g is
 extreme, a generator whose zero set holds that of g lies in F, its ray,
-so is g.  For K empty the generators are independent, all extreme.
-`cones._canonical_cone` writes the cone from these rays and the alpha_I
-(rows of C) and facet roots.
+so is g.  For K empty the generators are independent, all extreme.  The
+build holds the cone by these rays, the alpha_I (rows of C) and the facet
+roots whose zero sets of rays are maximal, its facet forms
+(`cones._facet_forms`, which rejects an empty cone), and
+`cones._canonical_cone` writes its canonical form from them on first read
+(see *Tables*).
 
 *Sign table.*  One table per fan holds the sign of every positive
 nondivisible root on every cone: 0 (Z), + (P), - (N) or mixed.  Building
@@ -195,10 +203,15 @@ ray of g.  `parabolic_fan` and `Fan.validate` check both axioms before
 the order is read.
 
 *Validation.*  `Fan.validate` checks each axiom once, from integer data:
-the tables and the sign table as the fan holds them.  A hand-made
-`Fan(...)` builds every row directly, with both exactness checks; a
-built one keeps its walk's rows, one built directly per standard cone
-and the others transported, which pass both checks by *Sign transport*.
+the tables and the sign table as the fan holds them.  A built fan's raw
+root forms give every check the data of the canonical ones: the alpha_I
+are as many and span the same rows (C is nonsingular), and on the span
+each facet root is a positive multiple of its facet's reduced form, with
+its zero set and signs at the rays; the checks read only these and the
+space the equalities cut out (`_fixed_core`).  A hand-made `Fan(...)`
+builds every row directly, with both exactness checks; a built one keeps
+its walk's rows, one built directly per standard cone and the others
+transported, which pass both checks by *Sign transport*.
 The moves table checks that the rows are distinct and closed under each
 pi_k.  A build's walk closes each orbit's rows under each pi_k, and each
 lookup names the cone of the orbit with the row pi_k(row); with the rows
@@ -209,11 +222,16 @@ be made from the rows (`Fan._moves`), which raises, as `Fan.cones` and
 (`_orbit_walks`), from its standard cone for a built fan and from its
 first cone in cone order for a hand-made one; each other cone Y is met
 by some s_k from Z = `moves[k][Y]` (s_k is an involution).  Partition
-and boundary: the cover check on the first cones (see *Orbit reduction*).
-Faces, at each first cone by arithmetic: every closure must hold its own
-rays, and a face of a pointed cone is the zero set of its tight facet
-forms; one incidence table, the cone's equalities and facet forms at its
-rays, gives both checks their data.  So with each facet of g kept as the
+and boundary: the cover check on the first cones (see *Orbit reduction*),
+whose facet check (`_check_facets`) runs also at each cone given the face
+check by arithmetic below.  The rays of g on a facet must be those of a
+fan cone of dimension dim g - 1 (`_codims`): if g lacks an extreme ray, a
+facet holding it keeps the rays of a lower face (B3 {a2}: a merged cone
+of dimension 3 without one of its 4 rays keeps its sign row and passes
+the face check).  Faces, at each first cone by arithmetic: every closure
+must hold its own rays, and a face of a pointed cone is the zero set of
+its tight facet forms; one incidence table, the cone's equalities and
+facet forms at its rays, gives both checks their data.  So with each facet of g kept as the
 bitset of the rays of g on which its form vanishes, (f, g) is a face pair
 exactly when the AND of the facets of g that hold the rays of f (all of
 g if none do) is the rays of f: the supporting-form criterion with alpha
@@ -262,7 +280,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from . import linalg as la
 from ._value import Value
-from .cones import Cone, _canonical_cone, _maximal
+from .cones import Cone, _canonical_cone, _facet_forms, _maximal
 from .errors import (
     DegenerateJ,
     DimensionMismatch,
@@ -305,16 +323,19 @@ class Fan:
         held = {i: _ids_of_forms(forms, c) for i, c in enumerate(cones)}
         rays = [tuple(map(points.__getitem__, c.rays)) for c in cones]
         given = [None if c is None else _core_ids(points, c) for c in given]
-        self._adopt(datum, J, points.vectors, forms.vectors, held, rays, given, range(len(cones)))
+        codims = [len(eqs) for eqs, _ in held.values()]
+        seeds = range(len(cones))
+        self._adopt(datum, J, points.vectors, forms.vectors, held, rays, given, codims, seeds)
         self._lineal = [i for i, c in enumerate(cones) if c.lineality]
 
-    def _adopt(self, datum, J, points, forms, cone_forms, rays, core_rays, seeds) -> None:
+    def _adopt(self, datum, J, points, forms, cone_forms, rays, core_rays, codims, seeds) -> None:
         self.datum = datum
         self.J = J
         self._points, self._forms = points, forms  # vectors by id
         self._cone_forms = cone_forms  # cone -> ids of its equalities and facet forms, where held
         self._rays = rays  # per cone, its ray ids
         self._core_rays = core_rays  # per cone, its core's ray ids; None if it has none
+        self._codims = codims  # per cone, its codimension: the number of its equalities
         self._seeds = seeds  # the cones `_orbit_walks` starts from
         self._by_sign: dict[tuple[int, ...], int] = {}  # sign vector -> cone
 
@@ -333,7 +354,8 @@ class Fan:
     @cached_property
     def cones(self) -> tuple[Cone, ...]:
         """Each cone as a `Cone`, made on first read from its ray ids and the
-        form ids of `_carried`."""
+        form ids of `_carried`: its standard cone's canonical form, written
+        then, moved along the walk."""
         return tuple(map(self._cone, self._carried[2], self._rays))
 
     @cached_property
@@ -353,14 +375,24 @@ class Fan:
     @cached_property
     def _carried(self) -> tuple[list, list, list]:
         """The walks of `_orbit_walks` from the standard cones and, per cone,
-        its word and the ids of its forms and, for T not I, of its core's,
-        carried from its standard cone (see *Tables* in the module docstring)."""
+        its word and the ids of its canonical forms and, for T not I, of its
+        core's: `_canonical_cone` of each standard cone's held root forms,
+        carried from there (see *Tables* in the module docstring)."""
         moves, forms = self._moves, _Numbering(self._forms)
         images = [m.__getitem__ for m in _id_reflections(self.datum.cartan, forms, _reflected_form)]
+        n, points, vectors = self.datum.rank, self._points, forms.vectors
+
+        def canonical(ids: Sequence[Sequence[int]], rays: Sequence[int]) -> tuple:
+            eqs, ins = ([vectors[f] for f in fs] for fs in ids)
+            return _ids_of_forms(forms, _canonical_cone(n, eqs, ins, (), [points[r] for r in rays]))
+
         walks = _orbit_walks(moves, self._seeds)
         words, out = [()] * len(self), [None] * len(self)
         for cones, letters in walks:
-            out[cones[0]] = self._cone_forms[cones[0]] + self._core_forms.get(cones[0], ())
+            first = cones[0]
+            out[first] = canonical(self._cone_forms[first], self._rays[first])
+            if first in self._core_forms:
+                out[first] += canonical(self._core_forms[first], self._core_rays[first])
             for i, k in islice(zip(cones, letters), 1, None):  # met by s_k from moves[k][i]
                 j, reflect = moves[k][i], images[k]
                 words[i] = (k,) + words[j]
@@ -384,16 +416,16 @@ class Fan:
 
     @cached_property
     def origin_index(self) -> int:
-        for i, (eqs, _) in self._cone_forms.items():
-            if len(eqs) == self.datum.rank:
-                return i
+        if self.datum.rank in self._codims:
+            return self._codims.index(self.datum.rank)
         raise PartitionFailure("fan has no origin cone")
 
     @cached_property
-    def _pointed(self) -> set[tuple[int, ...]]:
-        """The ray ids of every cone, each pointed: `validate` raises on a
-        cone whose closure holds a line before it reads them."""
-        return set(self._rays)
+    def _pointed(self) -> dict[tuple[int, ...], int]:
+        """The ray ids of every cone, each pointed, -> its codimension:
+        `validate` raises on a cone whose closure holds a line before it
+        reads them."""
+        return dict(zip(self._rays, self._codims))
 
     # -- sign table ----------------------------------------------------------
 
@@ -687,11 +719,11 @@ def _orbit_walks(moves: Sequence[Sequence[int]], starts: Iterable[int]) -> list[
 def _check_cover(fan: Fan, firsts: Iterable[int]) -> None:
     """Partition and boundary axioms on a fan whose rows are distinct and
     closed under the sign permutations: every dominant facet point lies in
-    exactly one cone, and every facet of the closure of each cone in
-    `firsts`, one per orbit, is the closure of a fan cone (see *Orbit
-    reduction* in the module docstring), by sign vectors against the rows
-    with no -1, each kept as the bitsets of its roots of sign 0 and 1.  A
-    point is made only to name it in an error."""
+    exactly one cone, by sign vectors against the rows with no -1, each
+    kept as the bitsets of its roots of sign 0 and 1, and every facet of
+    the closure of each cone in `firsts`, one per orbit, is the closure of
+    a fan cone (`_check_facets`; see *Orbit reduction* in the module
+    docstring).  A point is made only to name it in an error."""
     datum = fan.datum
     rows = fan._sign_table
     candidates = [(1 << i, *_zeros_and_ones(row)) for i, row in enumerate(rows) if -1 not in row]
@@ -699,11 +731,19 @@ def _check_cover(fan: Fan, firsts: Iterable[int]) -> None:
         zeros, ones = _zeros_and_ones(signs)
         hits = sum(bit for bit, z, o in candidates if not (z & ones or o & zeros))
         fan._record(signs, hits, lambda: _dominant_facet_points(datum)[S])
-    points = fan._points
-    for i in firsts:
+    _check_facets(fan, firsts)
+
+
+def _check_facets(fan: Fan, cones: Iterable[int]) -> None:
+    """Boundary axiom at each of `cones`: the rays of each of its facets,
+    those on which a facet form vanishes, are those of a fan cone of one
+    dimension less (see *Validation* in the module docstring)."""
+    points, pointed, codims = fan._points, fan._pointed, fan._codims
+    for i in cones:
         rays, ins = fan._rays[i], fan._cone_forms[i][1]
         for form in map(fan._forms.__getitem__, ins):
-            if tuple(sorted(r for r in rays if not la.dot(form, points[r]))) not in fan._pointed:
+            facet = tuple(sorted(r for r in rays if not la.dot(form, points[r])))
+            if pointed.get(facet) != codims[i] + 1:
                 raise PartitionFailure(f"facet of cone {i} is not the closure of a fan cone")
 
 
@@ -754,7 +794,8 @@ def _check_orbits(fan: Fan, walks: list) -> None:
     """Faces and cores along the walks of `_orbit_walks`, by arithmetic at
     each first cone and by transport at the others (see *Validation* in the
     module docstring): a cone with held forms and ids other than the moved
-    ones gets the face check by arithmetic, and a cone with none fails."""
+    ones gets the face and facet checks by arithmetic, and a cone with none
+    fails."""
     _check_faces(fan, [cones[0] for cones, _ in walks])
     rays, cores, held, moves = fan._rays, fan._core_rays, fan._cone_forms, fan._moves
     if None in cores:
@@ -788,6 +829,7 @@ def _check_orbits(fan: Fan, walks: list) -> None:
                 unlike.append(i)
     if unlike:
         _check_faces(fan, unlike)
+        _check_facets(fan, unlike)
 
 
 class _Images(dict):
@@ -868,8 +910,10 @@ def _admissible_index_sets(
 
 def _standard_cone(cartan: la.Mat, coweights: Sequence[Vec], I: frozenset, T: frozenset) -> Cone:
     """The standard cone of I and core type T in closed form, from the
-    primitive fundamental `coweights` (see *Standard cones* in the module
-    docstring)."""
+    primitive fundamental `coweights`, held by its root forms: the rows of
+    the Cartan matrix in I as equalities and the facet roots whose zero
+    sets are maximal as facet forms, neither reduced (see *Standard cones*
+    in the module docstring); `_canonical_cone` writes its canonical form."""
     rays = [coweights[j] for j in range(len(cartan)) if j not in I]
     roots = [cartan[j] for j in range(len(cartan)) if j not in T]
     K = sorted(T - I)
@@ -880,7 +924,8 @@ def _standard_cone(cartan: la.Mat, coweights: Sequence[Vec], I: frozenset, T: fr
         )
         zeros = [sum(1 << i for i, f in enumerate(roots) if not la.dot(f, g)) for g in rays]
         rays = _maximal(rays, zeros)
-    return _canonical_cone(len(cartan), [cartan[i] for i in sorted(I)], roots, (), rays)
+    eqs = tuple(cartan[i] for i in sorted(I))
+    return Cone(len(cartan), eqs, tuple(_facet_forms(roots, rays)), (), tuple(rays))
 
 
 def validate_J(datum: RootDatum, J: Iterable[int]) -> frozenset[int]:
@@ -967,7 +1012,8 @@ def parabolic_fan(datum: RootDatum, J: Iterable[int] = ()) -> Fan:
     fan = Fan.__new__(Fan)
     seeds = list(map(position.__getitem__, seeds))  # the standard cones
     points, cone_forms = list(map(vectors.__getitem__, by_vector)), dict(zip(seeds, cone_forms))
-    fan._adopt(datum, J, points, forms.vectors, cone_forms, ordered(rays), ordered(cores), seeds)
+    rays, cores, codims = ordered(rays), ordered(cores), ordered(codims)
+    fan._adopt(datum, J, points, forms.vectors, cone_forms, rays, cores, codims, seeds)
     fan._sign_table = tuple(ordered(rows))
     fan._core_forms = {position[i]: ids for i, ids in core_forms.items()}
     fan._standard = standard

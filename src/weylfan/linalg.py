@@ -9,6 +9,9 @@ rays) stays `int` end to end.  Elimination is fraction-free: `rref`,
 rows, solutions, inverses).
 No `/` is applied to two ints, so no float can arise, and every decision
 (rank, kernel, solvability) is an exact sign decision.
+Int input takes fast paths: `primitive` takes the gcd of an all-int
+vector directly, and `_echelon` keeps a row whose sum is an int (a
+`Fraction` entry makes it one) and finds each pivot by a plain loop.
 """
 
 from __future__ import annotations
@@ -62,20 +65,25 @@ def is_zero(u: Vec) -> bool:
 
 
 def _integral(u: Vec) -> Sequence[int]:
-    """u times the lcm of its denominators: ints in the same ratios."""
-    if all(type(a) is int for a in u):
+    """u times the lcm of its denominators: ints in the same ratios; u
+    itself when its sum is an int, as a `Fraction` entry makes it one."""
+    if type(sum(u)) is int:
         return u
     denom = lcm(*(a.denominator for a in u))
     return [a.numerator * (denom // a.denominator) for a in u]
 
 
 def primitive(u: Vec) -> tuple[int, ...]:
-    """Scale by a positive rational so entries are coprime ints (zero stays zero)."""
-    ints = _integral(u)
-    g = gcd(*ints)
+    """Scale by a positive rational so entries are coprime ints (zero stays
+    zero); the gcd of an all-int u is taken with no `_integral` pass."""
+    try:
+        g = gcd(*u)
+    except TypeError:  # a Fraction entry
+        u = _integral(u)
+        g = gcd(*u)
     if g == 0:
         return (0,) * len(u)
-    return tuple(a // g for a in ints) if g != 1 else tuple(ints)
+    return tuple([a // g for a in u]) if g != 1 else tuple(map(int, u))
 
 
 def mat(rows: Iterable[Iterable]) -> Mat:
@@ -123,8 +131,10 @@ def _echelon(rows: Sequence[Vec]) -> tuple[list[list[int]], list[int], int]:
         r = len(pivots)
         if r == len(m):
             break
-        p = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if p is None:
+        for p in range(r, len(m)):
+            if m[p][c]:
+                break
+        else:
             continue
         m[r], m[p] = m[p], m[r]
         top = m[r]
@@ -140,8 +150,7 @@ def _echelon(rows: Sequence[Vec]) -> tuple[list[list[int]], list[int], int]:
     m = m[: len(pivots)]
     if d < 0:
         m = [[-x for x in row] for row in m]
-        d = -d
-    return m, pivots, d
+    return m, pivots, abs(d)  # an int, were d the bool True
 
 
 def rref(rows: Sequence[Vec]) -> tuple[list[Vec], list[int]]:

@@ -20,7 +20,7 @@ from weylfan.compactify import (
     NoLimit,
     orthogonal_reduction,
 )
-from weylfan.cones import Cone, _reduce_mod, closure_subset, open_system_feasible
+from weylfan.cones import Cone, _canonical_cone, _reduce_mod, closure_subset, open_system_feasible
 from weylfan.errors import (
     EmptyCone,
     InconsistentProfile,
@@ -176,6 +176,13 @@ def reflected_cone(cone: Cone, points, forms) -> Cone:
     )
 
 
+def canonical_standard_cone(cartan, coweights, I, T) -> Cone:
+    """`fans._standard_cone`, which holds its raw root forms, in the
+    canonical form of `Fan.cones`: through `cones._canonical_cone`."""
+    c = _standard_cone(cartan, coweights, I, T)
+    return _canonical_cone(c.dim_ambient, c.eqs, c.ins, c.lineality, c.rays)
+
+
 def object_walk_fan(datum, J) -> Fan:
     """`parabolic_fan` oracle: the same standard cones, sign rows and
     breadth-first walk, carrying each cone, its core and its reduced word
@@ -198,8 +205,8 @@ def object_walk_fan(datum, J) -> Fan:
 
     items, at = [], {}
     for I, T in _admissible_index_sets(datum, J).items():
-        base = _standard_cone(cartan, coweights, I, T)
-        core = base if T == I else _standard_cone(cartan, coweights, T, T)
+        base = canonical_standard_cone(cartan, coweights, I, T)
+        core = base if T == I else canonical_standard_cone(cartan, coweights, T, T)
         row = _sign_row(forms, base, f"the standard cone of {sorted(I)}", at)
         seed = {row: (base, CoreInfo(T, I, (), core), row)}
         items += walk_orbits(seed, datum.rank, lambda x, k: permutations[k](x[2]), make).values()
@@ -375,6 +382,9 @@ MUTANT_CLASSES = (
     "origin as core",
     "cores swapped",
     "image under the wrong s_k",
+    "dropped ray of a merged cone",
+    "chamber split in two",
+    "every cone as its own core",
     "table ray id",
     "table move",
 )
@@ -388,7 +398,13 @@ def fan_mutants(fan: Fan, seed: int):
     on a later cone of it that is not its standard cone, which `seed`
     picks, "later"; a dropped ray is made on the orbit of the last cone
     with as many rays as its dimension instead, as a merged cone with one
-    ray less can cut out the same sign row.  The two table classes mutate
+    ray less can cut out the same sign row.  That is its own class, made
+    where there is a merged cone (more rays than its dimension), on the
+    first cone of the orbit of the last one and on its last cone that is
+    not a standard cone, each without its first ray that leaves its sign
+    row as it is.  A chamber split in two is made on the "first" and
+    "later" open cones too; every cone as its own core, once, where some
+    core is not its cone (J not empty).  The two table classes mutate
     a fresh build's own tables, which the transport check reads: one ray
     id of the later cone becomes that of a fan ray off its closure; and for
     J not empty, where the open cones' cores are not their cones, two pairs
@@ -404,14 +420,19 @@ def fan_mutants(fan: Fan, seed: int):
     later = rng.choice([i for i in orbit[1:] if cores[i].word])
     simplicial = [i for i, c in enumerate(cones) if len(c.rays) == c.dim]
     simplicial = [i for i in simplicial if labels[i] == labels[simplicial[-1]]]
+    merged = [i for i, c in enumerate(cones) if len(c.rays) > c.dim]
+    if merged:
+        merged = [i for i in merged if labels[i] == labels[merged[-1]]]
+        merged = {"first": merged[0], "later": [i for i in merged if cores[i].word][-1]}
+
+    def with_cores(changes):
+        return Fan(datum, J, cones, {**cores, **changes})
+
     for where, i in (("first", orbit[0]), ("later", later)):
         cone = cones[i]
 
         def with_cone(new, i=i):
             return Fan(datum, J, cones[:i] + (new,) + cones[i + 1 :], cores)
-
-        def with_cores(changes):
-            return Fan(datum, J, cones, {**cores, **changes})
 
         keep = [j for j in range(len(fan)) if j != i]
         dropped = Fan(datum, J, [cones[j] for j in keep], {k: cores[j] for k, j in enumerate(keep)})
@@ -442,6 +463,22 @@ def fan_mutants(fan: Fan, seed: int):
         m = rng.choice([m for m in range(datum.rank) if moves[m][source] != i])
         image = reflected_cone(cones[source], points[m], forms[m])
         yield "image under the wrong s_k", where, with_cone(image), "lies in 2 cones; fan is not a partition$"
+        if merged:
+            k = merged[where]
+            mutant = with_cone(_without_a_ray(fan, k), k)
+            message = rf"^facet of cone {k} is not the closure of a fan cone$"
+            yield "dropped ray of a merged cone", where, mutant, message
+        pieces = _halves_and_wall(cone, {la.primitive(f) for f in fan._root_forms})
+        moved = {j + 2 * (j > i): info for j, info in cores.items()}
+        moved.update({i + 1: cores[i], i + 2: cores[i]})
+        mutant = Fan(datum, J, cones[:i] + pieces + cones[i + 1 :], moved)
+        message = rf"^facet form .* of cone {i} is not a root form$"
+        yield "chamber split in two", where, mutant, message
+    own = [i for i, info in cores.items() if info.cone != cones[i]]
+    if own:
+        mutant = with_cores({i: replace(info, cone=cones[i]) for i, info in cores.items()})
+        message = rf"^core of cone {own[0]} is not the stabiliser fixed locus$"
+        yield "every cone as its own core", "every", mutant, message
     fresh = parabolic_fan(datum, J)
     rays = list(fresh._rays[later])
     rays[rng.randrange(len(rays))] = rng.choice(sorted({r for c in fresh._rays for r in c} - set(rays)))
@@ -468,6 +505,31 @@ def fan_mutants(fan: Fan, seed: int):
             message = rf"^core of cone ({a}|{c}|{e}|{f}) is not the stabiliser fixed locus$"
             yield "table move", "later", fresh, message
             return
+
+
+def _without_a_ray(fan: Fan, i: int) -> Cone:
+    """Cone i of the fan without its first ray whose removal leaves the
+    sign row of the cone as it is."""
+    cone = fan.cones[i]
+    for k in range(len(cone.rays)):
+        mutant = replace(cone, rays=cone.rays[:k] + cone.rays[k + 1 :])
+        if _sign_row(fan._root_forms, mutant, "", {}) == fan._sign_table[i]:
+            return mutant
+    raise ValueError(f"every ray of cone {i} changes its sign row")
+
+
+def _halves_and_wall(cone: Cone, roots: set) -> tuple:
+    """A full-dimensional open cone cut in two by a hyperplane through an
+    interior point, with a normal form that is no root's, given the
+    primitive positive root forms: its two open halves and the open wall
+    between them."""
+    n = cone.dim_ambient
+    q = [sum((k + 1) * r[j] for k, r in enumerate(cone.rays)) for j in range(n)]
+    zeros = (0,) * n
+    normals = (la.primitive(zeros[:j] + (q[j + 1], -q[j]) + zeros[j + 2 :]) for j in range(n - 1))
+    h = next(h for h in normals if any(h) and h not in roots and la.neg(h) not in roots)
+    halves = tuple(Cone.from_system(n, cone.eqs, cone.ins + (f,)) for f in (h, la.neg(h)))
+    return halves + (Cone.from_system(n, cone.eqs + (h,), cone.ins),)
 
 
 def _meets(walks: list, k: int, cones: tuple) -> bool:

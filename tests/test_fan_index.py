@@ -18,6 +18,7 @@ from helpers import (
     orbit_labels,
     random_rational_vec,
     ray_reflection_moves,
+    canonical_standard_cone,
     reference_admissible_index_sets,
     reference_excluding,
     reference_permuted,
@@ -318,9 +319,10 @@ def test_standard_cones_from_facet_roots_match_the_reference_system(name, J):
 @pytest.mark.parametrize("name", RANK4_CATALOGUE + ["B4", "D5"])
 def test_standard_cones_in_closed_form_match_from_system(name):
     """Every standard cone and every core, from the W_K-orbits of the
-    adjugate's columns outside I and of the Cartan rows outside T, is the
-    cone that `Cone.from_system` makes of the reference system, with
-    Phi+ - Phi_T, field by field, for every valid J and admissible I."""
+    adjugate's columns outside I and of the Cartan rows outside T, written
+    in canonical form, is the cone that `Cone.from_system` makes of the
+    reference system, with Phi+ - Phi_T, field by field, for every valid J
+    and admissible I."""
     datum = build_root_datum(name)
     coweights = [la.primitive(w) for w in la.transpose(datum.cartan_adjugate[0])]
     fields = Cone._fields
@@ -328,7 +330,7 @@ def test_standard_cones_in_closed_form_match_from_system(name):
         for I in fans._admissible_index_sets(datum, J):
             T = standard_type(datum, J, I)
             for system, (gen, typ) in ((J, (I, T)), (frozenset(), (T, T))):
-                got = fans._standard_cone(datum.cartan, coweights, gen, typ)
+                got = canonical_standard_cone(datum.cartan, coweights, gen, typ)
                 eqs, ins, _ = reference_standard_cone_system(datum, system, gen)
                 want = Cone.from_system(datum.rank, eqs, ins)
                 assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields], (
@@ -348,6 +350,69 @@ def test_parabolic_fan_runs_no_double_description(monkeypatch, name, J):
     )
     parabolic_fan(build_root_datum(name), J)
     assert calls == []
+
+
+@pytest.mark.parametrize("name,J", RANK4_FANS)
+def test_build_order_and_validate_write_no_canonical_form(monkeypatch, name, J):
+    """`parabolic_fan`, `face_order` and `validate()` call
+    `cones._canonical_cone` only from the `Cone.from_system` of each core
+    check (`fans._fixed_core`; none for J empty): every check reads the
+    standard cones' raw root forms.  The first read of `Fan.cones` writes
+    one canonical form per standard cone and per core with T not I, and
+    reading `Fan.cores` after it none."""
+    calls = []
+    canonical = cones._canonical_cone
+    for module in (cones, fans):  # `fans` holds the name too
+        monkeypatch.setattr(
+            module, "_canonical_cone", lambda *args: calls.append(args) or canonical(*args)
+        )
+    from_system = _count_from_system(monkeypatch)
+    fan = parabolic_fan(build_root_datum(name), J)
+    assert fan.face_order and fan.validate()
+    assert len(calls) == len(from_system) and (from_system == [] or J)
+    del calls[:]
+    assert fan.cones and fan.cores
+    assert len(calls) == len(fan._seeds) + len(fan._core_forms)
+
+
+@pytest.mark.parametrize("name,J", RANK4_FANS)
+def test_held_root_forms_of_the_standard_cones_give_their_canonical_forms(name, J):
+    """A build holds, per standard cone and per core with T not I, the
+    Cartan rows in I (or T) as equalities and facet roots as facet forms;
+    `_canonical_cone` of them and the cone's rays is its `Fan.cones` (or
+    `Fan.cores`) entry and the cone that `Cone.from_system` makes of the
+    reference system, field by field."""
+    datum = build_root_datum(name)
+    fan = parabolic_fan(datum, J)
+    forms, points, n = list(fan._forms), fan._points, datum.rank
+    roots = {datum.covector(a) for a in datum.positive_roots}
+    for (I, T), i in zip(fan._standard, fan._seeds):
+        held = [(fan._cone_forms[i], fan._rays[i], J, I, fan.cones[i])]
+        if i in fan._core_forms:
+            held.append((fan._core_forms[i], fan._core_rays[i], (), T, fan.cores[i].cone))
+        for ids, rays, system, gen, view in held:
+            eqs, ins = ([forms[f] for f in fs] for fs in ids)
+            assert sorted(eqs) == sorted(datum.cartan[j] for j in gen) and set(ins) <= roots
+            got = cones._canonical_cone(n, eqs, ins, (), [points[r] for r in rays])
+            eqs, ins, _ = reference_standard_cone_system(datum, frozenset(system), gen)
+            want = Cone.from_system(n, eqs, ins)
+            fields = [getattr(c, f) for c in (got, view, want) for f in Cone._fields]
+            assert fields[:5] == fields[5:10] == fields[10:], (sorted(I), sorted(gen))
+
+
+def test_validate_rejects_a_merged_cone_missing_an_extreme_ray():
+    """In B3 {a2}, cone 98 is a standard cone of dimension 3 with 4 rays,
+    in an orbit of 24 whose first cone in cone order is 75.  Given without
+    its third ray, it keeps its sign row, and on its 3 rays its forms pass
+    the face check; two of its facets then hold one ray each, a fan cone
+    of dimension 1, not 2."""
+    fan = built_fan("B3", (1,))
+    cone = fan.cones[98]
+    assert (cone.dim, len(cone.rays), fan.cores[98].word) == (3, 4, ())
+    mutant = replace(cone, rays=cone.rays[:2] + cone.rays[3:])
+    message = "^facet of cone 98 is not the closure of a fan cone$"
+    with pytest.raises(PartitionFailure, match=message):
+        Fan(fan.datum, fan.J, fan.cones[:98] + (mutant,), fan.cores).validate()
 
 
 def _count_from_system(monkeypatch) -> list:
@@ -781,16 +846,21 @@ MUTANT_CORPUS = [
 def test_validate_rejects_every_mutant_of_the_corpus(name, J):
     """Every class of `fan_mutants`, on the first and on a later cone of an
     orbit, fails `validate` with its named message; the table move needs
-    four open cones and J not empty.  Budget: about 1.5 s for the six fans
-    on one core, most of it F4 {a1,a2}'s hand-made fans of 865 cones."""
+    four open cones and J not empty, every cone as its own core J not
+    empty, and the dropped ray of a merged cone a merged cone, which only
+    B3 {a2} has here.  Budget: about 1.5 s for the six fans on one core,
+    most of it F4 {a1,a2}'s hand-made fans of 865 cones."""
     fan = parabolic_fan(build_root_datum(name), J)
     made = []
     for label, where, mutant, message in fan_mutants(fan, seed=31):
         with pytest.raises(PartitionFailure, match=message):
             mutant.validate()
         made.append((label, where))
-    classes = [c for c in MUTANT_CLASSES if not c.startswith("table")]
-    want = [(c, where) for where in ("first", "later") for c in classes]
+    per_cone = MUTANT_CLASSES[: MUTANT_CLASSES.index("every cone as its own core")]
+    merged = (name, J) == ("B3", (1,))  # the one fan of the corpus with a merged cone
+    per_cone = [c for c in per_cone if merged or "merged" not in c]
+    want = [(c, where) for where in ("first", "later") for c in per_cone]
+    want += [("every cone as its own core", "every")] * bool(J)
     want += [("table ray id", "later")] + [("table move", "later")] * (name in ("B3", "F4") and bool(J))
     assert made == want
 

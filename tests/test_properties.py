@@ -3,6 +3,9 @@
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
+from fractions import Fraction
+from math import gcd
+
 from hypothesis import assume, given, settings, strategies as st
 
 from helpers import RANK3_CATALOGUE, built_fan, valid_js
@@ -11,6 +14,73 @@ from weylfan.compactify import NEG_INF, POS_INF, limit_of_profile, limit_of_ray,
 from weylfan.cones import dual_description
 from weylfan.gaussnorm import ToyGroupDatum, boundary_rays_equal
 from weylfan.rootdata import build_root_datum, reflect_simple
+
+
+# an int, a bool or a small Fraction entry
+ENTRIES = {
+    "int": st.integers(-4, 4),
+    "bool": st.booleans(),
+    "Fraction": st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4)),
+}
+
+
+@st.composite
+def matrices(draw):
+    """(rows, ncols): up to 4 rows on 1 to 5 columns, entries all ints,
+    all bools, all `Fraction`s or any mix of the three."""
+    kind = draw(st.sampled_from(sorted(ENTRIES) + ["mixed"]))
+    entry = st.one_of(*ENTRIES.values()) if kind == "mixed" else ENTRIES[kind]
+    ncols = draw(st.integers(1, 5))
+    row = st.tuples(*[entry] * ncols)
+    return draw(st.lists(row, max_size=4)), ncols
+
+
+def _gauss_jordan(rows, ncols):
+    """Reference: the nonzero rows of the reduced row echelon form over
+    `Fraction`, with their pivot columns, by plain Gauss-Jordan."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                m[i] = [x - m[i][c] * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return m[: len(pivots)], pivots
+
+
+def _is_primitive_of(p, v) -> bool:
+    """Whether p is a tuple of ints (no bool), coprime, and a positive
+    multiple of v (zero for v zero)."""
+    ints = type(p) is tuple and len(p) == len(v) and all(type(x) is int for x in p)
+    if not any(v):
+        return ints and not any(p)
+    parallel = all(a * y == b * x for a, x in zip(p, v) for b, y in zip(p, v))
+    return ints and parallel and la.dot(p, v) > 0 and gcd(*p) == 1
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(matrices())
+def test_elimination_kernels_match_plain_gauss_jordan(matrix):
+    """`_echelon` gives d > 0 times the reference's reduced rows with its
+    pivots, `rank` their number and `row_basis` their primitive multiples;
+    `primitive` of each row, given as a list, is its primitive multiple, a
+    new tuple of ints, on int, bool and `Fraction` entries alike."""
+    rows, ncols = matrix
+    want, pivots = _gauss_jordan(rows, ncols)
+    m, got_pivots, d = la._echelon(rows)
+    assert type(d) is int and d > 0 and got_pivots == pivots
+    assert [[Fraction(x, d) for x in row] for row in m] == want
+    assert la.rank(rows) == len(pivots)
+    basis = la.row_basis(rows)
+    assert len(basis) == len(want) and all(map(_is_primitive_of, basis, want))
+    for row in rows:
+        assert _is_primitive_of(la.primitive(list(row)), row)
 
 
 @st.composite
