@@ -38,11 +38,12 @@ elimination is needed beyond the kernel of eqs that starts the pass.
 
 *Canonical form.*  `_canonical_cone` writes a system given the lineality
 and extreme rays of its closure, from `dual_description` or in closed
-form (`fans`).  It rejects a system one of whose strict forms vanishes on
-every generator of the closed cone (EmptyCone).  Past that check, each
-strict form is positive somewhere on the closed cone, and the sum of one
-such point per form is positive on all of them, so the closed cone has a
-point interior to {eqs x = 0} and spans it.  The forms vanishing on the
+form (`fans`), and its facet forms, which `_facet_forms` picks.  That
+rejects a system one of whose strict forms vanishes on every generator
+of the closed cone (EmptyCone).  Past that check, each strict form is
+positive somewhere on the closed cone, and the sum of one such point per
+form is positive on all of them, so the closed cone has a point interior
+to {eqs x = 0} and spans it.  The forms vanishing on the
 cone are then the row space of eqs, and their canonical basis is the
 primitive rows of its reduced row echelon form, unique for the subspace.
 Every facet of {eqs = 0, ins >= 0} is the zero set of some form in ins,
@@ -156,7 +157,8 @@ class Cone(Value, uncompared=("eqs", "ins")):
         and DimensionMismatch or TypeMismatch as `dual_description` does (see
         *Canonical form* in the module docstring)."""
         eqs, ins = _forms(eqs, "eqs"), _forms(ins, "ins")
-        return _canonical_cone(n, eqs, ins, *dual_description(n, eqs, ins))
+        lineality, rays = dual_description(n, eqs, ins)
+        return _canonical_cone(n, eqs, _facet_forms(ins, rays), lineality, rays)
 
     # -- geometry ------------------------------------------------------------
 
@@ -226,11 +228,11 @@ class Cone(Value, uncompared=("eqs", "ins")):
 def _canonical_cone(
     n: int, eqs: Sequence[Vec], ins: Sequence[Vec], lineality: Sequence[Vec], rays: Sequence[Vec]
 ) -> Cone:
-    """The canonical form of {x : eqs x = 0, ins x > 0}, given the lineality
-    basis and the primitive extreme rays of its closure; raises EmptyCone
-    if it is empty (see *Canonical form* in the module docstring)."""
+    """The canonical form of {x : eqs x = 0, ins x > 0}, given facet forms
+    `ins` (`_facet_forms`), the lineality basis and the primitive extreme
+    rays of its closure (see *Canonical form* in the module docstring)."""
     eqs = la.row_basis(eqs)
-    ins = {la.primitive(_reduce_mod(form, eqs)) for form in _facet_forms(ins, rays)}
+    ins = {la.primitive(_reduce_mod(form, eqs)) for form in ins}
     return Cone(n, *(tuple(sorted(vs)) for vs in (eqs, ins, lineality, rays)))
 
 

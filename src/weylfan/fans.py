@@ -228,10 +228,11 @@ check by arithmetic below.  The rays of g on a facet must be those of a
 fan cone of dimension dim g - 1 (`_codims`): if g lacks an extreme ray, a
 facet holding it keeps the rays of a lower face (B3 {a2}: a merged cone
 of dimension 3 without one of its 4 rays keeps its sign row and passes
-the face check).  Faces, at each first cone by arithmetic: every closure
-must hold its own rays, and a face of a pointed cone is the zero set of
-its tight facet forms; one incidence table, the cone's equalities and
-facet forms at its rays, gives both checks their data.  So with each facet of g kept as the
+the face check).
+Faces, at each first cone by arithmetic: every closure must hold its own
+rays, and a face of a pointed cone is the zero set of its tight facet
+forms; one incidence table, the cone's equalities and facet forms at its
+rays, gives both checks their data.  So with each facet of g kept as the
 bitset of the rays of g on which its form vanishes, (f, g) is a face pair
 exactly when the AND of the facets of g that hold the rays of f (all of
 g if none do) is the rays of f: the supporting-form criterion with alpha

@@ -11,7 +11,8 @@ No `/` is applied to two ints, so no float can arise, and every decision
 (rank, kernel, solvability) is an exact sign decision.
 Int input takes fast paths: `primitive` takes the gcd of an all-int
 vector directly, and `_echelon` keeps a row whose sum is an int (a
-`Fraction` entry makes it one) and finds each pivot by a plain loop.
+`Fraction` entry makes the sum a `Fraction`) and finds each pivot by a
+plain loop.
 """
 
 from __future__ import annotations
@@ -66,7 +67,8 @@ def is_zero(u: Vec) -> bool:
 
 def _integral(u: Vec) -> Sequence[int]:
     """u times the lcm of its denominators: ints in the same ratios; u
-    itself when its sum is an int, as a `Fraction` entry makes it one."""
+    itself when its sum is an int, as a `Fraction` entry makes the sum a
+    `Fraction`."""
     if type(sum(u)) is int:
         return u
     denom = lcm(*(a.denominator for a in u))

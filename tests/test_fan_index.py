@@ -13,12 +13,12 @@ from helpers import (
     MUTANT_CLASSES,
     RANK4_CATALOGUE,
     built_fan,
+    canonical_standard_cone,
     closure_face_order,
     fan_mutants,
     orbit_labels,
     random_rational_vec,
     ray_reflection_moves,
-    canonical_standard_cone,
     reference_admissible_index_sets,
     reference_excluding,
     reference_permuted,
@@ -358,21 +358,25 @@ def test_build_order_and_validate_write_no_canonical_form(monkeypatch, name, J):
     `cones._canonical_cone` only from the `Cone.from_system` of each core
     check (`fans._fixed_core`; none for J empty): every check reads the
     standard cones' raw root forms.  The first read of `Fan.cones` writes
-    one canonical form per standard cone and per core with T not I, and
-    reading `Fan.cores` after it none."""
-    calls = []
-    canonical = cones._canonical_cone
-    for module in (cones, fans):  # `fans` holds the name too
+    one canonical form per standard cone and per core with T not I, from
+    the facet forms the build picked, and reading `Fan.cores` after it
+    none."""
+    calls, picks = [], []
+    canonical, facet_forms = cones._canonical_cone, cones._facet_forms
+    for module in (cones, fans):  # `fans` holds the names too
         monkeypatch.setattr(
             module, "_canonical_cone", lambda *args: calls.append(args) or canonical(*args)
+        )
+        monkeypatch.setattr(
+            module, "_facet_forms", lambda *args: picks.append(args) or facet_forms(*args)
         )
     from_system = _count_from_system(monkeypatch)
     fan = parabolic_fan(build_root_datum(name), J)
     assert fan.face_order and fan.validate()
     assert len(calls) == len(from_system) and (from_system == [] or J)
-    del calls[:]
+    del calls[:], picks[:]
     assert fan.cones and fan.cores
-    assert len(calls) == len(fan._seeds) + len(fan._core_forms)
+    assert len(calls) == len(fan._seeds) + len(fan._core_forms) and picks == []
 
 
 @pytest.mark.parametrize("name,J", RANK4_FANS)
