@@ -47,7 +47,7 @@ rays and forms it meets (`_points`, `_forms`) and keeps per cone the ids
 of its rays (`_rays`) and of its core's (`_core_rays`, the cone's own
 tuple when T = I), its codimension (`_codims`, its orbit's), its sign
 row, per s_k the moves table (see *Orbit walk*), and per standard cone
-(`_seeds`) the ids of its raw root forms (`_cone_forms`), the Cartan rows
+the ids of its raw root forms (`_cone_forms`), the Cartan rows
 in I as equalities and its facet roots as facet forms (see *Standard
 cones*), and, for T not I, those of its core (`_core_forms`).  The walk
 moves ray ids through per-s_k dictionaries that reflect an id on its
@@ -185,10 +185,10 @@ other rows, mixed entries included, are all the hits.  Likewise s_k maps
 the facets of the closure of cone i onto those of the closure of its
 image, and the closure of a fan cone onto the closure of a fan cone, so
 the boundary axiom holds for every cone of an orbit when it holds for
-one.  The cover check (`_check_cover`) therefore matches the dominant
-sign vectors against the rows with no -1, which records those sign
-vectors only, and checks the facets of one cone per orbit: the standard
-cones in `parabolic_fan`, and the first cone of each replay in `validate`.
+one.  The cover check (`_check_cover`) therefore matches only the
+dominant sign vectors against the rows with no -1, which records those
+sign vectors only; the facets are checked at the cones that hold their
+forms (`_check_cones`; see *Validation*), a built fan's standard cones.
 
 *Ray bitsets.*  A cone is the set of its ray ids (see *Tables*).  The
 cones of `parabolic_fan` are pointed (see *Standard cones*), and for
@@ -202,75 +202,69 @@ that are its faces, and the open ray through r is one of them, so r is a
 ray of g.  `parabolic_fan` and `Fan.validate` check both axioms before
 the order is read.
 
-*Validation.*  `Fan.validate` checks each axiom once, from integer data:
-the tables and the sign table as the fan holds them.  A built fan's raw
-root forms give every check the data of the canonical ones: the alpha_I
-are as many and span the same rows (C is nonsingular), and on the span
-each facet root is a positive multiple of its facet's reduced form, with
-its zero set and signs at the rays; the checks read only these and the
-space the equalities cut out (`_fixed_core`).  A hand-made `Fan(...)`
-builds every row directly, with both exactness checks; a built one keeps
-its walk's rows, one built directly per standard cone and the others
-transported, which pass both checks by *Sign transport*.
+*Validation.*  `Fan.validate` checks each axiom once, from integer data,
+the tables and the sign table as the fan holds them, by one rule: a cone
+that holds its forms (`_cone_forms`: a build's standard cones, every cone
+of a hand-made `Fan(...)`) is checked by arithmetic, and a cone that holds
+none by transport.  A built fan's raw root forms give every check the data
+of the canonical ones: the alpha_I are as many and span the same rows (C
+is nonsingular), and on the span each facet root is a positive multiple of
+its facet's reduced form, with its zero set and signs at the rays; the
+checks read only these and the space the equalities cut out
+(`_fixed_core`).  A hand-made `Fan(...)` builds every row directly, with
+both exactness checks; a built one keeps its walk's rows, one built
+directly per standard cone and the others transported, which pass both
+checks by *Sign transport*.
 The moves table checks that the rows are distinct and closed under each
 pi_k.  A build's walk closes each orbit's rows under each pi_k, and each
 lookup names the cone of the orbit with the row pi_k(row); with the rows
 of all orbits distinct, that is the one fan cone with that row, so the
-build keeps its lookups as the table.  Otherwise it leaves the table to
-be made from the rows (`Fan._moves`), which raises, as `Fan.cones` and
-`Fan.cores` then do.  `validate` replays each orbit once
-(`_orbit_walks`), from its standard cone for a built fan and from its
-first cone in cone order for a hand-made one; each other cone Y is met
-by some s_k from Z = `moves[k][Y]` (s_k is an involution).  Partition
-and boundary: the cover check on the first cones (see *Orbit reduction*),
-whose facet check (`_check_facets`) runs also at each cone given the face
-check by arithmetic below.  The rays of g on a facet must be those of a
-fan cone of dimension dim g - 1 (`_codims`): if g lacks an extreme ray, a
-facet holding it keeps the rays of a lower face (B3 {a2}: a merged cone
-of dimension 3 without one of its 4 rays keeps its sign row and passes
-the face check).
-Faces, at each first cone by arithmetic: every closure must hold its own
-rays, and a face of a pointed cone is the zero set of its tight facet
-forms; one incidence table, the cone's equalities and facet forms at its
-rays, gives both checks their data.  So with each facet of g kept as the
-bitset of the rays of g on which its form vanishes, (f, g) is a face pair
-exactly when the AND of the facets of g that hold the rays of f (all of
-g if none do) is the rays of f: the supporting-form criterion with alpha
-the sum of the tight facet forms, which implies cl(f) = span(f) meet
-cl(g).  Faces, at each other cone Y by transport: the ray ids of Y must
-be those of Z moved by s_k, and its forms are those of Z moved by s_k, as
-a built fan holds no others (see *Tables*) and a hand-made one's are
-compared likewise.  Then Y is s_k.Z, forms and rays, and <f.s_k, s_k.x>
-= <f, x>, so the incidence table of Y is that of Z and, by induction, of
-the first cone.  s_k maps fan cones onto fan cones (*Orbit reduction*),
-each with the rays of its closure, so (f, Y) is a face pair exactly when
-(s_k.f, Z) is, and the criterion holds at both or neither.  A hand-made
-cone may hold other forms (`Cone.from_system` writes the equalities as a
-row basis and reduces the facet forms modulo it; B3, J empty: 84 of 147
-cones), and then gets the checks of a first cone, face pairs included; a
-built cone whose ray ids are not the moved ones fails, as its moved
-forms cut out s_k.Z.  Weyl invariance and cores: a complete moves table
-is Weyl invariance, since the s_k generate W.  The core of a cone X is
-the set of its points that its setwise stabiliser Stab(X) fixes.  Let X
-be the first cone of an orbit and p the sum of its rays; then Stab(X) is
-W_p, the stabiliser of p.  A g in Stab(X) permutes the primitive rays of
-X, as W acts unimodularly on coroot coordinates, so it fixes p.  A g in
-W_p maps X to a fan cone (Weyl invariance) through p, which is X
-(partition).  W_p is generated by the reflections it contains, those in
-the roots vanishing at p (Chevalley's lemma; Humphreys 1.12), so its
-fixed points are the zero set of those roots.  The sign row of X names
-them: a root of sign 0 vanishes on the span of X already and one of sign
-+ or - is nonzero at p, so only the mixed roots that vanish at p cut X
-down.  If there is none, the core is X; otherwise one `Cone.from_system`
-of the equalities of X, those root forms and the facet forms of X gives
-it (`_fixed_core`).  Stab(s_k.X) is s_k Stab(X) s_k, so s_k maps the
-core of X onto the core of s_k.X.  So the core check compares
-`_core_rays` at each first cone with the ray ids of `_fixed_core`,
-pointed as it lies in the closure of X, and at each other cone Y, before
-its rays, with those of the core of Z moved by s_k.  When `_fixed_core`
-is None, each core of the orbit is its cone and is compared with the
-moved rays of Z; for J empty this is every orbit, and `validate` makes
-no `Cone`."""
+build keeps its lookups as the table.  Otherwise it leaves the table to be
+made from the rows (`Fan._moves`), which raises, as `Fan.cones` and
+`Fan.cores` then do.  `validate` replays each orbit once (`_orbit_walks`)
+from the first of its cones that hold their forms; each other cone Y is
+met by some s_k from Z = `moves[k][Y]` (s_k is an involution).  Partition:
+the cover check (see *Orbit reduction*).  Boundary and faces at a cone g
+that holds its forms, by arithmetic on their values at its rays
+(`_check_cones`, then `_check_faces`): every closure must hold its own
+rays, so the equalities vanish there and the facet forms are >= 0.  The
+rays of g on a facet must be those of a fan cone of dimension dim g - 1
+(`_codims`): if g lacks an extreme ray, a facet holding it keeps the rays
+of a lower face (B3 {a2}: a merged cone of dimension 3 without one of its
+4 rays keeps its sign row and passes the face check).  A face of a pointed
+cone is the zero set of its tight facet forms, so with each facet of g
+kept as the bitset of the rays of g on which its form vanishes, (f, g) is
+a face pair exactly when the AND of the facets of g that hold the rays of
+f (all of g if none do) is the rays of f: the supporting-form criterion
+with alpha the sum of the tight facet forms, which implies cl(f) = span(f)
+meet cl(g).  Boundary and faces at a cone Y that holds none, by transport:
+its forms are those of Z moved by s_k (see *Tables*), and its ray ids must
+be too, or those forms cut out s_k.Z and not Y.  Then Y is s_k.Z and
+<f.s_k, s_k.x> = <f, x>, so the incidence table of Y is that of Z and, by
+induction, of a cone that holds its forms.  s_k maps fan cones onto fan
+cones (*Orbit reduction*), each with the rays of its closure, so the facet
+and face pair checks hold at Y exactly when they hold at Z.  Weyl
+invariance and cores: a complete moves table is Weyl invariance, since the
+s_k generate W.  The core of a cone X is the set of its points that its
+setwise stabiliser Stab(X) fixes.  Let X be a fan cone and p the sum of
+its rays; then Stab(X) is W_p, the stabiliser of p.  A g in Stab(X)
+permutes the primitive rays of X, as W acts unimodularly on coroot
+coordinates, so it fixes p.  A g in W_p maps X to a fan cone (Weyl
+invariance) through p, which is X (partition).  W_p is generated by the
+reflections it contains, those in the roots vanishing at p (Chevalley's
+lemma; Humphreys 1.12), so its fixed points are the zero set of those
+roots.  The sign row of X names them: a root of sign 0 vanishes on the
+span of X already and one of sign + or - is nonzero at p, so only the
+mixed roots that vanish at p cut X down.  If there is none, the core is X;
+otherwise one `Cone.from_system` of the equalities of X, those root forms
+and the facet forms of X gives it (`_fixed_core`).  Stab(s_k.X) is s_k
+Stab(X) s_k, so s_k maps the core of X onto the core of s_k.X.  So the
+core check (`_check_orbits`) compares `_core_rays` at each cone X that
+holds its forms with the ray ids of `_fixed_core` (pointed, as it lies in
+the closure of X), or of X when that is None, and at each other cone Y,
+before its rays, with those of the core of Z moved by s_k.  For J empty no
+cone has a mixed root, each core is its cone, and `validate` makes no
+`Cone`."""
 
 from __future__ import annotations
 
@@ -325,11 +319,10 @@ class Fan:
         rays = [tuple(map(points.__getitem__, c.rays)) for c in cones]
         given = [None if c is None else _core_ids(points, c) for c in given]
         codims = [len(eqs) for eqs, _ in held.values()]
-        seeds = range(len(cones))
-        self._adopt(datum, J, points.vectors, forms.vectors, held, rays, given, codims, seeds)
+        self._adopt(datum, J, points.vectors, forms.vectors, held, rays, given, codims)
         self._lineal = [i for i, c in enumerate(cones) if c.lineality]
 
-    def _adopt(self, datum, J, points, forms, cone_forms, rays, core_rays, codims, seeds) -> None:
+    def _adopt(self, datum, J, points, forms, cone_forms, rays, core_rays, codims) -> None:
         self.datum = datum
         self.J = J
         self._points, self._forms = points, forms  # vectors by id
@@ -337,7 +330,6 @@ class Fan:
         self._rays = rays  # per cone, its ray ids
         self._core_rays = core_rays  # per cone, its core's ray ids; None if it has none
         self._codims = codims  # per cone, its codimension: the number of its equalities
-        self._seeds = seeds  # the cones `_orbit_walks` starts from
         self._by_sign: dict[tuple[int, ...], int] = {}  # sign vector -> cone
 
     def __len__(self) -> int:
@@ -387,7 +379,7 @@ class Fan:
             eqs, ins = ([vectors[f] for f in fs] for fs in ids)
             return _ids_of_forms(forms, _canonical_cone(n, eqs, ins, (), [points[r] for r in rays]))
 
-        walks = _orbit_walks(moves, self._seeds)
+        walks = _orbit_walks(moves, self._cone_forms)
         words, out = [()] * len(self), [None] * len(self)
         for cones, letters in walks:
             first = cones[0]
@@ -573,15 +565,17 @@ class Fan:
     def validate(self) -> dict:
         """Verify the fan axioms exactly; returns a few summary counts.
 
-        Checks strict convexity of closures, the origin cone, partition and
-        boundary axioms, Weyl invariance, the face condition, by arithmetic
-        on one cone per orbit and by transport on the others, and the cores
-        as stabiliser fixed loci (see *Validation* in the module docstring)."""
+        Checks strict convexity of closures, the origin cone, the partition
+        axiom, Weyl invariance, and the boundary axiom, the face condition
+        and the cores as stabiliser fixed loci: by arithmetic at each cone
+        that holds its forms and by transport at the others (see
+        *Validation* in the module docstring)."""
         if self._lineal:
             raise PartitionFailure(f"cone closure contains a line: {self.cones[self._lineal[0]]}")
         _ = self.origin_index  # the zero cone belongs to the fan
-        walks = _orbit_walks(self._moves, self._seeds)
-        _check_cover(self, [cones[0] for cones, _ in walks])
+        walks = _orbit_walks(self._moves, self._cone_forms)
+        _check_cover(self)
+        _check_faces(self, _check_cones(self))
         _check_orbits(self, walks)
         return {
             "cones": len(self),
@@ -717,13 +711,11 @@ def _orbit_walks(moves: Sequence[Sequence[int]], starts: Iterable[int]) -> list[
     return walks
 
 
-def _check_cover(fan: Fan, firsts: Iterable[int]) -> None:
-    """Partition and boundary axioms on a fan whose rows are distinct and
-    closed under the sign permutations: every dominant facet point lies in
-    exactly one cone, by sign vectors against the rows with no -1, each
-    kept as the bitsets of its roots of sign 0 and 1, and every facet of
-    the closure of each cone in `firsts`, one per orbit, is the closure of
-    a fan cone (`_check_facets`; see *Orbit reduction* in the module
+def _check_cover(fan: Fan) -> None:
+    """Partition axiom on a fan whose rows are distinct and closed under the
+    sign permutations: every dominant facet point lies in exactly one cone,
+    by sign vectors against the rows with no -1, each kept as the bitsets
+    of its roots of sign 0 and 1 (see *Orbit reduction* in the module
     docstring).  A point is made only to name it in an error."""
     datum = fan.datum
     rows = fan._sign_table
@@ -732,39 +724,42 @@ def _check_cover(fan: Fan, firsts: Iterable[int]) -> None:
         zeros, ones = _zeros_and_ones(signs)
         hits = sum(bit for bit, z, o in candidates if not (z & ones or o & zeros))
         fan._record(signs, hits, lambda: _dominant_facet_points(datum)[S])
-    _check_facets(fan, firsts)
 
 
-def _check_facets(fan: Fan, cones: Iterable[int]) -> None:
-    """Boundary axiom at each of `cones`: the rays of each of its facets,
-    those on which a facet form vanishes, are those of a fan cone of one
-    dimension less (see *Validation* in the module docstring)."""
-    points, pointed, codims = fan._points, fan._pointed, fan._codims
-    for i in cones:
-        rays, ins = fan._rays[i], fan._cone_forms[i][1]
-        for form in map(fan._forms.__getitem__, ins):
-            facet = tuple(sorted(r for r in rays if not la.dot(form, points[r])))
-            if pointed.get(facet) != codims[i] + 1:
-                raise PartitionFailure(f"facet of cone {i} is not the closure of a fan cone")
-
-
-def _check_faces(fan: Fan, direct: Iterable[int]) -> None:
-    """Face condition at the cones of `direct`, by arithmetic: on each its
-    equalities vanish and its facet forms are >= 0 at its rays, and every
-    face pair (f, g) with g among them holds, by ray incidence."""
-    points, forms = fan._points, fan._forms
-    facets = {}  # per cone of `direct`: its rays, and each facet's rays, as bitsets
-    for g in sorted(direct):
-        eqs, ins = fan._cone_forms[g]
+def _check_cones(fan: Fan) -> dict[int, tuple[int, list[int]]]:
+    """Face and boundary conditions at each cone that holds its forms, by
+    arithmetic on the value of each of its forms at each of its rays: its
+    equalities vanish and its facet forms are >= 0 there, and the rays of
+    each facet, those on which a facet form vanishes, are those of a fan
+    cone of one dimension less (see *Validation* in the module docstring).
+    Returns per cone its rays and the rays of each facet, as bitsets."""
+    points, forms, pointed, codims = fan._points, fan._forms, fan._pointed, fan._codims
+    facets = {}
+    for g, (eqs, ins) in fan._cone_forms.items():
         rays = fan._rays[g]
-        # one table of the cone's forms at its rays serves both checks
         at = [points[r] for r in rays]
-        on_eqs = (la.dot(forms[f], r) for f in eqs for r in at)
-        on_ins = [[la.dot(forms[f], r) for r in at] for f in ins]
-        if any(on_eqs) or any(v < 0 for vals in on_ins for v in vals):
+        if any(la.dot(forms[f], p) for f in eqs for p in at):
             raise PartitionFailure(f"face condition fails for cones {g} <= {g}")
-        zeros = [sum(1 << k for k, v in zip(rays, vals) if not v) for vals in on_ins]
+        zeros = []
+        for f in ins:
+            facet = []
+            for k, p in zip(rays, at):
+                value = la.dot(forms[f], p)
+                if value < 0:
+                    raise PartitionFailure(f"face condition fails for cones {g} <= {g}")
+                if not value:
+                    facet.append(k)
+            if pointed.get(tuple(sorted(facet))) != codims[g] + 1:
+                raise PartitionFailure(f"facet of cone {g} is not the closure of a fan cone")
+            zeros.append(sum(1 << k for k in facet))
         facets[g] = sum(1 << k for k in rays), zeros
+    return facets
+
+
+def _check_faces(fan: Fan, facets: dict[int, tuple[int, list[int]]]) -> None:
+    """Face condition at the cones of `facets`, by ray incidence: every face
+    pair (f, g) with g among them holds, given per g its rays and the rays
+    of each facet as bitsets (`_check_cones`)."""
     for f, g in fan.face_order:
         if g in facets:
             rays = sum(1 << k for k in fan._rays[f])
@@ -792,45 +787,35 @@ def _fixed_core(fan: Fan, i: int) -> Optional[Cone]:
 
 
 def _check_orbits(fan: Fan, walks: list) -> None:
-    """Faces and cores along the walks of `_orbit_walks`, by arithmetic at
-    each first cone and by transport at the others (see *Validation* in the
-    module docstring): a cone with held forms and ids other than the moved
-    ones gets the face and facet checks by arithmetic, and a cone with none
-    fails."""
-    _check_faces(fan, [cones[0] for cones, _ in walks])
+    """Cores along the walks of `_orbit_walks`, and faces at the cones that
+    hold no forms (see *Validation* in the module docstring): a cone that
+    holds its forms has the core `_fixed_core` finds, and one that holds
+    none is compared with the cone it was met from moved by s_k, its core
+    ids first and then its ray ids."""
     rays, cores, held, moves = fan._rays, fan._core_rays, fan._cone_forms, fan._moves
     if None in cores:
         raise PartitionFailure(f"cone {cores.index(None)} has no core")
-    points, forms = _Numbering(fan._points), _Numbering(fan._forms)
+    points = _Numbering(fan._points)
     on_points = _id_reflections(fan.datum.cartan, points, reflect_simple)
-    on_forms = _id_reflections(fan.datum.cartan, forms, _reflected_form)
 
-    def moved(ids: Iterable[int], k: int, images: list = on_points) -> tuple[int, ...]:
-        return tuple(sorted(map(images[k].__getitem__, ids)))
+    def moved(ids: Iterable[int], k: int) -> tuple[int, ...]:
+        return tuple(sorted(map(on_points[k].__getitem__, ids)))
 
-    unlike = []  # cones whose held ids are not the moved ones
     for cones, letters in walks:
-        core = _fixed_core(fan, cones[0])  # None: each core of the orbit is its cone
-        first = rays[cones[0]]
-        if core is not None:  # a pointed cone, in the closure of the walk's first cone
-            first = tuple(sorted(map(points.__getitem__, core.rays)))
-        if first != cores[cones[0]]:
-            raise PartitionFailure(f"core of cone {cones[0]} is not the stabiliser fixed locus")
-        for i, k in islice(zip(cones, letters), 1, None):
-            j = moves[k][i]
+        for i, k in zip(cones, letters):
+            if i in held:
+                core = _fixed_core(fan, i)  # None: the core is cone i
+                if core is not None:  # a pointed cone, in the closure of cone i
+                    core = tuple(sorted(map(points.__getitem__, core.rays)))
+                if (rays[i] if core is None else core) != cores[i]:
+                    raise PartitionFailure(f"core of cone {i} is not the stabiliser fixed locus")
+                continue
+            j = moves[k][i]  # met by s_k from cone j
             image = moved(rays[j], k)
-            if (image if core is None else moved(cores[j], k)) != cores[i]:
+            if (image if cores[j] == rays[j] else moved(cores[j], k)) != cores[i]:
                 raise PartitionFailure(f"core of cone {i} is not the stabiliser fixed locus")
-            if i not in held:  # its forms are the moved ones
-                if image != rays[i]:
-                    raise PartitionFailure(f"face condition fails for cones {i} <= {i}")
-            elif image != rays[i] or held[i] != tuple(
-                moved(f, k, on_forms) for f in held.get(j, ())
-            ):
-                unlike.append(i)
-    if unlike:
-        _check_faces(fan, unlike)
-        _check_facets(fan, unlike)
+            if image != rays[i]:
+                raise PartitionFailure(f"face condition fails for cones {i} <= {i}")
 
 
 class _Images(dict):
@@ -1011,16 +996,17 @@ def parabolic_fan(datum: RootDatum, J: Iterable[int] = ()) -> Fan:
         return list(map(column.__getitem__, order))
 
     fan = Fan.__new__(Fan)
-    seeds = list(map(position.__getitem__, seeds))  # the standard cones
+    seeds = map(position.__getitem__, seeds)  # the standard cones
     points, cone_forms = list(map(vectors.__getitem__, by_vector)), dict(zip(seeds, cone_forms))
     rays, cores, codims = ordered(rays), ordered(cores), ordered(codims)
-    fan._adopt(datum, J, points, forms.vectors, cone_forms, rays, cores, codims, seeds)
+    fan._adopt(datum, J, points, forms.vectors, cone_forms, rays, cores, codims)
     fan._sign_table = tuple(ordered(rows))
     fan._core_forms = {position[i]: ids for i, ids in core_forms.items()}
     fan._standard = standard
     if len(index) == len(rows):  # every row distinct (see *Validation*)
         fan._moves = tuple(tuple(map(position.__getitem__, ordered(move))) for move in moves)
-    _check_cover(fan, sorted(seeds))
+    _check_cover(fan)
+    _check_cones(fan)
     return fan
 
 

@@ -410,14 +410,18 @@ def fan_mutants(fan: Fan, seed: int):
     J not empty, where the open cones' cores are not their cones, two pairs
     of open cones swap their images under one s_k, chosen so that the walks
     from the standard cones and from each orbit's first cone both meet one
-    of the four from the wrong cone, and so carry it the wrong core."""
+    of the four from the wrong cone, and so carry it the wrong core.  A
+    class that a fan cannot host is skipped: the "later" ones where the
+    orbit has no later cone (A1, BC1), a dropped ray of a merged cone where
+    every ray changes its sign row, and a split chamber in rank 1."""
     rng = random.Random(seed)
     datum, J, cones, cores, moves = fan.datum, fan.J, fan.cones, fan.cores, fan._moves
     labels = orbit_labels(moves)
     orbit = [i for i, label in enumerate(labels) if label == labels[-1]]
     points, forms = reflections(datum.cartan)
     walk = _orbit_walks(moves, range(len(fan)))  # from each orbit's first cone
-    later = rng.choice([i for i in orbit[1:] if cores[i].word])
+    later = [i for i in orbit[1:] if cores[i].word]
+    later = rng.choice(later) if later else None  # A1, BC1: the other open cone is standard
     simplicial = [i for i, c in enumerate(cones) if len(c.rays) == c.dim]
     simplicial = [i for i in simplicial if labels[i] == labels[simplicial[-1]]]
     merged = [i for i, c in enumerate(cones) if len(c.rays) > c.dim]
@@ -428,7 +432,8 @@ def fan_mutants(fan: Fan, seed: int):
     def with_cores(changes):
         return Fan(datum, J, cones, {**cores, **changes})
 
-    for where, i in (("first", orbit[0]), ("later", later)):
+    places = [("first", orbit[0])] + ([] if later is None else [("later", later)])
+    for where, i in places:
         cone = cones[i]
 
         def with_cone(new, i=i):
@@ -463,27 +468,31 @@ def fan_mutants(fan: Fan, seed: int):
         m = rng.choice([m for m in range(datum.rank) if moves[m][source] != i])
         image = reflected_cone(cones[source], points[m], forms[m])
         yield "image under the wrong s_k", where, with_cone(image), "lies in 2 cones; fan is not a partition$"
-        if merged:
+        without = _without_a_ray(fan, merged[where]) if merged else None
+        if without is not None:
             k = merged[where]
-            mutant = with_cone(_without_a_ray(fan, k), k)
             message = rf"^facet of cone {k} is not the closure of a fan cone$"
-            yield "dropped ray of a merged cone", where, mutant, message
+            yield "dropped ray of a merged cone", where, with_cone(without, k), message
         pieces = _halves_and_wall(cone, {la.primitive(f) for f in fan._root_forms})
-        moved = {j + 2 * (j > i): info for j, info in cores.items()}
-        moved.update({i + 1: cores[i], i + 2: cores[i]})
-        mutant = Fan(datum, J, cones[:i] + pieces + cones[i + 1 :], moved)
-        message = rf"^facet form .* of cone {i} is not a root form$"
-        yield "chamber split in two", where, mutant, message
+        if pieces is not None:
+            moved = {j + 2 * (j > i): info for j, info in cores.items()}
+            moved.update({i + 1: cores[i], i + 2: cores[i]})
+            mutant = Fan(datum, J, cones[:i] + pieces + cones[i + 1 :], moved)
+            message = rf"^facet form .* of cone {i} is not a root form$"
+            yield "chamber split in two", where, mutant, message
     own = [i for i, info in cores.items() if info.cone != cones[i]]
     if own:
         mutant = with_cores({i: replace(info, cone=cones[i]) for i, info in cores.items()})
         message = rf"^core of cone {own[0]} is not the stabiliser fixed locus$"
         yield "every cone as its own core", "every", mutant, message
-    fresh = parabolic_fan(datum, J)
-    rays = list(fresh._rays[later])
-    rays[rng.randrange(len(rays))] = rng.choice(sorted({r for c in fresh._rays for r in c} - set(rays)))
-    fresh._rays[later] = tuple(sorted(rays))
-    yield "table ray id", "later", fresh, rf"^face condition fails for cones {later} <= {later}$"
+    if later is not None:
+        fresh = parabolic_fan(datum, J)
+        rays = list(fresh._rays[later])
+        others = sorted({r for c in fresh._rays for r in c} - set(rays))
+        rays[rng.randrange(len(rays))] = rng.choice(others)
+        fresh._rays[later] = tuple(sorted(rays))
+        message = rf"^face condition fails for cones {later} <= {later}$"
+        yield "table ray id", "later", fresh, message
     # two pairs a <-> c and e <-> f of open cones swap their partners under s_k
     swaps = [
         (k, a, e)
@@ -507,27 +516,33 @@ def fan_mutants(fan: Fan, seed: int):
             return
 
 
-def _without_a_ray(fan: Fan, i: int) -> Cone:
+def _without_a_ray(fan: Fan, i: int) -> Cone | None:
     """Cone i of the fan without its first ray whose removal leaves the
-    sign row of the cone as it is."""
+    sign row of the cone as it is; None if there is none.  A removal whose
+    row fails the exactness checks changes the row."""
     cone = fan.cones[i]
     for k in range(len(cone.rays)):
         mutant = replace(cone, rays=cone.rays[:k] + cone.rays[k + 1 :])
-        if _sign_row(fan._root_forms, mutant, "", {}) == fan._sign_table[i]:
-            return mutant
-    raise ValueError(f"every ray of cone {i} changes its sign row")
+        try:
+            if _sign_row(fan._root_forms, mutant, "", {}) == fan._sign_table[i]:
+                return mutant
+        except PartitionFailure:
+            pass
+    return None
 
 
-def _halves_and_wall(cone: Cone, roots: set) -> tuple:
+def _halves_and_wall(cone: Cone, roots: set) -> tuple | None:
     """A full-dimensional open cone cut in two by a hyperplane through an
     interior point, with a normal form that is no root's, given the
     primitive positive root forms: its two open halves and the open wall
-    between them."""
+    between them; None in rank 1, where no such hyperplane is found."""
     n = cone.dim_ambient
     q = [sum((k + 1) * r[j] for k, r in enumerate(cone.rays)) for j in range(n)]
     zeros = (0,) * n
     normals = (la.primitive(zeros[:j] + (q[j + 1], -q[j]) + zeros[j + 2 :]) for j in range(n - 1))
-    h = next(h for h in normals if any(h) and h not in roots and la.neg(h) not in roots)
+    h = next((h for h in normals if any(h) and h not in roots and la.neg(h) not in roots), None)
+    if h is None:
+        return None
     halves = tuple(Cone.from_system(n, cone.eqs, cone.ins + (f,)) for f in (h, la.neg(h)))
     return halves + (Cone.from_system(n, cone.eqs + (h,), cone.ins),)
 

@@ -223,7 +223,7 @@ def test_the_cover_check_names_the_first_dominant_point_of_a_doubled_cone(name, 
         twice = Fan(fan.datum, fan.J, list(fan.cones) + [fan.cones[i]], {})
         message = f"point {points[located.index(i)]} lies in 2 cones"
         with pytest.raises(PartitionFailure, match=re.escape(message)):
-            fans._check_cover(twice, [])
+            fans._check_cover(twice)
 
 
 @pytest.mark.parametrize("name", RANK4_CATALOGUE + ["B4", "D5"])
@@ -284,7 +284,7 @@ def test_first_cores_from_the_vanishing_roots_match_the_schreier_oracle(name, J)
     cone, where `validate` starts its walk, cut out the fixed locus of its
     Schreier generators."""
     fan = built_fan(name, J)
-    for i in fan._seeds:
+    for i in fan._cone_forms:
         core = fans._fixed_core(fan, i) or fan.cones[i]  # None: the cone itself
         assert core.key == schreier_core(fan, i).key, i
 
@@ -376,7 +376,7 @@ def test_build_order_and_validate_write_no_canonical_form(monkeypatch, name, J):
     assert len(calls) == len(from_system) and (from_system == [] or J)
     del calls[:], picks[:]
     assert fan.cones and fan.cores
-    assert len(calls) == len(fan._seeds) + len(fan._core_forms) and picks == []
+    assert len(calls) == len(fan._cone_forms) + len(fan._core_forms) and picks == []
 
 
 @pytest.mark.parametrize("name,J", RANK4_FANS)
@@ -390,7 +390,7 @@ def test_held_root_forms_of_the_standard_cones_give_their_canonical_forms(name, 
     fan = parabolic_fan(datum, J)
     forms, points, n = list(fan._forms), fan._points, datum.rank
     roots = {datum.covector(a) for a in datum.positive_roots}
-    for (I, T), i in zip(fan._standard, fan._seeds):
+    for (I, T), i in zip(fan._standard, fan._cone_forms):
         held = [(fan._cone_forms[i], fan._rays[i], J, I, fan.cones[i])]
         if i in fan._core_forms:
             held.append((fan._core_forms[i], fan._core_rays[i], (), T, fan.cores[i].cone))
@@ -461,28 +461,35 @@ def test_merged_orbits_are_cut_by_a_mixed_root():
     """The orbits whose cone is larger than its core are the ones that
     `validate` cuts down: in B3 {a2}, those with T not I."""
     fan = built_fan("B3", (1,))
-    for i in fan._seeds:
+    for i in fan._cone_forms:
         info = fan.cores[i]
         assert _cut_by_a_mixed_root(fan, i) == (info.type_indices != info.generator_indices), i
         assert (fans._fixed_core(fan, i) is None) == (info.cone == fan.cones[i]), i
 
 
 @pytest.mark.parametrize("name,J", [_case("B3", ()), _case("B3", (1,)), _case("A1xA2", (1,))])
-def test_the_cover_check_gets_one_cone_per_orbit(monkeypatch, name, J):
-    """`parabolic_fan` hands the cover check its standard cones, the walk's
-    seeds, and `Fan.validate` the first cone of each orbit of the moves."""
-    given = []
-    check = fans._check_cover
+def test_the_cones_that_hold_their_forms_get_the_arithmetic_checks(monkeypatch, name, J):
+    """The per-cone pass and `_fixed_core` run at the cones that hold their
+    forms, each once, and at no other: on a built fan its standard cones,
+    one per orbit, in the build and in `validate`; on a hand-made fan every
+    cone."""
+    passes, cores = [], []
+    check_cones, fixed_core = fans._check_cones, fans._fixed_core
     monkeypatch.setattr(
-        fans, "_check_cover", lambda fan, firsts: given.append(list(firsts)) or check(fan, firsts)
+        fans, "_check_cones", lambda fan: passes.append(check_cones(fan)) or passes[-1]
     )
+    monkeypatch.setattr(fans, "_fixed_core", lambda fan, i: cores.append(i) or fixed_core(fan, i))
     fan = parabolic_fan(build_root_datum(name), J)
-    Fan(fan.datum, fan.J, fan.cones, fan.cores).validate()
-    built, validated = given
+    standard = [i for i in range(len(fan)) if fan.cores[i].word == ()]
     labels = orbit_labels(ray_reflection_moves(fan))
-    assert sorted(built) == [i for i in range(len(fan)) if fan.cores[i].word == ()]
-    assert sorted(labels[i] for i in built) == list(range(max(labels) + 1))
-    assert validated == [i for i, label in enumerate(labels) if label not in labels[:i]]
+    assert sorted(labels[i] for i in standard) == list(range(max(labels) + 1))
+    assert [sorted(p) for p in passes] == [standard] and cores == []
+    fan.validate()
+    assert [sorted(p) for p in passes] == [standard] * 2 and sorted(cores) == standard
+    del passes[:], cores[:]
+    Fan(fan.datum, fan.J, fan.cones, fan.cores).validate()
+    every = list(range(len(fan)))
+    assert [sorted(p) for p in passes] == [every] and sorted(cores) == every
 
 
 def _unglued_fan():
@@ -872,14 +879,13 @@ def test_validate_rejects_every_mutant_of_the_corpus(name, J):
 @pytest.mark.parametrize(
     "name,J,differ", [("B3", (), 84), ("A3", (0,), 20), ("F4", (0, 1), 647)]
 )
-def test_a_fan_of_canonical_cones_validates_by_arithmetic_where_ids_differ(
+def test_a_fan_of_canonical_cones_validates_by_arithmetic_on_every_cone(
     monkeypatch, name, J, differ
 ):
     """A hand-made fan of each cone's own `Cone.from_system` canonical forms
     (equalities a row basis, facet forms reduced modulo it) is the built
     fan, with other forms on `differ` cones.  `validate` checks the face
-    condition by arithmetic on each orbit's first cone and on every cone
-    whose form ids are not the moved ones of the cone its walk met it from,
+    condition by arithmetic on every cone of it, as each holds its forms,
     and passes with the built fan's summary; on the built fan it does so on
     the standard cones only."""
     fan = parabolic_fan(build_root_datum(name), J)
@@ -889,9 +895,9 @@ def test_a_fan_of_canonical_cones_validates_by_arithmetic_where_ids_differ(
     checked = []
     check = fans._check_faces
     monkeypatch.setattr(
-        fans, "_check_faces", lambda fan, cones: checked.append(sorted(cones)) or check(fan, cones)
+        fans, "_check_faces", lambda fan, held: checked.append(sorted(held)) or check(fan, held)
     )
     assert Fan(fan.datum, fan.J, canonical, fan.cores).validate() == fan.validate()
-    firsts, unlike, standard = checked
-    assert firsts == _orbit_firsts(fan) and unlike and not set(firsts) & set(unlike)
+    every, standard = checked
+    assert every == list(range(len(fan)))
     assert standard == sorted(i for i, info in fan.cores.items() if not info.word)
