@@ -47,9 +47,10 @@ rays and forms it meets (`_points`, `_forms`) and keeps per cone the ids
 of its rays (`_rays`) and of its core's (`_core_rays`, the cone's own
 tuple when T = I), its codimension (`_codims`, its orbit's), its sign
 row, per s_k the moves table (see *Orbit walk*), and per standard cone
-the ids of its raw root forms (`_cone_forms`), the Cartan rows
-in I as equalities and its facet roots as facet forms (see *Standard
-cones*), and, for T not I, those of its core (`_core_forms`).  The walk
+the ids of its raw root forms (`_cone_forms`; a cone that holds them is
+checked by arithmetic, see *Validation*), the Cartan rows in I as
+equalities and its facet roots as facet forms (see *Standard cones*),
+and, for T not I, those of its core (`_core_forms`).  The walk
 moves ray ids through per-s_k dictionaries that reflect an id on its
 first lookup (`_id_reflections`), so each distinct ray is reflected once
 per s_k and build.  The rays are then ranked by vector and renumbered, so

@@ -5,10 +5,10 @@ with the outcome of its `validate()`, then a digest of the lines.
     PYTHONPATH=src python tests/mutant_corpus.py [--seeds 1-6] [--types B3,F4]
 
 Each line names the fan, the seed, the class and where the mutant was made,
-then the error `validate()` raised (or "passed") and whether it matches the
-message the class expects.  Run it with two libraries on PYTHONPATH and
-compare the digests: equal digests mean the same mutants, failing with the
-same messages.  A generator that stops with an error prints it as the fan's
+then the error `validate()` raised (or "passed") and whether it is the
+`PartitionFailure` with the message the class expects.  Run it with two
+libraries on PYTHONPATH and compare the digests: equal digests mean the
+same mutants, failing with the same messages.  A generator that stops with an error prints it as the fan's
 last line."""
 
 import argparse
@@ -18,6 +18,7 @@ import sys
 import time
 
 from helpers import RANK4_CATALOGUE, fan_mutants, valid_js
+from weylfan.errors import PartitionFailure
 from weylfan.fans import parabolic_fan
 from weylfan.rootdata import build_root_datum
 
@@ -50,7 +51,7 @@ def corpus_lines(name: str, J: tuple, seeds: range):
                 error = None
             except Exception as caught:
                 error = caught
-            expected = error is not None and re.search(message, str(error)) is not None
+            expected = isinstance(error, PartitionFailure) and re.search(message, str(error))
             verdict = "expected" if expected else "UNEXPECTED"
             yield f"{label} seed {seed} | {kind} | {where} | {outcome(error)} | {verdict}"
 
