@@ -207,7 +207,8 @@ the order is read.
 the tables and the sign table as the fan holds them, by one rule: a cone
 that holds its forms (`_cone_forms`: a build's standard cones, every cone
 of a hand-made `Fan(...)`) is checked by arithmetic, and a cone that holds
-none by transport.  A built fan's raw root forms give every check the data
+none by transport; cores are found at the first cone of each orbit and
+transported to the others.  A built fan's raw root forms give every check the data
 of the canonical ones: the alpha_I are as many and span the same rows (C
 is nonsingular), and on the span each facet root is a positive multiple of
 its facet's reduced form, with its zero set and signs at the rays; the
@@ -260,10 +261,10 @@ mixed roots that vanish at p cut X down.  If there is none, the core is X;
 otherwise one `Cone.from_system` of the equalities of X, those root forms
 and the facet forms of X gives it (`_fixed_core`).  Stab(s_k.X) is s_k
 Stab(X) s_k, so s_k maps the core of X onto the core of s_k.X.  So the
-core check (`_check_orbits`) compares `_core_rays` at each cone X that
-holds its forms with the ray ids of `_fixed_core` (pointed, as it lies in
-the closure of X), or of X when that is None, and at each other cone Y,
-before its rays, with those of the core of Z moved by s_k.  For J empty no
+core check (`_check_orbits`) compares `_core_rays` at the first cone X of
+each walk with the ray ids of `_fixed_core` (pointed, as it lies in the
+closure of X), or of X when that is None, and at each other cone Y, held
+or not, with those of the core of Z moved by s_k.  For J empty no
 cone has a mixed root, each core is its cone, and `validate` makes no
 `Cone`."""
 
@@ -567,9 +568,10 @@ class Fan:
         """Verify the fan axioms exactly; returns a few summary counts.
 
         Checks strict convexity of closures, the origin cone, the partition
-        axiom, Weyl invariance, and the boundary axiom, the face condition
-        and the cores as stabiliser fixed loci: by arithmetic at each cone
-        that holds its forms and by transport at the others (see
+        axiom, Weyl invariance, the boundary axiom and the face condition,
+        by arithmetic at each cone that holds its forms and by transport at
+        the others, and the cores as stabiliser fixed loci, found at the
+        first cone of each orbit and transported to the others (see
         *Validation* in the module docstring)."""
         if self._lineal:
             raise PartitionFailure(f"cone closure contains a line: {self.cones[self._lineal[0]]}")
@@ -789,10 +791,10 @@ def _fixed_core(fan: Fan, i: int) -> Optional[Cone]:
 
 def _check_orbits(fan: Fan, walks: list) -> None:
     """Cores along the walks of `_orbit_walks`, and faces at the cones that
-    hold no forms (see *Validation* in the module docstring): a cone that
-    holds its forms has the core `_fixed_core` finds, and one that holds
-    none is compared with the cone it was met from moved by s_k, its core
-    ids first and then its ray ids."""
+    hold no forms (see *Validation* in the module docstring): the first
+    cone of each walk has the core `_fixed_core` finds, and each other cone
+    is compared with the cone it was met from moved by s_k, its core ids
+    and then, if it holds no forms, its ray ids."""
     rays, cores, held, moves = fan._rays, fan._core_rays, fan._cone_forms, fan._moves
     if None in cores:
         raise PartitionFailure(f"cone {cores.index(None)} has no core")
@@ -803,19 +805,18 @@ def _check_orbits(fan: Fan, walks: list) -> None:
         return tuple(sorted(map(on_points[k].__getitem__, ids)))
 
     for cones, letters in walks:
-        for i, k in zip(cones, letters):
-            if i in held:
-                core = _fixed_core(fan, i)  # None: the core is cone i
-                if core is not None:  # a pointed cone, in the closure of cone i
-                    core = tuple(sorted(map(points.__getitem__, core.rays)))
-                if (rays[i] if core is None else core) != cores[i]:
-                    raise PartitionFailure(f"core of cone {i} is not the stabiliser fixed locus")
-                continue
+        first = cones[0]
+        core = _fixed_core(fan, first)  # None: the core is the cone
+        if core is not None:  # a pointed cone, in the closure of the first cone
+            core = tuple(sorted(map(points.__getitem__, core.rays)))
+        if (rays[first] if core is None else core) != cores[first]:
+            raise PartitionFailure(f"core of cone {first} is not the stabiliser fixed locus")
+        for i, k in islice(zip(cones, letters), 1, None):
             j = moves[k][i]  # met by s_k from cone j
-            image = moved(rays[j], k)
+            image = moved(rays[j], k)  # also its moved core if cone j is its own core
             if (image if cores[j] == rays[j] else moved(cores[j], k)) != cores[i]:
                 raise PartitionFailure(f"core of cone {i} is not the stabiliser fixed locus")
-            if image != rays[i]:
+            if i not in held and image != rays[i]:
                 raise PartitionFailure(f"face condition fails for cones {i} <= {i}")
 
 

@@ -469,10 +469,12 @@ def test_merged_orbits_are_cut_by_a_mixed_root():
 
 @pytest.mark.parametrize("name,J", [_case("B3", ()), _case("B3", (1,)), _case("A1xA2", (1,))])
 def test_the_cones_that_hold_their_forms_get_the_arithmetic_checks(monkeypatch, name, J):
-    """The per-cone pass and `_fixed_core` run at the cones that hold their
-    forms, each once, and at no other: on a built fan its standard cones,
-    one per orbit, in the build and in `validate`; on a hand-made fan every
-    cone."""
+    """The per-cone pass runs at the cones that hold their forms, each once,
+    and at no other: on a built fan its standard cones, one per orbit, in
+    the build and in `validate`; on a hand-made fan every cone.
+    `_fixed_core` runs once per orbit in `validate`, at the first cone of
+    its walk: a built fan's standard cone, a hand-made fan's first cone of
+    the orbit."""
     passes, cores = [], []
     check_cones, fixed_core = fans._check_cones, fans._fixed_core
     monkeypatch.setattr(
@@ -488,8 +490,8 @@ def test_the_cones_that_hold_their_forms_get_the_arithmetic_checks(monkeypatch, 
     assert [sorted(p) for p in passes] == [standard] * 2 and sorted(cores) == standard
     del passes[:], cores[:]
     Fan(fan.datum, fan.J, fan.cones, fan.cores).validate()
-    every = list(range(len(fan)))
-    assert [sorted(p) for p in passes] == [every] and sorted(cores) == every
+    assert [sorted(p) for p in passes] == [list(range(len(fan)))]
+    assert cores == [i for i, label in enumerate(labels) if label not in labels[:i]]
 
 
 def _unglued_fan():
