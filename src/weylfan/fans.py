@@ -55,7 +55,8 @@ moves ray ids through per-s_k dictionaries that reflect an id on its
 first lookup (`_id_reflections`), so each distinct ray is reflected once
 per s_k and build.  The rays are then ranked by vector and renumbered, so
 a sorted tuple of ray ids lists its rays in vector order, and the cone
-order, by dimension (its orbit's) and then rays, compares ids.
+order, by dimension (its orbit's) and then rays, compares ids; the fan
+keeps the renumbered dictionaries (`Fan._ray_images`).
 `Fan.cones` and `Fan.cores` are views made on first read, which writes
 each standard cone's canonical form and its core's from the raw forms
 and rays (`cones._canonical_cone`) and transports them to the other
@@ -99,9 +100,11 @@ where the roots of its zero set vanish, is spanned by the generators in
 it.  If g is not extreme, F holds an extreme ray r, whose zero set holds
 that of g and more, as the smallest face holding r is its ray; if g is
 extreme, a generator whose zero set holds that of g lies in F, its ray,
-so is g.  For K empty the generators are independent, all extreme.  The
-build holds the cone by these rays, the alpha_I (rows of C) and the facet
-roots whose zero sets of rays are maximal, its facet forms
+so is g.  For K empty the generators are independent, all extreme, and
+each alpha_j, j not in I, is a facet root with no pick: its zero set is
+every omega_i but omega_j, and no two such sets nest.  The build holds
+the cone by these rays, the alpha_I (rows of C) and the facet roots
+whose zero sets of rays are maximal, its facet forms
 (`cones._facet_forms`, which rejects an empty cone), and
 `cones._canonical_cone` writes its canonical form from them on first read
 (see *Tables*).
@@ -213,10 +216,14 @@ of the canonical ones: the alpha_I are as many and span the same rows (C
 is nonsingular), and on the span each facet root is a positive multiple of
 its facet's reduced form, with its zero set and signs at the rays; the
 checks read only these and the space the equalities cut out
-(`_fixed_core`).  A hand-made `Fan(...)` builds every row directly, with
-both exactness checks; a built one keeps its walk's rows, one built
-directly per standard cone and the others transported, which pass both
-checks by *Sign transport*.
+(`_fixed_core`).  A build runs the cover check and the per-cone pass
+below on the immutable tables it gives the fan, which keeps their result
+(`Fan._facets`) and the walk's ray memo (`Fan._ray_images`) for
+`validate`: the same checks, once per fan.  A hand-made `Fan(...)` runs
+them on first read, and builds every row directly, with both exactness
+checks; a built one keeps its walk's rows, one built directly per
+standard cone and the others transported, which pass both checks by
+*Sign transport*.
 The moves table checks that the rows are distinct and closed under each
 pi_k.  A build's walk closes each orbit's rows under each pi_k, and each
 lookup names the cone of the orbit with the row pi_k(row); with the rows
@@ -258,15 +265,17 @@ lemma; Humphreys 1.12), so its fixed points are the zero set of those
 roots.  The sign row of X names them: a root of sign 0 vanishes on the
 span of X already and one of sign + or - is nonzero at p, so only the
 mixed roots that vanish at p cut X down.  If there is none, the core is X;
-otherwise one `Cone.from_system` of the equalities of X, those root forms
-and the facet forms of X gives it (`_fixed_core`).  Stab(s_k.X) is s_k
+otherwise the extreme rays of one `dual_description` of the equalities of
+X, those root forms and the facet forms of X give it (`_fixed_core`), as
+the check compares rays only.  Stab(s_k.X) is s_k
 Stab(X) s_k, so s_k maps the core of X onto the core of s_k.X.  So the
 core check (`_check_orbits`) compares `_core_rays` at the first cone X of
 each walk with the ray ids of `_fixed_core` (pointed, as it lies in the
 closure of X), or of X when that is None, and at each other cone Y, held
-or not, with those of the core of Z moved by s_k.  For J empty no
-cone has a mixed root, each core is its cone, and `validate` makes no
-`Cone`."""
+or not, with those of the core of Z moved by s_k, by the ray memo, which
+a build's walk filled with every move of the replay.  `validate` makes
+no `Cone`; for J empty no cone has a mixed root, each core is its cone,
+and it runs no double description."""
 
 from __future__ import annotations
 
@@ -277,7 +286,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from . import linalg as la
 from ._value import Value
-from .cones import Cone, _canonical_cone, _facet_forms, _maximal
+from .cones import Cone, _canonical_cone, _facet_forms, _maximal, dual_description
 from .errors import (
     DegenerateJ,
     DimensionMismatch,
@@ -414,6 +423,23 @@ class Fan:
         if self.datum.rank in self._codims:
             return self._codims.index(self.datum.rank)
         raise PartitionFailure("fan has no origin cone")
+
+    @cached_property
+    def _ray_ids(self) -> _Numbering:
+        """The id of each ray vector, a new vector numbered past the fan's."""
+        return _Numbering(self._points)
+
+    @cached_property
+    def _ray_images(self) -> list[_Images]:
+        """`_id_reflections` of the ray ids; a build fills it with its walk's."""
+        return _id_reflections(self.datum.cartan, self._ray_ids, reflect_simple)
+
+    @cached_property
+    def _facets(self) -> dict[int, tuple[int, list[int]]]:
+        """`_check_cover`, then `_check_cones`, whose result this is: run by
+        the build, or on first read."""
+        _check_cover(self)
+        return _check_cones(self)
 
     @cached_property
     def _pointed(self) -> dict[tuple[int, ...], int]:
@@ -571,14 +597,14 @@ class Fan:
         axiom, Weyl invariance, the boundary axiom and the face condition,
         by arithmetic at each cone that holds its forms and by transport at
         the others, and the cores as stabiliser fixed loci, found at the
-        first cone of each orbit and transported to the others (see
+        first cone of each orbit and transported to the others; a built fan
+        keeps its build's cover check, per-cone pass and ray memo (see
         *Validation* in the module docstring)."""
         if self._lineal:
             raise PartitionFailure(f"cone closure contains a line: {self.cones[self._lineal[0]]}")
         _ = self.origin_index  # the zero cone belongs to the fan
         walks = _orbit_walks(self._moves, self._cone_forms)
-        _check_cover(self)
-        _check_faces(self, _check_cones(self))
+        _check_faces(self, self._facets)
         _check_orbits(self, walks)
         return {
             "cones": len(self),
@@ -774,19 +800,20 @@ def _check_faces(fan: Fan, facets: dict[int, tuple[int, list[int]]]) -> None:
                 raise PartitionFailure(f"face condition fails for cones {f} <= {g}")
 
 
-def _fixed_core(fan: Fan, i: int) -> Optional[Cone]:
-    """Cone i cut down by the roots vanishing at the sum p of its rays: the
-    fixed locus of its stabiliser W_p in it; None when no root of mixed
-    sign on it vanishes at p, as the locus is then cone i itself (see
-    *Validation* in the module docstring)."""
+def _fixed_core(fan: Fan, i: int) -> Optional[list[Vec]]:
+    """The extreme rays, sorted, of cone i cut down by the roots vanishing
+    at the sum p of its rays: the fixed locus of its stabiliser W_p in it,
+    by `dual_description`; None when no root of mixed sign on it vanishes
+    at p, as the locus is then cone i itself (see *Validation* in the
+    module docstring)."""
     p = fan._ray_sum(i)
     fixed = [
         f for f, sign in zip(fan._root_forms, fan._sign_table[i]) if sign == 2 and not la.dot(f, p)
     ]
     if not fixed:
         return None
-    eqs, ins = (sorted(map(fan._forms.__getitem__, ids)) for ids in fan._cone_forms[i])
-    return Cone.from_system(fan.datum.rank, eqs + fixed, ins)
+    eqs, ins = ([fan._forms[f] for f in ids] for ids in fan._cone_forms[i])
+    return dual_description(fan.datum.rank, eqs + fixed, ins)[1]
 
 
 def _check_orbits(fan: Fan, walks: list) -> None:
@@ -798,17 +825,16 @@ def _check_orbits(fan: Fan, walks: list) -> None:
     rays, cores, held, moves = fan._rays, fan._core_rays, fan._cone_forms, fan._moves
     if None in cores:
         raise PartitionFailure(f"cone {cores.index(None)} has no core")
-    points = _Numbering(fan._points)
-    on_points = _id_reflections(fan.datum.cartan, points, reflect_simple)
+    images = fan._ray_images
 
     def moved(ids: Iterable[int], k: int) -> tuple[int, ...]:
-        return tuple(sorted(map(on_points[k].__getitem__, ids)))
+        return tuple(sorted(map(images[k].__getitem__, ids)))
 
     for cones, letters in walks:
         first = cones[0]
         core = _fixed_core(fan, first)  # None: the core is the cone
         if core is not None:  # a pointed cone, in the closure of the first cone
-            core = tuple(sorted(map(points.__getitem__, core.rays)))
+            core = tuple(sorted(map(fan._ray_ids.__getitem__, core)))
         if (rays[first] if core is None else core) != cores[first]:
             raise PartitionFailure(f"core of cone {first} is not the stabiliser fixed locus")
         for i, k in islice(zip(cones, letters), 1, None):
@@ -905,15 +931,16 @@ def _standard_cone(cartan: la.Mat, coweights: Sequence[Vec], I: frozenset, T: fr
     rays = [coweights[j] for j in range(len(cartan)) if j not in I]
     roots = [cartan[j] for j in range(len(cartan)) if j not in T]
     K = sorted(T - I)
-    if K:  # otherwise the coweights are independent, and each is extreme
+    if K:  # otherwise each coweight is extreme and each root a facet root
         rays, roots = (  # their W_K-orbits, each walked as soon as it is made
             list(walk_orbits({v: v for v in vs}, len(K), lambda v, m: reflect(cartan, v, K[m])))
             for vs, reflect in ((rays, reflect_simple), (roots, _reflected_form))
         )
         zeros = [sum(1 << i for i, f in enumerate(roots) if not la.dot(f, g)) for g in rays]
         rays = _maximal(rays, zeros)
+        roots = _facet_forms(roots, rays)
     eqs = tuple(cartan[i] for i in sorted(I))
-    return Cone(len(cartan), eqs, tuple(_facet_forms(roots, rays)), (), tuple(rays))
+    return Cone(len(cartan), eqs, tuple(roots), (), tuple(rays))
 
 
 def validate_J(datum: RootDatum, J: Iterable[int]) -> frozenset[int]:
@@ -1007,8 +1034,9 @@ def parabolic_fan(datum: RootDatum, J: Iterable[int] = ()) -> Fan:
     fan._standard = standard
     if len(index) == len(rows):  # every row distinct (see *Validation*)
         fan._moves = tuple(tuple(map(position.__getitem__, ordered(move))) for move in moves)
-    _check_cover(fan)
-    _check_cones(fan)
+    for memo, done in zip(fan._ray_images, on_points):  # the walk's, by ranked ids
+        memo.update(zip(map(rank.__getitem__, done), map(rank.__getitem__, done.values())))
+    fan._facets  # the checks that `validate` reads
     return fan
 
 

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from weylfan import fans
 from weylfan import linalg as la
 from weylfan.cones import (
     Cone,
@@ -331,19 +332,27 @@ def test_dual_description_and_from_system_match_their_oracles_on_random_systems(
 
 
 def test_from_system_matches_oracle_on_catalogue_cones(monkeypatch):
-    """Every standard cone, the J = empty standard cone of its type T (the
-    core of a standard cone that is not its own core) and `_fixed_core` (of
-    the standard cones) of every rank <= 4 catalogue type and valid J is
-    the oracle's cone."""
-    new = Cone.from_system
-    systems = []
+    """Every standard cone and the J = empty standard cone of its type T
+    (the core of a standard cone that is not its own core) of every rank
+    <= 4 catalogue type and valid J is the oracle's cone, and the double
+    description of each `_fixed_core` system (of the standard cones) is
+    the oracle's."""
+    new, dual = Cone.from_system, fans.dual_description
+    systems, duals = [], []
 
     def checked(n, eqs, ins):
         systems.append(n)
         assert _canonical(new, n, eqs, ins) == _canonical(reference_from_system, n, eqs, ins)
         return new(n, eqs, ins)
 
+    def dual_checked(n, eqs, ins):
+        duals.append(n)
+        got = dual(n, eqs, ins)
+        assert _typed(got) == _typed(reference_dual_description(n, eqs, ins)), (n, eqs, ins)
+        return got
+
     monkeypatch.setattr(Cone, "from_system", staticmethod(checked))
+    monkeypatch.setattr(fans, "dual_description", dual_checked)
     for name in RANK4_CATALOGUE:
         datum = build_root_datum(name)
         for J in valid_js(datum):
@@ -355,7 +364,7 @@ def test_from_system_matches_oracle_on_catalogue_cones(monkeypatch):
             fan = Fan(datum, J, standard, {})
             for i in range(len(standard)):
                 _fixed_core(fan, i)
-    assert len(systems) > 1000
+    assert len(systems) > 1000 and len(duals) > 100
 
 
 @pytest.mark.parametrize(

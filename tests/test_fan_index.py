@@ -257,12 +257,15 @@ def test_orbit_walks_match_the_breadth_first_closure(name, J):
 
 @pytest.mark.parametrize("name", ["G2", "BC3", "F4"])
 def test_reflection_images_match_the_simple_reflection(name):
-    """The id memos of the build, the first read and `validate`
+    """The id memos of the first read and of a hand-made fan's `validate`
     (`_id_reflections`) give, per s_k, the id of s_k.p for every ray id
     and of f - f[k] cartan[k] for every form id of a Weyl fan, its rays
     closed under each s_k, and move the rays of each cone onto those of
-    its image in `_moves`."""
-    fan = built_fan(name)
+    its image in `_moves`; the build's ray memo, which a built fan's
+    `validate` reads (`Fan._ray_images`), holds the same ids, renumbered
+    as the rays were ranked."""
+    fan = parabolic_fan(build_root_datum(name))
+    built = [dict(memo) for memo in vars(fan)["_ray_images"]]
     fan.cones  # the first read carries every cone's form ids
     cartan = fan.datum.cartan
     points, forms = fans._Numbering(fan._points), fans._Numbering(fan._forms)
@@ -275,18 +278,25 @@ def test_reflection_images_match_the_simple_reflection(name):
             assert forms.vectors[on_forms[k][f]] == la.sub(form, la.scale(row, form[k]))
         for i, rays in enumerate(fan._rays):
             assert tuple(sorted(map(on_points[k].__getitem__, rays))) == fan._rays[fan._moves[k][i]]
+        assert built[k] and built[k].items() <= on_points[k].items()
     assert points.vectors == fan._points
 
 
 @pytest.mark.parametrize("name,J", RANK4_FANS)
-def test_first_cores_from_the_vanishing_roots_match_the_schreier_oracle(name, J):
+def test_first_cores_from_the_vanishing_roots_match_the_schreier_oracle(monkeypatch, name, J):
     """The roots vanishing at the sum of the rays of each orbit's standard
     cone, where `validate` starts its walk, cut out the fixed locus of its
-    Schreier generators."""
+    Schreier generators: `_fixed_core` gives the extreme rays of that
+    pointed cone from one `dual_description`, or None, with none, when the
+    locus is the cone itself."""
     fan = built_fan(name, J)
+    calls = _count_dual_description(monkeypatch)
     for i in fan._cone_forms:
-        core = fans._fixed_core(fan, i) or fan.cones[i]  # None: the cone itself
-        assert core.key == schreier_core(fan, i).key, i
+        del calls[:]
+        rays = fans._fixed_core(fan, i)
+        assert len(calls) == (rays is not None), i
+        want = fan.cones[i].key if rays is None else ((), tuple(rays))
+        assert want == schreier_core(fan, i).key, i
 
 
 @pytest.mark.parametrize("name", RANK4_CATALOGUE + ["B4", "D5"])
@@ -339,6 +349,21 @@ def test_standard_cones_in_closed_form_match_from_system(name):
                 )
 
 
+@pytest.mark.parametrize("name", RANK4_CATALOGUE + ["B4", "D5", "B5"])
+def test_a_face_of_the_dominant_chamber_takes_the_simple_roots_off_it_as_facet_forms(name):
+    """For T = I (K empty) `_standard_cone` takes the alpha_j, j not in I, as
+    its facet forms without picking: they are, in order, the forms that
+    `cones._facet_forms` picks from them at the cone's rays, for every I."""
+    datum = build_root_datum(name)
+    cartan = datum.cartan
+    coweights = [la.primitive(w) for w in la.transpose(datum.cartan_adjugate[0])]
+    for I, T in fans._admissible_index_sets(datum, frozenset()).items():
+        assert T == I
+        cone = fans._standard_cone(cartan, coweights, I, I)
+        roots = [cartan[j] for j in range(datum.rank) if j not in I]
+        assert list(cone.ins) == cones._facet_forms(roots, cone.rays), sorted(I)
+
+
 @pytest.mark.parametrize("name,J", RANK4_FANS)
 def test_parabolic_fan_runs_no_double_description(monkeypatch, name, J):
     """Every standard cone and core is written in closed form, so no build
@@ -354,13 +379,13 @@ def test_parabolic_fan_runs_no_double_description(monkeypatch, name, J):
 
 @pytest.mark.parametrize("name,J", RANK4_FANS)
 def test_build_order_and_validate_write_no_canonical_form(monkeypatch, name, J):
-    """`parabolic_fan`, `face_order` and `validate()` call
-    `cones._canonical_cone` only from the `Cone.from_system` of each core
-    check (`fans._fixed_core`; none for J empty): every check reads the
-    standard cones' raw root forms.  The first read of `Fan.cones` writes
-    one canonical form per standard cone and per core with T not I, from
-    the facet forms the build picked, and reading `Fan.cores` after it
-    none."""
+    """`parabolic_fan`, `face_order` and `validate()` call neither
+    `cones._canonical_cone` nor `Cone.from_system`: every check reads the
+    standard cones' raw root forms, and each core check
+    (`fans._fixed_core`) the rays of a double description.  The first read
+    of `Fan.cones` writes one canonical form per standard cone and per
+    core with T not I, from the facet forms the build picked, and reading
+    `Fan.cores` after it none."""
     calls, picks = [], []
     canonical, facet_forms = cones._canonical_cone, cones._facet_forms
     for module in (cones, fans):  # `fans` holds the names too
@@ -373,7 +398,7 @@ def test_build_order_and_validate_write_no_canonical_form(monkeypatch, name, J):
     from_system = _count_from_system(monkeypatch)
     fan = parabolic_fan(build_root_datum(name), J)
     assert fan.face_order and fan.validate()
-    assert len(calls) == len(from_system) and (from_system == [] or J)
+    assert calls == from_system == []
     del calls[:], picks[:]
     assert fan.cones and fan.cores
     assert len(calls) == len(fan._cone_forms) + len(fan._core_forms) and picks == []
@@ -419,6 +444,18 @@ def test_validate_rejects_a_merged_cone_missing_an_extreme_ray():
         Fan(fan.datum, fan.J, fan.cones[:98] + (mutant,), fan.cores).validate()
 
 
+def _count_dual_description(monkeypatch) -> list:
+    """Record every `dual_description` call from now on, from `cones` or
+    from `fans`."""
+    calls = []
+    dual_description = cones.dual_description
+    for module in (cones, fans):
+        monkeypatch.setattr(
+            module, "dual_description", lambda *args: calls.append(args) or dual_description(*args)
+        )
+    return calls
+
+
 def _count_from_system(monkeypatch) -> list:
     """Record every `Cone.from_system` call from now on."""
     calls = []
@@ -448,13 +485,14 @@ def _cut_by_a_mixed_root(fan, i) -> bool:
 
 @pytest.mark.parametrize("name,J", [case for case in RANK4_FANS if case.values[1]])
 def test_validate_solves_one_cone_system_per_orbit_cut_by_a_mixed_root(monkeypatch, name, J):
-    """`validate` calls `Cone.from_system` once for each orbit whose first
-    cone has a mixed root vanishing at its ray sum, and not otherwise."""
+    """`validate` runs `dual_description` once for each orbit whose first
+    cone has a mixed root vanishing at its ray sum, and not otherwise, and
+    makes no canonical `Cone.from_system`."""
     fan = built_fan(name, J)
     want = sum(_cut_by_a_mixed_root(fan, i) for i in _orbit_firsts(fan))
-    calls = _count_from_system(monkeypatch)
+    calls, canonical = _count_dual_description(monkeypatch), _count_from_system(monkeypatch)
     fan.validate()
-    assert len(calls) == want
+    assert len(calls) == want and canonical == []
 
 
 def test_merged_orbits_are_cut_by_a_mixed_root():
@@ -471,26 +509,29 @@ def test_merged_orbits_are_cut_by_a_mixed_root():
 def test_the_cones_that_hold_their_forms_get_the_arithmetic_checks(monkeypatch, name, J):
     """The per-cone pass runs at the cones that hold their forms, each once,
     and at no other: on a built fan its standard cones, one per orbit, in
-    the build and in `validate`; on a hand-made fan every cone.
-    `_fixed_core` runs once per orbit in `validate`, at the first cone of
-    its walk: a built fan's standard cone, a hand-made fan's first cone of
-    the orbit."""
-    passes, cores = [], []
-    check_cones, fixed_core = fans._check_cones, fans._fixed_core
+    the build only, as `validate` reads the build's result; on a hand-made
+    fan every cone, in `validate`.  The cover check runs once too, in the
+    build or in `validate`.  `_fixed_core` runs once per orbit in
+    `validate`, at the first cone of its walk: a built fan's standard cone,
+    a hand-made fan's first cone of the orbit."""
+    passes, covers, cores = [], [], []
+    check_cones, check_cover, fixed_core = fans._check_cones, fans._check_cover, fans._fixed_core
     monkeypatch.setattr(
         fans, "_check_cones", lambda fan: passes.append(check_cones(fan)) or passes[-1]
     )
+    monkeypatch.setattr(fans, "_check_cover", lambda fan: covers.append(fan) or check_cover(fan))
     monkeypatch.setattr(fans, "_fixed_core", lambda fan, i: cores.append(i) or fixed_core(fan, i))
     fan = parabolic_fan(build_root_datum(name), J)
     standard = [i for i in range(len(fan)) if fan.cores[i].word == ()]
     labels = orbit_labels(ray_reflection_moves(fan))
     assert sorted(labels[i] for i in standard) == list(range(max(labels) + 1))
-    assert [sorted(p) for p in passes] == [standard] and cores == []
+    assert [sorted(p) for p in passes] == [standard] and len(covers) == 1 and cores == []
     fan.validate()
-    assert [sorted(p) for p in passes] == [standard] * 2 and sorted(cores) == standard
-    del passes[:], cores[:]
+    assert [sorted(p) for p in passes] == [standard] and len(covers) == 1
+    assert sorted(cores) == standard
+    del passes[:], covers[:], cores[:]
     Fan(fan.datum, fan.J, fan.cones, fan.cores).validate()
-    assert [sorted(p) for p in passes] == [list(range(len(fan)))]
+    assert [sorted(p) for p in passes] == [list(range(len(fan)))] and len(covers) == 1
     assert cores == [i for i, label in enumerate(labels) if label not in labels[:i]]
 
 

@@ -473,16 +473,27 @@ def _count_reflections(monkeypatch) -> dict:
     return calls
 
 
-@pytest.mark.parametrize("name", ["B3", "F4"])
-def test_building_and_validating_a_weyl_fan_reflect_no_form(monkeypatch, name):
+@pytest.mark.parametrize(
+    "name,J",
+    [
+        pytest.param("B3", (), id="B3"),
+        pytest.param("F4", (), id="F4"),
+        pytest.param("B3", (1,), id="B3-{a2}"),
+    ],
+)
+def test_building_and_validating_a_weyl_fan_reflect_no_form(monkeypatch, name, J):
     """With J empty every standard cone is a face of the dominant chamber,
-    written with no reflected form, the build moves ray ids only, and
-    `validate` moves no form id of a built fan, so neither calls
-    `_reflected_form`."""
+    written with no reflected form, and the build moves ray ids only, so it
+    calls no `_reflected_form`.  Whatever J, `validate` of a built fan moves
+    no form id and moves ray ids by the build's memo, so it calls neither
+    `_reflected_form` nor `reflect_simple`."""
     calls = _count_reflections(monkeypatch)
-    fan = parabolic_fan(build_root_datum(name), ())
+    fan = parabolic_fan(build_root_datum(name), J)
+    assert calls["reflect_simple"] and bool(calls["_reflected_form"]) == bool(J)
+    for made in calls.values():
+        made.clear()
     fan.validate()
-    assert calls["reflect_simple"] and not calls["_reflected_form"]
+    assert calls == {"reflect_simple": [], "_reflected_form": []}
 
 
 @pytest.mark.parametrize("name,J", [("B3", (1,)), ("F4", (0, 1))])
